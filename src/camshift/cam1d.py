@@ -14,6 +14,15 @@ length ratio |a_k|/|a_{k+1}| must clear a bound driven by the minimal
 period of a_k a_k, and the single-symbol densities stay below the running
 eps prefix sum.  All inequality arithmetic is exact (Fraction); floats
 appear nowhere in certification.
+
+This module also holds what the d-dimensional hierarchy (camzd) shares
+with it: the level accessors of :class:`Hierarchy`, the one parameter
+search :func:`search_parameter`, the eps-tail rows, the inherited-word
+loop, the frequency and period-gap row formulas (written for dimension d,
+so d = 1 gives the one-dimensional denominators) and the pair-scan
+skeleton.  Level builders and certifiers are pure functions of the prefix
+level k and the parameter n: they read levels 1..k of a family and never
+change its levels.
 """
 
 from __future__ import annotations
@@ -100,6 +109,46 @@ def _unverifiable(ident: str, note: str) -> CertRow:
     return CertRow(ident=ident, lhs=None, rhs=None, status="unverifiable", note=note)
 
 
+def _eps_tail_rows(eps: FrequencySequence, new_level: int) -> list:
+    """Closed-form tail bounds of the weight scheme, up to the new level."""
+    return [
+        _row(f"eps-tail[N={m}]", eps.tail(m), eps.tail_bound(m)) for m in range(1, new_level + 1)
+    ]
+
+
+def _inherited_words(eps: FrequencySequence, k: int, skip_a, skip_b):
+    """(ident, side, m, name, bound) for each inherited word of level m <= k
+    checked on one side, with bound = eps_m + ... + eps_k.
+
+    ``skip_a(m)`` and ``skip_b(m)`` name the word that side's density words
+    are made of; it is not checked.
+    """
+    for m in range(1, k + 1):
+        bound = eps.partial(m, k)
+        for side, skip in (("a", skip_a(m)), ("b", skip_b(m))):
+            for name in level_names(m):
+                if name != skip:
+                    yield f"{side}-freq[m={m},u={name}]", side, m, name, bound
+
+
+def _frequency_row(ident, count: int, size: int, size_next: int, bound: Fraction, dim: int):
+    """Row for a word u of ``size`` cells found ``count`` times in the doubled
+    next density word (2^dim copies of ``size_next`` cells).
+
+    Its frequency must stay below bound / (size (2 size - 1)^dim).
+    """
+    return _row(
+        ident, Fraction(count, 2**dim * size_next), bound / (size * (2 * size - 1) ** dim)
+    )
+
+
+def _period_gap_row(k: int, period: int, size_k: int, size_next: int) -> CertRow:
+    """|a_k| / |a_(k+1)| below 1/((4k-2) p_k) - 1/(3^k |a_k|), sizes in cells."""
+    lhs = Fraction(size_k, size_next)
+    rhs = Fraction(1, (4 * k - 2) * period) - Fraction(1, 3**k * size_k)
+    return _row("period-gap", lhs, rhs)
+
+
 @dataclass
 class CertificateReport:
     level: int
@@ -135,7 +184,36 @@ def excluded_b(m: int) -> str:
     return "w1_1" if m == 1 else f"b{m}"
 
 
-class LevelFamily:
+class Hierarchy:
+    """Level accessors shared by the one- and d-dimensional families.
+
+    ``levels[k - 1]`` maps the names of level k to its words; ``params`` and
+    ``certificates`` hold one entry per level above the first.
+    """
+
+    @property
+    def top_level(self) -> int:
+        return len(self.levels)
+
+    def names(self, k: int) -> list[str]:
+        self._check_level(k)
+        return level_names(k)
+
+    def word(self, k: int, name: str):
+        self._check_level(k)
+        return self.levels[k - 1][name]
+
+    def _check_level(self, k: int):
+        if k < 1 or k > self.top_level:
+            raise OutOfBuiltRange(f"level {k} not built (levels 1..{self.top_level})")
+
+    def is_certified(self) -> bool:
+        return len(self.certificates) == self.top_level - 1 and all(
+            c.passed for c in self.certificates
+        )
+
+
+class LevelFamily(Hierarchy):
     """A built hierarchy: levels of words, parameters, and certificates."""
 
     def __init__(
@@ -163,18 +241,6 @@ class LevelFamily:
 
     # -- accessors ------------------------------------------------------
 
-    @property
-    def top_level(self) -> int:
-        return len(self.levels)
-
-    def names(self, k: int) -> list[str]:
-        self._check_level(k)
-        return level_names(k)
-
-    def word(self, k: int, name: str) -> slp.SlpExpr:
-        self._check_level(k)
-        return self.levels[k - 1][name]
-
     def a(self, k: int) -> slp.SlpExpr:
         return self.word(k, f"a{k}") if k >= 2 else self.word(1, "w2_1")
 
@@ -184,10 +250,6 @@ class LevelFamily:
     def word_length(self, k: int) -> int:
         self._check_level(k)
         return next(iter(self.levels[k - 1].values())).length
-
-    def _check_level(self, k: int):
-        if k < 1 or k > self.top_level:
-            raise OutOfBuiltRange(f"level {k} not built (levels 1..{self.top_level})")
 
     def string(self, k: int, name: str) -> str | None:
         """Materialized word, or None when it exceeds the symbol budget."""
@@ -215,20 +277,14 @@ class LevelFamily:
         self._periods[k] = p
         return p
 
-    def is_certified(self) -> bool:
-        return len(self.certificates) == self.top_level - 1 and all(
-            c.passed for c in self.certificates
-        )
-
 
 # -- building -------------------------------------------------------------
 
 
-def _level_words(family: LevelFamily, n: int) -> dict:
-    """Candidate words of level top+1 at parameter n (no checking here)."""
+def _level_words(family: LevelFamily, k: int, n: int) -> dict:
+    """Candidate words of level k+1 at parameter n, from levels 1..k (no checking here)."""
     if n <= 1:
         raise InvalidParameter("level parameter must be > 1")
-    k = family.top_level
     b = family.builder
     if k == 1:
         zero, one = b.atom("0"), b.atom("1")
@@ -261,17 +317,21 @@ def _level_words(family: LevelFamily, n: int) -> dict:
 
 def build_level(family: LevelFamily, n_next: int) -> LevelFamily:
     """Append level top+1 at the given parameter; no inequality checking."""
-    words = _level_words(family, n_next)
+    words = _level_words(family, family.top_level, n_next)
     family.levels.append(words)
     family.params.append(n_next)
     return family
 
 
-def _certify_words(family: LevelFamily, words: dict, n: int) -> CertificateReport:
-    """Exact-rational certification of candidate words for level top+1."""
-    k = family.top_level
+def _certify(family: LevelFamily, k: int, n: int) -> CertificateReport:
+    """Exact-rational certification of level k+1 at parameter n against levels 1..k.
+
+    A built level k+1 is certified on its own words: hash-consing returns
+    the nodes already in the family.
+    """
     new_level = k + 1
     builder = family.builder
+    words = _level_words(family, k, n)
     a_next = words[f"a{new_level}"]
     b_next = words[f"b{new_level}"]
     len_next = a_next.length
@@ -280,38 +340,26 @@ def _certify_words(family: LevelFamily, words: dict, n: int) -> CertificateRepor
         "b": builder.concat([(b_next, 2)]),
     }
     report = CertificateReport(level=new_level, param=n)
+    report.rows += _eps_tail_rows(family.eps, new_level)
 
-    # closed-form tail bounds of the weight scheme, up to the new level
-    for m in range(1, new_level + 1):
-        report.rows.append(_row(f"eps-tail[N={m}]", family.eps.tail(m), family.eps.tail_bound(m)))
-
-    for m in range(1, k + 1):
-        bound = family.eps.partial(m, k)
-        for side in ("a", "b"):
-            skip = excluded_a(m) if side == "a" else excluded_b(m)
-            for name in level_names(m):
-                if name == skip:
-                    continue
-                ident = f"{side}-freq[m={m},u={name}]"
-                u = family.string(m, name)
-                if u is None:
-                    report.rows.append(
-                        _unverifiable(ident, "unverifiable at budget: word exceeds symbol budget")
-                    )
-                    continue
-                if not builder.widen_window(len(u) + 1):
-                    report.rows.append(
-                        _unverifiable(
-                            ident,
-                            f"unverifiable at budget: pattern length {len(u)} "
-                            f"exceeds window cap {builder.snippet_cap}",
-                        )
-                    )
-                    continue
-                count = builder.count_occurrences(u, doubled[side])
-                lhs = Fraction(count, 2 * len_next)
-                rhs = bound / (len(u) * (2 * len(u) - 1))
-                report.rows.append(_row(ident, lhs, rhs))
+    for ident, side, m, name, bound in _inherited_words(family.eps, k, excluded_a, excluded_b):
+        u = family.string(m, name)
+        if u is None:
+            report.rows.append(
+                _unverifiable(ident, "unverifiable at budget: word exceeds symbol budget")
+            )
+            continue
+        if not builder.widen_window(len(u) + 1):
+            report.rows.append(
+                _unverifiable(
+                    ident,
+                    f"unverifiable at budget: pattern length {len(u)} "
+                    f"exceeds window cap {builder.snippet_cap}",
+                )
+            )
+            continue
+        count = builder.count_occurrences(u, doubled[side])
+        report.rows.append(_frequency_row(ident, count, len(u), len_next, bound, dim=1))
 
     if k >= 2:
         p_k = family.period(k)
@@ -320,10 +368,7 @@ def _certify_words(family: LevelFamily, words: dict, n: int) -> CertificateRepor
                 _unverifiable("period-gap", "unverifiable at budget: a_k a_k exceeds symbol budget")
             )
         else:
-            a_k_len = family.word_length(k)
-            lhs = Fraction(a_k_len, len_next)
-            rhs = Fraction(1, (4 * k - 2) * p_k) - Fraction(1, 3**k * a_k_len)
-            report.rows.append(_row("period-gap", lhs, rhs))
+            report.rows.append(_period_gap_row(k, p_k, family.word_length(k), len_next))
 
     prefix = family.eps.partial(1, k)
     report.rows.append(
@@ -340,13 +385,7 @@ def certify_level(family: LevelFamily, k: int | None = None) -> CertificateRepor
     k = family.top_level if k is None else k
     if k < 2 or k > family.top_level:
         raise OutOfBuiltRange(f"no built level {k} to certify")
-    # temporarily view the family as if level k were the candidate
-    saved = family.levels
-    family.levels = saved[: k - 1]
-    try:
-        return _certify_words(family, saved[k - 1], family.params[k - 2])
-    finally:
-        family.levels = saved
+    return _certify(family, k - 1, family.params[k - 2])
 
 
 def certify_candidate(family: LevelFamily, n: int, at_level: int | None = None) -> CertificateReport:
@@ -359,27 +398,24 @@ def certify_candidate(family: LevelFamily, n: int, at_level: int | None = None) 
     target = family.top_level + 1 if at_level is None else at_level
     if target < 2 or target > family.top_level + 1:
         raise OutOfBuiltRange(f"cannot certify candidate level {target}")
-    saved = family.levels
-    family.levels = saved[: target - 1]
-    try:
-        return _certify_words(family, _level_words(family, n), n)
-    finally:
-        family.levels = saved
+    return _certify(family, target - 1, n)
 
 
-def choose_parameter(family: LevelFamily, cap: int | None = None) -> int:
-    """Smallest n > 1 whose candidate level passes certification.
+def search_parameter(family: Hierarchy, certify, cap: int | None = None) -> int:
+    """Smallest n > 1 for which ``certify(n)``, a CertificateReport of the
+    family's next level at parameter n, passes.
 
     Doubles until a passing n is found, bisects down to the boundary, then
     confirms fail at n-1 (walking down if the pass region is unexpectedly
-    non-monotone).
+    non-monotone).  A report with unverifiable rows and no failed row
+    decides nothing, so it stops the search with BudgetExceeded.
     """
     if not family.is_certified():
         raise InvalidParameter("family must be certified through its top level")
     cap = cap or family.budgets.search_cap
 
     def passes(n: int) -> bool:
-        report = certify_candidate(family, n)
+        report = certify(n)
         if report.unverifiable_rows and not report.failed_rows:
             notes = "; ".join(r.note for r in report.unverifiable_rows[:2])
             raise BudgetExceeded(
@@ -406,6 +442,11 @@ def choose_parameter(family: LevelFamily, cap: int | None = None) -> int:
         while best > 2 and passes(best - 1):
             best -= 1
     return best
+
+
+def choose_parameter(family: LevelFamily, cap: int | None = None) -> int:
+    """Smallest n > 1 whose candidate level passes certification."""
+    return search_parameter(family, lambda n: certify_candidate(family, n), cap)
 
 
 def build_family(
@@ -462,34 +503,22 @@ class SubwordReport:
         return [p for p in self.pairs if p.count not in (None, 0)]
 
 
-def verify_distinct_subwords(
-    family: LevelFamily, k: int, budget: int | None = None, jobs: int = 1
-) -> SubwordReport:
-    """Scan every ordered pair of distinct level-k words u, v for u inside vv.
+def _pair_report(k: int, names: list, count, jobs: int) -> SubwordReport:
+    """Check every ordered pair of distinct level-k words u, v.
 
-    Pairs whose materialization exceeds the budget are reported as
-    certified-by-inequalities, never silently dropped.  Scans are
+    ``count(u, v)`` gives the occurrences of u inside vv; when ``count`` is
+    None every pair is reported as certified-by-inequalities.  Scans are
     independent; ``jobs`` > 1 runs them in a thread pool with canonical
     output order either way.
     """
-    budget = budget if budget is not None else family.budgets.symbols
-    names = family.names(k)
-    word_len = family.word_length(k)
-    scannable = 2 * word_len <= budget
-    strings = {name: family.string(k, name) for name in names} if scannable else {}
-    scannable = scannable and all(s is not None for s in strings.values())
     tasks = [(u, v) for v in names for u in names if u != v]
-    if not scannable:
-        return SubwordReport(
-            level=k,
-            pairs=[PairCheck(u, v, "certified-by-inequalities", None) for u, v in tasks],
-        )
-    doubles = {name: strings[name] + strings[name] for name in names}
+    if count is None:
+        pairs = [PairCheck(u, v, "certified-by-inequalities", None) for u, v in tasks]
+        return SubwordReport(level=k, pairs=pairs)
 
     def scan(pair):
-        u_name, v_name = pair
-        count = slp.count_occurrences_naive(strings[u_name], doubles[v_name])
-        return PairCheck(u_name, v_name, "verified", count)
+        u, v = pair
+        return PairCheck(u, v, "verified", count(u, v))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -497,6 +526,27 @@ def verify_distinct_subwords(
     else:
         pairs = [scan(t) for t in tasks]
     return SubwordReport(level=k, pairs=pairs)
+
+
+def verify_distinct_subwords(
+    family: LevelFamily, k: int, budget: int | None = None, jobs: int = 1
+) -> SubwordReport:
+    """Scan every ordered pair of distinct level-k words u, v for u inside vv.
+
+    Pairs whose materialization exceeds the budget are reported as
+    certified-by-inequalities, never silently dropped.
+    """
+    budget = budget if budget is not None else family.budgets.symbols
+    names = family.names(k)
+    word_len = family.word_length(k)
+    scannable = 2 * word_len <= budget
+    strings = {name: family.string(k, name) for name in names} if scannable else {}
+    if not scannable or any(s is None for s in strings.values()):
+        return _pair_report(k, names, None, jobs)
+    doubles = {name: strings[name] + strings[name] for name in names}
+    return _pair_report(
+        k, names, lambda u, v: slp.count_occurrences_naive(strings[u], doubles[v]), jobs
+    )
 
 
 # -- the transitive point --------------------------------------------------
@@ -783,17 +833,29 @@ def report_to_obj(report: CertificateReport) -> dict:
 
 
 def report_from_obj(obj) -> CertificateReport:
+    """Read a stored report, checking each row against its own numbers.
+
+    The status must be known, a pass or fail must agree with lhs < rhs, and
+    the stored margin must equal rhs - lhs; otherwise MalformedFamily.
+    """
     report = CertificateReport(level=int(obj["level"]), param=int(obj["param"]))
     for row in obj["rows"]:
-        report.rows.append(
-            CertRow(
-                ident=row["id"],
-                lhs=_fraction_from(row["lhs"]),
-                rhs=_fraction_from(row["rhs"]),
-                status=row["status"],
-                note=row.get("note", ""),
-            )
+        cert = CertRow(
+            ident=row["id"],
+            lhs=_fraction_from(row["lhs"]),
+            rhs=_fraction_from(row["rhs"]),
+            status=row["status"],
+            note=row.get("note", ""),
         )
+        if cert.status not in ("pass", "fail", "unverifiable", "info"):
+            raise MalformedFamily(f"row {cert.ident}: unknown status {cert.status!r}")
+        if cert.status in ("pass", "fail") and (
+            cert.margin is None or (cert.status == "pass") != (cert.lhs < cert.rhs)
+        ):
+            raise MalformedFamily(f"row {cert.ident}: status {cert.status} contradicts lhs < rhs")
+        if _fraction_from(row["margin"]) != cert.margin:
+            raise MalformedFamily(f"row {cert.ident}: stored margin is not rhs - lhs")
+        report.rows.append(cert)
     return report
 
 
@@ -849,5 +911,5 @@ def family_from_obj(obj, budgets: Budgets | None = None) -> LevelFamily:
         return family
     except MalformedFamily:
         raise
-    except (KeyError, TypeError, ValueError, InvalidParameter) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, InvalidParameter) as exc:
         raise MalformedFamily(f"malformed family file: {exc}") from exc

@@ -12,11 +12,17 @@ with that equal-domain convention.
 
 Counting here is materialization-only under a cell budget; the compressed
 form (base + patches) is kept for layout queries and cell evaluation.
+
+The level accessors, the parameter search, the eps-tail rows, the
+inherited-word loop, the frequency and period-gap row formulas and the
+pair-scan skeleton are shared with the one-dimensional hierarchy and live
+in :mod:`camshift.cam1d`; this module keeps the cube words, their numpy
+counting and the rows only the d-dimensional certificate has (the stamp
+fit and the side-length variants).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -28,19 +34,25 @@ from .cam1d import (
     CertificateReport,
     CertRow,
     FrequencySequence,
-    PairCheck,
+    Hierarchy,
     SubwordReport,
+    _eps_tail_rows,
+    _frequency_row,
+    _inherited_words,
+    _pair_report,
+    _period_gap_row,
     _row,
     _unverifiable,
     default_frequency_sequence,
-    level_names,
+    report_from_obj,
+    report_to_obj,
+    search_parameter,
 )
 from .errors import (
     BudgetExceeded,
     InvalidParameter,
     MalformedFamily,
     OutOfBuiltRange,
-    SearchBudgetExceeded,
     ShapeMismatch,
     StampCountTooLarge,
 )
@@ -288,7 +300,7 @@ class ZdWord:
         return self.array is not None
 
 
-class ZdFamily:
+class ZdFamily(Hierarchy):
     """Levels of equal-shape cube words with parameters and certificates."""
 
     def __init__(
@@ -310,33 +322,12 @@ class ZdFamily:
         self.params: list[int] = []
         self.certificates: list[CertificateReport] = []
 
-    @property
-    def top_level(self) -> int:
-        return len(self.levels)
-
-    def names(self, k: int) -> list[str]:
-        self._check_level(k)
-        return level_names(k)
-
-    def word(self, k: int, name: str) -> ZdWord:
-        self._check_level(k)
-        return self.levels[k - 1][name]
-
     def side(self, k: int) -> int:
         self._check_level(k)
         return next(iter(self.levels[k - 1].values())).side
 
     def volume(self, k: int) -> int:
         return self.side(k) ** self.dim
-
-    def _check_level(self, k: int):
-        if k < 1 or k > self.top_level:
-            raise OutOfBuiltRange(f"level {k} not built (levels 1..{self.top_level})")
-
-    def is_certified(self) -> bool:
-        return len(self.certificates) == self.top_level - 1 and all(
-            c.passed for c in self.certificates
-        )
 
 
 def excluded_a_d(m: int) -> str:
@@ -348,12 +339,11 @@ def excluded_b_d(m: int) -> str:
     return "w2_1" if m == 1 else f"b{m}"
 
 
-def _level_words_d(family: ZdFamily, n: int) -> dict:
-    """Candidate words of level top+1 at parameter n (structure only)."""
+def _level_words_d(family: ZdFamily, k: int, n: int) -> dict:
+    """Candidate words of level k+1 at parameter n, from levels 1..k (structure only)."""
     if n <= 1:
         raise InvalidParameter("level parameter must be > 1")
     d = family.dim
-    k = family.top_level
     cell_cap = family.budgets.cells
 
     def wrap(name, obj):
@@ -406,7 +396,7 @@ def _level_words_d(family: ZdFamily, n: int) -> dict:
 
 def build_level_d(family: ZdFamily, n_next: int) -> ZdFamily:
     """Append level top+1 at the given parameter; no inequality checking."""
-    words = _level_words_d(family, n_next)
+    words = _level_words_d(family, family.top_level, n_next)
     family.levels.append(words)
     family.params.append(n_next)
     return family
@@ -420,10 +410,10 @@ def _doubled(word: ZdWord, cell_cap: int) -> ArrayWord | None:
     return np.tile(word.array, (2,) * word.array.ndim)
 
 
-def certify_candidate_d(family: ZdFamily, n: int) -> CertificateReport:
-    """Exact certification of the candidate next level at parameter n.
+def _certify_d(family: ZdFamily, k: int, n: int) -> CertificateReport:
+    """Exact certification of level k+1 at parameter n against levels 1..k.
 
-    Rows: the postcard fit precondition; for every m <= top and inherited
+    Rows: the postcard fit precondition; for every m <= k and inherited
     word u the frequency of u in the doubled density word below
     (eps_m + ... + eps_k) / (|u| (2|u|-1)^d) with |u| the cell count
     (the printed denominator; the side-length variant is reported as an
@@ -431,68 +421,50 @@ def certify_candidate_d(family: ZdFamily, n: int) -> CertificateReport:
     deviant-symbol densities below the eps prefix sum.
     """
     d = family.dim
-    k = family.top_level
     new_level = k + 1
     report = CertificateReport(level=new_level, param=n)
     stamp_count = 1 if k == 1 else 2 * k
     fit_rhs = 2 * stamp_count + 4
-    for m in range(1, new_level + 1):
-        report.rows.append(_row(f"eps-tail[N={m}]", family.eps.tail(m), family.eps.tail_bound(m)))
+    report.rows += _eps_tail_rows(family.eps, new_level)
     fit_row = _row(f"stamp-fit[k={stamp_count}]", Fraction(fit_rhs), Fraction(n + 1))
     fit_row.note = "layout precondition n >= 2k+4 (pass iff 2k+4 < n+1)"
     report.rows.append(fit_row)
     if n < max(fit_rhs, 3):
         return report  # cannot even place stamps; frequency rows are moot
 
-    words = _level_words_d(family, n)
+    words = _level_words_d(family, k, n)
     a_next, b_next = words[f"a{new_level}"], words[f"b{new_level}"]
     cell_cap = family.budgets.cells
     doubles = {"a": _doubled(a_next, cell_cap), "b": _doubled(b_next, cell_cap)}
     vol_next = a_next.side**d
 
-    for m in range(1, k + 1):
-        bound = family.eps.partial(m, k)
-        for side in ("a", "b"):
-            skip = excluded_a_d(m) if side == "a" else excluded_b_d(m)
-            doubled = doubles[side]
-            for name in level_names(m):
-                if name == skip:
-                    continue
-                ident = f"{side}-freq[m={m},u={name}]"
-                u = family.word(m, name)
-                if doubled is None or u.array is None:
-                    report.rows.append(
-                        _unverifiable(ident, "unverifiable at budget: cell budget exceeded")
-                    )
-                    continue
-                count = count_occurrences_d(u.array, doubled, max_cells=cell_cap)
-                volume = u.array.size
-                lhs = Fraction(count, 2**d * vol_next)
-                rhs = bound / (volume * (2 * volume - 1) ** d)
-                report.rows.append(_row(ident, lhs, rhs))
-                side_len = u.side
-                info = CertRow(
-                    ident=f"{side}-freq-sidelen[m={m},u={name}]",
-                    lhs=lhs,
-                    rhs=bound / (volume * (2 * side_len - 1) ** d),
-                    status="info",
-                    note="informational variant with geometric overlap count",
-                )
-                report.rows.append(info)
+    for ident, side, m, name, bound in _inherited_words(family.eps, k, excluded_a_d, excluded_b_d):
+        doubled = doubles[side]
+        u = family.word(m, name)
+        if doubled is None or u.array is None:
+            report.rows.append(_unverifiable(ident, "unverifiable at budget: cell budget exceeded"))
+            continue
+        count = count_occurrences_d(u.array, doubled, max_cells=cell_cap)
+        volume = u.array.size
+        row = _frequency_row(ident, count, volume, vol_next, bound, d)
+        info = CertRow(
+            ident=f"{side}-freq-sidelen[m={m},u={name}]",
+            lhs=row.lhs,
+            rhs=bound / (volume * (2 * u.side - 1) ** d),
+            status="info",
+            note="informational variant with geometric overlap count",
+        )
+        report.rows += [row, info]
 
     if k >= 2:
         base = family.word(k, f"a{k}")
-        ident = "period-gap"
         if base.array is None:
             report.rows.append(
-                _unverifiable(ident, "unverifiable at budget: cell budget exceeded")
+                _unverifiable("period-gap", "unverifiable at budget: cell budget exceeded")
             )
         else:
             p_k = period_lattice(base.array).index
-            vol_k = family.volume(k)
-            lhs = Fraction(vol_k, vol_next)
-            rhs = Fraction(1, (4 * k - 2) * p_k) - Fraction(1, 3**k * vol_k)
-            report.rows.append(_row(ident, lhs, rhs))
+            report.rows.append(_period_gap_row(k, p_k, family.volume(k), vol_next))
 
     prefix = family.eps.partial(1, k)
     for ident, word, symbol in (("a-density[1]", a_next, 1), ("b-density[0]", b_next, 0)):
@@ -506,52 +478,22 @@ def certify_candidate_d(family: ZdFamily, n: int) -> CertificateReport:
     return report
 
 
+def certify_candidate_d(family: ZdFamily, n: int) -> CertificateReport:
+    """Exact certification of the candidate next level at parameter n."""
+    return _certify_d(family, family.top_level, n)
+
+
 def certify_level_d(family: ZdFamily, k: int | None = None) -> CertificateReport:
     """Re-run the certifier for a built level (default: the top level)."""
     k = family.top_level if k is None else k
     if k < 2 or k > family.top_level:
         raise OutOfBuiltRange(f"no built level {k} to certify")
-    saved = family.levels
-    family.levels = saved[: k - 1]
-    try:
-        return certify_candidate_d(family, family.params[k - 2])
-    finally:
-        family.levels = saved
+    return _certify_d(family, k - 1, family.params[k - 2])
 
 
 def choose_parameter_d(family: ZdFamily, cap: int | None = None) -> int:
     """Smallest n > 1 whose candidate next level passes certification."""
-    if not family.is_certified():
-        raise InvalidParameter("family must be certified through its top level")
-    cap = cap or family.budgets.search_cap
-
-    def passes(n: int) -> bool:
-        report = certify_candidate_d(family, n)
-        if report.unverifiable_rows and not report.failed_rows:
-            raise BudgetExceeded(
-                f"certification of level {report.level} undecidable at the cell budget"
-            )
-        return report.passed
-
-    if passes(2):
-        best = 2
-    else:
-        lo, hi = 2, 4
-        while not passes(hi):
-            lo = hi
-            hi *= 2
-            if hi > cap:
-                raise SearchBudgetExceeded(f"no passing parameter found up to cap {cap}")
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if passes(mid):
-                hi = mid
-            else:
-                lo = mid
-        best = hi
-        while best > 2 and passes(best - 1):
-            best -= 1
-    return best
+    return search_parameter(family, lambda n: certify_candidate_d(family, n), cap)
 
 
 def build_family_d(
@@ -584,25 +526,15 @@ def verify_distinct_subwords_d(
     scannable = all(a is not None for a in arrays.values()) and (
         2**d * family.volume(k) <= budget
     )
-    tasks = [(u, v) for v in names for u in names if u != v]
     if not scannable:
-        return SubwordReport(
-            level=k,
-            pairs=[PairCheck(u, v, "certified-by-inequalities", None) for u, v in tasks],
-        )
+        return _pair_report(k, names, None, jobs)
     doubles = {name: np.tile(arr, (2,) * d) for name, arr in arrays.items()}
-
-    def scan(pair):
-        u_name, v_name = pair
-        count = count_occurrences_d(arrays[u_name], doubles[v_name], max_cells=budget)
-        return PairCheck(u_name, v_name, "verified", count)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(scan, tasks))
-    else:
-        pairs = [scan(t) for t in tasks]
-    return SubwordReport(level=k, pairs=pairs)
+    return _pair_report(
+        k,
+        names,
+        lambda u, v: count_occurrences_d(arrays[u], doubles[v], max_cells=budget),
+        jobs,
+    )
 
 
 def transitive_config_window(family: ZdFamily, starts, sides) -> ArrayWord:
@@ -732,8 +664,6 @@ def patchwork_from_obj(obj) -> PatchworkExpr:
 
 
 def family_to_obj_d(family: ZdFamily) -> dict:
-    from .cam1d import report_to_obj
-
     levels = []
     for k in range(1, family.top_level + 1):
         words = {}
@@ -757,8 +687,6 @@ def family_to_obj_d(family: ZdFamily) -> dict:
 
 
 def family_from_obj_d(obj, budgets: Budgets | None = None) -> ZdFamily:
-    from .cam1d import report_from_obj
-
     try:
         dim = int(obj["dim"])
         if dim < 1:
@@ -778,5 +706,5 @@ def family_from_obj_d(obj, budgets: Budgets | None = None) -> ZdFamily:
         return family
     except MalformedFamily:
         raise
-    except (KeyError, TypeError, ValueError, InvalidParameter) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, InvalidParameter) as exc:
         raise MalformedFamily(f"malformed family file: {exc}") from exc

@@ -54,7 +54,11 @@ def _load_family(path: str, budgets: Budgets):
         raise MalformedFamily(f"cannot read family file {path}: {exc}") from exc
     if not isinstance(obj, dict) or "dim" not in obj:
         raise MalformedFamily(f"{path} is not a family file")
-    if int(obj["dim"]) == 1:
+    try:
+        dim = int(obj["dim"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedFamily(f"{path} has no integer dimension: {exc}") from exc
+    if dim == 1:
         return cam1d.family_from_obj(obj, budgets=budgets)
     return camzd.family_from_obj_d(obj, budgets=budgets)
 

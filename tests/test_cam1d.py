@@ -51,7 +51,7 @@ def test_level3_length_identity():
     family = cam1d.LevelFamily()
     cam1d.build_level(family, 8)
     for n3 in (2, 5, 11):
-        words = cam1d._level_words(family, n3)
+        words = cam1d._level_words(family, 2, n3)
         assert words["a3"].length == (5 * n3 + 4) * 9
         assert words["w1_3"].length == words["a3"].length
 
@@ -137,6 +137,24 @@ def test_chooser_boundary_levels(family3):
         assert cam1d.certify_candidate(family3, n, at_level=level).passed
         if n > 2:
             assert not cam1d.certify_candidate(family3, n - 1, at_level=level).passed
+
+
+def test_certification_is_pure(family3, monkeypatch):
+    # certifying a lower level reads levels 1..k in place; the family keeps
+    # all its levels throughout
+    levels = family3.levels
+    seen = []
+    string = cam1d.LevelFamily.string
+
+    def recording(self, k, name):
+        seen.append(self.top_level)
+        return string(self, k, name)
+
+    monkeypatch.setattr(cam1d.LevelFamily, "string", recording)
+    cam1d.certify_level(family3, 2)
+    cam1d.certify_candidate(family3, family3.params[0], at_level=2)
+    assert seen and set(seen) == {3}
+    assert family3.levels is levels and family3.top_level == 3
 
 
 def test_certify_unverifiable_rows_reported():
@@ -297,6 +315,25 @@ def test_family_from_obj_rejects_tampering(family3):
     obj = cam1d.family_to_obj(family3)
     data = json.loads(json.dumps(obj))
     data["levels"][1]["words"]["a2"] = data["levels"][1]["words"]["b2"]
+    with pytest.raises(MalformedFamily):
+        cam1d.family_from_obj(data)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lhs", {"num": "1", "den": "1"}),  # a pass row whose lhs no longer passes
+        ("lhs", None),
+        ("status", "fail"),
+        ("status", "passed"),
+        ("margin", {"num": "1", "den": "2"}),
+        ("margin", {"num": "1", "den": "0"}),
+    ],
+)
+def test_family_from_obj_checks_certificate_rows(family3, field, value):
+    data = json.loads(json.dumps(cam1d.family_to_obj(family3)))
+    row = next(r for r in data["certificates"][0]["rows"] if r["id"] == "b-freq[m=1,u=w2_1]")
+    row[field] = value
     with pytest.raises(MalformedFamily):
         cam1d.family_from_obj(data)
 

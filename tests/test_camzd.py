@@ -250,6 +250,21 @@ def test_d2_level2_boundary():
     assert any(r.ident.startswith("stamp-fit") and r.status == "fail" for r in report.rows)
 
 
+def test_certification_is_pure_d(family_d2, monkeypatch):
+    levels = family_d2.levels
+    seen = []
+    count = camzd.count_occurrences_d
+
+    def recording(pattern, text, max_cells=None):
+        seen.append(family_d2.top_level)
+        return count(pattern, text, max_cells=max_cells)
+
+    monkeypatch.setattr(camzd, "count_occurrences_d", recording)
+    assert camzd.certify_level_d(family_d2, 2).passed
+    assert seen and set(seen) == {2}
+    assert family_d2.levels is levels and family_d2.top_level == 2
+
+
 def test_d1_family_level3():
     family = camzd.build_family_d(dim=1, levels=3)
     assert family.params[0] == 9  # smallest n with 1/n < 1/8 and n >= 6
@@ -338,5 +353,14 @@ def test_family_d_round_trip(family_d2):
 def test_family_d_rejects_tampering(family_d2):
     data = json.loads(json.dumps(camzd.family_to_obj_d(family_d2)))
     data["levels"][1]["words"]["a2"]["array"]["data"] = "0" * 36
+    with pytest.raises(MalformedFamily):
+        camzd.family_from_obj_d(data)
+
+
+def test_family_d_checks_certificate_rows(family_d2):
+    data = json.loads(json.dumps(camzd.family_to_obj_d(family_d2)))
+    row = next(r for r in data["certificates"][0]["rows"] if r["id"] == "a-freq[m=1,u=w2_1]")
+    assert row["status"] == "pass"
+    row["lhs"] = {"num": "1", "den": "1"}
     with pytest.raises(MalformedFamily):
         camzd.family_from_obj_d(data)

@@ -131,10 +131,18 @@ def test_sft_embed(capsys):
     assert payload["smallest_feasible_height"] == 5
 
 
-def test_malformed_family_exit_code(tmp_path):
+def test_malformed_family_exit_code(tmp_path, family_file):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"bad": true}')
-    assert run("verify", "--family", str(bad), "--level", "2") == 4
+    for text in ('{"bad": true}', '{"dim": "x"}', '{"dim": null}'):
+        bad.write_text(text)
+        assert run("verify", "--family", str(bad), "--level", "2") == 4
+        assert run("certify", "--family", str(bad)) == 4
+    # a stored pass row whose lhs no longer passes
+    obj = json.loads(family_file.read_text())
+    row = next(r for r in obj["certificates"][0]["rows"] if r["id"] == "b-freq[m=1,u=w2_1]")
+    row["lhs"] = {"num": "1", "den": "1"}
+    bad.write_text(json.dumps(obj))
+    assert run("certify", "--family", str(bad)) == 4
     missing = tmp_path / "missing.json"
     assert run("verify", "--family", str(missing), "--level", "2") == 4
 

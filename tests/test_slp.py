@@ -160,6 +160,9 @@ def test_count_rejects_bad_patterns(builder):
     small = slp.SlpBuilder(window=4)
     with pytest.raises(PatternTooLong):
         small.count_occurrences("00000", small.power(small.atom("0"), 10))
+    for pattern, stray in (("2", "2"), ("01x10", "x"), ("0110 ", " ")):
+        with pytest.raises(InvalidParameter, match=f"got {stray!r}"):
+            builder.count_occurrences(pattern, a2)
 
 
 def test_count_is_deterministic(builder):
