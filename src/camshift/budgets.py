@@ -41,10 +41,14 @@ def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        pass
+    try:
         value = float(text)
-        if value != int(value):
-            raise InvalidParameter(f"budget value {text!r} is not an integer")
-        return int(value)
+        if value == int(value):  # int() rejects inf and nan
+            return int(value)
+    except (ValueError, OverflowError):
+        pass
+    raise InvalidParameter(f"budget value {text!r} is not an integer")
 
 
 def budgets_from_env(base: Budgets | None = None) -> Budgets:

@@ -63,7 +63,7 @@ def _load_family(path: str, budgets: Budgets):
     return camzd.family_from_obj_d(obj, budgets=budgets)
 
 
-def _emit(text: str, out: str | None):
+def _write_out(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="ascii") as handle:
             handle.write(text)
@@ -132,7 +132,7 @@ def cmd_certify(args) -> int:
     certify = cam1d.certify_level if family.dim == 1 else camzd.certify_level_d
     levels = [args.level] if args.level else range(2, family.top_level + 1)
     reports = [certify(family, k) for k in levels]
-    _emit(_reports_payload(reports, args.format), args.out)
+    _write_out(_reports_payload(reports, args.format), args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
 
@@ -191,7 +191,7 @@ def cmd_measure(args) -> int:
                 rows.append({"side": side, "cylinder": cylinder, "value": _frac_str(value)})
                 print(f"side {side} [{cylinder}] = {_frac_str(value)}")
         if args.out:
-            _emit(canonical_json(rows), args.out)
+            _write_out(canonical_json(rows), args.out)
         return EXIT_OK
     rows = camzd.measure_report_d(family, args.k)
     for row in rows:
@@ -215,9 +215,9 @@ def cmd_complexity(args) -> int:
         writer.writerow(["n", "count", "window_length"])
         for n, count in enumerate(profile.counts, start=1):
             writer.writerow([str(n), str(count), str(profile.window_length)])
-        _emit(buffer.getvalue(), args.out)
+        _write_out(buffer.getvalue(), args.out)
     else:
-        _emit(
+        _write_out(
             canonical_json(
                 {
                     "window_length": profile.window_length,
@@ -237,7 +237,7 @@ def _parse_matrix(text: str):
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CamshiftError(f"matrix must be JSON array-of-arrays: {exc}") from exc
-    return sft.SftMatrix(tuple(map(tuple, rows)))
+    return sft.SftMatrix(rows)
 
 
 def cmd_sft(args) -> int:

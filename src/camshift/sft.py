@@ -28,10 +28,15 @@ class SftMatrix:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        if not isinstance(self.rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in self.rows
+        ):
+            raise InvalidParameter("matrix must be an array of arrays")
+        rows = tuple(map(tuple, self.rows))
         if not rows or any(len(row) != len(rows) for row in rows):
             raise InvalidParameter("matrix must be square and nonempty")
-        if any(x < 0 for row in rows for x in row):
+        # exact type: a float, a string or a bool is not read as an entry
+        if any(type(x) is not int or x < 0 for row in rows for x in row):
             raise InvalidParameter("matrix entries must be nonnegative integers")
         object.__setattr__(self, "rows", rows)
 
@@ -41,7 +46,7 @@ class SftMatrix:
 
 
 def _as_matrix(A) -> SftMatrix:
-    return A if isinstance(A, SftMatrix) else SftMatrix(tuple(map(tuple, A)))
+    return A if isinstance(A, SftMatrix) else SftMatrix(A)
 
 
 def _matmul(X, Y):
@@ -158,7 +163,7 @@ def is_irreducible(A) -> bool:
     A = _as_matrix(A)
     n = A.dim
     if n == 1:
-        return A.rows[0][0] > 0 or True  # a single vertex is trivially its own class
+        return True  # a single vertex is trivially its own class
     adj = [[j for j in range(n) if A.rows[i][j] > 0] for i in range(n)]
     radj = [[j for j in range(n) if A.rows[j][i] > 0] for i in range(n)]
 

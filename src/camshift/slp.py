@@ -1,20 +1,26 @@
 """Grammar-compressed binary words with exact occurrence counting.
 
 A word over {0,1} is represented as a DAG: leaves are the two atoms and
-every internal node is a concatenation of (child, repeat) parts, so words
+every internal node is a concatenation of (child, repeat) runs, so words
 of astronomical length stay a few dozen nodes.  Random access, windowed
 materialization and occurrence counting are all computed from the DAG.
 
-Counting never materializes the word.  Internally each concatenation is
-lowered to a binary tree (repeats via squaring), and for a pattern of
-length L the count at a junction node is
+Counting never materializes the word.  For a pattern of length L the
+count in a node is the sum of the counts in its runs c^r plus, at each
+boundary o where a run ends, a naive count in the text from
+max(o - (L-1), start of that run) to min(o + L-1, length): every
+occurrence found there starts in that run and crosses o, and every
+occurrence that crosses a run boundary is found at the first one it
+crosses.  Inside a run,
 
-    count(left) + count(right) + naive count in suffix(left, L-1) + prefix(right, L-1)
+    count(c^r) = r count(c) + (r-1) naive(suffix(c, L-1) + prefix(c, L-1))   if |c| >= L-1
 
-which is exact because any occurrence inside that 2(L-1)-symbol window
-must straddle the junction.  Counts are memoized per (node, pattern) and
-prefix/suffix snippets are cached per node, so repeated sub-blocks are
-paid for once.
+and for a shorter c, count(c^r) is affine in r from m = ceil((L-1)/|c|) + 1
+on, so it follows from naive counts in c^(m-1) and c^m, both shorter than
+3L symbols.  Counts are memoized per (node, pattern), prefix/suffix
+snippets per node, and naive counts per (snippet, snippet, pattern), so
+repeated sub-blocks are paid for once.  Materialization appends a whole
+child string times the number of whole copies a range covers.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ SYMBOLS = ("0", "1")
 DEFAULT_WINDOW = 4096
 DEFAULT_MATERIALIZE_CAP = 1_000_000
 DEFAULT_SNIPPET_CAP = 1_048_576
+_DROP_SYMBOLS = dict.fromkeys(map(ord, SYMBOLS))
 
 
 class SlpExpr:
@@ -50,7 +57,6 @@ class SlpExpr:
         "parts",
         "length",
         "_cum",
-        "_lowered",
         "_pre",
         "_suf",
         "_counts",
@@ -67,30 +73,14 @@ class SlpExpr:
         else:
             self.length = sum(rep * child.length for child, rep in parts)
         self._cum = None
-        self._lowered = None
-        self._pre = None
-        self._suf = None
-        self._counts = None
+        self._pre = {}
+        self._suf = {}
+        self._counts = {}
 
     def __repr__(self):
         if self.kind == "atom":
             return f"SlpExpr(atom {self.symbol!r})"
         return f"SlpExpr(concat of {len(self.parts)} parts, length {self.length})"
-
-
-class _Pair:
-    """Binary junction node used only by the counting machinery."""
-
-    __slots__ = ("uid", "left", "right", "length", "_pre", "_suf", "_counts", "__weakref__")
-
-    def __init__(self, uid, left, right):
-        self.uid = uid
-        self.left = left
-        self.right = right
-        self.length = left.length + right.length
-        self._pre = None
-        self._suf = None
-        self._counts = None
 
 
 def _check_symbol(symbol):
@@ -101,8 +91,12 @@ def _check_symbol(symbol):
 class SlpBuilder:
     """Hash-consing factory and counting context for :class:`SlpExpr` DAGs.
 
-    ``window`` is the maximum pattern length accepted by compressed
-    counting; junction snippets grow up to ``window - 1`` symbols per node.
+    ``window`` is the maximum pattern length L accepted by compressed
+    counting.  A count adds up the node's runs c^r, each from count(c) and
+    one seam scan of suffix(c, L-1) + prefix(c, L-1) (for |c| < L-1, from
+    scans of c^(m-1) and c^m), and one scan of at most 2(L-1) symbols at
+    each part boundary; the texts are built from prefix and suffix
+    snippets of up to ``window - 1`` symbols cached per node.
     ``materialize_cap`` bounds explicit windows, ``snippet_cap`` is the hard
     ceiling to which ``window`` may be raised later via :meth:`widen_window`.
 
@@ -125,9 +119,8 @@ class SlpBuilder:
         self.snippet_cap = max(snippet_cap, window)
         self._uid = itertools.count()
         self._exprs = weakref.WeakValueDictionary()
-        self._pairs = weakref.WeakValueDictionary()
         self._atoms = {s: SlpExpr(next(self._uid), "atom", symbol=s) for s in SYMBOLS}
-        # junction scans keyed by content: many nodes share the same
+        # naive scans keyed by content: many nodes share the same cached
         # suffix/prefix snippets, so the heavy scans run once per content
         self._junction_counts: dict = {}
 
@@ -183,35 +176,6 @@ class SlpBuilder:
         self.window = window
         return True
 
-    # -- binary lowering ----------------------------------------------
-
-    def _pair(self, left, right):
-        key = (left.uid, right.uid)
-        node = self._pairs.get(key)
-        if node is None:
-            node = _Pair(next(self._uid), left, right)
-            self._pairs[key] = node
-        return node
-
-    def _pow(self, node, rep):
-        if rep == 1:
-            return node
-        half = self._pow(node, rep // 2)
-        sq = self._pair(half, half)
-        return sq if rep % 2 == 0 else self._pair(sq, node)
-
-    def _lowered(self, expr):
-        if expr._lowered is None:
-            units = [self._pow(child, rep) for child, rep in expr.parts]
-            while len(units) > 1:
-                nxt = [
-                    self._pair(units[i], units[i + 1]) if i + 1 < len(units) else units[i]
-                    for i in range(0, len(units), 2)
-                ]
-                units = nxt
-            expr._lowered = units[0]
-        return expr._lowered
-
     # -- snippets ------------------------------------------------------
 
     def prefix_snippet(self, node, k: int) -> str:
@@ -219,45 +183,13 @@ class SlpBuilder:
         need = min(k, node.length)
         if need <= 0:
             return ""
-        cache = node._pre
-        if cache is None:
-            cache = node._pre = {}
-        hit = cache.get(need)
-        if hit is not None:
-            return hit
-        longest = max(cache, default=0)
-        if longest >= need:
-            out = cache[longest][:need]
-            cache[need] = out
-            return out
-        if isinstance(node, SlpExpr) and node.kind == "atom":
-            return node.symbol
-        if isinstance(node, _Pair):
-            left, right = node.left, node.right
-            if left.length >= need:
-                out = self.prefix_snippet(left, need)
+        out = node._pre.get(need)
+        if out is None:
+            if node.kind == "concat" and node.parts[0][0].length >= need:
+                out = self.prefix_snippet(node.parts[0][0], need)  # shares the child's string
             else:
-                out = self.prefix_snippet(left, left.length) + self.prefix_snippet(
-                    right, need - left.length
-                )
-        else:
-            pieces = []
-            rem = need
-            for child, rep in node.parts:
-                clen = child.length
-                if clen >= rem:
-                    pieces.append(self.prefix_snippet(child, rem))
-                    rem = 0
-                else:
-                    take = min(rem, clen * rep)
-                    full = self.prefix_snippet(child, clen)
-                    copies = -(-take // clen)
-                    pieces.append((full * copies)[:take])
-                    rem -= take
-                if rem == 0:
-                    break
-            out = "".join(pieces)
-        cache[need] = out
+                out = _slice(node, 0, need)
+            node._pre[need] = out
         return out
 
     def suffix_snippet(self, node, k: int) -> str:
@@ -265,45 +197,13 @@ class SlpBuilder:
         need = min(k, node.length)
         if need <= 0:
             return ""
-        cache = node._suf
-        if cache is None:
-            cache = node._suf = {}
-        hit = cache.get(need)
-        if hit is not None:
-            return hit
-        longest = max(cache, default=0)
-        if longest >= need:
-            out = cache[longest][len(cache[longest]) - need :]
-            cache[need] = out
-            return out
-        if isinstance(node, SlpExpr) and node.kind == "atom":
-            return node.symbol
-        if isinstance(node, _Pair):
-            left, right = node.left, node.right
-            if right.length >= need:
-                out = self.suffix_snippet(right, need)
+        out = node._suf.get(need)
+        if out is None:
+            if node.kind == "concat" and node.parts[-1][0].length >= need:
+                out = self.suffix_snippet(node.parts[-1][0], need)  # shares the child's string
             else:
-                out = self.suffix_snippet(left, need - right.length) + self.suffix_snippet(
-                    right, right.length
-                )
-        else:
-            pieces = []
-            rem = need
-            for child, rep in reversed(node.parts):
-                clen = child.length
-                if clen >= rem:
-                    pieces.append(self.suffix_snippet(child, rem))
-                    rem = 0
-                else:
-                    take = min(rem, clen * rep)
-                    full = self.suffix_snippet(child, clen)
-                    copies = -(-take // clen)
-                    pieces.append((full * copies)[len(full) * copies - take :])
-                    rem -= take
-                if rem == 0:
-                    break
-            out = "".join(reversed(pieces))
-        cache[need] = out
+                out = _slice(node, node.length - need, need)
+            node._suf[need] = out
         return out
 
     # -- counting ------------------------------------------------------
@@ -321,37 +221,71 @@ class SlpBuilder:
                 f"pattern length {len(pattern)} exceeds counting window {self.window}"
             )
         # one scan at C speed: a check per symbol cost ~30M calls per level-4 build
-        stray = pattern.lstrip("".join(SYMBOLS))
+        stray = pattern.translate(_DROP_SYMBOLS)
         if stray:
             _check_symbol(stray[0])
         return self._count(expr, pattern)
 
     def _count(self, node, pattern):
-        memo = node._counts
-        if memo is None:
-            memo = node._counts = {}
-        hit = memo.get(pattern)
-        if hit is not None:
-            return hit
-        L = len(pattern)
-        if isinstance(node, SlpExpr) and node.kind == "atom":
-            value = 1 if L == 1 and pattern == node.symbol else 0
-        elif node.length < L:
+        value = node._counts.get(pattern)
+        if value is not None:
+            return value
+        if node.length < len(pattern):
             value = 0
-        elif isinstance(node, SlpExpr):
-            value = self._count(self._lowered(node), pattern)
+        elif node.kind == "atom":
+            value = 1 if pattern == node.symbol else 0
         else:
-            left_tail = self.suffix_snippet(node.left, L - 1)
-            right_head = self.prefix_snippet(node.right, L - 1)
-            key = (left_tail, right_head, pattern)
-            straddle = self._junction_counts.get(key)
-            if straddle is None:
-                straddle = count_occurrences_naive(pattern, left_tail + right_head)
-                if len(self._junction_counts) > 100_000:
-                    self._junction_counts.clear()
-                self._junction_counts[key] = straddle
-            value = self._count(node.left, pattern) + self._count(node.right, pattern) + straddle
-        memo[pattern] = value
+            value = sum(self._count_run(child, rep, pattern) for child, rep in node.parts)
+            value += sum(self._crossing(node, j, pattern) for j in range(len(node.parts) - 1))
+        node._counts[pattern] = value
+        return value
+
+    def _count_run(self, child, rep, pattern):
+        """Occurrences inside child^rep."""
+        reach, clen = len(pattern) - 1, child.length
+        if rep == 1:
+            return self._count(child, pattern)
+        if clen >= reach:
+            seam = self._naive(
+                pattern, self.suffix_snippet(child, reach), self.prefix_snippet(child, reach)
+            )
+            return rep * self._count(child, pattern) + (rep - 1) * seam
+        # affine in rep from m on; child^m is shorter than 3L symbols
+        m = -(-reach // clen) + 1
+        whole = self.prefix_snippet(child, clen)
+        if rep <= m:
+            return self._naive(pattern, whole, copies=rep)
+        top = self._naive(pattern, whole, copies=m)
+        return top + (rep - m) * (top - self._naive(pattern, whole, copies=m - 1))
+
+    def _crossing(self, node, j, pattern):
+        """Occurrences that start in run j of the node and cross its right end."""
+        reach = len(pattern) - 1
+        end = _cumulative(node)[j]
+        child, rep = node.parts[j]
+        after = node.parts[j + 1][0]
+        if child.length >= reach:
+            left = self.suffix_snippet(child, reach)
+        else:
+            start = end - min(reach, child.length * rep)
+            left = _slice(node, start, end - start)
+        if after.length >= reach:
+            right = self.prefix_snippet(after, reach)
+        else:
+            right = _slice(node, end, min(reach, node.length - end))
+        return self._naive(pattern, left, right)
+
+    def _naive(self, pattern, left, right="", copies=1):
+        """Naive count in left * copies + right, memoized on the (shared) snippets."""
+        if len(left) * copies + len(right) < len(pattern):
+            return 0
+        key = (left, copies, right, pattern)
+        value = self._junction_counts.get(key)
+        if value is None:
+            value = count_occurrences_naive(pattern, left * copies + right)
+            if len(self._junction_counts) > 100_000:
+                self._junction_counts.clear()
+            self._junction_counts[key] = value
         return value
 
 
@@ -406,33 +340,41 @@ def window(expr: SlpExpr, start: int, size: int, cap: int = DEFAULT_MATERIALIZE_
         )
     if size == 0:
         return ""
-    out = []
-    _emit(expr, start, size, out)
-    return "".join(out)
+    return _slice(expr, start, size)
 
 
-def _emit(node, start, size, out):
+def _slice(node, start, size):
+    """Symbols [start, start + size) of the node's word, 0 < size.
+
+    Each run contributes a partial copy at either end of the range and one
+    whole child string repeated for the copies in between, so a child is
+    materialized in full only when a whole copy of it lies in the range.
+    """
     if node.kind == "atom":
-        out.append(node.symbol)
-        return
-    offset = 0
+        return node.symbol
+    pieces = []
     end = start + size
+    offset = 0
     for child, rep in node.parts:
-        block = child.length * rep
-        if offset + block <= start:
-            offset += block
-            continue
-        if offset >= end:
-            break
         clen = child.length
-        first = max(start - offset, 0) // clen
-        last = (min(end, offset + block) - 1 - offset) // clen
-        for copy in range(first, last + 1):
-            base = offset + copy * clen
-            lo = max(start, base)
-            hi = min(end, base + clen)
-            _emit(child, lo - base, hi - lo, out)
-        offset += block
+        block_end = offset + clen * rep
+        if block_end > start:
+            first, head = divmod(max(start, offset) - offset, clen)
+            last, tail = divmod(min(end, block_end) - offset, clen)
+            if first == last:
+                pieces.append(_slice(child, head, tail - head))
+            else:
+                if head:
+                    pieces.append(_slice(child, head, clen - head))
+                    first += 1
+                if last > first:
+                    pieces.append(_slice(child, 0, clen) * (last - first))
+                if tail:
+                    pieces.append(_slice(child, 0, tail))
+            if block_end >= end:
+                break
+        offset = block_end
+    return "".join(pieces)
 
 
 def materialize(expr: SlpExpr, cap: int = DEFAULT_MATERIALIZE_CAP) -> str:

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camshift import cli
 from camshift.budgets import Budgets, budgets_from_env
@@ -31,8 +35,13 @@ def test_build_writes_deterministic_file(tmp_path, family_file):
     assert again.read_bytes() == family_file.read_bytes()
 
 
-def test_build_usage_error(tmp_path):
+def test_build_usage_error(tmp_path, monkeypatch, capsys):
     assert run("build", "--dim", "1", "--levels", "1", "--out", str(tmp_path / "x.json")) == 2
+    capsys.readouterr()
+    for budget in ("symbols=abc", "symbols=inf", "symbols=nan"):
+        monkeypatch.setenv("CAMSHIFT_BUDGET", budget)
+        assert run("build", "--dim", "1", "--levels", "2", "--out", str(tmp_path / "x.json")) == 2
+        assert capsys.readouterr().err.startswith("error: budget value")
 
 
 def test_build_d2_level3_exceeds_budget(tmp_path, monkeypatch):
@@ -109,6 +118,31 @@ def test_window_d2(family_d2_file, capsys):
 def test_sft_qn(capsys):
     assert run("sft", "qn", "--matrix", "[[1,1],[1,0]]", "--n", "3") == 0
     assert json.loads(capsys.readouterr().out) == {"1": "1", "2": "2", "3": "3"}
+    for matrix in ("[1,2]", '{"a":1}', "[[1.5]]", "[[true]]", '[[1,"2"],[1,0]]'):
+        assert run("sft", "qn", "--matrix", matrix, "--n", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: matrix")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+MATRICES = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d), min_size=d, max_size=d)
+)
+
+
+@given(value=MATRICES | JSON_VALUES, n=st.integers(-1, 6))
+@settings(max_examples=200, deadline=None)
+def test_sft_qn_fuzz_exit_codes(value, n):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run("sft", "qn", f"--matrix={json.dumps(value)}", f"--n={n}")
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error:")
 
 
 def test_sft_perron(capsys):
@@ -154,9 +188,10 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("CAMSHIFT_BUDGET", "nope=1")
     with pytest.raises(InvalidParameter):
         budgets_from_env()
-    monkeypatch.setenv("CAMSHIFT_BUDGET", "cells=-2")
-    with pytest.raises(InvalidParameter):
-        budgets_from_env()
+    for value in ("-2", "abc", "inf", "nan", "1.5"):
+        monkeypatch.setenv("CAMSHIFT_BUDGET", f"cells={value}")
+        with pytest.raises(InvalidParameter):
+            budgets_from_env()
 
 
 def test_budget_defaults_are_positive():

@@ -215,6 +215,68 @@ def test_oracle_equivalence_randomized(builder, rng):
         checked += 1
 
 
+@st.composite
+def runs_and_pattern(draw):
+    """A random DAG whose runs exercise every counting regime, and a pattern.
+
+    Short leaves sit under repeats m-1, m and m+1 with m = ceil((L-1)/|c|) + 1,
+    long children repeat too, and the top node has parts shorter than the
+    pattern, so occurrences cross three or more parts.
+    """
+    builder = slp.SlpBuilder(window=64)
+    reach = draw(st.integers(1, 40))  # L - 1
+    texts = st.lists(st.text(alphabet="01", min_size=1, max_size=4), min_size=1, max_size=4)
+    leaves = [builder.word(text) for text in draw(texts)]
+
+    def run(child):
+        m = -(-reach // child.length) + 1
+        return child, draw(st.sampled_from([1, 2, max(m - 1, 1), m, m + 1]))
+
+    def node(children, max_parts):
+        parts = draw(st.lists(st.sampled_from(children), min_size=1, max_size=max_parts))
+        return builder.concat([run(child) for child in parts])
+
+    mids = [node(leaves, 4) for _ in range(draw(st.integers(1, 3)))]
+    top = node(leaves + mids, 8)
+    text = slp.materialize(top)
+    size = min(reach + 1, len(text))
+    if draw(st.integers(0, 3)):  # mostly a factor, so that occurrences exist
+        start = draw(st.integers(0, len(text) - size))
+        pattern = text[start : start + size]
+    else:
+        pattern = draw(st.text(alphabet="01", min_size=size, max_size=size))
+    return builder, top, text, pattern
+
+
+@given(case=runs_and_pattern(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_run_regimes_match_oracles(case, data):
+    builder, expr, text, pattern = case
+    assert builder.count_occurrences(pattern, expr) == slp.count_occurrences_naive(pattern, text)
+    for k in (len(pattern) - 1, data.draw(st.integers(1, len(text)))):
+        assert builder.prefix_snippet(expr, k) == text[:k]
+        assert builder.suffix_snippet(expr, k) == text[len(text) - min(k, len(text)) :]
+    start = data.draw(st.integers(0, len(text) - 1))
+    size = data.draw(st.integers(0, len(text) - start))
+    piece = slp.window(expr, start, size)
+    assert piece == text[start : start + size]
+    assert piece == "".join(slp.char_at(expr, start + j) for j in range(size))
+
+
+def test_count_across_many_parts(builder):
+    # a pattern of 7 symbols over parts of 1-2 symbols crosses up to five parts
+    one, zero = builder.atom("1"), builder.atom("0")
+    expr = builder.concat([(zero, 1), (one, 2), (zero, 1), (builder.word("01"), 1), (one, 1)])
+    text = slp.materialize(expr)
+    assert text == "0110011"
+    for size in range(1, 8):
+        for start in range(len(text) - size + 1):
+            pattern = text[start : start + size]
+            assert builder.count_occurrences(pattern, expr) == slp.count_occurrences_naive(
+                pattern, text
+            )
+
+
 # -- minimal period ----------------------------------------------------------
 
 
