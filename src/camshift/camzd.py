@@ -10,8 +10,12 @@ row 3 of every other axis.  All level-(k+1) words therefore share one cube
 domain; the displayed periodic/postcard forms only make sense together
 with that equal-domain convention.
 
-Counting here is materialization-only under a cell budget; the compressed
-form (base + patches) is kept for layout queries and cell evaluation.
+Counting materializes the words under a cell budget and compares packed
+cells: runs of up to 63 last-axis cells become one ``uint64`` code, so a
+placement is checked with one integer comparison per pattern row chunk.
+Period lattices filter their candidates at a few cells and test the rest
+by cosets of the span found so far.  Both are exact.  The compressed form
+(base + patches) is kept for layout queries and cell evaluation.
 
 The level accessors, the parameter search, the eps-tail rows, the
 inherited-word loop, the frequency and period-gap row formulas and the
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -50,6 +53,7 @@ from .cam1d import (
 )
 from .errors import (
     BudgetExceeded,
+    EmptyPattern,
     InvalidParameter,
     MalformedFamily,
     OutOfBuiltRange,
@@ -85,12 +89,13 @@ def make_cube(dim: int, side: int, fill: int = 0) -> ArrayWord:
 
 
 def _check_word(w) -> ArrayWord:
-    arr = np.asarray(w, dtype=np.uint8)
+    # check the values as given: a cast first would wrap 256 to 0 and cut 0.5 to 0
+    arr = np.asarray(w)
     if arr.ndim < 1:
         raise ShapeMismatch("array words must have at least one axis")
-    if not np.isin(arr, (0, 1)).all():
+    if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
         raise InvalidParameter("array word cells must be 0 or 1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def _check_cube(w) -> ArrayWord:
@@ -210,24 +215,71 @@ def postcard(stamps, base, e: int, require_margin: bool = False) -> PatchworkExp
     return PatchworkExpr(base=base, extents=(2 * e + 1,) * d, patches=patches)
 
 
+# Cells per packed code: one uint64 holds them, and the map from windows of
+# this many cells to codes is injective.
+_PACK_WIDTH = 63
+# Text cells packed at a time; their codes take 8 bytes a cell.
+_SLAB_CELLS = 1 << 22
+
+
+def _pack(arr: ArrayWord, width: int) -> np.ndarray:
+    """Code of the ``width`` last-axis cells from every start: bit b is cell start+b."""
+    length = arr.shape[-1] - width + 1
+    code = arr[..., :length].astype(np.uint64)
+    shifted = np.empty_like(code)
+    for b in range(1, width):
+        np.left_shift(arr[..., b : b + length], b, out=shifted, dtype=np.uint64)
+        code |= shifted
+    return code
+
+
+def _count_packed(shape, pattern_code, starts, text_code, placements) -> int:
+    mask = np.ones(placements, dtype=bool)
+    equal = np.empty_like(mask)
+    for lead in np.ndindex(*shape[:-1]):
+        rows = tuple(slice(i, i + r) for i, r in zip(lead, placements))
+        for c0 in starts:
+            window = text_code[rows + (slice(c0, c0 + placements[-1]),)]
+            np.equal(window, pattern_code[lead + (c0,)], out=equal)
+            mask &= equal
+            if not mask.any():
+                return 0
+    return int(np.count_nonzero(mask))
+
+
 def count_occurrences_d(pattern, text, max_cells: int | None = None) -> int:
-    """Exact count of axis-aligned placements of ``pattern`` inside ``text``."""
+    """Exact count of axis-aligned placements of ``pattern`` inside ``text``.
+
+    Both arrays are packed along the last axis, ``B = min(63, w)`` cells to
+    a ``uint64`` (w the pattern's last-axis width).  A placement matches iff
+    for every leading-axis pattern index and every chunk start c0 in
+    0, B, 2B, ... and w - B (the last chunk overlaps the one before it, so
+    every chunk is full width) the text code equals the pattern code.  The
+    packing is injective, so this is integer equality of the cells
+    themselves.  The text is packed in slabs of placements along the first
+    axis, and a slab stops as soon as no placement is left.
+    """
     pattern = _check_word(pattern)
     text = _check_word(text)
     if pattern.ndim != text.ndim:
         raise ShapeMismatch("pattern and text dimension mismatch")
+    if pattern.size == 0:
+        raise EmptyPattern("pattern has no cells")
     if any(p > t for p, t in zip(pattern.shape, text.shape)):
         raise ShapeMismatch("pattern does not fit inside text")
     if max_cells is not None and text.size > max_cells:
         raise BudgetExceeded(f"text of {text.size} cells exceeds the cell budget {max_cells}")
-    windows = np.lib.stride_tricks.sliding_window_view(text, pattern.shape)
-    lead = windows.shape[0]
-    per_lead = int(np.prod(windows.shape[1:]))
-    chunk = max(1, 30_000_000 // max(per_lead, 1))
+    w = pattern.shape[-1]
+    width = min(_PACK_WIDTH, w)
+    starts = list(range(0, w - width, width)) + [w - width]
+    pattern_code = _pack(pattern, width)
+    first = text.shape[0] - pattern.shape[0] + 1
+    rows = max(1, _SLAB_CELLS * text.shape[0] // text.size)
     total = 0
-    for i in range(0, lead, chunk):
-        eq = windows[i : i + chunk] == pattern
-        total += int(eq.reshape(-1, pattern.size).all(axis=1).sum())
+    for r in range(0, first, rows):
+        slab = text[r : r + rows + pattern.shape[0] - 1]
+        placements = tuple(t - p + 1 for t, p in zip(slab.shape, pattern.shape))
+        total += _count_packed(pattern.shape, pattern_code, starts, _pack(slab, width), placements)
     return total
 
 
@@ -245,43 +297,63 @@ class PeriodLattice:
         return tuple(x % self.modulus for x in vector) in set(self.residues)
 
 
+# Cells of the rarer symbol used to filter the period candidates.
+_FILTER_CELLS = 8
+
+
 def period_lattice(w, max_residues: int = 1_000_000) -> PeriodLattice:
     """All residues v with w-extended(x + v) = w-extended(x), plus their index.
 
     The symmetry lattice is residues + (n Z)^d; its index in the grid is
-    n^d divided by the residue count.
+    n^d divided by the residue count.  A v can only be a period if
+    w[(x + v) mod n] = w[x] at a few cells x of the rarer symbol; those
+    tests only reject.  The survivors are walked in lexicographic order:
+    one inside the span of the generators found so far is a period, one
+    inside a coset v' + span of a rejected v' is not, and any other gets
+    one full comparison.  It then becomes a generator, and the span grows
+    by its multiples, or its coset is marked rejected.  The residues are
+    the final span; the generators are the greedy ones of the full scan.
     """
     arr = _check_cube(w)
     n = arr.shape[0]
     d = arr.ndim
     if n**d > max_residues:
         raise BudgetExceeded(f"{n**d} residues exceed the enumeration cap")
-    residues = []
-    for v in product(range(n), repeat=d):
-        if np.array_equal(np.roll(arr, v, axis=tuple(range(d))), arr):
-            residues.append(v)
-    index = n**d // len(residues)
+    axes = tuple(range(d))
+    rare = int(2 * int(arr.sum()) <= arr.size)
+    cells = np.flatnonzero(arr == rare)
+    candidates = np.ones(arr.shape, dtype=bool)
+    for x in cells[:: max(1, len(cells) // _FILTER_CELLS)][:_FILTER_CELLS]:
+        shift = tuple(-int(i) for i in np.unravel_index(x, arr.shape))
+        candidates &= np.roll(arr, shift, axis=axes) == rare
 
-    def close(points):
-        points = set(points)
-        frontier = list(points)
-        while frontier:
-            p = frontier.pop()
-            for q in list(points):
-                s = tuple((a + b) % n for a, b in zip(p, q))
-                if s not in points:
-                    points.add(s)
-                    frontier.append(s)
-        return points
-
+    in_span = np.zeros(arr.size, dtype=bool)
+    rejected = np.zeros(arr.size, dtype=bool)
+    in_span[0] = True
+    span = np.zeros((1, d), dtype=np.int64)  # members, the zero vector first
     generators = []
-    span = {(0,) * d}
-    for v in residues:
-        if v not in span:
-            generators.append(v)
-            span = close(span | {v})
+    for flat in np.flatnonzero(candidates):
+        if in_span[flat] or rejected[flat]:
+            continue
+        v = np.unravel_index(flat, arr.shape)
+        if not np.array_equal(np.roll(arr, v, axis=axes), arr):
+            rejected[np.ravel_multi_index(((span + v) % n).T, arr.shape)] = True
+            continue
+        generators.append(tuple(int(i) for i in v))
+        cosets = [span]
+        coset = (span + v) % n
+        while not in_span[np.ravel_multi_index(tuple(coset[0]), arr.shape)]:
+            in_span[np.ravel_multi_index(coset.T, arr.shape)] = True
+            cosets.append(coset)
+            coset = (coset + v) % n
+        span = np.concatenate(cosets)
+    residues = tuple(map(tuple, np.argwhere(in_span.reshape(arr.shape)).tolist()))
     return PeriodLattice(
-        modulus=n, dim=d, residues=tuple(residues), generators=tuple(generators), index=index
+        modulus=n,
+        dim=d,
+        residues=residues,
+        generators=tuple(generators),
+        index=n**d // len(residues),
     )
 
 
@@ -356,6 +428,8 @@ def _level_words_d(family: ZdFamily, k: int, n: int) -> dict:
     if k == 1:
         if n < 3:
             raise InvalidParameter("level-2 parameter must be >= 3 to place the deviant cell")
+        if n**d > cell_cap:
+            raise BudgetExceeded(f"level-2 cubes of {n**d} cells exceed the cell budget {cell_cap}")
         center = (2,) * d  # cell (3, ..., 3), 0-based
         a2 = make_cube(d, n, 0)
         a2[center] = 1

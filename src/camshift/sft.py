@@ -116,6 +116,9 @@ def tr_n(A, n: int) -> int:
 
 def census(A, n_max: int) -> dict:
     """Map n -> least-period-n point count for 1 <= n <= n_max."""
+    A = _as_matrix(A)
+    if n_max < 1:
+        raise InvalidParameter("n_max must be at least 1")
     return {n: tr_n(A, n) for n in range(1, n_max + 1)}
 
 

@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from camzd_oracles import count_occurrences_windowed, period_lattice_scan
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camshift import camzd
 from camshift.errors import (
+    EmptyPattern,
     InvalidParameter,
     MalformedFamily,
     OutOfBuiltRange,
@@ -172,6 +176,92 @@ def test_count_d_examples():
         camzd.count_occurrences_d(np.ones((4, 4), dtype=np.uint8), t)
 
 
+def test_count_d_rejects_cells_outside_01():
+    ones = np.ones((2, 2), dtype=np.uint8)
+    bad = [
+        (cube([[0]]), np.array([[256, 1], [0, 257]], dtype=np.int16)),
+        (np.array([[0.5]]), ones),
+        (np.array([[-255]], dtype=np.int64), ones),
+        (np.array([[np.nan]]), ones),
+        (np.array([["1"]]), ones),
+    ]
+    for pattern, text in bad:
+        with pytest.raises(InvalidParameter):
+            camzd.count_occurrences_d(pattern, text)
+    with pytest.raises(InvalidParameter):
+        camzd.period_lattice(np.array([[0, 2], [0, 0]], dtype=np.int64))
+    # exact 0/1 values of any numeric type are cells
+    assert camzd.count_occurrences_d(np.array([[1.0]]), np.array([[True, True]])) == 2
+    with pytest.raises(EmptyPattern):
+        camzd.count_occurrences_d(np.zeros((0, 1), dtype=np.uint8), ones)
+
+
+@st.composite
+def count_cases(draw):
+    """A text, and a pattern cut from it (maybe with one cell flipped) or drawn at random.
+
+    Last-axis widths sit on both sides of the 63-cell pack width; texts run
+    from all zeros to all ones, so near-miss placements are common.
+    """
+    d = draw(st.sampled_from([1, 2, 3]))
+    wide = 200 if d == 1 else 130
+    w = draw(st.sampled_from([1, 2, 62, 63, 64, 126, 127]) | st.integers(1, wide))
+    pattern_lead = tuple(draw(st.integers(1, 3)) for _ in range(d - 1))
+    text_shape = tuple(p + draw(st.integers(0, 3)) for p in pattern_lead)
+    text_shape += (w + draw(st.integers(0, 70)),)
+    pattern_shape = pattern_lead + (w,)
+    density = draw(st.sampled_from([0.0, 0.02, 0.5, 0.98, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    text = (rng.random(text_shape) < density).astype(np.uint8)
+    if draw(st.booleans()):
+        offsets = [draw(st.integers(0, t - p)) for t, p in zip(text_shape, pattern_shape)]
+        pattern = text[tuple(slice(o, o + p) for o, p in zip(offsets, pattern_shape))].copy()
+        if draw(st.booleans()):
+            lead = tuple(draw(st.integers(0, p - 1)) for p in pattern_lead)
+            edges = sorted({0, w - 1, min(w, 63) - 1, min(w, 64) - 1})
+            column = draw(st.sampled_from(edges) | st.integers(0, w - 1))
+            pattern[lead + (column,)] ^= 1
+    else:
+        pattern = (rng.random(pattern_shape) < density).astype(np.uint8)
+    return pattern, text
+
+
+@given(case=count_cases())
+@settings(max_examples=300, deadline=None)
+def test_count_d_matches_windowed_oracle(case):
+    pattern, text = case
+    assert camzd.count_occurrences_d(pattern, text) == count_occurrences_windowed(pattern, text)
+
+
+def test_count_d_compares_every_column():
+    # one 1 in an all-zero pattern, at every column: a column the packed
+    # chunks skip would count the all-zero placements
+    for w in (1, 62, 63, 64, 126, 127, 128, 190):
+        for shape in ((w,), (2, w)):
+            text = np.zeros(shape[:-1] + (w + 5,), dtype=np.uint8)
+            assert camzd.count_occurrences_d(np.zeros(shape, dtype=np.uint8), text) == 6
+            for column in range(w):
+                pattern = np.zeros(shape, dtype=np.uint8)
+                pattern.reshape(-1, w)[-1, column] = 1
+                assert camzd.count_occurrences_d(pattern, text) == 0, (shape, column)
+
+
+def test_count_d_slabs_add_up(monkeypatch):
+    # texts larger than a slab are packed in several slabs of first-axis rows
+    rng = np.random.default_rng(7)
+    for slab_cells in (1, 5, 64):
+        monkeypatch.setattr(camzd, "_SLAB_CELLS", slab_cells)
+        for _ in range(30):
+            d = int(rng.integers(1, 4))
+            text_shape = tuple(int(x) for x in rng.integers(1, 9, size=d))
+            shape = tuple(int(rng.integers(1, t + 1)) for t in text_shape)
+            text = (rng.random(text_shape) < 0.2).astype(np.uint8)
+            pattern = np.zeros(shape, dtype=np.uint8)
+            assert camzd.count_occurrences_d(pattern, text) == count_occurrences_windowed(
+                pattern, text
+            )
+
+
 def test_count_d_matches_python_loop(rng):
     for _ in range(60):
         d = rng.choice([1, 2])
@@ -228,6 +318,34 @@ def test_period_lattice_soundness(rng):
             assert np.array_equal(np.roll(w, gen, axis=tuple(range(d))), w)
         for res in lattice.residues:
             assert np.array_equal(np.roll(w, res, axis=tuple(range(d))), w)
+
+
+@st.composite
+def lattice_cubes(draw):
+    """Random cubes, and periodic cubes tiled from a smaller random base."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    side = draw(st.integers(1, {1: 40, 2: 12, 3: 6}[d]))
+    base = draw(st.sampled_from([b for b in range(1, side + 1) if side % b == 0]))
+    density = draw(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cell = (rng.random((base,) * d) < density).astype(np.uint8)
+    return np.tile(cell, (side // base,) * d)
+
+
+@given(w=lattice_cubes())
+@settings(max_examples=200, deadline=None)
+def test_period_lattice_matches_scan_oracle(w):
+    got, want = camzd.period_lattice(w), period_lattice_scan(w)
+    assert got.residues == want.residues
+    assert got.generators == want.generators
+    assert got.index == want.index
+
+
+def test_period_lattice_constant_150():
+    lattice = camzd.period_lattice(np.zeros((150, 150), dtype=np.uint8))
+    assert lattice.index == 1
+    assert len(lattice.residues) == 22500
+    assert lattice.generators == ((0, 1), (1, 0))
 
 
 # -- families -------------------------------------------------------------------------

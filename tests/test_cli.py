@@ -1,6 +1,9 @@
 import contextlib
+import copy
 import io
 import json
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +146,102 @@ def test_sft_qn_fuzz_exit_codes(value, n):
         code = run("sft", "qn", f"--matrix={json.dumps(value)}", f"--n={n}")
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("error:")
+    if n <= 0:
+        assert code == 2
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a JSON value, the root included."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _perturbed(value, draw):
+    """A nearby value of the same kind: small steps keep rebuilt words small."""
+    if isinstance(value, str) and value.lstrip("-").isdigit():
+        n = int(value)
+        return str(draw(st.sampled_from([n - 2, n - 1, n + 1, n + 2, 2 * n, -n, 0, 10**6])))
+    if isinstance(value, str):
+        i = draw(st.integers(0, len(value)))
+        return draw(
+            st.sampled_from(
+                [value[:i] + value[i + 1 :], value[:i] + "2" + value[i:], value[::-1], value + "0"]
+            )
+        )
+    if isinstance(value, bool) or not isinstance(value, int):
+        return draw(JSON_VALUES)
+    return draw(st.sampled_from([value - 1, value + 1, 2 * value, -value, 0]))
+
+
+@st.composite
+def mutated_families(draw, family):
+    """A family object with one key dropped, retyped or perturbed."""
+    obj = copy.deepcopy(family)
+    path = draw(st.sampled_from(list(_paths(obj))[1:]))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    action = draw(st.sampled_from(["drop", "retype", "perturb"]))
+    if action == "drop":
+        del parent[path[-1]]
+    elif action == "retype":
+        parent[path[-1]] = draw(JSON_VALUES)
+    else:
+        parent[path[-1]] = _perturbed(parent[path[-1]], draw)
+    return obj
+
+
+BUDGET_VALUES = (
+    st.integers(-2, 10**7).map(str)
+    | st.sampled_from(["1e6", "2.5", "-0", "inf", "nan", "abc", "", "1e400", "0x10"])
+)
+BUDGET_STRINGS = st.lists(
+    st.tuples(
+        st.sampled_from(["symbols", "cells", "window", "snippet_cap", "search_cap", "bogus"]),
+        BUDGET_VALUES,
+    ).map("=".join)
+    | st.sampled_from(["", "cells", "=5", ",", "cells=1=2"]),
+    max_size=3,
+).map(",".join)
+
+
+def _run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("which", ["d1", "d2"])
+def test_family_file_fuzz_exit_codes(which, family_file, family_d2_file, tmp_path_factory):
+    source = family_file if which == "d1" else family_d2_file
+    family = json.loads(source.read_text())
+    path = tmp_path_factory.mktemp("fuzz") / "family.json"
+
+    # one small perturbation keeps every rebuilt word small (a parameter of
+    # 10^6 is refused by the cell budget), and budget values stay <= 10^7
+    @given(
+        obj=mutated_families(family) | st.just(family),
+        budget=st.none() | BUDGET_STRINGS,
+        level=st.integers(0, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def check(obj, budget, level):
+        path.write_text(json.dumps(obj))
+        env = {} if budget is None else {"CAMSHIFT_BUDGET": budget}
+        with mock.patch.dict(os.environ, env):
+            for argv in (
+                ("verify", "--family", str(path), "--level", str(level)),
+                ("certify", "--family", str(path)),
+            ):
+                code, err = _run_quiet(*argv)
+                assert code in (0, 2, 3, 4), (argv, code, err)
+                assert "Traceback" not in err
+                assert (err == "") if code == 0 else (code == 2 or err.startswith("error:"))
+
+    check()
 
 
 def test_sft_perron(capsys):
@@ -179,6 +278,18 @@ def test_malformed_family_exit_code(tmp_path, family_file):
     assert run("certify", "--family", str(bad)) == 4
     missing = tmp_path / "missing.json"
     assert run("verify", "--family", str(missing), "--level", "2") == 4
+
+
+def test_family_param_over_cell_budget(tmp_path, family_d2_file, capsys):
+    # the level-2 cubes of a stored parameter are checked against the cell
+    # budget before they are allocated
+    obj = json.loads(family_d2_file.read_text())
+    obj["params"] = ["1000000"]
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(obj))
+    assert run("verify", "--family", str(bad), "--level", "2") == 3
+    assert run("certify", "--family", str(bad)) == 3
+    assert "exceed the cell budget" in capsys.readouterr().err
 
 
 def test_budget_env_override(monkeypatch):

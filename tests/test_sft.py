@@ -61,6 +61,9 @@ def test_tr_n_examples():
 
 def test_census_golden_mean():
     assert sft.census(GOLDEN, 3) == {1: 1, 2: 2, 3: 3}
+    for n_max in (0, -3):
+        with pytest.raises(InvalidParameter):
+            sft.census(GOLDEN, n_max)
 
 
 def test_brute_examples():
