@@ -1,15 +1,16 @@
 """Resource budgets and their environment override.
 
 Every expensive operation (materialization, d-dimensional scans, pattern
-windows, parameter searches) is bounded by one of these knobs.  The
+lengths, parameter searches) is bounded by one of these four fields, and
+nowhere else: no command-line option or keyword argument sets a limit.  The
 CAMSHIFT_BUDGET environment variable overrides individual fields with a
-comma-separated ``key=value`` list, e.g. ``CAMSHIFT_BUDGET=cells=5e8,window=8192``.
+comma-separated ``key=value`` list, e.g. ``CAMSHIFT_BUDGET=cells=5e8,snippet_cap=8192``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import InvalidParameter
 
@@ -22,17 +23,15 @@ class Budgets:
     symbols: int = 1_000_000
     # d-dimensional materialization budget (cells)
     cells: int = 100_000_000
-    # maximum pattern length for compressed counting
-    window: int = 4096
-    # hard cap for snippet growth when a builder needs a wider window
+    # longest pattern compressed counting accepts (its snippets are one shorter)
     snippet_cap: int = 1_048_576
     # parameter-search cap on n
     search_cap: int = 10**12
 
     def validate(self) -> "Budgets":
-        for name in ("symbols", "cells", "window", "snippet_cap", "search_cap"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameter(f"budget {name} must be positive")
+        for field in fields(self):
+            if getattr(self, field.name) <= 0:
+                raise InvalidParameter(f"budget {field.name} must be positive")
         return self
 
 

@@ -22,12 +22,12 @@ loop, the frequency and period-gap row formulas (written for dimension d,
 so d = 1 gives the one-dimensional denominators) and the pair-scan
 skeleton.  Level builders and certifiers are pure functions of the prefix
 level k and the parameter n: they read levels 1..k of a family and never
-change its levels.
+change its levels.  Every limit they meet (symbols materialized, pattern
+length, search cap) is a field of the family's :class:`Budgets`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,19 +49,17 @@ EPS_SCHEME = "half-geometric4"
 class FrequencySequence:
     """Summable per-level weights eps_k with closed-form geometric tails.
 
-    The default scheme is eps_k = (1/2) * 3^-(dim-1) * 4^-k, whose tail
+    The one scheme (named EPS_SCHEME in family files) is
+    eps_k = (1/2) * 3^-(dim-1) * 4^-k, whose tail
     sum_{n>=N} eps_n = (2/3) * 3^-(dim-1) * 4^-N is strictly below
     3^-(dim+N-1) for every N >= 1.
     """
 
     dim: int
-    scheme: str = EPS_SCHEME
 
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidParameter("dimension must be >= 1")
-        if self.scheme != EPS_SCHEME:
-            raise InvalidParameter(f"unknown frequency scheme {self.scheme!r}")
 
     def value(self, k: int) -> Fraction:
         if k < 1:
@@ -175,6 +173,18 @@ def level_names(k: int) -> list[str]:
     return [f"w{i}_{k}" for i in range(1, 2 * k - 1)] + [f"a{k}", f"b{k}"]
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer from a family file; a bool or a fractional number is malformed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedFamily(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _check_scheme(obj):
+    if obj["eps_scheme"] != EPS_SCHEME:
+        raise MalformedFamily(f"unknown frequency scheme {obj['eps_scheme']!r}")
+
+
 def excluded_a(m: int) -> str:
     """Word skipped on the a-side at level m (the one a-words are made of)."""
     return "w2_1" if m == 1 else f"a{m}"
@@ -216,21 +226,11 @@ class Hierarchy:
 class LevelFamily(Hierarchy):
     """A built hierarchy: levels of words, parameters, and certificates."""
 
-    def __init__(
-        self,
-        eps: FrequencySequence | None = None,
-        budgets: Budgets | None = None,
-    ):
+    def __init__(self, budgets: Budgets | None = None):
         self.dim = 1
         self.budgets = budgets or Budgets()
-        self.eps = eps or default_frequency_sequence(1)
-        if self.eps.dim != 1:
-            raise InvalidParameter("one-dimensional family needs a dim=1 frequency sequence")
-        self.builder = slp.SlpBuilder(
-            window=self.budgets.window,
-            materialize_cap=self.budgets.symbols,
-            snippet_cap=self.budgets.snippet_cap,
-        )
+        self.eps = default_frequency_sequence(1)
+        self.builder = slp.SlpBuilder(snippet_cap=self.budgets.snippet_cap)
         self.levels = [
             {"w1_1": self.builder.atom("0"), "w2_1": self.builder.atom("1")}
         ]
@@ -349,7 +349,7 @@ def _certify(family: LevelFamily, k: int, n: int) -> CertificateReport:
                 _unverifiable(ident, "unverifiable at budget: word exceeds symbol budget")
             )
             continue
-        if not builder.widen_window(len(u) + 1):
+        if len(u) >= builder.snippet_cap:
             report.rows.append(
                 _unverifiable(
                     ident,
@@ -401,18 +401,19 @@ def certify_candidate(family: LevelFamily, n: int, at_level: int | None = None) 
     return _certify(family, target - 1, n)
 
 
-def search_parameter(family: Hierarchy, certify, cap: int | None = None) -> int:
+def search_parameter(family: Hierarchy, certify) -> int:
     """Smallest n > 1 for which ``certify(n)``, a CertificateReport of the
     family's next level at parameter n, passes.
 
     Doubles until a passing n is found, bisects down to the boundary, then
     confirms fail at n-1 (walking down if the pass region is unexpectedly
-    non-monotone).  A report with unverifiable rows and no failed row
-    decides nothing, so it stops the search with BudgetExceeded.
+    non-monotone).  Doubling past the family's ``search_cap`` raises
+    SearchBudgetExceeded.  A report with unverifiable rows and no failed
+    row decides nothing, so it stops the search with BudgetExceeded.
     """
     if not family.is_certified():
         raise InvalidParameter("family must be certified through its top level")
-    cap = cap or family.budgets.search_cap
+    cap = family.budgets.search_cap
 
     def passes(n: int) -> bool:
         report = certify(n)
@@ -444,30 +445,19 @@ def search_parameter(family: Hierarchy, certify, cap: int | None = None) -> int:
     return best
 
 
-def choose_parameter(family: LevelFamily, cap: int | None = None) -> int:
+def choose_parameter(family: LevelFamily) -> int:
     """Smallest n > 1 whose candidate level passes certification."""
-    return search_parameter(family, lambda n: certify_candidate(family, n), cap)
+    return search_parameter(family, lambda n: certify_candidate(family, n))
 
 
-def build_family(
-    levels: int,
-    eps: FrequencySequence | None = None,
-    budgets: Budgets | None = None,
-    params: list[int] | None = None,
-) -> LevelFamily:
-    """Build and certify a family through the requested level.
-
-    When ``params`` is given those parameters are used verbatim (certification
-    still runs and is recorded); otherwise each parameter is auto-chosen.
-    """
+def build_family(levels: int, budgets: Budgets | None = None) -> LevelFamily:
+    """Build and certify a family through the requested level, each
+    parameter auto-chosen."""
     if levels < 2:
         raise InvalidParameter("a family needs at least 2 levels")
-    family = LevelFamily(eps=eps, budgets=budgets)
-    for index in range(levels - 1):
-        if params is not None:
-            n = params[index]
-        else:
-            n = choose_parameter(family)
+    family = LevelFamily(budgets=budgets)
+    for _ in range(levels - 1):
+        n = choose_parameter(family)
         report = certify_candidate(family, n)
         build_level(family, n)
         family.certificates.append(report)
@@ -503,49 +493,33 @@ class SubwordReport:
         return [p for p in self.pairs if p.count not in (None, 0)]
 
 
-def _pair_report(k: int, names: list, count, jobs: int) -> SubwordReport:
+def _pair_report(k: int, names: list, count) -> SubwordReport:
     """Check every ordered pair of distinct level-k words u, v.
 
     ``count(u, v)`` gives the occurrences of u inside vv; when ``count`` is
-    None every pair is reported as certified-by-inequalities.  Scans are
-    independent; ``jobs`` > 1 runs them in a thread pool with canonical
-    output order either way.
+    None every pair is reported as certified-by-inequalities.
     """
     tasks = [(u, v) for v in names for u in names if u != v]
     if count is None:
         pairs = [PairCheck(u, v, "certified-by-inequalities", None) for u, v in tasks]
-        return SubwordReport(level=k, pairs=pairs)
-
-    def scan(pair):
-        u, v = pair
-        return PairCheck(u, v, "verified", count(u, v))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(scan, tasks))
     else:
-        pairs = [scan(t) for t in tasks]
+        pairs = [PairCheck(u, v, "verified", count(u, v)) for u, v in tasks]
     return SubwordReport(level=k, pairs=pairs)
 
 
-def verify_distinct_subwords(
-    family: LevelFamily, k: int, budget: int | None = None, jobs: int = 1
-) -> SubwordReport:
+def verify_distinct_subwords(family: LevelFamily, k: int) -> SubwordReport:
     """Scan every ordered pair of distinct level-k words u, v for u inside vv.
 
-    Pairs whose materialization exceeds the budget are reported as
+    Pairs whose doubled word exceeds the symbol budget are reported as
     certified-by-inequalities, never silently dropped.
     """
-    budget = budget if budget is not None else family.budgets.symbols
     names = family.names(k)
-    word_len = family.word_length(k)
-    scannable = 2 * word_len <= budget
-    strings = {name: family.string(k, name) for name in names} if scannable else {}
-    if not scannable or any(s is None for s in strings.values()):
-        return _pair_report(k, names, None, jobs)
+    if 2 * family.word_length(k) > family.budgets.symbols:
+        return _pair_report(k, names, None)
+    strings = {name: family.string(k, name) for name in names}
     doubles = {name: strings[name] + strings[name] for name in names}
     return _pair_report(
-        k, names, lambda u, v: slp.count_occurrences_naive(strings[u], doubles[v]), jobs
+        k, names, lambda u, v: slp.count_occurrences_naive(strings[u], doubles[v])
     )
 
 
@@ -673,7 +647,7 @@ def empirical_measure(family: LevelFamily, k: int, side: str, cylinder: str) -> 
     if size > family.budgets.symbols:
         raise BudgetExceeded("cylinder exceeds the symbol budget")
     builder = family.builder
-    if not builder.widen_window(size + 1):
+    if size >= builder.snippet_cap:
         raise BudgetExceeded("cylinder exceeds the counting window cap")
     doubled = builder.concat([(base, 2)])
     inner = builder.count_occurrences(cylinder, doubled)
@@ -838,7 +812,9 @@ def report_from_obj(obj) -> CertificateReport:
     The status must be known, a pass or fail must agree with lhs < rhs, and
     the stored margin must equal rhs - lhs; otherwise MalformedFamily.
     """
-    report = CertificateReport(level=int(obj["level"]), param=int(obj["param"]))
+    report = CertificateReport(
+        level=_json_int(obj["level"], "certificate level"), param=int(obj["param"])
+    )
     for row in obj["rows"]:
         cert = CertRow(
             ident=row["id"],
@@ -875,7 +851,7 @@ def family_to_obj(family: LevelFamily) -> dict:
     return {
         "dim": 1,
         "K": family.top_level,
-        "eps_scheme": family.eps.scheme,
+        "eps_scheme": EPS_SCHEME,
         "params": [str(n) for n in family.params],
         "levels": levels,
         "slp": {"nodes": slp.nodes_to_obj(order, ids)},
@@ -890,16 +866,14 @@ def family_from_obj(obj, budgets: Budgets | None = None) -> LevelFamily:
     table must match the reconstruction exactly.
     """
     try:
-        if int(obj["dim"]) != 1:
+        if _json_int(obj["dim"], "dim") != 1:
             raise MalformedFamily("not a one-dimensional family file")
-        levels = int(obj["K"])
+        levels = _json_int(obj["K"], "K")
         params = [int(p) for p in obj["params"]]
-        scheme = obj["eps_scheme"]
+        _check_scheme(obj)
         if len(params) != levels - 1:
             raise MalformedFamily("parameter count does not match K")
-        family = LevelFamily(
-            eps=FrequencySequence(dim=1, scheme=scheme), budgets=budgets
-        )
+        family = LevelFamily(budgets=budgets)
         for n in params:
             build_level(family, n)
         family.certificates = [report_from_obj(c) for c in obj["certificates"]]

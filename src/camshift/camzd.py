@@ -34,19 +34,22 @@ import numpy as np
 
 from .budgets import Budgets
 from .cam1d import (
+    EPS_SCHEME,
     CertificateReport,
     CertRow,
-    FrequencySequence,
     Hierarchy,
     SubwordReport,
+    _check_scheme,
     _eps_tail_rows,
     _frequency_row,
     _inherited_words,
+    _json_int,
     _pair_report,
     _period_gap_row,
     _row,
     _unverifiable,
     default_frequency_sequence,
+    level_names,
     report_from_obj,
     report_to_obj,
     search_parameter,
@@ -179,9 +182,7 @@ class PatchworkExpr:
                 return int(stamp[rel])
         return int(self.base[tuple((x - 1) % n for x in coords)])
 
-    def to_array(self, max_cells: int | None = None) -> ArrayWord:
-        if max_cells is not None and self.cells > max_cells:
-            raise BudgetExceeded(f"{self.cells} cells exceed the cell budget {max_cells}")
+    def to_array(self) -> ArrayWord:
         out = np.tile(self.base, self.extents)
         n = self.base.shape[0]
         for anchor, stamp in self.patches:
@@ -299,9 +300,11 @@ class PeriodLattice:
 
 # Cells of the rarer symbol used to filter the period candidates.
 _FILTER_CELLS = 8
+# Most residues (cells of the cube) a lattice is computed for.
+_MAX_RESIDUES = 1_000_000
 
 
-def period_lattice(w, max_residues: int = 1_000_000) -> PeriodLattice:
+def period_lattice(w) -> PeriodLattice:
     """All residues v with w-extended(x + v) = w-extended(x), plus their index.
 
     The symmetry lattice is residues + (n Z)^d; its index in the grid is
@@ -317,7 +320,7 @@ def period_lattice(w, max_residues: int = 1_000_000) -> PeriodLattice:
     arr = _check_cube(w)
     n = arr.shape[0]
     d = arr.ndim
-    if n**d > max_residues:
+    if n**d > _MAX_RESIDUES:
         raise BudgetExceeded(f"{n**d} residues exceed the enumeration cap")
     axes = tuple(range(d))
     rare = int(2 * int(arr.sum()) <= arr.size)
@@ -365,7 +368,7 @@ class ZdWord:
     name: str
     side: int
     array: ArrayWord | None          # None when over the cell budget
-    patchwork: PatchworkExpr | None  # layout form, kept for a/b words
+    patchwork: PatchworkExpr | None  # layout form of every word above level 2
 
     @property
     def cells_available(self) -> bool:
@@ -375,19 +378,12 @@ class ZdWord:
 class ZdFamily(Hierarchy):
     """Levels of equal-shape cube words with parameters and certificates."""
 
-    def __init__(
-        self,
-        dim: int,
-        eps: FrequencySequence | None = None,
-        budgets: Budgets | None = None,
-    ):
+    def __init__(self, dim: int, budgets: Budgets | None = None):
         if dim < 1:
             raise InvalidParameter("dimension must be >= 1")
         self.dim = dim
         self.budgets = budgets or Budgets()
-        self.eps = eps or default_frequency_sequence(dim)
-        if self.eps.dim != dim:
-            raise InvalidParameter("frequency sequence dimension mismatch")
+        self.eps = default_frequency_sequence(dim)
         zero = ZdWord("w1_1", 1, make_cube(dim, 1, 0), None)
         one = ZdWord("w2_1", 1, make_cube(dim, 1, 1), None)
         self.levels: list[dict] = [{"w1_1": zero, "w2_1": one}]
@@ -443,28 +439,17 @@ def _level_words_d(family: ZdFamily, k: int, n: int) -> dict:
         }
 
     prev = family.levels[k - 1]
-    base_a, base_b = prev[f"a{k}"], prev[f"b{k}"]
-    if base_a.array is None or base_b.array is None:
-        raise BudgetExceeded(f"level-{k} density words exceed the cell budget")
-    extent = 2 * n + 1
-    words = {}
-    for i in range(1, 2 * k - 1):
-        src = prev[f"w{i}_{k}"]
-        if src.array is None:
-            raise BudgetExceeded(f"level-{k} word w{i}_{k} exceeds the cell budget")
-        words[f"w{i}_{k + 1}"] = wrap(
-            f"w{i}_{k + 1}", self_concat(src.array, extent, max_cells=cell_cap)
-        )
-    words[f"w{2 * k - 1}_{k + 1}"] = wrap(
-        f"w{2 * k - 1}_{k + 1}", self_concat(base_a.array, extent, max_cells=cell_cap)
-    )
-    words[f"w{2 * k}_{k + 1}"] = wrap(
-        f"w{2 * k}_{k + 1}", self_concat(base_b.array, extent, max_cells=cell_cap)
-    )
-    stamps = [prev[f"w{i}_{k}"].array for i in range(1, 2 * k - 1)]
-    stamps += [base_a.array, base_b.array]
-    words[f"a{k + 1}"] = wrap(f"a{k + 1}", postcard(stamps, base_a.array, n, require_margin=True))
-    words[f"b{k + 1}"] = wrap(f"b{k + 1}", postcard(stamps, base_b.array, n, require_margin=True))
+    stamps = [prev[name].array for name in level_names(k)]
+    if any(stamp is None for stamp in stamps):
+        raise BudgetExceeded(f"level-{k} words exceed the cell budget")
+    # the periodic words are stamp-less postcards, so every word above level
+    # 2 has the same file form whatever the cell budget
+    words = {
+        f"w{i}_{k + 1}": wrap(f"w{i}_{k + 1}", postcard([], stamp, n))
+        for i, stamp in enumerate(stamps, start=1)
+    }
+    words[f"a{k + 1}"] = wrap(f"a{k + 1}", postcard(stamps, stamps[-2], n, require_margin=True))
+    words[f"b{k + 1}"] = wrap(f"b{k + 1}", postcard(stamps, stamps[-1], n, require_margin=True))
     return words
 
 
@@ -565,49 +550,42 @@ def certify_level_d(family: ZdFamily, k: int | None = None) -> CertificateReport
     return _certify_d(family, k - 1, family.params[k - 2])
 
 
-def choose_parameter_d(family: ZdFamily, cap: int | None = None) -> int:
+def choose_parameter_d(family: ZdFamily) -> int:
     """Smallest n > 1 whose candidate next level passes certification."""
-    return search_parameter(family, lambda n: certify_candidate_d(family, n), cap)
+    return search_parameter(family, lambda n: certify_candidate_d(family, n))
 
 
-def build_family_d(
-    dim: int,
-    levels: int,
-    eps: FrequencySequence | None = None,
-    budgets: Budgets | None = None,
-    params: list[int] | None = None,
-) -> ZdFamily:
+def build_family_d(dim: int, levels: int, budgets: Budgets | None = None) -> ZdFamily:
     """Build and certify a d-dimensional family through the requested level."""
     if levels < 2:
         raise InvalidParameter("a family needs at least 2 levels")
-    family = ZdFamily(dim=dim, eps=eps, budgets=budgets)
-    for index in range(levels - 1):
-        n = params[index] if params is not None else choose_parameter_d(family)
+    family = ZdFamily(dim=dim, budgets=budgets)
+    for _ in range(levels - 1):
+        n = choose_parameter_d(family)
         report = certify_candidate_d(family, n)
         build_level_d(family, n)
         family.certificates.append(report)
     return family
 
 
-def verify_distinct_subwords_d(
-    family: ZdFamily, k: int, budget: int | None = None, jobs: int = 1
-) -> SubwordReport:
-    """Scan ordered distinct level-k pairs (u, v) for u inside the doubled v."""
-    budget = budget if budget is not None else family.budgets.cells
+def verify_distinct_subwords_d(family: ZdFamily, k: int) -> SubwordReport:
+    """Scan ordered distinct level-k pairs (u, v) for u inside the doubled v.
+
+    Pairs whose doubled word exceeds the cell budget are reported as
+    certified-by-inequalities.
+    """
+    cell_cap = family.budgets.cells
     names = family.names(k)
     arrays = {name: family.word(k, name).array for name in names}
     d = family.dim
     scannable = all(a is not None for a in arrays.values()) and (
-        2**d * family.volume(k) <= budget
+        2**d * family.volume(k) <= cell_cap
     )
     if not scannable:
-        return _pair_report(k, names, None, jobs)
+        return _pair_report(k, names, None)
     doubles = {name: np.tile(arr, (2,) * d) for name, arr in arrays.items()}
     return _pair_report(
-        k,
-        names,
-        lambda u, v: count_occurrences_d(arrays[u], doubles[v], max_cells=budget),
-        jobs,
+        k, names, lambda u, v: count_occurrences_d(arrays[u], doubles[v], max_cells=cell_cap)
     )
 
 
@@ -753,7 +731,7 @@ def family_to_obj_d(family: ZdFamily) -> dict:
     return {
         "dim": family.dim,
         "K": family.top_level,
-        "eps_scheme": family.eps.scheme,
+        "eps_scheme": EPS_SCHEME,
         "params": [str(n) for n in family.params],
         "levels": levels,
         "certificates": [report_to_obj(r) for r in family.certificates],
@@ -762,17 +740,16 @@ def family_to_obj_d(family: ZdFamily) -> dict:
 
 def family_from_obj_d(obj, budgets: Budgets | None = None) -> ZdFamily:
     try:
-        dim = int(obj["dim"])
+        dim = _json_int(obj["dim"], "dim")
         if dim < 1:
             raise MalformedFamily("bad dimension")
         params = [int(p) for p in obj["params"]]
-        family = ZdFamily(
-            dim=dim, eps=FrequencySequence(dim=dim, scheme=obj["eps_scheme"]), budgets=budgets
-        )
+        _check_scheme(obj)
+        family = ZdFamily(dim=dim, budgets=budgets)
         for n in params:
             build_level_d(family, n)
         family.certificates = [report_from_obj(c) for c in obj["certificates"]]
-        if len(family.certificates) != int(obj["K"]) - 1:
+        if len(family.certificates) != _json_int(obj["K"], "K") - 1:
             raise MalformedFamily("certificate count does not match K")
         rebuilt = family_to_obj_d(family)
         if rebuilt["levels"] != obj["levels"]:

@@ -8,6 +8,9 @@ family files and certificate reports.
 
 Exit codes: 0 success; 2 certification failure or violated property (also
 usage errors); 3 budget exhaustion; 4 malformed family file.
+
+Limits come only from the CAMSHIFT_BUDGET environment variable (see
+:mod:`camshift.budgets`); no option sets one.
 """
 
 from __future__ import annotations
@@ -54,11 +57,8 @@ def _load_family(path: str, budgets: Budgets):
         raise MalformedFamily(f"cannot read family file {path}: {exc}") from exc
     if not isinstance(obj, dict) or "dim" not in obj:
         raise MalformedFamily(f"{path} is not a family file")
-    try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError) as exc:
-        raise MalformedFamily(f"{path} has no integer dimension: {exc}") from exc
-    if dim == 1:
+    # each loader checks that dim is a JSON integer
+    if obj["dim"] == 1:
         return cam1d.family_from_obj(obj, budgets=budgets)
     return camzd.family_from_obj_d(obj, budgets=budgets)
 
@@ -105,14 +105,11 @@ def cmd_build(args) -> int:
     budgets = budgets_from_env()
     if args.levels < 2:
         raise CamshiftError("--levels must be at least 2")
-    eps = cam1d.FrequencySequence(dim=args.dim, scheme=args.eps)
     if args.dim == 1:
-        family = cam1d.build_family(levels=args.levels, eps=eps, budgets=budgets)
+        family = cam1d.build_family(levels=args.levels, budgets=budgets)
         payload = canonical_json(cam1d.family_to_obj(family))
     else:
-        family = camzd.build_family_d(
-            dim=args.dim, levels=args.levels, eps=eps, budgets=budgets
-        )
+        family = camzd.build_family_d(dim=args.dim, levels=args.levels, budgets=budgets)
         payload = canonical_json(camzd.family_to_obj_d(family))
     with open(args.out, "w", encoding="ascii") as handle:
         handle.write(payload)
@@ -142,7 +139,7 @@ def cmd_verify(args) -> int:
     verify = (
         cam1d.verify_distinct_subwords if family.dim == 1 else camzd.verify_distinct_subwords_d
     )
-    report = verify(family, args.level, budget=args.budget, jobs=args.jobs)
+    report = verify(family, args.level)
     occurrences = sum(p.count or 0 for p in report.pairs)
     print(
         f"{len(report.pairs)} pairs, {occurrences} occurrences "
@@ -295,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build and certify a family")
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--eps", default=cam1d.EPS_SCHEME, help="weight-scheme name")
     p.add_argument("--out", default="family.json")
     p.set_defaults(func=cmd_build)
 
@@ -309,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="scan distinct word pairs for occurrences")
     p.add_argument("--family", required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("window", help="extract a window of the transitive point")

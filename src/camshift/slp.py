@@ -37,7 +37,6 @@ from .errors import (
 )
 
 SYMBOLS = ("0", "1")
-DEFAULT_WINDOW = 4096
 DEFAULT_MATERIALIZE_CAP = 1_000_000
 DEFAULT_SNIPPET_CAP = 1_048_576
 _DROP_SYMBOLS = dict.fromkeys(map(ord, SYMBOLS))
@@ -91,32 +90,18 @@ def _check_symbol(symbol):
 class SlpBuilder:
     """Hash-consing factory and counting context for :class:`SlpExpr` DAGs.
 
-    ``window`` is the maximum pattern length L accepted by compressed
+    ``snippet_cap`` is the maximum pattern length L accepted by compressed
     counting.  A count adds up the node's runs c^r, each from count(c) and
     one seam scan of suffix(c, L-1) + prefix(c, L-1) (for |c| < L-1, from
     scans of c^(m-1) and c^m), and one scan of at most 2(L-1) symbols at
     each part boundary; the texts are built from prefix and suffix
-    snippets of up to ``window - 1`` symbols cached per node.
-    ``materialize_cap`` bounds explicit windows, ``snippet_cap`` is the hard
-    ceiling to which ``window`` may be raised later via :meth:`widen_window`.
-
-    Expressions are immutable once built and safe for concurrent reads.
-    The count/snippet memos are per-node dicts written with single
-    idempotent stores, so concurrent insertion at worst recomputes a value;
-    construction itself should stay on one thread.
+    snippets of up to ``snippet_cap - 1`` symbols cached per node.
     """
 
-    def __init__(
-        self,
-        window: int = DEFAULT_WINDOW,
-        materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
-        snippet_cap: int = DEFAULT_SNIPPET_CAP,
-    ):
-        if window < 2:
-            raise InvalidParameter("window must be at least 2")
-        self.window = window
-        self.materialize_cap = materialize_cap
-        self.snippet_cap = max(snippet_cap, window)
+    def __init__(self, snippet_cap: int = DEFAULT_SNIPPET_CAP):
+        if snippet_cap < 1:
+            raise InvalidParameter("snippet_cap must be at least 1")
+        self.snippet_cap = snippet_cap
         self._uid = itertools.count()
         self._exprs = weakref.WeakValueDictionary()
         self._atoms = {s: SlpExpr(next(self._uid), "atom", symbol=s) for s in SYMBOLS}
@@ -167,15 +152,6 @@ class SlpBuilder:
             return parts[0][0]
         return self.concat(parts)
 
-    def widen_window(self, window: int) -> bool:
-        """Raise the counting window up to ``snippet_cap``; True on success."""
-        if window <= self.window:
-            return True
-        if window > self.snippet_cap:
-            return False
-        self.window = window
-        return True
-
     # -- snippets ------------------------------------------------------
 
     def prefix_snippet(self, node, k: int) -> str:
@@ -216,9 +192,9 @@ class SlpBuilder:
         """
         if not pattern:
             raise EmptyPattern("pattern must be nonempty")
-        if len(pattern) > self.window:
+        if len(pattern) > self.snippet_cap:
             raise PatternTooLong(
-                f"pattern length {len(pattern)} exceeds counting window {self.window}"
+                f"pattern length {len(pattern)} exceeds snippet cap {self.snippet_cap}"
             )
         # one scan at C speed: a check per symbol cost ~30M calls per level-4 build
         stray = pattern.translate(_DROP_SYMBOLS)

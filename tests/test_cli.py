@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camshift import cli
+from camshift import cam1d, camzd, cli
 from camshift.budgets import Budgets, budgets_from_env
 from camshift.errors import InvalidParameter
 
@@ -72,7 +72,7 @@ def test_certify_csv_quotes_integers(family_file, capsys):
 def test_verify_summary(family_file, capsys):
     assert run("verify", "--family", str(family_file), "--level", "2") == 0
     assert "12 pairs, 0 occurrences" in capsys.readouterr().out
-    assert run("verify", "--family", str(family_file), "--level", "3", "--jobs", "4") == 0
+    assert run("verify", "--family", str(family_file), "--level", "3") == 0
     assert "30 pairs, 0 occurrences" in capsys.readouterr().out
 
 
@@ -276,6 +276,16 @@ def test_malformed_family_exit_code(tmp_path, family_file):
     row["lhs"] = {"num": "1", "den": "1"}
     bad.write_text(json.dumps(obj))
     assert run("certify", "--family", str(bad)) == 4
+    # JSON numbers that int() would truncate, and bools, are not integers
+    good = json.loads(family_file.read_text())
+    fractional = dict(good, dim=1.9, K=3.7)
+    boolean = dict(good, dim=True)
+    level = copy.deepcopy(good)
+    level["certificates"][1]["level"] = 2.9
+    for obj in (fractional, boolean, level):
+        bad.write_text(json.dumps(obj))
+        assert run("verify", "--family", str(bad), "--level", "2") == 4
+        assert run("certify", "--family", str(bad)) == 4
     missing = tmp_path / "missing.json"
     assert run("verify", "--family", str(missing), "--level", "2") == 4
 
@@ -292,13 +302,34 @@ def test_family_param_over_cell_budget(tmp_path, family_d2_file, capsys):
     assert "exceed the cell budget" in capsys.readouterr().err
 
 
+def test_d2_level3_file_form_independent_of_cell_budget(
+    tmp_path, family_d2_structural3, monkeypatch, capsys
+):
+    # level-3 words of 22500 cells: arrays at the default budget, not at
+    # cells=10000, and the file must read the same under both
+    obj = camzd.family_to_obj_d(family_d2_structural3)
+    obj["certificates"].append(
+        cam1d.report_to_obj(camzd.certify_level_d(family_d2_structural3, 3))
+    )
+    path = tmp_path / "d2l3.json"
+    path.write_text(cli.canonical_json(obj))
+    outputs = []
+    for budget in ("", "cells=10000"):
+        monkeypatch.setenv("CAMSHIFT_BUDGET", budget)
+        assert run("verify", "--family", str(path), "--level", "2") == 0
+        assert run("certify", "--family", str(path), "--level", "2") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "12 pairs, 0 occurrences" in outputs[0]
+
+
 def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("CAMSHIFT_BUDGET", "cells=5e6, window=512")
-    budgets = budgets_from_env()
-    assert budgets.cells == 5_000_000 and budgets.window == 512
-    monkeypatch.setenv("CAMSHIFT_BUDGET", "nope=1")
-    with pytest.raises(InvalidParameter):
-        budgets_from_env()
+    monkeypatch.setenv("CAMSHIFT_BUDGET", "cells=5e6")
+    assert budgets_from_env().cells == 5_000_000
+    for key in ("nope", "window"):
+        monkeypatch.setenv("CAMSHIFT_BUDGET", f"cells=5e6, {key}=512")
+        with pytest.raises(InvalidParameter):
+            budgets_from_env()
     for value in ("-2", "abc", "inf", "nan", "1.5"):
         monkeypatch.setenv("CAMSHIFT_BUDGET", f"cells={value}")
         with pytest.raises(InvalidParameter):

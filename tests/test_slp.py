@@ -129,7 +129,7 @@ def test_snippet_caches_match_materialization(builder, rng):
         if expr.length > 50_000:
             continue
         text = slp.materialize(expr)
-        for k in (1, 2, 5, 17, builder.window - 1):
+        for k in (1, 2, 5, 17, 4095):
             need = min(k, expr.length)
             assert builder.prefix_snippet(expr, k) == text[:need]
             assert builder.suffix_snippet(expr, k) == text[len(text) - need :]
@@ -157,7 +157,7 @@ def test_count_rejects_bad_patterns(builder):
     a2 = a2_expr(builder)
     with pytest.raises(EmptyPattern):
         builder.count_occurrences("", a2)
-    small = slp.SlpBuilder(window=4)
+    small = slp.SlpBuilder(snippet_cap=4)
     with pytest.raises(PatternTooLong):
         small.count_occurrences("00000", small.power(small.atom("0"), 10))
     for pattern, stray in (("2", "2"), ("01x10", "x"), ("0110 ", " ")):
@@ -223,7 +223,7 @@ def runs_and_pattern(draw):
     long children repeat too, and the top node has parts shorter than the
     pattern, so occurrences cross three or more parts.
     """
-    builder = slp.SlpBuilder(window=64)
+    builder = slp.SlpBuilder(snippet_cap=64)
     reach = draw(st.integers(1, 40))  # L - 1
     texts = st.lists(st.text(alphabet="01", min_size=1, max_size=4), min_size=1, max_size=4)
     leaves = [builder.word(text) for text in draw(texts)]
