@@ -28,6 +28,7 @@ length, search cap) is a field of the family's :class:`Budgets`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -178,6 +179,28 @@ def _json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise MalformedFamily(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+_DECIMAL = re.compile("[0-9]+")
+_SIGNED_DECIMAL = re.compile("-?[0-9]+")
+
+
+def _decimal(text, what: str, signed: bool = False) -> int:
+    """An integer stored as a decimal string: ASCII digits, and a leading '-'
+    only when `signed`.  int() alone would also read '+', '_', surrounding
+    whitespace and non-ASCII digits, so one value could be stored many ways."""
+    pattern = _SIGNED_DECIMAL if signed else _DECIMAL
+    if not isinstance(text, str) or pattern.fullmatch(text) is None:
+        raise MalformedFamily(f"{what} must be a decimal string, got {text!r}")
+    return int(text)
+
+
+def _params_from_obj(obj) -> list:
+    """The stored parameters: a JSON array of decimal strings (a bare string
+    would otherwise be read digit by digit)."""
+    if not isinstance(obj["params"], list):
+        raise MalformedFamily(f"params must be a JSON array, got {obj['params']!r}")
+    return [_decimal(p, "parameter") for p in obj["params"]]
 
 
 def _check_scheme(obj):
@@ -785,7 +808,9 @@ def _fraction_obj(x: Fraction | None):
 def _fraction_from(obj) -> Fraction | None:
     if obj is None:
         return None
-    return Fraction(int(obj["num"]), int(obj["den"]))
+    return Fraction(
+        _decimal(obj["num"], "numerator", signed=True), _decimal(obj["den"], "denominator")
+    )
 
 
 def report_to_obj(report: CertificateReport) -> dict:
@@ -813,7 +838,8 @@ def report_from_obj(obj) -> CertificateReport:
     the stored margin must equal rhs - lhs; otherwise MalformedFamily.
     """
     report = CertificateReport(
-        level=_json_int(obj["level"], "certificate level"), param=int(obj["param"])
+        level=_json_int(obj["level"], "certificate level"),
+        param=_decimal(obj["param"], "certificate param"),
     )
     for row in obj["rows"]:
         cert = CertRow(
@@ -833,6 +859,20 @@ def report_from_obj(obj) -> CertificateReport:
             raise MalformedFamily(f"row {cert.ident}: stored margin is not rhs - lhs")
         report.rows.append(cert)
     return report
+
+
+def _certificates_from_obj(objs, params) -> list:
+    """The stored reports, checked to be those of levels 2, 3, ... at `params`."""
+    reports = [report_from_obj(c) for c in objs]
+    if len(reports) != len(params):
+        raise MalformedFamily("certificate count does not match the parameters")
+    for k, (report, n) in enumerate(zip(reports, params), start=2):
+        if (report.level, report.param) != (k, n):
+            raise MalformedFamily(
+                f"certificate {k - 2} is for level {report.level} at n={report.param}, "
+                f"not level {k} at n={n}"
+            )
+    return reports
 
 
 def family_to_obj(family: LevelFamily) -> dict:
@@ -869,16 +909,14 @@ def family_from_obj(obj, budgets: Budgets | None = None) -> LevelFamily:
         if _json_int(obj["dim"], "dim") != 1:
             raise MalformedFamily("not a one-dimensional family file")
         levels = _json_int(obj["K"], "K")
-        params = [int(p) for p in obj["params"]]
+        params = _params_from_obj(obj)
         _check_scheme(obj)
         if len(params) != levels - 1:
             raise MalformedFamily("parameter count does not match K")
         family = LevelFamily(budgets=budgets)
         for n in params:
             build_level(family, n)
-        family.certificates = [report_from_obj(c) for c in obj["certificates"]]
-        if len(family.certificates) != levels - 1:
-            raise MalformedFamily("certificate count does not match K")
+        family.certificates = _certificates_from_obj(obj["certificates"], params)
         rebuilt = family_to_obj(family)
         if rebuilt["slp"] != obj["slp"] or rebuilt["levels"] != obj["levels"]:
             raise MalformedFamily("serialized words do not match their parameters")

@@ -39,18 +39,19 @@ from .cam1d import (
     CertRow,
     Hierarchy,
     SubwordReport,
+    _certificates_from_obj,
     _check_scheme,
     _eps_tail_rows,
     _frequency_row,
     _inherited_words,
     _json_int,
     _pair_report,
+    _params_from_obj,
     _period_gap_row,
     _row,
     _unverifiable,
     default_frequency_sequence,
     level_names,
-    report_from_obj,
     report_to_obj,
     search_parameter,
 )
@@ -743,14 +744,14 @@ def family_from_obj_d(obj, budgets: Budgets | None = None) -> ZdFamily:
         dim = _json_int(obj["dim"], "dim")
         if dim < 1:
             raise MalformedFamily("bad dimension")
-        params = [int(p) for p in obj["params"]]
+        params = _params_from_obj(obj)
         _check_scheme(obj)
+        if len(params) != _json_int(obj["K"], "K") - 1:
+            raise MalformedFamily("parameter count does not match K")
         family = ZdFamily(dim=dim, budgets=budgets)
         for n in params:
             build_level_d(family, n)
-        family.certificates = [report_from_obj(c) for c in obj["certificates"]]
-        if len(family.certificates) != _json_int(obj["K"], "K") - 1:
-            raise MalformedFamily("certificate count does not match K")
+        family.certificates = _certificates_from_obj(obj["certificates"], params)
         rebuilt = family_to_obj_d(family)
         if rebuilt["levels"] != obj["levels"]:
             raise MalformedFamily("serialized words do not match their parameters")

@@ -259,6 +259,8 @@ def cmd_sft(args) -> int:
             end="",
         )
         return EXIT_OK
+    if args.find_smallest < 0:
+        raise CamshiftError("--find-smallest must be a nonnegative height cap (0 skips the search)")
     report = sft.embedding_feasibility(matrix, args.height, args.n_max)
     payload = {
         "height": report.height,

@@ -1,14 +1,22 @@
 """Shift-of-finite-type arithmetic on nonnegative integer matrices.
 
-Covers the periodic-point census (Mobius inversion of trace powers, with a
-direct enumeration oracle), the Perron eigenvalue with certified two-sided
-bounds, and the feasibility check for embedding a discrete tower over the
-full 2-shift: a strict entropy inequality plus a periodic-count comparison.
+Covers the periodic-point census, the Perron eigenvalue with certified
+two-sided bounds, and the feasibility check for embedding a discrete tower
+over the full 2-shift: a strict entropy inequality plus a periodic-count
+comparison.
+
+A census reads one trace sequence tr(A^1), tr(A^2), ... per matrix, built
+with one matrix product per n, and takes the Mobius sums
+q_n = sum over d | n of mu(n/d) * tr(A^d) from it.  :func:`tr_n` computes a
+single q_n from fresh matrix powers, and :func:`brute_periodic_points`
+enumerates closed walks; both are independent checks of the census.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -19,6 +27,9 @@ from .errors import (
 )
 
 _ENUM_CAP = 5_000_000
+_PERRON_MAX_ITERATIONS = 200_000
+# Perron tolerance of the entropy test (embedding_feasibility, smallest_feasible_height)
+_EMBED_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,10 +61,8 @@ def _as_matrix(A) -> SftMatrix:
 
 
 def _matmul(X, Y):
-    n = len(X)
-    return tuple(
-        tuple(sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+    columns = tuple(zip(*Y))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in columns) for row in X)
 
 
 def _matpow(rows, e):
@@ -114,12 +123,30 @@ def tr_n(A, n: int) -> int:
     return sum(mobius(n // d) * trace_power(A, d) for d in divisors(n))
 
 
+def _least_period_counts(rows):
+    """Yield q_1, q_2, ... for the edge shift of `rows`, lazily.
+
+    Term n costs one matrix product (A^n from A^(n-1)) and a Mobius sum over
+    the traces already kept, so a consumer that stops at n builds no power
+    past A^n.
+    """
+    traces = [0]  # traces[d] = tr(A^d)
+    mu = [0]  # mu[k] = mobius(k)
+    power = rows
+    for n in itertools.count(1):
+        if n > 1:
+            power = _matmul(power, rows)
+        traces.append(_trace(power))
+        mu.append(mobius(n))
+        yield sum(mu[n // d] * traces[d] for d in divisors(n))
+
+
 def census(A, n_max: int) -> dict:
     """Map n -> least-period-n point count for 1 <= n <= n_max."""
     A = _as_matrix(A)
     if n_max < 1:
         raise InvalidParameter("n_max must be at least 1")
-    return {n: tr_n(A, n) for n in range(1, n_max + 1)}
+    return dict(zip(range(1, n_max + 1), _least_period_counts(A.rows)))
 
 
 def brute_periodic_points(A, n: int, cap: int = _ENUM_CAP) -> int:
@@ -206,24 +233,25 @@ class PerronResult:
     primitive: bool
 
 
-def perron_eigenvalue(A, tolerance: float = 1e-10, max_iterations: int = 200_000) -> PerronResult:
+def perron_eigenvalue(A, tolerance: float = 1e-10) -> PerronResult:
     """Dominant eigenvalue of an irreducible nonnegative matrix.
 
     Power iteration runs on A + I (same Perron vector, immune to
     periodicity); the returned lower/upper bounds are the Collatz-Wielandt
     ratios min_i (Av)_i/v_i and max_i (Av)_i/v_i of the final positive
-    iterate, which bracket the true eigenvalue.
+    iterate, which bracket the true eigenvalue.  The tolerance must be a
+    finite positive number.
     """
     A = _as_matrix(A)
-    if tolerance <= 0:
-        raise InvalidParameter("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise InvalidParameter(f"tolerance must be finite and positive, got {tolerance!r}")
     if not is_irreducible(A):
         raise ReducibleMatrix("matrix is not irreducible")
     n = A.dim
     rows = A.rows
     v = [1.0] * n
     previous = None
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _PERRON_MAX_ITERATIONS + 1):
         w = [sum(rows[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
         top = max(w)
         v = [x / top for x in w]
@@ -247,7 +275,9 @@ def perron_eigenvalue(A, tolerance: float = 1e-10, max_iterations: int = 200_000
                 primitive=is_primitive(A),
             )
         previous = quotient
-    raise NoConvergence(f"power iteration did not converge in {max_iterations} iterations")
+    raise NoConvergence(
+        f"power iteration did not converge in {_PERRON_MAX_ITERATIONS} iterations"
+    )
 
 
 @dataclass
@@ -264,18 +294,17 @@ class FeasibilityReport:
 
 
 def tower_census(m: int, n: int) -> int:
-    """Least-period-n count for the height-m tower over the full 2-shift."""
+    """Least-period-n count for the height-m tower over the full 2-shift.
+
+    Only n = j*m has points: m * sum over d | j of mu(j/d) * 2^d.
+    """
     if n % m != 0:
         return 0
-    return m * tr_n([[2]], n // m)
+    j = n // m
+    return m * sum(mobius(j // d) << d for d in divisors(j))
 
 
-def embedding_feasibility(
-    A,
-    tower_height: int,
-    n_max: int,
-    tolerance: float = 1e-12,
-) -> FeasibilityReport:
+def embedding_feasibility(A, tower_height: int, n_max: int) -> FeasibilityReport:
     """Check the two embedding hypotheses for the height-m tower.
 
     (1) strict entropy gap: log(2)/m < log(Perron eigenvalue), decided
@@ -284,12 +313,17 @@ def embedding_feasibility(
     target's for every n <= n_max.
     """
     A = _as_matrix(A)
-    m = tower_height
-    if m < 1:
+    if tower_height < 1:
         raise InvalidParameter("tower height must be >= 1")
-    if n_max < m:
+    if n_max < tower_height:
         raise InvalidParameter("n_max must be at least the tower height")
-    perron = perron_eigenvalue(A, tolerance=tolerance)
+    perron = perron_eigenvalue(A, _EMBED_TOLERANCE)
+    return _feasibility(tower_height, n_max, perron, census(A, n_max))
+
+
+def _feasibility(m: int, n_max: int, perron: PerronResult, target_census) -> FeasibilityReport:
+    """The report for height m, read from the target's Perron bounds and its
+    census (least-period counts for at least n = 1..n_max)."""
     lhs = math.log(2.0) / m
     if perron.lower <= 0:
         raise ReducibleMatrix("Perron lower bound is not positive")
@@ -304,7 +338,7 @@ def embedding_feasibility(
     all_ok = True
     for n in range(1, n_max + 1):
         tower = tower_census(m, n)
-        target = tr_n(A, n)
+        target = target_census[n]
         ok = tower <= target
         all_ok = all_ok and ok
         rows.append((n, tower, target, ok))
@@ -320,8 +354,23 @@ def embedding_feasibility(
 
 
 def smallest_feasible_height(A, n_max: int, cap: int = 64) -> int | None:
-    """Smallest tower height m <= cap whose report is feasible, else None."""
+    """Smallest tower height m <= cap whose report is feasible, else None.
+
+    Height m is checked up to max(n_max, m), as
+    ``embedding_feasibility(A, m, max(n_max, m))`` would.  The Perron bounds
+    are computed once, and the target census grows one term at a time only
+    as far as the heights tried need it.
+    """
+    if cap < 1:
+        raise InvalidParameter(f"height cap must be at least 1, got {cap}")
+    A = _as_matrix(A)
+    perron = perron_eigenvalue(A, _EMBED_TOLERANCE)
+    counts = _least_period_counts(A.rows)
+    target = {}
     for m in range(1, cap + 1):
-        if embedding_feasibility(A, m, max(n_max, m)).feasible:
+        reach = max(n_max, m)
+        while len(target) < reach:
+            target[len(target) + 1] = next(counts)
+        if _feasibility(m, reach, perron, target).feasible:
             return m
     return None

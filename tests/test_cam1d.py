@@ -333,3 +333,31 @@ def test_family_from_obj_checks_certificate_rows(family3, field, value):
 def test_family_from_obj_rejects_garbage():
     with pytest.raises(MalformedFamily):
         cam1d.family_from_obj({"dim": 1, "K": "x"})
+
+
+@pytest.mark.parametrize(
+    "text, signed",
+    [
+        ("9_79", False),
+        ("+5", False),
+        (" 5", False),
+        ("5\n", False),
+        ("\u0665", False),  # ARABIC-INDIC DIGIT FIVE, which int() reads as 5
+        ("", False),
+        ("-5", False),
+        ("-", True),
+        ("--5", True),
+        ("5.0", True),
+        (5, False),
+        (None, True),
+    ],
+)
+def test_stored_integers_are_strict_decimals(text, signed):
+    with pytest.raises(MalformedFamily):
+        cam1d._decimal(text, "value", signed=signed)
+
+
+def test_stored_integers_read_plain_decimals():
+    assert cam1d._decimal("0979", "value") == 979
+    assert cam1d._decimal("-12", "value", signed=True) == -12
+    assert cam1d._decimal(str(10**30), "value") == 10**30

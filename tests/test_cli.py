@@ -199,7 +199,7 @@ BUDGET_VALUES = (
 )
 BUDGET_STRINGS = st.lists(
     st.tuples(
-        st.sampled_from(["symbols", "cells", "window", "snippet_cap", "search_cap", "bogus"]),
+        st.sampled_from(["symbols", "cells", "snippet_cap", "search_cap", "bogus"]),
         BUDGET_VALUES,
     ).map("=".join)
     | st.sampled_from(["", "cells", "=5", ",", "cells=1=2"]),
@@ -214,11 +214,35 @@ def _run_quiet(*argv):
     return code, err.getvalue()
 
 
+# edits that int() alone would read as a valid file: a parameter string with
+# an underscore, a bare string for the params array, and a first
+# certificate moved to another param or level
+CERTIFICATE_MUTATIONS = [(("certificates", 0, "param"), "5"), (("certificates", 0, "level"), 7)]
+LOADER_MUTATIONS = {
+    "d1": [(("params", 1), "9_79")] + CERTIFICATE_MUTATIONS,
+    "d2": [(("params", 0), "0_6"), (("params",), "6")] + CERTIFICATE_MUTATIONS,
+}
+
+
 @pytest.mark.parametrize("which", ["d1", "d2"])
 def test_family_file_fuzz_exit_codes(which, family_file, family_d2_file, tmp_path_factory):
     source = family_file if which == "d1" else family_d2_file
     family = json.loads(source.read_text())
     path = tmp_path_factory.mktemp("fuzz") / "family.json"
+
+    for keys, value in LOADER_MUTATIONS[which]:
+        obj = copy.deepcopy(family)
+        parent = obj
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path.write_text(json.dumps(obj))
+        for argv in (
+            ("verify", "--family", str(path), "--level", "2"),
+            ("certify", "--family", str(path)),
+        ):
+            code, err = _run_quiet(*argv)
+            assert code == 4 and err.startswith("error:"), (keys, value, argv, code, err)
 
     # one small perturbation keeps every rebuilt word small (a parameter of
     # 10^6 is refused by the cell budget), and budget values stay <= 10^7
@@ -262,6 +286,21 @@ def test_sft_embed(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["feasible"] is True
     assert payload["smallest_feasible_height"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("perron", "--tol", "nan"),
+        ("perron", "--tol", "inf"),
+        ("perron", "--tol", "0"),
+        ("perron", "--tol=-1e-9"),
+        ("embed", "--height", "2", "--n-max", "8", "--find-smallest", "-3"),
+    ],
+)
+def test_sft_rejects_bad_limits(argv):
+    code, err = _run_quiet("sft", argv[0], "--matrix", "[[1,1],[1,0]]", *argv[1:])
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
 
 def test_malformed_family_exit_code(tmp_path, family_file):

@@ -2,11 +2,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camshift import sft
-from camshift.errors import EnumerationTooLarge, InvalidParameter, ReducibleMatrix
+from camshift.errors import CamshiftError, EnumerationTooLarge, InvalidParameter, ReducibleMatrix
 
 GOLDEN = [[1, 1], [1, 0]]
 FULL2 = [[2]]
@@ -27,6 +27,14 @@ CATALOG = [
     [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
     [[0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1], [1, 1, 0, 0]],
 ]
+
+
+def square_matrices(max_dim, max_entry):
+    return st.integers(1, max_dim).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(0, max_entry), min_size=d, max_size=d), min_size=d, max_size=d
+        )
+    )
 
 
 def random_catalog(count=50, seed=20260810):
@@ -64,6 +72,15 @@ def test_census_golden_mean():
     for n_max in (0, -3):
         with pytest.raises(InvalidParameter):
             sft.census(GOLDEN, n_max)
+
+
+@given(square_matrices(4, 3), st.integers(1, 24))
+@settings(max_examples=60, deadline=None)
+def test_census_matches_tr_n(matrix, n_max):
+    # the one trace sequence against fresh per-divisor matrix powers
+    table = sft.census(matrix, n_max)
+    assert list(table) == list(range(1, n_max + 1))
+    assert all(table[n] == sft.tr_n(matrix, n) for n in table)
 
 
 def test_brute_examples():
@@ -135,8 +152,9 @@ def test_perron_rejects_reducible():
 
 
 def test_perron_rejects_bad_tolerance():
-    with pytest.raises(InvalidParameter):
-        sft.perron_eigenvalue(GOLDEN, 0)
+    for tolerance in (0, -1e-9, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter):
+            sft.perron_eigenvalue(GOLDEN, tolerance)
 
 
 # -- embedding feasibility ---------------------------------------------------------
@@ -163,6 +181,13 @@ def test_tower_rows_without_divisibility_pass():
             assert tower == 0 and ok
 
 
+@given(st.integers(1, 12), st.integers(1, 72))
+@settings(max_examples=150, deadline=None)
+def test_tower_census_closed_form(m, n):
+    expected = m * sft.tr_n(FULL2, n // m) if n % m == 0 else 0
+    assert sft.tower_census(m, n) == expected
+
+
 def test_tower_census_identity():
     # summed least-period counts of the tower match m times the base prefix
     for m in (2, 3, 5):
@@ -178,3 +203,47 @@ def test_smallest_feasible_height_golden():
     assert sft.embedding_feasibility(GOLDEN, m, 30).feasible
     for smaller in range(1, m):
         assert not sft.embedding_feasibility(GOLDEN, smaller, 30).feasible
+
+
+def _outcome(call):
+    try:
+        return call()
+    except CamshiftError as exc:
+        return type(exc)
+
+
+@given(square_matrices(3, 3), st.integers(1, 12), st.integers(1, 20))
+@example(GOLDEN, 2, 10)  # first feasible height 5, past n_max
+@settings(max_examples=40, deadline=None)
+def test_smallest_height_is_first_feasible(matrix, n_max, cap):
+    def first_feasible():
+        for m in range(1, cap + 1):
+            if sft.embedding_feasibility(matrix, m, max(n_max, m)).feasible:
+                return m
+        return None
+
+    assert _outcome(lambda: sft.smallest_feasible_height(matrix, n_max, cap)) == _outcome(
+        first_feasible
+    )
+
+
+def test_smallest_height_builds_no_census_past_reach(monkeypatch):
+    products = []
+    matmul = sft._matmul
+    monkeypatch.setattr(sft, "_matmul", lambda X, Y: products.append(1) or matmul(X, Y))
+
+    def search(n_max, cap):
+        products.clear()
+        return sft.smallest_feasible_height(GOLDEN, n_max, cap), len(products)
+
+    # GOLDEN is first feasible at height 5, so the search reaches n = max(n_max, 5)
+    # and a huge cap must cost what cap 5 costs: the census products
+    # A^2..A^reach plus the one is_primitive takes inside the Perron call
+    for n_max, reach in ((30, 30), (2, 5)):
+        assert search(n_max, 10**6) == search(n_max, 5) == (5, (reach - 1) + 1)
+
+
+def test_smallest_height_rejects_cap_below_one():
+    for cap in (0, -3):
+        with pytest.raises(InvalidParameter):
+            sft.smallest_feasible_height(GOLDEN, 30, cap)
