@@ -32,6 +32,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import slp
 from .budgets import Budgets
 from .errors import (
@@ -726,55 +728,122 @@ def measure_report(family: LevelFamily, k_max: int | None = None) -> list:
 # -- complexity ---------------------------------------------------------------
 
 
+def _packed_prefixes(text: str):
+    """``(key, bits, per)``: key[i] packs the first ``per`` symbols from i.
+
+    The s distinct symbols get codes 1..s and "past the end" gets 0; with
+    bits = s.bit_length(), per = 64 // bits codes fit one uint64 as
+    base-2**bits digits, first symbol highest.  key has len(text) + 1
+    entries; the last one, 0, stands for the empty suffix.
+    """
+    size = len(text)
+    points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    seen = np.zeros(int(points.max()) + 1, dtype=np.uint64)
+    seen[points] = 1
+    code_of = np.cumsum(seen)
+    bits = int(code_of[-1]).bit_length()
+    per = 64 // bits
+    key = np.zeros(size + 2 * per, dtype=np.uint64)
+    key[:size] = code_of[points]
+    # double the packed width while it fits, then append the top symbols of the next key
+    width = 1
+    while 2 * width <= per:
+        key = (key[:-width] << np.uint64(bits * width)) | key[width:]
+        width *= 2
+    rest = per - width
+    if rest:
+        tail = key[width:] >> np.uint64(bits * (width - rest))
+        key = (key[:-width] << np.uint64(bits * rest)) | tail
+    return key[: size + 1], bits, per
+
+
+def _packed_lcp(x, y, bits: int, per: int):
+    """Common leading symbols of packed keys ``x`` and ``y`` (at most ``per``).
+
+    The highest set bit of x ^ y lies in the first differing symbol, so
+    one search against the symbol boundaries 1 << (bits * t) reads it off.
+    """
+    boundaries = np.uint64(1) << (np.arange(per, dtype=np.uint64) * np.uint64(bits))
+    return per - np.searchsorted(boundaries, x ^ y, side="right")
+
+
+def _stable_order(values, shift: int):
+    """Positions sorted by ``values`` (ints below 2**(64-shift)), ties by position."""
+    positions = np.arange(len(values), dtype=np.uint64)
+    packed = np.sort((values.astype(np.uint64) << np.uint64(shift)) | positions)
+    return (packed & np.uint64((1 << shift) - 1)).astype(np.intp)
+
+
 def distinct_factor_counts(text: str, n_max: int) -> list[int]:
     """Number of distinct length-n factors of ``text`` for n = 1..n_max.
 
-    Built on a suffix automaton: a state with link length l and length h
-    contributes one distinct factor for every n in (l, h].
+    With N = len(text) suffixes, p(n) = (N - n + 1) - #{lexicographically
+    adjacent suffix pairs whose longest common prefix (LCP) is >= n}: the
+    suffixes that share a length-n prefix form one run of the sorted order.
+    Only the order up to n_max symbols matters, and only LCPs capped at
+    n_max.
+
+    Each suffix's first per symbols are packed into one uint64 key (per =
+    32 for binary text, see :func:`_packed_prefixes`).  The packing is
+    injective and numeric order is lexicographic order: every code is
+    below 2**bits, and a suffix's 0 codes past its end sit where any
+    longer suffix has a nonzero code, so two suffixes never agree on a
+    position past the end of either.  For n_max <= per one sort of the
+    keys and the XOR of adjacent keys give every capped LCP.  Longer
+    prefixes take ceil(log2(n_max / per)) prefix-doubling rounds (fewer
+    once all suffixes are told apart): each ranks the pairs
+    (rank[i], rank[i + h]) of the last round, which stand for the first 2h
+    symbols.  An adjacent pair's LCP is then a greedy descent over those
+    rank levels, largest h first, finished by the packed keys.  Every
+    comparison is an integer equality of injective codes: there is no
+    hashing and no sampling.
+
+    Cost: one O(N log N) sort, plus one more sort and one O(N) descent
+    step per doubling round; memory is O(N) words per kept round.
     """
-    sa_len = [0]
-    sa_link = [-1]
-    sa_next = [{}]
-    last = 0
-    for ch in text:
-        cur = len(sa_len)
-        sa_len.append(sa_len[last] + 1)
-        sa_link.append(-1)
-        sa_next.append({})
-        p = last
-        while p != -1 and ch not in sa_next[p]:
-            sa_next[p][ch] = cur
-            p = sa_link[p]
-        if p == -1:
-            sa_link[cur] = 0
-        else:
-            q = sa_next[p][ch]
-            if sa_len[p] + 1 == sa_len[q]:
-                sa_link[cur] = q
-            else:
-                clone = len(sa_len)
-                sa_len.append(sa_len[p] + 1)
-                sa_link.append(sa_link[q])
-                sa_next.append(dict(sa_next[q]))
-                while p != -1 and sa_next[p].get(ch) == q:
-                    sa_next[p][ch] = clone
-                    p = sa_link[p]
-                sa_link[q] = clone
-                sa_link[cur] = clone
-        last = cur
-    diff = [0] * (n_max + 2)
-    for v in range(1, len(sa_len)):
-        lo = sa_len[sa_link[v]] + 1
-        hi = min(sa_len[v], n_max)
-        if lo <= hi:
-            diff[lo] += 1
-            diff[hi + 1] -= 1
-    counts = []
-    acc = 0
-    for n in range(1, n_max + 1):
-        acc += diff[n]
-        counts.append(acc)
-    return counts
+    if n_max < 1:
+        return []
+    size = len(text)
+    if size >= 1 << 32:
+        raise BudgetExceeded("text too long to rank its positions in 32 bits")
+    counts = [max(size - n + 1, 0) for n in range(1, n_max + 1)]
+    if size < 2:
+        return counts
+    key, bits, per = _packed_prefixes(text)
+    ordered = np.sort(key[:size])
+    if n_max <= per:
+        lcp = _packed_lcp(ordered[:-1], ordered[1:], bits, per)
+    else:
+        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        rank = np.zeros(size + 1, dtype=np.uint32)  # rank[size] == 0: the empty suffix
+        rank[:size] = np.searchsorted(distinct, key[:size]) + 1
+        shift = size.bit_length()
+        order = _stable_order(rank[:size], shift)
+        levels = [key]  # levels[j] tells apart the first per * 2**j symbols
+        h, groups = per, len(distinct)
+        while h < n_max and groups < size:
+            # all positions in order of rank[i + h], which is 0 past the end
+            later = order[order >= h]
+            ends = np.arange(max(size - h, 0), size)
+            by_second = np.concatenate((ends, later - h))
+            second = np.concatenate((np.zeros(len(ends), np.uint32), rank[later]))
+            pick = _stable_order(rank[by_second], shift)
+            order = by_second[pick]
+            first, second = rank[order], second[pick]
+            fresh = (first[1:] != first[:-1]) | (second[1:] != second[:-1])
+            rank = np.zeros(size + 1, dtype=np.uint32)
+            rank[order] = np.cumsum(np.concatenate(([True], fresh)))
+            groups = int(rank[order[-1]])
+            levels.append(rank)
+            h *= 2
+        left, right = order[:-1], order[1:]
+        lcp = np.zeros(size - 1, dtype=np.intp)
+        for j in reversed(range(len(levels))):
+            same = levels[j][left + lcp] == levels[j][right + lcp]
+            lcp += same * (per << j)
+        lcp += _packed_lcp(key[left + lcp], key[right + lcp], bits, per)
+    at_least = np.cumsum(np.bincount(np.minimum(lcp, n_max), minlength=n_max + 1)[::-1])[::-1]
+    return [count - int(pairs) for count, pairs in zip(counts, at_least[1:])]
 
 
 @dataclass

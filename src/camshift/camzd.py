@@ -70,9 +70,7 @@ __all__ = [
     "PatchworkExpr",
     "PeriodLattice",
     "ZdFamily",
-    "self_concat",
     "postcard",
-    "postcard_cell",
     "count_occurrences_d",
     "period_lattice",
     "build_level_d",
@@ -107,45 +105,6 @@ def _check_cube(w) -> ArrayWord:
     if len(set(arr.shape)) != 1:
         raise ShapeMismatch(f"expected a cube, got shape {arr.shape}")
     return arr
-
-
-def self_concat(w, extents, max_cells: int | None = None):
-    """Periodic extension of a cube to ``extents`` blocks per axis.
-
-    Returns the explicit array when it fits in ``max_cells``, otherwise a
-    :class:`PatchworkExpr` with no patches.
-    """
-    arr = _check_cube(w)
-    d = arr.ndim
-    if isinstance(extents, int):
-        extents = (extents,) * d
-    extents = tuple(int(e) for e in extents)
-    if len(extents) != d or any(e < 1 for e in extents):
-        raise InvalidParameter(f"extents must be {d} positive integers")
-    cells = arr.size * int(np.prod([float(e) for e in extents]))
-    if max_cells is not None and cells > max_cells:
-        return PatchworkExpr(base=arr, extents=extents, patches=())
-    return np.tile(arr, extents)
-
-
-def postcard_cell(stamps, base, e: int, coords) -> int:
-    """Direct two-case evaluation of the postcard at 1-based ``coords``.
-
-    Case 1: coordinates inside the m-th stamp block (first axis blocks
-    2m+1, block row 3 elsewhere) read the stamp; Case 2: everything else
-    reads the periodic extension of the base.
-    """
-    base = _check_cube(base)
-    n = base.shape[0]
-    d = base.ndim
-    for m, stamp in enumerate(stamps, start=1):
-        if (
-            2 * m * n + 1 <= coords[0] <= (2 * m + 1) * n
-            and all(2 * n + 1 <= x <= 3 * n for x in coords[1:])
-        ):
-            rel = (coords[0] - 2 * m * n,) + tuple(x - 2 * n for x in coords[1:])
-            return int(stamp[tuple(r - 1 for r in rel)])
-    return int(base[tuple(((x - 1) % n) for x in coords)])
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,9 @@ from .errors import (
 SYMBOLS = ("0", "1")
 DEFAULT_MATERIALIZE_CAP = 1_000_000
 DEFAULT_SNIPPET_CAP = 1_048_576
+# bytes of snippet text (left + right + pattern, one byte per symbol) the
+# junction memo keeps; the level-4 build peaks at ~15.6M and never clears it
+_JUNCTION_CACHE_BYTES = 1 << 25
 _DROP_SYMBOLS = dict.fromkeys(map(ord, SYMBOLS))
 
 
@@ -108,6 +111,7 @@ class SlpBuilder:
         # naive scans keyed by content: many nodes share the same cached
         # suffix/prefix snippets, so the heavy scans run once per content
         self._junction_counts: dict = {}
+        self._junction_bytes = 0
 
     # -- construction -------------------------------------------------
 
@@ -259,9 +263,13 @@ class SlpBuilder:
         value = self._junction_counts.get(key)
         if value is None:
             value = count_occurrences_naive(pattern, left * copies + right)
-            if len(self._junction_counts) > 100_000:
+            size = len(left) + len(right) + len(pattern)
+            if self._junction_bytes + size > _JUNCTION_CACHE_BYTES:
                 self._junction_counts.clear()
-            self._junction_counts[key] = value
+                self._junction_bytes = 0
+            if size <= _JUNCTION_CACHE_BYTES:
+                self._junction_counts[key] = value
+                self._junction_bytes += size
         return value
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from camshift import cam1d, camzd, sft, slp
 from camshift.cli import canonical_json
+from camzd_oracles import self_concat
 from conftest import random_expression, random_pattern
 from test_sft import CATALOG, random_catalog
 
@@ -132,7 +133,7 @@ def test_criterion_6_d2_build_and_layouts(family_d2, family_d2_structural3):
     a2 = family_d2.word(2, "a2").array
     n = a2.shape[0]
     p = camzd.period_lattice(a2).index
-    count = camzd.count_occurrences_d(a2, camzd.self_concat(a2, 2))
+    count = camzd.count_occurrences_d(a2, self_concat(a2, 2))
     assert Fraction(n**2, p) <= count <= Fraction(n**2) * (Fraction(1, p) + Fraction(2, n))
 
     # level 3 within the cell budget: postcard layout and scans

@@ -1,7 +1,11 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from cam1d_oracles import distinct_factor_counts_automaton
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from camshift import cam1d, slp
 from camshift.budgets import Budgets
@@ -287,6 +291,54 @@ def test_distinct_factor_counts_brute(rng):
             len({text[i : i + n] for i in range(len(text) - n + 1)}) for n in range(1, n_max + 1)
         ]
         assert counts == brute
+
+
+SYMBOL_POOL = "01abcdefgé一\U0001F600"
+WIDE_ALPHABET = [chr(0x4E00 + i) for i in range(300)]  # 9-bit codes, 7 per uint64
+
+
+@st.composite
+def factor_cases(draw):
+    """Random, periodic and one-symbol-off periodic texts with an n_max past their end."""
+    alphabet = draw(
+        st.lists(st.sampled_from(SYMBOL_POOL), min_size=1, max_size=10, unique=True)
+        | st.just(WIDE_ALPHABET)
+    )
+    symbol = st.sampled_from(alphabet)
+    length = draw(st.integers(0, 80))
+    kind = draw(st.sampled_from(["random", "periodic", "periodic-changed"]))
+    if kind == "random":
+        text = "".join(draw(st.lists(symbol, min_size=length, max_size=length)))
+    else:
+        period = "".join(draw(st.lists(symbol, min_size=1, max_size=7)))
+        text = (period * (length // len(period) + 1))[:length]
+        if kind == "periodic-changed" and text:
+            i = draw(st.integers(0, len(text) - 1))
+            text = text[:i] + draw(symbol) + text[i + 1 :]
+    return text, draw(st.integers(1, len(text) + 3))
+
+
+@given(case=factor_cases())
+@example(case=("", 3))
+@example(case=("一", 2))
+@settings(max_examples=300, deadline=None)
+def test_distinct_factor_counts_match_oracles(case):
+    text, n_max = case
+    counts = cam1d.distinct_factor_counts(text, n_max)
+    assert counts == distinct_factor_counts_automaton(text, n_max)
+    brute = [
+        len({text[i : i + n] for i in range(len(text) - n + 1)}) for n in range(1, n_max + 1)
+    ]
+    assert counts == brute
+
+
+def test_complexity_profile_pins_benchmark_counts():
+    # the probe-1d workload's complexity call on its level-4 fixture
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    family = cam1d.family_from_obj(json.loads((bench / "data" / "family-l4.json").read_text()))
+    expected = json.loads((bench / "expected.json").read_text())["probe-1d"]
+    profile = cam1d.complexity_profile(family, 32, 500_000)
+    assert profile.counts == expected["complexity_counts"]
 
 
 # -- serialization --------------------------------------------------------------------

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from camzd_oracles import count_occurrences_windowed, period_lattice_scan
+from camzd_oracles import (
+    count_occurrences_windowed,
+    period_lattice_scan,
+    postcard_cell,
+    self_concat,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,22 +31,22 @@ def cube(data):
 
 
 def test_self_concat_examples():
-    assert camzd.self_concat(cube([[1]]), (2, 2)).tolist() == [[1, 1], [1, 1]]
-    assert camzd.self_concat(cube([0, 1]), (3,)).tolist() == [0, 1, 0, 1, 0, 1]
+    assert self_concat(cube([[1]]), (2, 2)).tolist() == [[1, 1], [1, 1]]
+    assert self_concat(cube([0, 1]), (3,)).tolist() == [0, 1, 0, 1, 0, 1]
 
 
 def test_self_concat_mod_positions():
     n = 12
     a2 = np.zeros((n, n), dtype=np.uint8)
     a2[2, 2] = 1  # cell (3, 3), 1-based
-    ext = camzd.self_concat(a2, (2, 2))
+    ext = self_concat(a2, (2, 2))
     ones = {(int(x) + 1, int(y) + 1) for x, y in zip(*np.nonzero(ext))}
     assert ones == {(3, 3), (15, 3), (3, 15), (15, 15)}
 
 
 def test_self_concat_budget_falls_back_to_patchwork():
     w = np.zeros((4, 4), dtype=np.uint8)
-    out = camzd.self_concat(w, (100, 100), max_cells=1000)
+    out = self_concat(w, (100, 100), max_cells=1000)
     assert isinstance(out, camzd.PatchworkExpr)
     assert out.patches == ()
     assert out.cell((1, 1)) == 0
@@ -55,7 +60,7 @@ def test_self_concat_agrees_with_direct_formula(rng):
             [rng.randint(0, 1) for _ in range(n**d)], dtype=np.uint8
         ).reshape((n,) * d)
         extents = tuple(rng.randint(1, 3) for _ in range(d))
-        out = camzd.self_concat(w, extents)
+        out = self_concat(w, extents)
         for coords in np.ndindex(*out.shape):
             one_based = tuple(c + 1 for c in coords)
             direct = w[tuple(((x - 1) % n) for x in one_based)]
@@ -95,7 +100,7 @@ def test_postcard_figure_two_layout():
 def test_postcard_no_stamps_is_self_concat():
     base = cube([[0, 1], [1, 0]])
     arr = camzd.postcard([], base, 3).to_array()
-    assert np.array_equal(arr, camzd.self_concat(base, 7))
+    assert np.array_equal(arr, self_concat(base, 7))
 
 
 def test_postcard_agrees_with_two_case_formula(rng):
@@ -117,7 +122,7 @@ def test_postcard_agrees_with_two_case_formula(rng):
         arr = pc.to_array()
         for _ in range(20):
             coords = tuple(rng.randint(1, (2 * e + 1) * n) for _ in range(d))
-            want = camzd.postcard_cell(stamps, base, e, coords)
+            want = postcard_cell(stamps, base, e, coords)
             assert arr[tuple(c - 1 for c in coords)] == want
             assert pc.cell(coords) == want
 
@@ -284,7 +289,7 @@ def test_multiplicity_sandwich_for_level2(family_d2):
     a2 = family_d2.word(2, "a2").array
     n = a2.shape[0]
     lattice = camzd.period_lattice(a2)
-    count = camzd.count_occurrences_d(a2, camzd.self_concat(a2, 2))
+    count = camzd.count_occurrences_d(a2, self_concat(a2, 2))
     low = Fraction(n**2, lattice.index)
     high = Fraction(n**2) * (Fraction(1, lattice.index) + Fraction(2, n))
     assert low <= count <= high
@@ -408,7 +413,7 @@ def test_d2_structural_level3_scans(family_d2_structural3):
 
 def test_symbol_mismatch_pair_is_trivially_zero(family_d2):
     a2 = family_d2.word(2, "a2").array
-    w12_doubled = camzd.self_concat(family_d2.word(2, "w1_2").array, 2)
+    w12_doubled = self_concat(family_d2.word(2, "w1_2").array, 2)
     assert camzd.count_occurrences_d(a2, w12_doubled) == 0
 
 
@@ -426,7 +431,7 @@ def test_build_level_rejects_invalid():
 def test_transitive_config_full_cube(family_d2):
     side = family_d2.side(2)
     full = camzd.transitive_config_window(family_d2, (1 - side, 1 - side), (2 * side, 2 * side))
-    doubled = camzd.self_concat(family_d2.word(2, "a2").array, 2)
+    doubled = self_concat(family_d2.word(2, "a2").array, 2)
     assert np.array_equal(full, doubled)
 
 

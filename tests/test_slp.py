@@ -215,6 +215,22 @@ def test_oracle_equivalence_randomized(builder, rng):
         checked += 1
 
 
+def test_junction_memo_stays_within_its_byte_bound(builder, rng, monkeypatch):
+    monkeypatch.setattr(slp, "_JUNCTION_CACHE_BYTES", 200)
+    cleared = False
+    for _ in range(60):
+        expr = random_expression(builder, rng, max_length=5_000)
+        text = slp.materialize(expr)
+        pattern = random_pattern(rng, text, max_len=min(12, expr.length))
+        before = builder._junction_bytes
+        assert builder.count_occurrences(pattern, expr) == slp.count_occurrences_naive(
+            pattern, text
+        )
+        held = sum(len(left) + len(right) + len(p) for left, _, right, p in builder._junction_counts)
+        assert held == builder._junction_bytes <= 200
+        cleared = cleared or builder._junction_bytes < before
+    assert cleared
+
 @st.composite
 def runs_and_pattern(draw):
     """A random DAG whose runs exercise every counting regime, and a pattern.
