@@ -244,14 +244,12 @@ def cmd_sft(args) -> int:
         print(canonical_json({str(n): str(q) for n, q in table.items()}), end="")
         return EXIT_OK
     if args.sft_cmd == "perron":
-        result = sft.perron_eigenvalue(matrix, tolerance=args.tol)
+        result = sft.perron_eigenvalue(matrix)
         print(
             canonical_json(
                 {
-                    "value": result.value,
-                    "lower": result.lower,
-                    "upper": result.upper,
-                    "residual": result.residual,
+                    "lower": _frac_str(result.lower),
+                    "upper": _frac_str(result.upper),
                     "iterations": result.iterations,
                     "primitive": result.primitive,
                 }
@@ -265,7 +263,6 @@ def cmd_sft(args) -> int:
     payload = {
         "height": report.height,
         "entropy_lhs": report.entropy_lhs,
-        "entropy_interval": list(report.entropy_interval),
         "entropy_status": report.entropy_status,
         "periodic_rows": [
             {"n": n, "tower": str(tower), "target": str(target), "ok": ok}
@@ -344,9 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--matrix", required=True)
     q.add_argument("--n", type=int, required=True)
     q.set_defaults(func=cmd_sft)
-    q = sft_sub.add_parser("perron", help="Perron eigenvalue with certified bounds")
+    q = sft_sub.add_parser("perron", help="exact rational bracket of the Perron eigenvalue")
     q.add_argument("--matrix", required=True)
-    q.add_argument("--tol", type=float, default=1e-10)
     q.set_defaults(func=cmd_sft)
     q = sft_sub.add_parser("embed", help="tower embedding feasibility")
     q.add_argument("--matrix", required=True)

@@ -53,9 +53,5 @@ class ReducibleMatrix(CamshiftError):
     pass
 
 
-class NoConvergence(CamshiftError):
-    pass
-
-
 class MalformedFamily(CamshiftError):
     pass

@@ -1,7 +1,7 @@
 """Shift-of-finite-type arithmetic on nonnegative integer matrices.
 
-Covers the periodic-point census, the Perron eigenvalue with certified
-two-sided bounds, and the feasibility check for embedding a discrete tower
+Covers the periodic-point census, the Perron eigenvalue as an exact
+rational bracket, and the feasibility check for embedding a discrete tower
 over the full 2-shift: a strict entropy inequality plus a periodic-count
 comparison.
 
@@ -10,26 +10,23 @@ with one matrix product per n, and takes the Mobius sums
 q_n = sum over d | n of mu(n/d) * tr(A^d) from it.  :func:`tr_n` computes a
 single q_n from fresh matrix powers, and :func:`brute_periodic_points`
 enumerates closed walks; both are independent checks of the census.
+
+Eigenvalue questions are decided in integers, by Sturm counts of the real
+roots of the squarefree part of the characteristic polynomial.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .errors import (
-    EnumerationTooLarge,
-    InvalidParameter,
-    NoConvergence,
-    ReducibleMatrix,
-)
+from .errors import EnumerationTooLarge, InvalidParameter, ReducibleMatrix
 
 _ENUM_CAP = 5_000_000
-_PERRON_MAX_ITERATIONS = 200_000
-# Perron tolerance of the entropy test (embedding_feasibility, smallest_feasible_height)
-_EMBED_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -189,11 +186,11 @@ def brute_periodic_points(A, n: int, cap: int = _ENUM_CAP) -> int:
 
 
 def is_irreducible(A) -> bool:
-    """True when the underlying digraph is strongly connected."""
+    """True when the digraph is strongly connected with a closed walk (``[[0]]`` has none)."""
     A = _as_matrix(A)
     n = A.dim
     if n == 1:
-        return True  # a single vertex is trivially its own class
+        return A.rows[0][0] > 0
     adj = [[j for j in range(n) if A.rows[i][j] > 0] for i in range(n)]
     radj = [[j for j in range(n) if A.rows[j][i] > 0] for i in range(n)]
 
@@ -210,74 +207,125 @@ def is_irreducible(A) -> bool:
     return len(reach(adj)) == n and len(reach(radj)) == n
 
 
-def is_primitive(A, limit: int | None = None) -> bool:
+def _require_irreducible(A) -> SftMatrix:
+    A = _as_matrix(A)
+    if not is_irreducible(A):
+        raise ReducibleMatrix("matrix is not irreducible")
+    return A
+
+
+def is_primitive(A) -> bool:
     """True when some power of A is entrywise positive (Wielandt bound)."""
     A = _as_matrix(A)
-    n = A.dim
-    limit = limit if limit is not None else (n - 1) ** 2 + 1
     power = A.rows
-    for _ in range(limit):
+    for _ in range((A.dim - 1) ** 2 + 1):
         if all(x > 0 for row in power for x in row):
             return True
         power = _matmul(power, A.rows)
     return all(x > 0 for row in power for x in row)
 
 
+# -- exact real-root counting ---------------------------------------------------
+# A polynomial is a list of int coefficients, highest degree first, with no
+# leading zero; [] is the zero polynomial.
+
+
+def _charpoly(rows) -> list:
+    """det(xI - A) by Faddeev-LeVerrier: every division by k is exact."""
+    coeffs = [1]
+    product = rows  # A * M_k, with M_1 = I and M_(k+1) = A * M_k + c_k * I
+    for k in range(1, len(rows) + 1):
+        c = -_trace(product) // k
+        coeffs.append(c)
+        if k < len(rows):
+            step = _matmul(rows, product)  # A * M_(k+1) = A * (A * M_k) + c_k * A
+            product = [[x + c * a for x, a in zip(xs, row)] for xs, row in zip(step, rows)]
+    return coeffs
+
+
+def _primitive_part(p) -> list:
+    """p without leading zeros, divided by the positive gcd of its coefficients."""
+    while p and p[0] == 0:
+        p = p[1:]
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else list(p)
+
+
+def _pseudo_divide(a, b):
+    """Primitive parts of the quotient and remainder of |lead(b)|^(deg a - deg b + 1) * a
+    by b: the scale makes each step exact and, being positive, keeps their signs."""
+    r = [c * abs(b[0]) ** (len(a) - len(b) + 1) for c in a]
+    quotient = []
+    while len(r) >= len(b):
+        c = r[0] // b[0]
+        quotient.append(c)
+        r = [x - c * y for x, y in zip(r, b + [0] * (len(r) - len(b)))][1:]
+    return _primitive_part(quotient), _primitive_part(r)
+
+
+def _sturm_sequence(p) -> list:
+    """The Sturm sequence of the squarefree part of p (degree >= 1); a multiple
+    root at the evaluation point would zero every member of p's own sequence."""
+
+    def chain(f):
+        seq = [f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]]
+        while seq[-1]:
+            seq.append([-c for c in _pseudo_divide(seq[-2], seq[-1])[1]])
+        return seq[:-1]
+
+    seq = chain(p)
+    if len(seq[-1]) > 1:  # gcd(p, p') is not constant: p has a multiple root
+        seq = chain(_pseudo_divide(p, seq[-1])[0])
+    return seq
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _roots_above(seq, x) -> int:
+    """Distinct real roots above x (strictly) of the polynomial whose Sturm sequence is seq."""
+    values = (functools.reduce(lambda total, c: total * x + c, p, 0) for p in seq)
+    return _sign_changes(values) - _sign_changes(p[0] for p in seq)
+
+
+def _entropy_gap(power) -> bool:
+    """log 2/m < log lambda(A) for power = A^m, i.e. lambda(A^m) > 2: no real
+    eigenvalue of A^m exceeds lambda(A^m), so iff det(xI - A^m) has a root above 2."""
+    return _roots_above(_sturm_sequence(_charpoly(power)), 2) > 0
+
+
+# -- Perron eigenvalue -----------------------------------------------------------
+
+_PERRON_WIDTH = Fraction(1, 1 << 40)
+
+
 @dataclass(frozen=True)
 class PerronResult:
-    value: float
-    lower: float           # certified lower bound (min Collatz-Wielandt ratio)
-    upper: float           # certified upper bound (max ratio)
-    residual: float        # ||Av - value*v||_inf with ||v||_inf = 1
-    iterations: int
+    lower: Fraction        # lower <= Perron eigenvalue <= upper
+    upper: Fraction
+    iterations: int        # bisection steps
     primitive: bool
 
 
-def perron_eigenvalue(A, tolerance: float = 1e-10) -> PerronResult:
-    """Dominant eigenvalue of an irreducible nonnegative matrix.
+def perron_eigenvalue(A) -> PerronResult:
+    """Exact bracket of the Perron eigenvalue of an irreducible nonnegative matrix.
 
-    Power iteration runs on A + I (same Perron vector, immune to
-    periodicity); the returned lower/upper bounds are the Collatz-Wielandt
-    ratios min_i (Av)_i/v_i and max_i (Av)_i/v_i of the final positive
-    iterate, which bracket the true eigenvalue.  The tolerance must be a
-    finite positive number.
+    Bisects [min row sum, max row sum] down to width ``_PERRON_WIDTH`` on a
+    Sturm count of the characteristic polynomial: lambda > x iff it has a root
+    above x, because no real eigenvalue exceeds lambda.
     """
-    A = _as_matrix(A)
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise InvalidParameter(f"tolerance must be finite and positive, got {tolerance!r}")
-    if not is_irreducible(A):
-        raise ReducibleMatrix("matrix is not irreducible")
-    n = A.dim
-    rows = A.rows
-    v = [1.0] * n
-    previous = None
-    for iteration in range(1, _PERRON_MAX_ITERATIONS + 1):
-        w = [sum(rows[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
-        top = max(w)
-        v = [x / top for x in w]
-        ratios = [
-            (sum(rows[i][j] * v[j] for j in range(n)) + v[i]) / v[i] for i in range(n)
-        ]
-        lower, upper = min(ratios) - 1.0, max(ratios) - 1.0
-        quotient = top - 1.0
-        close = previous is not None and abs(quotient - previous) < tolerance
-        if close and upper - lower < tolerance:
-            value = (lower + upper) / 2.0
-            residual = max(
-                abs(sum(rows[i][j] * v[j] for j in range(n)) - value * v[i]) for i in range(n)
-            )
-            return PerronResult(
-                value=value,
-                lower=lower,
-                upper=upper,
-                residual=residual,
-                iterations=iteration,
-                primitive=is_primitive(A),
-            )
-        previous = quotient
-    raise NoConvergence(
-        f"power iteration did not converge in {_PERRON_MAX_ITERATIONS} iterations"
-    )
+    A = _require_irreducible(A)
+    seq = _sturm_sequence(_charpoly(A.rows))
+    lower = Fraction(min(map(sum, A.rows)))
+    upper = Fraction(max(map(sum, A.rows)))
+    iterations = 0
+    while upper - lower > _PERRON_WIDTH:
+        middle = (lower + upper) / 2
+        lower, upper = (middle, upper) if _roots_above(seq, middle) else (lower, middle)
+        iterations += 1
+    return PerronResult(lower=lower, upper=upper, iterations=iterations, primitive=is_primitive(A))
 
 
 @dataclass
@@ -286,9 +334,8 @@ class FeasibilityReport:
 
     height: int
     n_max: int
-    entropy_lhs: float               # log(2)/m
-    entropy_interval: tuple          # certified (log lower, log upper) for log(Perron)
-    entropy_status: str              # "pass" | "fail" | "inconclusive"
+    entropy_lhs: float               # log(2)/m, for display; the status is decided exactly
+    entropy_status: str              # "pass" | "fail"
     periodic_rows: list = field(default_factory=list)  # (n, tower count, target count, ok)
     feasible: bool = False
 
@@ -308,48 +355,29 @@ def embedding_feasibility(A, tower_height: int, n_max: int) -> FeasibilityReport
     """Check the two embedding hypotheses for the height-m tower.
 
     (1) strict entropy gap: log(2)/m < log(Perron eigenvalue), decided
-    against the certified eigenvalue interval (overlap -> "inconclusive",
-    never a pass); (2) least-period counts of the tower do not exceed the
-    target's for every n <= n_max.
+    exactly as lambda(A^m) > 2 (equality is a fail); (2) least-period counts
+    of the tower do not exceed the target's for every n <= n_max.
     """
-    A = _as_matrix(A)
     if tower_height < 1:
         raise InvalidParameter("tower height must be >= 1")
     if n_max < tower_height:
         raise InvalidParameter("n_max must be at least the tower height")
-    perron = perron_eigenvalue(A, _EMBED_TOLERANCE)
-    return _feasibility(tower_height, n_max, perron, census(A, n_max))
+    A = _require_irreducible(A)
+    gap = _entropy_gap(_matpow(A.rows, tower_height))
+    return _feasibility(tower_height, n_max, gap, census(A, n_max))
 
 
-def _feasibility(m: int, n_max: int, perron: PerronResult, target_census) -> FeasibilityReport:
-    """The report for height m, read from the target's Perron bounds and its
-    census (least-period counts for at least n = 1..n_max)."""
-    lhs = math.log(2.0) / m
-    if perron.lower <= 0:
-        raise ReducibleMatrix("Perron lower bound is not positive")
-    low, high = math.log(perron.lower), math.log(perron.upper)
-    if lhs < low:
-        status = "pass"
-    elif lhs >= high:
-        status = "fail"
-    else:
-        status = "inconclusive"
-    rows = []
-    all_ok = True
-    for n in range(1, n_max + 1):
-        tower = tower_census(m, n)
-        target = target_census[n]
-        ok = tower <= target
-        all_ok = all_ok and ok
-        rows.append((n, tower, target, ok))
+def _feasibility(m: int, n_max: int, gap: bool, target_census) -> FeasibilityReport:
+    """The report for height m from the entropy decision and a target census to n_max."""
+    rows = [(n, tower_census(m, n), target_census[n]) for n in range(1, n_max + 1)]
+    rows = [(n, tower, target, tower <= target) for n, tower, target in rows]
     return FeasibilityReport(
         height=m,
         n_max=n_max,
-        entropy_lhs=lhs,
-        entropy_interval=(low, high),
-        entropy_status=status,
+        entropy_lhs=math.log(2.0) / m,
+        entropy_status="pass" if gap else "fail",
         periodic_rows=rows,
-        feasible=(status == "pass") and all_ok,
+        feasible=gap and all(ok for *_, ok in rows),
     )
 
 
@@ -357,20 +385,22 @@ def smallest_feasible_height(A, n_max: int, cap: int = 64) -> int | None:
     """Smallest tower height m <= cap whose report is feasible, else None.
 
     Height m is checked up to max(n_max, m), as
-    ``embedding_feasibility(A, m, max(n_max, m))`` would.  The Perron bounds
-    are computed once, and the target census grows one term at a time only
-    as far as the heights tried need it.
+    ``embedding_feasibility(A, m, max(n_max, m))`` would.  A^m grows by one
+    matrix product per height, and the target census grows one term at a
+    time only as far as the heights tried need it.
     """
     if cap < 1:
         raise InvalidParameter(f"height cap must be at least 1, got {cap}")
-    A = _as_matrix(A)
-    perron = perron_eigenvalue(A, _EMBED_TOLERANCE)
+    A = _require_irreducible(A)
     counts = _least_period_counts(A.rows)
     target = {}
+    power = A.rows
     for m in range(1, cap + 1):
+        if m > 1:
+            power = _matmul(power, A.rows)
         reach = max(n_max, m)
         while len(target) < reach:
             target[len(target) + 1] = next(counts)
-        if _feasibility(m, reach, perron, target).feasible:
+        if _feasibility(m, reach, _entropy_gap(power), target).feasible:
             return m
     return None

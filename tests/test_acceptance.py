@@ -172,7 +172,7 @@ def test_criterion_8_embedding_feasibility():
     assert fail_report.entropy_status == "fail"
     assert pass_report.entropy_status == "pass"
     assert elapsed < 1.0, f"feasibility check took {elapsed:.3f}s"
-    _announce(8, f"entropy condition: m=1 fail, m=2 pass (interval-safe), {elapsed * 1000:.0f}ms")
+    _announce(8, f"entropy condition: m=1 fail, m=2 pass (exact), {elapsed * 1000:.0f}ms")
 
 
 def test_criterion_9_determinism():

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -269,9 +270,23 @@ def test_family_file_fuzz_exit_codes(which, family_file, family_d2_file, tmp_pat
 
 
 def test_sft_perron(capsys):
-    assert run("sft", "perron", "--matrix", "[[2]]", "--tol", "1e-12") == 0
+    assert run("sft", "perron", "--matrix", "[[2]]") == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["value"] == 2.0
+    assert payload == {"lower": "2/1", "upper": "2/1", "iterations": 0, "primitive": True}
+    assert run("sft", "perron", "--matrix", "[[1,1],[1,0]]") == 0
+    payload = json.loads(capsys.readouterr().out)
+    lower, upper = Fraction(payload["lower"]), Fraction(payload["upper"])
+    assert lower < (1 + 5**0.5) / 2 < upper and payload["iterations"] > 0
+
+
+def test_sft_zero_matrix_is_not_irreducible():
+    for argv in (
+        ("perron",),
+        ("embed", "--height", "1", "--n-max", "4"),
+        ("embed", "--height", "1", "--n-max", "4", "--find-smallest", "8"),
+    ):
+        code, err = _run_quiet("sft", argv[0], "--matrix", "[[0]]", *argv[1:])
+        assert code == 2 and err == "error: matrix is not irreducible\n"
 
 
 def test_sft_embed(capsys):
@@ -291,10 +306,10 @@ def test_sft_embed(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("perron", "--tol", "nan"),
-        ("perron", "--tol", "inf"),
-        ("perron", "--tol", "0"),
-        ("perron", "--tol=-1e-9"),
+        ("qn", "--n", "0"),
+        ("qn", "--n", "-1"),
+        ("embed", "--height", "0", "--n-max", "8"),
+        ("embed", "--height", "3", "--n-max", "2"),
         ("embed", "--height", "2", "--n-max", "8", "--find-smallest", "-3"),
     ],
 )

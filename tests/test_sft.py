@@ -1,9 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sft_oracles import det_shifted, min_principal_minor
 
 from camshift import sft
 from camshift.errors import CamshiftError, EnumerationTooLarge, InvalidParameter, ReducibleMatrix
@@ -126,35 +129,109 @@ def test_mobius_square_factor(n):
 
 
 def test_perron_examples():
-    exact = sft.perron_eigenvalue(FULL2, 1e-12)
-    assert exact.value == 2.0 and exact.residual == 0.0
-    golden = sft.perron_eigenvalue(GOLDEN, 1e-12)
-    phi = (1 + math.sqrt(5)) / 2
-    assert abs(golden.value - phi) < 1e-9
-    assert golden.lower <= phi <= golden.upper
-    swap = sft.perron_eigenvalue([[0, 1], [1, 0]], 1e-12)
-    assert abs(swap.value - 1.0) < 1e-9
+    exact = sft.perron_eigenvalue(FULL2)
+    assert exact.lower == exact.upper == 2 and exact.iterations == 0
+    golden = sft.perron_eigenvalue(GOLDEN)
+    assert 0 < golden.upper - golden.lower <= sft._PERRON_WIDTH
+    # phi is the root of x^2 - x - 1 above 1
+    assert golden.lower**2 - golden.lower - 1 < 0 < golden.upper**2 - golden.upper - 1
+    assert golden.primitive
+    swap = sft.perron_eigenvalue([[0, 1], [1, 0]])
+    assert swap.lower == swap.upper == 1
     assert not swap.primitive
 
 
-def test_perron_residual_and_range_bounds():
-    for matrix in ([[1, 1], [1, 0]], [[2, 1], [1, 1]], [[0, 2], [1, 0]], [[1, 2], [2, 1]]):
-        result = sft.perron_eigenvalue(matrix, 1e-9)
-        assert result.residual <= 10 * 1e-9
-        row_min = max(min(row) for row in matrix)
-        row_sum = max(sum(row) for row in matrix)
-        assert row_min <= result.value <= row_sum
+def test_perron_bracket_and_range_bounds():
+    matrices = ([[1, 1], [1, 0]], [[2, 1], [1, 1]], [[0, 2], [1, 0]], [[1, 2], [2, 1]], *CATALOG)
+    for matrix in matrices:
+        result = sft.perron_eigenvalue(matrix)
+        assert isinstance(result.lower, Fraction) and isinstance(result.upper, Fraction)
+        assert result.upper - result.lower <= sft._PERRON_WIDTH
+        # lower <= lambda <= upper, checked exactly on the principal minors
+        assert min_principal_minor(matrix, result.lower) <= 0
+        assert min_principal_minor(matrix, result.upper) >= 0
+        assert min(map(sum, matrix)) <= result.lower <= result.upper <= max(map(sum, matrix))
+
+
+@given(square_matrices(4, 3))
+@settings(max_examples=60, deadline=None)
+def test_perron_bracket_contains_numpy_radius(matrix):
+    if not sft.is_irreducible(matrix):
+        with pytest.raises(ReducibleMatrix):
+            sft.perron_eigenvalue(matrix)
+        return
+    result = sft.perron_eigenvalue(matrix)
+    radius = max(abs(np.linalg.eigvals(np.array(matrix, dtype=float))))
+    slack = 1e-9 * max(1.0, radius)  # float rounding of eigvals, not of the bracket
+    assert float(result.lower) - slack <= radius <= float(result.upper) + slack
 
 
 def test_perron_rejects_reducible():
-    with pytest.raises(ReducibleMatrix):
-        sft.perron_eigenvalue([[1, 1], [0, 1]], 1e-9)
+    for matrix in ([[1, 1], [0, 1]], [[0]]):
+        with pytest.raises(ReducibleMatrix):
+            sft.perron_eigenvalue(matrix)
 
 
-def test_perron_rejects_bad_tolerance():
-    for tolerance in (0, -1e-9, math.nan, math.inf, -math.inf):
-        with pytest.raises(InvalidParameter):
-            sft.perron_eigenvalue(GOLDEN, tolerance)
+def test_zero_one_by_one_is_not_irreducible():
+    # [[0]] has no closed walk; a loop makes a 1x1 matrix irreducible
+    assert not sft.is_irreducible([[0]])
+    assert sft.is_irreducible([[1]]) and sft.is_irreducible([[3]])
+    for call in (
+        lambda: sft.perron_eigenvalue([[0]]),
+        lambda: sft.embedding_feasibility([[0]], 1, 4),
+        lambda: sft.smallest_feasible_height([[0]], 4),
+    ):
+        with pytest.raises(ReducibleMatrix):
+            call()
+
+
+# -- characteristic polynomial and Sturm count -------------------------------------
+
+
+@given(square_matrices(5, 4))
+@settings(max_examples=80, deadline=None)
+def test_charpoly_matches_determinant(matrix):
+    coeffs = sft._charpoly(tuple(map(tuple, matrix)))
+    assert len(coeffs) == len(matrix) + 1 and coeffs[0] == 1
+    for x in range(-1, len(matrix) + 1):
+        value = 0
+        for c in coeffs:
+            value = value * x + c
+        assert value == det_shifted(matrix, x)
+
+
+@given(square_matrices(4, 3), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_entropy_gap_matches_principal_minors(matrix, m):
+    # lambda(A^m) > 2 iff some principal minor of 2I - A^m is negative
+    power = sft._matpow(tuple(map(tuple, matrix)), m)
+    assert sft._entropy_gap(power) == (min_principal_minor(power, 2) < 0)
+
+
+@pytest.mark.parametrize(
+    "matrix, height, status",
+    [
+        ([[0, 1], [2, 0]], 2, "fail"),  # lambda^2 = 2 exactly
+        ([[0, 1, 0], [0, 0, 1], [2, 0, 0]], 3, "fail"),  # lambda^3 = 2 exactly
+        # chi_{A^2} = (x - 2)^2 (x^2 - 12x + 16): 2 is a double root, lambda^2 ~ 10.47
+        ([[0, 0, 0, 2], [0, 0, 2, 1], [1, 2, 0, 0], [1, 0, 1, 2]], 2, "pass"),
+        ([[2]], 1, "fail"),
+        (GOLDEN, 2, "pass"),
+    ],
+)
+def test_entropy_status_exact_cases(matrix, height, status):
+    assert sft.embedding_feasibility(matrix, height, 2 * height).entropy_status == status
+
+
+def test_squarefree_step_removes_the_double_root():
+    power = sft._matpow(((0, 0, 0, 2), (0, 0, 2, 1), (1, 2, 0, 0), (1, 0, 1, 2)), 2)
+    chi = sft._charpoly(power)
+    assert chi == [1, -16, 68, -112, 64]  # (x - 2)^2 (x^2 - 12x + 16)
+    seq = sft._sturm_sequence(chi)
+    assert len(seq[0]) == 4  # degree 3: (x - 2)(x^2 - 12x + 16) up to a positive scale
+    # roots 6 - sqrt(20) ~ 1.53, 2 and 6 + sqrt(20) ~ 10.47, each counted once
+    points = (0, Fraction(8, 5), 2, 10, 11)
+    assert [sft._roots_above(seq, x) for x in points] == [3, 2, 1, 1, 0]
 
 
 # -- embedding feasibility ---------------------------------------------------------
@@ -170,8 +247,6 @@ def test_entropy_condition_golden():
     report = sft.embedding_feasibility(GOLDEN, 2, 12)
     assert report.entropy_status == "pass"
     assert report.entropy_lhs == pytest.approx(math.log(2) / 2)
-    low, high = report.entropy_interval
-    assert low < math.log((1 + math.sqrt(5)) / 2) < high
 
 
 def test_tower_rows_without_divisibility_pass():
@@ -228,19 +303,27 @@ def test_smallest_height_is_first_feasible(matrix, n_max, cap):
 
 
 def test_smallest_height_builds_no_census_past_reach(monkeypatch):
-    products = []
-    matmul = sft._matmul
+    products, terms = [], []
+    matmul, counts = sft._matmul, sft._least_period_counts
     monkeypatch.setattr(sft, "_matmul", lambda X, Y: products.append(1) or matmul(X, Y))
+
+    def counted(rows):
+        for q in counts(rows):
+            terms.append(q)
+            yield q
+
+    monkeypatch.setattr(sft, "_least_period_counts", counted)
 
     def search(n_max, cap):
         products.clear()
-        return sft.smallest_feasible_height(GOLDEN, n_max, cap), len(products)
+        terms.clear()
+        return sft.smallest_feasible_height(GOLDEN, n_max, cap), len(terms), len(products)
 
-    # GOLDEN is first feasible at height 5, so the search reaches n = max(n_max, 5)
-    # and a huge cap must cost what cap 5 costs: the census products
-    # A^2..A^reach plus the one is_primitive takes inside the Perron call
+    # GOLDEN is first feasible at height 5, so the census reaches n = max(n_max, 5),
+    # and a huge cap must cost what cap 5 costs, in census terms and in all products
     for n_max, reach in ((30, 30), (2, 5)):
-        assert search(n_max, 10**6) == search(n_max, 5) == (5, (reach - 1) + 1)
+        huge, five = search(n_max, 10**6), search(n_max, 5)
+        assert huge == five and huge[:2] == (5, reach)
 
 
 def test_smallest_height_rejects_cap_below_one():
