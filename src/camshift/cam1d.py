@@ -15,15 +15,21 @@ period of a_k a_k, and the single-symbol densities stay below the running
 eps prefix sum.  All inequality arithmetic is exact (Fraction); floats
 appear nowhere in certification.
 
-This module also holds what the d-dimensional hierarchy (camzd) shares
-with it: the level accessors of :class:`Hierarchy`, the one parameter
-search :func:`search_parameter`, the eps-tail rows, the inherited-word
-loop, the frequency and period-gap row formulas (written for dimension d,
-so d = 1 gives the one-dimensional denominators) and the pair-scan
-skeleton.  Level builders and certifiers are pure functions of the prefix
+This module also holds the level driver for any dimension.  A family type
+(:class:`LevelFamily` here, ``camzd.ZdFamily``) is a :class:`Hierarchy`
+that supplies two methods: ``_words(k, n)``, the candidate words of level
+k+1 at parameter n, and ``_certify(k, n)``, their certificate report.
+Everything else exists once and serves both dimensions: :func:`build_level`,
+:func:`certify_level`, :func:`certify_candidate`, the parameter search
+(:func:`search_parameter`, :func:`choose_parameter`), the build loop
+(:func:`build_levels`) and the rebuild-and-compare loader
+(:func:`load_family`).  The eps-tail rows, the inherited-word loop, the
+frequency and period-gap row formulas (written for dimension d, so d = 1
+gives the one-dimensional denominators) and the pair-scan skeleton are
+shared too.  ``_words`` and ``_certify`` are pure functions of the prefix
 level k and the parameter n: they read levels 1..k of a family and never
 change its levels.  Every limit they meet (symbols materialized, pattern
-length, search cap) is a field of the family's :class:`Budgets`.
+length, cells, search cap) is a field of the family's :class:`Budgets`.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .errors import (
     MalformedFamily,
     MisalignedWindow,
     OutOfBuiltRange,
-    SearchBudgetExceeded,
 )
 
 EPS_SCHEME = "half-geometric4"
@@ -223,7 +228,10 @@ class Hierarchy:
     """Level accessors shared by the one- and d-dimensional families.
 
     ``levels[k - 1]`` maps the names of level k to its words; ``params`` and
-    ``certificates`` hold one entry per level above the first.
+    ``certificates`` hold one entry per level above the first.  A subclass
+    supplies ``_words(k, n)`` (the words of level k+1 at parameter n, from
+    levels 1..k) and ``_certify(k, n)`` (their :class:`CertificateReport`);
+    the level driver below needs nothing else.
     """
 
     @property
@@ -302,118 +310,119 @@ class LevelFamily(Hierarchy):
         self._periods[k] = p
         return p
 
+    # -- the two things the level driver needs ---------------------------
 
-# -- building -------------------------------------------------------------
-
-
-def _level_words(family: LevelFamily, k: int, n: int) -> dict:
-    """Candidate words of level k+1 at parameter n, from levels 1..k (no checking here)."""
-    if n <= 1:
-        raise InvalidParameter("level parameter must be > 1")
-    b = family.builder
-    if k == 1:
-        zero, one = b.atom("0"), b.atom("1")
-        return {
-            "w1_2": b.power(zero, n + 1),
-            "w2_2": b.power(one, n + 1),
-            "a2": b.concat([(zero, 1), (one, n)]),
-            "b2": b.concat([(zero, n), (one, 1)]),
-        }
-    exponent = (2 * k + 1) * n + 2 * k
-    prev = family.levels[k - 1]
-    a_k, b_k = prev[f"a{k}"], prev[f"b{k}"]
-    words = {}
-    for i in range(1, 2 * k - 1):
-        words[f"w{i}_{k + 1}"] = b.power(prev[f"w{i}_{k}"], exponent)
-    words[f"w{2 * k - 1}_{k + 1}"] = b.power(a_k, exponent)
-    words[f"w{2 * k}_{k + 1}"] = b.power(b_k, exponent)
-
-    def density(base):
-        parts = []
+    def _words(self, k: int, n: int) -> dict:
+        """Candidate words of level k+1 at parameter n, from levels 1..k (no checking here)."""
+        if n <= 1:
+            raise InvalidParameter("level parameter must be > 1")
+        b = self.builder
+        if k == 1:
+            zero, one = b.atom("0"), b.atom("1")
+            return {
+                "w1_2": b.power(zero, n + 1),
+                "w2_2": b.power(one, n + 1),
+                "a2": b.concat([(zero, 1), (one, n)]),
+                "b2": b.concat([(zero, n), (one, 1)]),
+            }
+        exponent = (2 * k + 1) * n + 2 * k
+        prev = self.levels[k - 1]
+        a_k, b_k = prev[f"a{k}"], prev[f"b{k}"]
+        words = {}
         for i in range(1, 2 * k - 1):
-            parts += [(base, n), (prev[f"w{i}_{k}"], 1)]
-        parts += [(base, n), (a_k, 1), (base, n), (b_k, 1), (base, n)]
-        return b.concat(parts)
+            words[f"w{i}_{k + 1}"] = b.power(prev[f"w{i}_{k}"], exponent)
+        words[f"w{2 * k - 1}_{k + 1}"] = b.power(a_k, exponent)
+        words[f"w{2 * k}_{k + 1}"] = b.power(b_k, exponent)
 
-    words[f"a{k + 1}"] = density(a_k)
-    words[f"b{k + 1}"] = density(b_k)
-    return words
+        def density(base):
+            parts = []
+            for i in range(1, 2 * k - 1):
+                parts += [(base, n), (prev[f"w{i}_{k}"], 1)]
+            parts += [(base, n), (a_k, 1), (base, n), (b_k, 1), (base, n)]
+            return b.concat(parts)
+
+        words[f"a{k + 1}"] = density(a_k)
+        words[f"b{k + 1}"] = density(b_k)
+        return words
+
+    def _certify(self, k: int, n: int) -> CertificateReport:
+        """Exact-rational certification of level k+1 at parameter n against levels 1..k.
+
+        A built level k+1 is certified on its own words: hash-consing returns
+        the nodes already in the family.
+        """
+        new_level = k + 1
+        builder = self.builder
+        words = self._words(k, n)
+        a_next = words[f"a{new_level}"]
+        b_next = words[f"b{new_level}"]
+        len_next = a_next.length
+        doubled = {
+            "a": builder.concat([(a_next, 2)]),
+            "b": builder.concat([(b_next, 2)]),
+        }
+        report = CertificateReport(level=new_level, param=n)
+        report.rows += _eps_tail_rows(self.eps, new_level)
+
+        for ident, side, m, name, bound in _inherited_words(self.eps, k, excluded_a, excluded_b):
+            u = self.string(m, name)
+            if u is None:
+                report.rows.append(
+                    _unverifiable(ident, "unverifiable at budget: word exceeds symbol budget")
+                )
+                continue
+            if len(u) >= builder.snippet_cap:
+                report.rows.append(
+                    _unverifiable(
+                        ident,
+                        f"unverifiable at budget: pattern length {len(u)} "
+                        f"exceeds window cap {builder.snippet_cap}",
+                    )
+                )
+                continue
+            count = builder.count_occurrences(u, doubled[side])
+            report.rows.append(_frequency_row(ident, count, len(u), len_next, bound, dim=1))
+
+        if k >= 2:
+            p_k = self.period(k)
+            if p_k is None:
+                report.rows.append(
+                    _unverifiable(
+                        "period-gap", "unverifiable at budget: a_k a_k exceeds symbol budget"
+                    )
+                )
+            else:
+                report.rows.append(_period_gap_row(k, p_k, self.word_length(k), len_next))
+
+        prefix = self.eps.partial(1, k)
+        report.rows.append(
+            _row("a-density[0]", Fraction(builder.count_occurrences("0", a_next), len_next), prefix)
+        )
+        report.rows.append(
+            _row("b-density[1]", Fraction(builder.count_occurrences("1", b_next), len_next), prefix)
+        )
+        return report
 
 
-def build_level(family: LevelFamily, n_next: int) -> LevelFamily:
+# -- the level driver (any dimension) -----------------------------------------
+
+
+def build_level(family: Hierarchy, n_next: int) -> Hierarchy:
     """Append level top+1 at the given parameter; no inequality checking."""
-    words = _level_words(family, family.top_level, n_next)
-    family.levels.append(words)
+    family.levels.append(family._words(family.top_level, n_next))
     family.params.append(n_next)
     return family
 
 
-def _certify(family: LevelFamily, k: int, n: int) -> CertificateReport:
-    """Exact-rational certification of level k+1 at parameter n against levels 1..k.
-
-    A built level k+1 is certified on its own words: hash-consing returns
-    the nodes already in the family.
-    """
-    new_level = k + 1
-    builder = family.builder
-    words = _level_words(family, k, n)
-    a_next = words[f"a{new_level}"]
-    b_next = words[f"b{new_level}"]
-    len_next = a_next.length
-    doubled = {
-        "a": builder.concat([(a_next, 2)]),
-        "b": builder.concat([(b_next, 2)]),
-    }
-    report = CertificateReport(level=new_level, param=n)
-    report.rows += _eps_tail_rows(family.eps, new_level)
-
-    for ident, side, m, name, bound in _inherited_words(family.eps, k, excluded_a, excluded_b):
-        u = family.string(m, name)
-        if u is None:
-            report.rows.append(
-                _unverifiable(ident, "unverifiable at budget: word exceeds symbol budget")
-            )
-            continue
-        if len(u) >= builder.snippet_cap:
-            report.rows.append(
-                _unverifiable(
-                    ident,
-                    f"unverifiable at budget: pattern length {len(u)} "
-                    f"exceeds window cap {builder.snippet_cap}",
-                )
-            )
-            continue
-        count = builder.count_occurrences(u, doubled[side])
-        report.rows.append(_frequency_row(ident, count, len(u), len_next, bound, dim=1))
-
-    if k >= 2:
-        p_k = family.period(k)
-        if p_k is None:
-            report.rows.append(
-                _unverifiable("period-gap", "unverifiable at budget: a_k a_k exceeds symbol budget")
-            )
-        else:
-            report.rows.append(_period_gap_row(k, p_k, family.word_length(k), len_next))
-
-    prefix = family.eps.partial(1, k)
-    report.rows.append(
-        _row("a-density[0]", Fraction(builder.count_occurrences("0", a_next), len_next), prefix)
-    )
-    report.rows.append(
-        _row("b-density[1]", Fraction(builder.count_occurrences("1", b_next), len_next), prefix)
-    )
-    return report
-
-
-def certify_level(family: LevelFamily, k: int | None = None) -> CertificateReport:
+def certify_level(family: Hierarchy, k: int | None = None) -> CertificateReport:
     """Re-run the certifier for a built level (default: the top level)."""
     k = family.top_level if k is None else k
     if k < 2 or k > family.top_level:
         raise OutOfBuiltRange(f"no built level {k} to certify")
-    return _certify(family, k - 1, family.params[k - 2])
+    return family._certify(k - 1, family.params[k - 2])
 
 
-def certify_candidate(family: LevelFamily, n: int, at_level: int | None = None) -> CertificateReport:
+def certify_candidate(family: Hierarchy, n: int, at_level: int | None = None) -> CertificateReport:
     """Certify a candidate level at parameter n without building it.
 
     ``at_level`` defaults to top+1; passing a built level's number re-runs
@@ -423,70 +432,77 @@ def certify_candidate(family: LevelFamily, n: int, at_level: int | None = None) 
     target = family.top_level + 1 if at_level is None else at_level
     if target < 2 or target > family.top_level + 1:
         raise OutOfBuiltRange(f"cannot certify candidate level {target}")
-    return _certify(family, target - 1, n)
+    return family._certify(target - 1, n)
 
 
-def search_parameter(family: Hierarchy, certify) -> int:
-    """Smallest n > 1 for which ``certify(n)``, a CertificateReport of the
-    family's next level at parameter n, passes.
+def search_parameter(family: Hierarchy, certify) -> CertificateReport:
+    """The passing report of the smallest n > 1 for which ``certify(n)``, a
+    CertificateReport of the family's next level at parameter n, passes;
+    n is ``report.param``.
 
-    Doubles until a passing n is found, bisects down to the boundary, then
-    confirms fail at n-1 (walking down if the pass region is unexpectedly
-    non-monotone).  Doubling past the family's ``search_cap`` raises
-    SearchBudgetExceeded.  A report with unverifiable rows and no failed
-    row decides nothing, so it stops the search with BudgetExceeded.
+    Doubles until a passing n is found, then bisects between the last
+    failing n and it.  Every n is certified at most once: the search keeps
+    the report of the smallest passing n it has seen, and the failing lower
+    end of the bisection is never tried again.  Doubling past the family's
+    ``search_cap`` raises BudgetExceeded.  A report with unverifiable rows
+    and no failed row decides nothing, so it stops the search with
+    BudgetExceeded.
     """
     if not family.is_certified():
         raise InvalidParameter("family must be certified through its top level")
     cap = family.budgets.search_cap
 
-    def passes(n: int) -> bool:
+    def decide(n: int) -> CertificateReport:
         report = certify(n)
         if report.unverifiable_rows and not report.failed_rows:
             notes = "; ".join(r.note for r in report.unverifiable_rows[:2])
             raise BudgetExceeded(
                 f"certification of level {report.level} undecidable at budget: {notes}"
             )
-        return report.passed
+        return report
 
-    if passes(2):
-        best = 2
-    else:
-        lo, hi = 2, 4
-        while not passes(hi):
-            lo = hi
-            hi *= 2
-            if hi > cap:
-                raise SearchBudgetExceeded(f"no passing parameter found up to cap {cap}")
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if passes(mid):
-                hi = mid
-            else:
-                lo = mid
-        best = hi
-        while best > 2 and passes(best - 1):
-            best -= 1
+    report = decide(2)
+    if report.passed:
+        return report
+    lo, hi = 2, 4
+    best = decide(hi)
+    while not best.passed:
+        lo = hi
+        hi *= 2
+        if hi > cap:
+            raise BudgetExceeded(f"no passing parameter found up to cap {cap}")
+        best = decide(hi)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        report = decide(mid)
+        if report.passed:
+            hi, best = mid, report
+        else:
+            lo = mid
     return best
 
 
-def choose_parameter(family: LevelFamily) -> int:
-    """Smallest n > 1 whose candidate level passes certification."""
+def choose_parameter(family: Hierarchy) -> CertificateReport:
+    """The passing report of the smallest n > 1 whose candidate level passes."""
     return search_parameter(family, lambda n: certify_candidate(family, n))
+
+
+def build_levels(family: Hierarchy, levels: int) -> Hierarchy:
+    """Certify and build levels 2..``levels`` of a fresh family, each at the
+    parameter the search chose, keeping the report the search certified."""
+    if levels < 2:
+        raise InvalidParameter("a family needs at least 2 levels")
+    for _ in range(levels - 1):
+        report = choose_parameter(family)
+        build_level(family, report.param)
+        family.certificates.append(report)
+    return family
 
 
 def build_family(levels: int, budgets: Budgets | None = None) -> LevelFamily:
     """Build and certify a family through the requested level, each
     parameter auto-chosen."""
-    if levels < 2:
-        raise InvalidParameter("a family needs at least 2 levels")
-    family = LevelFamily(budgets=budgets)
-    for _ in range(levels - 1):
-        n = choose_parameter(family)
-        report = certify_candidate(family, n)
-        build_level(family, n)
-        family.certificates.append(report)
-    return family
+    return build_levels(LevelFamily(budgets=budgets), levels)
 
 
 # -- distinct-subword checks ------------------------------------------------
@@ -968,29 +984,43 @@ def family_to_obj(family: LevelFamily) -> dict:
     }
 
 
-def family_from_obj(obj, budgets: Budgets | None = None) -> LevelFamily:
-    """Rebuild a family from its file form, re-validating the structure.
+def load_family(obj, new_family, to_obj, keys) -> Hierarchy:
+    """Rebuild a family from its file form and check it against the file.
 
-    The words are reconstructed from the parameters and the serialized node
-    table must match the reconstruction exactly.
+    ``new_family(dim)`` checks the stored dimension and returns an empty
+    family of its type.  The levels are rebuilt from ``params``, every
+    stored certificate must be the one of its level and parameter, and each
+    of ``keys`` of ``to_obj(family)`` must equal the stored value, so a file
+    cannot store words its parameters do not build.  Any malformed field is
+    MalformedFamily.
     """
     try:
-        if _json_int(obj["dim"], "dim") != 1:
-            raise MalformedFamily("not a one-dimensional family file")
+        family = new_family(_json_int(obj["dim"], "dim"))
         levels = _json_int(obj["K"], "K")
         params = _params_from_obj(obj)
         _check_scheme(obj)
         if len(params) != levels - 1:
             raise MalformedFamily("parameter count does not match K")
-        family = LevelFamily(budgets=budgets)
         for n in params:
             build_level(family, n)
         family.certificates = _certificates_from_obj(obj["certificates"], params)
-        rebuilt = family_to_obj(family)
-        if rebuilt["slp"] != obj["slp"] or rebuilt["levels"] != obj["levels"]:
+        rebuilt = to_obj(family)
+        if any(rebuilt[key] != obj[key] for key in keys):
             raise MalformedFamily("serialized words do not match their parameters")
         return family
     except MalformedFamily:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError, InvalidParameter) as exc:
         raise MalformedFamily(f"malformed family file: {exc}") from exc
+
+
+def family_from_obj(obj, budgets: Budgets | None = None) -> LevelFamily:
+    """Rebuild a one-dimensional family; its node table and level roots must
+    match the words its parameters build."""
+
+    def new_family(dim):
+        if dim != 1:
+            raise MalformedFamily("not a one-dimensional family file")
+        return LevelFamily(budgets=budgets)
+
+    return load_family(obj, new_family, family_to_obj, ("slp", "levels"))

@@ -17,12 +17,16 @@ Period lattices filter their candidates at a few cells and test the rest
 by cosets of the span found so far.  Both are exact.  The compressed form
 (base + patches) is kept for layout queries and cell evaluation.
 
-The level accessors, the parameter search, the eps-tail rows, the
-inherited-word loop, the frequency and period-gap row formulas and the
-pair-scan skeleton are shared with the one-dimensional hierarchy and live
-in :mod:`camshift.cam1d`; this module keeps the cube words, their numpy
-counting and the rows only the d-dimensional certificate has (the stamp
-fit and the side-length variants).
+The level driver lives once in :mod:`camshift.cam1d` and serves both
+dimensions: building, certifying, the parameter search, the build loop and
+the rebuild-and-compare loader, with the level accessors, the eps-tail
+rows, the inherited-word loop, the frequency and period-gap row formulas
+and the pair-scan skeleton.  :class:`ZdFamily` supplies only its candidate
+words (``_words``) and its report (``_certify``).  This module keeps the
+cube words, their numpy counting and the rows only the d-dimensional
+certificate has (the stamp fit and the side-length variants);
+``build_level_d`` and ``certify_candidate_d`` are the shared functions
+under their d-dimensional names.
 """
 
 from __future__ import annotations
@@ -39,21 +43,20 @@ from .cam1d import (
     CertRow,
     Hierarchy,
     SubwordReport,
-    _certificates_from_obj,
-    _check_scheme,
     _eps_tail_rows,
     _frequency_row,
     _inherited_words,
-    _json_int,
     _pair_report,
-    _params_from_obj,
     _period_gap_row,
     _row,
     _unverifiable,
+    build_level,
+    build_levels,
+    certify_candidate,
     default_frequency_sequence,
     level_names,
+    load_family,
     report_to_obj,
-    search_parameter,
 )
 from .errors import (
     BudgetExceeded,
@@ -75,8 +78,6 @@ __all__ = [
     "period_lattice",
     "build_level_d",
     "certify_candidate_d",
-    "certify_level_d",
-    "choose_parameter_d",
     "build_family_d",
     "verify_distinct_subwords_d",
     "transitive_config_window",
@@ -208,7 +209,7 @@ def _count_packed(shape, pattern_code, starts, text_code, placements) -> int:
     return int(np.count_nonzero(mask))
 
 
-def count_occurrences_d(pattern, text, max_cells: int | None = None) -> int:
+def count_occurrences_d(pattern, text) -> int:
     """Exact count of axis-aligned placements of ``pattern`` inside ``text``.
 
     Both arrays are packed along the last axis, ``B = min(63, w)`` cells to
@@ -218,7 +219,8 @@ def count_occurrences_d(pattern, text, max_cells: int | None = None) -> int:
     every chunk is full width) the text code equals the pattern code.  The
     packing is injective, so this is integer equality of the cells
     themselves.  The text is packed in slabs of placements along the first
-    axis, and a slab stops as soon as no placement is left.
+    axis, and a slab stops as soon as no placement is left.  Callers check
+    the cell budget before they build the text.
     """
     pattern = _check_word(pattern)
     text = _check_word(text)
@@ -228,8 +230,6 @@ def count_occurrences_d(pattern, text, max_cells: int | None = None) -> int:
         raise EmptyPattern("pattern has no cells")
     if any(p > t for p, t in zip(pattern.shape, text.shape)):
         raise ShapeMismatch("pattern does not fit inside text")
-    if max_cells is not None and text.size > max_cells:
-        raise BudgetExceeded(f"text of {text.size} cells exceeds the cell budget {max_cells}")
     w = pattern.shape[-1]
     width = min(_PACK_WIDTH, w)
     starts = list(range(0, w - width, width)) + [w - width]
@@ -253,9 +253,6 @@ class PeriodLattice:
     residues: tuple        # all residue vectors in {0..n-1}^d fixing the extension
     generators: tuple      # greedy generating set of the residue group
     index: int             # index of the full symmetry lattice in the integer grid
-
-    def contains(self, vector) -> bool:
-        return tuple(x % self.modulus for x in vector) in set(self.residues)
 
 
 # Cells of the rarer symbol used to filter the period candidates.
@@ -330,10 +327,6 @@ class ZdWord:
     array: ArrayWord | None          # None when over the cell budget
     patchwork: PatchworkExpr | None  # layout form of every word above level 2
 
-    @property
-    def cells_available(self) -> bool:
-        return self.array is not None
-
 
 class ZdFamily(Hierarchy):
     """Levels of equal-shape cube words with parameters and certificates."""
@@ -357,6 +350,125 @@ class ZdFamily(Hierarchy):
     def volume(self, k: int) -> int:
         return self.side(k) ** self.dim
 
+    # -- the two things the level driver needs ---------------------------
+
+    def _words(self, k: int, n: int) -> dict:
+        """Candidate words of level k+1 at parameter n, from levels 1..k (structure only)."""
+        if n <= 1:
+            raise InvalidParameter("level parameter must be > 1")
+        d = self.dim
+        cell_cap = self.budgets.cells
+
+        def wrap(name, obj):
+            if isinstance(obj, PatchworkExpr):
+                side = obj.side[0]
+                arr = obj.to_array() if obj.cells <= cell_cap else None
+                return ZdWord(name, side, arr, obj)
+            return ZdWord(name, obj.shape[0], obj, None)
+
+        if k == 1:
+            if n < 3:
+                raise InvalidParameter("level-2 parameter must be >= 3 to place the deviant cell")
+            if n**d > cell_cap:
+                raise BudgetExceeded(
+                    f"level-2 cubes of {n**d} cells exceed the cell budget {cell_cap}"
+                )
+            center = (2,) * d  # cell (3, ..., 3), 0-based
+            a2 = make_cube(d, n, 0)
+            a2[center] = 1
+            b2 = make_cube(d, n, 1)
+            b2[center] = 0
+            return {
+                "w1_2": wrap("w1_2", make_cube(d, n, 0)),
+                "w2_2": wrap("w2_2", make_cube(d, n, 1)),
+                "a2": wrap("a2", a2),
+                "b2": wrap("b2", b2),
+            }
+
+        prev = self.levels[k - 1]
+        stamps = [prev[name].array for name in level_names(k)]
+        if any(stamp is None for stamp in stamps):
+            raise BudgetExceeded(f"level-{k} words exceed the cell budget")
+        # the periodic words are stamp-less postcards, so every word above level
+        # 2 has the same file form whatever the cell budget
+        words = {
+            f"w{i}_{k + 1}": wrap(f"w{i}_{k + 1}", postcard([], stamp, n))
+            for i, stamp in enumerate(stamps, start=1)
+        }
+        for name, base in ((f"a{k + 1}", stamps[-2]), (f"b{k + 1}", stamps[-1])):
+            words[name] = wrap(name, postcard(stamps, base, n, require_margin=True))
+        return words
+
+    def _certify(self, k: int, n: int) -> CertificateReport:
+        """Exact certification of level k+1 at parameter n against levels 1..k.
+
+        Rows: the postcard fit precondition; for every m <= k and inherited
+        word u the frequency of u in the doubled density word below
+        (eps_m + ... + eps_k) / (|u| (2|u|-1)^d) with |u| the cell count
+        (the printed denominator; the side-length variant is reported as an
+        informational row); the period-index length-ratio bound; and the
+        deviant-symbol densities below the eps prefix sum.
+        """
+        d = self.dim
+        new_level = k + 1
+        report = CertificateReport(level=new_level, param=n)
+        stamp_count = 1 if k == 1 else 2 * k
+        fit_rhs = 2 * stamp_count + 4
+        report.rows += _eps_tail_rows(self.eps, new_level)
+        fit_row = _row(f"stamp-fit[k={stamp_count}]", Fraction(fit_rhs), Fraction(n + 1))
+        fit_row.note = "layout precondition n >= 2k+4 (pass iff 2k+4 < n+1)"
+        report.rows.append(fit_row)
+        if n < max(fit_rhs, 3):
+            return report  # cannot even place stamps; frequency rows are moot
+
+        words = self._words(k, n)
+        a_next, b_next = words[f"a{new_level}"], words[f"b{new_level}"]
+        cell_cap = self.budgets.cells
+        doubles = {"a": _doubled(a_next, cell_cap), "b": _doubled(b_next, cell_cap)}
+        vol_next = a_next.side**d
+
+        inherited = _inherited_words(self.eps, k, excluded_a_d, excluded_b_d)
+        for ident, side, m, name, bound in inherited:
+            doubled = doubles[side]
+            u = self.word(m, name)
+            if doubled is None or u.array is None:
+                report.rows.append(
+                    _unverifiable(ident, "unverifiable at budget: cell budget exceeded")
+                )
+                continue
+            count = count_occurrences_d(u.array, doubled)
+            volume = u.array.size
+            row = _frequency_row(ident, count, volume, vol_next, bound, d)
+            info = CertRow(
+                ident=f"{side}-freq-sidelen[m={m},u={name}]",
+                lhs=row.lhs,
+                rhs=bound / (volume * (2 * u.side - 1) ** d),
+                status="info",
+                note="informational variant with geometric overlap count",
+            )
+            report.rows += [row, info]
+
+        if k >= 2:
+            base = self.word(k, f"a{k}")
+            if base.array is None:
+                report.rows.append(
+                    _unverifiable("period-gap", "unverifiable at budget: cell budget exceeded")
+                )
+            else:
+                p_k = period_lattice(base.array).index
+                report.rows.append(_period_gap_row(k, p_k, self.volume(k), vol_next))
+
+        prefix = self.eps.partial(1, k)
+        for ident, word, symbol in (("a-density[1]", a_next, 1), ("b-density[0]", b_next, 0)):
+            if word.array is None:
+                report.rows.append(
+                    _unverifiable(ident, "unverifiable at budget: cell budget exceeded")
+                )
+                continue
+            count = int((word.array == symbol).sum())
+            report.rows.append(_row(ident, Fraction(count, vol_next), prefix))
+        return report
+
 
 def excluded_a_d(m: int) -> str:
     """a-side skip at level m; the d-dimensional density words are mostly 0."""
@@ -367,60 +479,6 @@ def excluded_b_d(m: int) -> str:
     return "w2_1" if m == 1 else f"b{m}"
 
 
-def _level_words_d(family: ZdFamily, k: int, n: int) -> dict:
-    """Candidate words of level k+1 at parameter n, from levels 1..k (structure only)."""
-    if n <= 1:
-        raise InvalidParameter("level parameter must be > 1")
-    d = family.dim
-    cell_cap = family.budgets.cells
-
-    def wrap(name, obj):
-        if isinstance(obj, PatchworkExpr):
-            side = obj.side[0]
-            arr = obj.to_array() if obj.cells <= cell_cap else None
-            return ZdWord(name, side, arr, obj)
-        return ZdWord(name, obj.shape[0], obj, None)
-
-    if k == 1:
-        if n < 3:
-            raise InvalidParameter("level-2 parameter must be >= 3 to place the deviant cell")
-        if n**d > cell_cap:
-            raise BudgetExceeded(f"level-2 cubes of {n**d} cells exceed the cell budget {cell_cap}")
-        center = (2,) * d  # cell (3, ..., 3), 0-based
-        a2 = make_cube(d, n, 0)
-        a2[center] = 1
-        b2 = make_cube(d, n, 1)
-        b2[center] = 0
-        return {
-            "w1_2": wrap("w1_2", make_cube(d, n, 0)),
-            "w2_2": wrap("w2_2", make_cube(d, n, 1)),
-            "a2": wrap("a2", a2),
-            "b2": wrap("b2", b2),
-        }
-
-    prev = family.levels[k - 1]
-    stamps = [prev[name].array for name in level_names(k)]
-    if any(stamp is None for stamp in stamps):
-        raise BudgetExceeded(f"level-{k} words exceed the cell budget")
-    # the periodic words are stamp-less postcards, so every word above level
-    # 2 has the same file form whatever the cell budget
-    words = {
-        f"w{i}_{k + 1}": wrap(f"w{i}_{k + 1}", postcard([], stamp, n))
-        for i, stamp in enumerate(stamps, start=1)
-    }
-    words[f"a{k + 1}"] = wrap(f"a{k + 1}", postcard(stamps, stamps[-2], n, require_margin=True))
-    words[f"b{k + 1}"] = wrap(f"b{k + 1}", postcard(stamps, stamps[-1], n, require_margin=True))
-    return words
-
-
-def build_level_d(family: ZdFamily, n_next: int) -> ZdFamily:
-    """Append level top+1 at the given parameter; no inequality checking."""
-    words = _level_words_d(family, family.top_level, n_next)
-    family.levels.append(words)
-    family.params.append(n_next)
-    return family
-
-
 def _doubled(word: ZdWord, cell_cap: int) -> ArrayWord | None:
     if word.array is None:
         return None
@@ -429,103 +487,13 @@ def _doubled(word: ZdWord, cell_cap: int) -> ArrayWord | None:
     return np.tile(word.array, (2,) * word.array.ndim)
 
 
-def _certify_d(family: ZdFamily, k: int, n: int) -> CertificateReport:
-    """Exact certification of level k+1 at parameter n against levels 1..k.
-
-    Rows: the postcard fit precondition; for every m <= k and inherited
-    word u the frequency of u in the doubled density word below
-    (eps_m + ... + eps_k) / (|u| (2|u|-1)^d) with |u| the cell count
-    (the printed denominator; the side-length variant is reported as an
-    informational row); the period-index length-ratio bound; and the
-    deviant-symbol densities below the eps prefix sum.
-    """
-    d = family.dim
-    new_level = k + 1
-    report = CertificateReport(level=new_level, param=n)
-    stamp_count = 1 if k == 1 else 2 * k
-    fit_rhs = 2 * stamp_count + 4
-    report.rows += _eps_tail_rows(family.eps, new_level)
-    fit_row = _row(f"stamp-fit[k={stamp_count}]", Fraction(fit_rhs), Fraction(n + 1))
-    fit_row.note = "layout precondition n >= 2k+4 (pass iff 2k+4 < n+1)"
-    report.rows.append(fit_row)
-    if n < max(fit_rhs, 3):
-        return report  # cannot even place stamps; frequency rows are moot
-
-    words = _level_words_d(family, k, n)
-    a_next, b_next = words[f"a{new_level}"], words[f"b{new_level}"]
-    cell_cap = family.budgets.cells
-    doubles = {"a": _doubled(a_next, cell_cap), "b": _doubled(b_next, cell_cap)}
-    vol_next = a_next.side**d
-
-    for ident, side, m, name, bound in _inherited_words(family.eps, k, excluded_a_d, excluded_b_d):
-        doubled = doubles[side]
-        u = family.word(m, name)
-        if doubled is None or u.array is None:
-            report.rows.append(_unverifiable(ident, "unverifiable at budget: cell budget exceeded"))
-            continue
-        count = count_occurrences_d(u.array, doubled, max_cells=cell_cap)
-        volume = u.array.size
-        row = _frequency_row(ident, count, volume, vol_next, bound, d)
-        info = CertRow(
-            ident=f"{side}-freq-sidelen[m={m},u={name}]",
-            lhs=row.lhs,
-            rhs=bound / (volume * (2 * u.side - 1) ** d),
-            status="info",
-            note="informational variant with geometric overlap count",
-        )
-        report.rows += [row, info]
-
-    if k >= 2:
-        base = family.word(k, f"a{k}")
-        if base.array is None:
-            report.rows.append(
-                _unverifiable("period-gap", "unverifiable at budget: cell budget exceeded")
-            )
-        else:
-            p_k = period_lattice(base.array).index
-            report.rows.append(_period_gap_row(k, p_k, family.volume(k), vol_next))
-
-    prefix = family.eps.partial(1, k)
-    for ident, word, symbol in (("a-density[1]", a_next, 1), ("b-density[0]", b_next, 0)):
-        if word.array is None:
-            report.rows.append(
-                _unverifiable(ident, "unverifiable at budget: cell budget exceeded")
-            )
-            continue
-        count = int((word.array == symbol).sum())
-        report.rows.append(_row(ident, Fraction(count, vol_next), prefix))
-    return report
-
-
-def certify_candidate_d(family: ZdFamily, n: int) -> CertificateReport:
-    """Exact certification of the candidate next level at parameter n."""
-    return _certify_d(family, family.top_level, n)
-
-
-def certify_level_d(family: ZdFamily, k: int | None = None) -> CertificateReport:
-    """Re-run the certifier for a built level (default: the top level)."""
-    k = family.top_level if k is None else k
-    if k < 2 or k > family.top_level:
-        raise OutOfBuiltRange(f"no built level {k} to certify")
-    return _certify_d(family, k - 1, family.params[k - 2])
-
-
-def choose_parameter_d(family: ZdFamily) -> int:
-    """Smallest n > 1 whose candidate next level passes certification."""
-    return search_parameter(family, lambda n: certify_candidate_d(family, n))
+build_level_d = build_level
+certify_candidate_d = certify_candidate
 
 
 def build_family_d(dim: int, levels: int, budgets: Budgets | None = None) -> ZdFamily:
     """Build and certify a d-dimensional family through the requested level."""
-    if levels < 2:
-        raise InvalidParameter("a family needs at least 2 levels")
-    family = ZdFamily(dim=dim, budgets=budgets)
-    for _ in range(levels - 1):
-        n = choose_parameter_d(family)
-        report = certify_candidate_d(family, n)
-        build_level_d(family, n)
-        family.certificates.append(report)
-    return family
+    return build_levels(ZdFamily(dim=dim, budgets=budgets), levels)
 
 
 def verify_distinct_subwords_d(family: ZdFamily, k: int) -> SubwordReport:
@@ -544,9 +512,7 @@ def verify_distinct_subwords_d(family: ZdFamily, k: int) -> SubwordReport:
     if not scannable:
         return _pair_report(k, names, None)
     doubles = {name: np.tile(arr, (2,) * d) for name, arr in arrays.items()}
-    return _pair_report(
-        k, names, lambda u, v: count_occurrences_d(arrays[u], doubles[v], max_cells=cell_cap)
-    )
+    return _pair_report(k, names, lambda u, v: count_occurrences_d(arrays[u], doubles[v]))
 
 
 def transitive_config_window(family: ZdFamily, starts, sides) -> ArrayWord:
@@ -645,14 +611,6 @@ def array_to_obj(arr: ArrayWord) -> dict:
     }
 
 
-def array_from_obj(obj) -> ArrayWord:
-    sides = tuple(int(s) for s in obj["sides"])
-    data = np.frombuffer(obj["data"].encode("ascii"), dtype=np.uint8) - ord("0")
-    if data.size != int(np.prod(sides)):
-        raise MalformedFamily("array data length mismatch")
-    return data.reshape(sides).astype(np.uint8)
-
-
 def patchwork_to_obj(p: PatchworkExpr) -> dict:
     return {
         "base": array_to_obj(p.base),
@@ -662,17 +620,6 @@ def patchwork_to_obj(p: PatchworkExpr) -> dict:
             for anchor, stamp in p.patches
         ],
     }
-
-
-def patchwork_from_obj(obj) -> PatchworkExpr:
-    return PatchworkExpr(
-        base=array_from_obj(obj["base"]),
-        extents=tuple(int(e) for e in obj["extents"]),
-        patches=tuple(
-            (tuple(int(a) for a in patch["block_anchor"]), array_from_obj(patch["stamp"]))
-            for patch in obj["patches"]
-        ),
-    )
 
 
 def family_to_obj_d(family: ZdFamily) -> dict:
@@ -699,23 +646,12 @@ def family_to_obj_d(family: ZdFamily) -> dict:
 
 
 def family_from_obj_d(obj, budgets: Budgets | None = None) -> ZdFamily:
-    try:
-        dim = _json_int(obj["dim"], "dim")
+    """Rebuild a d-dimensional family; its level words must match the words
+    its parameters build."""
+
+    def new_family(dim):
         if dim < 1:
             raise MalformedFamily("bad dimension")
-        params = _params_from_obj(obj)
-        _check_scheme(obj)
-        if len(params) != _json_int(obj["K"], "K") - 1:
-            raise MalformedFamily("parameter count does not match K")
-        family = ZdFamily(dim=dim, budgets=budgets)
-        for n in params:
-            build_level_d(family, n)
-        family.certificates = _certificates_from_obj(obj["certificates"], params)
-        rebuilt = family_to_obj_d(family)
-        if rebuilt["levels"] != obj["levels"]:
-            raise MalformedFamily("serialized words do not match their parameters")
-        return family
-    except MalformedFamily:
-        raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, InvalidParameter) as exc:
-        raise MalformedFamily(f"malformed family file: {exc}") from exc
+        return ZdFamily(dim=dim, budgets=budgets)
+
+    return load_family(obj, new_family, family_to_obj_d, ("levels",))

@@ -30,7 +30,6 @@ from .errors import (
     EnumerationTooLarge,
     MalformedFamily,
     PatternTooLong,
-    SearchBudgetExceeded,
 )
 
 EXIT_OK = 0
@@ -103,8 +102,6 @@ def _reports_payload(reports, fmt: str) -> str:
 
 def cmd_build(args) -> int:
     budgets = budgets_from_env()
-    if args.levels < 2:
-        raise CamshiftError("--levels must be at least 2")
     if args.dim == 1:
         family = cam1d.build_family(levels=args.levels, budgets=budgets)
         payload = canonical_json(cam1d.family_to_obj(family))
@@ -126,9 +123,8 @@ def cmd_build(args) -> int:
 def cmd_certify(args) -> int:
     budgets = budgets_from_env()
     family = _load_family(args.family, budgets)
-    certify = cam1d.certify_level if family.dim == 1 else camzd.certify_level_d
     levels = [args.level] if args.level else range(2, family.top_level + 1)
-    reports = [certify(family, k) for k in levels]
+    reports = [cam1d.certify_level(family, k) for k in levels]
     _write_out(_reports_payload(reports, args.format), args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
@@ -362,7 +358,7 @@ def main(argv=None) -> int:
     except MalformedFamily as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (BudgetExceeded, SearchBudgetExceeded, PatternTooLong, EnumerationTooLarge) as exc:
+    except (BudgetExceeded, PatternTooLong, EnumerationTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except CamshiftError as exc:

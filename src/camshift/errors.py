@@ -25,10 +25,6 @@ class InvalidParameter(CamshiftError):
     pass
 
 
-class SearchBudgetExceeded(CamshiftError):
-    pass
-
-
 class OutOfBuiltRange(CamshiftError):
     pass
 

@@ -7,9 +7,10 @@ comparison.
 
 A census reads one trace sequence tr(A^1), tr(A^2), ... per matrix, built
 with one matrix product per n, and takes the Mobius sums
-q_n = sum over d | n of mu(n/d) * tr(A^d) from it.  :func:`tr_n` computes a
-single q_n from fresh matrix powers, and :func:`brute_periodic_points`
-enumerates closed walks; both are independent checks of the census.
+q_n = sum over d | n of mu(n/d) * tr(A^d) from it.
+:func:`brute_periodic_points` enumerates closed walks, an independent check
+of the census; the per-divisor matrix-power oracle ``tr_n`` lives with the
+tests (``tests/sft_oracles.py``).
 
 Eigenvalue questions are decided in integers, by Sturm counts of the real
 roots of the squarefree part of the characteristic polynomial.
@@ -114,12 +115,6 @@ def divisors(n: int):
     return small + large[::-1]
 
 
-def tr_n(A, n: int) -> int:
-    """Count of points of least period n: sum over d|n of mu(n/d) * tr(A^d)."""
-    A = _as_matrix(A)
-    return sum(mobius(n // d) * trace_power(A, d) for d in divisors(n))
-
-
 def _least_period_counts(rows):
     """Yield q_1, q_2, ... for the edge shift of `rows`, lazily.
 
@@ -147,7 +142,9 @@ def census(A, n_max: int) -> dict:
 
 
 def brute_periodic_points(A, n: int, cap: int = _ENUM_CAP) -> int:
-    """Direct enumeration oracle for :func:`tr_n`.
+    """Direct enumeration oracle for the least-period-n point count of
+    :func:`census` (the benchmark's arith-sft workload checks the census
+    against it, so it stays in the package).
 
     Enumerates closed edge sequences of length n (entries > 1 act as
     parallel edges, so each step also picks an edge label) and keeps those

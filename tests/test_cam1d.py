@@ -7,7 +7,7 @@ from cam1d_oracles import distinct_factor_counts_automaton
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from camshift import cam1d, slp
+from camshift import cam1d, camzd, slp
 from camshift.budgets import Budgets
 from camshift.errors import (
     InvalidParameter,
@@ -55,7 +55,7 @@ def test_level3_length_identity():
     family = cam1d.LevelFamily()
     cam1d.build_level(family, 8)
     for n3 in (2, 5, 11):
-        words = cam1d._level_words(family, 2, n3)
+        words = family._words(2, n3)
         assert words["a3"].length == (5 * n3 + 4) * 9
         assert words["w1_3"].length == words["a3"].length
 
@@ -113,7 +113,28 @@ def test_level2_strictness_boundary():
 
 def test_choose_parameter_level2():
     family = cam1d.LevelFamily()
-    assert cam1d.choose_parameter(family) == 8
+    assert cam1d.choose_parameter(family).param == 8
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: cam1d.build_family(levels=3), lambda: camzd.build_family_d(dim=2, levels=2)],
+    ids=["d1-levels3", "d2-levels2"],
+)
+def test_build_certifies_each_candidate_once(build, monkeypatch):
+    certify = cam1d.certify_candidate
+    reports = []
+
+    def recording(family, n, at_level=None):
+        reports.append(certify(family, n, at_level))
+        return reports[-1]
+
+    monkeypatch.setattr(cam1d, "certify_candidate", recording)
+    family = build()
+    seen = [(r.level, r.param) for r in reports]
+    assert len(seen) == len(set(seen))
+    # the stored certificates are the reports the search decided on
+    assert all(any(c is r for r in reports) for c in family.certificates)
 
 
 def test_choose_parameter_requires_certified_family():

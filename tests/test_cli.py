@@ -57,6 +57,18 @@ def test_build_d2_level3_exceeds_budget(tmp_path, monkeypatch):
     assert not out.exists()  # nothing partially written
 
 
+def test_build_search_cap_exhaustion(tmp_path, monkeypatch, capsys):
+    # level 2 first passes at n = 8; doubling tries 2, 4 and then 8
+    out = tmp_path / "capped.json"
+    monkeypatch.setenv("CAMSHIFT_BUDGET", "search_cap=7")
+    assert run("build", "--dim", "1", "--levels", "2", "--out", str(out)) == 3
+    assert "no passing parameter found up to cap 7" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setenv("CAMSHIFT_BUDGET", "search_cap=8")
+    assert run("build", "--dim", "1", "--levels", "2", "--out", str(out)) == 0
+    assert "level 2: n=8, rows=6, pass" in capsys.readouterr().out
+
+
 def test_certify_round_trip_bytes(family_file, tmp_path, capsys):
     assert run("certify", "--family", str(family_file)) == 0
     recomputed = capsys.readouterr().out
@@ -363,7 +375,7 @@ def test_d2_level3_file_form_independent_of_cell_budget(
     # cells=10000, and the file must read the same under both
     obj = camzd.family_to_obj_d(family_d2_structural3)
     obj["certificates"].append(
-        cam1d.report_to_obj(camzd.certify_level_d(family_d2_structural3, 3))
+        cam1d.report_to_obj(cam1d.certify_level(family_d2_structural3, 3))
     )
     path = tmp_path / "d2l3.json"
     path.write_text(cli.canonical_json(obj))

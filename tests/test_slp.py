@@ -38,16 +38,16 @@ def a3_expr(builder, n2=8, n3=3):
 
 
 def test_length_atom(builder):
-    assert slp.length(builder.atom("0")) == 1
+    assert builder.atom("0").length == 1
 
 
 def test_length_repetition(builder):
-    assert slp.length(builder.power(builder.atom("1"), 8)) == 8
+    assert builder.power(builder.atom("1"), 8).length == 8
 
 
 def test_length_a2(builder):
     expr = a2_expr(builder)
-    assert slp.length(expr) == len(slp.materialize(expr)) == 9
+    assert expr.length == len(slp.materialize(expr)) == 9
 
 
 def test_length_homomorphism(builder, rng):
@@ -342,11 +342,15 @@ def test_serialization_round_trip(builder, rng):
         expr = random_expression(builder, rng, max_length=5_000)
         if expr.length > 20_000:
             continue
-        obj = slp.expr_to_obj(expr)
+        order, ids = slp.collect_nodes([expr])
+        # postorder: children come first, so one pass over the table rebuilds the word
         fresh = slp.SlpBuilder()
-        back = slp.expr_from_obj(fresh, obj)
-        assert slp.materialize(back) == slp.materialize(expr)
-        # big integers ride as decimal strings
-        for node in obj["nodes"]:
-            for _child, rep in node.get("children", []):
-                assert isinstance(rep, str)
+        built = []
+        for node in slp.nodes_to_obj(order, ids):
+            if node["kind"] == "atom":
+                built.append(fresh.atom(node["symbol"]))
+                continue
+            # big integers ride as decimal strings
+            assert all(isinstance(rep, str) and rep.isdigit() for _, rep in node["children"])
+            built.append(fresh.concat([(built[c], int(rep)) for c, rep in node["children"]]))
+        assert slp.materialize(built[ids[expr.uid]]) == slp.materialize(expr)
