@@ -88,10 +88,6 @@ class FrequencySequence:
         return sum((self.value(j) for j in range(lo, hi + 1)), Fraction(0))
 
 
-def default_frequency_sequence(dim: int) -> FrequencySequence:
-    return FrequencySequence(dim=dim)
-
-
 @dataclass
 class CertRow:
     ident: str
@@ -262,7 +258,7 @@ class LevelFamily(Hierarchy):
     def __init__(self, budgets: Budgets | None = None):
         self.dim = 1
         self.budgets = budgets or Budgets()
-        self.eps = default_frequency_sequence(1)
+        self.eps = FrequencySequence(dim=1)
         self.builder = slp.SlpBuilder(snippet_cap=self.budgets.snippet_cap)
         self.levels = [
             {"w1_1": self.builder.atom("0"), "w2_1": self.builder.atom("1")}
@@ -585,9 +581,6 @@ def transitive_point_window(family: LevelFamily, start: int, size: int) -> str:
         )
     doubled = family.builder.concat([(family.a(top), 2)])
     return slp.window(doubled, start + span - 1, size, cap=family.budgets.symbols)
-
-
-PAIR_FORMS = ("equal", "a-w", "w-a", "b-w", "w-b", "ab", "ba")
 
 
 def classify_pair(left: str, right: str, k: int) -> str:

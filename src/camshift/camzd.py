@@ -41,6 +41,7 @@ from .cam1d import (
     EPS_SCHEME,
     CertificateReport,
     CertRow,
+    FrequencySequence,
     Hierarchy,
     SubwordReport,
     _eps_tail_rows,
@@ -53,7 +54,6 @@ from .cam1d import (
     build_level,
     build_levels,
     certify_candidate,
-    default_frequency_sequence,
     level_names,
     load_family,
     report_to_obj,
@@ -336,7 +336,7 @@ class ZdFamily(Hierarchy):
             raise InvalidParameter("dimension must be >= 1")
         self.dim = dim
         self.budgets = budgets or Budgets()
-        self.eps = default_frequency_sequence(dim)
+        self.eps = FrequencySequence(dim=dim)
         zero = ZdWord("w1_1", 1, make_cube(dim, 1, 0), None)
         one = ZdWord("w2_1", 1, make_cube(dim, 1, 1), None)
         self.levels: list[dict] = [{"w1_1": zero, "w2_1": one}]
@@ -566,9 +566,10 @@ class MeasureRowD:
     gap_above_third: bool
 
 
-def measure_report_d(family: ZdFamily, k_max: int | None = None) -> list:
-    """Deviant-symbol frequencies per level plus the origin-cylinder gap."""
-    k_max = family.top_level if k_max is None else min(k_max, family.top_level)
+def measure_report_d(family: ZdFamily, k_max: int) -> list:
+    """Deviant-symbol frequencies per level 2..k_max plus the origin-cylinder gap."""
+    if not 2 <= k_max <= family.top_level:
+        raise OutOfBuiltRange(f"level {k_max} not built")
     rows = []
     third = Fraction(1, 3)
     for k in range(2, k_max + 1):

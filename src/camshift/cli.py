@@ -63,11 +63,18 @@ def _load_family(path: str, budgets: Budgets):
 
 
 def _write_out(text: str, out: str | None):
-    if out:
+    if out is not None:
         with open(out, "w", encoding="ascii") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _int(text: str, option: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CamshiftError(f"{option} must be an integer, got {text!r}") from None
 
 
 def _reports_csv(reports) -> str:
@@ -108,8 +115,7 @@ def cmd_build(args) -> int:
     else:
         family = camzd.build_family_d(dim=args.dim, levels=args.levels, budgets=budgets)
         payload = canonical_json(camzd.family_to_obj_d(family))
-    with open(args.out, "w", encoding="ascii") as handle:
-        handle.write(payload)
+    _write_out(payload, args.out)
     for report in family.certificates:
         checked = [r for r in report.rows if r.status != "info"]
         print(
@@ -148,10 +154,11 @@ def cmd_window(args) -> int:
     budgets = budgets_from_env()
     family = _load_family(args.family, budgets)
     if family.dim == 1:
-        print(cam1d.transitive_point_window(family, int(args.start), int(args.len)))
+        start, size = _int(args.start, "--start"), _int(args.len, "--len")
+        print(cam1d.transitive_point_window(family, start, size))
     else:
-        starts = [int(x) for x in str(args.start).split(",")]
-        sides = [int(x) for x in str(args.len).split(",")]
+        starts = [_int(x, "--start") for x in args.start.split(",")]
+        sides = [_int(x, "--len") for x in args.len.split(",")]
         arr = camzd.transitive_config_window(family, starts, sides)
         print(canonical_json(camzd.array_to_obj(arr)), end="")
     return EXIT_OK
@@ -183,7 +190,7 @@ def cmd_measure(args) -> int:
                 value = cam1d.empirical_measure(family, args.k, side, cylinder)
                 rows.append({"side": side, "cylinder": cylinder, "value": _frac_str(value)})
                 print(f"side {side} [{cylinder}] = {_frac_str(value)}")
-        if args.out:
+        if args.out is not None:
             _write_out(canonical_json(rows), args.out)
         return EXIT_OK
     rows = camzd.measure_report_d(family, args.k)
@@ -361,7 +368,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, PatternTooLong, EnumerationTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except CamshiftError as exc:
+    except (CamshiftError, OSError) as exc:  # OSError: an --out the CLI cannot write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

@@ -5,15 +5,18 @@ rational bracket, and the feasibility check for embedding a discrete tower
 over the full 2-shift: a strict entropy inequality plus a periodic-count
 comparison.
 
-A census reads one trace sequence tr(A^1), tr(A^2), ... per matrix, built
-with one matrix product per n, and takes the Mobius sums
-q_n = sum over d | n of mu(n/d) * tr(A^d) from it.
+Every number here comes from one exact sequence per matrix, t_n = tr(A^n),
+drawn lazily by :func:`_traces`: d - 1 matrix products (the module's only
+ones) give t_1..t_d, Newton's identities turn them into chi_A, and the
+Cayley-Hamilton recurrence on chi_A gives each later term in O(d).  The
+census takes the Mobius sums q_n = sum over k | n of mu(n/k) * t_k, and
+chi_(A^m) is Newton's identities on the power sums t_m, t_2m, ..., t_dm.
 :func:`brute_periodic_points` enumerates closed walks, an independent check
-of the census; the per-divisor matrix-power oracle ``tr_n`` lives with the
-tests (``tests/sft_oracles.py``).
+of the census; the matrix-power oracles ``tr_n`` and ``_matpow`` live with
+the tests (``tests/sft_oracles.py``).
 
 Eigenvalue questions are decided in integers, by Sturm counts of the real
-roots of the squarefree part of the characteristic polynomial.
+roots of the squarefree part of a characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -63,27 +66,38 @@ def _matmul(X, Y):
     return tuple(tuple(sum(map(operator.mul, row, col)) for col in columns) for row in X)
 
 
-def _matpow(rows, e):
-    n = len(rows)
-    result = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    base = rows
-    while e:
-        if e & 1:
-            result = _matmul(result, base)
-        base = _matmul(base, base)
-        e >>= 1
-    return result
+def _traces(rows):
+    """Yield t_0 = d, t_1, t_2, ... with t_n = tr(A^n), for the d x d matrix `rows`:
+    t_1..t_d from d - 1 matrix products, each later term from the Cayley-Hamilton
+    recurrence t_n = -(c_1 t_(n-1) + ... + c_d t_(n-d)) on chi_A = _newton(t_0..t_d)."""
+    d = len(rows)
+    traces, power = [d], rows
+    for n in range(1, d + 1):
+        traces.append(sum(power[i][i] for i in range(d)))
+        if n < d:
+            power = _matmul(power, rows)
+    yield from traces
+    coeffs = _newton(traces)[1:]
+    while True:
+        traces.append(-sum(map(operator.mul, coeffs, traces[: -d - 1 : -1])))
+        yield traces[-1]
 
 
-def _trace(rows) -> int:
-    return sum(rows[i][i] for i in range(len(rows)))
+def _newton(power_sums) -> list:
+    """The monic degree-d polynomial whose roots have power sums p_1..p_d, from
+    [d, p_1, ..., p_d] by Newton's identities k c_k = -(c_0 p_k + ... + c_(k-1) p_1);
+    for the traces of an integer matrix every division is exact."""
+    coeffs = [1]
+    for k in range(1, len(power_sums)):
+        coeffs.append(-sum(map(operator.mul, coeffs, power_sums[k:0:-1])) // k)
+    return coeffs
 
 
 def trace_power(A, n: int) -> int:
     """Exact trace of A^n (number of closed edge walks of length n)."""
     if n < 1:
         raise InvalidParameter("n must be >= 1")
-    return _trace(_matpow(_as_matrix(A).rows, n))
+    return next(itertools.islice(_traces(_as_matrix(A).rows), n, None))
 
 
 def mobius(n: int) -> int:
@@ -115,22 +129,9 @@ def divisors(n: int):
     return small + large[::-1]
 
 
-def _least_period_counts(rows):
-    """Yield q_1, q_2, ... for the edge shift of `rows`, lazily.
-
-    Term n costs one matrix product (A^n from A^(n-1)) and a Mobius sum over
-    the traces already kept, so a consumer that stops at n builds no power
-    past A^n.
-    """
-    traces = [0]  # traces[d] = tr(A^d)
-    mu = [0]  # mu[k] = mobius(k)
-    power = rows
-    for n in itertools.count(1):
-        if n > 1:
-            power = _matmul(power, rows)
-        traces.append(_trace(power))
-        mu.append(mobius(n))
-        yield sum(mu[n // d] * traces[d] for d in divisors(n))
+def _least_period(traces, n: int) -> int:
+    """q_n = sum over k | n of mu(n/k) * tr(A^k), for traces[k] = tr(A^k)."""
+    return sum(mobius(n // k) * traces[k] for k in divisors(n))
 
 
 def census(A, n_max: int) -> dict:
@@ -138,7 +139,8 @@ def census(A, n_max: int) -> dict:
     A = _as_matrix(A)
     if n_max < 1:
         raise InvalidParameter("n_max must be at least 1")
-    return dict(zip(range(1, n_max + 1), _least_period_counts(A.rows)))
+    traces = list(itertools.islice(_traces(A.rows), n_max + 1))
+    return {n: _least_period(traces, n) for n in range(1, n_max + 1)}
 
 
 def brute_periodic_points(A, n: int, cap: int = _ENUM_CAP) -> int:
@@ -212,14 +214,16 @@ def _require_irreducible(A) -> SftMatrix:
 
 
 def is_primitive(A) -> bool:
-    """True when some power of A is entrywise positive (Wielandt bound)."""
+    """True when some power of A is entrywise positive: A is irreducible with period 1."""
     A = _as_matrix(A)
-    power = A.rows
-    for _ in range((A.dim - 1) ** 2 + 1):
-        if all(x > 0 for row in power for x in row):
-            return True
-        power = _matmul(power, A.rows)
-    return all(x > 0 for row in power for x in row)
+    return is_irreducible(A) and _aperiodic(_charpoly(A.rows))
+
+
+def _aperiodic(chi) -> bool:
+    """Period 1 for an irreducible A with chi = chi_A.  The period is the gcd of the
+    simple-cycle lengths, all <= d: of the n <= d with tr(A^n) > 0.  By Newton's
+    identities those n and the n >= 1 with c_n != 0 have the same gcd."""
+    return math.gcd(*(n for n, c in enumerate(chi) if n and c)) == 1
 
 
 # -- exact real-root counting ---------------------------------------------------
@@ -228,16 +232,8 @@ def is_primitive(A) -> bool:
 
 
 def _charpoly(rows) -> list:
-    """det(xI - A) by Faddeev-LeVerrier: every division by k is exact."""
-    coeffs = [1]
-    product = rows  # A * M_k, with M_1 = I and M_(k+1) = A * M_k + c_k * I
-    for k in range(1, len(rows) + 1):
-        c = -_trace(product) // k
-        coeffs.append(c)
-        if k < len(rows):
-            step = _matmul(rows, product)  # A * M_(k+1) = A * (A * M_k) + c_k * A
-            product = [[x + c * a for x, a in zip(xs, row)] for xs, row in zip(step, rows)]
-    return coeffs
+    """det(xI - A): Newton's identities on the first d traces."""
+    return _newton(list(itertools.islice(_traces(rows), len(rows) + 1)))
 
 
 def _primitive_part(p) -> list:
@@ -287,10 +283,11 @@ def _roots_above(seq, x) -> int:
     return _sign_changes(values) - _sign_changes(p[0] for p in seq)
 
 
-def _entropy_gap(power) -> bool:
-    """log 2/m < log lambda(A) for power = A^m, i.e. lambda(A^m) > 2: no real
-    eigenvalue of A^m exceeds lambda(A^m), so iff det(xI - A^m) has a root above 2."""
-    return _roots_above(_sturm_sequence(_charpoly(power)), 2) > 0
+def _entropy_gap(traces, m: int) -> bool:
+    """log 2/m < log lambda(A), i.e. lambda(A^m) > 2, for traces[n] = tr(A^n) up to
+    n = d*m: no real eigenvalue of A^m exceeds lambda(A^m), so iff det(xI - A^m) has
+    a root above 2.  A^m has power sums tr(A^m), tr(A^2m), ..., tr(A^dm)."""
+    return _roots_above(_sturm_sequence(_newton(traces[: traces[0] * m + 1 : m])), 2) > 0
 
 
 # -- Perron eigenvalue -----------------------------------------------------------
@@ -314,7 +311,8 @@ def perron_eigenvalue(A) -> PerronResult:
     above x, because no real eigenvalue exceeds lambda.
     """
     A = _require_irreducible(A)
-    seq = _sturm_sequence(_charpoly(A.rows))
+    chi = _charpoly(A.rows)
+    seq = _sturm_sequence(chi)
     lower = Fraction(min(map(sum, A.rows)))
     upper = Fraction(max(map(sum, A.rows)))
     iterations = 0
@@ -322,7 +320,7 @@ def perron_eigenvalue(A) -> PerronResult:
         middle = (lower + upper) / 2
         lower, upper = (middle, upper) if _roots_above(seq, middle) else (lower, middle)
         iterations += 1
-    return PerronResult(lower=lower, upper=upper, iterations=iterations, primitive=is_primitive(A))
+    return PerronResult(lower=lower, upper=upper, iterations=iterations, primitive=_aperiodic(chi))
 
 
 @dataclass
@@ -360,8 +358,9 @@ def embedding_feasibility(A, tower_height: int, n_max: int) -> FeasibilityReport
     if n_max < tower_height:
         raise InvalidParameter("n_max must be at least the tower height")
     A = _require_irreducible(A)
-    gap = _entropy_gap(_matpow(A.rows, tower_height))
-    return _feasibility(tower_height, n_max, gap, census(A, n_max))
+    traces = list(itertools.islice(_traces(A.rows), max(n_max, A.dim * tower_height) + 1))
+    target = {n: _least_period(traces, n) for n in range(1, n_max + 1)}
+    return _feasibility(tower_height, n_max, _entropy_gap(traces, tower_height), target)
 
 
 def _feasibility(m: int, n_max: int, gap: bool, target_census) -> FeasibilityReport:
@@ -382,22 +381,19 @@ def smallest_feasible_height(A, n_max: int, cap: int = 64) -> int | None:
     """Smallest tower height m <= cap whose report is feasible, else None.
 
     Height m is checked up to max(n_max, m), as
-    ``embedding_feasibility(A, m, max(n_max, m))`` would.  A^m grows by one
-    matrix product per height, and the target census grows one term at a
-    time only as far as the heights tried need it.
+    ``embedding_feasibility(A, m, max(n_max, m))`` would.  The trace sequence
+    and the target census grow only as far as the heights tried need them:
+    to max(n_max, d*m) terms and max(n_max, m) counts at height m.
     """
     if cap < 1:
         raise InvalidParameter(f"height cap must be at least 1, got {cap}")
     A = _require_irreducible(A)
-    counts = _least_period_counts(A.rows)
-    target = {}
-    power = A.rows
+    terms = _traces(A.rows)
+    traces, target = [], {}
     for m in range(1, cap + 1):
-        if m > 1:
-            power = _matmul(power, A.rows)
         reach = max(n_max, m)
-        while len(target) < reach:
-            target[len(target) + 1] = next(counts)
-        if _feasibility(m, reach, _entropy_gap(power), target).feasible:
+        traces.extend(itertools.islice(terms, max(reach, A.dim * m) + 1 - len(traces)))
+        target.update((n, _least_period(traces, n)) for n in range(len(target) + 1, reach + 1))
+        if _feasibility(m, reach, _entropy_gap(traces, m), target).feasible:
             return m
     return None

@@ -1,9 +1,17 @@
 """Reference computations for ``camshift.sft``.
 
-``tr_n`` computes one least-period count of the census from fresh matrix
-powers.  The checks of the exact eigenvalue path use plain ``Fraction``
-Gaussian elimination and share no code with the characteristic polynomial
-or the Sturm count:
+The production module reads every number off one trace sequence per matrix
+(``sft._traces``: Newton's identities and the Cayley-Hamilton recurrence).
+The oracles here share nothing with that sequence:
+
+* ``_matpow`` raises a matrix to a power by repeated squaring, and ``tr_n``
+  computes one least-period count of the census from those powers;
+* ``is_primitive_wielandt`` looks for an entrywise positive power of A up to
+  Wielandt's bound A^((d-1)^2 + 1), to check ``sft.is_primitive``.
+
+The checks of the exact eigenvalue path use plain ``Fraction`` Gaussian
+elimination and share no code with the characteristic polynomial or the
+Sturm count:
 
 * ``det_shifted`` evaluates det(xI - A) at one rational point, to check the
   coefficients of ``sft._charpoly``;
@@ -16,12 +24,39 @@ or the Sturm count:
 from fractions import Fraction
 from itertools import combinations
 
-from camshift.sft import divisors, mobius, trace_power
+from camshift.sft import _matmul, divisors, mobius
+
+
+def _matpow(rows, e):
+    """rows ** e by repeated squaring."""
+    n = len(rows)
+    result = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    base = rows
+    while e:
+        if e & 1:
+            result = _matmul(result, base)
+        base = _matmul(base, base)
+        e >>= 1
+    return result
 
 
 def tr_n(A, n: int) -> int:
     """Count of points of least period n: sum over d|n of mu(n/d) * tr(A^d)."""
-    return sum(mobius(n // d) * trace_power(A, d) for d in divisors(n))
+    return sum(mobius(n // d) * _trace(_matpow(A, d)) for d in divisors(n))
+
+
+def _trace(rows) -> int:
+    return sum(row[i] for i, row in enumerate(rows))
+
+
+def is_primitive_wielandt(A) -> bool:
+    """True when some power of A is entrywise positive (Wielandt bound)."""
+    power = A
+    for _ in range((len(A) - 1) ** 2 + 1):
+        if all(x > 0 for row in power for x in row):
+            return True
+        power = _matmul(power, A)
+    return all(x > 0 for row in power for x in row)
 
 
 def det(matrix) -> Fraction:

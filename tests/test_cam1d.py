@@ -21,17 +21,17 @@ from camshift.errors import (
 
 
 def test_default_eps_values():
-    eps1 = cam1d.default_frequency_sequence(1)
+    eps1 = cam1d.FrequencySequence(dim=1)
     assert eps1.value(1) == Fraction(1, 8)
     assert eps1.tail(1) == Fraction(1, 6)
     assert eps1.tail(1) < Fraction(1, 3)
-    eps2 = cam1d.default_frequency_sequence(2)
+    eps2 = cam1d.FrequencySequence(dim=2)
     assert eps2.value(1) == Fraction(1, 24)
 
 
 def test_eps_tail_bound_holds_everywhere():
     for dim in (1, 2, 3):
-        eps = cam1d.default_frequency_sequence(dim)
+        eps = cam1d.FrequencySequence(dim=dim)
         for start in range(1, 12):
             assert eps.tail_ok(start)
             # prefix sums approximate the closed form from below

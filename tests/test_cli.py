@@ -124,6 +124,36 @@ def test_complexity_command(family_file, capsys):
     assert payload["counts"]["1"] == "2"
 
 
+@pytest.mark.parametrize(
+    "which, start, size",
+    [("d1", "abc", "9"), ("d1", "1", "x"), ("d2", "1,x", "2,2"), ("d2", "1,1", "2,")],
+)
+def test_window_non_integer_exits_2(which, start, size, family_file, family_d2_file):
+    path = family_file if which == "d1" else family_d2_file
+    code, err = _run_quiet("window", "--family", str(path), "--start", start, "--len", size)
+    assert code == 2 and err.startswith("error: --") and "must be an integer" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "measure", "build"])
+@pytest.mark.parametrize("missing", [True, False])
+def test_unwritable_out_exits_2(command, missing, family_file, tmp_path):
+    out = tmp_path / "missing" / "out.json" if missing else ""  # "" is not stdout
+    argv = {
+        "certify": ("certify", "--family", str(family_file)),
+        "measure": ("measure", "--family", str(family_file), "--k", "2"),
+        "build": ("build", "--dim", "1", "--levels", "2"),
+    }[command]
+    code, err = _run_quiet(*argv, "--out", str(out))
+    assert code == 2 and err.startswith("error: [Errno") and repr(str(out)) in err
+
+
+@pytest.mark.parametrize("k", ["1", "-5", "9"])
+def test_measure_d2_level_out_of_range(family_d2_file, k):
+    # as in one dimension, where empirical_measure rejects the level
+    code, err = _run_quiet("measure", "--family", str(family_d2_file), "--k", k)
+    assert (code, err) == (2, f"error: level {k} not built\n")
+
+
 def test_window_d2(family_d2_file, capsys):
     assert run("window", "--family", str(family_d2_file), "--start", "1,1", "--len", "6,6") == 0
     payload = json.loads(capsys.readouterr().out)

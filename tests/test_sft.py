@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sft_oracles import det_shifted, min_principal_minor, tr_n
+from sft_oracles import (
+    _matpow,
+    _trace,
+    det_shifted,
+    is_primitive_wielandt,
+    min_principal_minor,
+    tr_n,
+)
 
 from camshift import sft
 from camshift.errors import CamshiftError, EnumerationTooLarge, InvalidParameter, ReducibleMatrix
@@ -200,12 +208,70 @@ def test_charpoly_matches_determinant(matrix):
         assert value == det_shifted(matrix, x)
 
 
+@given(square_matrices(5, 3))
+@example([[0, 1], [0, 0]])  # nilpotent
+@example([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+@example([[1, 1], [0, 1]])  # reducible, with a Jordan block
+@example([[0]])
+@example([[3]])
+@settings(max_examples=80, deadline=None)
+def test_traces_match_matrix_powers(matrix):
+    # the Cayley-Hamilton recurrence against powers built by repeated squaring
+    d = len(matrix)
+    traces = list(itertools.islice(sft._traces(matrix), 3 * d + 6))
+    assert traces == [_trace(_matpow(matrix, n)) for n in range(3 * d + 6)]
+
+
+@given(square_matrices(4, 3), st.integers(1, 5))
+@example([[0, 1], [0, 0]], 2)
+@example([[1, 1], [1, 0]], 3)
+@settings(max_examples=60, deadline=None)
+def test_newton_of_power_sums_is_charpoly_of_power(matrix, m):
+    # chi_(A^m) from the power sums tr(A^m), tr(A^2m), ..., tr(A^dm)
+    d = len(matrix)
+    traces = list(itertools.islice(sft._traces(matrix), d * m + 1))
+    coeffs = sft._newton(traces[::m])
+    assert len(coeffs) == d + 1 and coeffs[0] == 1
+    power = _matpow(matrix, m)
+    for x in range(-1, d):
+        assert sum(c * x ** (d - i) for i, c in enumerate(coeffs)) == det_shifted(power, x)
+
+
+@given(square_matrices(5, 2))
+@example([[1, 0], [0, 1]])  # aperiodic cycles, but not irreducible
+@example([[0, 1], [1, 0]])  # period 2
+@example([[0]])
+@settings(max_examples=200, deadline=None)
+def test_is_primitive_matches_wielandt(matrix):
+    assert sft.is_primitive(matrix) == is_primitive_wielandt(matrix)
+
+
+def test_one_trace_sequence_per_call(monkeypatch):
+    # every entry point draws t_1..t_d with d - 1 products and nothing else multiplies
+    products = []
+    matmul = sft._matmul
+    monkeypatch.setattr(sft, "_matmul", lambda X, Y: products.append(1) or matmul(X, Y))
+    calls = (
+        lambda A: sft.census(A, 40),
+        lambda A: sft.embedding_feasibility(A, 3, 20),
+        lambda A: sft.smallest_feasible_height(A, 20, 8),
+        sft.perron_eigenvalue,
+        sft.is_primitive,
+    )
+    for matrix in CATALOG:
+        for call in calls:
+            products.clear()
+            call(matrix)
+            assert len(products) == len(matrix) - 1, (matrix, call)
+
+
 @given(square_matrices(4, 3), st.integers(1, 6))
 @settings(max_examples=150, deadline=None)
 def test_entropy_gap_matches_principal_minors(matrix, m):
     # lambda(A^m) > 2 iff some principal minor of 2I - A^m is negative
-    power = sft._matpow(tuple(map(tuple, matrix)), m)
-    assert sft._entropy_gap(power) == (min_principal_minor(power, 2) < 0)
+    power = _matpow(tuple(map(tuple, matrix)), m)
+    traces = list(itertools.islice(sft._traces(matrix), len(matrix) * m + 1))
+    assert sft._entropy_gap(traces, m) == (min_principal_minor(power, 2) < 0)
 
 
 @pytest.mark.parametrize(
@@ -224,7 +290,7 @@ def test_entropy_status_exact_cases(matrix, height, status):
 
 
 def test_squarefree_step_removes_the_double_root():
-    power = sft._matpow(((0, 0, 0, 2), (0, 0, 2, 1), (1, 2, 0, 0), (1, 0, 1, 2)), 2)
+    power = _matpow(((0, 0, 0, 2), (0, 0, 2, 1), (1, 2, 0, 0), (1, 0, 1, 2)), 2)
     chi = sft._charpoly(power)
     assert chi == [1, -16, 68, -112, 64]  # (x - 2)^2 (x^2 - 12x + 16)
     seq = sft._sturm_sequence(chi)
@@ -304,26 +370,27 @@ def test_smallest_height_is_first_feasible(matrix, n_max, cap):
 
 def test_smallest_height_builds_no_census_past_reach(monkeypatch):
     products, terms = [], []
-    matmul, counts = sft._matmul, sft._least_period_counts
+    matmul, traces = sft._matmul, sft._traces
     monkeypatch.setattr(sft, "_matmul", lambda X, Y: products.append(1) or matmul(X, Y))
 
     def counted(rows):
-        for q in counts(rows):
-            terms.append(q)
-            yield q
+        for t in traces(rows):
+            terms.append(t)
+            yield t
 
-    monkeypatch.setattr(sft, "_least_period_counts", counted)
+    monkeypatch.setattr(sft, "_traces", counted)
 
     def search(n_max, cap):
         products.clear()
         terms.clear()
         return sft.smallest_feasible_height(GOLDEN, n_max, cap), len(terms), len(products)
 
-    # GOLDEN is first feasible at height 5, so the census reaches n = max(n_max, 5),
-    # and a huge cap must cost what cap 5 costs, in census terms and in all products
-    for n_max, reach in ((30, 30), (2, 5)):
+    # GOLDEN (d = 2) is first feasible at height 5, so the sequence reaches
+    # t_0..t_max(n_max, 2 * 5), and a huge cap must cost what cap 5 costs, in
+    # trace terms drawn and in matrix products
+    for n_max, drawn in ((30, 31), (2, 11)):
         huge, five = search(n_max, 10**6), search(n_max, 5)
-        assert huge == five and huge[:2] == (5, reach)
+        assert huge == five == (5, drawn, 1)
 
 
 def test_smallest_height_rejects_cap_below_one():
