@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal, InvalidOperation
 
 from .errors import InvalidParameter
 
 _ENV_VAR = "CAMSHIFT_BUDGET"
+# longest value accepted, in digits: the default limit of int() on digit strings
+_MAX_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -36,18 +39,20 @@ class Budgets:
 
 
 def _parse_int(text: str) -> int:
-    # accept plain ints and things like "1e8"
+    # exact decimal reading: "1e8" is 10**8, "1.5" and "1.00000000000000001e8"
+    # are not integers, and "1e999999999" is refused before int() expands it
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-        if value == int(value):  # int() rejects inf and nan
-            return int(value)
-    except (ValueError, OverflowError):
-        pass
-    raise InvalidParameter(f"budget value {text!r} is not an integer")
+        value = Decimal(text)
+    except InvalidOperation:
+        value = None
+    if (
+        value is None
+        or not value.is_finite()
+        or value.adjusted() >= _MAX_DIGITS
+        or value != value.to_integral_value()
+    ):
+        raise InvalidParameter(f"budget value {text!r} is not an integer")
+    return int(value)
 
 
 def budgets_from_env(base: Budgets | None = None) -> Budgets:

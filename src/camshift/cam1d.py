@@ -707,8 +707,12 @@ class MeasureRow:
 
 
 def measure_report(family: LevelFamily, k_max: int | None = None) -> list:
-    """Single-symbol empirical frequencies and separation flags per level."""
-    k_max = family.top_level if k_max is None else min(k_max, family.top_level)
+    """Single-symbol empirical frequencies and separation flags per level 2..k_max
+    (every built level when ``k_max`` is None)."""
+    if k_max is None:
+        k_max = family.top_level
+    elif not 2 <= k_max <= family.top_level:
+        raise OutOfBuiltRange(f"level {k_max} not built")
     third = Fraction(1, 3)
     rows = []
     for k in range(2, k_max + 1):

@@ -31,6 +31,7 @@ under their d-dimensional names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,7 +128,7 @@ class PatchworkExpr:
 
     @property
     def cells(self) -> int:
-        return int(np.prod([float(s) for s in self.side]))
+        return math.prod(self.side)
 
     def cell(self, coords) -> int:
         """Value at 1-based coordinates."""
@@ -535,7 +536,7 @@ def transitive_config_window(family: ZdFamily, starts, sides) -> ArrayWord:
             raise OutOfBuiltRange(
                 f"rectangle [{lo}, {lo + size - 1}] outside built range ({-span}, {span}]"
             )
-    cells = int(np.prod([float(s) for s in sides]))
+    cells = math.prod(sides)
     if cells > family.budgets.cells:
         raise BudgetExceeded("rectangle exceeds the cell budget")
     word = family.word(top, f"a{top}")

@@ -7,20 +7,28 @@ materialization and occurrence counting are all computed from the DAG.
 
 Counting never materializes the word.  For a pattern of length L the
 count in a node is the sum of the counts in its runs c^r plus, at each
-boundary o where a run ends, a naive count in the text from
+boundary o where a run ends, a text count in the materialized text from
 max(o - (L-1), start of that run) to min(o + L-1, length): every
 occurrence found there starts in that run and crosses o, and every
 occurrence that crosses a run boundary is found at the first one it
 crosses.  Inside a run,
 
-    count(c^r) = r count(c) + (r-1) naive(suffix(c, L-1) + prefix(c, L-1))   if |c| >= L-1
+    count(c^r) = r count(c) + (r-1) text(suffix(c, L-1) + prefix(c, L-1))   if |c| >= L-1
 
 and for a shorter c, count(c^r) is affine in r from m = ceil((L-1)/|c|) + 1
-on, so it follows from naive counts in c^(m-1) and c^m, both shorter than
+on, so it follows from text counts in c^(m-1) and c^m, both shorter than
 3L symbols.  Counts are memoized per (node, pattern), prefix/suffix
-snippets per node, and naive counts per (snippet, snippet, pattern), so
+snippets per node, and text counts per (snippet, snippet, pattern), so
 repeated sub-blocks are paid for once.  Materialization appends a whole
 child string times the number of whole copies a range covers.
+
+A text count (:func:`count_occurrences_naive`) reads the occurrences one
+window of L start positions at a time.  Occurrences that start less than
+L apart lie in a text shorter than 2L, and there they form an arithmetic
+progression (the periodicity lemma of Fine and Wilf), so a window costs
+two searches and a bisection however many occurrences overlap in it: a
+level-4 junction text of 88 180 symbols holds up to 1 959 occurrences of
+a 44 091-symbol level-3 word and is counted in one window.
 """
 
 from __future__ import annotations
@@ -108,7 +116,7 @@ class SlpBuilder:
         self._uid = itertools.count()
         self._exprs = weakref.WeakValueDictionary()
         self._atoms = {s: SlpExpr(next(self._uid), "atom", symbol=s) for s in SYMBOLS}
-        # naive scans keyed by content: many nodes share the same cached
+        # text counts keyed by content: many nodes share the same cached
         # suffix/prefix snippets, so the heavy scans run once per content
         self._junction_counts: dict = {}
         self._junction_bytes = 0
@@ -256,7 +264,7 @@ class SlpBuilder:
         return self._naive(pattern, left, right)
 
     def _naive(self, pattern, left, right="", copies=1):
-        """Naive count in left * copies + right, memoized on the (shared) snippets."""
+        """Text count in left * copies + right, memoized on the (shared) snippets."""
         if len(left) * copies + len(right) < len(pattern):
             return 0
         key = (left, copies, right, pattern)
@@ -362,14 +370,43 @@ def materialize(expr: SlpExpr, cap: int = DEFAULT_MATERIALIZE_CAP) -> str:
 
 
 def count_occurrences_naive(pattern: str, text: str) -> int:
-    """Sliding-window exact count; the oracle for the compressed counter."""
+    """Exact number of (possibly overlapping) occurrences of ``pattern`` in ``text``.
+
+    Reads the occurrences one window of L = len(pattern) start positions at
+    a time.  From an occurrence at i, every occurrence starting in
+    [i, i + L) lies inside text[i : i + 2L - 1], a text shorter than 2L, and
+    there the occurrences of the pattern form an arithmetic progression
+    (the periodicity lemma of Fine and Wilf).  One search for the second
+    occurrence gives the step q; the progression i, i + q, ... has no gaps,
+    so bisecting ``startswith`` tests over its at most L/q slots in the
+    window finds the last one.  The next window starts at the first
+    occurrence at or after i + L.  Windows start at least L apart, so a
+    text of N symbols costs at most 2 ceil((N - L + 1) / L) + 1 searches
+    plus ceil(log2 L) comparisons of L symbols per window, however many
+    occurrences overlap.  (``str.rfind`` would find the last occurrence in
+    one call, but CPython's reverse search is not linear: one such call on
+    a level-4 junction text took 20 ms, the bisection 0.03 ms.)
+    """
     if not pattern:
         raise EmptyPattern("pattern must be nonempty")
+    size = len(pattern)
     count = 0
     i = text.find(pattern)
     while i != -1:
-        count += 1
-        i = text.find(pattern, i + 1)
+        second = text.find(pattern, i + 1, i + 2 * size - 1)
+        if second == -1:
+            count += 1
+        else:
+            step = second - i
+            low, high = 1, (size - 1) // step  # slots i + low*step .. i + high*step
+            while low < high:
+                mid = (low + high + 1) // 2
+                if text.startswith(pattern, i + mid * step):
+                    low = mid
+                else:
+                    high = mid - 1
+            count += low + 1
+        i = text.find(pattern, i + size)
     return count
 
 

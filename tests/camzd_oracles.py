@@ -7,6 +7,7 @@ from its two-case definition.  The tests compare ``camzd.count_occurrences_d``,
 ``camzd.period_lattice`` and ``camzd.postcard`` against them.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -77,7 +78,7 @@ def self_concat(w, extents, max_cells: int | None = None):
     extents = tuple(int(e) for e in extents)
     if len(extents) != d or any(e < 1 for e in extents):
         raise InvalidParameter(f"extents must be {d} positive integers")
-    cells = arr.size * int(np.prod([float(e) for e in extents]))
+    cells = arr.size * math.prod(extents)
     if max_cells is not None and cells > max_cells:
         return camzd.PatchworkExpr(base=arr, extents=extents, patches=())
     return np.tile(arr, extents)

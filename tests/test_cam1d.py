@@ -6,6 +6,7 @@ import pytest
 from cam1d_oracles import distinct_factor_counts_automaton
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from slp_oracles import scan_count
 
 from camshift import cam1d, camzd, slp
 from camshift.budgets import Budgets
@@ -152,7 +153,7 @@ def test_level3_counts_match_naive(family3):
     for name in ("w1_2", "w2_2", "b2"):
         row = next(r for r in report.rows if r.ident == f"a-freq[m=2,u={name}]")
         pattern = family3.string(2, name)
-        count = slp.count_occurrences_naive(pattern, a3a3)
+        count = scan_count(pattern, a3a3)
         assert row.lhs == Fraction(count, len(a3a3))
 
 
@@ -290,6 +291,13 @@ def test_measure_report_flags(family4):
     assert level2.a_zero == Fraction(1, 9)
     assert level2.b_zero == Fraction(8, 9)
     assert level2.gap == Fraction(7, 9)
+
+
+def test_measure_report_rejects_unbuilt_levels(family3):
+    for k_max in (-5, 1, 4, 9):
+        with pytest.raises(OutOfBuiltRange):
+            cam1d.measure_report(family3, k_max)
+    assert [row.level for row in cam1d.measure_report(family3, 2)] == [2]
 
 
 # -- complexity ----------------------------------------------------------------------

@@ -52,6 +52,13 @@ def test_self_concat_budget_falls_back_to_patchwork():
     assert out.cell((1, 1)) == 0
 
 
+def test_patchwork_cells_are_exact():
+    # (2**27 + 1)**2 needs 55 bits: a product of floats reads one cell short
+    side = 2**27 + 1
+    word = camzd.PatchworkExpr(base=camzd.make_cube(2, 1), extents=(side, side), patches=())
+    assert word.cells == side * side
+
+
 def test_self_concat_agrees_with_direct_formula(rng):
     for _ in range(100):
         d = rng.choice([1, 2, 3])

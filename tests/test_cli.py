@@ -42,7 +42,7 @@ def test_build_writes_deterministic_file(tmp_path, family_file):
 def test_build_usage_error(tmp_path, monkeypatch, capsys):
     assert run("build", "--dim", "1", "--levels", "1", "--out", str(tmp_path / "x.json")) == 2
     capsys.readouterr()
-    for budget in ("symbols=abc", "symbols=inf", "symbols=nan"):
+    for budget in ("symbols=abc", "symbols=inf", "symbols=nan", "symbols=1.00000000000000001e8"):
         monkeypatch.setenv("CAMSHIFT_BUDGET", budget)
         assert run("build", "--dim", "1", "--levels", "2", "--out", str(tmp_path / "x.json")) == 2
         assert capsys.readouterr().err.startswith("error: budget value")
@@ -426,10 +426,13 @@ def test_budget_env_override(monkeypatch):
         monkeypatch.setenv("CAMSHIFT_BUDGET", f"cells=5e6, {key}=512")
         with pytest.raises(InvalidParameter):
             budgets_from_env()
-    for value in ("-2", "abc", "inf", "nan", "1.5"):
+    for value in ("-2", "abc", "inf", "nan", "1.5", "1.00000000000000001e8", "1e999999999"):
         monkeypatch.setenv("CAMSHIFT_BUDGET", f"cells={value}")
         with pytest.raises(InvalidParameter):
             budgets_from_env()
+    # read exactly, not through a float (which gives 9007199254740992)
+    monkeypatch.setenv("CAMSHIFT_BUDGET", "symbols=9007199254740993.0")
+    assert budgets_from_env().symbols == 9_007_199_254_740_993
 
 
 def test_budget_defaults_are_positive():

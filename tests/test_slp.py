@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camshift import slp
@@ -11,6 +13,7 @@ from camshift.errors import (
     PatternTooLong,
 )
 from conftest import random_expression, random_pattern
+from slp_oracles import brute_count, scan_count
 
 WORDS = st.text(alphabet="01", min_size=1, max_size=48)
 
@@ -148,9 +151,7 @@ def test_count_against_naive_for_a2_pattern(builder):
     doubled = builder.concat([(a3, 2)])
     pattern = slp.materialize(a2_expr(builder))
     text = slp.materialize(doubled)
-    assert builder.count_occurrences(pattern, doubled) == slp.count_occurrences_naive(
-        pattern, text
-    )
+    assert builder.count_occurrences(pattern, doubled) == scan_count(pattern, text)
 
 
 def test_count_rejects_bad_patterns(builder):
@@ -191,14 +192,74 @@ def test_naive_matches_sliding_brute(text, pattern):
     assert slp.count_occurrences_naive(pattern, text) == brute
 
 
+@st.composite
+def overlapping_cases(draw):
+    """A bordered pattern in a periodic or near-periodic text.
+
+    The pattern repeats a root of 1-8 symbols up to L <= 80 symbols, so its
+    occurrences overlap.  The text repeats the same root from a drawn offset
+    for 0 to 5L symbols (or 20L to 60L for L <= 3), and may have one symbol
+    flipped at a drawn position.
+    """
+    root = draw(st.text(alphabet="01", min_size=1, max_size=8))
+    size = draw(st.integers(1, 80))
+    if size <= 3 and draw(st.booleans()):
+        length = draw(st.integers(20 * size, 60 * size))
+    else:
+        length = draw(st.integers(0, 5 * size))
+    offset = draw(st.integers(0, len(root) - 1))
+    text = (root * (length // len(root) + 2))[offset : offset + length]
+    flip = draw(st.none() | st.integers(0, max(length - 1, 0)))
+    if flip is not None and text:
+        text = text[:flip] + "10"[int(text[flip])] + text[flip + 1 :]
+    return (root * size)[:size], text
+
+
+@given(case=overlapping_cases())
+@example(case=("0110", ""))
+@example(case=("01010", "0101"))
+@settings(max_examples=400, deadline=None)
+def test_naive_matches_brute_on_overlapping_runs(case):
+    pattern, text = case
+    assert slp.count_occurrences_naive(pattern, text) == brute_count(pattern, text)
+
+
+class _CountingStr(str):
+    """A str that counts its searches (find, rfind) and startswith tests."""
+
+    def find(self, *args):
+        self.searches += 1
+        return super().find(*args)
+
+    def rfind(self, *args):
+        self.searches += 1
+        return super().rfind(*args)
+
+    def startswith(self, *args):
+        self.tests += 1
+        return super().startswith(*args)
+
+
+def test_naive_search_count_is_per_window():
+    # 981 overlapping occurrences; a window holds L start positions
+    pattern, size, length = "01" * 20, 40, 2000
+    windows = -(-(length - size + 1) // size)
+    text = _CountingStr("01" * 1000)
+    text.searches = text.tests = 0
+    assert scan_count(pattern, text) == 981
+    assert text.searches == 982
+    text.searches = text.tests = 0
+    assert slp.count_occurrences_naive(pattern, text) == 981
+    assert text.searches <= 2 * windows + 1
+    assert text.tests <= windows * math.ceil(math.log2(size))
+
+
 @given(text=WORDS, pattern=st.text(alphabet="01", min_size=1, max_size=6))
 @settings(max_examples=250, deadline=None)
 def test_compressed_count_matches_naive_on_words(text, pattern):
     builder = slp.SlpBuilder()
     expr = builder.word(text)
-    assert builder.count_occurrences(pattern, expr) == slp.count_occurrences_naive(
-        pattern, text
-    )
+    assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
 
 
 def test_oracle_equivalence_randomized(builder, rng):
@@ -209,9 +270,7 @@ def test_oracle_equivalence_randomized(builder, rng):
             continue
         text = slp.materialize(expr)
         pattern = random_pattern(rng, text, max_len=min(64, expr.length))
-        assert builder.count_occurrences(pattern, expr) == slp.count_occurrences_naive(
-            pattern, text
-        )
+        assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
         checked += 1
 
 
@@ -223,9 +282,7 @@ def test_junction_memo_stays_within_its_byte_bound(builder, rng, monkeypatch):
         text = slp.materialize(expr)
         pattern = random_pattern(rng, text, max_len=min(12, expr.length))
         before = builder._junction_bytes
-        assert builder.count_occurrences(pattern, expr) == slp.count_occurrences_naive(
-            pattern, text
-        )
+        assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
         held = sum(len(left) + len(right) + len(p) for left, _, right, p in builder._junction_counts)
         assert held == builder._junction_bytes <= 200
         cleared = cleared or builder._junction_bytes < before
@@ -268,7 +325,7 @@ def runs_and_pattern(draw):
 @settings(max_examples=300, deadline=None)
 def test_run_regimes_match_oracles(case, data):
     builder, expr, text, pattern = case
-    assert builder.count_occurrences(pattern, expr) == slp.count_occurrences_naive(pattern, text)
+    assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
     for k in (len(pattern) - 1, data.draw(st.integers(1, len(text)))):
         assert builder.prefix_snippet(expr, k) == text[:k]
         assert builder.suffix_snippet(expr, k) == text[len(text) - min(k, len(text)) :]
@@ -288,9 +345,7 @@ def test_count_across_many_parts(builder):
     for size in range(1, 8):
         for start in range(len(text) - size + 1):
             pattern = text[start : start + size]
-            assert builder.count_occurrences(pattern, expr) == slp.count_occurrences_naive(
-                pattern, text
-            )
+            assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
 
 
 # -- minimal period ----------------------------------------------------------
