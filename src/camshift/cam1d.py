@@ -17,11 +17,12 @@ appear nowhere in certification.
 
 This module also holds the level driver for any dimension.  A family type
 (:class:`LevelFamily` here, ``camzd.ZdFamily``) is a :class:`Hierarchy`
-that supplies two methods: ``_words(k, n)``, the candidate words of level
-k+1 at parameter n, and ``_certify(k, n)``, their certificate report.
-Everything else exists once and serves both dimensions: :func:`build_level`,
-:func:`certify_level`, :func:`certify_candidate`, the parameter search
-(:func:`search_parameter`, :func:`choose_parameter`), the build loop
+that supplies ``_words(k, n)``, the candidate words of level k+1 at
+parameter n, ``_certify(k, n)``, their certificate report, and
+``_fit_start(k)``, the layout threshold from which that report's rows are
+polynomials in n.  Everything else exists once and serves both dimensions:
+:func:`build_level`, :func:`certify_level`, :func:`certify_candidate`, the
+parameter solver (:func:`choose_parameter`), the build loop
 (:func:`build_levels`) and the rebuild-and-compare loader
 (:func:`load_family`).  The eps-tail rows, the inherited-word loop, the
 frequency and period-gap row formulas (written for dimension d, so d = 1
@@ -30,23 +31,40 @@ shared too.  ``_words`` and ``_certify`` are pure functions of the prefix
 level k and the parameter n: they read levels 1..k of a family and never
 change its levels.  Every limit they meet (symbols materialized, pattern
 length, cells, search cap) is a field of the family's :class:`Budgets`.
+
+The solver rests on one fact: all level-k words share one size, so an
+occurrence of an inherited word meets at most 2^d level-k blocks, and every
+count and size in a level-(k+1) row is an integer polynomial in n of degree
+<= d from the threshold on.  Each row keeps its unreduced integer parts
+(``CertRow.parts``).  The solver certifies the d + 1 parameters from the
+threshold, interpolates every part exactly, and writes the row's lhs < rhs
+as one integer polynomial inequality.  A linear one is solved by floor
+division, a quadratic one by an ``isqrt`` bracket, a higher one (d >= 3) by
+a Sturm count.  The smallest n in the intersection of all the pass sets is
+the answer.  The certifier then runs at n and n - 1, and every count and
+size there must equal its prediction.  That is at most d + 3 certifier
+runs per level, four at each level of the level-4 family.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from . import slp
+from . import sft, slp
 from .budgets import Budgets
 from .errors import (
     BudgetExceeded,
     InvalidParameter,
     MalformedFamily,
     MisalignedWindow,
+    NonPolynomialRow,
     OutOfBuiltRange,
 )
 
@@ -95,6 +113,10 @@ class CertRow:
     rhs: Fraction | None
     status: str  # "pass" | "fail" | "unverifiable" | "info"
     note: str = ""
+    # (lhs numerator, lhs denominator, rhs numerator, rhs denominator) as
+    # certified, unreduced, denominators positive: each is a polynomial in
+    # the level parameter n, which the parameter solver fits; never stored
+    parts: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def margin(self) -> Fraction | None:
@@ -103,8 +125,14 @@ class CertRow:
         return self.rhs - self.lhs
 
 
-def _row(ident: str, lhs: Fraction, rhs: Fraction) -> CertRow:
-    return CertRow(ident=ident, lhs=lhs, rhs=rhs, status="pass" if lhs < rhs else "fail")
+def _row(ident: str, lhs: tuple, rhs: tuple) -> CertRow:
+    """The row lhs < rhs, each side an integer (numerator, denominator) pair."""
+    left, right = Fraction(*lhs), Fraction(*rhs)
+    return CertRow(ident, left, right, "pass" if left < right else "fail", parts=lhs + rhs)
+
+
+def _ratio(x: Fraction) -> tuple:
+    return x.numerator, x.denominator
 
 
 def _unverifiable(ident: str, note: str) -> CertRow:
@@ -114,7 +142,8 @@ def _unverifiable(ident: str, note: str) -> CertRow:
 def _eps_tail_rows(eps: FrequencySequence, new_level: int) -> list:
     """Closed-form tail bounds of the weight scheme, up to the new level."""
     return [
-        _row(f"eps-tail[N={m}]", eps.tail(m), eps.tail_bound(m)) for m in range(1, new_level + 1)
+        _row(f"eps-tail[N={m}]", _ratio(eps.tail(m)), _ratio(eps.tail_bound(m)))
+        for m in range(1, new_level + 1)
     ]
 
 
@@ -139,16 +168,14 @@ def _frequency_row(ident, count: int, size: int, size_next: int, bound: Fraction
 
     Its frequency must stay below bound / (size (2 size - 1)^dim).
     """
-    return _row(
-        ident, Fraction(count, 2**dim * size_next), bound / (size * (2 * size - 1) ** dim)
-    )
+    rhs = (bound.numerator, bound.denominator * size * (2 * size - 1) ** dim)
+    return _row(ident, (count, 2**dim * size_next), rhs)
 
 
 def _period_gap_row(k: int, period: int, size_k: int, size_next: int) -> CertRow:
     """|a_k| / |a_(k+1)| below 1/((4k-2) p_k) - 1/(3^k |a_k|), sizes in cells."""
-    lhs = Fraction(size_k, size_next)
-    rhs = Fraction(1, (4 * k - 2) * period) - Fraction(1, 3**k * size_k)
-    return _row("period-gap", lhs, rhs)
+    gap, scale = (4 * k - 2) * period, 3**k * size_k
+    return _row("period-gap", (size_k, size_next), (scale - gap, gap * scale))
 
 
 @dataclass
@@ -156,6 +183,8 @@ class CertificateReport:
     level: int
     param: int
     rows: list = field(default_factory=list)
+    # the row whose pass set starts last, set by the parameter solver; never stored
+    binding: CertRow | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -226,8 +255,9 @@ class Hierarchy:
     ``levels[k - 1]`` maps the names of level k to its words; ``params`` and
     ``certificates`` hold one entry per level above the first.  A subclass
     supplies ``_words(k, n)`` (the words of level k+1 at parameter n, from
-    levels 1..k) and ``_certify(k, n)`` (their :class:`CertificateReport`);
-    the level driver below needs nothing else.
+    levels 1..k) and ``_certify(k, n)`` (their :class:`CertificateReport`),
+    and overrides ``_fit_start(k)`` where its rows become polynomials in n
+    later than n = 2; the level driver below needs nothing else.
     """
 
     @property
@@ -250,6 +280,12 @@ class Hierarchy:
         return len(self.certificates) == self.top_level - 1 and all(
             c.passed for c in self.certificates
         )
+
+    def _fit_start(self, k: int) -> int:
+        """Smallest n from which every row of ``_certify(k, n)`` is a
+        polynomial in n; no smaller n passes.  In one dimension every
+        parameter n > 1 qualifies."""
+        return 2
 
 
 class LevelFamily(Hierarchy):
@@ -390,13 +426,10 @@ class LevelFamily(Hierarchy):
             else:
                 report.rows.append(_period_gap_row(k, p_k, self.word_length(k), len_next))
 
-        prefix = self.eps.partial(1, k)
-        report.rows.append(
-            _row("a-density[0]", Fraction(builder.count_occurrences("0", a_next), len_next), prefix)
-        )
-        report.rows.append(
-            _row("b-density[1]", Fraction(builder.count_occurrences("1", b_next), len_next), prefix)
-        )
+        prefix = _ratio(self.eps.partial(1, k))
+        for ident, symbol, word in (("a-density[0]", "0", a_next), ("b-density[1]", "1", b_next)):
+            count = builder.count_occurrences(symbol, word)
+            report.rows.append(_row(ident, (count, len_next), prefix))
         return report
 
 
@@ -431,56 +464,200 @@ def certify_candidate(family: Hierarchy, n: int, at_level: int | None = None) ->
     return family._certify(target - 1, n)
 
 
-def search_parameter(family: Hierarchy, certify) -> CertificateReport:
-    """The passing report of the smallest n > 1 for which ``certify(n)``, a
-    CertificateReport of the family's next level at parameter n, passes;
+# -- the parameter solver ------------------------------------------------------
+# A polynomial is a list of coefficients, lowest degree first, with no
+# trailing zero; [] is the zero polynomial.
+
+
+def _trim(p) -> list:
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(p, q) -> list:
+    out = [0] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def _value(p, x):
+    return functools.reduce(lambda total, c: total * x + c, reversed(p), 0)
+
+
+def _fit(values, start: int) -> list:
+    """d! p, where p is the polynomial of degree <= d = len(values) - 1
+    through (start + i, values[i]).
+
+    Newton's forward differences: d! p(n) = sum_j D^j values[0] (d!/j!)
+    (n - start) (n - start - 1) ... (n - start - j + 1), all in integers.
+    """
+    scale = math.factorial(len(values) - 1)
+    poly, basis, diffs = [], [1], list(values)
+    for j in range(len(values)):
+        weight = diffs[0] * (scale // math.factorial(j))
+        poly = [a + weight * b for a, b in itertools.zip_longest(poly, basis, fillvalue=0)]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        basis = _poly_mul(basis, [-(start + j), 1])
+    return _trim(poly)
+
+
+def _fit_rows(reports, start: int) -> dict:
+    """ident -> the row's four parts as polynomials in n, fitted through
+    ``reports``, certified at n = start, start + 1, ..., start + d, and
+    scaled by d!; every report must have the same rows."""
+    tables = [{r.ident: r.parts for r in report.rows if r.parts} for report in reports]
+    for table in tables[1:]:
+        if table.keys() != tables[0].keys():
+            ident = sorted(table.keys() ^ tables[0].keys())[0]
+            raise NonPolynomialRow(f"row {ident} is not certified at every fitted parameter")
+    return {
+        ident: tuple(_fit([table[ident][i] for table in tables], start) for i in range(4))
+        for ident in tables[0]
+    }
+
+
+def _margin(parts) -> list:
+    """rhs_num lhs_den - lhs_num rhs_den: with the denominators positive,
+    the row passes exactly where this polynomial is positive (parts scaled
+    by d! scale it by (d!)^2, which keeps its sign)."""
+    lhs_num, lhs_den, rhs_num, rhs_den = parts
+    left, right = _poly_mul(rhs_num, lhs_den), _poly_mul(lhs_num, rhs_den)
+    return _trim(a - b for a, b in itertools.zip_longest(left, right, fillvalue=0))
+
+
+def _root_ceilings(p) -> set:
+    """Integers among which lies ceil(r) for every real root r of the integer
+    polynomial p.
+
+    Degree 1: one floor division.  Degree 2: with s = isqrt(disc), each root
+    lies between (-b + e) / 2a for e = +-s and e = +-(s + 1), a bracket at
+    most 1/2 wide, so its ceiling is the ceiling of one end.  Higher
+    degrees (only d >= 3 families have them): bisection of a Sturm count
+    down to unit intervals (c - 1, c] inside the Cauchy bound.
+    """
+    if len(p) < 2:
+        return set()
+    if len(p) == 2:
+        b, a = p
+        return {-(b // a)}
+    if len(p) == 3:
+        c, b, a = p
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return set()
+        s = math.isqrt(disc)
+        return {-((b - e) // (2 * a)) for e in (s, s + 1, -s, -s - 1)}
+    seq = sft._sturm_sequence(p[::-1])
+    bound = 2 + max(abs(c) for c in p[:-1]) // abs(p[-1])
+    found, stack = set(), [(-bound - 1, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        if sft._roots_above(seq, lo) == sft._roots_above(seq, hi):
+            continue
+        if hi - lo == 1:
+            found.add(hi)
+        else:
+            mid = (lo + hi) // 2
+            stack += [(lo, mid), (mid, hi)]
+    return found
+
+
+def _smallest_pass(margins, start: int) -> int | None:
+    """The smallest integer n >= start at which every margin is positive.
+
+    The points are start, and c and c + 1 for each root ceiling c above it.
+    Between two consecutive points x < y, no margin has a root in [x, y - 1]
+    (x a root ceiling makes y = x + 1), and past the last point none has a
+    root at all; so every margin keeps its sign on x..y-1, and the
+    intersection of the pass sets starts at a point if anywhere.
+    """
+    points = {start}
+    for p in margins:
+        points.update(x for c in _root_ceilings(p) for x in (c, c + 1) if x > start)
+    return next((x for x in sorted(points) if all(_value(p, x) > 0 for p in margins)), None)
+
+
+def _check_fit(report: CertificateReport, fitted: dict, start: int, scale: int):
+    """Every row certified at n >= start has the parts its polynomials
+    (scaled by ``scale``) predict."""
+    n = report.param
+    if n < start:
+        return
+    actual = {r.ident: r.parts for r in report.rows if r.parts}
+    for ident in list(fitted) + [i for i in actual if i not in fitted]:
+        predicted = None
+        if ident in fitted:
+            predicted = tuple(Fraction(_value(p, n), scale) for p in fitted[ident])
+        if actual.get(ident) != predicted:
+            raise NonPolynomialRow(
+                f"level {report.level} row {ident} at n={n}: certified parts "
+                f"{actual.get(ident)}, fitted polynomials predict {predicted}"
+            )
+
+
+def _decided(report: CertificateReport) -> CertificateReport:
+    """The report, unless a row is unverifiable: such a row stays so at every
+    larger n (its word, or the doubled density word, is over budget)."""
+    if report.unverifiable_rows:
+        notes = "; ".join(r.note for r in report.unverifiable_rows[:2])
+        raise BudgetExceeded(
+            f"certification of level {report.level} undecidable at budget: {notes}"
+        )
+    return report
+
+
+def choose_parameter(family: Hierarchy) -> CertificateReport:
+    """The passing report of the smallest n > 1 whose candidate level passes;
     n is ``report.param``.
 
-    Doubles until a passing n is found, then bisects between the last
-    failing n and it.  Every n is certified at most once: the search keeps
-    the report of the smallest passing n it has seen, and the failing lower
-    end of the bisection is never tried again.  Doubling past the family's
-    ``search_cap`` raises BudgetExceeded.  A report with unverifiable rows
-    and no failed row decides nothing, so it stops the search with
-    BudgetExceeded.
+    Every row's four parts are polynomials in n of degree <= d (the family's
+    dimension) from ``family._fit_start(k)`` on, and no smaller n passes.
+    The solver certifies the d + 1 parameters from there, fits each part
+    exactly in integers (:func:`_fit`), turns each row into one integer
+    polynomial inequality (:func:`_margin`) and takes the smallest n in the
+    intersection of their pass sets (:func:`_smallest_pass`).  It then
+    certifies n and n - 1: every row there must have its predicted parts,
+    else NonPolynomialRow names it; n must pass and n - 1 fail.  No (level,
+    n) is certified twice.  The report at n is returned, with ``binding``
+    set to its row that fails at n - 1, the first in report order: that
+    row's pass set starts last.
+
+    An answer above the family's ``search_cap`` raises BudgetExceeded, and
+    so does an unverifiable row, at any parameter certified.
     """
     if not family.is_certified():
         raise InvalidParameter("family must be certified through its top level")
     cap = family.budgets.search_cap
+    start = family._fit_start(family.top_level)
+    reports = {}
 
-    def decide(n: int) -> CertificateReport:
-        report = certify(n)
-        if report.unverifiable_rows and not report.failed_rows:
-            notes = "; ".join(r.note for r in report.unverifiable_rows[:2])
-            raise BudgetExceeded(
-                f"certification of level {report.level} undecidable at budget: {notes}"
-            )
-        return report
+    def certify(n: int) -> CertificateReport:
+        if n not in reports:
+            reports[n] = _decided(certify_candidate(family, n))
+        return reports[n]
 
-    report = decide(2)
-    if report.passed:
-        return report
-    lo, hi = 2, 4
-    best = decide(hi)
-    while not best.passed:
-        lo = hi
-        hi *= 2
-        if hi > cap:
-            raise BudgetExceeded(f"no passing parameter found up to cap {cap}")
-        best = decide(hi)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        report = decide(mid)
-        if report.passed:
-            hi, best = mid, report
-        else:
-            lo = mid
-    return best
-
-
-def choose_parameter(family: Hierarchy) -> CertificateReport:
-    """The passing report of the smallest n > 1 whose candidate level passes."""
-    return search_parameter(family, lambda n: certify_candidate(family, n))
+    fitted = _fit_rows([certify(n) for n in range(start, start + family.dim + 1)], start)
+    n = _smallest_pass([_margin(parts) for parts in fitted.values()], start)
+    if n is None or n > cap:
+        raise BudgetExceeded(f"no passing parameter found up to cap {cap}")
+    scale = math.factorial(family.dim)
+    report = certify(n)
+    _check_fit(report, fitted, start, scale)
+    below = certify(n - 1) if n > 2 else None
+    if below is not None:
+        _check_fit(below, fitted, start, scale)
+    if not report.passed or (below is not None and below.passed):
+        raise NonPolynomialRow(
+            f"level {report.level}: n={n} is not the first passing parameter the rows predict"
+        )
+    if below is not None:
+        ident = below.failed_rows[0].ident
+        report.binding = next(r for r in report.rows if r.ident == ident)
+    return report
 
 
 def build_levels(family: Hierarchy, levels: int) -> Hierarchy:

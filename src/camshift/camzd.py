@@ -18,15 +18,16 @@ by cosets of the span found so far.  Both are exact.  The compressed form
 (base + patches) is kept for layout queries and cell evaluation.
 
 The level driver lives once in :mod:`camshift.cam1d` and serves both
-dimensions: building, certifying, the parameter search, the build loop and
+dimensions: building, certifying, the parameter solver, the build loop and
 the rebuild-and-compare loader, with the level accessors, the eps-tail
 rows, the inherited-word loop, the frequency and period-gap row formulas
 and the pair-scan skeleton.  :class:`ZdFamily` supplies only its candidate
-words (``_words``) and its report (``_certify``).  This module keeps the
-cube words, their numpy counting and the rows only the d-dimensional
-certificate has (the stamp fit and the side-length variants);
-``build_level_d`` and ``certify_candidate_d`` are the shared functions
-under their d-dimensional names.
+words (``_words``), its report (``_certify``) and the postcard margin from
+which the report's rows are polynomials in n (``_fit_start``).  This
+module keeps the cube words, their numpy counting and the rows only the
+d-dimensional certificate has (the stamp fit and the side-length
+variants); ``build_level_d`` and ``certify_candidate_d`` are the shared
+functions under their d-dimensional names.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .cam1d import (
     _inherited_words,
     _pair_report,
     _period_gap_row,
+    _ratio,
     _row,
     _unverifiable,
     build_level,
@@ -400,6 +402,13 @@ class ZdFamily(Hierarchy):
             words[name] = wrap(name, postcard(stamps, base, n, require_margin=True))
         return words
 
+    def _fit_start(self, k: int) -> int:
+        """The postcard margin 2k+4 for k stamps (one at level 2, which also
+        leaves room for the deviant cell at n >= 3).  Below it the report is
+        the eps tails and a failing stamp-fit row; from it on, every row is a
+        polynomial in n."""
+        return 2 * _stamp_count(k) + 4
+
     def _certify(self, k: int, n: int) -> CertificateReport:
         """Exact certification of level k+1 at parameter n against levels 1..k.
 
@@ -413,13 +422,12 @@ class ZdFamily(Hierarchy):
         d = self.dim
         new_level = k + 1
         report = CertificateReport(level=new_level, param=n)
-        stamp_count = 1 if k == 1 else 2 * k
-        fit_rhs = 2 * stamp_count + 4
+        fit_rhs = self._fit_start(k)
         report.rows += _eps_tail_rows(self.eps, new_level)
-        fit_row = _row(f"stamp-fit[k={stamp_count}]", Fraction(fit_rhs), Fraction(n + 1))
+        fit_row = _row(f"stamp-fit[k={_stamp_count(k)}]", (fit_rhs, 1), (n + 1, 1))
         fit_row.note = "layout precondition n >= 2k+4 (pass iff 2k+4 < n+1)"
         report.rows.append(fit_row)
-        if n < max(fit_rhs, 3):
+        if n < fit_rhs:
             return report  # cannot even place stamps; frequency rows are moot
 
         words = self._words(k, n)
@@ -459,7 +467,7 @@ class ZdFamily(Hierarchy):
                 p_k = period_lattice(base.array).index
                 report.rows.append(_period_gap_row(k, p_k, self.volume(k), vol_next))
 
-        prefix = self.eps.partial(1, k)
+        prefix = _ratio(self.eps.partial(1, k))
         for ident, word, symbol in (("a-density[1]", a_next, 1), ("b-density[0]", b_next, 0)):
             if word.array is None:
                 report.rows.append(
@@ -467,8 +475,14 @@ class ZdFamily(Hierarchy):
                 )
                 continue
             count = int((word.array == symbol).sum())
-            report.rows.append(_row(ident, Fraction(count, vol_next), prefix))
+            report.rows.append(_row(ident, (count, vol_next), prefix))
         return report
+
+
+def _stamp_count(k: int) -> int:
+    """Stamps on a level-(k+1) postcard: the deviant cell at level 2, else
+    the 2k other level-k words."""
+    return 1 if k == 1 else 2 * k
 
 
 def excluded_a_d(m: int) -> str:

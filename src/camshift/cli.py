@@ -122,6 +122,9 @@ def cmd_build(args) -> int:
             f"level {report.level}: n={report.param}, rows={len(checked)}, "
             f"{'pass' if report.passed else 'FAIL'}"
         )
+        binding = report.binding
+        row = f"{binding.ident}, margin {_frac_str(binding.margin)}" if binding else "none (n=2)"
+        print(f"level {report.level}: binding row {row}", file=sys.stderr)
     print(f"family written to {args.out}")
     return EXIT_OK if family.is_certified() else EXIT_VIOLATION
 

@@ -51,3 +51,8 @@ class ReducibleMatrix(CamshiftError):
 
 class MalformedFamily(CamshiftError):
     pass
+
+
+class NonPolynomialRow(CamshiftError):
+    """A certificate row whose counts or sizes leave the polynomial the
+    parameter solver fitted them to."""

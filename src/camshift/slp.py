@@ -120,6 +120,7 @@ class SlpBuilder:
         # suffix/prefix snippets, so the heavy scans run once per content
         self._junction_counts: dict = {}
         self._junction_bytes = 0
+        self._checked: set = set()  # patterns whose symbols are all in SYMBOLS
 
     # -- construction -------------------------------------------------
 
@@ -208,10 +209,12 @@ class SlpBuilder:
             raise PatternTooLong(
                 f"pattern length {len(pattern)} exceeds snippet cap {self.snippet_cap}"
             )
-        # one scan at C speed: a check per symbol cost ~30M calls per level-4 build
-        stray = pattern.translate(_DROP_SYMBOLS)
-        if stray:
-            _check_symbol(stray[0])
+        if pattern not in self._checked:
+            # one scan at C speed, once per distinct pattern
+            stray = pattern.translate(_DROP_SYMBOLS)
+            if stray:
+                _check_symbol(stray[0])
+            self._checked.add(pattern)
         return self._count(expr, pattern)
 
     def _count(self, node, pattern):
@@ -411,10 +414,23 @@ def count_occurrences_naive(pattern: str, text: str) -> int:
 
 
 def minimal_period(word: str) -> int:
-    """Smallest p >= 1 with word[i] == word[i+p] for all valid i."""
+    """Smallest p >= 1 with word[i] == word[i+p] for all valid i.
+
+    A period p <= n/2 puts the first h = ceil(n/2) symbols again at p.  So
+    if the minimal period p is <= n/2, the first occurrence q > 0 of that
+    prefix has q <= p, and the prefix of length q + h has the periods q and
+    p with q + h >= p + q - gcd(p, q): by Fine and Wilf's lemma it has the
+    period gcd(p, q), a divisor of p and thus a period of the word, so
+    q = p.  A q checked to be a period is minimal for the same reason.
+    Every doubled word a a is decided by these two C-speed calls; only a
+    word with no period <= n/2 goes on to the border (KMP) scan.
+    """
     n = len(word)
     if n == 0:
         raise InvalidParameter("minimal_period needs a nonempty word")
+    q = word.find(word[: (n + 1) // 2], 1)
+    if q != -1 and word.startswith(word[q:]):
+        return q
     border = [0] * n
     k = 0
     for i in range(1, n):

@@ -1,10 +1,18 @@
-"""Reference implementation of the one-dimensional complexity counter.
+"""Reference implementations for ``camshift.cam1d``.
 
 The suffix automaton below is the direct per-symbol construction.  The
 tests compare ``cam1d.distinct_factor_counts`` (one sort of packed
 prefixes plus the LCP of sorted neighbours) against it and against
 brute-force sets of slices.
+
+``doubling_search`` finds each level's parameter by certifying candidates
+only: doubling until one passes, then bisection.  The tests compare
+``cam1d.choose_parameter``, which solves the fitted row polynomials, with
+it.
 """
+
+from camshift import cam1d
+from camshift.errors import BudgetExceeded
 
 
 def distinct_factor_counts_automaton(text: str, n_max: int) -> list[int]:
@@ -56,3 +64,48 @@ def distinct_factor_counts_automaton(text: str, n_max: int) -> list[int]:
         acc += diff[n]
         counts.append(acc)
     return counts
+
+
+def doubling_search(family):
+    """The passing report of the smallest n > 1 whose candidate level passes.
+
+    Doubles n from 2 until a candidate passes, then bisects between the
+    last failing n and it; a report with unverifiable rows and no failed
+    row, or doubling past ``search_cap``, raises BudgetExceeded.
+    """
+    cap = family.budgets.search_cap
+
+    def decide(n):
+        report = cam1d.certify_candidate(family, n)
+        if report.unverifiable_rows and not report.failed_rows:
+            raise BudgetExceeded(f"certification of level {report.level} undecidable at budget")
+        return report
+
+    report = decide(2)
+    if report.passed:
+        return report
+    lo, hi = 2, 4
+    best = decide(hi)
+    while not best.passed:
+        lo = hi
+        hi *= 2
+        if hi > cap:
+            raise BudgetExceeded(f"no passing parameter found up to cap {cap}")
+        best = decide(hi)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        report = decide(mid)
+        if report.passed:
+            hi, best = mid, report
+        else:
+            lo = mid
+    return best
+
+
+def build_by_doubling(family, levels: int):
+    """``cam1d.build_levels`` with each parameter from ``doubling_search``."""
+    for _ in range(levels - 1):
+        report = doubling_search(family)
+        cam1d.build_level(family, report.param)
+        family.certificates.append(report)
+    return family

@@ -1,9 +1,11 @@
 import json
+import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from cam1d_oracles import distinct_factor_counts_automaton
+from cam1d_oracles import build_by_doubling, distinct_factor_counts_automaton
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from slp_oracles import scan_count
@@ -14,6 +16,7 @@ from camshift.errors import (
     InvalidParameter,
     MalformedFamily,
     MisalignedWindow,
+    NonPolynomialRow,
     OutOfBuiltRange,
 )
 
@@ -119,8 +122,12 @@ def test_choose_parameter_level2():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: cam1d.build_family(levels=3), lambda: camzd.build_family_d(dim=2, levels=2)],
-    ids=["d1-levels3", "d2-levels2"],
+    [
+        lambda: cam1d.build_family(levels=3),
+        lambda: camzd.build_family_d(dim=2, levels=2),
+        lambda: cam1d.build_family(levels=4),
+    ],
+    ids=["d1-levels3", "d2-levels2", "d1-levels4"],
 )
 def test_build_certifies_each_candidate_once(build, monkeypatch):
     certify = cam1d.certify_candidate
@@ -134,8 +141,94 @@ def test_build_certifies_each_candidate_once(build, monkeypatch):
     family = build()
     seen = [(r.level, r.param) for r in reports]
     assert len(seen) == len(set(seen))
+    # d + 1 fitted parameters, then the answer n and n - 1
+    assert max(Counter(level for level, _ in seen).values()) <= 5
     # the stored certificates are the reports the search decided on
     assert all(any(c is r for r in reports) for c in family.certificates)
+
+
+@pytest.mark.parametrize(
+    "new_family, levels",
+    [
+        (cam1d.LevelFamily, 4),
+        (lambda: camzd.ZdFamily(dim=2), 2),
+        # cubic rows: the solver's Sturm path
+        (lambda: camzd.ZdFamily(dim=3), 2),
+    ],
+    ids=["d1-levels4", "d2-levels2", "d3-levels2"],
+)
+def test_solver_matches_doubling_search(new_family, levels):
+    solved = cam1d.build_levels(new_family(), levels)
+    searched = build_by_doubling(new_family(), levels)
+    assert solved.params == searched.params
+    assert [cam1d.report_to_obj(r) for r in solved.certificates] == [
+        cam1d.report_to_obj(r) for r in searched.certificates
+    ]
+
+
+@pytest.mark.parametrize(
+    "fixture, level, params",
+    [
+        ("family3", 2, range(2, 61)),
+        ("family3", 3, range(2, 61)),
+        # below the postcard margin n = 12 only the eps-tail and stamp-fit rows exist
+        ("family_d2", 3, range(8, 21)),
+    ],
+    ids=["d1-level2", "d1-level3", "d2-level3"],
+)
+def test_fitted_rows_predict_certified_parts(request, fixture, level, params):
+    family = request.getfixturevalue(fixture)
+    start = family._fit_start(level - 1)
+
+    def certify(n):
+        return cam1d.certify_candidate(family, n, at_level=level)
+
+    fitted = cam1d._fit_rows([certify(n) for n in range(start, start + family.dim + 1)], start)
+    scale = math.factorial(family.dim)
+    for n in params:
+        parts = {r.ident: r.parts for r in certify(n).rows if r.parts}
+        if n >= start:
+            assert parts.keys() == fitted.keys()
+        for ident, actual in parts.items():
+            predicted = tuple(Fraction(cam1d._value(p, n), scale) for p in fitted[ident])
+            assert predicted == actual, (n, ident)
+
+
+def test_solver_rejects_a_non_polynomial_row(monkeypatch):
+    certify = cam1d.LevelFamily._certify
+
+    def bent(self, k, n):
+        # exact at the fitted n = 2, 3, off by (n - 2)(n - 3) elsewhere
+        report = certify(self, k, n)
+        i = next(i for i, r in enumerate(report.rows) if r.ident == "a-density[0]")
+        count, size, bound_num, bound_den = report.rows[i].parts
+        bent_count = count + (n - 2) * (n - 3)
+        report.rows[i] = cam1d._row("a-density[0]", (bent_count, size), (bound_num, bound_den))
+        return report
+
+    monkeypatch.setattr(cam1d.LevelFamily, "_certify", bent)
+    with pytest.raises(NonPolynomialRow, match=r"row a-density\[0\] at n=8"):
+        cam1d.choose_parameter(cam1d.LevelFamily())
+
+
+POLYNOMIALS = st.lists(st.integers(-30, 30), min_size=1, max_size=5).map(cam1d._trim)
+
+
+@given(margins=st.lists(POLYNOMIALS, min_size=1, max_size=3), start=st.integers(-20, 20))
+@settings(max_examples=300, deadline=None)
+@example(margins=[[-6, 1]], start=2)  # linear
+@example(margins=[[12, -7, 1]], start=3)  # (n - 3)(n - 4): fails at 3 and 4 only
+@example(margins=[[-12, 7, -1]], start=0)  # only 3 < n < 4: never on an integer
+@example(margins=[[-1, 0, 2], [0, 0, 0, 1]], start=-5)  # irrational roots, cubic
+@example(margins=[[-4, 8, -5, 1]], start=0)  # (n - 1)(n - 2)^2: a double root
+def test_smallest_pass_matches_a_scan(margins, start):
+    # past the Cauchy bound every margin has the sign of its leading coefficient
+    bound = max((2 + max(map(abs, p[:-1]), default=0) // abs(p[-1]) for p in margins if p), default=0)
+    scan = next(
+        (n for n in range(start, max(start, bound) + 2) if all(cam1d._value(p, n) > 0 for p in margins)),
+        None,
+    )
+    assert cam1d._smallest_pass(margins, start) == scan
 
 
 def test_choose_parameter_requires_certified_family():

@@ -58,7 +58,7 @@ def test_build_d2_level3_exceeds_budget(tmp_path, monkeypatch):
 
 
 def test_build_search_cap_exhaustion(tmp_path, monkeypatch, capsys):
-    # level 2 first passes at n = 8; doubling tries 2, 4 and then 8
+    # level 2 first passes at n = 8; the solver's answer is bounded by the cap
     out = tmp_path / "capped.json"
     monkeypatch.setenv("CAMSHIFT_BUDGET", "search_cap=7")
     assert run("build", "--dim", "1", "--levels", "2", "--out", str(out)) == 3
@@ -67,6 +67,22 @@ def test_build_search_cap_exhaustion(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CAMSHIFT_BUDGET", "search_cap=8")
     assert run("build", "--dim", "1", "--levels", "2", "--out", str(out)) == 0
     assert "level 2: n=8, rows=6, pass" in capsys.readouterr().out
+
+
+def test_build_prints_binding_rows_on_stderr(tmp_path, family_file, capsys):
+    out = tmp_path / "again.json"
+    assert run("build", "--dim", "1", "--levels", "3", "--out", str(out)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "level 2: n=8, rows=6, pass\n"
+        "level 3: n=979, rows=14, pass\n"
+        f"family written to {out}\n"
+    )
+    assert captured.err == (
+        "level 2: binding row a-freq[m=1,u=w1_1], margin 1/72\n"
+        "level 3: binding row a-freq[m=2,u=w2_2], margin 1/7995168\n"
+    )
+    assert out.read_bytes() == family_file.read_bytes()
 
 
 def test_certify_round_trip_bytes(family_file, tmp_path, capsys):

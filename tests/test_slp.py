@@ -166,6 +166,17 @@ def test_count_rejects_bad_patterns(builder):
             builder.count_occurrences(pattern, a2)
 
 
+def test_bad_pattern_raises_after_a_good_one_is_counted(builder):
+    # patterns are checked once each; a new one is still checked
+    a2 = a2_expr(builder)
+    assert builder.count_occurrences("01", a2) == 1
+    assert builder.count_occurrences("01", a2) == 1
+    with pytest.raises(InvalidParameter, match="got '2'"):
+        builder.count_occurrences("012", a2)
+    with pytest.raises(InvalidParameter, match="got '2'"):
+        builder.count_occurrences("012", a2)
+
+
 def test_count_is_deterministic(builder):
     expr = a3_expr(builder, n3=5)
     assert builder.count_occurrences("01", expr) == builder.count_occurrences("01", expr)
@@ -365,6 +376,28 @@ def test_minimal_period_brute_force(word):
         p for p in range(1, len(word) + 1) if all(word[i] == word[i + p] for i in range(len(word) - p))
     )
     assert slp.minimal_period(word) == brute
+
+
+@given(base=WORDS, copies=st.integers(2, 4), extra=st.integers(0, 47))
+@settings(max_examples=150, deadline=None)
+def test_minimal_period_of_repeated_words(base, copies, extra):
+    # a period <= n/2: the prefix-search branch
+    word = base * copies + base[: extra % len(base)]
+    brute = next(
+        p for p in range(1, len(word) + 1) if all(word[i] == word[i + p] for i in range(len(word) - p))
+    )
+    assert slp.minimal_period(word) == brute
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_minimal_period_of_doubled_level_words(builder, level):
+    a_k = a2_expr(builder) if level == 2 else a3_expr(builder, n3=3)
+    text = slp.materialize(a_k)
+    word = text + text
+    brute = next(
+        p for p in range(1, len(word) + 1) if all(word[i] == word[i + p] for i in range(len(word) - p))
+    )
+    assert slp.minimal_period(word) == brute == len(text)
 
 
 def test_minimal_period_rejects_empty():
