@@ -10,12 +10,20 @@ row 3 of every other axis.  All level-(k+1) words therefore share one cube
 domain; the displayed periodic/postcard forms only make sense together
 with that equal-domain convention.
 
-Counting materializes the words under a cell budget and compares packed
-cells: runs of up to 63 last-axis cells become one ``uint64`` code, so a
-placement is checked with one integer comparison per pattern row chunk.
-Period lattices filter their candidates at a few cells and test the rest
-by cosets of the span found so far.  Both are exact.  The compressed form
-(base + patches) is kept for layout queries and cell evaluation.
+The counting kernel compares packed cells: runs of up to 63 last-axis
+cells become one ``uint64`` code, so a placement is checked with one
+integer comparison per pattern row chunk.  A certificate never builds the
+doubled density word it counts in.  That word is a grid of level-k blocks,
+the base everywhere but at the stamp copies, and every inherited word fits
+in one block; so :class:`DoubledGrid` counts it in one small window per
+distinct neighbourhood of 2^d blocks, times the number of corner blocks
+with that neighbourhood, which is a closed form in the grid size (the
+d-dimensional form of the run formula of :mod:`camshift.slp`).  The
+symbol densities come from the base and the stamps alone, and the
+configuration windows are sliced from the tiled base with the stamps
+copied in.  Only the distinct-pair scan builds doubled words, under the
+cell budget.  Period lattices filter their candidates at a few cells and
+test the rest by cosets of the span found so far.  All of it is exact.
 
 The level driver lives once in :mod:`camshift.cam1d` and serves both
 dimensions: building, certifying, the parameter solver, the build loop and
@@ -32,6 +40,7 @@ functions under their d-dimensional names.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +87,7 @@ __all__ = [
     "ZdFamily",
     "postcard",
     "count_occurrences_d",
+    "DoubledGrid",
     "period_lattice",
     "build_level_d",
     "certify_candidate_d",
@@ -198,18 +208,49 @@ def _pack(arr: ArrayWord, width: int) -> np.ndarray:
     return code
 
 
-def _count_packed(shape, pattern_code, starts, text_code, placements) -> int:
+@dataclass(frozen=True)
+class _PackedPattern:
+    shape: tuple
+    width: int    # cells per code
+    starts: list  # last-axis chunk starts
+    code: np.ndarray
+
+
+def _pack_pattern(pattern: ArrayWord) -> _PackedPattern:
+    w = pattern.shape[-1]
+    width = min(_PACK_WIDTH, w)
+    starts = list(range(0, w - width, width)) + [w - width]
+    return _PackedPattern(pattern.shape, width, starts, _pack(pattern, width))
+
+
+def _count_packed(pattern: _PackedPattern, text_code, placements) -> int:
     mask = np.ones(placements, dtype=bool)
     equal = np.empty_like(mask)
-    for lead in np.ndindex(*shape[:-1]):
+    for lead in np.ndindex(*pattern.shape[:-1]):
         rows = tuple(slice(i, i + r) for i, r in zip(lead, placements))
-        for c0 in starts:
+        for c0 in pattern.starts:
             window = text_code[rows + (slice(c0, c0 + placements[-1]),)]
-            np.equal(window, pattern_code[lead + (c0,)], out=equal)
+            np.equal(window, pattern.code[lead + (c0,)], out=equal)
             mask &= equal
             if not mask.any():
                 return 0
     return int(np.count_nonzero(mask))
+
+
+def _count_patterns(patterns: list, text: ArrayWord) -> list:
+    """Counts of packed patterns, all of one shape, in ``text``: each slab
+    of the text is packed once for all of them."""
+    shape, width = patterns[0].shape, patterns[0].width
+    first = text.shape[0] - shape[0] + 1
+    rows = max(1, _SLAB_CELLS * text.shape[0] // text.size)
+    totals = [0] * len(patterns)
+    for r in range(0, first, rows):
+        slab = text[r : r + rows + shape[0] - 1]
+        placements = tuple(t - p + 1 for t, p in zip(slab.shape, shape))
+        code = _pack(slab, width)
+        for i, pattern in enumerate(patterns):
+            totals[i] += _count_packed(pattern, code, placements)
+    return totals
 
 
 def count_occurrences_d(pattern, text) -> int:
@@ -233,18 +274,125 @@ def count_occurrences_d(pattern, text) -> int:
         raise EmptyPattern("pattern has no cells")
     if any(p > t for p, t in zip(pattern.shape, text.shape)):
         raise ShapeMismatch("pattern does not fit inside text")
-    w = pattern.shape[-1]
-    width = min(_PACK_WIDTH, w)
-    starts = list(range(0, w - width, width)) + [w - width]
-    pattern_code = _pack(pattern, width)
-    first = text.shape[0] - pattern.shape[0] + 1
-    rows = max(1, _SLAB_CELLS * text.shape[0] // text.size)
-    total = 0
-    for r in range(0, first, rows):
-        slab = text[r : r + rows + pattern.shape[0] - 1]
-        placements = tuple(t - p + 1 for t, p in zip(slab.shape, pattern.shape))
-        total += _count_packed(pattern.shape, pattern_code, starts, _pack(slab, width), placements)
-    return total
+    return _count_patterns([_pack_pattern(pattern)], text)[0]
+
+
+# -- the doubled word as a grid of blocks ---------------------------------------
+
+
+def _ones(word: PatchworkExpr) -> int:
+    """Cells of ``word`` equal to 1, from its base and stamps alone."""
+    base = int(word.base.sum())
+    stamps = sum(int(stamp.sum()) - base for _, stamp in word.patches)
+    return math.prod(word.extents) * base + stamps
+
+
+def _offsets(edge: tuple) -> list:
+    """Block offsets in {0, 1}^d of a corner block's neighbours inside the
+    text: none past the far edge on the axes of ``edge``."""
+    return list(itertools.product(*[(0,) if e else (0, 1) for e in edge]))
+
+
+class DoubledGrid:
+    """Counts in the doubled word of a patchwork (2^d copies of it), on its
+    grid of G = 2 * extent blocks per axis, without building it.
+
+    Every block is the base except the stamp copies.  A pattern that fits in
+    one block (side t <= s per axis) has the corner of each placement in
+    exactly one block b, so it meets only b and its neighbours b + delta,
+    delta in {0, 1}^d.  The placements with corner in b are those of the
+    pattern in the window that starts at b and runs s + t - 1 cells per
+    axis, or s cells on an axis where b is the last block.  So the count is
+    the sum over the distinct neighbourhoods of multiplicity x the count in
+    their window.  Only the corners next to a stamp copy are listed one by
+    one; the others have an all-base neighbourhood, and their number is a
+    product of (G - 1) factors per set of far-edge axes less the listed
+    ones.  Windows of equal cells are counted once.
+    """
+
+    def __init__(self, word: PatchworkExpr):
+        self.dim = word.dim
+        self.side = word.base.shape[0]
+        grid = tuple(2 * e for e in word.extents)
+        ids = {word.base.tobytes(): 0}
+        self.blocks = [word.base]
+        stamps = {}  # grid position -> index into blocks
+        for anchor, stamp in word.patches:
+            name = ids.setdefault(stamp.tobytes(), len(ids))
+            if name == len(self.blocks):
+                self.blocks.append(stamp)
+            if name:  # a stamp equal to the base is base
+                for copy in itertools.product((0, 1), repeat=self.dim):
+                    at = tuple(a + c * e for a, c, e in zip(anchor, copy, word.extents))
+                    stamps[at] = name
+        every = list(itertools.product((0, 1), repeat=self.dim))
+        corners = {tuple(x - o for x, o in zip(at, off)) for at in stamps for off in every}
+        groups, listed = {}, {}
+        for corner in sorted(c for c in corners if min(c) >= 0):
+            edge = tuple(x == g - 1 for x, g in zip(corner, grid))
+            names = tuple(
+                stamps.get(tuple(x + o for x, o in zip(corner, off)), 0) for off in _offsets(edge)
+            )
+            groups[edge, names] = groups.get((edge, names), 0) + 1
+            listed[edge] = listed.get(edge, 0) + 1
+        for edge in itertools.product((False, True), repeat=self.dim):
+            plain = math.prod(g - 1 for g, e in zip(grid, edge) if not e) - listed.get(edge, 0)
+            if plain:
+                key = (edge, (0,) * len(_offsets(edge)))
+                groups[key] = groups.get(key, 0) + plain
+        # (multiplicity, far-edge axes, block index of each in-text neighbour)
+        self.neighbourhoods = [(mult, edge, names) for (edge, names), mult in groups.items()]
+        self._by_shape = {}
+
+    def window_cells(self, shape) -> int:
+        """Cells of the largest window a pattern of ``shape`` is counted in."""
+        return math.prod(self.side + t - 1 for t in shape)
+
+    def count(self, pattern) -> int:
+        """Placements of ``pattern`` in the doubled word."""
+        pattern = _check_word(pattern)
+        if pattern.ndim != self.dim or any(t > self.side for t in pattern.shape):
+            raise ShapeMismatch(
+                f"pattern {pattern.shape} does not fit in a block of side {self.side}"
+            )
+        return sum(
+            mult * count_occurrences_d(pattern, window)
+            for window, mult in self._windows(pattern.shape)
+        )
+
+    def _windows(self, shape) -> list:
+        """(window, multiplicity) for patterns of ``shape``, one per distinct window."""
+        if shape not in self._by_shape:
+            s = self.side
+            windows = {}
+            for mult, edge, names in self.neighbourhoods:
+                size = tuple(s if e else s + t - 1 for e, t in zip(edge, shape))
+                window = np.empty(size, dtype=np.uint8)
+                for off, name in zip(_offsets(edge), names):
+                    cut = [t - 1 if o else s for o, t in zip(off, shape)]
+                    target = tuple(slice(o * s, o * s + c) for o, c in zip(off, cut))
+                    window[target] = self.blocks[name][tuple(slice(0, c) for c in cut)]
+                entry = windows.setdefault((size, window.tobytes()), [window, 0])
+                entry[1] += mult
+            self._by_shape[shape] = list(windows.values())
+        return self._by_shape[shape]
+
+
+def _doubled_window(word: PatchworkExpr, corner, sides) -> ArrayWord:
+    """Cells corner .. corner + sides - 1 (0-based) of the doubled word: the
+    tiled base, overwritten by each stamp copy that meets the rectangle."""
+    s = word.base.shape[0]
+    out = word.base[np.ix_(*[np.arange(c, c + size) % s for c, size in zip(corner, sides)])]
+    for anchor, stamp in word.patches:
+        for copy in itertools.product((0, 1), repeat=word.dim):
+            lows = [(a + c * e) * s for a, c, e in zip(anchor, copy, word.extents)]
+            starts = [max(lo, c) for lo, c in zip(lows, corner)]
+            stops = [min(lo + s, c + size) for lo, c, size in zip(lows, corner, sides)]
+            if all(a < b for a, b in zip(starts, stops)):
+                target = tuple(slice(a - c, b - c) for a, b, c in zip(starts, stops, corner))
+                cut = tuple(slice(a - lo, b - lo) for a, b, lo in zip(starts, stops, lows))
+                out[target] = stamp[cut]
+    return out
 
 
 @dataclass(frozen=True)
@@ -376,31 +524,48 @@ class ZdFamily(Hierarchy):
                 raise BudgetExceeded(
                     f"level-2 cubes of {n**d} cells exceed the cell budget {cell_cap}"
                 )
-            center = (2,) * d  # cell (3, ..., 3), 0-based
-            a2 = make_cube(d, n, 0)
-            a2[center] = 1
-            b2 = make_cube(d, n, 1)
-            b2[center] = 0
+            density = self._density_words(k, n)
             return {
                 "w1_2": wrap("w1_2", make_cube(d, n, 0)),
                 "w2_2": wrap("w2_2", make_cube(d, n, 1)),
-                "a2": wrap("a2", a2),
-                "b2": wrap("b2", b2),
+                "a2": wrap("a2", density["a"].to_array()),
+                "b2": wrap("b2", density["b"].to_array()),
             }
 
-        prev = self.levels[k - 1]
-        stamps = [prev[name].array for name in level_names(k)]
-        if any(stamp is None for stamp in stamps):
-            raise BudgetExceeded(f"level-{k} words exceed the cell budget")
         # the periodic words are stamp-less postcards, so every word above level
         # 2 has the same file form whatever the cell budget
         words = {
             f"w{i}_{k + 1}": wrap(f"w{i}_{k + 1}", postcard([], stamp, n))
-            for i, stamp in enumerate(stamps, start=1)
+            for i, stamp in enumerate(self._stamps(k), start=1)
         }
-        for name, base in ((f"a{k + 1}", stamps[-2]), (f"b{k + 1}", stamps[-1])):
-            words[name] = wrap(name, postcard(stamps, base, n, require_margin=True))
+        for side, word in self._density_words(k, n).items():
+            words[f"{side}{k + 1}"] = wrap(f"{side}{k + 1}", word)
         return words
+
+    def _stamps(self, k: int) -> list:
+        """The level-k words as arrays, in name order."""
+        stamps = [self.levels[k - 1][name].array for name in level_names(k)]
+        if any(stamp is None for stamp in stamps):
+            raise BudgetExceeded(f"level-{k} words exceed the cell budget")
+        return stamps
+
+    def _density_words(self, k: int, n: int) -> dict:
+        """The density words of level k+1 at parameter n, as grids of level-k
+        blocks: at level 2, n^d cells with the deviant cell (3, ..., 3)
+        stamped in; above it the postcards of the level-k words."""
+        d = self.dim
+        if k == 1:
+            zero, one = make_cube(d, 1, 0), make_cube(d, 1, 1)
+            center = (2,) * d  # block (3, ..., 3), 0-based
+            return {
+                "a": PatchworkExpr(zero, (n,) * d, ((center, one),)),
+                "b": PatchworkExpr(one, (n,) * d, ((center, zero),)),
+            }
+        stamps = self._stamps(k)
+        return {
+            "a": postcard(stamps, stamps[-2], n, require_margin=True),
+            "b": postcard(stamps, stamps[-1], n, require_margin=True),
+        }
 
     def _fit_start(self, k: int) -> int:
         """The postcard margin 2k+4 for k stamps (one at level 2, which also
@@ -417,7 +582,10 @@ class ZdFamily(Hierarchy):
         (eps_m + ... + eps_k) / (|u| (2|u|-1)^d) with |u| the cell count
         (the printed denominator; the side-length variant is reported as an
         informational row); the period-index length-ratio bound; and the
-        deviant-symbol densities below the eps prefix sum.
+        deviant-symbol densities below the eps prefix sum.  The counts are
+        taken on the block grid of the doubled density word
+        (:class:`DoubledGrid`), a row unverifiable when its largest window
+        exceeds the cell budget; no word of level k+1 is built.
         """
         d = self.dim
         new_level = k + 1
@@ -430,22 +598,20 @@ class ZdFamily(Hierarchy):
         if n < fit_rhs:
             return report  # cannot even place stamps; frequency rows are moot
 
-        words = self._words(k, n)
-        a_next, b_next = words[f"a{new_level}"], words[f"b{new_level}"]
+        density = self._density_words(k, n)
+        vol_next = density["a"].cells
+        grids = {side: DoubledGrid(word) for side, word in density.items()}
         cell_cap = self.budgets.cells
-        doubles = {"a": _doubled(a_next, cell_cap), "b": _doubled(b_next, cell_cap)}
-        vol_next = a_next.side**d
 
         inherited = _inherited_words(self.eps, k, excluded_a_d, excluded_b_d)
         for ident, side, m, name, bound in inherited:
-            doubled = doubles[side]
             u = self.word(m, name)
-            if doubled is None or u.array is None:
+            if u.array is None or grids[side].window_cells(u.array.shape) > cell_cap:
                 report.rows.append(
                     _unverifiable(ident, "unverifiable at budget: cell budget exceeded")
                 )
                 continue
-            count = count_occurrences_d(u.array, doubled)
+            count = grids[side].count(u.array)
             volume = u.array.size
             row = _frequency_row(ident, count, volume, vol_next, bound, d)
             info = CertRow(
@@ -468,14 +634,9 @@ class ZdFamily(Hierarchy):
                 report.rows.append(_period_gap_row(k, p_k, self.volume(k), vol_next))
 
         prefix = _ratio(self.eps.partial(1, k))
-        for ident, word, symbol in (("a-density[1]", a_next, 1), ("b-density[0]", b_next, 0)):
-            if word.array is None:
-                report.rows.append(
-                    _unverifiable(ident, "unverifiable at budget: cell budget exceeded")
-                )
-                continue
-            count = int((word.array == symbol).sum())
-            report.rows.append(_row(ident, (count, vol_next), prefix))
+        ones_a, ones_b = _ones(density["a"]), _ones(density["b"])
+        report.rows.append(_row("a-density[1]", (ones_a, vol_next), prefix))
+        report.rows.append(_row("b-density[0]", (vol_next - ones_b, vol_next), prefix))
         return report
 
 
@@ -492,14 +653,6 @@ def excluded_a_d(m: int) -> str:
 
 def excluded_b_d(m: int) -> str:
     return "w2_1" if m == 1 else f"b{m}"
-
-
-def _doubled(word: ZdWord, cell_cap: int) -> ArrayWord | None:
-    if word.array is None:
-        return None
-    if 2**word.array.ndim * word.array.size > cell_cap:
-        return None
-    return np.tile(word.array, (2,) * word.array.ndim)
 
 
 build_level_d = build_level
@@ -526,8 +679,15 @@ def verify_distinct_subwords_d(family: ZdFamily, k: int) -> SubwordReport:
     )
     if not scannable:
         return _pair_report(k, names, None)
-    doubles = {name: np.tile(arr, (2,) * d) for name, arr in arrays.items()}
-    return _pair_report(k, names, lambda u, v: count_occurrences_d(arrays[u], doubles[v]))
+    # the words share one shape: each is packed once as a pattern, and each
+    # doubled word once as the text of all the others
+    packed = {name: _pack_pattern(arr) for name, arr in arrays.items()}
+    counts = {}
+    for v in names:
+        others = [u for u in names if u != v]
+        found = _count_patterns([packed[u] for u in others], np.tile(arrays[v], (2,) * d))
+        counts.update(((u, v), c) for u, c in zip(others, found))
+    return _pair_report(k, names, lambda u, v: counts[u, v])
 
 
 def transitive_config_window(family: ZdFamily, starts, sides) -> ArrayWord:
@@ -535,6 +695,8 @@ def transitive_config_window(family: ZdFamily, starts, sides) -> ArrayWord:
 
     The configuration restricted to the cube (1-S .. S)^d, S the top side,
     equals the doubled top density word; coordinates recenter at the origin.
+    The rectangle is sliced from the tiled base, and the stamps that meet
+    it are copied in.
     """
     if family.top_level < 2:
         raise OutOfBuiltRange("family has no built level >= 2")
@@ -554,17 +716,15 @@ def transitive_config_window(family: ZdFamily, starts, sides) -> ArrayWord:
     if cells > family.budgets.cells:
         raise BudgetExceeded("rectangle exceeds the cell budget")
     word = family.word(top, f"a{top}")
-    out = np.empty(sides, dtype=np.uint8)
-    for offset in np.ndindex(*sides):
-        coords = tuple(lo + o for lo, o in zip(starts, offset))
-        base_index = tuple((c + span - 1) % span for c in coords)
-        if word.array is not None:
-            out[offset] = word.array[base_index]
-        elif word.patchwork is not None:
-            out[offset] = word.patchwork.cell(tuple(i + 1 for i in base_index))
-        else:
-            raise BudgetExceeded("top density word is not materializable")
-    return out
+    grid = word.patchwork
+    if grid is None:  # level 2: one block, no stamps
+        grid = PatchworkExpr(base=word.array, extents=(1,) * d, patches=())
+    return _doubled_window(grid, tuple(lo + span - 1 for lo in starts), sides)
+
+
+def _word_ones(word: ZdWord) -> int:
+    """Cells equal to 1: from the patchwork above level 2, from the array at it."""
+    return int(word.array.sum()) if word.patchwork is None else _ones(word.patchwork)
 
 
 @dataclass
@@ -588,15 +748,12 @@ def measure_report_d(family: ZdFamily, k_max: int) -> list:
     rows = []
     third = Fraction(1, 3)
     for k in range(2, k_max + 1):
-        a_word = family.word(k, f"a{k}")
-        b_word = family.word(k, f"b{k}")
-        if a_word.array is None or b_word.array is None:
-            raise BudgetExceeded(f"level-{k} words exceed the cell budget")
         vol = family.volume(k)
-        a_one = Fraction(int(a_word.array.sum()), vol)
-        b_zero = Fraction(int((b_word.array == 0).sum()), vol)
-        origin_a = Fraction(int((a_word.array == 0).sum()), vol)
-        origin_b = Fraction(int((b_word.array == 0).sum()), vol)
+        ones_a, ones_b = (_word_ones(family.word(k, name)) for name in (f"a{k}", f"b{k}"))
+        a_one = Fraction(ones_a, vol)
+        b_zero = Fraction(vol - ones_b, vol)
+        origin_a = Fraction(vol - ones_a, vol)
+        origin_b = b_zero
         gap = abs(origin_a - origin_b)
         bound = family.eps.partial(1, k - 1)
         rows.append(

@@ -2,9 +2,12 @@
 
 These are the direct algorithms: every placement compared cell by cell,
 every residue tested by a full roll with the span closed by pairwise sums,
-the periodic extension as a plain tile and the postcard read cell by cell
-from its two-case definition.  The tests compare ``camzd.count_occurrences_d``,
-``camzd.period_lattice`` and ``camzd.postcard`` against them.
+the periodic extension as a plain tile, the postcard read cell by cell
+from its two-case definition, the certificate counted in the built doubled
+density words and the transitive configuration read cell by cell.  The
+tests compare ``camzd.count_occurrences_d``, ``camzd.period_lattice``,
+``camzd.postcard``, the block-grid certifier and
+``camzd.transitive_config_window`` against them.
 """
 
 import math
@@ -12,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from camshift import camzd
+from camshift import cam1d, camzd
 from camshift.errors import InvalidParameter
 
 
@@ -102,3 +105,85 @@ def postcard_cell(stamps, base, e: int, coords) -> int:
             rel = (coords[0] - 2 * m * n,) + tuple(x - 2 * n for x in coords[1:])
             return int(stamp[tuple(r - 1 for r in rel)])
     return int(base[tuple(((x - 1) % n) for x in coords)])
+
+
+def certify_materialized(family, k: int, n: int) -> cam1d.CertificateReport:
+    """The level-(k+1) report at parameter n, every count taken in a built word.
+
+    Each inherited word is counted in the tile of 2^d copies of the built
+    density word, and the densities are cell sums of the built words.  Rows
+    whose doubled word exceeds the cell budget are unverifiable.
+    """
+    d = family.dim
+    new_level = k + 1
+    report = cam1d.CertificateReport(level=new_level, param=n)
+    fit_rhs = family._fit_start(k)
+    report.rows += cam1d._eps_tail_rows(family.eps, new_level)
+    fit_row = cam1d._row(f"stamp-fit[k={camzd._stamp_count(k)}]", (fit_rhs, 1), (n + 1, 1))
+    fit_row.note = "layout precondition n >= 2k+4 (pass iff 2k+4 < n+1)"
+    report.rows.append(fit_row)
+    if n < fit_rhs:
+        return report
+
+    words = family._words(k, n)
+    a_next, b_next = words[f"a{new_level}"], words[f"b{new_level}"]
+    cell_cap = family.budgets.cells
+
+    def doubled(word):
+        if word.array is None or 2**d * word.array.size > cell_cap:
+            return None
+        return np.tile(word.array, (2,) * d)
+
+    doubles = {"a": doubled(a_next), "b": doubled(b_next)}
+    vol_next = a_next.side**d
+    unverifiable = "unverifiable at budget: cell budget exceeded"
+    inherited = cam1d._inherited_words(family.eps, k, camzd.excluded_a_d, camzd.excluded_b_d)
+    for ident, side, m, name, bound in inherited:
+        u = family.word(m, name)
+        if doubles[side] is None or u.array is None:
+            report.rows.append(cam1d._unverifiable(ident, unverifiable))
+            continue
+        count = camzd.count_occurrences_d(u.array, doubles[side])
+        volume = u.array.size
+        row = cam1d._frequency_row(ident, count, volume, vol_next, bound, d)
+        info = cam1d.CertRow(
+            ident=f"{side}-freq-sidelen[m={m},u={name}]",
+            lhs=row.lhs,
+            rhs=bound / (volume * (2 * u.side - 1) ** d),
+            status="info",
+            note="informational variant with geometric overlap count",
+        )
+        report.rows += [row, info]
+
+    if k >= 2:
+        base = family.word(k, f"a{k}")
+        if base.array is None:
+            report.rows.append(cam1d._unverifiable("period-gap", unverifiable))
+        else:
+            p_k = camzd.period_lattice(base.array).index
+            report.rows.append(cam1d._period_gap_row(k, p_k, family.volume(k), vol_next))
+
+    prefix = cam1d._ratio(family.eps.partial(1, k))
+    for ident, word, symbol in (("a-density[1]", a_next, 1), ("b-density[0]", b_next, 0)):
+        if word.array is None:
+            report.rows.append(cam1d._unverifiable(ident, unverifiable))
+            continue
+        count = int((word.array == symbol).sum())
+        report.rows.append(cam1d._row(ident, (count, vol_next), prefix))
+    return report
+
+
+def transitive_config_window_cells(family, starts, sides):
+    """The transitive configuration on a rectangle, read one cell at a time
+    from the top density word: its array, or else its patchwork."""
+    top = family.top_level
+    span = family.side(top)
+    word = family.word(top, f"a{top}")
+    out = np.empty(sides, dtype=np.uint8)
+    for offset in np.ndindex(*sides):
+        base_index = tuple((lo + o + span - 1) % span for lo, o in zip(starts, offset))
+        if word.array is not None:
+            out[offset] = word.array[base_index]
+        else:
+            out[offset] = word.patchwork.cell(tuple(i + 1 for i in base_index))
+    return out

@@ -4,15 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from camzd_oracles import (
+    certify_materialized,
     count_occurrences_windowed,
     period_lattice_scan,
     postcard_cell,
     self_concat,
+    transitive_config_window_cells,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camshift import cam1d, camzd
+from camshift.budgets import Budgets
 from camshift.errors import (
     EmptyPattern,
     InvalidParameter,
@@ -302,6 +305,145 @@ def test_multiplicity_sandwich_for_level2(family_d2):
     assert low <= count <= high
 
 
+# -- counting on the block grid of a doubled word -------------------------------------
+
+
+@st.composite
+def doubled_grids(draw):
+    """A patchwork and a pattern no larger than its blocks.
+
+    Half the patchworks are postcards with the layout margin, the others
+    have stamps at any blocks, the far edge and neighbouring blocks
+    included.  Some stamps equal the base.  The pattern is cut from the
+    doubled word (maybe with one cell flipped) or drawn at random.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    s = draw(st.integers(1, 4 if d == 2 else 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+
+    def block():
+        return (rng.random((s,) * d) < density).astype(np.uint8)
+
+    base = block()
+    k = draw(st.integers(0, 3))
+    stamps = [block() for _ in range(k)]
+    if stamps and draw(st.booleans()):
+        stamps[0] = base.copy()
+    if draw(st.booleans()):
+        word = camzd.postcard(stamps, base, 2 * k + 4 + draw(st.integers(0, 2)), True)
+    else:
+        extents = tuple(draw(st.integers(1, 5)) for _ in range(d))
+        cells = list(np.ndindex(*extents))
+        anchors = draw(st.lists(st.sampled_from(cells), max_size=k, unique=True))
+        word = camzd.PatchworkExpr(base, extents, tuple(zip(anchors, stamps)))
+    text = np.tile(word.to_array(), (2,) * d)
+    shape = tuple(draw(st.integers(1, s)) for _ in range(d))
+    if draw(st.booleans()):
+        offsets = [draw(st.integers(0, t - p)) for t, p in zip(text.shape, shape)]
+        pattern = text[tuple(slice(o, o + p) for o, p in zip(offsets, shape))].copy()
+        if draw(st.booleans()):
+            pattern[tuple(draw(st.integers(0, p - 1)) for p in shape)] ^= 1
+    else:
+        pattern = (rng.random(shape) < density).astype(np.uint8)
+    return word, text, pattern
+
+
+@given(case=doubled_grids())
+@settings(max_examples=200, deadline=None)
+def test_block_grid_count_matches_the_doubled_word(case):
+    word, text, pattern = case
+    assert camzd.DoubledGrid(word).count(pattern) == camzd.count_occurrences_d(pattern, text)
+
+
+def test_block_grid_rejects_patterns_larger_than_a_block():
+    word = camzd.postcard([], np.zeros((2, 2), dtype=np.uint8), 3)
+    with pytest.raises(ShapeMismatch):
+        camzd.DoubledGrid(word).count(np.zeros((3, 1), dtype=np.uint8))
+
+
+def _row_parts(report):
+    return [(r.ident, r.lhs, r.rhs, r.status, r.note, r.parts) for r in report.rows]
+
+
+@pytest.mark.parametrize("n", [12, 24, 48, 96])
+def test_level3_rows_match_the_materialized_certifier(family_d2, n):
+    report = camzd.certify_candidate_d(family_d2, n)
+    assert _row_parts(report) == _row_parts(certify_materialized(family_d2, 2, n))
+
+
+def test_level2_rows_match_the_materialized_certifier():
+    # level 2 is the same grid with one-cell blocks; d = 1 and d = 3 too
+    for dim, values in ((1, range(6, 12)), (2, range(3, 12)), (3, range(6, 9))):
+        family = camzd.ZdFamily(dim=dim)
+        for n in values:
+            report = camzd.certify_candidate_d(family, n)
+            assert _row_parts(report) == _row_parts(certify_materialized(family, 1, n))
+
+
+def test_block_grid_windows_are_held_to_the_cell_budget():
+    # level-3 windows: 6x6 cells for the level-1 words, 11x11 for the level-2 ones
+    family = camzd.build_family_d(dim=2, levels=2, budgets=Budgets(cells=100))
+    report = camzd.certify_candidate_d(family, 12)
+    unverifiable = {r.ident for r in report.unverifiable_rows}
+    assert unverifiable == {r.ident for r in report.rows if "-freq[m=2," in r.ident}
+    assert {r.note for r in report.unverifiable_rows} == {
+        "unverifiable at budget: cell budget exceeded"
+    }
+    assert {r.status for r in report.rows if "-freq[m=1," in r.ident} == {"pass"}
+
+
+def test_certificate_work_does_not_grow_with_n(family_d2, monkeypatch):
+    count = camzd.count_occurrences_d
+    calls = {}
+
+    def recording(pattern, text):
+        calls[n].append((pattern.shape, text.shape))
+        return count(pattern, text)
+
+    monkeypatch.setattr(camzd, "count_occurrences_d", recording)
+    for n in (48, 2087):
+        calls[n] = []
+        report = camzd.certify_candidate_d(family_d2, n)
+    assert report.passed  # n = 2087 is the certified level-3 parameter
+    assert calls[48] == calls[2087]
+    cells = [sum(np.prod(t) for _, t in calls[n]) for n in (48, 2087)]
+    assert cells[0] == cells[1] < 20_000
+
+
+def test_pair_scan_packs_each_word_once(family_d2, monkeypatch):
+    pack = camzd._pack
+    packed = []
+
+    def recording(arr, width):
+        packed.append(arr.shape)
+        return pack(arr, width)
+
+    monkeypatch.setattr(camzd, "_pack", recording)
+    report = camzd.verify_distinct_subwords_d(family_d2, 2)
+    assert len(report.pairs) == 12
+    # four words as patterns, four doubled words as texts
+    assert sorted(packed) == [(6, 6)] * 4 + [(12, 12)] * 4
+
+
+def test_pair_scan_counts_every_pair():
+    # level-2 words that occur in each other: cyclic shifts of one cube, and
+    # a constant cube that occurs in none of them
+    rng = np.random.default_rng(3)
+    cube0 = (rng.random((4, 4)) < 0.5).astype(np.uint8)
+    arrays = [cube0, np.roll(cube0, 1, axis=0), np.roll(cube0, (2, 3), axis=(0, 1))]
+    arrays.append(np.zeros((4, 4), dtype=np.uint8))
+    family = camzd.ZdFamily(dim=2)
+    names = cam1d.level_names(2)
+    family.levels.append({n: camzd.ZdWord(n, 4, a, None) for n, a in zip(names, arrays)})
+    report = camzd.verify_distinct_subwords_d(family, 2)
+    words = dict(zip(names, arrays))
+    for pair in report.pairs:
+        text = np.tile(words[pair.v], (2, 2))
+        assert pair.count == count_occurrences_windowed(words[pair.u], text), pair
+    assert len({p.count for p in report.pairs}) > 1
+
+
 # -- period lattice ------------------------------------------------------------------
 
 
@@ -450,6 +592,32 @@ def test_transitive_config_corner_is_base(family_d2_structural3):
     assert np.array_equal(mirror, family_d2_structural3.word(2, "a2").array)
 
 
+def test_transitive_config_matches_cell_by_cell(family_d2_structural3):
+    # d = 3 under a budget that leaves its level-3 words as patchworks
+    d3 = camzd.build_family_d(dim=3, levels=2, budgets=Budgets(cells=10**6))
+    camzd.build_level_d(d3, 12)
+    assert d3.word(3, "a3").array is None
+    rng = np.random.default_rng(11)
+    for family in (family_d2_structural3, d3):
+        span, s, d = family.side(3), family.side(2), family.dim
+        stamps = [
+            tuple(a * s for a in anchor)
+            for anchor, _ in family.word(3, "a3").patchwork.patches
+        ]
+        for _ in range(40):
+            sides = tuple(int(x) for x in rng.integers(1, 3 * s, size=d))
+            if rng.random() < 0.5:  # near a stamp of one of the 2^d copies
+                low = stamps[rng.integers(len(stamps))]
+                copy = rng.integers(0, 2, size=d) * span
+                corner = low + copy + rng.integers(-s, s, size=d)
+            else:
+                corner = rng.integers(0, 2 * span, size=d)
+            corner = np.clip(corner, 0, 2 * span - np.array(sides))
+            starts = tuple(int(c) - span + 1 for c in corner)
+            got = camzd.transitive_config_window(family, starts, sides)
+            assert np.array_equal(got, transitive_config_window_cells(family, starts, sides))
+
+
 def test_transitive_config_out_of_range(family_d2):
     side = family_d2.side(2)
     with pytest.raises(OutOfBuiltRange):
@@ -467,6 +635,17 @@ def test_measure_report_d2(family_d2):
     assert row.a_one_below_bound and row.b_zero_below_bound
     assert row.a_one + Fraction(int((family_d2.word(2, "a2").array == 0).sum()), 36) == 1
     assert row.gap_above_third
+
+
+def test_measure_report_d_matches_arrays(family_d2_structural3):
+    rows = camzd.measure_report_d(family_d2_structural3, 3)
+    assert [row.level for row in rows] == [2, 3]
+    for row in rows:
+        a = family_d2_structural3.word(row.level, f"a{row.level}").array
+        b = family_d2_structural3.word(row.level, f"b{row.level}").array
+        assert row.a_one == Fraction(int(a.sum()), a.size)
+        assert row.b_zero == row.origin_zero_b == Fraction(int((b == 0).sum()), b.size)
+        assert row.origin_zero_a == Fraction(int((a == 0).sum()), a.size)
 
 
 # -- serialization --------------------------------------------------------------------------

@@ -48,13 +48,33 @@ def test_build_usage_error(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("error: budget value")
 
 
-def test_build_d2_level3_exceeds_budget(tmp_path, monkeypatch):
-    # a certified d=2 level 3 needs far more cells than any sane budget;
-    # shrink the budget so the search hits the wall quickly
-    monkeypatch.setenv("CAMSHIFT_BUDGET", "cells=2000000")
+def test_build_d2_level3_search_cap_exhaustion(tmp_path, monkeypatch, capsys):
+    # level 3 first passes at n = 2087; a cap one below it exhausts the search
+    monkeypatch.setenv("CAMSHIFT_BUDGET", "search_cap=2086")
     out = tmp_path / "d2l3.json"
     assert run("build", "--dim", "2", "--levels", "3", "--out", str(out)) == 3
+    assert "no passing parameter found up to cap 2086" in capsys.readouterr().err
     assert not out.exists()  # nothing partially written
+
+
+def test_build_d2_level3(tmp_path, capsys):
+    out, again = tmp_path / "d2l3.json", tmp_path / "again.json"
+    assert run("build", "--dim", "2", "--levels", "3", "--out", str(out)) == 0
+    captured = capsys.readouterr()
+    assert "level 3: n=2087, rows=15, pass" in captured.out
+    assert "level 3: binding row a-freq[m=2,u=w1_2], margin 8929/303671049840000" in captured.err
+    assert json.loads(out.read_text())["params"] == ["6", "2087"]
+    assert run("build", "--dim", "2", "--levels", "3", "--out", str(again)) == 0
+    assert again.read_bytes() == out.read_bytes()
+    capsys.readouterr()
+    assert run("certify", "--family", str(out)) == 0
+    assert capsys.readouterr().out == cli.canonical_json(json.loads(out.read_text())["certificates"])
+    # the level-3 words are patchworks over the cell budget: the densities
+    # are read off them, the window is sliced from them
+    assert run("measure", "--family", str(out), "--k", "3") == 0
+    assert "level 3: freq(1|a)=5810231/209167500" in capsys.readouterr().out
+    assert run("window", "--family", str(out), "--start", "1,1", "--len", "4,4") == 0
+    assert '"data":"0000000000100000"' in capsys.readouterr().out
 
 
 def test_build_search_cap_exhaustion(tmp_path, monkeypatch, capsys):
