@@ -722,18 +722,22 @@ def _pair_report(k: int, names: list, count) -> SubwordReport:
 
 
 def verify_distinct_subwords(family: LevelFamily, k: int) -> SubwordReport:
-    """Scan every ordered pair of distinct level-k words u, v for u inside vv.
+    """Count every level-k word u in the doubled word vv of every other v.
 
-    Pairs whose doubled word exceeds the symbol budget are reported as
-    certified-by-inequalities, never silently dropped.
+    The counts are compressed (``SlpBuilder.count_occurrences``): from
+    level 3 on, the words are sequences of level-2 blocks and are compared
+    on their block names.  Pairs whose doubled word exceeds the symbol
+    budget are reported as certified-by-inequalities, never silently
+    dropped.
     """
     names = family.names(k)
     if 2 * family.word_length(k) > family.budgets.symbols:
         return _pair_report(k, names, None)
+    builder = family.builder
     strings = {name: family.string(k, name) for name in names}
-    doubles = {name: strings[name] + strings[name] for name in names}
+    doubles = {name: builder.concat([(family.word(k, name), 2)]) for name in names}
     return _pair_report(
-        k, names, lambda u, v: slp.count_occurrences_naive(strings[u], doubles[v])
+        k, names, lambda u, v: builder.count_occurrences(strings[u], doubles[v])
     )
 
 
@@ -1110,11 +1114,12 @@ def report_from_obj(obj) -> CertificateReport:
         )
         if cert.status not in ("pass", "fail", "unverifiable", "info"):
             raise MalformedFamily(f"row {cert.ident}: unknown status {cert.status!r}")
+        margin = cert.margin  # rhs - lhs, so lhs < rhs exactly when it is positive
         if cert.status in ("pass", "fail") and (
-            cert.margin is None or (cert.status == "pass") != (cert.lhs < cert.rhs)
+            margin is None or (cert.status == "pass") != (margin > 0)
         ):
             raise MalformedFamily(f"row {cert.ident}: status {cert.status} contradicts lhs < rhs")
-        if _fraction_from(row["margin"]) != cert.margin:
+        if _fraction_from(row["margin"]) != margin:
             raise MalformedFamily(f"row {cert.ident}: stored margin is not rhs - lhs")
         report.rows.append(cert)
     return report
@@ -1134,7 +1139,8 @@ def _certificates_from_obj(objs, params) -> list:
     return reports
 
 
-def family_to_obj(family: LevelFamily) -> dict:
+def _words_to_obj(family: LevelFamily) -> dict:
+    """The file fields that store the words: the level roots and the node table."""
     roots = []
     for k in range(1, family.top_level + 1):
         roots.extend(family.word(k, name) for name in family.names(k))
@@ -1147,26 +1153,29 @@ def family_to_obj(family: LevelFamily) -> dict:
                 "words": {name: ids[family.word(k, name).uid] for name in family.names(k)},
             }
         )
+    return {"levels": levels, "slp": {"nodes": slp.nodes_to_obj(order, ids)}}
+
+
+def family_to_obj(family: LevelFamily) -> dict:
     return {
         "dim": 1,
         "K": family.top_level,
         "eps_scheme": EPS_SCHEME,
         "params": [str(n) for n in family.params],
-        "levels": levels,
-        "slp": {"nodes": slp.nodes_to_obj(order, ids)},
+        **_words_to_obj(family),
         "certificates": [report_to_obj(r) for r in family.certificates],
     }
 
 
-def load_family(obj, new_family, to_obj, keys) -> Hierarchy:
+def load_family(obj, new_family, words_to_obj) -> Hierarchy:
     """Rebuild a family from its file form and check it against the file.
 
     ``new_family(dim)`` checks the stored dimension and returns an empty
     family of its type.  The levels are rebuilt from ``params``, every
-    stored certificate must be the one of its level and parameter, and each
-    of ``keys`` of ``to_obj(family)`` must equal the stored value, so a file
-    cannot store words its parameters do not build.  Any malformed field is
-    MalformedFamily.
+    stored certificate must be the one of its level and parameter, and
+    every field of ``words_to_obj(family)`` must equal the stored one, so a
+    file cannot store words its parameters do not build.  Any malformed
+    field is MalformedFamily.
     """
     try:
         family = new_family(_json_int(obj["dim"], "dim"))
@@ -1178,8 +1187,8 @@ def load_family(obj, new_family, to_obj, keys) -> Hierarchy:
         for n in params:
             build_level(family, n)
         family.certificates = _certificates_from_obj(obj["certificates"], params)
-        rebuilt = to_obj(family)
-        if any(rebuilt[key] != obj[key] for key in keys):
+        rebuilt = words_to_obj(family)
+        if any(value != obj[key] for key, value in rebuilt.items()):
             raise MalformedFamily("serialized words do not match their parameters")
         return family
     except MalformedFamily:
@@ -1197,4 +1206,4 @@ def family_from_obj(obj, budgets: Budgets | None = None) -> LevelFamily:
             raise MalformedFamily("not a one-dimensional family file")
         return LevelFamily(budgets=budgets)
 
-    return load_family(obj, new_family, family_to_obj, ("slp", "levels"))
+    return load_family(obj, new_family, _words_to_obj)

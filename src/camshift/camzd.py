@@ -795,7 +795,8 @@ def patchwork_to_obj(p: PatchworkExpr) -> dict:
     }
 
 
-def family_to_obj_d(family: ZdFamily) -> dict:
+def _words_to_obj_d(family: ZdFamily) -> dict:
+    """The file field that stores the words: each level's postcards or arrays."""
     levels = []
     for k in range(1, family.top_level + 1):
         words = {}
@@ -808,12 +809,16 @@ def family_to_obj_d(family: ZdFamily) -> dict:
                 entry["array"] = array_to_obj(word.array)
             words[name] = entry
         levels.append({"level": k, "words": words})
+    return {"levels": levels}
+
+
+def family_to_obj_d(family: ZdFamily) -> dict:
     return {
         "dim": family.dim,
         "K": family.top_level,
         "eps_scheme": EPS_SCHEME,
         "params": [str(n) for n in family.params],
-        "levels": levels,
+        **_words_to_obj_d(family),
         "certificates": [report_to_obj(r) for r in family.certificates],
     }
 
@@ -827,4 +832,4 @@ def family_from_obj_d(obj, budgets: Budgets | None = None) -> ZdFamily:
             raise MalformedFamily("bad dimension")
         return ZdFamily(dim=dim, budgets=budgets)
 
-    return load_family(obj, new_family, family_to_obj_d, ("levels",))
+    return load_family(obj, new_family, _words_to_obj_d)

@@ -187,12 +187,19 @@ def cmd_measure(args) -> int:
     if family.dim == 1:
         sides = ["a", "b"] if args.side == "both" else [args.side]
         cylinders = args.cylinders.split(",")
-        rows = []
-        for side in sides:
-            for cylinder in cylinders:
-                value = cam1d.empirical_measure(family, args.k, side, cylinder)
-                rows.append({"side": side, "cylinder": cylinder, "value": _frac_str(value)})
-                print(f"side {side} [{cylinder}] = {_frac_str(value)}")
+        # every cylinder is measured before any row is printed, so a bad one
+        # exits with nothing on stdout
+        rows = [
+            {
+                "side": side,
+                "cylinder": cylinder,
+                "value": _frac_str(cam1d.empirical_measure(family, args.k, side, cylinder)),
+            }
+            for side in sides
+            for cylinder in cylinders
+        ]
+        for row in rows:
+            print(f"side {row['side']} [{row['cylinder']}] = {row['value']}")
         if args.out is not None:
             _write_out(canonical_json(rows), args.out)
         return EXIT_OK

@@ -22,13 +22,37 @@ snippets per node, and text counts per (snippet, snippet, pattern), so
 repeated sub-blocks are paid for once.  Materialization appends a whole
 child string times the number of whole copies a range covers.
 
-A text count (:func:`count_occurrences_naive`) reads the occurrences one
-window of L start positions at a time.  Occurrences that start less than
-L apart lie in a text shorter than 2L, and there they form an arithmetic
-progression (the periodicity lemma of Fine and Wilf), so a window costs
-two searches and a bisection however many occurrences overlap in it: a
-level-4 junction text of 88 180 symbols holds up to 1 959 occurrences of
-a 44 091-symbol level-3 word and is counted in one window.
+Where a junction is a seam of block sequences, it is decided on block
+names instead of a text (Mosse 1992, recognizability; Jez 2015,
+recompression).  A block is a node whose parts are atoms (an explicit
+word, such as a level-2 word of the hierarchy), and a node whose children
+are all blocks or block sequences of one length ell is a sequence of
+ell-symbol blocks; levels 3 and up are sequences of 9-symbol level-2
+blocks.  When both sides of a boundary are such a sequence and L is a
+multiple q ell with q >= 2, the pattern is read as its run-length
+sequence of ell-symbol chunks.  The last q blocks before the boundary and
+the first q after it become a run-length sequence of block names, the
+blocks' contents.  An occurrence at offset rho = start mod ell is a match
+of the chunk runs in the rho-shifted names, the content of
+s[rho:] + t[:rho] for each adjacent block pair (s, t), restricted to the
+starts that cross the boundary; rho = 0 reads the blocks themselves.
+Only the offsets at which the first chunk is the shifted name of some
+adjacent pair are tried.  A word of the pattern's length holds it only
+if it is the pattern, one comparison of run-length names.  Every test
+is an equality of ell-symbol strings or of run counts, and no junction
+text is built: a level-3 word of 44 091 symbols meets a level-4 junction
+as a dozen runs of level-2 names on each side.  The block names of a
+node's ends, boundaries and seam (by node), the chunk runs (by pattern)
+and the name counts (by names, starts and pattern) share one memo,
+bounded by bytes like the text counts.
+
+A text count (:func:`count_occurrences_naive`) serves every other
+boundary: symbols, level-2 words, and cylinders that are not whole
+chunks.  It reads the occurrences one window of L start positions at a
+time.  Occurrences that start less than L apart lie in a text shorter
+than 2L, and there they form an arithmetic progression (the periodicity
+lemma of Fine and Wilf), so a window costs two searches and a bisection
+however many occurrences overlap in it.
 """
 
 from __future__ import annotations
@@ -47,8 +71,9 @@ from .errors import (
 SYMBOLS = ("0", "1")
 DEFAULT_MATERIALIZE_CAP = 1_000_000
 DEFAULT_SNIPPET_CAP = 1_048_576
-# bytes of snippet text (left + right + pattern, one byte per symbol) the
-# junction memo keeps; the level-4 build peaks at ~15.6M and never clears it
+# bytes each builder memo keeps, one per symbol of the snippets, block
+# names and pattern an entry holds; the level-4 build holds ~1K in the text
+# count memo and ~4.8M in the block-name memo, and never clears either
 _JUNCTION_CACHE_BYTES = 1 << 25
 _DROP_SYMBOLS = dict.fromkeys(map(ord, SYMBOLS))
 
@@ -70,6 +95,7 @@ class SlpExpr:
         "_pre",
         "_suf",
         "_counts",
+        "_grain",
         "__weakref__",
     )
 
@@ -86,6 +112,7 @@ class SlpExpr:
         self._pre = {}
         self._suf = {}
         self._counts = {}
+        self._grain = None
 
     def __repr__(self):
         if self.kind == "atom":
@@ -103,9 +130,11 @@ class SlpBuilder:
 
     ``snippet_cap`` is the maximum pattern length L accepted by compressed
     counting.  A count adds up the node's runs c^r, each from count(c) and
-    one seam scan of suffix(c, L-1) + prefix(c, L-1) (for |c| < L-1, from
-    scans of c^(m-1) and c^m), and one scan of at most 2(L-1) symbols at
-    each part boundary; the texts are built from prefix and suffix
+    one seam count of suffix(c, L-1) + prefix(c, L-1) (for |c| < L-1, from
+    counts in c^(m-1) and c^m), and one count of at most 2(L-1) symbols at
+    each part boundary.  Each of these is decided on block names when both
+    sides are block sequences and the pattern is whole chunks of their
+    blocks, and otherwise scanned in a text built from prefix and suffix
     snippets of up to ``snippet_cap - 1`` symbols cached per node.
     """
 
@@ -120,6 +149,10 @@ class SlpBuilder:
         # suffix/prefix snippets, so the heavy scans run once per content
         self._junction_counts: dict = {}
         self._junction_bytes = 0
+        # the block-name path's chunk runs (by pattern), names, junctions and
+        # seams (by node uid) and counts (by content), bounded like the above
+        self._name_memo: dict = {}
+        self._name_bytes = 0
         self._checked: set = set()  # patterns whose symbols are all in SYMBOLS
 
     # -- construction -------------------------------------------------
@@ -226,8 +259,18 @@ class SlpBuilder:
         elif node.kind == "atom":
             value = 1 if pattern == node.symbol else 0
         else:
-            value = sum(self._count_run(child, rep, pattern) for child, rep in node.parts)
-            value += sum(self._crossing(node, j, pattern) for j in range(len(node.parts) - 1))
+            ell, chunks = self._blocking(node, pattern)
+            if chunks is not None and node.length == len(pattern):
+                # an occurrence in a word of the pattern's length is the word itself
+                value = int(self._side(node, ell, len(pattern) // ell, False) == chunks)
+            else:
+                value = sum(self._count_run(child, rep, pattern) for child, rep in node.parts)
+                if chunks is None:
+                    crossings = range(len(node.parts) - 1)
+                    value += sum(self._crossing(node, j, pattern) for j in crossings)
+                else:
+                    junctions = self._junctions(node, ell, len(pattern) // ell)
+                    value += sum(self._name_count(pattern, chunks, ell, *jn) for jn in junctions)
         node._counts[pattern] = value
         return value
 
@@ -237,17 +280,38 @@ class SlpBuilder:
         if rep == 1:
             return self._count(child, pattern)
         if clen >= reach:
-            seam = self._naive(
-                pattern, self.suffix_snippet(child, reach), self.prefix_snippet(child, reach)
-            )
-            return rep * self._count(child, pattern) + (rep - 1) * seam
+            return rep * self._count(child, pattern) + (rep - 1) * self._seam(child, pattern)
         # affine in rep from m on; child^m is shorter than 3L symbols
         m = -(-reach // clen) + 1
-        whole = self.prefix_snippet(child, clen)
         if rep <= m:
-            return self._naive(pattern, whole, copies=rep)
-        top = self._naive(pattern, whole, copies=m)
-        return top + (rep - m) * (top - self._naive(pattern, whole, copies=m - 1))
+            return self._copies(child, rep, pattern)
+        top = self._copies(child, m, pattern)
+        return top + (rep - m) * (top - self._copies(child, m - 1, pattern))
+
+    def _seam(self, child, pattern):
+        """Occurrences in child child that cross the middle; |child| >= L - 1."""
+        ell, chunks = self._blocking(child, pattern)
+        if chunks is not None:
+            q = len(pattern) // ell
+            key = (child.uid, "seam", q)
+            seam = self._name_memo.get(key)
+            if seam is None:
+                left, right = self._side(child, ell, q, True), self._side(child, ell, q, False)
+                seam = self._keep(key, _junction(left, right, ell, q), ell * (len(left) + len(right)))
+            return self._name_count(pattern, chunks, ell, *seam)
+        reach = len(pattern) - 1
+        return self._naive(
+            pattern, self.suffix_snippet(child, reach), self.prefix_snippet(child, reach)
+        )
+
+    def _copies(self, child, copies, pattern):
+        """Occurrences in child^copies, a word shorter than 3L."""
+        ell, chunks = self._blocking(child, pattern)
+        if chunks is not None:
+            blocks = copies * child.length // ell
+            names = self._names(((child, copies),), ell, blocks, False)
+            return self._name_count(pattern, chunks, ell, names, 0, blocks * ell)
+        return self._naive(pattern, self.prefix_snippet(child, child.length), copies=copies)
 
     def _crossing(self, node, j, pattern):
         """Occurrences that start in run j of the node and cross its right end."""
@@ -275,16 +339,248 @@ class SlpBuilder:
         if value is None:
             value = count_occurrences_naive(pattern, left * copies + right)
             size = len(left) + len(right) + len(pattern)
-            if self._junction_bytes + size > _JUNCTION_CACHE_BYTES:
-                self._junction_counts.clear()
-                self._junction_bytes = 0
-            if size <= _JUNCTION_CACHE_BYTES:
-                self._junction_counts[key] = value
-                self._junction_bytes += size
+            self._junction_bytes = _remember(
+                self._junction_counts, self._junction_bytes, key, value, size
+            )
+        return value
+
+    # -- counting on block names -----------------------------------------
+
+    def _blocking(self, node, pattern):
+        """(ell, chunk runs of the pattern) when the node's word is a
+        sequence of ell-symbol blocks and the pattern is two or more whole
+        chunks of ell symbols; (0, None) otherwise."""
+        ell = _grain(node)
+        if not ell or len(pattern) % ell or len(pattern) < 2 * ell:
+            return 0, None
+        key = (pattern, ell)
+        chunks = self._name_memo.get(key)
+        if chunks is None:
+            chunks = _chunk_runs(pattern, ell)
+            self._keep(key, chunks, len(pattern) + ell * len(chunks))
+        return ell, chunks
+
+    def _names(self, parts, ell, limit, from_end):
+        """Run-length names ((content, count), ...) of the first ``limit``
+        blocks of the word the parts spell (the last ones when
+        ``from_end``); every child is an ell-symbol block or a sequence of
+        them."""
+        runs = []
+        for child, rep in reversed(parts) if from_end else parts:
+            if limit <= 0:
+                break
+            blocks = child.length // ell
+            if blocks == 1:
+                _push(runs, self.prefix_snippet(child, ell), min(rep, limit))
+                limit -= rep
+                continue
+            for _ in range(min(rep, -(-limit // blocks))):
+                names = self._side(child, ell, limit, from_end)
+                for name, count in reversed(names) if from_end else names:
+                    _push(runs, name, count)
+                limit -= blocks
+        if from_end:
+            runs.reverse()
+        return tuple(runs)
+
+    def _side(self, node, ell, limit, from_end):
+        """:meth:`_names` of the first (last) ``limit`` blocks of a block
+        sequence node, memoized."""
+        key = (node.uid, "suffix" if from_end else "prefix", min(limit, node.length // ell))
+        names = self._name_memo.get(key)
+        if names is None:
+            names = self._names(node.parts, ell, key[2], from_end)
+            self._keep(key, names, ell * len(names))
+        return names
+
+    def _junctions(self, node, ell, q):
+        """One (names, lo, hi) per run boundary of a block sequence node: the
+        last q blocks of the run before it (or all of them), the first q
+        blocks after it, and the starts that cross it; memoized."""
+        key = (node.uid, "junctions", q)
+        found = self._name_memo.get(key)
+        if found is None:
+            found = tuple(
+                _junction(
+                    self._names(node.parts[j : j + 1], ell, q, True),
+                    self._names(node.parts[j + 1 :], ell, q, False),
+                    ell,
+                    q,
+                )
+                for j in range(len(node.parts) - 1)
+            )
+            self._keep(key, found, ell * sum(len(names) for names, _, _ in found))
+        return found
+
+    def _name_count(self, pattern, chunks, ell, seq, lo, hi):
+        """Occurrences that start at a symbol in [lo, hi) of the word the
+        run-length block names ``seq`` spell.
+
+        An occurrence at offset rho = start mod ell is a match of the
+        pattern's chunk runs in the names of the rho-shifted blocks, the
+        content of s[rho:] + t[:rho] for each adjacent block pair (s, t):
+        rho = 0 reads the blocks themselves, and inside a run of s the
+        shifted name is the rotation of s.  Only the offsets at which the
+        first chunk is the shifted name of some adjacent pair are tried.
+        Every test is an equality of ell-symbol strings or of run counts.
+        """
+        key = (seq, lo, hi, pattern)
+        value = self._name_memo.get(key)
+        if value is None:
+            value = 0
+            if sum(count for _, count in seq) * ell >= len(pattern):
+                for rho in _offsets(seq, chunks[0][0], ell):
+                    first, last = max(-((rho - lo) // ell), 0), -((rho - hi) // ell)
+                    if first < last:
+                        shifted = _shifted(seq, rho) if rho else seq
+                        value += _match(shifted, chunks, first, last)
+            self._keep(key, value, ell * len(seq) + len(pattern))
+        return value
+
+    def _keep(self, key, value, size):
+        """Put a value of ``size`` bytes in the name memo; the value."""
+        self._name_bytes = _remember(self._name_memo, self._name_bytes, key, value, size)
         return value
 
 
-# -- structure-only operations (no builder needed) ----------------------
+def _junction(left, right, ell, q):
+    """(names, lo, hi): the names of left + right, and the starts [lo, hi)
+    in that word of the occurrences of a q-chunk pattern that start in
+    left and end in right."""
+    if left[-1][0] == right[0][0]:
+        names = left[:-1] + ((left[-1][0], left[-1][1] + right[0][1]),) + right[1:]
+    else:
+        names = left + right
+    end = sum(count for _, count in left) * ell
+    return names, max(end - q * ell + 1, 0), end
+
+
+def _remember(memo, held, key, value, size):
+    """Store key -> value in a memo of ``held`` bytes, first clearing it when
+    the entry would take it past _JUNCTION_CACHE_BYTES; the new byte count."""
+    if held + size > _JUNCTION_CACHE_BYTES:
+        memo.clear()
+        held = 0
+    if size <= _JUNCTION_CACHE_BYTES:
+        memo[key] = value
+        held += size
+    return held
+
+
+def _push(runs, name, count):
+    if runs and runs[-1][0] == name:
+        runs[-1] = (name, runs[-1][1] + count)
+    else:
+        runs.append((name, count))
+
+
+def _grain(node):
+    """Length ell of the blocks the node's word is a sequence of, or 0.
+
+    A block is a concat node whose parts are atoms, an explicit word; a
+    concat node whose children are blocks or block sequences of one length
+    ell is a sequence of ell-symbol blocks.  Level-2 words are blocks, and
+    each level above is a sequence of level-2 blocks.
+    """
+    if node._grain is None:
+        if node.kind == "atom":
+            node._grain = 0
+        elif all(child.kind == "atom" for child, _ in node.parts):
+            node._grain = node.length
+        else:
+            grains = {_grain(child) for child, _ in node.parts}
+            node._grain = grains.pop() if len(grains) == 1 else 0
+    return node._grain
+
+
+def _chunk_runs(pattern, ell):
+    """The pattern cut into ell-symbol chunks, as (chunk, count) runs.
+
+    The run of chunk c from p has e chunks exactly when the e ell symbols
+    from p have period ell, i.e. pattern[p + ell:] starts with
+    pattern[p : p + (e - 1) ell]; galloping then bisecting e finds the run
+    end in O(log e) comparisons of at most 2 e ell symbols.
+    """
+    runs, p, size = [], 0, len(pattern)
+
+    def repeats(e):
+        return pattern.startswith(pattern[p : p + (e - 1) * ell], p + ell)
+
+    while p < size:
+        top = (size - p) // ell
+        low, high = 1, 2
+        while high <= top and repeats(high):
+            low, high = high, 2 * high
+        high = min(high, top + 1)
+        while high - low > 1:
+            mid = (low + high) // 2
+            if repeats(mid):
+                low = mid
+            else:
+                high = mid
+        runs.append((pattern[p : p + ell], low))
+        p += low * ell
+    return tuple(runs)
+
+
+def _offsets(seq, head, ell):
+    """0 and each rho in 1..ell-1 at which ``head`` is the rho-shifted name
+    of two adjacent blocks of ``seq``, in increasing order."""
+    pairs = {(name, name) for name, count in seq if count > 1}
+    pairs.update((s, t) for (s, _), (t, _) in zip(seq, seq[1:]))
+    found = {0}
+    for s, t in pairs:
+        text = s + t
+        rho = text.find(head, 1, 2 * ell - 1)
+        while rho != -1:
+            found.add(rho)
+            rho = text.find(head, rho + 1, 2 * ell - 1)
+    return sorted(found)
+
+
+def _shifted(seq, rho):
+    """Run-length names of the blocks shifted by rho: entry i reads the last
+    ell - rho symbols of block i and the first rho of block i + 1.  Inside a
+    run of s that is the rotation s[rho:] + s[:rho]."""
+    out = []
+    for t, (name, count) in enumerate(seq):
+        if count > 1:
+            _push(out, name[rho:] + name[:rho], count - 1)
+        if t + 1 < len(seq):
+            _push(out, name[rho:] + seq[t + 1][0][:rho], 1)
+    return tuple(out)
+
+
+def _match(seq, chunks, first, last):
+    """Block indices i in [first, last) at which the runs ``chunks`` occur in
+    the runs ``seq``; both are maximal runs, so a match of several runs
+    ends its first run on a run end of ``seq`` and matches the inner runs
+    exactly."""
+    head, need = chunks[0]
+    count = at = 0
+    if len(chunks) == 1:
+        for name, reps in seq:
+            if name == head and reps >= need:
+                count += max(min(at + reps - need + 1, last) - max(at, first), 0)
+            at += reps
+        return count
+    inner, (tail, tail_need), span = chunks[1:-1], chunks[-1], len(chunks)
+    for t in range(len(seq) - span + 1):
+        name, reps = seq[t]
+        at += reps
+        if (
+            name == head
+            and reps >= need
+            and first <= at - need < last
+            and seq[t + 1 : t + span - 1] == inner
+            and seq[t + span - 1][0] == tail
+            and seq[t + span - 1][1] >= tail_need
+        ):
+            count += 1
+    return count
+
+
+# -- structure-only operations# -- structure-only operations (no builder needed) ----------------------
 
 
 def _cumulative(expr):

@@ -310,6 +310,65 @@ def test_verify_over_budget_defers(family4):
     assert not report.violations
 
 
+def test_verify_counts_match_scan_of_doubled_words():
+    # the compressed pair counts against a scan of the materialized vv,
+    # and the skipped self-pairs, which do occur, through the same builder
+    family = cam1d.LevelFamily()
+    for n in (3, 2):
+        cam1d.build_level(family, n)
+    for k in (2, 3):
+        strings = {name: family.string(k, name) for name in family.names(k)}
+        report = cam1d.verify_distinct_subwords(family, k)
+        assert len(report.verified) == len(strings) * (len(strings) - 1)
+        for pair in report.pairs:
+            assert pair.count == scan_count(strings[pair.u], strings[pair.v] * 2)
+        for name, text in strings.items():
+            doubled = family.builder.concat([(family.word(k, name), 2)])
+            count = family.builder.count_occurrences(text, doubled)
+            assert count == scan_count(text, text * 2) >= 2
+
+
+# -- counting hierarchy words on block names ----------------------------------------
+
+
+@given(params=st.lists(st.integers(2, 6), min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_certificate_counts_match_scan_of_doubled_words(params):
+    # every count in every certificate of a small hierarchy (levels 2..4)
+    # against a scan of the materialized doubled density words
+    family = cam1d.LevelFamily()
+    for n in params:
+        cam1d.build_level(family, n)
+    for k in range(2, family.top_level + 1):
+        report = cam1d.certify_level(family, k)
+        texts = {side: family.string(k, f"{side}{k}") for side in "ab"}
+        for row in report.rows:
+            if row.ident.startswith(("a-freq", "b-freq")):
+                m, name = row.ident[row.ident.index("=") + 1 : -1].split(",u=")
+                pattern, text = family.string(int(m), name), texts[row.ident[0]] * 2
+            elif "density" in row.ident:
+                pattern, text = row.ident[-2], texts[row.ident[0]]
+            else:
+                continue
+            assert row.parts[0] == scan_count(pattern, text), row.ident
+
+
+def test_level4_build_scans_no_text_for_a_level3_word(monkeypatch):
+    # every junction a level-3 word meets in a level-4 build is decided on
+    # level-2 block names; only the short patterns are counted in texts
+    seen = []
+
+    def recording(pattern, text):
+        seen.append(len(pattern))
+        return naive(pattern, text)
+
+    naive = slp.count_occurrences_naive
+    monkeypatch.setattr(slp, "count_occurrences_naive", recording)
+    family = cam1d.build_family(levels=4)
+    assert family.params == [8, 979, 4738998107]
+    assert seen and max(seen) < family.word_length(3)
+
+
 # -- transitive point --------------------------------------------------------------
 
 

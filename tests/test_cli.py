@@ -147,6 +147,15 @@ def test_measure_command(family_file, capsys):
     assert "side a [0] = 1/9" in out and "side a [1] = 8/9" in out
 
 
+@pytest.mark.parametrize("cylinders", ["0,,1", "0,1,"])
+def test_measure_bad_cylinder_prints_no_row(family_file, cylinders, capsys):
+    # the good cylinders before the empty one print nothing either
+    code = run("measure", "--family", str(family_file), "--k", "3", "--cylinders", cylinders)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: cylinder word must be nonempty\n"
+
+
 def test_measure_command_d2(family_d2_file, capsys):
     assert run("measure", "--family", str(family_d2_file), "--k", "2") == 0
     assert "freq(1|a)=1/36" in capsys.readouterr().out

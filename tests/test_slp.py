@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -357,6 +358,113 @@ def test_count_across_many_parts(builder):
         for start in range(len(text) - size + 1):
             pattern = text[start : start + size]
             assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
+
+
+# -- counting on block names --------------------------------------------------
+
+
+@st.composite
+def block_sequences_and_pattern(draw):
+    """A DAG over blocks of one length ell and a pattern of q >= 2 chunks.
+
+    Blocks repeat q - 1, q and q + 1 times, so runs end just short of,
+    at, and just past a pattern's length; middle nodes are shorter or
+    longer than the pattern; the pattern starts at any symbol, so at every
+    offset from a block boundary, and is half the time drawn from scratch.
+    """
+    builder = slp.SlpBuilder()
+    ell = draw(st.integers(2, 4))
+    q = draw(st.integers(2, 5))
+    words = st.text(alphabet="01", min_size=ell, max_size=ell)
+    blocks = [builder.word(text) for text in draw(st.lists(words, min_size=1, max_size=4))]
+    reps = st.sampled_from([1, 2, q - 1, q, q + 1, 3 * q])
+
+    def node(children, max_parts):
+        parts = draw(st.lists(st.sampled_from(children), min_size=1, max_size=max_parts))
+        return builder.concat([(child, draw(reps)) for child in parts])
+
+    mids = [node(blocks, 4) for _ in range(draw(st.integers(1, 3)))]
+    top = node(blocks + mids, 6)
+    top = builder.concat([(top, draw(st.integers(1, 3))), (draw(st.sampled_from(mids)), 1)])
+    text = slp.materialize(top)
+    size = q * ell
+    if draw(st.booleans()) and len(text) >= size:
+        start = draw(st.integers(0, len(text) - size))
+        pattern = text[start : start + size]
+    else:
+        pattern = draw(st.text(alphabet="01", min_size=size, max_size=size))
+    return builder, top, text, pattern
+
+
+@given(case=block_sequences_and_pattern())
+@settings(max_examples=300, deadline=None)
+def test_block_names_match_oracle_without_text_counts(case):
+    builder, expr, text, pattern = case
+    seen = []
+
+    def recording(pattern, text):
+        seen.append(len(pattern))
+        return naive(pattern, text)
+
+    naive = slp.count_occurrences_naive
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(slp, "count_occurrences_naive", recording)
+        assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
+    assert seen == []  # every boundary was decided on block names
+
+
+def test_block_names_at_run_edges():
+    # runs of 1..4 blocks of 3 symbols: every start of every pattern of 2..5
+    # chunks, so each offset 0, 1, 2 at each run edge, and runs both
+    # shorter and longer than the pattern
+    builder = slp.SlpBuilder()
+    x, y, z = builder.word("001"), builder.word("011"), builder.word("000")
+    mid = builder.concat([(x, 3), (y, 1), (z, 2)])
+    expr = builder.concat([(x, 1), (y, 4), (mid, 2), (z, 1), (x, 2), (mid, 1), (y, 3)])
+    text = slp.materialize(expr)
+    assert slp._grain(expr) == 3
+    for size in (6, 9, 12, 15):
+        for start in range(len(text) - size + 1):
+            pattern = text[start : start + size]
+            assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
+    for pattern in ("000000", "000001000", "011011011011"):
+        assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
+
+
+def test_name_memo_stays_within_its_byte_bound(monkeypatch):
+    monkeypatch.setattr(slp, "_JUNCTION_CACHE_BYTES", 300)
+    builder = slp.SlpBuilder()
+    x, y = builder.word("001"), builder.word("011")
+    mids = [builder.concat([(x, 2 + i), (y, 1), (x, 1)]) for i in range(6)]
+    cleared = False
+    for size in (6, 9, 12):
+        for mid in mids:
+            expr = builder.concat([(mid, 3), (y, 2), (mid, 1)])
+            text = slp.materialize(expr)
+            pattern = text[len(text) - size :]
+            before = builder._name_bytes
+            assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
+            assert 0 < builder._name_bytes <= 300
+            cleared = cleared or builder._name_bytes < before
+    assert cleared
+
+
+@given(
+    chunks=st.lists(st.sampled_from(["01", "10", "11"]), min_size=1, max_size=40),
+)
+def test_chunk_runs_are_the_run_length_chunks(chunks):
+    expected = tuple((chunk, len(list(run))) for chunk, run in itertools.groupby(chunks))
+    assert slp._chunk_runs("".join(chunks), 2) == expected
+
+
+def test_grain_reads_block_length_from_structure(builder):
+    a3 = a3_expr(builder)
+    assert slp._grain(builder.atom("0")) == 0
+    assert slp._grain(a2_expr(builder)) == 9  # a block: a word of atoms
+    assert slp._grain(a3) == 9
+    assert slp._grain(builder.concat([(a3, 2), (a2_expr(builder), 5)])) == 9
+    # blocks of two lengths: no single grain
+    assert slp._grain(builder.concat([(a3, 1), (builder.word("01"), 1)])) == 0
 
 
 # -- minimal period ----------------------------------------------------------
