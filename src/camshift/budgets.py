@@ -1,10 +1,13 @@
 """Resource budgets and their environment override.
 
-Every expensive operation (materialization, d-dimensional scans, pattern
-lengths, parameter searches) is bounded by one of these four fields, and
-nowhere else: no command-line option or keyword argument sets a limit.  The
-CAMSHIFT_BUDGET environment variable overrides individual fields with a
-comma-separated ``key=value`` list, e.g. ``CAMSHIFT_BUDGET=cells=5e8,snippet_cap=8192``.
+Every expensive operation (materialization, d-dimensional scans, parameter
+searches) is bounded by one of these three fields, and nowhere else: no
+command-line option or keyword argument sets a limit.  A pattern is never
+longer than a word already materialized under ``symbols``, so compressed
+counting needs no limit of its own.  The CAMSHIFT_BUDGET environment
+variable overrides individual fields with a comma-separated ``key=value``
+list, e.g. ``CAMSHIFT_BUDGET=cells=5e8,symbols=2e6``; an unknown key is
+refused.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ class Budgets:
     symbols: int = 1_000_000
     # d-dimensional materialization budget (cells)
     cells: int = 100_000_000
-    # longest pattern compressed counting accepts (its snippets are one shorter)
-    snippet_cap: int = 1_048_576
     # parameter-search cap on n
     search_cap: int = 10**12
 

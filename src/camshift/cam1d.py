@@ -29,8 +29,10 @@ frequency and period-gap row formulas (written for dimension d, so d = 1
 gives the one-dimensional denominators) and the pair-scan skeleton are
 shared too.  ``_words`` and ``_certify`` are pure functions of the prefix
 level k and the parameter n: they read levels 1..k of a family and never
-change its levels.  Every limit they meet (symbols materialized, pattern
-length, cells, search cap) is a field of the family's :class:`Budgets`.
+change its levels.  Every limit they meet (symbols materialized, cells,
+search cap) is a field of the family's :class:`Budgets`; this module checks
+each 1-d materialization against ``symbols``, and ``slp`` counts only the
+patterns materialized here.
 
 The solver rests on one fact: all level-k words share one size, so an
 occurrence of an inherited word meets at most 2^d level-k blocks, and every
@@ -295,7 +297,7 @@ class LevelFamily(Hierarchy):
         self.dim = 1
         self.budgets = budgets or Budgets()
         self.eps = FrequencySequence(dim=1)
-        self.builder = slp.SlpBuilder(snippet_cap=self.budgets.snippet_cap)
+        self.builder = slp.SlpBuilder()
         self.levels = [
             {"w1_1": self.builder.atom("0"), "w2_1": self.builder.atom("1")}
         ]
@@ -324,7 +326,7 @@ class LevelFamily(Hierarchy):
         expr = self.word(k, name)
         if expr.length > self.budgets.symbols:
             return None
-        text = slp.materialize(expr, cap=self.budgets.symbols)
+        text = slp.materialize(expr)
         self._strings[key] = text
         return text
 
@@ -401,15 +403,6 @@ class LevelFamily(Hierarchy):
             if u is None:
                 report.rows.append(
                     _unverifiable(ident, "unverifiable at budget: word exceeds symbol budget")
-                )
-                continue
-            if len(u) >= builder.snippet_cap:
-                report.rows.append(
-                    _unverifiable(
-                        ident,
-                        f"unverifiable at budget: pattern length {len(u)} "
-                        f"exceeds window cap {builder.snippet_cap}",
-                    )
                 )
                 continue
             count = builder.count_occurrences(u, doubled[side])
@@ -760,8 +753,12 @@ def transitive_point_window(family: LevelFamily, start: int, size: int) -> str:
         raise OutOfBuiltRange(
             f"window [{start}, {start + size}) outside built range ({-span}, {span}]"
         )
+    if size > family.budgets.symbols:
+        raise BudgetExceeded(
+            f"window of {size} symbols exceeds materialization budget {family.budgets.symbols}"
+        )
     doubled = family.builder.concat([(family.a(top), 2)])
-    return slp.window(doubled, start + span - 1, size, cap=family.budgets.symbols)
+    return slp.window(doubled, start + span - 1, size)
 
 
 def classify_pair(left: str, right: str, k: int) -> str:
@@ -862,8 +859,6 @@ def empirical_measure(family: LevelFamily, k: int, side: str, cylinder: str) -> 
     if size > family.budgets.symbols:
         raise BudgetExceeded("cylinder exceeds the symbol budget")
     builder = family.builder
-    if size >= builder.snippet_cap:
-        raise BudgetExceeded("cylinder exceeds the counting window cap")
     doubled = builder.concat([(base, 2)])
     inner = builder.count_occurrences(cylinder, doubled)
     prefix_hit = 1 if slp.window(doubled, 0, size) == cylinder else 0

@@ -473,7 +473,6 @@ def period_lattice(w) -> PeriodLattice:
 
 @dataclass
 class ZdWord:
-    name: str
     side: int
     array: ArrayWord | None          # None when over the cell budget
     patchwork: PatchworkExpr | None  # layout form of every word above level 2
@@ -488,8 +487,8 @@ class ZdFamily(Hierarchy):
         self.dim = dim
         self.budgets = budgets or Budgets()
         self.eps = FrequencySequence(dim=dim)
-        zero = ZdWord("w1_1", 1, make_cube(dim, 1, 0), None)
-        one = ZdWord("w2_1", 1, make_cube(dim, 1, 1), None)
+        zero = ZdWord(1, make_cube(dim, 1, 0), None)
+        one = ZdWord(1, make_cube(dim, 1, 1), None)
         self.levels: list[dict] = [{"w1_1": zero, "w2_1": one}]
         self.params: list[int] = []
         self.certificates: list[CertificateReport] = []
@@ -510,12 +509,12 @@ class ZdFamily(Hierarchy):
         d = self.dim
         cell_cap = self.budgets.cells
 
-        def wrap(name, obj):
+        def wrap(obj):
             if isinstance(obj, PatchworkExpr):
                 side = obj.side[0]
                 arr = obj.to_array() if obj.cells <= cell_cap else None
-                return ZdWord(name, side, arr, obj)
-            return ZdWord(name, obj.shape[0], obj, None)
+                return ZdWord(side, arr, obj)
+            return ZdWord(obj.shape[0], obj, None)
 
         if k == 1:
             if n < 3:
@@ -526,20 +525,20 @@ class ZdFamily(Hierarchy):
                 )
             density = self._density_words(k, n)
             return {
-                "w1_2": wrap("w1_2", make_cube(d, n, 0)),
-                "w2_2": wrap("w2_2", make_cube(d, n, 1)),
-                "a2": wrap("a2", density["a"].to_array()),
-                "b2": wrap("b2", density["b"].to_array()),
+                "w1_2": wrap(make_cube(d, n, 0)),
+                "w2_2": wrap(make_cube(d, n, 1)),
+                "a2": wrap(density["a"].to_array()),
+                "b2": wrap(density["b"].to_array()),
             }
 
         # the periodic words are stamp-less postcards, so every word above level
         # 2 has the same file form whatever the cell budget
         words = {
-            f"w{i}_{k + 1}": wrap(f"w{i}_{k + 1}", postcard([], stamp, n))
+            f"w{i}_{k + 1}": wrap(postcard([], stamp, n))
             for i, stamp in enumerate(self._stamps(k), start=1)
         }
         for side, word in self._density_words(k, n).items():
-            words[f"{side}{k + 1}"] = wrap(f"{side}{k + 1}", word)
+            words[f"{side}{k + 1}"] = wrap(word)
         return words
 
     def _stamps(self, k: int) -> list:

@@ -29,7 +29,6 @@ from .errors import (
     CamshiftError,
     EnumerationTooLarge,
     MalformedFamily,
-    PatternTooLong,
 )
 
 EXIT_OK = 0
@@ -375,7 +374,7 @@ def main(argv=None) -> int:
     except MalformedFamily as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (BudgetExceeded, PatternTooLong, EnumerationTooLarge) as exc:
+    except (BudgetExceeded, EnumerationTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (CamshiftError, OSError) as exc:  # OSError: an --out the CLI cannot write

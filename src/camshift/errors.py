@@ -13,10 +13,6 @@ class BudgetExceeded(CamshiftError):
     pass
 
 
-class PatternTooLong(CamshiftError):
-    pass
-
-
 class EmptyPattern(CamshiftError):
     pass
 

@@ -43,8 +43,8 @@ is an equality of ell-symbol strings or of run counts, and no junction
 text is built: a level-3 word of 44 091 symbols meets a level-4 junction
 as a dozen runs of level-2 names on each side.  The block names of a
 node's ends, boundaries and seam (by node), the chunk runs (by pattern)
-and the name counts (by names, starts and pattern) share one memo,
-bounded by bytes like the text counts.
+and the name counts (by names, starts and pattern) share one memo with
+the text counts, bounded by bytes.
 
 A text count (:func:`count_occurrences_naive`) serves every other
 boundary: symbols, level-2 words, and cylinders that are not whole
@@ -60,20 +60,11 @@ from __future__ import annotations
 import itertools
 import weakref
 
-from .errors import (
-    BudgetExceeded,
-    EmptyPattern,
-    IndexOutOfRange,
-    InvalidParameter,
-    PatternTooLong,
-)
+from .errors import EmptyPattern, IndexOutOfRange, InvalidParameter
 
 SYMBOLS = ("0", "1")
-DEFAULT_MATERIALIZE_CAP = 1_000_000
-DEFAULT_SNIPPET_CAP = 1_048_576
-# bytes each builder memo keeps, one per symbol of the snippets, block
-# names and pattern an entry holds; the level-4 build holds ~1K in the text
-# count memo and ~4.8M in the block-name memo, and never clears either
+# bytes the builder memo keeps, one per symbol of the snippets, block names
+# and pattern an entry holds; the level-4 build holds ~4.8M and never clears it
 _JUNCTION_CACHE_BYTES = 1 << 25
 _DROP_SYMBOLS = dict.fromkeys(map(ord, SYMBOLS))
 
@@ -128,31 +119,29 @@ def _check_symbol(symbol):
 class SlpBuilder:
     """Hash-consing factory and counting context for :class:`SlpExpr` DAGs.
 
-    ``snippet_cap`` is the maximum pattern length L accepted by compressed
-    counting.  A count adds up the node's runs c^r, each from count(c) and
-    one seam count of suffix(c, L-1) + prefix(c, L-1) (for |c| < L-1, from
-    counts in c^(m-1) and c^m), and one count of at most 2(L-1) symbols at
-    each part boundary.  Each of these is decided on block names when both
-    sides are block sequences and the pattern is whole chunks of their
-    blocks, and otherwise scanned in a text built from prefix and suffix
-    snippets of up to ``snippet_cap - 1`` symbols cached per node.
+    A count of a pattern of length L adds up the node's runs c^r, each from
+    count(c) and one seam count of suffix(c, L-1) + prefix(c, L-1) (for
+    |c| < L-1, from counts in c^(m-1) and c^m), and one count of at most
+    2(L-1) symbols at each part boundary.  Each of these is decided on block
+    names when both sides are block sequences and the pattern is whole
+    chunks of their blocks, and otherwise scanned in a text built from
+    prefix and suffix snippets of up to L-1 symbols cached per node.  The
+    builder sets no limit on L: a caller counts only patterns it has
+    materialized, under its own budget.
     """
 
-    def __init__(self, snippet_cap: int = DEFAULT_SNIPPET_CAP):
-        if snippet_cap < 1:
-            raise InvalidParameter("snippet_cap must be at least 1")
-        self.snippet_cap = snippet_cap
+    def __init__(self):
         self._uid = itertools.count()
         self._exprs = weakref.WeakValueDictionary()
         self._atoms = {s: SlpExpr(next(self._uid), "atom", symbol=s) for s in SYMBOLS}
-        # text counts keyed by content: many nodes share the same cached
-        # suffix/prefix snippets, so the heavy scans run once per content
-        self._junction_counts: dict = {}
-        self._junction_bytes = 0
-        # the block-name path's chunk runs (by pattern), names, junctions and
-        # seams (by node uid) and counts (by content), bounded like the above
-        self._name_memo: dict = {}
-        self._name_bytes = 0
+        # text counts keyed by content (many nodes share the same cached
+        # snippets, so the heavy scans run once per content), and the
+        # block-name path's chunk runs (by pattern), names, junctions and
+        # seams (by node uid) and counts (by content).  Keys never collide:
+        # a text count's 4-tuple starts with a str, a name count's with a
+        # tuple, and the other keys are 2- or 3-tuples
+        self._memo: dict = {}
+        self._memo_bytes = 0
         self._checked: set = set()  # patterns whose symbols are all in SYMBOLS
 
     # -- construction -------------------------------------------------
@@ -238,10 +227,6 @@ class SlpBuilder:
         """
         if not pattern:
             raise EmptyPattern("pattern must be nonempty")
-        if len(pattern) > self.snippet_cap:
-            raise PatternTooLong(
-                f"pattern length {len(pattern)} exceeds snippet cap {self.snippet_cap}"
-            )
         if pattern not in self._checked:
             # one scan at C speed, once per distinct pattern
             stray = pattern.translate(_DROP_SYMBOLS)
@@ -294,7 +279,7 @@ class SlpBuilder:
         if chunks is not None:
             q = len(pattern) // ell
             key = (child.uid, "seam", q)
-            seam = self._name_memo.get(key)
+            seam = self._memo.get(key)
             if seam is None:
                 left, right = self._side(child, ell, q, True), self._side(child, ell, q, False)
                 seam = self._keep(key, _junction(left, right, ell, q), ell * (len(left) + len(right)))
@@ -335,12 +320,12 @@ class SlpBuilder:
         if len(left) * copies + len(right) < len(pattern):
             return 0
         key = (left, copies, right, pattern)
-        value = self._junction_counts.get(key)
+        value = self._memo.get(key)
         if value is None:
-            value = count_occurrences_naive(pattern, left * copies + right)
-            size = len(left) + len(right) + len(pattern)
-            self._junction_bytes = _remember(
-                self._junction_counts, self._junction_bytes, key, value, size
+            value = self._keep(
+                key,
+                count_occurrences_naive(pattern, left * copies + right),
+                len(left) + len(right) + len(pattern),
             )
         return value
 
@@ -354,7 +339,7 @@ class SlpBuilder:
         if not ell or len(pattern) % ell or len(pattern) < 2 * ell:
             return 0, None
         key = (pattern, ell)
-        chunks = self._name_memo.get(key)
+        chunks = self._memo.get(key)
         if chunks is None:
             chunks = _chunk_runs(pattern, ell)
             self._keep(key, chunks, len(pattern) + ell * len(chunks))
@@ -387,7 +372,7 @@ class SlpBuilder:
         """:meth:`_names` of the first (last) ``limit`` blocks of a block
         sequence node, memoized."""
         key = (node.uid, "suffix" if from_end else "prefix", min(limit, node.length // ell))
-        names = self._name_memo.get(key)
+        names = self._memo.get(key)
         if names is None:
             names = self._names(node.parts, ell, key[2], from_end)
             self._keep(key, names, ell * len(names))
@@ -398,7 +383,7 @@ class SlpBuilder:
         last q blocks of the run before it (or all of them), the first q
         blocks after it, and the starts that cross it; memoized."""
         key = (node.uid, "junctions", q)
-        found = self._name_memo.get(key)
+        found = self._memo.get(key)
         if found is None:
             found = tuple(
                 _junction(
@@ -425,7 +410,7 @@ class SlpBuilder:
         Every test is an equality of ell-symbol strings or of run counts.
         """
         key = (seq, lo, hi, pattern)
-        value = self._name_memo.get(key)
+        value = self._memo.get(key)
         if value is None:
             value = 0
             if sum(count for _, count in seq) * ell >= len(pattern):
@@ -438,8 +423,14 @@ class SlpBuilder:
         return value
 
     def _keep(self, key, value, size):
-        """Put a value of ``size`` bytes in the name memo; the value."""
-        self._name_bytes = _remember(self._name_memo, self._name_bytes, key, value, size)
+        """Put a value of ``size`` bytes in the memo, first clearing it when
+        the entry would take it past _JUNCTION_CACHE_BYTES; the value."""
+        if self._memo_bytes + size > _JUNCTION_CACHE_BYTES:
+            self._memo.clear()
+            self._memo_bytes = 0
+        if size <= _JUNCTION_CACHE_BYTES:
+            self._memo[key] = value
+            self._memo_bytes += size
         return value
 
 
@@ -453,18 +444,6 @@ def _junction(left, right, ell, q):
         names = left + right
     end = sum(count for _, count in left) * ell
     return names, max(end - q * ell + 1, 0), end
-
-
-def _remember(memo, held, key, value, size):
-    """Store key -> value in a memo of ``held`` bytes, first clearing it when
-    the entry would take it past _JUNCTION_CACHE_BYTES; the new byte count."""
-    if held + size > _JUNCTION_CACHE_BYTES:
-        memo.clear()
-        held = 0
-    if size <= _JUNCTION_CACHE_BYTES:
-        memo[key] = value
-        held += size
-    return held
 
 
 def _push(runs, name, count):
@@ -580,7 +559,7 @@ def _match(seq, chunks, first, last):
     return count
 
 
-# -- structure-only operations# -- structure-only operations (no builder needed) ----------------------
+# -- structure-only operations (no builder needed) ----------------------
 
 
 def _cumulative(expr):
@@ -615,12 +594,11 @@ def char_at(expr: SlpExpr, i: int) -> str:
         node, i = child, (i - offset) % child.length
 
 
-def window(expr: SlpExpr, start: int, size: int, cap: int = DEFAULT_MATERIALIZE_CAP) -> str:
-    """Materialize ``size`` symbols starting at 0-based ``start``."""
+def window(expr: SlpExpr, start: int, size: int) -> str:
+    """Materialize ``size`` symbols starting at 0-based ``start``; the
+    caller checks ``size`` against its symbol budget."""
     if size < 0:
         raise InvalidParameter("window length must be nonnegative")
-    if size > cap:
-        raise BudgetExceeded(f"window of {size} symbols exceeds materialization budget {cap}")
     if start < 0 or start + size > expr.length:
         raise IndexOutOfRange(
             f"window [{start}, {start + size}) out of range for length {expr.length}"
@@ -664,8 +642,8 @@ def _slice(node, start, size):
     return "".join(pieces)
 
 
-def materialize(expr: SlpExpr, cap: int = DEFAULT_MATERIALIZE_CAP) -> str:
-    return window(expr, 0, expr.length, cap=cap)
+def materialize(expr: SlpExpr) -> str:
+    return window(expr, 0, expr.length)
 
 
 def count_occurrences_naive(pattern: str, text: str) -> int:

@@ -13,6 +13,7 @@ from slp_oracles import scan_count
 from camshift import cam1d, camzd, slp
 from camshift.budgets import Budgets
 from camshift.errors import (
+    BudgetExceeded,
     InvalidParameter,
     MalformedFamily,
     MisalignedWindow,
@@ -277,8 +278,8 @@ def test_certification_is_pure(family3, monkeypatch):
 
 
 def test_certify_unverifiable_rows_reported():
-    # a tiny snippet cap forces the level-3 pattern rows to be flagged
-    budgets = Budgets(snippet_cap=8)
+    # a symbol budget below |a_2| = 9 forces the level-3 pattern rows to be flagged
+    budgets = Budgets(symbols=8)
     family = cam1d.LevelFamily(budgets=budgets)
     cam1d.build_level(family, 8)
     report = cam1d.certify_candidate(family, 20)
@@ -379,6 +380,14 @@ def test_transitive_window_examples(family3):
         cam1d.transitive_point_window(family3, family3.word_length(3), 2)
 
 
+def test_transitive_window_checks_the_symbol_budget():
+    family = cam1d.LevelFamily(budgets=Budgets(symbols=8))
+    cam1d.build_level(family, 8)
+    assert cam1d.transitive_point_window(family, 1, 8) == "01111111"
+    with pytest.raises(BudgetExceeded, match="window of 9 symbols exceeds"):
+        cam1d.transitive_point_window(family, 1, 9)
+
+
 def test_transitive_window_nested_consistency(family4):
     # the window is the same whether read at level 3 or level 4 context
     small = cam1d.build_family(levels=3)
@@ -430,6 +439,16 @@ def test_empirical_measure_longer_cylinder(family3):
     # frequency of the whole a2 word along the level-2 segment
     value = cam1d.empirical_measure(family3, 2, "a", "011111111")
     assert value == Fraction(2, 18)
+
+
+def test_empirical_measure_follows_the_family_symbol_budget(family4):
+    # a cylinder longer than 10^6 symbols is measured under a larger budget
+    family = cam1d.LevelFamily(budgets=Budgets(symbols=1_100_000))
+    for n in family4.params:
+        cam1d.build_level(family, n)
+    cylinder = slp.window(family.a(4), 0, 1_020_000)
+    value = cam1d.empirical_measure(family, 4, "a", cylinder)
+    assert isinstance(value, Fraction) and 0 < value <= 1
 
 
 def test_measure_report_flags(family4):

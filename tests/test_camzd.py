@@ -435,7 +435,7 @@ def test_pair_scan_counts_every_pair():
     arrays.append(np.zeros((4, 4), dtype=np.uint8))
     family = camzd.ZdFamily(dim=2)
     names = cam1d.level_names(2)
-    family.levels.append({n: camzd.ZdWord(n, 4, a, None) for n, a in zip(names, arrays)})
+    family.levels.append({n: camzd.ZdWord(4, a, None) for n, a in zip(names, arrays)})
     report = camzd.verify_distinct_subwords_d(family, 2)
     words = dict(zip(names, arrays))
     for pair in report.pairs:

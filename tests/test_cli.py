@@ -48,6 +48,12 @@ def test_build_usage_error(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("error: budget value")
 
 
+def test_removed_budget_key_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CAMSHIFT_BUDGET", "snippet_cap=8")
+    assert run("build", "--dim", "1", "--levels", "2", "--out", str(tmp_path / "x.json")) == 2
+    assert capsys.readouterr().err == "error: unknown budget 'snippet_cap' in CAMSHIFT_BUDGET\n"
+
+
 def test_build_d2_level3_search_cap_exhaustion(tmp_path, monkeypatch, capsys):
     # level 3 first passes at n = 2087; a cap one below it exhausts the search
     monkeypatch.setenv("CAMSHIFT_BUDGET", "search_cap=2086")

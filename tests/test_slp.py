@@ -6,13 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camshift import slp
-from camshift.errors import (
-    BudgetExceeded,
-    EmptyPattern,
-    IndexOutOfRange,
-    InvalidParameter,
-    PatternTooLong,
-)
+from camshift.errors import EmptyPattern, IndexOutOfRange, InvalidParameter
 from conftest import random_expression, random_pattern
 from slp_oracles import brute_count, scan_count
 
@@ -110,8 +104,6 @@ def test_window_errors(builder):
     a2 = a2_expr(builder)
     with pytest.raises(IndexOutOfRange):
         slp.window(a2, 5, 9)
-    with pytest.raises(BudgetExceeded):
-        slp.window(a2, 0, 9, cap=4)
 
 
 def test_window_matches_char_at(builder, rng):
@@ -159,9 +151,6 @@ def test_count_rejects_bad_patterns(builder):
     a2 = a2_expr(builder)
     with pytest.raises(EmptyPattern):
         builder.count_occurrences("", a2)
-    small = slp.SlpBuilder(snippet_cap=4)
-    with pytest.raises(PatternTooLong):
-        small.count_occurrences("00000", small.power(small.atom("0"), 10))
     for pattern, stray in (("2", "2"), ("01x10", "x"), ("0110 ", " ")):
         with pytest.raises(InvalidParameter, match=f"got {stray!r}"):
             builder.count_occurrences(pattern, a2)
@@ -293,11 +282,16 @@ def test_junction_memo_stays_within_its_byte_bound(builder, rng, monkeypatch):
         expr = random_expression(builder, rng, max_length=5_000)
         text = slp.materialize(expr)
         pattern = random_pattern(rng, text, max_len=min(12, expr.length))
-        before = builder._junction_bytes
+        before = builder._memo_bytes
         assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
-        held = sum(len(left) + len(right) + len(p) for left, _, right, p in builder._junction_counts)
-        assert held == builder._junction_bytes <= 200
-        cleared = cleared or builder._junction_bytes < before
+        # the text counts share the memo and its byte count with the block names
+        held = sum(
+            len(key[0]) + len(key[2]) + len(key[3])
+            for key in builder._memo
+            if len(key) == 4 and isinstance(key[0], str)
+        )
+        assert held <= builder._memo_bytes <= 200
+        cleared = cleared or builder._memo_bytes < before
     assert cleared
 
 @st.composite
@@ -308,7 +302,7 @@ def runs_and_pattern(draw):
     long children repeat too, and the top node has parts shorter than the
     pattern, so occurrences cross three or more parts.
     """
-    builder = slp.SlpBuilder(snippet_cap=64)
+    builder = slp.SlpBuilder()
     reach = draw(st.integers(1, 40))  # L - 1
     texts = st.lists(st.text(alphabet="01", min_size=1, max_size=4), min_size=1, max_size=4)
     leaves = [builder.word(text) for text in draw(texts)]
@@ -442,10 +436,10 @@ def test_name_memo_stays_within_its_byte_bound(monkeypatch):
             expr = builder.concat([(mid, 3), (y, 2), (mid, 1)])
             text = slp.materialize(expr)
             pattern = text[len(text) - size :]
-            before = builder._name_bytes
+            before = builder._memo_bytes
             assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
-            assert 0 < builder._name_bytes <= 300
-            cleared = cleared or builder._name_bytes < before
+            assert 0 < builder._memo_bytes <= 300
+            cleared = cleared or builder._memo_bytes < before
     assert cleared
 
 
