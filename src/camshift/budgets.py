@@ -1,13 +1,13 @@
 """Resource budgets and their environment override.
 
-Every expensive operation (materialization, d-dimensional scans, parameter
-searches) is bounded by one of these three fields, and nowhere else: no
-command-line option or keyword argument sets a limit.  A pattern is never
-longer than a word already materialized under ``symbols``, so compressed
-counting needs no limit of its own.  The CAMSHIFT_BUDGET environment
-variable overrides individual fields with a comma-separated ``key=value``
-list, e.g. ``CAMSHIFT_BUDGET=cells=5e8,symbols=2e6``; an unknown key is
-refused.
+Every expensive operation (1-d and d-dimensional materialization) is
+bounded by one of these two fields, and nowhere else: no command-line
+option or keyword argument sets a limit.  Compressed counting needs no
+limit of its own (a pattern is a word already materialized under
+``symbols``), nor does the parameter solver (its d + 3 certifier runs cost
+the same at every n).  The CAMSHIFT_BUDGET environment variable overrides
+individual fields with a comma-separated ``key=value`` list, e.g.
+``CAMSHIFT_BUDGET=cells=5e8,symbols=2e6``; an unknown key is refused.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ class Budgets:
     symbols: int = 1_000_000
     # d-dimensional materialization budget (cells)
     cells: int = 100_000_000
-    # parameter-search cap on n
-    search_cap: int = 10**12
 
     def validate(self) -> "Budgets":
         for field in fields(self):

@@ -29,8 +29,8 @@ frequency and period-gap row formulas (written for dimension d, so d = 1
 gives the one-dimensional denominators) and the pair-scan skeleton are
 shared too.  ``_words`` and ``_certify`` are pure functions of the prefix
 level k and the parameter n: they read levels 1..k of a family and never
-change its levels.  Every limit they meet (symbols materialized, cells,
-search cap) is a field of the family's :class:`Budgets`; this module checks
+change its levels.  Every limit they meet (symbols or cells materialized)
+is a field of the family's :class:`Budgets`; this module checks
 each 1-d materialization against ``symbols``, and ``slp`` counts only the
 patterns materialized here.
 
@@ -63,6 +63,7 @@ from . import sft, slp
 from .budgets import Budgets
 from .errors import (
     BudgetExceeded,
+    CamshiftError,
     InvalidParameter,
     MalformedFamily,
     MisalignedWindow,
@@ -100,9 +101,6 @@ class FrequencySequence:
 
     def tail_bound(self, start: int) -> Fraction:
         return Fraction(1, 3 ** (self.dim + start - 1))
-
-    def tail_ok(self, start: int) -> bool:
-        return self.tail(start) < self.tail_bound(start)
 
     def partial(self, lo: int, hi: int) -> Fraction:
         return sum((self.value(j) for j in range(lo, hi + 1)), Fraction(0))
@@ -338,8 +336,6 @@ class LevelFamily(Hierarchy):
         if 2 * a_k.length > self.budgets.symbols:
             return None
         text = self.string(k, f"a{k}" if k >= 2 else "w2_1")
-        if text is None:
-            return None
         p = slp.minimal_period(text + text)
         self._periods[k] = p
         return p
@@ -619,12 +615,11 @@ def choose_parameter(family: Hierarchy) -> CertificateReport:
     set to its row that fails at n - 1, the first in report order: that
     row's pass set starts last.
 
-    An answer above the family's ``search_cap`` raises BudgetExceeded, and
-    so does an unverifiable row, at any parameter certified.
+    An unverifiable row, at any parameter certified, raises BudgetExceeded;
+    rows that no n passes raise CamshiftError.
     """
     if not family.is_certified():
         raise InvalidParameter("family must be certified through its top level")
-    cap = family.budgets.search_cap
     start = family._fit_start(family.top_level)
     reports = {}
 
@@ -635,8 +630,8 @@ def choose_parameter(family: Hierarchy) -> CertificateReport:
 
     fitted = _fit_rows([certify(n) for n in range(start, start + family.dim + 1)], start)
     n = _smallest_pass([_margin(parts) for parts in fitted.values()], start)
-    if n is None or n > cap:
-        raise BudgetExceeded(f"no passing parameter found up to cap {cap}")
+    if n is None:
+        raise CamshiftError(f"level {family.top_level + 1}: no parameter passes every row")
     scale = math.factorial(family.dim)
     report = certify(n)
     _check_fit(report, fitted, start, scale)

@@ -142,20 +142,6 @@ class PatchworkExpr:
     def cells(self) -> int:
         return math.prod(self.side)
 
-    def cell(self, coords) -> int:
-        """Value at 1-based coordinates."""
-        n = self.base.shape[0]
-        if len(coords) != self.dim:
-            raise ShapeMismatch("coordinate arity mismatch")
-        if any(not (1 <= x <= s) for x, s in zip(coords, self.side)):
-            raise OutOfBuiltRange(f"coordinates {coords} outside {self.side}")
-        block = tuple((x - 1) // n for x in coords)
-        for anchor, stamp in self.patches:
-            if block == tuple(anchor):
-                rel = tuple((x - 1) % n for x in coords)
-                return int(stamp[rel])
-        return int(self.base[tuple((x - 1) % n for x in coords)])
-
     def to_array(self) -> ArrayWord:
         out = np.tile(self.base, self.extents)
         n = self.base.shape[0]

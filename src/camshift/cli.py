@@ -24,12 +24,7 @@ from fractions import Fraction
 
 from . import cam1d, camzd, sft
 from .budgets import Budgets, budgets_from_env
-from .errors import (
-    BudgetExceeded,
-    CamshiftError,
-    EnumerationTooLarge,
-    MalformedFamily,
-)
+from .errors import BudgetExceeded, CamshiftError, MalformedFamily
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -251,24 +246,28 @@ def _parse_matrix(text: str):
 
 def cmd_sft(args) -> int:
     matrix = _parse_matrix(args.matrix)
+    # a census value may pass CPython's 4 300-digit limit on int-to-str
+    # conversion: lift it for this output only, so family files keep it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(canonical_json(_sft_payload(args, matrix)), end="")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return EXIT_OK
+
+
+def _sft_payload(args, matrix) -> dict:
     if args.sft_cmd == "qn":
-        table = sft.census(matrix, args.n)
-        print(canonical_json({str(n): str(q) for n, q in table.items()}), end="")
-        return EXIT_OK
+        return {str(n): str(q) for n, q in sft.census(matrix, args.n).items()}
     if args.sft_cmd == "perron":
         result = sft.perron_eigenvalue(matrix)
-        print(
-            canonical_json(
-                {
-                    "lower": _frac_str(result.lower),
-                    "upper": _frac_str(result.upper),
-                    "iterations": result.iterations,
-                    "primitive": result.primitive,
-                }
-            ),
-            end="",
-        )
-        return EXIT_OK
+        return {
+            "lower": _frac_str(result.lower),
+            "upper": _frac_str(result.upper),
+            "iterations": result.iterations,
+            "primitive": result.primitive,
+        }
     if args.find_smallest < 0:
         raise CamshiftError("--find-smallest must be a nonnegative height cap (0 skips the search)")
     report = sft.embedding_feasibility(matrix, args.height, args.n_max)
@@ -286,8 +285,7 @@ def cmd_sft(args) -> int:
         payload["smallest_feasible_height"] = sft.smallest_feasible_height(
             matrix, args.n_max, cap=args.find_smallest
         )
-    print(canonical_json(payload), end="")
-    return EXIT_OK
+    return payload
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -374,7 +372,7 @@ def main(argv=None) -> int:
     except MalformedFamily as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (BudgetExceeded, EnumerationTooLarge) as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (CamshiftError, OSError) as exc:  # OSError: an --out the CLI cannot write

@@ -37,10 +37,6 @@ class StampCountTooLarge(CamshiftError):
     pass
 
 
-class EnumerationTooLarge(CamshiftError):
-    pass
-
-
 class ReducibleMatrix(CamshiftError):
     pass
 

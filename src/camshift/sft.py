@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EnumerationTooLarge, InvalidParameter, ReducibleMatrix
+from .errors import BudgetExceeded, InvalidParameter, ReducibleMatrix
 
 _ENUM_CAP = 5_000_000
 
@@ -143,7 +143,7 @@ def census(A, n_max: int) -> dict:
     return {n: _least_period(traces, n) for n in range(1, n_max + 1)}
 
 
-def brute_periodic_points(A, n: int, cap: int = _ENUM_CAP) -> int:
+def brute_periodic_points(A, n: int) -> int:
     """Direct enumeration oracle for the least-period-n point count of
     :func:`census` (the benchmark's arith-sft workload checks the census
     against it, so it stays in the package).
@@ -154,10 +154,10 @@ def brute_periodic_points(A, n: int, cap: int = _ENUM_CAP) -> int:
     """
     A = _as_matrix(A)
     if A.dim > 6 or n > 12:
-        raise EnumerationTooLarge("enumeration bound is dimension <= 6, n <= 12")
+        raise BudgetExceeded("enumeration bound is dimension <= 6, n <= 12")
     total_walks = trace_power(A, n)
-    if total_walks > cap:
-        raise EnumerationTooLarge(f"{total_walks} closed walks exceed the enumeration cap {cap}")
+    if total_walks > _ENUM_CAP:
+        raise BudgetExceeded(f"{total_walks} closed walks exceed the enumeration cap {_ENUM_CAP}")
     rows = A.rows
     dim = A.dim
     proper = [d for d in divisors(n) if d < n]
@@ -211,12 +211,6 @@ def _require_irreducible(A) -> SftMatrix:
     if not is_irreducible(A):
         raise ReducibleMatrix("matrix is not irreducible")
     return A
-
-
-def is_primitive(A) -> bool:
-    """True when some power of A is entrywise positive: A is irreducible with period 1."""
-    A = _as_matrix(A)
-    return is_irreducible(A) and _aperiodic(_charpoly(A.rows))
 
 
 def _aperiodic(chi) -> bool:

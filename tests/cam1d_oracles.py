@@ -66,14 +66,13 @@ def distinct_factor_counts_automaton(text: str, n_max: int) -> list[int]:
     return counts
 
 
-def doubling_search(family):
+def doubling_search(family, cap: int = 10**12):
     """The passing report of the smallest n > 1 whose candidate level passes.
 
     Doubles n from 2 until a candidate passes, then bisects between the
     last failing n and it; a report with unverifiable rows and no failed
-    row, or doubling past ``search_cap``, raises BudgetExceeded.
+    row, or doubling past ``cap``, raises BudgetExceeded.
     """
-    cap = family.budgets.search_cap
 
     def decide(n):
         report = cam1d.certify_candidate(family, n)

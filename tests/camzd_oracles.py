@@ -3,11 +3,12 @@
 These are the direct algorithms: every placement compared cell by cell,
 every residue tested by a full roll with the span closed by pairwise sums,
 the periodic extension as a plain tile, the postcard read cell by cell
-from its two-case definition, the certificate counted in the built doubled
-density words and the transitive configuration read cell by cell.  The
-tests compare ``camzd.count_occurrences_d``, ``camzd.period_lattice``,
-``camzd.postcard``, the block-grid certifier and
-``camzd.transitive_config_window`` against them.
+from its two-case definition, a patchwork read one cell at a time, the
+certificate counted in the built doubled density words and the transitive
+configuration read cell by cell.  The tests compare
+``camzd.count_occurrences_d``, ``camzd.period_lattice``,
+``camzd.postcard``, ``PatchworkExpr.to_array``, the block-grid certifier
+and ``camzd.transitive_config_window`` against them.
 """
 
 import math
@@ -107,6 +108,18 @@ def postcard_cell(stamps, base, e: int, coords) -> int:
     return int(base[tuple(((x - 1) % n) for x in coords)])
 
 
+def patchwork_cell(patchwork, coords) -> int:
+    """The value of a ``camzd.PatchworkExpr`` at 1-based ``coords``: its stamp
+    when the cell's block has one, else the periodic base."""
+    n = patchwork.base.shape[0]
+    block = tuple((x - 1) // n for x in coords)
+    rel = tuple((x - 1) % n for x in coords)
+    for anchor, stamp in patchwork.patches:
+        if block == tuple(anchor):
+            return int(stamp[rel])
+    return int(patchwork.base[rel])
+
+
 def certify_materialized(family, k: int, n: int) -> cam1d.CertificateReport:
     """The level-(k+1) report at parameter n, every count taken in a built word.
 
@@ -185,5 +198,5 @@ def transitive_config_window_cells(family, starts, sides):
         if word.array is not None:
             out[offset] = word.array[base_index]
         else:
-            out[offset] = word.patchwork.cell(tuple(i + 1 for i in base_index))
+            out[offset] = patchwork_cell(word.patchwork, tuple(i + 1 for i in base_index))
     return out

@@ -7,7 +7,8 @@ The oracles here share nothing with that sequence:
 * ``_matpow`` raises a matrix to a power by repeated squaring, and ``tr_n``
   computes one least-period count of the census from those powers;
 * ``is_primitive_wielandt`` looks for an entrywise positive power of A up to
-  Wielandt's bound A^((d-1)^2 + 1), to check ``sft.is_primitive``.
+  Wielandt's bound A^((d-1)^2 + 1), to check ``sft.perron_eigenvalue``'s
+  ``primitive`` flag.
 
 The checks of the exact eigenvalue path use plain ``Fraction`` Gaussian
 elimination and share no code with the characteristic polynomial or the

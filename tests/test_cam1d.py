@@ -14,6 +14,7 @@ from camshift import cam1d, camzd, slp
 from camshift.budgets import Budgets
 from camshift.errors import (
     BudgetExceeded,
+    CamshiftError,
     InvalidParameter,
     MalformedFamily,
     MisalignedWindow,
@@ -38,7 +39,7 @@ def test_eps_tail_bound_holds_everywhere():
     for dim in (1, 2, 3):
         eps = cam1d.FrequencySequence(dim=dim)
         for start in range(1, 12):
-            assert eps.tail_ok(start)
+            assert eps.tail(start) < eps.tail_bound(start)
             # prefix sums approximate the closed form from below
             partial = eps.partial(start, start + 30)
             assert partial < eps.tail(start)
@@ -146,6 +147,42 @@ def test_build_certifies_each_candidate_once(build, monkeypatch):
     assert max(Counter(level for level, _ in seen).values()) <= 5
     # the stored certificates are the reports the search decided on
     assert all(any(c is r for r in reports) for c in family.certificates)
+
+
+def test_certification_work_is_flat_in_n(monkeypatch):
+    # the solver may return any n: a level-4 candidate costs the same at
+    # every one (the d-dim analogue is test_certificate_work_does_not_grow_with_n).
+    # Each n gets a new family, so no memo carries work over from another n
+    work = Counter()
+    count, naive = slp.SlpBuilder.count_occurrences, slp.count_occurrences_naive
+
+    def counting(self, pattern, expr):
+        work["count calls"] += 1
+        return count(self, pattern, expr)
+
+    def scanning(pattern, text):
+        work["text bytes"] += len(text)
+        return naive(pattern, text)
+
+    monkeypatch.setattr(slp.SlpBuilder, "count_occurrences", counting)
+    monkeypatch.setattr(slp, "count_occurrences_naive", scanning)
+    for n in (4738998107, 10**15, 10**30):
+        family = cam1d.build_family(levels=3)
+        work.clear()
+        assert cam1d.certify_candidate(family, n).passed
+        assert work == {"count calls": 20, "text bytes": 96}
+
+
+def test_choose_parameter_with_no_passing_n():
+    class NoPass(cam1d.Hierarchy):
+        dim, levels, certificates = 1, [{}], []
+
+        def _certify(self, k, n):
+            return cam1d.CertificateReport(k + 1, n, [cam1d._row("n<1", (n, 1), (1, 1))])
+
+    with pytest.raises(CamshiftError, match="^level 2: no parameter passes every row$") as caught:
+        cam1d.choose_parameter(NoPass())
+    assert type(caught.value) is CamshiftError  # a certification failure, not a budget
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from camzd_oracles import (
     certify_materialized,
     count_occurrences_windowed,
     period_lattice_scan,
+    patchwork_cell,
     postcard_cell,
     self_concat,
     transitive_config_window_cells,
@@ -52,7 +53,7 @@ def test_self_concat_budget_falls_back_to_patchwork():
     out = self_concat(w, (100, 100), max_cells=1000)
     assert isinstance(out, camzd.PatchworkExpr)
     assert out.patches == ()
-    assert out.cell((1, 1)) == 0
+    assert patchwork_cell(out, (1, 1)) == 0
 
 
 def test_patchwork_cells_are_exact():
@@ -134,7 +135,7 @@ def test_postcard_agrees_with_two_case_formula(rng):
             coords = tuple(rng.randint(1, (2 * e + 1) * n) for _ in range(d))
             want = postcard_cell(stamps, base, e, coords)
             assert arr[tuple(c - 1 for c in coords)] == want
-            assert pc.cell(coords) == want
+            assert patchwork_cell(pc, coords) == want
 
 
 def test_postcard_corner_blocks_equal_base_randomized(rng):
@@ -402,13 +403,12 @@ def test_certificate_work_does_not_grow_with_n(family_d2, monkeypatch):
         return count(pattern, text)
 
     monkeypatch.setattr(camzd, "count_occurrences_d", recording)
-    for n in (48, 2087):
+    for n in (48, 2087, 10**6, 10**12):
         calls[n] = []
-        report = camzd.certify_candidate_d(family_d2, n)
-    assert report.passed  # n = 2087 is the certified level-3 parameter
-    assert calls[48] == calls[2087]
-    cells = [sum(np.prod(t) for _, t in calls[n]) for n in (48, 2087)]
-    assert cells[0] == cells[1] < 20_000
+        # n = 2087 is the certified level-3 parameter
+        assert camzd.certify_candidate_d(family_d2, n).passed == (n >= 2087)
+    assert calls[48] == calls[2087] == calls[10**6] == calls[10**12]
+    assert sum(np.prod(t) for _, t in calls[2087]) == 10734
 
 
 def test_pair_scan_packs_each_word_once(family_d2, monkeypatch):

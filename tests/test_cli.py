@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -49,32 +50,39 @@ def test_build_usage_error(tmp_path, monkeypatch, capsys):
 
 
 def test_removed_budget_key_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CAMSHIFT_BUDGET", "snippet_cap=8")
-    assert run("build", "--dim", "1", "--levels", "2", "--out", str(tmp_path / "x.json")) == 2
-    assert capsys.readouterr().err == "error: unknown budget 'snippet_cap' in CAMSHIFT_BUDGET\n"
+    for key in ("snippet_cap", "search_cap"):
+        monkeypatch.setenv("CAMSHIFT_BUDGET", f"{key}=8")
+        assert run("build", "--dim", "1", "--levels", "2", "--out", str(tmp_path / "x.json")) == 2
+        assert capsys.readouterr().err == f"error: unknown budget '{key}' in CAMSHIFT_BUDGET\n"
 
 
-def test_build_d2_level3_search_cap_exhaustion(tmp_path, monkeypatch, capsys):
-    # level 3 first passes at n = 2087; a cap one below it exhausts the search
-    monkeypatch.setenv("CAMSHIFT_BUDGET", "search_cap=2086")
-    out = tmp_path / "d2l3.json"
-    assert run("build", "--dim", "2", "--levels", "3", "--out", str(out)) == 3
-    assert "no passing parameter found up to cap 2086" in capsys.readouterr().err
+def test_build_undecidable_at_budget_writes_no_file(tmp_path, capsys):
+    # the level-5 rows count level-4 words, which exceed the symbol budget
+    out = tmp_path / "l5.json"
+    assert run("build", "--dim", "1", "--levels", "5", "--out", str(out)) == 3
+    assert "certification of level 5 undecidable at budget" in capsys.readouterr().err
     assert not out.exists()  # nothing partially written
 
 
-def test_build_d2_level3(tmp_path, capsys):
-    out, again = tmp_path / "d2l3.json", tmp_path / "again.json"
-    assert run("build", "--dim", "2", "--levels", "3", "--out", str(out)) == 0
+def _build_level3(dim, tmp_path, capsys):
+    """The captured output and the file of ``build --dim dim --levels 3``, once
+    a rebuild is byte-identical and ``certify`` reproduces its certificates."""
+    out, again = tmp_path / "l3.json", tmp_path / "again.json"
+    assert run("build", "--dim", str(dim), "--levels", "3", "--out", str(out)) == 0
     captured = capsys.readouterr()
-    assert "level 3: n=2087, rows=15, pass" in captured.out
-    assert "level 3: binding row a-freq[m=2,u=w1_2], margin 8929/303671049840000" in captured.err
-    assert json.loads(out.read_text())["params"] == ["6", "2087"]
-    assert run("build", "--dim", "2", "--levels", "3", "--out", str(again)) == 0
+    assert run("build", "--dim", str(dim), "--levels", "3", "--out", str(again)) == 0
     assert again.read_bytes() == out.read_bytes()
     capsys.readouterr()
     assert run("certify", "--family", str(out)) == 0
     assert capsys.readouterr().out == cli.canonical_json(json.loads(out.read_text())["certificates"])
+    return captured, out
+
+
+def test_build_d2_level3(tmp_path, capsys):
+    captured, out = _build_level3(2, tmp_path, capsys)
+    assert "level 3: n=2087, rows=15, pass" in captured.out
+    assert "level 3: binding row a-freq[m=2,u=w1_2], margin 8929/303671049840000" in captured.err
+    assert json.loads(out.read_text())["params"] == ["6", "2087"]
     # the level-3 words are patchworks over the cell budget: the densities
     # are read off them, the window is sliced from them
     assert run("measure", "--family", str(out), "--k", "3") == 0
@@ -83,16 +91,14 @@ def test_build_d2_level3(tmp_path, capsys):
     assert '"data":"0000000000100000"' in capsys.readouterr().out
 
 
-def test_build_search_cap_exhaustion(tmp_path, monkeypatch, capsys):
-    # level 2 first passes at n = 8; the solver's answer is bounded by the cap
-    out = tmp_path / "capped.json"
-    monkeypatch.setenv("CAMSHIFT_BUDGET", "search_cap=7")
-    assert run("build", "--dim", "1", "--levels", "2", "--out", str(out)) == 3
-    assert "no passing parameter found up to cap 7" in capsys.readouterr().err
-    assert not out.exists()
-    monkeypatch.setenv("CAMSHIFT_BUDGET", "search_cap=8")
-    assert run("build", "--dim", "1", "--levels", "2", "--out", str(out)) == 0
-    assert "level 2: n=8, rows=6, pass" in capsys.readouterr().out
+def test_build_d3_level3(tmp_path, capsys):
+    captured, out = _build_level3(3, tmp_path, capsys)
+    assert "level 3: n=8539, rows=15, pass" in captured.out
+    assert (
+        "level 3: binding row a-freq[m=2,u=w1_2], margin 46416293/918970564675296155095296"
+        in captured.err
+    )
+    assert json.loads(out.read_text())["params"] == ["6", "8539"]
 
 
 def test_build_prints_binding_rows_on_stderr(tmp_path, family_file, capsys):
@@ -219,6 +225,17 @@ def test_sft_qn(capsys):
         assert run("sft", "qn", "--matrix", matrix, "--n", "2") == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: matrix")
+
+
+def test_sft_qn_prints_values_past_the_digit_limit(capsys):
+    # q_20700 has 4 327 digits, past CPython's default 4 300-digit str() limit
+    limit = sys.get_int_max_str_digits()
+    assert run("sft", "qn", "--matrix", "[[1,1],[1,0]]", "--n", "20700") == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted for the output only
+    out = capsys.readouterr().out
+    start = out.index('"20700":"') + len('"20700":"')
+    value = out[start : out.index('"', start)]
+    assert value.isdigit() and len(value) == 4327
 
 
 JSON_VALUES = st.recursive(

@@ -17,7 +17,7 @@ from sft_oracles import (
 )
 
 from camshift import sft
-from camshift.errors import CamshiftError, EnumerationTooLarge, InvalidParameter, ReducibleMatrix
+from camshift.errors import BudgetExceeded, CamshiftError, InvalidParameter, ReducibleMatrix
 
 GOLDEN = [[1, 1], [1, 0]]
 FULL2 = [[2]]
@@ -100,9 +100,9 @@ def test_brute_examples():
 
 
 def test_brute_guard():
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(BudgetExceeded):
         sft.brute_periodic_points([[2]], 13)
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(BudgetExceeded):
         sft.brute_periodic_points([[2, 2], [2, 2]], 12)
 
 
@@ -243,7 +243,13 @@ def test_newton_of_power_sums_is_charpoly_of_power(matrix, m):
 @example([[0]])
 @settings(max_examples=200, deadline=None)
 def test_is_primitive_matches_wielandt(matrix):
-    assert sft.is_primitive(matrix) == is_primitive_wielandt(matrix)
+    # perron_eigenvalue reports primitivity for irreducible matrices only
+    if sft.is_irreducible(matrix):
+        assert sft.perron_eigenvalue(matrix).primitive == is_primitive_wielandt(matrix)
+    else:
+        assert not is_primitive_wielandt(matrix)
+        with pytest.raises(ReducibleMatrix):
+            sft.perron_eigenvalue(matrix)
 
 
 def test_one_trace_sequence_per_call(monkeypatch):
@@ -256,7 +262,6 @@ def test_one_trace_sequence_per_call(monkeypatch):
         lambda A: sft.embedding_feasibility(A, 3, 20),
         lambda A: sft.smallest_feasible_height(A, 20, 8),
         sft.perron_eigenvalue,
-        sft.is_primitive,
     )
     for matrix in CATALOG:
         for call in calls:

@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "camshift").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "camshift").glob("*.py"))
+# the benchmark drives the package from outside, partly by attribute name
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def _imported(tree):
@@ -32,9 +39,29 @@ def _used(tree):
     return used
 
 
+def _defined(tree):
+    """(name, line) for every function, class and method, dunder methods aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno
+
+
+def _read(tree):
+    """Names the module reads: loaded names and attributes, and string
+    constants (``__all__`` and attribute names passed as strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _parse(path)
     used = _used(tree)
     unused = [f"{path.name}:{line} {name}" for name, line in _imported(tree) if name not in used]
     assert not unused, unused
@@ -44,3 +71,30 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom .errors import A, B\n__all__ = ['B']\n")
     used = _used(tree)
     assert [name for name, _ in _imported(tree) if name not in used] == ["os", "A"]
+
+
+def test_every_definition_is_read():
+    # a definition that only tests reach belongs with the tests
+    read = {name for path in SOURCES + PERFBENCH for name in _read(_parse(path))}
+    unread = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        for name, line in _defined(_parse(path))
+        if name not in read
+    ]
+    assert not unread, unread
+
+
+def test_the_check_sees_an_unread_definition():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def m(self): pass\n"
+        "    def n(self): pass\n"
+        "def f(): pass\n"
+        "def g(): pass\n"
+        "A().n()\n"
+        "TARGETS = ['g']\n"
+    )
+    read = set(_read(tree))
+    assert [name for name, _ in _defined(tree) if name not in read] == ["f", "m"]
