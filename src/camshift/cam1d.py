@@ -912,6 +912,11 @@ def measure_report(family: LevelFamily, k_max: int | None = None) -> list:
 # -- complexity ---------------------------------------------------------------
 
 
+def _uint(bits: int):
+    """The narrowest unsigned numpy dtype of at least ``bits`` bits."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= bits)
+
+
 def _packed_prefixes(text: str):
     """``(key, bits, per)``: key[i] packs the first ``per`` symbols from i.
 
@@ -919,26 +924,32 @@ def _packed_prefixes(text: str):
     bits = s.bit_length(), per = 64 // bits codes fit one uint64 as
     base-2**bits digits, first symbol highest.  key has len(text) + 1
     entries; the last one, 0, stands for the empty suffix.
+
+    Chunks of ``width`` symbols are doubled in the narrowest dtype that
+    holds them, while 2 * width symbols fit 32 bits; the uint64 key is then
+    assembled in place from per / width chunks, the last one cut short by
+    a right shift when width does not divide per.
     """
     size = len(text)
     points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    seen = np.zeros(int(points.max()) + 1, dtype=np.uint64)
-    seen[points] = 1
-    code_of = np.cumsum(seen)
-    bits = int(code_of[-1]).bit_length()
+    seen = np.zeros(int(points.max()) + 1, dtype=bool)
+    seen[points] = True
+    bits = int(np.count_nonzero(seen)).bit_length()
     per = 64 // bits
-    key = np.zeros(size + 2 * per, dtype=np.uint64)
-    key[:size] = code_of[points]
-    # double the packed width while it fits, then append the top symbols of the next key
+    chunk = np.zeros(size + 2 * per, dtype=_uint(bits))
+    np.take(np.cumsum(seen, dtype=chunk.dtype), points, out=chunk[:size])
     width = 1
-    while 2 * width <= per:
-        key = (key[:-width] << np.uint64(bits * width)) | key[width:]
-        width *= 2
-    rest = per - width
-    if rest:
-        tail = key[width:] >> np.uint64(bits * (width - rest))
-        key = (key[:-width] << np.uint64(bits * rest)) | tail
-    return key[: size + 1], bits, per
+    while 2 * width <= per and 2 * width * bits <= 32:
+        doubled = np.left_shift(chunk[:-width], bits * width, dtype=_uint(2 * width * bits))
+        doubled |= chunk[width:]
+        chunk, width = doubled, 2 * width
+    key = chunk[: size + 1].astype(np.uint64)
+    for start in range(width, per, width):
+        take = min(width, per - start)
+        key <<= np.uint64(bits * take)
+        piece = chunk[start : start + size + 1]
+        key |= piece >> (bits * (width - take)) if take < width else piece
+    return key, bits, per
 
 
 def _packed_lcp(x, y, bits: int, per: int):
@@ -972,18 +983,24 @@ def distinct_factor_counts(text: str, n_max: int) -> list[int]:
     injective and numeric order is lexicographic order: every code is
     below 2**bits, and a suffix's 0 codes past its end sit where any
     longer suffix has a nonzero code, so two suffixes never agree on a
-    position past the end of either.  For n_max <= per one sort of the
-    keys and the XOR of adjacent keys give every capped LCP.  Longer
-    prefixes take ceil(log2(n_max / per)) prefix-doubling rounds (fewer
-    once all suffixes are told apart): each ranks the pairs
-    (rank[i], rank[i + h]) of the last round, which stand for the first 2h
-    symbols.  An adjacent pair's LCP is then a greedy descent over those
-    rank levels, largest h first, finished by the packed keys.  Every
-    comparison is an integer equality of injective codes: there is no
-    hashing and no sampling.
+    position past the end of either.  For n_max <= per the sorted keys
+    are all the order needed.  Longer prefixes take
+    ceil(log2(n_max / per)) prefix-doubling rounds (fewer once all
+    suffixes are told apart): each ranks the pairs (rank[i], rank[i + h])
+    of the last round, which stand for the first 2h symbols.
 
-    Cost: one O(N log N) sort, plus one more sort and one O(N) descent
-    step per doubling round; memory is O(N) words per kept round.
+    Either way the suffixes end up in U groups of equal key or equal final
+    rank, and two suffixes of one group share at least n_max symbols, so
+    the N - U adjacent pairs inside groups lower every p(n) by one each.
+    Only the U - 1 pairs across groups need an LCP: a greedy descent over
+    the rank levels, largest h first, finished by the XOR of the packed
+    keys.  Every comparison is an integer equality of injective codes:
+    there is no hashing and no sampling.
+
+    Cost: one O(N log N) sort of the keys and a few O(N) passes in 8- to
+    32-bit words to pack them; then O(U) for the LCPs when n_max <= per.
+    Each doubling round adds one more O(N log N) sort and one kept O(N)
+    rank array, and the descent costs O(U) per round.
     """
     if n_max < 1:
         return []
@@ -995,16 +1012,14 @@ def distinct_factor_counts(text: str, n_max: int) -> list[int]:
         return counts
     key, bits, per = _packed_prefixes(text)
     ordered = np.sort(key[:size])
-    if n_max <= per:
-        lcp = _packed_lcp(ordered[:-1], ordered[1:], bits, per)
-    else:
-        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    h, groups = per, len(distinct)
+    if h < n_max and groups < size:
         rank = np.zeros(size + 1, dtype=np.uint32)  # rank[size] == 0: the empty suffix
         rank[:size] = np.searchsorted(distinct, key[:size]) + 1
         shift = size.bit_length()
         order = _stable_order(rank[:size], shift)
         levels = [key]  # levels[j] tells apart the first per * 2**j symbols
-        h, groups = per, len(distinct)
         while h < n_max and groups < size:
             # all positions in order of rank[i + h], which is 0 past the end
             later = order[order >= h]
@@ -1020,14 +1035,19 @@ def distinct_factor_counts(text: str, n_max: int) -> list[int]:
             groups = int(rank[order[-1]])
             levels.append(rank)
             h *= 2
-        left, right = order[:-1], order[1:]
-        lcp = np.zeros(size - 1, dtype=np.intp)
-        for j in reversed(range(len(levels))):
+        # neighbours across groups differ in the last level, so the descent starts below it
+        left, right = order[:-1][fresh], order[1:][fresh]
+        lcp = np.zeros(len(left), dtype=np.intp)
+        for j in reversed(range(len(levels) - 1)):
             same = levels[j][left + lcp] == levels[j][right + lcp]
             lcp += same * (per << j)
-        lcp += _packed_lcp(key[left + lcp], key[right + lcp], bits, per)
+        ahead, behind = key[left + lcp], key[right + lcp]
+    else:
+        lcp, ahead, behind = 0, distinct[:-1], distinct[1:]
+    lcp = lcp + _packed_lcp(ahead, behind, bits, per)
     at_least = np.cumsum(np.bincount(np.minimum(lcp, n_max), minlength=n_max + 1)[::-1])[::-1]
-    return [count - int(pairs) for count, pairs in zip(counts, at_least[1:])]
+    inside = size - groups
+    return [count - inside - int(pairs) for count, pairs in zip(counts, at_least[1:])]
 
 
 @dataclass

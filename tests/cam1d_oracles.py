@@ -2,7 +2,7 @@
 
 The suffix automaton below is the direct per-symbol construction.  The
 tests compare ``cam1d.distinct_factor_counts`` (one sort of packed
-prefixes plus the LCP of sorted neighbours) against it and against
+prefixes plus the LCP of neighbouring distinct keys) against it and against
 brute-force sets of slices.
 
 ``doubling_search`` finds each level's parameter by certifying candidates

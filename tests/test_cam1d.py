@@ -523,11 +523,11 @@ def test_distinct_factor_counts_brute(rng):
     for _ in range(40):
         text = "".join(rng.choice("01") for _ in range(rng.randint(1, 60)))
         n_max = min(len(text), 10)
-        counts = cam1d.distinct_factor_counts(text, n_max)
-        brute = [
-            len({text[i : i + n] for i in range(len(text) - n + 1)}) for n in range(1, n_max + 1)
-        ]
-        assert counts == brute
+        assert cam1d.distinct_factor_counts(text, n_max) == _brute_counts(text, n_max)
+
+
+def _brute_counts(text, n_max):
+    return [len({text[i : i + n] for i in range(len(text) - n + 1)}) for n in range(1, n_max + 1)]
 
 
 SYMBOL_POOL = "01abcdefgé一\U0001F600"
@@ -563,10 +563,51 @@ def test_distinct_factor_counts_match_oracles(case):
     text, n_max = case
     counts = cam1d.distinct_factor_counts(text, n_max)
     assert counts == distinct_factor_counts_automaton(text, n_max)
-    brute = [
-        len({text[i : i + n] for i in range(len(text) - n + 1)}) for n in range(1, n_max + 1)
-    ]
-    assert counts == brute
+    assert counts == _brute_counts(text, n_max)
+
+
+@pytest.fixture()
+def lcp_pairs(monkeypatch):
+    """Sizes of the batches of neighbour pairs whose LCP is computed."""
+    sizes = []
+    packed_lcp = cam1d._packed_lcp
+
+    def counting(x, y, bits, per):
+        sizes.append(len(x))
+        return packed_lcp(x, y, bits, per)
+
+    monkeypatch.setattr(cam1d, "_packed_lcp", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("n_max", [32, 33, 64, 200])
+def test_distinct_factor_counts_on_transitive_windows(family3, n_max, lcp_pairs):
+    # 32 binary symbols to a key: n_max = 32 sorts keys only, 33, 64 and 200
+    # take 1, 1 and 3 doubling rounds
+    text = cam1d.transitive_point_window(family3, -2000, 4000)
+    counts = cam1d.distinct_factor_counts(text, n_max)
+    assert counts == distinct_factor_counts_automaton(text, n_max)
+    assert counts == _brute_counts(text, n_max)
+    # the window repeats level-2 words, so most neighbours share a key or a final rank
+    assert sum(lcp_pairs) < len(text) // 10
+
+
+@pytest.mark.parametrize(
+    "alphabet, bits, per", [(WIDE_ALPHABET, 9, 7), ("abcd", 3, 21)], ids=["wide", "four"]
+)
+def test_distinct_factor_counts_on_long_periodic_text(rng, alphabet, bits, per, lcp_pairs):
+    # per = 21 is no multiple of the 8-symbol chunks that bits = 3 packs in 32 bits
+    period = rng.sample(list(alphabet), len(alphabet)) + rng.choices(alphabet, k=17)
+    text = "".join(period * (3000 // len(period) + 1))[:3000]
+    changed = rng.choice([c for c in alphabet if c != text[1777]])
+    text = text[:1777] + changed + text[1778:]
+    assert cam1d._packed_prefixes(text)[1:] == (bits, per)
+    for n_max in (per, per + 1, 3 * per, 150):
+        counts = cam1d.distinct_factor_counts(text, n_max)
+        assert counts == distinct_factor_counts_automaton(text, n_max)
+        assert counts == _brute_counts(text, n_max)
+    # four calls take fewer LCPs than one call would over all N - 1 neighbours
+    assert sum(lcp_pairs) < len(text)
 
 
 def test_complexity_profile_pins_benchmark_counts():
@@ -576,6 +617,14 @@ def test_complexity_profile_pins_benchmark_counts():
     expected = json.loads((bench / "expected.json").read_text())["probe-1d"]
     profile = cam1d.complexity_profile(family, 32, 500_000)
     assert profile.counts == expected["complexity_counts"]
+
+
+def test_benchmark_complexity_computes_lcps_between_distinct_keys_only(lcp_pairs):
+    # the 500 000 suffixes of the probe-1d window have 142 distinct 32-symbol keys
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    family = cam1d.family_from_obj(json.loads((bench / "data" / "family-l4.json").read_text()))
+    cam1d.complexity_profile(family, 32, 500_000)
+    assert lcp_pairs == [141]
 
 
 # -- serialization --------------------------------------------------------------------

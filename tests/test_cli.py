@@ -101,6 +101,16 @@ def test_build_d3_level3(tmp_path, capsys):
     assert json.loads(out.read_text())["params"] == ["6", "8539"]
 
 
+def test_build_d4_level3(tmp_path, capsys):
+    captured, out = _build_level3(4, tmp_path, capsys)
+    assert "level 3: n=42142, rows=15, pass" in captured.out
+    assert (
+        "level 3: binding row a-freq[m=2,u=w1_2], "
+        "margin 678432301843/1164503444616680060605936782899520000" in captured.err
+    )
+    assert json.loads(out.read_text())["params"] == ["6", "42142"]
+
+
 def test_build_prints_binding_rows_on_stderr(tmp_path, family_file, capsys):
     out = tmp_path / "again.json"
     assert run("build", "--dim", "1", "--levels", "3", "--out", str(out)) == 0
