@@ -53,7 +53,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -213,18 +212,15 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-_DECIMAL = re.compile("[0-9]+")
-_SIGNED_DECIMAL = re.compile("-?[0-9]+")
-
-
 def _decimal(text, what: str, signed: bool = False) -> int:
     """An integer stored as a decimal string: ASCII digits, and a leading '-'
     only when `signed`.  int() alone would also read '+', '_', surrounding
     whitespace and non-ASCII digits, so one value could be stored many ways."""
-    pattern = _SIGNED_DECIMAL if signed else _DECIMAL
-    if not isinstance(text, str) or pattern.fullmatch(text) is None:
-        raise MalformedFamily(f"{what} must be a decimal string, got {text!r}")
-    return int(text)
+    if isinstance(text, str) and text.isascii() and (
+        text.isdigit() or signed and text[:1] == "-" and text[1:].isdigit()
+    ):
+        return int(text)
+    raise MalformedFamily(f"{what} must be a decimal string, got {text!r}")
 
 
 def _params_from_obj(obj) -> list:
@@ -789,14 +785,41 @@ class StructureParse:
     violations: list
 
 
+def _run_length(text: str, segment: str, pos: int, most: int) -> int:
+    """How many copies of ``segment`` (at least one, at most ``most``)
+    follow one another in ``text`` from ``pos``, the first one known to be
+    there: galloping, then bisection, on ``startswith``."""
+    low, high = 1, 2
+    while high <= most and text.startswith(segment * high, pos):
+        low, high = high, 2 * high
+    high = min(high, most + 1)  # low copies are there, high are not
+    while high - low > 1:
+        mid = (low + high) // 2
+        if text.startswith(segment * mid, pos):
+            low = mid
+        else:
+            high = mid
+    return low
+
+
 def parse_structure(family: LevelFamily, k: int, start: int, num_blocks: int) -> StructureParse:
     """Parse an aligned window of the transitive point into level-k blocks.
 
     The window must start at a coordinate congruent to 1 modulo the level-k
-    word length; every block is identified as a level-k word and every
+    word length, and k must be at least 2 (level 1 has no density words to
+    classify against); every block is identified as a level-k word and every
     adjacent pair classified (equal, density-word next to periodic word, or
     one of the two mixed density junctions).
+
+    The window is read run by run: a block's name is looked up once, the
+    copies of it that follow are counted by galloping and bisection
+    (:func:`_run_length`), and :func:`classify_pair` runs only where one run
+    meets the next.  A segment that is no level-k word is a run of one "?"
+    block.  The violations list every unknown block, then every disallowed
+    pair, each in window order.
     """
+    if k < 2:
+        raise InvalidParameter(f"level {k}: structure is parsed into level-k blocks for k >= 2")
     word_len = family.word_length(k)
     if (start - 1) % word_len != 0:
         raise MisalignedWindow(f"window start {start} is not 1 mod {word_len}")
@@ -809,23 +832,28 @@ def parse_structure(family: LevelFamily, k: int, start: int, num_blocks: int) ->
             raise BudgetExceeded(f"level-{k} words exceed the symbol budget")
         strings[text] = name
     window_text = transitive_point_window(family, start, num_blocks * word_len)
-    blocks = []
-    violations = []
-    for i in range(num_blocks):
-        segment = window_text[i * word_len : (i + 1) * word_len]
+    blocks, pair_kinds = [], []
+    unknown, disallowed = [], []
+    i = 0
+    while i < num_blocks:
+        pos = i * word_len
+        segment = window_text[pos : pos + word_len]
         name = strings.get(segment)
         if name is None:
-            violations.append(("block", i, "not a level-%d word" % k))
-            name = "?"
-        blocks.append(name)
-    pair_kinds = []
-    for i in range(num_blocks - 1):
-        kind = classify_pair(blocks[i], blocks[i + 1], k)
-        if kind == "violation":
-            violations.append(("pair", i, f"{blocks[i]}|{blocks[i + 1]}"))
-        pair_kinds.append(kind)
+            unknown.append(("block", i, "not a level-%d word" % k))
+            name, run = "?", 1
+        else:
+            run = _run_length(window_text, segment, pos, num_blocks - i)
+        if i:
+            kind = classify_pair(blocks[-1], name, k)
+            if kind == "violation":
+                disallowed.append(("pair", i - 1, f"{blocks[-1]}|{name}"))
+            pair_kinds.append(kind)
+        blocks += [name] * run
+        pair_kinds += ["equal"] * (run - 1)
+        i += run
     return StructureParse(
-        level=k, start=start, blocks=blocks, pair_kinds=pair_kinds, violations=violations
+        level=k, start=start, blocks=blocks, pair_kinds=pair_kinds, violations=unknown + disallowed
     )
 
 
@@ -1078,12 +1106,22 @@ def _fraction_obj(x: Fraction | None):
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def _fraction_from(obj) -> Fraction | None:
+def _stored_ratio(obj, what: str) -> tuple | None:
+    """A stored fraction as its (numerator, denominator), unreduced, the
+    denominator positive; a stored null stays None."""
     if obj is None:
         return None
-    return Fraction(
-        _decimal(obj["num"], "numerator", signed=True), _decimal(obj["den"], "denominator")
-    )
+    num = _decimal(obj["num"], f"{what} numerator", signed=True)
+    den = _decimal(obj["den"], f"{what} denominator")
+    if den == 0:
+        raise MalformedFamily(f"{what} has a zero denominator")
+    return num, den
+
+
+def _json_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise MalformedFamily(f"{what} must be a JSON string, got {value!r}")
+    return value
 
 
 def report_to_obj(report: CertificateReport) -> dict:
@@ -1107,31 +1145,44 @@ def report_to_obj(report: CertificateReport) -> dict:
 def report_from_obj(obj) -> CertificateReport:
     """Read a stored report, checking each row against its own numbers.
 
-    The status must be known, a pass or fail must agree with lhs < rhs, and
-    the stored margin must equal rhs - lhs; otherwise MalformedFamily.
+    A row's id and status, and its note when present, must be JSON strings,
+    and the status one of pass, fail, unverifiable, info.  Each stored
+    fraction is read once as an integer pair ln/ld (lhs), rn/rd (rhs),
+    mn/md (margin), every denominator positive, and the checks are integer
+    identities: a pass or fail row has both sides and passes exactly when
+    rn ld - ln rd > 0, and the margin equals rhs - lhs, mn ld rd ==
+    (rn ld - ln rd) md, or is null where a side is.  Any other row is
+    MalformedFamily.  Only the two sides a CertRow keeps become Fractions.
     """
     report = CertificateReport(
         level=_json_int(obj["level"], "certificate level"),
         param=_decimal(obj["param"], "certificate param"),
     )
     for row in obj["rows"]:
-        cert = CertRow(
-            ident=row["id"],
-            lhs=_fraction_from(row["lhs"]),
-            rhs=_fraction_from(row["rhs"]),
-            status=row["status"],
-            note=row.get("note", ""),
-        )
-        if cert.status not in ("pass", "fail", "unverifiable", "info"):
-            raise MalformedFamily(f"row {cert.ident}: unknown status {cert.status!r}")
-        margin = cert.margin  # rhs - lhs, so lhs < rhs exactly when it is positive
-        if cert.status in ("pass", "fail") and (
-            margin is None or (cert.status == "pass") != (margin > 0)
-        ):
-            raise MalformedFamily(f"row {cert.ident}: status {cert.status} contradicts lhs < rhs")
-        if _fraction_from(row["margin"]) != margin:
-            raise MalformedFamily(f"row {cert.ident}: stored margin is not rhs - lhs")
-        report.rows.append(cert)
+        ident = _json_str(row["id"], "row id")
+        status = _json_str(row["status"], f"row {ident} status")
+        note = _json_str(row.get("note", ""), f"row {ident} note")
+        if status not in ("pass", "fail", "unverifiable", "info"):
+            raise MalformedFamily(f"row {ident}: unknown status {status!r}")
+        lhs = _stored_ratio(row["lhs"], f"row {ident} lhs")
+        rhs = _stored_ratio(row["rhs"], f"row {ident} rhs")
+        margin = _stored_ratio(row["margin"], f"row {ident} margin")
+        decided = status in ("pass", "fail")
+        if lhs is None or rhs is None:
+            if decided:
+                raise MalformedFamily(f"row {ident}: status {status} contradicts lhs < rhs")
+            if margin is not None:
+                raise MalformedFamily(f"row {ident}: stored margin is not rhs - lhs")
+        else:
+            (ln, ld), (rn, rd) = lhs, rhs
+            gap = rn * ld - ln * rd  # (rhs - lhs) ld rd: positive exactly when lhs < rhs
+            if decided and (status == "pass") != (gap > 0):
+                raise MalformedFamily(f"row {ident}: status {status} contradicts lhs < rhs")
+            if margin is None or margin[0] * ld * rd != gap * margin[1]:
+                raise MalformedFamily(f"row {ident}: stored margin is not rhs - lhs")
+        left = None if lhs is None else Fraction(*lhs)
+        right = None if rhs is None else Fraction(*rhs)
+        report.rows.append(CertRow(ident, left, right, status, note))
     return report
 
 

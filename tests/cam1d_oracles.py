@@ -5,14 +5,27 @@ tests compare ``cam1d.distinct_factor_counts`` (one sort of packed
 prefixes plus the LCP of neighbouring distinct keys) against it and against
 brute-force sets of slices.
 
+``parse_structure_scan`` parses a window block by block: one slice and
+one lookup per block, and ``classify_pair`` on every adjacent pair.  The
+tests compare ``cam1d.parse_structure``, which reads the window run by run,
+with it.
+
+``report_from_obj_fractions`` reads a stored certificate report in
+``Fraction`` arithmetic: every stored side and margin becomes a Fraction,
+and the row checks compare Fractions.  The tests compare
+``cam1d.report_from_obj``, which checks the rows in integers, with it.
+
 ``doubling_search`` finds each level's parameter by certifying candidates
 only: doubling until one passes, then bisection.  The tests compare
 ``cam1d.choose_parameter``, which solves the fitted row polynomials, with
 it.
 """
 
+import re
+from fractions import Fraction
+
 from camshift import cam1d
-from camshift.errors import BudgetExceeded
+from camshift.errors import BudgetExceeded, MalformedFamily
 
 
 def distinct_factor_counts_automaton(text: str, n_max: int) -> list[int]:
@@ -108,3 +121,75 @@ def build_by_doubling(family, levels: int):
         cam1d.build_level(family, report.param)
         family.certificates.append(report)
     return family
+
+
+def parse_structure_scan(family, k: int, start: int, num_blocks: int):
+    """``cam1d.parse_structure`` for k >= 2, one block at a time."""
+    word_len = family.word_length(k)
+    strings = {family.string(k, name): name for name in family.names(k)}
+    window_text = cam1d.transitive_point_window(family, start, num_blocks * word_len)
+    blocks = []
+    violations = []
+    for i in range(num_blocks):
+        segment = window_text[i * word_len : (i + 1) * word_len]
+        name = strings.get(segment)
+        if name is None:
+            violations.append(("block", i, "not a level-%d word" % k))
+            name = "?"
+        blocks.append(name)
+    pair_kinds = []
+    for i in range(num_blocks - 1):
+        kind = cam1d.classify_pair(blocks[i], blocks[i + 1], k)
+        if kind == "violation":
+            violations.append(("pair", i, f"{blocks[i]}|{blocks[i + 1]}"))
+        pair_kinds.append(kind)
+    return cam1d.StructureParse(
+        level=k, start=start, blocks=blocks, pair_kinds=pair_kinds, violations=violations
+    )
+
+
+_DECIMAL = re.compile("[0-9]+")
+_SIGNED_DECIMAL = re.compile("-?[0-9]+")
+
+
+def _decimal(text, signed=False) -> int:
+    pattern = _SIGNED_DECIMAL if signed else _DECIMAL
+    if not isinstance(text, str) or pattern.fullmatch(text) is None:
+        raise MalformedFamily(f"not a decimal string: {text!r}")
+    return int(text)
+
+
+def _fraction_from(obj):
+    if obj is None:
+        return None
+    try:
+        return Fraction(_decimal(obj["num"], signed=True), _decimal(obj["den"]))
+    except ZeroDivisionError as exc:  # the loader reports it as a malformed file
+        raise MalformedFamily(str(exc)) from exc
+
+
+def report_from_obj_fractions(obj):
+    """``cam1d.report_from_obj`` on Fractions, without its string-type checks
+    on a row's id, status and note."""
+    report = cam1d.CertificateReport(
+        level=cam1d._json_int(obj["level"], "certificate level"), param=_decimal(obj["param"])
+    )
+    for row in obj["rows"]:
+        cert = cam1d.CertRow(
+            ident=row["id"],
+            lhs=_fraction_from(row["lhs"]),
+            rhs=_fraction_from(row["rhs"]),
+            status=row["status"],
+            note=row.get("note", ""),
+        )
+        if cert.status not in ("pass", "fail", "unverifiable", "info"):
+            raise MalformedFamily(f"row {cert.ident}: unknown status {cert.status!r}")
+        margin = cert.margin
+        if cert.status in ("pass", "fail") and (
+            margin is None or (cert.status == "pass") != (margin > 0)
+        ):
+            raise MalformedFamily(f"row {cert.ident}: status {cert.status} contradicts lhs < rhs")
+        if _fraction_from(row["margin"]) != margin:
+            raise MalformedFamily(f"row {cert.ident}: stored margin is not rhs - lhs")
+        report.rows.append(cert)
+    return report

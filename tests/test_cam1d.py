@@ -5,7 +5,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from cam1d_oracles import build_by_doubling, distinct_factor_counts_automaton
+from cam1d_oracles import (
+    build_by_doubling,
+    distinct_factor_counts_automaton,
+    parse_structure_scan,
+    report_from_obj_fractions,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from slp_oracles import scan_count
@@ -21,6 +26,13 @@ from camshift.errors import (
     NonPolynomialRow,
     OutOfBuiltRange,
 )
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _benchmark_family():
+    """The probe-1d workload's level-4 family, loaded from its fixture."""
+    return cam1d.family_from_obj(json.loads((BENCH / "data" / "family-l4.json").read_text()))
 
 
 # -- frequency sequence --------------------------------------------------------
@@ -460,6 +472,102 @@ def test_parse_structure_level3_window(family4):
     assert set(result.blocks) <= set(family4.names(3))
 
 
+def _aligned_window(data, family, k, most_blocks):
+    """A drawn (start, num_blocks) whose level-k blocks lie inside x's built range."""
+    word_len = family.word_length(k)
+    half = family.word_length(family.top_level) // word_len  # blocks on each side of the origin
+    num_blocks = data.draw(st.integers(1, min(most_blocks, 2 * half)), label="num_blocks")
+    low, high = -half, half - num_blocks
+    # anywhere, or across the nearest junction on either side of the origin:
+    # x_1... starts a_k^n w1_k, and ...x_0 ends b_k a_k^n (n the level-(k+1) parameter)
+    n = family.params[k - 1]
+    near = st.sampled_from([-n - 1, n]).flatmap(lambda j: st.integers(j - 30, j + 30))
+    first = data.draw(
+        st.integers(low, high) | near.map(lambda j: min(max(j, low), high)), label="first block"
+    )
+    return 1 + first * word_len, num_blocks
+
+
+# (family fixture, k, most blocks): the windows stay under the 10^6-symbol budget
+PARSE_CASES = [("family3", 2, 10_000), ("family4", 2, 3_000), ("family4", 3, 22)]
+
+
+def _flipping(flips):
+    """``transitive_point_window`` with the symbols at ``flips`` (window offsets) flipped."""
+    window = cam1d.transitive_point_window
+
+    def flipped(family, start, size):
+        text = list(window(family, start, size))
+        for i in flips:
+            text[i] = "1" if text[i] == "0" else "0"
+        return "".join(text)
+
+    return flipped
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parse_structure_matches_the_block_scan(request, data):
+    name, k, most = data.draw(st.sampled_from(PARSE_CASES), label="case")
+    family = request.getfixturevalue(name)
+    start, num_blocks = _aligned_window(data, family, k, most)
+    word_len = family.word_length(k)
+    # symbols flipped in a few of the first blocks, so unknown blocks often meet
+    flipped_blocks = data.draw(st.sets(st.integers(0, min(num_blocks, 40) - 1), max_size=6))
+    flips = [
+        b * word_len + data.draw(st.integers(0, word_len - 1), label="offset")
+        for b in sorted(flipped_blocks)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cam1d, "transitive_point_window", _flipping(flips))
+        fast = cam1d.parse_structure(family, k, start, num_blocks)
+        assert vars(fast) == vars(parse_structure_scan(family, k, start, num_blocks))
+
+
+def test_parse_structure_reports_flipped_blocks(family3):
+    # blocks 0..3 are a2; flip the 0 of block 1 (a2 -> w2_2) and a 1 in blocks 2 and 3
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cam1d, "transitive_point_window", _flipping([9, 20, 30]))
+        result = cam1d.parse_structure(family3, 2, 1, 6)
+        assert vars(result) == vars(parse_structure_scan(family3, 2, 1, 6))
+    assert result.blocks == ["a2", "w2_2", "?", "?", "a2", "a2"]
+    assert result.pair_kinds == ["a-w", "violation", "equal", "violation", "equal"]
+    assert result.violations == [
+        ("block", 2, "not a level-2 word"),
+        ("block", 3, "not a level-2 word"),
+        ("pair", 1, "w2_2|?"),
+        ("pair", 3, "?|a2"),
+    ]
+
+
+def test_benchmark_parse_reads_the_window_run_by_run(monkeypatch):
+    # the probe-1d parse: x over (-|a3|, |a3|] in level-2 blocks
+    family = _benchmark_family()
+    extent, block = family.word_length(3), family.word_length(2)
+    calls = Counter()
+
+    class CountingStr(str):
+        def startswith(self, *args):
+            calls["startswith"] += 1
+            return super().startswith(*args)
+
+        def __getitem__(self, key):
+            calls["lookup"] += 1
+            return super().__getitem__(key)
+
+    def classify(left, right, k):
+        calls["classify"] += 1
+        return classify_pair(left, right, k)
+
+    window, classify_pair = cam1d.transitive_point_window, cam1d.classify_pair
+    monkeypatch.setattr(cam1d, "transitive_point_window", lambda *a: CountingStr(window(*a)))
+    monkeypatch.setattr(cam1d, "classify_pair", classify)
+    result = cam1d.parse_structure(family, 2, 1 - extent, 2 * extent // block)
+    assert len(result.blocks) == 9798 and not result.violations
+    assert calls["classify"] == sum(a != b for a, b in zip(result.blocks, result.blocks[1:]))
+    assert calls["startswith"] + calls["lookup"] <= 200
+
+
 # -- measures -----------------------------------------------------------------------
 
 
@@ -612,17 +720,15 @@ def test_distinct_factor_counts_on_long_periodic_text(rng, alphabet, bits, per, 
 
 def test_complexity_profile_pins_benchmark_counts():
     # the probe-1d workload's complexity call on its level-4 fixture
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    family = cam1d.family_from_obj(json.loads((bench / "data" / "family-l4.json").read_text()))
-    expected = json.loads((bench / "expected.json").read_text())["probe-1d"]
+    family = _benchmark_family()
+    expected = json.loads((BENCH / "expected.json").read_text())["probe-1d"]
     profile = cam1d.complexity_profile(family, 32, 500_000)
     assert profile.counts == expected["complexity_counts"]
 
 
 def test_benchmark_complexity_computes_lcps_between_distinct_keys_only(lcp_pairs):
     # the 500 000 suffixes of the probe-1d window have 142 distinct 32-symbol keys
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    family = cam1d.family_from_obj(json.loads((bench / "data" / "family-l4.json").read_text()))
+    family = _benchmark_family()
     cam1d.complexity_profile(family, 32, 500_000)
     assert lcp_pairs == [141]
 
@@ -658,6 +764,8 @@ def test_family_from_obj_rejects_tampering(family3):
         ("status", "passed"),
         ("margin", {"num": "1", "den": "2"}),
         ("margin", {"num": "1", "den": "0"}),
+        ("id", 5),
+        ("note", None),
     ],
 )
 def test_family_from_obj_checks_certificate_rows(family3, field, value):
@@ -666,6 +774,53 @@ def test_family_from_obj_checks_certificate_rows(family3, field, value):
     row[field] = value
     with pytest.raises(MalformedFamily):
         cam1d.family_from_obj(data)
+
+
+@st.composite
+def _stored_ratios(draw):
+    """A stored fraction: unreduced, a negative numerator or a zero
+    denominator allowed, its digits now and then written unusually."""
+    scale = draw(st.integers(1, 6))
+    num, den = draw(st.integers(-30, 30)) * scale, draw(st.integers(0, 12)) * scale
+    spell = draw(st.sampled_from([str] * 6 + [lambda v: f"{v:03d}", lambda v: f"+{v}"]))
+    return (num, den), {"num": spell(num), "den": spell(den)}
+
+
+@st.composite
+def _stored_rows(draw):
+    """A stored row, mostly a consistent one: None sides under each status,
+    and now and then a wrong status or margin."""
+    sides = [None if draw(st.integers(0, 4)) == 0 else draw(_stored_ratios()) for _ in range(2)]
+    (lhs, lhs_obj), (rhs, rhs_obj) = (side or (None, None) for side in sides)
+    status = draw(st.sampled_from(["pass", "fail", "unverifiable", "info", "passed"]))
+    decidable = lhs and rhs and lhs[1] and rhs[1]
+    if decidable and status in ("pass", "fail") and draw(st.integers(0, 3)):
+        status = "pass" if Fraction(*lhs) < Fraction(*rhs) else "fail"
+    margin = draw(st.sampled_from(["rhs - lhs"] * 3 + ["null", "drawn"]))
+    if margin == "rhs - lhs" and decidable:
+        gap = Fraction(*rhs) - Fraction(*lhs)
+        scale = draw(st.integers(1, 4))  # sometimes unreduced
+        margin = {"num": str(gap.numerator * scale), "den": str(gap.denominator * scale)}
+    elif margin == "drawn":
+        margin = draw(_stored_ratios())[1]
+    else:
+        margin = None
+    note = draw(st.sampled_from(["", "unverifiable at budget"]))
+    return dict(id="r", lhs=lhs_obj, rhs=rhs_obj, margin=margin, status=status, note=note)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_stored_rows(), min_size=1, max_size=2))
+def test_report_reader_agrees_with_the_fraction_reader(rows):
+    obj = {"level": 2, "param": "8", "rows": rows}
+
+    def read(reader):
+        try:
+            return reader(obj)
+        except MalformedFamily:
+            return "rejected"
+
+    assert read(cam1d.report_from_obj) == read(report_from_obj_fractions)
 
 
 def test_family_from_obj_rejects_garbage():

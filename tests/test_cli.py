@@ -163,6 +163,15 @@ def test_parse_command(family_file, capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+def test_parse_refuses_level_1(family_file, capsys):
+    # level 1 has no density words: every mixed pair there would read as a violation
+    family = str(family_file)
+    code = run("parse", "--family", family, "--level", "1", "--start", "1", "--blocks", "8")
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: level 1")
+
+
 def test_measure_command(family_file, capsys):
     assert run("measure", "--family", str(family_file), "--k", "2", "--cylinders", "0,1") == 0
     out = capsys.readouterr().out
