@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
 
-from .errors import InvalidParameter
+from .errors import CamshiftError
 
 _ENV_VAR = "CAMSHIFT_BUDGET"
 # longest value accepted, in digits: the default limit of int() on digit strings
@@ -33,7 +33,7 @@ class Budgets:
     def validate(self) -> "Budgets":
         for field in fields(self):
             if getattr(self, field.name) <= 0:
-                raise InvalidParameter(f"budget {field.name} must be positive")
+                raise CamshiftError(f"budget {field.name} must be positive")
         return self
 
 
@@ -50,13 +50,13 @@ def _parse_int(text: str) -> int:
         or value.adjusted() >= _MAX_DIGITS
         or value != value.to_integral_value()
     ):
-        raise InvalidParameter(f"budget value {text!r} is not an integer")
+        raise CamshiftError(f"budget value {text!r} is not an integer")
     return int(value)
 
 
-def budgets_from_env(base: Budgets | None = None) -> Budgets:
-    """Apply CAMSHIFT_BUDGET overrides on top of ``base`` (or the defaults)."""
-    budgets = base or Budgets()
+def budgets_from_env() -> Budgets:
+    """The default budgets with the CAMSHIFT_BUDGET overrides applied."""
+    budgets = Budgets()
     raw = os.environ.get(_ENV_VAR, "").strip()
     if not raw:
         return budgets.validate()
@@ -66,10 +66,10 @@ def budgets_from_env(base: Budgets | None = None) -> Budgets:
         if not item:
             continue
         if "=" not in item:
-            raise InvalidParameter(f"malformed {_ENV_VAR} entry {item!r}")
+            raise CamshiftError(f"malformed {_ENV_VAR} entry {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
         if key not in Budgets.__dataclass_fields__:
-            raise InvalidParameter(f"unknown budget {key!r} in {_ENV_VAR}")
+            raise CamshiftError(f"unknown budget {key!r} in {_ENV_VAR}")
         fields[key] = _parse_int(value.strip())
     return replace(budgets, **fields).validate()

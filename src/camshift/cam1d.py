@@ -18,13 +18,14 @@ appear nowhere in certification.
 This module also holds the level driver for any dimension.  A family type
 (:class:`LevelFamily` here, ``camzd.ZdFamily``) is a :class:`Hierarchy`
 that supplies ``_words(k, n)``, the candidate words of level k+1 at
-parameter n, ``_certify(k, n)``, their certificate report, and
+parameter n, ``_certify(k, n)``, their certificate report,
 ``_fit_start(k)``, the layout threshold from which that report's rows are
-polynomials in n.  Everything else exists once and serves both dimensions:
+polynomials in n, and ``_words_to_obj()``, the file fields that store its
+words.  Everything else exists once and serves both dimensions:
 :func:`build_level`, :func:`certify_level`, :func:`certify_candidate`, the
 parameter solver (:func:`choose_parameter`), the build loop
-(:func:`build_levels`) and the rebuild-and-compare loader
-(:func:`load_family`).  The eps-tail rows, the inherited-word loop, the
+(:func:`build_levels`), the file writer (:func:`family_to_obj`) and the
+rebuild-and-compare loader (:func:`load_family`).  The eps-tail rows, the inherited-word loop, the
 frequency and period-gap row formulas (written for dimension d, so d = 1
 gives the one-dimensional denominators) and the pair-scan skeleton are
 shared too.  ``_words`` and ``_certify`` are pure functions of the prefix
@@ -60,15 +61,7 @@ import numpy as np
 
 from . import sft, slp
 from .budgets import Budgets
-from .errors import (
-    BudgetExceeded,
-    CamshiftError,
-    InvalidParameter,
-    MalformedFamily,
-    MisalignedWindow,
-    NonPolynomialRow,
-    OutOfBuiltRange,
-)
+from .errors import BudgetExceeded, CamshiftError, MalformedFamily
 
 EPS_SCHEME = "half-geometric4"
 
@@ -87,11 +80,11 @@ class FrequencySequence:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise InvalidParameter("dimension must be >= 1")
+            raise CamshiftError("dimension must be >= 1")
 
     def value(self, k: int) -> Fraction:
         if k < 1:
-            raise InvalidParameter("frequency index must be >= 1")
+            raise CamshiftError("frequency index must be >= 1")
         return Fraction(1, 2) * Fraction(1, 3 ** (self.dim - 1)) * Fraction(1, 4**k)
 
     def tail(self, start: int) -> Fraction:
@@ -251,9 +244,10 @@ class Hierarchy:
     ``levels[k - 1]`` maps the names of level k to its words; ``params`` and
     ``certificates`` hold one entry per level above the first.  A subclass
     supplies ``_words(k, n)`` (the words of level k+1 at parameter n, from
-    levels 1..k) and ``_certify(k, n)`` (their :class:`CertificateReport`),
-    and overrides ``_fit_start(k)`` where its rows become polynomials in n
-    later than n = 2; the level driver below needs nothing else.
+    levels 1..k), ``_certify(k, n)`` (their :class:`CertificateReport`) and
+    ``_words_to_obj()`` (the file fields that store its words), and
+    overrides ``_fit_start(k)`` where its rows become polynomials in n later
+    than n = 2; the level driver and the file form need nothing else.
     """
 
     @property
@@ -270,7 +264,7 @@ class Hierarchy:
 
     def _check_level(self, k: int):
         if k < 1 or k > self.top_level:
-            raise OutOfBuiltRange(f"level {k} not built (levels 1..{self.top_level})")
+            raise CamshiftError(f"level {k} not built (levels 1..{self.top_level})")
 
     def is_certified(self) -> bool:
         return len(self.certificates) == self.top_level - 1 and all(
@@ -336,12 +330,28 @@ class LevelFamily(Hierarchy):
         self._periods[k] = p
         return p
 
+    def _words_to_obj(self) -> dict:
+        """The file fields that store the words: the level roots and the node table."""
+        roots = []
+        for k in range(1, self.top_level + 1):
+            roots.extend(self.word(k, name) for name in self.names(k))
+        order, ids = slp.collect_nodes(roots)
+        levels = []
+        for k in range(1, self.top_level + 1):
+            levels.append(
+                {
+                    "level": k,
+                    "words": {name: ids[self.word(k, name).uid] for name in self.names(k)},
+                }
+            )
+        return {"levels": levels, "slp": {"nodes": slp.nodes_to_obj(order, ids)}}
+
     # -- the two things the level driver needs ---------------------------
 
     def _words(self, k: int, n: int) -> dict:
         """Candidate words of level k+1 at parameter n, from levels 1..k (no checking here)."""
         if n <= 1:
-            raise InvalidParameter("level parameter must be > 1")
+            raise CamshiftError("level parameter must be > 1")
         b = self.builder
         if k == 1:
             zero, one = b.atom("0"), b.atom("1")
@@ -432,7 +442,7 @@ def certify_level(family: Hierarchy, k: int | None = None) -> CertificateReport:
     """Re-run the certifier for a built level (default: the top level)."""
     k = family.top_level if k is None else k
     if k < 2 or k > family.top_level:
-        raise OutOfBuiltRange(f"no built level {k} to certify")
+        raise CamshiftError(f"no built level {k} to certify")
     return family._certify(k - 1, family.params[k - 2])
 
 
@@ -445,7 +455,7 @@ def certify_candidate(family: Hierarchy, n: int, at_level: int | None = None) ->
     """
     target = family.top_level + 1 if at_level is None else at_level
     if target < 2 or target > family.top_level + 1:
-        raise OutOfBuiltRange(f"cannot certify candidate level {target}")
+        raise CamshiftError(f"cannot certify candidate level {target}")
     return family._certify(target - 1, n)
 
 
@@ -498,7 +508,7 @@ def _fit_rows(reports, start: int) -> dict:
     for table in tables[1:]:
         if table.keys() != tables[0].keys():
             ident = sorted(table.keys() ^ tables[0].keys())[0]
-            raise NonPolynomialRow(f"row {ident} is not certified at every fitted parameter")
+            raise CamshiftError(f"row {ident} is not certified at every fitted parameter")
     return {
         ident: tuple(_fit([table[ident][i] for table in tables], start) for i in range(4))
         for ident in tables[0]
@@ -578,7 +588,7 @@ def _check_fit(report: CertificateReport, fitted: dict, start: int, scale: int):
         if ident in fitted:
             predicted = tuple(Fraction(_value(p, n), scale) for p in fitted[ident])
         if actual.get(ident) != predicted:
-            raise NonPolynomialRow(
+            raise CamshiftError(
                 f"level {report.level} row {ident} at n={n}: certified parts "
                 f"{actual.get(ident)}, fitted polynomials predict {predicted}"
             )
@@ -606,7 +616,7 @@ def choose_parameter(family: Hierarchy) -> CertificateReport:
     polynomial inequality (:func:`_margin`) and takes the smallest n in the
     intersection of their pass sets (:func:`_smallest_pass`).  It then
     certifies n and n - 1: every row there must have its predicted parts,
-    else NonPolynomialRow names it; n must pass and n - 1 fail.  No (level,
+    else a CamshiftError names it; n must pass and n - 1 fail.  No (level,
     n) is certified twice.  The report at n is returned, with ``binding``
     set to its row that fails at n - 1, the first in report order: that
     row's pass set starts last.
@@ -615,7 +625,7 @@ def choose_parameter(family: Hierarchy) -> CertificateReport:
     rows that no n passes raise CamshiftError.
     """
     if not family.is_certified():
-        raise InvalidParameter("family must be certified through its top level")
+        raise CamshiftError("family must be certified through its top level")
     start = family._fit_start(family.top_level)
     reports = {}
 
@@ -635,7 +645,7 @@ def choose_parameter(family: Hierarchy) -> CertificateReport:
     if below is not None:
         _check_fit(below, fitted, start, scale)
     if not report.passed or (below is not None and below.passed):
-        raise NonPolynomialRow(
+        raise CamshiftError(
             f"level {report.level}: n={n} is not the first passing parameter the rows predict"
         )
     if below is not None:
@@ -648,7 +658,7 @@ def build_levels(family: Hierarchy, levels: int) -> Hierarchy:
     """Certify and build levels 2..``levels`` of a fresh family, each at the
     parameter the search chose, keeping the report the search certified."""
     if levels < 2:
-        raise InvalidParameter("a family needs at least 2 levels")
+        raise CamshiftError("a family needs at least 2 levels")
     for _ in range(levels - 1):
         report = choose_parameter(family)
         build_level(family, report.param)
@@ -735,13 +745,13 @@ def transitive_point_window(family: LevelFamily, start: int, size: int) -> str:
     x_(1-|a_K|)..x_0 = a_K, so the window must lie inside (-|a_K|, |a_K|].
     """
     if family.top_level < 2:
-        raise OutOfBuiltRange("family has no built level >= 2")
+        raise CamshiftError("family has no built level >= 2")
     if size < 0:
-        raise InvalidParameter("window length must be nonnegative")
+        raise CamshiftError("window length must be nonnegative")
     top = family.top_level
     span = family.word_length(top)
     if start <= -span or start + size > span + 1:
-        raise OutOfBuiltRange(
+        raise CamshiftError(
             f"window [{start}, {start + size}) outside built range ({-span}, {span}]"
         )
     if size > family.budgets.symbols:
@@ -819,12 +829,12 @@ def parse_structure(family: LevelFamily, k: int, start: int, num_blocks: int) ->
     pair, each in window order.
     """
     if k < 2:
-        raise InvalidParameter(f"level {k}: structure is parsed into level-k blocks for k >= 2")
+        raise CamshiftError(f"level {k}: structure is parsed into level-k blocks for k >= 2")
     word_len = family.word_length(k)
     if (start - 1) % word_len != 0:
-        raise MisalignedWindow(f"window start {start} is not 1 mod {word_len}")
+        raise CamshiftError(f"window start {start} is not 1 mod {word_len}")
     if num_blocks < 1:
-        raise InvalidParameter("need at least one block")
+        raise CamshiftError("need at least one block")
     strings = {}
     for name in family.names(k):
         text = family.string(k, name)
@@ -869,11 +879,11 @@ def empirical_measure(family: LevelFamily, k: int, side: str, cylinder: str) -> 
     of the base word.
     """
     if side not in ("a", "b"):
-        raise InvalidParameter("side must be 'a' or 'b'")
+        raise CamshiftError("side must be 'a' or 'b'")
     if not cylinder:
-        raise InvalidParameter("cylinder word must be nonempty")
+        raise CamshiftError("cylinder word must be nonempty")
     if k < 2 or k > family.top_level:
-        raise OutOfBuiltRange(f"level {k} not built")
+        raise CamshiftError(f"level {k} not built")
     base = family.a(k) if side == "a" else family.b(k)
     span = base.length
     size = len(cylinder)
@@ -911,7 +921,7 @@ def measure_report(family: LevelFamily, k_max: int | None = None) -> list:
     if k_max is None:
         k_max = family.top_level
     elif not 2 <= k_max <= family.top_level:
-        raise OutOfBuiltRange(f"level {k_max} not built")
+        raise CamshiftError(f"level {k_max} not built")
     third = Fraction(1, 3)
     rows = []
     for k in range(2, k_max + 1):
@@ -1089,7 +1099,7 @@ def complexity_profile(family: LevelFamily, n_max: int, window_length: int) -> C
     if window_length > family.budgets.symbols:
         raise BudgetExceeded("window exceeds the symbol budget")
     if n_max < 1 or n_max > window_length:
-        raise InvalidParameter("n_max must be in 1..window_length")
+        raise CamshiftError("n_max must be in 1..window_length")
     start = 1 - window_length // 2
     text = transitive_point_window(family, start, window_length)
     return ComplexityProfile(
@@ -1200,43 +1210,28 @@ def _certificates_from_obj(objs, params) -> list:
     return reports
 
 
-def _words_to_obj(family: LevelFamily) -> dict:
-    """The file fields that store the words: the level roots and the node table."""
-    roots = []
-    for k in range(1, family.top_level + 1):
-        roots.extend(family.word(k, name) for name in family.names(k))
-    order, ids = slp.collect_nodes(roots)
-    levels = []
-    for k in range(1, family.top_level + 1):
-        levels.append(
-            {
-                "level": k,
-                "words": {name: ids[family.word(k, name).uid] for name in family.names(k)},
-            }
-        )
-    return {"levels": levels, "slp": {"nodes": slp.nodes_to_obj(order, ids)}}
-
-
-def family_to_obj(family: LevelFamily) -> dict:
+def family_to_obj(family: Hierarchy) -> dict:
+    """The file form of a family of any dimension."""
     return {
-        "dim": 1,
+        "dim": family.dim,
         "K": family.top_level,
         "eps_scheme": EPS_SCHEME,
         "params": [str(n) for n in family.params],
-        **_words_to_obj(family),
+        **family._words_to_obj(),
         "certificates": [report_to_obj(r) for r in family.certificates],
     }
 
 
-def load_family(obj, new_family, words_to_obj) -> Hierarchy:
+def load_family(obj, new_family) -> Hierarchy:
     """Rebuild a family from its file form and check it against the file.
 
     ``new_family(dim)`` checks the stored dimension and returns an empty
     family of its type.  The levels are rebuilt from ``params``, every
     stored certificate must be the one of its level and parameter, and
-    every field of ``words_to_obj(family)`` must equal the stored one, so a
-    file cannot store words its parameters do not build.  Any malformed
-    field is MalformedFamily.
+    every field of ``family._words_to_obj()`` must equal the stored one, so
+    a file cannot store words its parameters do not build.  Any malformed
+    field is MalformedFamily, and so is any parameter the builder refuses:
+    every CamshiftError met here but a budget's becomes MalformedFamily.
     """
     try:
         family = new_family(_json_int(obj["dim"], "dim"))
@@ -1248,13 +1243,13 @@ def load_family(obj, new_family, words_to_obj) -> Hierarchy:
         for n in params:
             build_level(family, n)
         family.certificates = _certificates_from_obj(obj["certificates"], params)
-        rebuilt = words_to_obj(family)
+        rebuilt = family._words_to_obj()
         if any(value != obj[key] for key, value in rebuilt.items()):
             raise MalformedFamily("serialized words do not match their parameters")
         return family
-    except MalformedFamily:
+    except (MalformedFamily, BudgetExceeded):
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, InvalidParameter) as exc:
+    except (CamshiftError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedFamily(f"malformed family file: {exc}") from exc
 
 
@@ -1267,4 +1262,4 @@ def family_from_obj(obj, budgets: Budgets | None = None) -> LevelFamily:
             raise MalformedFamily("not a one-dimensional family file")
         return LevelFamily(budgets=budgets)
 
-    return load_family(obj, new_family, _words_to_obj)
+    return load_family(obj, new_family)

@@ -26,12 +26,14 @@ cell budget.  Period lattices filter their candidates at a few cells and
 test the rest by cosets of the span found so far.  All of it is exact.
 
 The level driver lives once in :mod:`camshift.cam1d` and serves both
-dimensions: building, certifying, the parameter solver, the build loop and
-the rebuild-and-compare loader, with the level accessors, the eps-tail
-rows, the inherited-word loop, the frequency and period-gap row formulas
-and the pair-scan skeleton.  :class:`ZdFamily` supplies only its candidate
-words (``_words``), its report (``_certify``) and the postcard margin from
-which the report's rows are polynomials in n (``_fit_start``).  This
+dimensions: building, certifying, the parameter solver, the build loop,
+the file writer and the rebuild-and-compare loader, with the level
+accessors, the eps-tail rows, the inherited-word loop, the frequency and
+period-gap row formulas and the pair-scan skeleton.  :class:`ZdFamily`
+supplies only its candidate words (``_words``), its report
+(``_certify``), the postcard margin from which the report's rows are
+polynomials in n (``_fit_start``) and its words' file form
+(``_words_to_obj``).  This
 module keeps the cube words, their numpy counting and the rows only the
 d-dimensional certificate has (the stamp fit and the side-length
 variants); ``build_level_d`` and ``certify_candidate_d`` are the shared
@@ -49,7 +51,6 @@ import numpy as np
 
 from .budgets import Budgets
 from .cam1d import (
-    EPS_SCHEME,
     CertificateReport,
     CertRow,
     FrequencySequence,
@@ -68,17 +69,8 @@ from .cam1d import (
     certify_candidate,
     level_names,
     load_family,
-    report_to_obj,
 )
-from .errors import (
-    BudgetExceeded,
-    EmptyPattern,
-    InvalidParameter,
-    MalformedFamily,
-    OutOfBuiltRange,
-    ShapeMismatch,
-    StampCountTooLarge,
-)
+from .errors import BudgetExceeded, CamshiftError, MalformedFamily
 
 __all__ = [
     "ArrayWord",
@@ -108,16 +100,16 @@ def _check_word(w) -> ArrayWord:
     # check the values as given: a cast first would wrap 256 to 0 and cut 0.5 to 0
     arr = np.asarray(w)
     if arr.ndim < 1:
-        raise ShapeMismatch("array words must have at least one axis")
+        raise CamshiftError("array words must have at least one axis")
     if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
-        raise InvalidParameter("array word cells must be 0 or 1")
+        raise CamshiftError("array word cells must be 0 or 1")
     return arr.astype(np.uint8, copy=False)
 
 
 def _check_cube(w) -> ArrayWord:
     arr = _check_word(w)
     if len(set(arr.shape)) != 1:
-        raise ShapeMismatch(f"expected a cube, got shape {arr.shape}")
+        raise CamshiftError(f"expected a cube, got shape {arr.shape}")
     return arr
 
 
@@ -163,12 +155,12 @@ def postcard(stamps, base, e: int, require_margin: bool = False) -> PatchworkExp
     stamps = [np.asarray(s, dtype=np.uint8) for s in stamps]
     k = len(stamps)
     if e < k:
-        raise StampCountTooLarge(f"{k} stamps need e >= {k} first-axis blocks, got e = {e}")
+        raise CamshiftError(f"{k} stamps need e >= {k} first-axis blocks, got e = {e}")
     if require_margin and e < 2 * k + 4:
-        raise StampCountTooLarge(f"postcard margin needs e >= 2k+4 = {2 * k + 4}, got e = {e}")
+        raise CamshiftError(f"postcard margin needs e >= 2k+4 = {2 * k + 4}, got e = {e}")
     for s in stamps:
         if s.shape != base.shape:
-            raise ShapeMismatch("stamps must have the same cube shape as the base")
+            raise CamshiftError("stamps must have the same cube shape as the base")
     d = base.ndim
     patches = tuple(
         ((2 * m,) + (2,) * (d - 1), stamp) for m, stamp in enumerate(stamps, start=1)
@@ -255,11 +247,11 @@ def count_occurrences_d(pattern, text) -> int:
     pattern = _check_word(pattern)
     text = _check_word(text)
     if pattern.ndim != text.ndim:
-        raise ShapeMismatch("pattern and text dimension mismatch")
+        raise CamshiftError("pattern and text dimension mismatch")
     if pattern.size == 0:
-        raise EmptyPattern("pattern has no cells")
+        raise CamshiftError("pattern has no cells")
     if any(p > t for p, t in zip(pattern.shape, text.shape)):
-        raise ShapeMismatch("pattern does not fit inside text")
+        raise CamshiftError("pattern does not fit inside text")
     return _count_patterns([_pack_pattern(pattern)], text)[0]
 
 
@@ -338,7 +330,7 @@ class DoubledGrid:
         """Placements of ``pattern`` in the doubled word."""
         pattern = _check_word(pattern)
         if pattern.ndim != self.dim or any(t > self.side for t in pattern.shape):
-            raise ShapeMismatch(
+            raise CamshiftError(
                 f"pattern {pattern.shape} does not fit in a block of side {self.side}"
             )
         return sum(
@@ -469,7 +461,7 @@ class ZdFamily(Hierarchy):
 
     def __init__(self, dim: int, budgets: Budgets | None = None):
         if dim < 1:
-            raise InvalidParameter("dimension must be >= 1")
+            raise CamshiftError("dimension must be >= 1")
         self.dim = dim
         self.budgets = budgets or Budgets()
         self.eps = FrequencySequence(dim=dim)
@@ -491,7 +483,7 @@ class ZdFamily(Hierarchy):
     def _words(self, k: int, n: int) -> dict:
         """Candidate words of level k+1 at parameter n, from levels 1..k (structure only)."""
         if n <= 1:
-            raise InvalidParameter("level parameter must be > 1")
+            raise CamshiftError("level parameter must be > 1")
         d = self.dim
         cell_cap = self.budgets.cells
 
@@ -504,7 +496,7 @@ class ZdFamily(Hierarchy):
 
         if k == 1:
             if n < 3:
-                raise InvalidParameter("level-2 parameter must be >= 3 to place the deviant cell")
+                raise CamshiftError("level-2 parameter must be >= 3 to place the deviant cell")
             if n**d > cell_cap:
                 raise BudgetExceeded(
                     f"level-2 cubes of {n**d} cells exceed the cell budget {cell_cap}"
@@ -558,6 +550,22 @@ class ZdFamily(Hierarchy):
         the eps tails and a failing stamp-fit row; from it on, every row is a
         polynomial in n."""
         return 2 * _stamp_count(k) + 4
+
+    def _words_to_obj(self) -> dict:
+        """The file field that stores the words: each level's postcards or arrays."""
+        levels = []
+        for k in range(1, self.top_level + 1):
+            words = {}
+            for name in self.names(k):
+                word = self.word(k, name)
+                entry: dict = {"side": word.side}
+                if word.patchwork is not None:
+                    entry["patchwork"] = patchwork_to_obj(word.patchwork)
+                elif word.array is not None:
+                    entry["array"] = array_to_obj(word.array)
+                words[name] = entry
+            levels.append({"level": k, "words": words})
+        return {"levels": levels}
 
     def _certify(self, k: int, n: int) -> CertificateReport:
         """Exact certification of level k+1 at parameter n against levels 1..k.
@@ -684,17 +692,17 @@ def transitive_config_window(family: ZdFamily, starts, sides) -> ArrayWord:
     it are copied in.
     """
     if family.top_level < 2:
-        raise OutOfBuiltRange("family has no built level >= 2")
+        raise CamshiftError("family has no built level >= 2")
     d = family.dim
     starts = tuple(int(x) for x in starts)
     sides = tuple(int(x) for x in sides)
     if len(starts) != d or len(sides) != d or any(s < 1 for s in sides):
-        raise InvalidParameter("rectangle must have d starts and d positive sides")
+        raise CamshiftError("rectangle must have d starts and d positive sides")
     top = family.top_level
     span = family.side(top)
     for lo, size in zip(starts, sides):
         if lo <= -span or lo + size - 1 > span:
-            raise OutOfBuiltRange(
+            raise CamshiftError(
                 f"rectangle [{lo}, {lo + size - 1}] outside built range ({-span}, {span}]"
             )
     cells = math.prod(sides)
@@ -729,7 +737,7 @@ class MeasureRowD:
 def measure_report_d(family: ZdFamily, k_max: int) -> list:
     """Deviant-symbol frequencies per level 2..k_max plus the origin-cylinder gap."""
     if not 2 <= k_max <= family.top_level:
-        raise OutOfBuiltRange(f"level {k_max} not built")
+        raise CamshiftError(f"level {k_max} not built")
     rows = []
     third = Fraction(1, 3)
     for k in range(2, k_max + 1):
@@ -780,34 +788,6 @@ def patchwork_to_obj(p: PatchworkExpr) -> dict:
     }
 
 
-def _words_to_obj_d(family: ZdFamily) -> dict:
-    """The file field that stores the words: each level's postcards or arrays."""
-    levels = []
-    for k in range(1, family.top_level + 1):
-        words = {}
-        for name in family.names(k):
-            word = family.word(k, name)
-            entry: dict = {"side": word.side}
-            if word.patchwork is not None:
-                entry["patchwork"] = patchwork_to_obj(word.patchwork)
-            elif word.array is not None:
-                entry["array"] = array_to_obj(word.array)
-            words[name] = entry
-        levels.append({"level": k, "words": words})
-    return {"levels": levels}
-
-
-def family_to_obj_d(family: ZdFamily) -> dict:
-    return {
-        "dim": family.dim,
-        "K": family.top_level,
-        "eps_scheme": EPS_SCHEME,
-        "params": [str(n) for n in family.params],
-        **_words_to_obj_d(family),
-        "certificates": [report_to_obj(r) for r in family.certificates],
-    }
-
-
 def family_from_obj_d(obj, budgets: Budgets | None = None) -> ZdFamily:
     """Rebuild a d-dimensional family; its level words must match the words
     its parameters build."""
@@ -817,4 +797,4 @@ def family_from_obj_d(obj, budgets: Budgets | None = None) -> ZdFamily:
             raise MalformedFamily("bad dimension")
         return ZdFamily(dim=dim, budgets=budgets)
 
-    return load_family(obj, new_family, _words_to_obj_d)
+    return load_family(obj, new_family)

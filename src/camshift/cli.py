@@ -7,7 +7,8 @@ Runs are deterministic: the same configuration produces byte-identical
 family files and certificate reports.
 
 Exit codes: 0 success; 2 certification failure or violated property (also
-usage errors); 3 budget exhaustion; 4 malformed family file.
+usage errors); 3 budget exhaustion; 4 malformed family file.  Each error
+exit code has one exception type (see :mod:`camshift.errors`).
 
 Limits come only from the CAMSHIFT_BUDGET environment variable (see
 :mod:`camshift.budgets`); no option sets one.
@@ -23,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import cam1d, camzd, sft
-from .budgets import Budgets, budgets_from_env
+from .budgets import budgets_from_env
 from .errors import BudgetExceeded, CamshiftError, MalformedFamily
 
 EXIT_OK = 0
@@ -42,7 +43,10 @@ def _frac_str(x: Fraction | None) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _load_family(path: str, budgets: Budgets):
+def _load_family(path: str):
+    # the budgets are read first, so a bad CAMSHIFT_BUDGET is a usage error
+    # whatever the file holds
+    budgets = budgets_from_env()
     try:
         with open(path, "r", encoding="ascii") as handle:
             obj = json.load(handle)
@@ -105,11 +109,9 @@ def cmd_build(args) -> int:
     budgets = budgets_from_env()
     if args.dim == 1:
         family = cam1d.build_family(levels=args.levels, budgets=budgets)
-        payload = canonical_json(cam1d.family_to_obj(family))
     else:
         family = camzd.build_family_d(dim=args.dim, levels=args.levels, budgets=budgets)
-        payload = canonical_json(camzd.family_to_obj_d(family))
-    _write_out(payload, args.out)
+    _write_out(canonical_json(cam1d.family_to_obj(family)), args.out)
     for report in family.certificates:
         checked = [r for r in report.rows if r.status != "info"]
         print(
@@ -124,8 +126,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    budgets = budgets_from_env()
-    family = _load_family(args.family, budgets)
+    family = _load_family(args.family)
     levels = [args.level] if args.level else range(2, family.top_level + 1)
     reports = [cam1d.certify_level(family, k) for k in levels]
     _write_out(_reports_payload(reports, args.format), args.out)
@@ -133,8 +134,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budgets = budgets_from_env()
-    family = _load_family(args.family, budgets)
+    family = _load_family(args.family)
     verify = (
         cam1d.verify_distinct_subwords if family.dim == 1 else camzd.verify_distinct_subwords_d
     )
@@ -148,8 +148,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_window(args) -> int:
-    budgets = budgets_from_env()
-    family = _load_family(args.family, budgets)
+    family = _load_family(args.family)
     if family.dim == 1:
         start, size = _int(args.start, "--start"), _int(args.len, "--len")
         print(cam1d.transitive_point_window(family, start, size))
@@ -162,8 +161,7 @@ def cmd_window(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    budgets = budgets_from_env()
-    family = _load_family(args.family, budgets)
+    family = _load_family(args.family)
     if family.dim != 1:
         raise CamshiftError("parse is defined for one-dimensional families")
     result = cam1d.parse_structure(family, args.level, args.start, args.blocks)
@@ -176,8 +174,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    budgets = budgets_from_env()
-    family = _load_family(args.family, budgets)
+    family = _load_family(args.family)
     if family.dim == 1:
         sides = ["a", "b"] if args.side == "both" else [args.side]
         cylinders = args.cylinders.split(",")
@@ -208,8 +205,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    budgets = budgets_from_env()
-    family = _load_family(args.family, budgets)
+    family = _load_family(args.family)
     if family.dim != 1:
         raise CamshiftError("complexity is defined for one-dimensional families")
     profile = cam1d.complexity_profile(family, args.n_max, args.window_len)

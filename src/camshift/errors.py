@@ -1,11 +1,17 @@
-"""Exception taxonomy shared by all camshift modules."""
+"""The exit-code table: one exception class per error exit code of the CLI.
+
+    CamshiftError     exit 2   a violated property or a usage error
+    BudgetExceeded    exit 3   a budget exhausted before a result is decided
+    MalformedFamily   exit 4   a family file that cannot be read or rebuilt
+
+Every other condition raises ``CamshiftError`` with a message naming it.  A
+family file whose parameters the builder refuses is malformed:
+``cam1d.load_family`` turns any ``CamshiftError`` met while rebuilding a
+file into ``MalformedFamily``.
+"""
 
 
 class CamshiftError(Exception):
-    """Base class for all camshift errors."""
-
-
-class IndexOutOfRange(CamshiftError):
     pass
 
 
@@ -13,38 +19,5 @@ class BudgetExceeded(CamshiftError):
     pass
 
 
-class EmptyPattern(CamshiftError):
-    pass
-
-
-class InvalidParameter(CamshiftError):
-    pass
-
-
-class OutOfBuiltRange(CamshiftError):
-    pass
-
-
-class MisalignedWindow(CamshiftError):
-    pass
-
-
-class ShapeMismatch(CamshiftError):
-    pass
-
-
-class StampCountTooLarge(CamshiftError):
-    pass
-
-
-class ReducibleMatrix(CamshiftError):
-    pass
-
-
 class MalformedFamily(CamshiftError):
     pass
-
-
-class NonPolynomialRow(CamshiftError):
-    """A certificate row whose counts or sizes leave the polynomial the
-    parameter solver fitted them to."""

@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceeded, InvalidParameter, ReducibleMatrix
+from .errors import BudgetExceeded, CamshiftError
 
 _ENUM_CAP = 5_000_000
 
@@ -43,13 +43,13 @@ class SftMatrix:
         if not isinstance(self.rows, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) for row in self.rows
         ):
-            raise InvalidParameter("matrix must be an array of arrays")
+            raise CamshiftError("matrix must be an array of arrays")
         rows = tuple(map(tuple, self.rows))
         if not rows or any(len(row) != len(rows) for row in rows):
-            raise InvalidParameter("matrix must be square and nonempty")
+            raise CamshiftError("matrix must be square and nonempty")
         # exact type: a float, a string or a bool is not read as an entry
         if any(type(x) is not int or x < 0 for row in rows for x in row):
-            raise InvalidParameter("matrix entries must be nonnegative integers")
+            raise CamshiftError("matrix entries must be nonnegative integers")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -96,13 +96,13 @@ def _newton(power_sums) -> list:
 def trace_power(A, n: int) -> int:
     """Exact trace of A^n (number of closed edge walks of length n)."""
     if n < 1:
-        raise InvalidParameter("n must be >= 1")
+        raise CamshiftError("n must be >= 1")
     return next(itertools.islice(_traces(_as_matrix(A).rows), n, None))
 
 
 def mobius(n: int) -> int:
     if n < 1:
-        raise InvalidParameter("mobius needs n >= 1")
+        raise CamshiftError("mobius needs n >= 1")
     result = 1
     p = 2
     while p * p <= n:
@@ -138,7 +138,7 @@ def census(A, n_max: int) -> dict:
     """Map n -> least-period-n point count for 1 <= n <= n_max."""
     A = _as_matrix(A)
     if n_max < 1:
-        raise InvalidParameter("n_max must be at least 1")
+        raise CamshiftError("n_max must be at least 1")
     traces = list(itertools.islice(_traces(A.rows), n_max + 1))
     return {n: _least_period(traces, n) for n in range(1, n_max + 1)}
 
@@ -209,7 +209,7 @@ def is_irreducible(A) -> bool:
 def _require_irreducible(A) -> SftMatrix:
     A = _as_matrix(A)
     if not is_irreducible(A):
-        raise ReducibleMatrix("matrix is not irreducible")
+        raise CamshiftError("matrix is not irreducible")
     return A
 
 
@@ -348,9 +348,9 @@ def embedding_feasibility(A, tower_height: int, n_max: int) -> FeasibilityReport
     of the tower do not exceed the target's for every n <= n_max.
     """
     if tower_height < 1:
-        raise InvalidParameter("tower height must be >= 1")
+        raise CamshiftError("tower height must be >= 1")
     if n_max < tower_height:
-        raise InvalidParameter("n_max must be at least the tower height")
+        raise CamshiftError("n_max must be at least the tower height")
     A = _require_irreducible(A)
     traces = list(itertools.islice(_traces(A.rows), max(n_max, A.dim * tower_height) + 1))
     target = {n: _least_period(traces, n) for n in range(1, n_max + 1)}
@@ -380,7 +380,7 @@ def smallest_feasible_height(A, n_max: int, cap: int = 64) -> int | None:
     to max(n_max, d*m) terms and max(n_max, m) counts at height m.
     """
     if cap < 1:
-        raise InvalidParameter(f"height cap must be at least 1, got {cap}")
+        raise CamshiftError(f"height cap must be at least 1, got {cap}")
     A = _require_irreducible(A)
     terms = _traces(A.rows)
     traces, target = [], {}

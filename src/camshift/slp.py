@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 import weakref
 
-from .errors import EmptyPattern, IndexOutOfRange, InvalidParameter
+from .errors import CamshiftError
 
 SYMBOLS = ("0", "1")
 # bytes the builder memo keeps, one per symbol of the snippets, block names
@@ -113,7 +113,7 @@ class SlpExpr:
 
 def _check_symbol(symbol):
     if symbol not in SYMBOLS:
-        raise InvalidParameter(f"symbol must be one of {SYMBOLS}, got {symbol!r}")
+        raise CamshiftError(f"symbol must be one of {SYMBOLS}, got {symbol!r}")
 
 
 class SlpBuilder:
@@ -155,15 +155,15 @@ class SlpBuilder:
         merged = []
         for child, rep in parts:
             if not isinstance(child, SlpExpr):
-                raise InvalidParameter("concat child must be an SlpExpr")
+                raise CamshiftError("concat child must be an SlpExpr")
             if not isinstance(rep, int) or rep < 1:
-                raise InvalidParameter(f"repeat must be a positive integer, got {rep!r}")
+                raise CamshiftError(f"repeat must be a positive integer, got {rep!r}")
             if merged and merged[-1][0] is child:
                 merged[-1] = (child, merged[-1][1] + rep)
             else:
                 merged.append((child, rep))
         if not merged:
-            raise InvalidParameter("concat needs at least one part")
+            raise CamshiftError("concat needs at least one part")
         if len(merged) == 1 and merged[0][1] == 1:
             return merged[0][0]
         key = tuple((child.uid, rep) for child, rep in merged)
@@ -179,7 +179,7 @@ class SlpBuilder:
     def word(self, text: str) -> SlpExpr:
         """Expression for an explicit word (run-length encoded)."""
         if not text:
-            raise InvalidParameter("cannot build an expression for the empty word")
+            raise CamshiftError("cannot build an expression for the empty word")
         parts = []
         for symbol, run in itertools.groupby(text):
             parts.append((self.atom(symbol), sum(1 for _ in run)))
@@ -226,7 +226,7 @@ class SlpBuilder:
         computed without materializing.
         """
         if not pattern:
-            raise EmptyPattern("pattern must be nonempty")
+            raise CamshiftError("pattern must be nonempty")
         if pattern not in self._checked:
             # one scan at C speed, once per distinct pattern
             stray = pattern.translate(_DROP_SYMBOLS)
@@ -576,7 +576,7 @@ def _cumulative(expr):
 def char_at(expr: SlpExpr, i: int) -> str:
     """Symbol at 0-based position ``i`` of the materialization."""
     if i < 0 or i >= expr.length:
-        raise IndexOutOfRange(f"index {i} out of range for word of length {expr.length}")
+        raise CamshiftError(f"index {i} out of range for word of length {expr.length}")
     node = expr
     while True:
         if node.kind == "atom":
@@ -598,9 +598,9 @@ def window(expr: SlpExpr, start: int, size: int) -> str:
     """Materialize ``size`` symbols starting at 0-based ``start``; the
     caller checks ``size`` against its symbol budget."""
     if size < 0:
-        raise InvalidParameter("window length must be nonnegative")
+        raise CamshiftError("window length must be nonnegative")
     if start < 0 or start + size > expr.length:
-        raise IndexOutOfRange(
+        raise CamshiftError(
             f"window [{start}, {start + size}) out of range for length {expr.length}"
         )
     if size == 0:
@@ -665,7 +665,7 @@ def count_occurrences_naive(pattern: str, text: str) -> int:
     a level-4 junction text took 20 ms, the bisection 0.03 ms.)
     """
     if not pattern:
-        raise EmptyPattern("pattern must be nonempty")
+        raise CamshiftError("pattern must be nonempty")
     size = len(pattern)
     count = 0
     i = text.find(pattern)
@@ -701,7 +701,7 @@ def minimal_period(word: str) -> int:
     """
     n = len(word)
     if n == 0:
-        raise InvalidParameter("minimal_period needs a nonempty word")
+        raise CamshiftError("minimal_period needs a nonempty word")
     q = word.find(word[: (n + 1) // 2], 1)
     if q != -1 and word.startswith(word[q:]):
         return q

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from camshift import cam1d, camzd
-from camshift.errors import InvalidParameter
+from camshift.errors import CamshiftError
 
 
 def count_occurrences_windowed(pattern, text) -> int:
@@ -81,7 +81,7 @@ def self_concat(w, extents, max_cells: int | None = None):
         extents = (extents,) * d
     extents = tuple(int(e) for e in extents)
     if len(extents) != d or any(e < 1 for e in extents):
-        raise InvalidParameter(f"extents must be {d} positive integers")
+        raise CamshiftError(f"extents must be {d} positive integers")
     cells = arr.size * math.prod(extents)
     if max_cells is not None and cells > max_cells:
         return camzd.PatchworkExpr(base=arr, extents=extents, patches=())

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -10,10 +11,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from refusal import refused
 
-from camshift import cam1d, camzd, cli
+from camshift import cam1d, cli
 from camshift.budgets import Budgets, budgets_from_env
-from camshift.errors import InvalidParameter
 
 
 def run(*argv):
@@ -473,6 +474,22 @@ def test_malformed_family_exit_code(tmp_path, family_file):
     assert run("verify", "--family", str(missing), "--level", "2") == 4
 
 
+def test_family_params_the_builder_refuses_are_malformed(tmp_path, capsys):
+    # a stored parameter below the postcard margin, or too small to hold the
+    # stamps, is a malformed file (exit 4), not a refused build (exit 2)
+    path = tmp_path / "d2l3.json"
+    assert run("build", "--dim", "2", "--levels", "3", "--out", str(path)) == 0
+    good = json.loads(path.read_text())
+    for params, reason in (
+        (["3", "4"], "postcard margin needs e >= 2k+4 = 12, got e = 4"),
+        (["6", "3"], "4 stamps need e >= 4 first-axis blocks, got e = 3"),
+    ):
+        path.write_text(cli.canonical_json(dict(good, params=params)))
+        capsys.readouterr()
+        assert run("certify", "--family", str(path)) == 4
+        assert capsys.readouterr().err == f"error: malformed family file: {reason}\n"
+
+
 def test_family_param_over_cell_budget(tmp_path, family_d2_file, capsys):
     # the level-2 cubes of a stored parameter are checked against the cell
     # budget before they are allocated
@@ -490,7 +507,7 @@ def test_d2_level3_file_form_independent_of_cell_budget(
 ):
     # level-3 words of 22500 cells: arrays at the default budget, not at
     # cells=10000, and the file must read the same under both
-    obj = camzd.family_to_obj_d(family_d2_structural3)
+    obj = cam1d.family_to_obj(family_d2_structural3)
     obj["certificates"].append(
         cam1d.report_to_obj(cam1d.certify_level(family_d2_structural3, 3))
     )
@@ -506,17 +523,24 @@ def test_d2_level3_file_form_independent_of_cell_budget(
     assert "12 pairs, 0 occurrences" in outputs[0]
 
 
-def test_budget_env_override(monkeypatch):
+def test_budget_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv("CAMSHIFT_BUDGET", "cells=5e6")
     assert budgets_from_env().cells == 5_000_000
     for key in ("nope", "window"):
         monkeypatch.setenv("CAMSHIFT_BUDGET", f"cells=5e6, {key}=512")
-        with pytest.raises(InvalidParameter):
+        with refused(f"^unknown budget '{key}' in CAMSHIFT_BUDGET$"):
             budgets_from_env()
-    for value in ("-2", "abc", "inf", "nan", "1.5", "1.00000000000000001e8", "1e999999999"):
+    monkeypatch.setenv("CAMSHIFT_BUDGET", "cells=-2")
+    with refused("^budget cells must be positive$"):
+        budgets_from_env()
+    for value in ("abc", "inf", "nan", "1.5", "1.00000000000000001e8", "1e999999999"):
         monkeypatch.setenv("CAMSHIFT_BUDGET", f"cells={value}")
-        with pytest.raises(InvalidParameter):
+        with refused(f"^budget value {re.escape(repr(value))} is not an integer$"):
             budgets_from_env()
+    # read before the family file is opened: a usage error (exit 2), where
+    # the missing file alone would exit 4
+    code, err = _run_quiet("certify", "--family", str(tmp_path / "missing.json"))
+    assert (code, err) == (2, "error: budget value '1e999999999' is not an integer\n")
     # read exactly, not through a float (which gives 9007199254740992)
     monkeypatch.setenv("CAMSHIFT_BUDGET", "symbols=9007199254740993.0")
     assert budgets_from_env().symbols == 9_007_199_254_740_993

@@ -1,6 +1,7 @@
 """Static checks of the package source that need no linter: stdlib ast only."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,75 @@ def test_the_check_sees_an_unread_definition():
     )
     read = set(_read(tree))
     assert [name for name, _ in _defined(tree) if name not in read] == ["f", "m"]
+
+
+def _exception_classes(tree, known=frozenset()):
+    """Classes the module defines on a builtin exception, on a class in
+    `known`, or on one defined before them in the module."""
+    found = set(known)
+
+    def is_exception(base):
+        builtin = getattr(builtins, base.id, None) if isinstance(base, ast.Name) else None
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return isinstance(base, ast.Name) and base.id in found
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(map(is_exception, node.bases)):
+            found.add(node.name)
+    return found - set(known)
+
+
+def _caught_by(tree, function):
+    """Names in the except clauses of `function`, builtins aside."""
+    caught = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            for handler in ast.walk(node):
+                if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                    caught.update(
+                        name.id for name in ast.walk(handler.type) if isinstance(name, ast.Name)
+                    )
+    return {name for name in caught if not hasattr(builtins, name)}
+
+
+def _exit_code_mismatch(errors_tree, cli_tree, other_trees):
+    """Error classes that cli.main does not catch, names it catches that
+    errors.py does not define, and error classes defined elsewhere."""
+    defined = _exception_classes(errors_tree)
+    caught = _caught_by(cli_tree, "main")
+    elsewhere = set().union(*(_exception_classes(tree, defined) for tree in other_trees))
+    return sorted(defined ^ caught), sorted(elsewhere)
+
+
+def test_every_error_type_has_an_exit_code():
+    # one exception class per exit code: a new error type must choose one
+    trees = {path.name: _parse(path) for path in SOURCES}
+    errors, cli = trees.pop("errors.py"), trees["cli.py"]
+    assert _exception_classes(errors) == {"CamshiftError", "BudgetExceeded", "MalformedFamily"}
+    assert _exit_code_mismatch(errors, cli, trees.values()) == ([], [])
+
+
+def test_the_check_sees_an_error_without_an_exit_code():
+    errors = ast.parse(
+        "class A(Exception): pass\n"
+        "class B(A): pass\n"
+        "class C(B): pass\n"
+        "class Helper: pass\n"
+    )
+    cli = ast.parse(
+        "def main():\n"
+        "    try:\n"
+        "        run()\n"
+        "    except B:\n"
+        "        pass\n"
+        "    except (A, OSError):\n"
+        "        pass\n"
+        "def other():\n"
+        "    try:\n"
+        "        run()\n"
+        "    except C:\n"
+        "        pass\n"
+    )
+    other = ast.parse("from .errors import A\nclass D(A): pass\nclass E(ValueError): pass\n")
+    assert _exit_code_mismatch(errors, cli, [other]) == (["C"], ["D", "E"])
