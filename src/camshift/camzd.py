@@ -18,12 +18,17 @@ the base everywhere but at the stamp copies, and every inherited word fits
 in one block; so :class:`DoubledGrid` counts it in one small window per
 distinct neighbourhood of 2^d blocks, times the number of corner blocks
 with that neighbourhood, which is a closed form in the grid size (the
-d-dimensional form of the run formula of :mod:`camshift.slp`).  The
-symbol densities come from the base and the stamps alone, and the
-configuration windows are sliced from the tiled base with the stamps
-copied in.  Only the distinct-pair scan builds doubled words, under the
-cell budget.  Period lattices filter their candidates at a few cells and
-test the rest by cosets of the span found so far.  All of it is exact.
+d-dimensional form of the run formula of :mod:`camshift.slp`); the
+patterns of one shape are counted in one pass, each window packed once
+for all of them.  The symbol densities come from the base and the stamps
+alone, and the configuration windows are sliced from the tiled base with
+the stamps copied in.  Only the distinct-pair scan builds doubled words,
+under the cell budget.  A period lattice takes as candidates the residues
+that carry the first rare-symbol cell onto a rare cell; translation is a
+bijection of the torus, so a candidate is a period iff it maps the rare
+cells into themselves, a test that reads only those cells.  The
+candidates are filtered at a few rare cells, and the rest tested by
+cosets of the span found so far.  All of it is exact.
 
 The level driver lives once in :mod:`camshift.cam1d` and serves both
 dimensions: building, certifying, the parameter solver, the build loop,
@@ -285,7 +290,8 @@ class DoubledGrid:
     their window.  Only the corners next to a stamp copy are listed one by
     one; the others have an all-base neighbourhood, and their number is a
     product of (G - 1) factors per set of far-edge axes less the listed
-    ones.  Windows of equal cells are counted once.
+    ones.  Windows of equal cells are counted once, and each is packed once
+    for all the patterns of its shape.
     """
 
     def __init__(self, word: PatchworkExpr):
@@ -326,17 +332,24 @@ class DoubledGrid:
         """Cells of the largest window a pattern of ``shape`` is counted in."""
         return math.prod(self.side + t - 1 for t in shape)
 
-    def count(self, pattern) -> int:
-        """Placements of ``pattern`` in the doubled word."""
-        pattern = _check_word(pattern)
-        if pattern.ndim != self.dim or any(t > self.side for t in pattern.shape):
-            raise CamshiftError(
-                f"pattern {pattern.shape} does not fit in a block of side {self.side}"
-            )
-        return sum(
-            mult * count_occurrences_d(pattern, window)
-            for window, mult in self._windows(pattern.shape)
-        )
+    def counts(self, patterns) -> list:
+        """Placements of each of ``patterns``, all of one shape, in the doubled
+        word: each pattern is packed once, and each distinct window once for
+        all of them."""
+        patterns = [_check_word(p) for p in patterns]
+        shape = patterns[0].shape if patterns else ()
+        if any(p.shape != shape for p in patterns):
+            raise CamshiftError("block-grid patterns must share one shape")
+        if len(shape) != self.dim or any(t > self.side for t in shape):
+            raise CamshiftError(f"pattern {shape} does not fit in a block of side {self.side}")
+        if math.prod(shape) == 0:
+            raise CamshiftError("pattern has no cells")
+        packed = [_pack_pattern(p) for p in patterns]
+        totals = [0] * len(packed)
+        for window, mult in self._windows(shape):
+            for i, count in enumerate(_count_patterns(packed, window)):
+                totals[i] += mult * count
+        return totals
 
     def _windows(self, shape) -> list:
         """(window, multiplicity) for patterns of ``shape``, one per distinct window."""
@@ -385,7 +398,7 @@ class PeriodLattice:
 
 
 # Cells of the rarer symbol used to filter the period candidates.
-_FILTER_CELLS = 8
+_FILTER_CELLS = 32
 # Most residues (cells of the cube) a lattice is computed for.
 _MAX_RESIDUES = 1_000_000
 
@@ -394,38 +407,51 @@ def period_lattice(w) -> PeriodLattice:
     """All residues v with w-extended(x + v) = w-extended(x), plus their index.
 
     The symmetry lattice is residues + (n Z)^d; its index in the grid is
-    n^d divided by the residue count.  A v can only be a period if
-    w[(x + v) mod n] = w[x] at a few cells x of the rarer symbol; those
+    n^d divided by the residue count.  Let R be the cells of the rarer
+    symbol and r0 the first of them.  A period maps r0 onto a cell of R, so
+    the candidates are the |R| residues (R - r0) mod n; and translation is
+    a bijection of the torus, so v is a period iff (R + v) mod n lies in R,
+    a test that reads the |R| cells R + v.  A cube without a rare cell is
+    constant, and every residue is a period.  The candidates are first
+    filtered at a few cells x of R (w[(x + v) mod n] must be rare); those
     tests only reject.  The survivors are walked in lexicographic order:
     one inside the span of the generators found so far is a period, one
     inside a coset v' + span of a rejected v' is not, and any other gets
-    one full comparison.  It then becomes a generator, and the span grows
-    by its multiples, or its coset is marked rejected.  The residues are
-    the final span; the generators are the greedy ones of the full scan.
+    the full test.  It then becomes a generator, and the span grows by its
+    multiples, or its coset is marked rejected.  The residues are the final
+    span; the generators are the greedy ones of the full scan.
     """
     arr = _check_cube(w)
     n = arr.shape[0]
     d = arr.ndim
     if n**d > _MAX_RESIDUES:
         raise BudgetExceeded(f"{n**d} residues exceed the enumeration cap")
-    axes = tuple(range(d))
     rare = int(2 * int(arr.sum()) <= arr.size)
-    cells = np.flatnonzero(arr == rare)
-    candidates = np.ones(arr.shape, dtype=bool)
-    for x in cells[:: max(1, len(cells) // _FILTER_CELLS)][:_FILTER_CELLS]:
-        shift = tuple(-int(i) for i in np.unravel_index(x, arr.shape))
-        candidates &= np.roll(arr, shift, axis=axes) == rare
+    values = arr.reshape(-1)
+    rare_cells = np.argwhere(arr == rare)  # R, in lexicographic order
+
+    def rare_at(points) -> np.ndarray:
+        return values[np.ravel_multi_index((points % n).T, arr.shape)] == rare
+
+    if len(rare_cells):
+        offsets = (rare_cells - rare_cells[0]) % n
+        keep = np.ones(len(offsets), dtype=bool)
+        for x in rare_cells[:: max(1, len(rare_cells) // _FILTER_CELLS)][:_FILTER_CELLS]:
+            keep &= rare_at(offsets + x)
+        candidates = np.sort(np.ravel_multi_index(offsets[keep].T, arr.shape))
+    else:  # a constant cube: every residue is a period
+        candidates = np.arange(arr.size)
 
     in_span = np.zeros(arr.size, dtype=bool)
     rejected = np.zeros(arr.size, dtype=bool)
     in_span[0] = True
     span = np.zeros((1, d), dtype=np.int64)  # members, the zero vector first
     generators = []
-    for flat in np.flatnonzero(candidates):
+    for flat in candidates:
         if in_span[flat] or rejected[flat]:
             continue
         v = np.unravel_index(flat, arr.shape)
-        if not np.array_equal(np.roll(arr, v, axis=axes), arr):
+        if not rare_at(rare_cells + v).all():
             rejected[np.ravel_multi_index(((span + v) % n).T, arr.shape)] = True
             continue
         generators.append(tuple(int(i) for i in v))
@@ -596,15 +622,25 @@ class ZdFamily(Hierarchy):
         grids = {side: DoubledGrid(word) for side, word in density.items()}
         cell_cap = self.budgets.cells
 
-        inherited = _inherited_words(self.eps, k, excluded_a_d, excluded_b_d)
+        inherited = list(_inherited_words(self.eps, k, excluded_a_d, excluded_b_d))
+        # the verifiable words of one side and one shape are counted together
+        groups = {}
+        for ident, side, m, name, _ in inherited:
+            u = self.word(m, name).array
+            if u is not None and grids[side].window_cells(u.shape) <= cell_cap:
+                groups.setdefault((side, u.shape), []).append((ident, u))
+        counts = {}
+        for (side, _), words in groups.items():
+            found = grids[side].counts([u for _, u in words])
+            counts.update((ident, c) for (ident, _), c in zip(words, found))
         for ident, side, m, name, bound in inherited:
-            u = self.word(m, name)
-            if u.array is None or grids[side].window_cells(u.array.shape) > cell_cap:
+            if ident not in counts:
                 report.rows.append(
                     _unverifiable(ident, "unverifiable at budget: cell budget exceeded")
                 )
                 continue
-            count = grids[side].count(u.array)
+            u = self.word(m, name)
+            count = counts[ident]
             volume = u.array.size
             row = _frequency_row(ident, count, volume, vol_next, bound, d)
             info = CertRow(

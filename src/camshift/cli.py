@@ -176,8 +176,8 @@ def cmd_parse(args) -> int:
 def cmd_measure(args) -> int:
     family = _load_family(args.family)
     if family.dim == 1:
-        sides = ["a", "b"] if args.side == "both" else [args.side]
-        cylinders = args.cylinders.split(",")
+        sides = ["a", "b"] if args.side == "both" else [args.side or "a"]
+        cylinders = ("0,1" if args.cylinders is None else args.cylinders).split(",")
         # every cylinder is measured before any row is printed, so a bad one
         # exits with nothing on stdout
         rows = [
@@ -191,16 +191,24 @@ def cmd_measure(args) -> int:
         ]
         for row in rows:
             print(f"side {row['side']} [{row['cylinder']}] = {row['value']}")
-        if args.out is not None:
-            _write_out(canonical_json(rows), args.out)
-        return EXIT_OK
-    rows = camzd.measure_report_d(family, args.k)
-    for row in rows:
-        print(
-            f"level {row.level}: freq(1|a)={_frac_str(row.a_one)} "
-            f"freq(0|b)={_frac_str(row.b_zero)} gap={_frac_str(row.gap)} "
-            f"gap>1/3={row.gap_above_third}"
-        )
+    else:
+        if args.cylinders is not None or args.side is not None:
+            raise CamshiftError("--cylinders and --side are defined for one-dimensional families")
+        rows = [
+            {
+                "level": row.level,
+                "freq(1|a)": _frac_str(row.a_one),
+                "freq(0|b)": _frac_str(row.b_zero),
+                "gap": _frac_str(row.gap),
+                "gap>1/3": row.gap_above_third,
+            }
+            for row in camzd.measure_report_d(family, args.k)
+        ]
+        for row in rows:
+            fields = " ".join(f"{key}={value}" for key, value in row.items() if key != "level")
+            print(f"level {row['level']}: {fields}")
+    if args.out is not None:
+        _write_out(canonical_json(rows), args.out)
     return EXIT_OK
 
 
@@ -328,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="empirical cylinder frequencies")
     p.add_argument("--family", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cylinders", default="0,1")
-    p.add_argument("--side", choices=("a", "b", "both"), default="a")
+    # one-dimensional only; unset means 0,1 and side a
+    p.add_argument("--cylinders", default=None)
+    p.add_argument("--side", choices=("a", "b", "both"), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_measure)
 

@@ -347,14 +347,21 @@ def doubled_grids(draw):
 @given(case=doubled_grids())
 @settings(max_examples=200, deadline=None)
 def test_block_grid_count_matches_the_doubled_word(case):
+    # the pattern and its complement, counted in one pass over the windows
     word, text, pattern = case
-    assert camzd.DoubledGrid(word).count(pattern) == camzd.count_occurrences_d(pattern, text)
+    patterns = [pattern, 1 - pattern]
+    want = [camzd.count_occurrences_d(p, text) for p in patterns]
+    assert camzd.DoubledGrid(word).counts(patterns) == want
 
 
 def test_block_grid_rejects_patterns_larger_than_a_block():
     word = camzd.postcard([], np.zeros((2, 2), dtype=np.uint8), 3)
     with refused(r"pattern \(3, 1\) does not fit in a block of side"):
-        camzd.DoubledGrid(word).count(np.zeros((3, 1), dtype=np.uint8))
+        camzd.DoubledGrid(word).counts([np.zeros((3, 1), dtype=np.uint8)])
+    with refused("block-grid patterns must share one shape"):
+        camzd.DoubledGrid(word).counts([np.zeros((1, 1)), np.zeros((1, 2))])
+    with refused("pattern has no cells"):
+        camzd.DoubledGrid(word).counts([np.zeros((0, 1), dtype=np.uint8)])
 
 
 def _row_parts(report):
@@ -389,20 +396,43 @@ def test_block_grid_windows_are_held_to_the_cell_budget():
 
 
 def test_certificate_work_does_not_grow_with_n(family_d2, monkeypatch):
-    count = camzd.count_occurrences_d
+    # the block grid passes each distinct window once through the batched
+    # kernel, with every pattern of its side and shape
+    count = camzd._count_patterns
     calls = {}
 
-    def recording(pattern, text):
-        calls[n].append((pattern.shape, text.shape))
-        return count(pattern, text)
+    def recording(patterns, text):
+        calls[n].append(([p.shape for p in patterns], text.shape))
+        return count(patterns, text)
 
-    monkeypatch.setattr(camzd, "count_occurrences_d", recording)
+    monkeypatch.setattr(camzd, "_count_patterns", recording)
     for n in (48, 2087, 10**6, 10**12):
         calls[n] = []
         # n = 2087 is the certified level-3 parameter
         assert camzd.certify_candidate_d(family_d2, n).passed == (n >= 2087)
     assert calls[48] == calls[2087] == calls[10**6] == calls[10**12]
-    assert sum(np.prod(t) for _, t in calls[2087]) == 10734
+    # per side: 4 windows for the 1x1 word, 16 for the three 6x6 words
+    assert sorted(len(shapes) for shapes, _ in calls[2087]) == [1] * 8 + [3] * 32
+    # each distinct window is packed once: 3770 text cells, where one
+    # count_occurrences_d call per (pattern, window) packed 10734
+    assert sum(np.prod(t) for _, t in calls[2087]) == 3770
+    assert sum(len(shapes) * np.prod(t) for shapes, t in calls[2087]) == 10734
+
+
+def test_level3_candidate_packs_each_pattern_and_window_once(family_d2, monkeypatch):
+    pack = camzd._pack
+    packed = []
+
+    def recording(arr, width):
+        packed.append(arr.shape)
+        return pack(arr, width)
+
+    monkeypatch.setattr(camzd, "_pack", recording)
+    camzd.certify_candidate_d(family_d2, 2087)
+    # per side: the 1x1 word and its 4 windows, the three 6x6 words and
+    # their 16 windows; one count_occurrences_d call per (pattern, window)
+    # packed 208 times
+    assert len(packed) == 48
 
 
 def test_pair_scan_packs_each_word_once(family_d2, monkeypatch):
@@ -489,6 +519,66 @@ def test_period_lattice_matches_scan_oracle(w):
     assert got.index == want.index
 
 
+@st.composite
+def rare_cell_cubes(draw):
+    """Cubes the rare-cell candidates must get right: postcards of small
+    hierarchy words (as a3 and w3_3 are built), half-density cubes (the tie
+    between the symbols), cubes with exactly one rare cell, and long words
+    in one dimension."""
+    kind = draw(st.sampled_from(["postcard", "half", "one", "long"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 3]))
+    if kind == "postcard":
+        n = draw(st.integers(3, 6)) if d == 1 else 3
+        words = [w.array for w in camzd.ZdFamily(dim=d)._words(1, n).values()]
+        k = draw(st.integers(0, 1 if d == 3 else 3))
+        stamps = [words[i] for i in draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))]
+        e = k if d == 3 else draw(st.integers(k, k + 1))
+        return camzd.postcard(stamps, words[draw(st.integers(0, 3))], e).to_array()
+    if kind == "half":
+        side = draw(st.sampled_from({1: [2, 4, 8, 20], 2: [2, 4, 6], 3: [2]}[d]))
+        cells = np.zeros(side**d, dtype=np.uint8)
+        cells[: side**d // 2] = 1
+        base = rng.permutation(cells).reshape((side,) * d)
+        reps = draw(st.integers(1, {1: 40, 2: 12, 3: 6}[d] // side))
+        return np.tile(base, (reps,) * d)
+    if kind == "one":
+        side = draw(st.integers(1, {1: 40, 2: 12, 3: 6}[d]))
+        fill = draw(st.integers(0, 1))
+        w = np.full((side,) * d, fill, dtype=np.uint8)
+        w[tuple(draw(st.integers(0, side - 1)) for _ in range(d))] ^= 1
+        return w
+    period = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.05, 0.5, 0.95]))
+    base = (rng.random(period) < density).astype(np.uint8)
+    w = np.tile(base, draw(st.integers(10, 600 // period)))
+    if draw(st.booleans()):
+        w[draw(st.integers(0, len(w) - 1))] ^= 1
+    return w
+
+
+@given(w=rare_cell_cubes())
+@settings(max_examples=200, deadline=None)
+def test_period_lattice_matches_scan_oracle_on_rare_cell_cases(w):
+    got, want = camzd.period_lattice(w), period_lattice_scan(w)
+    assert got.residues == want.residues
+    assert got.generators == want.generators
+    assert got.index == want.index
+
+
+def test_period_lattice_tests_rare_cells_without_rolling(family_d2_structural3, monkeypatch):
+    a3 = family_d2_structural3.word(3, "a3").array
+
+    def no_roll(*args, **kwargs):
+        raise AssertionError("period_lattice rolled the cube")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "roll", no_roll)
+        got = camzd.period_lattice(a3)
+    assert got == period_lattice_scan(a3)
+    assert got.index == 22500 and got.residues == ((0, 0),)
+
+
 def test_period_lattice_constant_150():
     lattice = camzd.period_lattice(np.zeros((150, 150), dtype=np.uint8))
     assert lattice.index == 1
@@ -519,13 +609,13 @@ def test_d2_level2_boundary():
 def test_certification_is_pure_d(family_d2, monkeypatch):
     levels = family_d2.levels
     seen = []
-    count = camzd.count_occurrences_d
+    count = camzd._count_patterns
 
-    def recording(pattern, text):
+    def recording(patterns, text):
         seen.append(family_d2.top_level)
-        return count(pattern, text)
+        return count(patterns, text)
 
-    monkeypatch.setattr(camzd, "count_occurrences_d", recording)
+    monkeypatch.setattr(camzd, "_count_patterns", recording)
     assert cam1d.certify_level(family_d2, 2).passed
     assert seen and set(seen) == {2}
     assert family_d2.levels is levels and family_d2.top_level == 2

@@ -193,6 +193,31 @@ def test_measure_command_d2(family_d2_file, capsys):
     assert "freq(1|a)=1/36" in capsys.readouterr().out
 
 
+def test_measure_d2_out_writes_the_printed_rows(family_d2_file, tmp_path, capsys):
+    out = tmp_path / "measure.json"
+    assert run("measure", "--family", str(family_d2_file), "--k", "2", "--out", str(out)) == 0
+    printed = capsys.readouterr().out
+    assert printed == "level 2: freq(1|a)=1/36 freq(0|b)=1/36 gap=17/18 gap>1/3=True\n"
+    row = {"level": 2, "freq(1|a)": "1/36", "freq(0|b)": "1/36", "gap": "17/18", "gap>1/3": True}
+    assert out.read_text() == cli.canonical_json([row])
+
+
+@pytest.mark.parametrize(
+    "option", [("--cylinders", "0,,1"), ("--cylinders", "0,1"), ("--side", "b"), ("--side", "a")]
+)
+def test_measure_d2_refuses_one_dimensional_options(option, family_d2_file, capsys):
+    code = run("measure", "--family", str(family_d2_file), "--k", "2", *option)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    message = "--cylinders and --side are defined for one-dimensional families"
+    assert captured.err == f"error: {message}\n"
+
+
+def test_measure_defaults_to_side_a_and_both_symbols(family_file, capsys):
+    assert run("measure", "--family", str(family_file), "--k", "2") == 0
+    assert capsys.readouterr().out == "side a [0] = 1/9\nside a [1] = 8/9\n"
+
+
 def test_complexity_command(family_file, capsys):
     assert run(
         "complexity", "--family", str(family_file), "--n-max", "4", "--window-len", "2000"
@@ -211,13 +236,14 @@ def test_window_non_integer_exits_2(which, start, size, family_file, family_d2_f
     assert code == 2 and err.startswith("error: --") and "must be an integer" in err
 
 
-@pytest.mark.parametrize("command", ["certify", "measure", "build"])
+@pytest.mark.parametrize("command", ["certify", "measure", "measure-d2", "build"])
 @pytest.mark.parametrize("missing", [True, False])
-def test_unwritable_out_exits_2(command, missing, family_file, tmp_path):
+def test_unwritable_out_exits_2(command, missing, family_file, family_d2_file, tmp_path):
     out = tmp_path / "missing" / "out.json" if missing else ""  # "" is not stdout
     argv = {
         "certify": ("certify", "--family", str(family_file)),
         "measure": ("measure", "--family", str(family_file), "--k", "2"),
+        "measure-d2": ("measure", "--family", str(family_d2_file), "--k", "2"),
         "build": ("build", "--dim", "1", "--levels", "2"),
     }[command]
     code, err = _run_quiet(*argv, "--out", str(out))

@@ -171,3 +171,31 @@ def test_the_check_sees_an_error_without_an_exit_code():
     )
     other = ast.parse("from .errors import A\nclass D(A): pass\nclass E(ValueError): pass\n")
     assert _exit_code_mismatch(errors, cli, [other]) == (["C"], ["D", "E"])
+
+
+def _rolls(tree):
+    """Lines that name ``roll``: ``np.roll``, ``numpy.roll``, or a bare
+    ``roll`` bound by ``from numpy import roll``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "roll":
+            yield node.lineno
+        elif isinstance(node, ast.Name) and node.id == "roll":
+            yield node.lineno
+
+
+def test_the_package_never_rolls_an_array():
+    # a period is tested on the rare cells; the roll-every-residue lattice is
+    # the test oracle's (tests/camzd_oracles.py), not a second production path
+    rolls = [f"{path.name}:{line}" for path in SOURCES for line in _rolls(_parse(path))]
+    assert not rolls, rolls
+
+
+def test_the_check_sees_a_roll():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy import roll\n"
+        "a = np.roll(w, 1)\n"
+        "b = roll(w, 1)\n"
+        "c = np.rollaxis(w, 1)\n"
+    )
+    assert sorted(_rolls(tree)) == [3, 4]
