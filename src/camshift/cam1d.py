@@ -746,8 +746,8 @@ def transitive_point_window(family: LevelFamily, start: int, size: int) -> str:
     """
     if family.top_level < 2:
         raise CamshiftError("family has no built level >= 2")
-    if size < 0:
-        raise CamshiftError("window length must be nonnegative")
+    if size < 1:
+        raise CamshiftError("window length must be positive")
     top = family.top_level
     span = family.word_length(top)
     if start <= -span or start + size > span + 1:

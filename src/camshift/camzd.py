@@ -11,24 +11,28 @@ domain; the displayed periodic/postcard forms only make sense together
 with that equal-domain convention.
 
 The counting kernel compares packed cells: runs of up to 63 last-axis
-cells become one ``uint64`` code, so a placement is checked with one
-integer comparison per pattern row chunk.  A certificate never builds the
-doubled density word it counts in.  That word is a grid of level-k blocks,
-the base everywhere but at the stamp copies, and every inherited word fits
-in one block; so :class:`DoubledGrid` counts it in one small window per
-distinct neighbourhood of 2^d blocks, times the number of corner blocks
-with that neighbourhood, which is a closed form in the grid size (the
-d-dimensional form of the run formula of :mod:`camshift.slp`); the
-patterns of one shape are counted in one pass, each window packed once
-for all of them.  The symbol densities come from the base and the stamps
+cells become one unsigned code, as narrow as the run allows, so a
+placement is checked with one integer comparison per pattern row chunk.
+The kernel takes a stack of windows, the batch axis first, and stops as
+soon as no placement in any window is left.  A certificate never builds
+the doubled density word it counts in.  That word is a grid of level-k
+blocks, the base everywhere but at the stamp copies, and every inherited
+word fits in one block; so :class:`DoubledGrid` counts it in one small
+window per distinct neighbourhood of 2^d blocks, times the number of
+corner blocks with that neighbourhood, which is a closed form in the
+grid size (the d-dimensional form of the run formula of
+:mod:`camshift.slp`).  All the windows come from one gather of the
+stacked blocks, a far edge is a mask of the placements, not a smaller
+window, and a pattern shape packs the stack once for one early-exit pass
+per pattern.  The symbol densities come from the base and the stamps
 alone, and the configuration windows are sliced from the tiled base with
 the stamps copied in.  Only the distinct-pair scan builds doubled words,
-under the cell budget.  A period lattice takes as candidates the residues
-that carry the first rare-symbol cell onto a rare cell; translation is a
-bijection of the torus, so a candidate is a period iff it maps the rare
-cells into themselves, a test that reads only those cells.  The
-candidates are filtered at a few rare cells, and the rest tested by
-cosets of the span found so far.  All of it is exact.
+under the cell budget.  A period lattice takes as candidates the
+residues that carry the first rare-symbol cell onto a rare cell;
+translation is a bijection of the torus, so a candidate is a period iff
+it maps the rare cells into themselves, a test that reads only those
+cells.  The candidates are filtered at a few rare cells, and the rest
+tested by cosets of the span found so far.  All of it is exact.
 
 The level driver lives once in :mod:`camshift.cam1d` and serves both
 dimensions: building, certifying, the parameter solver, the build loop,
@@ -176,17 +180,21 @@ def postcard(stamps, base, e: int, require_margin: bool = False) -> PatchworkExp
 # Cells per packed code: one uint64 holds them, and the map from windows of
 # this many cells to codes is injective.
 _PACK_WIDTH = 63
-# Text cells packed at a time; their codes take 8 bytes a cell.
+# Text cells packed at a time; their codes take at most 8 bytes a cell.
 _SLAB_CELLS = 1 << 22
+# Code types by width: the first that holds the cells of a code.
+_CODE_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 def _pack(arr: ArrayWord, width: int) -> np.ndarray:
-    """Code of the ``width`` last-axis cells from every start: bit b is cell start+b."""
+    """Code of the ``width`` last-axis cells from every start: bit b is cell
+    start+b, in the narrowest unsigned type that holds ``width`` bits."""
+    dtype = next(t for t in _CODE_TYPES if np.iinfo(t).bits >= width)
     length = arr.shape[-1] - width + 1
-    code = arr[..., :length].astype(np.uint64)
+    code = arr[..., :length].astype(dtype)
     shifted = np.empty_like(code)
     for b in range(1, width):
-        np.left_shift(arr[..., b : b + length], b, out=shifted, dtype=np.uint64)
+        np.left_shift(arr[..., b : b + length], b, out=shifted, dtype=dtype)
         code |= shifted
     return code
 
@@ -206,33 +214,38 @@ def _pack_pattern(pattern: ArrayWord) -> _PackedPattern:
     return _PackedPattern(pattern.shape, width, starts, _pack(pattern, width))
 
 
-def _count_packed(pattern: _PackedPattern, text_code, placements) -> int:
-    mask = np.ones(placements, dtype=bool)
+def _count_packed(pattern: _PackedPattern, code, valid, mults) -> int:
+    """Sum over the windows i of a packed stack ``code`` (the batch axis
+    first) of ``mults[i]`` x the placements of ``pattern`` in window i among
+    those ``valid`` marks; stops as soon as no placement in any window is left."""
+    mask = valid.copy()
     equal = np.empty_like(mask)
+    placements = mask.shape[1:]
     for lead in np.ndindex(*pattern.shape[:-1]):
-        rows = tuple(slice(i, i + r) for i, r in zip(lead, placements))
+        rows = (slice(None),) + tuple(slice(i, i + r) for i, r in zip(lead, placements))
         for c0 in pattern.starts:
-            window = text_code[rows + (slice(c0, c0 + placements[-1]),)]
+            window = code[rows + (slice(c0, c0 + placements[-1]),)]
             np.equal(window, pattern.code[lead + (c0,)], out=equal)
             mask &= equal
             if not mask.any():
                 return 0
-    return int(np.count_nonzero(mask))
+    found = np.count_nonzero(mask.reshape(len(mask), -1), axis=1)
+    return sum(m * int(c) for m, c in zip(mults, found))
 
 
 def _count_patterns(patterns: list, text: ArrayWord) -> list:
     """Counts of packed patterns, all of one shape, in ``text``: each slab
-    of the text is packed once for all of them."""
+    of the text is packed once for all of them, a stack of one window."""
     shape, width = patterns[0].shape, patterns[0].width
     first = text.shape[0] - shape[0] + 1
     rows = max(1, _SLAB_CELLS * text.shape[0] // text.size)
     totals = [0] * len(patterns)
     for r in range(0, first, rows):
         slab = text[r : r + rows + shape[0] - 1]
-        placements = tuple(t - p + 1 for t, p in zip(slab.shape, shape))
-        code = _pack(slab, width)
+        valid = np.ones((1,) + tuple(t - p + 1 for t, p in zip(slab.shape, shape)), bool)
+        code = _pack(slab, width)[None]
         for i, pattern in enumerate(patterns):
-            totals[i] += _count_packed(pattern, code, placements)
+            totals[i] += _count_packed(pattern, code, valid, (1,))
     return totals
 
 
@@ -240,7 +253,7 @@ def count_occurrences_d(pattern, text) -> int:
     """Exact count of axis-aligned placements of ``pattern`` inside ``text``.
 
     Both arrays are packed along the last axis, ``B = min(63, w)`` cells to
-    a ``uint64`` (w the pattern's last-axis width).  A placement matches iff
+    an unsigned code (w the pattern's last-axis width).  A placement matches iff
     for every leading-axis pattern index and every chunk start c0 in
     0, B, 2B, ... and w - B (the last chunk overlaps the one before it, so
     every chunk is full width) the text code equals the pattern code.  The
@@ -270,12 +283,6 @@ def _ones(word: PatchworkExpr) -> int:
     return math.prod(word.extents) * base + stamps
 
 
-def _offsets(edge: tuple) -> list:
-    """Block offsets in {0, 1}^d of a corner block's neighbours inside the
-    text: none past the far edge on the axes of ``edge``."""
-    return list(itertools.product(*[(0,) if e else (0, 1) for e in edge]))
-
-
 class DoubledGrid:
     """Counts in the doubled word of a patchwork (2^d copies of it), on its
     grid of G = 2 * extent blocks per axis, without building it.
@@ -285,13 +292,19 @@ class DoubledGrid:
     exactly one block b, so it meets only b and its neighbours b + delta,
     delta in {0, 1}^d.  The placements with corner in b are those of the
     pattern in the window that starts at b and runs s + t - 1 cells per
-    axis, or s cells on an axis where b is the last block.  So the count is
-    the sum over the distinct neighbourhoods of multiplicity x the count in
-    their window.  Only the corners next to a stamp copy are listed one by
-    one; the others have an all-base neighbourhood, and their number is a
-    product of (G - 1) factors per set of far-edge axes less the listed
-    ones.  Windows of equal cells are counted once, and each is packed once
-    for all the patterns of its shape.
+    axis, at the s - t + 1 first starts on an axis where b is the last block.
+    So the count is the sum over the distinct neighbourhoods of multiplicity
+    x the count in their window.  Only the corners next to a stamp copy are
+    listed one by one; the others have an all-base neighbourhood, and their
+    number is a product of (G - 1) factors per set of far-edge axes less the
+    listed ones.
+
+    The windows of all neighbourhoods come from one gather of the stacked
+    blocks by the neighbourhood names, a neighbour past the far edge read
+    as the base; the far edge is a placement mask, so those cells are never
+    compared.  A pattern shape crops the stack to s + t - 1 cells per axis
+    and packs it once, in slabs of windows; each of its patterns then takes
+    one early-exit pass over the packed stack.
     """
 
     def __init__(self, word: PatchworkExpr):
@@ -310,32 +323,62 @@ class DoubledGrid:
                     at = tuple(a + c * e for a, c, e in zip(anchor, copy, word.extents))
                     stamps[at] = name
         every = list(itertools.product((0, 1), repeat=self.dim))
-        corners = {tuple(x - o for x, o in zip(at, off)) for at in stamps for off in every}
+        # the corners next to a stamp copy, with the block index of each
+        # neighbour; a neighbour past the far edge holds no stamp, so it is
+        # the base
+        hoods = {}
+        for at, name in stamps.items():
+            for i, off in enumerate(every):
+                corner = tuple(x - o for x, o in zip(at, off))
+                if min(corner) >= 0:
+                    hoods.setdefault(corner, [0] * len(every))[i] = name
         groups, listed = {}, {}
-        for corner in sorted(c for c in corners if min(c) >= 0):
+        for corner, names in hoods.items():
             edge = tuple(x == g - 1 for x, g in zip(corner, grid))
-            names = tuple(
-                stamps.get(tuple(x + o for x, o in zip(corner, off)), 0) for off in _offsets(edge)
-            )
-            groups[edge, names] = groups.get((edge, names), 0) + 1
+            key = (edge, tuple(names))
+            groups[key] = groups.get(key, 0) + 1
             listed[edge] = listed.get(edge, 0) + 1
         for edge in itertools.product((False, True), repeat=self.dim):
             plain = math.prod(g - 1 for g, e in zip(grid, edge) if not e) - listed.get(edge, 0)
             if plain:
-                key = (edge, (0,) * len(_offsets(edge)))
+                key = (edge, (0,) * len(every))
                 groups[key] = groups.get(key, 0) + plain
-        # (multiplicity, far-edge axes, block index of each in-text neighbour)
-        self.neighbourhoods = [(mult, edge, names) for (edge, names), mult in groups.items()]
-        self._by_shape = {}
+        # per neighbourhood: its multiplicity, its far-edge axes and the
+        # block index of each neighbour, offsets in {0, 1}^d in order
+        self.mults = list(groups.values())
+        self.edges = np.array([edge for edge, _ in groups], dtype=bool).reshape(-1, self.dim)
+        self.names = np.array([names for _, names in groups], dtype=np.intp)
+        self._stack = None
 
     def window_cells(self, shape) -> int:
-        """Cells of the largest window a pattern of ``shape`` is counted in."""
+        """Cells of the window a pattern of ``shape`` is counted in."""
         return math.prod(self.side + t - 1 for t in shape)
+
+    def _windows(self) -> ArrayWord:
+        """The 2s-cell windows of every neighbourhood, gathered once."""
+        if self._stack is None:
+            d, s = self.dim, self.side
+            count = len(self.mults)
+            cubes = np.stack(self.blocks)[self.names.reshape((count,) + (2,) * d)]
+            # (count, 2, ..., 2, s, ..., s) -> (count, 2, s, 2, s, ...) -> (count, 2s, ...)
+            axes = [0] + [i for a in range(1, d + 1) for i in (a, a + d)]
+            self._stack = cubes.transpose(axes).reshape((count,) + (2 * s,) * d)
+        return self._stack
+
+    def _valid(self, shape) -> np.ndarray:
+        """Placements to test in each window: the s - t + 1 first starts on a
+        far-edge axis, all s elsewhere."""
+        d, s = self.dim, self.side
+        valid = np.ones((len(self.mults),) + (s,) * d, dtype=bool)
+        for axis, t in enumerate(shape):
+            past = (np.arange(s) > s - t).reshape((1,) * (axis + 1) + (s,) + (1,) * (d - axis - 1))
+            valid &= ~(self.edges[:, axis].reshape((-1,) + (1,) * d) & past)
+        return valid
 
     def counts(self, patterns) -> list:
         """Placements of each of ``patterns``, all of one shape, in the doubled
-        word: each pattern is packed once, and each distinct window once for
-        all of them."""
+        word: each pattern is packed once, and the window stack of the shape
+        once, slab by slab, for all of them."""
         patterns = [_check_word(p) for p in patterns]
         shape = patterns[0].shape if patterns else ()
         if any(p.shape != shape for p in patterns):
@@ -345,28 +388,16 @@ class DoubledGrid:
         if math.prod(shape) == 0:
             raise CamshiftError("pattern has no cells")
         packed = [_pack_pattern(p) for p in patterns]
+        stack = self._windows()[(slice(None),) + tuple(slice(0, self.side + t - 1) for t in shape)]
+        valid = self._valid(shape)
+        per = max(1, _SLAB_CELLS // self.window_cells(shape))
         totals = [0] * len(packed)
-        for window, mult in self._windows(shape):
-            for i, count in enumerate(_count_patterns(packed, window)):
-                totals[i] += mult * count
+        for lo in range(0, len(stack), per):
+            part = slice(lo, lo + per)
+            code = _pack(stack[part], packed[0].width)
+            for i, pattern in enumerate(packed):
+                totals[i] += _count_packed(pattern, code, valid[part], self.mults[part])
         return totals
-
-    def _windows(self, shape) -> list:
-        """(window, multiplicity) for patterns of ``shape``, one per distinct window."""
-        if shape not in self._by_shape:
-            s = self.side
-            windows = {}
-            for mult, edge, names in self.neighbourhoods:
-                size = tuple(s if e else s + t - 1 for e, t in zip(edge, shape))
-                window = np.empty(size, dtype=np.uint8)
-                for off, name in zip(_offsets(edge), names):
-                    cut = [t - 1 if o else s for o, t in zip(off, shape)]
-                    target = tuple(slice(o * s, o * s + c) for o, c in zip(off, cut))
-                    window[target] = self.blocks[name][tuple(slice(0, c) for c in cut)]
-                entry = windows.setdefault((size, window.tobytes()), [window, 0])
-                entry[1] += mult
-            self._by_shape[shape] = list(windows.values())
-        return self._by_shape[shape]
 
 
 def _doubled_window(word: PatchworkExpr, corner, sides) -> ArrayWord:

@@ -1,3 +1,4 @@
+import collections
 import json
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from refusal import refused
 
-from camshift import cam1d, camzd
+from camshift import cam1d, camzd, cli
 from camshift.budgets import Budgets
 from camshift.errors import MalformedFamily
 
@@ -305,15 +306,17 @@ def test_multiplicity_sandwich_for_level2(family_d2):
 
 @st.composite
 def doubled_grids(draw):
-    """A patchwork and a pattern no larger than its blocks.
+    """A patchwork and 1-4 patterns of one shape no larger than its blocks.
 
-    Half the patchworks are postcards with the layout margin, the others
-    have stamps at any blocks, the far edge and neighbouring blocks
-    included.  Some stamps equal the base.  The pattern is cut from the
-    doubled word (maybe with one cell flipped) or drawn at random.
+    Half the patchworks are postcards with the layout margin (d <= 3), the
+    others have stamps at any blocks, the far edge and neighbouring blocks
+    included.  Some stamps equal the base.  Half the shapes have t = s on
+    some axis, where a far-edge corner block leaves one placement.  Each
+    pattern is cut from the doubled word (maybe with one cell flipped) or
+    drawn at random.
     """
-    d = draw(st.sampled_from([2, 3]))
-    s = draw(st.integers(1, 4 if d == 2 else 2))
+    d = draw(st.sampled_from([1, 2, 3, 4]))
+    s = draw(st.integers(1, {1: 6, 2: 4}.get(d, 2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
 
@@ -325,33 +328,69 @@ def doubled_grids(draw):
     stamps = [block() for _ in range(k)]
     if stamps and draw(st.booleans()):
         stamps[0] = base.copy()
-    if draw(st.booleans()):
+    if d <= 3 and draw(st.booleans()):
         word = camzd.postcard(stamps, base, 2 * k + 4 + draw(st.integers(0, 2)), True)
     else:
-        extents = tuple(draw(st.integers(1, 5)) for _ in range(d))
+        extents = tuple(draw(st.integers(1, 5 if d <= 3 else 3)) for _ in range(d))
         cells = list(np.ndindex(*extents))
         anchors = draw(st.lists(st.sampled_from(cells), max_size=k, unique=True))
         word = camzd.PatchworkExpr(base, extents, tuple(zip(anchors, stamps)))
     text = np.tile(word.to_array(), (2,) * d)
-    shape = tuple(draw(st.integers(1, s)) for _ in range(d))
+    shape = [draw(st.integers(1, s)) for _ in range(d)]
     if draw(st.booleans()):
-        offsets = [draw(st.integers(0, t - p)) for t, p in zip(text.shape, shape)]
-        pattern = text[tuple(slice(o, o + p) for o, p in zip(offsets, shape))].copy()
+        shape[draw(st.integers(0, d - 1))] = s
+    patterns = []
+    for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
-            pattern[tuple(draw(st.integers(0, p - 1)) for p in shape)] ^= 1
-    else:
-        pattern = (rng.random(shape) < density).astype(np.uint8)
-    return word, text, pattern
+            offsets = [draw(st.integers(0, t - p)) for t, p in zip(text.shape, shape)]
+            pattern = text[tuple(slice(o, o + p) for o, p in zip(offsets, shape))].copy()
+            if draw(st.booleans()):
+                pattern[tuple(draw(st.integers(0, p - 1)) for p in shape)] ^= 1
+        else:
+            pattern = (rng.random(shape) < density).astype(np.uint8)
+        patterns.append(pattern)
+    return word, text, patterns
 
 
 @given(case=doubled_grids())
 @settings(max_examples=200, deadline=None)
 def test_block_grid_count_matches_the_doubled_word(case):
-    # the pattern and its complement, counted in one pass over the windows
-    word, text, pattern = case
-    patterns = [pattern, 1 - pattern]
+    # the patterns and their complements, counted in one pass over the windows
+    word, text, patterns = case
+    patterns += [1 - p for p in patterns]
     want = [camzd.count_occurrences_d(p, text) for p in patterns]
     assert camzd.DoubledGrid(word).counts(patterns) == want
+
+
+def test_block_grid_slabs_add_up(monkeypatch):
+    # window stacks larger than a slab are packed and passed slab by slab
+    rng = np.random.default_rng(11)
+    kernel = camzd._count_packed
+    split = []
+
+    def recording(pattern, code, valid, mults):
+        split.append(len(code) < len(grid.mults))
+        return kernel(pattern, code, valid, mults)
+
+    for slab_cells in (1, 20, 300):
+        for _ in range(15):
+            d = int(rng.integers(1, 4))
+            s = int(rng.integers(1, 4))
+            base = (rng.random((s,) * d) < 0.3).astype(np.uint8)
+            stamps = [(rng.random((s,) * d) < 0.5).astype(np.uint8) for _ in range(2)]
+            word = camzd.postcard(stamps, base, 8, True)
+            text = np.tile(word.to_array(), (2,) * d)
+            shape = tuple(int(rng.integers(1, s + 1)) for _ in range(d))
+            start = [int(rng.integers(0, t - p + 1)) for t, p in zip(text.shape, shape)]
+            pattern = text[tuple(slice(o, o + p) for o, p in zip(start, shape))]
+            patterns = [pattern, 1 - pattern, np.zeros(shape, dtype=np.uint8)]
+            want = [camzd.count_occurrences_d(p, text) for p in patterns]
+            grid = camzd.DoubledGrid(word)
+            with monkeypatch.context() as patch:
+                patch.setattr(camzd, "_SLAB_CELLS", slab_cells)
+                patch.setattr(camzd, "_count_packed", recording)
+                assert grid.counts(patterns) == want
+    assert any(split)
 
 
 def test_block_grid_rejects_patterns_larger_than_a_block():
@@ -396,27 +435,36 @@ def test_block_grid_windows_are_held_to_the_cell_budget():
 
 
 def test_certificate_work_does_not_grow_with_n(family_d2, monkeypatch):
-    # the block grid passes each distinct window once through the batched
-    # kernel, with every pattern of its side and shape
-    count = camzd._count_patterns
+    # each side and pattern shape packs the stack of its neighbourhood
+    # windows once, and each pattern takes one early-exit pass over it
+    pack, kernel = camzd._pack, camzd._count_packed
     calls = {}
 
-    def recording(patterns, text):
-        calls[n].append(([p.shape for p in patterns], text.shape))
-        return count(patterns, text)
+    def recording_pack(arr, width):
+        calls[n].append(("pack", arr.shape))
+        return pack(arr, width)
 
-    monkeypatch.setattr(camzd, "_count_patterns", recording)
+    def recording_kernel(pattern, code, valid, mults):
+        calls[n].append(("pass", pattern.shape, code.shape))
+        return kernel(pattern, code, valid, mults)
+
+    monkeypatch.setattr(camzd, "_pack", recording_pack)
+    monkeypatch.setattr(camzd, "_count_packed", recording_kernel)
     for n in (48, 2087, 10**6, 10**12):
         calls[n] = []
         # n = 2087 is the certified level-3 parameter
         assert camzd.certify_candidate_d(family_d2, n).passed == (n >= 2087)
     assert calls[48] == calls[2087] == calls[10**6] == calls[10**12]
-    # per side: 4 windows for the 1x1 word, 16 for the three 6x6 words
-    assert sorted(len(shapes) for shapes, _ in calls[2087]) == [1] * 8 + [3] * 32
-    # each distinct window is packed once: 3770 text cells, where one
-    # count_occurrences_d call per (pattern, window) packed 10734
-    assert sum(np.prod(t) for _, t in calls[2087]) == 3770
-    assert sum(len(shapes) * np.prod(t) for shapes, t in calls[2087]) == 10734
+    # per side: the 16 neighbourhood windows, cropped to 6x6 cells for the
+    # 1x1 word and to 11x11 cells for the three 6x6 words
+    stacks = sorted(c[1] for c in calls[2087] if c[0] == "pack" and len(c[1]) == 3)
+    assert stacks == [(16, 6, 6)] * 2 + [(16, 11, 11)] * 2
+    # 5024 text cells, where the 40 distinct windows packed one at a time
+    # were 3770
+    assert sum(np.prod(shape) for shape in stacks) == 5024
+    # one pass per pattern, where one pass per (pattern, window) made 104
+    passes = sorted(c[1] for c in calls[2087] if c[0] == "pass")
+    assert passes == [(1, 1)] * 2 + [(6, 6)] * 6
 
 
 def test_level3_candidate_packs_each_pattern_and_window_once(family_d2, monkeypatch):
@@ -429,10 +477,36 @@ def test_level3_candidate_packs_each_pattern_and_window_once(family_d2, monkeypa
 
     monkeypatch.setattr(camzd, "_pack", recording)
     camzd.certify_candidate_d(family_d2, 2087)
-    # per side: the 1x1 word and its 4 windows, the three 6x6 words and
-    # their 16 windows; one count_occurrences_d call per (pattern, window)
-    # packed 208 times
-    assert len(packed) == 48
+    # per side: the 1x1 word, the three 6x6 words and one window stack for
+    # each of the two shapes; packing each distinct window on its own took
+    # 48 calls, and one count_occurrences_d call per (pattern, window) 208
+    assert len(packed) == 12
+
+
+def test_d4_level3_build_packs_each_pattern_and_stack_once(tmp_path, monkeypatch):
+    pack, counts = camzd._pack, camzd.DoubledGrid.counts
+    calls = collections.Counter()
+
+    def recording_pack(arr, width):
+        calls["_pack"] += 1
+        return pack(arr, width)
+
+    def recording_counts(grid, patterns):
+        calls["counts"] += 1
+        return counts(grid, patterns)
+
+    monkeypatch.setattr(camzd, "_pack", recording_pack)
+    monkeypatch.setattr(camzd.DoubledGrid, "counts", recording_counts)
+    family = camzd.build_family_d(dim=4, levels=3)
+    assert family.params == [6, 42142]
+    # packing each distinct window on its own took 1038 _pack calls
+    assert calls == {"_pack": 104, "counts": 38}
+    path = tmp_path / "d4.json"
+    path.write_text(cli.canonical_json(cam1d.family_to_obj(family)))
+    calls.clear()
+    assert cli.main(["certify", "--family", str(path), "--out", str(tmp_path / "cert.json")]) == 0
+    # levels 2 and 3 once each, where the one-window packing took 150
+    assert calls == {"_pack": 16, "counts": 6}
 
 
 def test_pair_scan_packs_each_word_once(family_d2, monkeypatch):
@@ -609,13 +683,13 @@ def test_d2_level2_boundary():
 def test_certification_is_pure_d(family_d2, monkeypatch):
     levels = family_d2.levels
     seen = []
-    count = camzd._count_patterns
+    kernel = camzd._count_packed
 
-    def recording(patterns, text):
+    def recording(pattern, code, valid, mults):
         seen.append(family_d2.top_level)
-        return count(patterns, text)
+        return kernel(pattern, code, valid, mults)
 
-    monkeypatch.setattr(camzd, "_count_patterns", recording)
+    monkeypatch.setattr(camzd, "_count_packed", recording)
     assert cam1d.certify_level(family_d2, 2).passed
     assert seen and set(seen) == {2}
     assert family_d2.levels is levels and family_d2.top_level == 2

@@ -226,6 +226,16 @@ def test_complexity_command(family_file, capsys):
     assert payload["counts"]["1"] == "2"
 
 
+@pytest.mark.parametrize("which, size", [("d1", "0"), ("d1", "-3"), ("d2", "0,2")])
+def test_window_must_be_nonempty(which, size, family_file, family_d2_file):
+    # a 1-d window refuses a zero length as the d-dim one refuses a zero side
+    path = family_file if which == "d1" else family_d2_file
+    start = "1" if which == "d1" else "1,1"
+    code, err = _run_quiet("window", "--family", str(path), "--start", start, "--len", size)
+    message = "window length must be positive" if which == "d1" else "positive sides"
+    assert code == 2 and err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize(
     "which, start, size",
     [("d1", "abc", "9"), ("d1", "1", "x"), ("d2", "1,x", "2,2"), ("d2", "1,1", "2,")],
