@@ -8,12 +8,13 @@ comparison.
 Every number here comes from one exact sequence per matrix, t_n = tr(A^n),
 drawn lazily by :func:`_traces`: d - 1 matrix products (the module's only
 ones) give t_1..t_d, Newton's identities turn them into chi_A, and the
-Cayley-Hamilton recurrence on chi_A gives each later term in O(d).  The
-census takes the Mobius sums q_n = sum over k | n of mu(n/k) * t_k, and
-chi_(A^m) is Newton's identities on the power sums t_m, t_2m, ..., t_dm.
+Cayley-Hamilton recurrence on chi_A gives each later term in O(d).  Every
+least-period count comes from :func:`_least_periods`, one Dirichlet
+inversion of t_n = sum over k | n of q_k, and chi_(A^m) is Newton's
+identities on the power sums t_m, t_2m, ..., t_dm.
 :func:`brute_periodic_points` enumerates closed walks, an independent check
-of the census; the matrix-power oracles ``tr_n`` and ``_matpow`` live with
-the tests (``tests/sft_oracles.py``).
+of the census; the matrix-power oracles and the trial-division Mobius sums
+live with the tests (``tests/sft_oracles.py``).
 
 Eigenvalue questions are decided in integers, by Sturm counts of the real
 roots of the squarefree part of a characteristic polynomial.
@@ -100,38 +101,18 @@ def trace_power(A, n: int) -> int:
     return next(itertools.islice(_traces(_as_matrix(A).rows), n, None))
 
 
-def mobius(n: int) -> int:
-    if n < 1:
-        raise CamshiftError("mobius needs n >= 1")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+def _least_periods(values, n_max: int) -> list:
+    """q with sum over k | n of q[k] = values[n] for 1 <= n <= n_max (q[0] = values[0]).
 
-
-def divisors(n: int):
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _least_period(traces, n: int) -> int:
-    """q_n = sum over k | n of mu(n/k) * tr(A^k), for traces[k] = tr(A^k)."""
-    return sum(mobius(n // k) * traces[k] for k in divisors(n))
+    Exact Dirichlet inversion in O(n_max log n_max) subtractions: q_k is final
+    once every proper divisor of k has been subtracted from it, and is then
+    subtracted from every proper multiple of k."""
+    q = values[: n_max + 1]
+    for k in range(1, n_max // 2 + 1):
+        q_k = q[k]
+        if q_k:
+            q[2 * k :: k] = [x - q_k for x in q[2 * k :: k]]
+    return q
 
 
 def census(A, n_max: int) -> dict:
@@ -139,8 +120,8 @@ def census(A, n_max: int) -> dict:
     A = _as_matrix(A)
     if n_max < 1:
         raise CamshiftError("n_max must be at least 1")
-    traces = list(itertools.islice(_traces(A.rows), n_max + 1))
-    return {n: _least_period(traces, n) for n in range(1, n_max + 1)}
+    q = _least_periods(list(itertools.islice(_traces(A.rows), n_max + 1)), n_max)
+    return {n: q[n] for n in range(1, n_max + 1)}
 
 
 def brute_periodic_points(A, n: int) -> int:
@@ -160,7 +141,7 @@ def brute_periodic_points(A, n: int) -> int:
         raise BudgetExceeded(f"{total_walks} closed walks exceed the enumeration cap {_ENUM_CAP}")
     rows = A.rows
     dim = A.dim
-    proper = [d for d in divisors(n) if d < n]
+    proper = [d for d in range(1, n) if n % d == 0]
     count = 0
     # a step is (target vertex, edge label); the walk starts at `start`
     def extend(vertex, steps):
@@ -329,15 +310,17 @@ class FeasibilityReport:
     feasible: bool = False
 
 
-def tower_census(m: int, n: int) -> int:
-    """Least-period-n count for the height-m tower over the full 2-shift.
+def _full_shift_periods(j_max: int) -> list:
+    """Least-period counts of the full 2-shift, whose traces are 2^j, for j <= j_max."""
+    return _least_periods([1 << j for j in range(j_max + 1)], j_max)
 
-    Only n = j*m has points: m * sum over d | j of mu(j/d) * 2^d.
-    """
-    if n % m != 0:
-        return 0
-    j = n // m
-    return m * sum(mobius(j // d) << d for d in divisors(j))
+
+def _periodic_rows(m: int, n_max: int, target, full) -> list:
+    """(n, tower count, target count, ok) for 1 <= n <= n_max: the height-m tower
+    has m * full[n/m] points of least period n when m | n and none otherwise."""
+    tower = [0] * (n_max + 1)
+    tower[m::m] = [m * x for x in full[1 : n_max // m + 1]]
+    return [(n, tower[n], target[n], tower[n] <= target[n]) for n in range(1, n_max + 1)]
 
 
 def embedding_feasibility(A, tower_height: int, n_max: int) -> FeasibilityReport:
@@ -347,20 +330,15 @@ def embedding_feasibility(A, tower_height: int, n_max: int) -> FeasibilityReport
     exactly as lambda(A^m) > 2 (equality is a fail); (2) least-period counts
     of the tower do not exceed the target's for every n <= n_max.
     """
-    if tower_height < 1:
+    m = tower_height
+    if m < 1:
         raise CamshiftError("tower height must be >= 1")
-    if n_max < tower_height:
+    if n_max < m:
         raise CamshiftError("n_max must be at least the tower height")
     A = _require_irreducible(A)
-    traces = list(itertools.islice(_traces(A.rows), max(n_max, A.dim * tower_height) + 1))
-    target = {n: _least_period(traces, n) for n in range(1, n_max + 1)}
-    return _feasibility(tower_height, n_max, _entropy_gap(traces, tower_height), target)
-
-
-def _feasibility(m: int, n_max: int, gap: bool, target_census) -> FeasibilityReport:
-    """The report for height m from the entropy decision and a target census to n_max."""
-    rows = [(n, tower_census(m, n), target_census[n]) for n in range(1, n_max + 1)]
-    rows = [(n, tower, target, tower <= target) for n, tower, target in rows]
+    traces = list(itertools.islice(_traces(A.rows), max(n_max, A.dim * m) + 1))
+    gap = _entropy_gap(traces, m)
+    rows = _periodic_rows(m, n_max, _least_periods(traces, n_max), _full_shift_periods(n_max // m))
     return FeasibilityReport(
         height=m,
         n_max=n_max,
@@ -374,20 +352,33 @@ def _feasibility(m: int, n_max: int, gap: bool, target_census) -> FeasibilityRep
 def smallest_feasible_height(A, n_max: int, cap: int = 64) -> int | None:
     """Smallest tower height m <= cap whose report is feasible, else None.
 
-    Height m is checked up to max(n_max, m), as
-    ``embedding_feasibility(A, m, max(n_max, m))`` would.  The trace sequence
-    and the target census grow only as far as the heights tried need them:
-    to max(n_max, d*m) terms and max(n_max, m) counts at height m.
+    Height m is checked up to reach = max(n_max, m), as
+    ``embedding_feasibility(A, m, reach)`` would, and its periodic rows are
+    built only if it has the entropy gap.  The trace sequence grows only as
+    far as the heights tried need it: to max(d*m, reach) terms at height m.
+    The target census is inverted once to n_max; past n_max it grows
+    geometrically (to at most cap), so a search makes O(log cap) inversions.
     """
     if cap < 1:
         raise CamshiftError(f"height cap must be at least 1, got {cap}")
     A = _require_irreducible(A)
     terms = _traces(A.rows)
-    traces, target = [], {}
+    traces, target, full = [], [], None
+
+    def draw(n):  # extend traces to t_0..t_n
+        traces.extend(itertools.islice(terms, max(0, n + 1 - len(traces))))
+
     for m in range(1, cap + 1):
+        draw(A.dim * m)
+        if not _entropy_gap(traces, m):
+            continue
         reach = max(n_max, m)
-        traces.extend(itertools.islice(terms, max(reach, A.dim * m) + 1 - len(traces)))
-        target.update((n, _least_period(traces, n)) for n in range(len(target) + 1, reach + 1))
-        if _feasibility(m, reach, _entropy_gap(traces, m), target).feasible:
+        if len(target) <= reach:
+            size = max(reach, min(cap, 2 * (len(target) - 1)))
+            draw(size)
+            target = _least_periods(traces, size)
+        if full is None:  # reach // m only falls as m grows
+            full = _full_shift_periods(reach // m)
+        if all(ok for *_, ok in _periodic_rows(m, reach, target, full)):
             return m
     return None

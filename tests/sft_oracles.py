@@ -5,7 +5,12 @@ The production module reads every number off one trace sequence per matrix
 The oracles here share nothing with that sequence:
 
 * ``_matpow`` raises a matrix to a power by repeated squaring, and ``tr_n``
-  computes one least-period count of the census from those powers;
+  computes one least-period count of the census from those powers, as a
+  Mobius sum over the divisors found by trial division (``mobius`` and
+  ``divisors``);
+* ``tower_census`` is the same Mobius sum for one least-period count of the
+  height-m tower over the full 2-shift, to check the ``tower`` column of
+  ``sft.embedding_feasibility``;
 * ``is_primitive_wielandt`` looks for an entrywise positive power of A up to
   Wielandt's bound A^((d-1)^2 + 1), to check ``sft.perron_eigenvalue``'s
   ``primitive`` flag.
@@ -25,7 +30,37 @@ Sturm count:
 from fractions import Fraction
 from itertools import combinations
 
-from camshift.sft import _matmul, divisors, mobius
+from camshift.errors import CamshiftError
+from camshift.sft import _matmul
+
+
+def mobius(n: int) -> int:
+    if n < 1:
+        raise CamshiftError("mobius needs n >= 1")
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if n > 1:
+        result = -result
+    return result
+
+
+def divisors(n: int):
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 def _matpow(rows, e):
@@ -44,6 +79,17 @@ def _matpow(rows, e):
 def tr_n(A, n: int) -> int:
     """Count of points of least period n: sum over d|n of mu(n/d) * tr(A^d)."""
     return sum(mobius(n // d) * _trace(_matpow(A, d)) for d in divisors(n))
+
+
+def tower_census(m: int, n: int) -> int:
+    """Least-period-n count for the height-m tower over the full 2-shift.
+
+    Only n = j*m has points: m * sum over d | j of mu(j/d) * 2^d.
+    """
+    if n % m != 0:
+        return 0
+    j = n // m
+    return m * sum(mobius(j // d) << d for d in divisors(j))
 
 
 def _trace(rows) -> int:

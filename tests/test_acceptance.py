@@ -12,7 +12,7 @@ import numpy as np
 from camshift import cam1d, camzd, sft, slp
 from camshift.cli import canonical_json
 from camzd_oracles import self_concat
-from sft_oracles import tr_n
+from sft_oracles import divisors, tr_n
 from slp_oracles import scan_count
 from conftest import random_expression, random_pattern
 from test_sft import CATALOG, random_catalog
@@ -157,7 +157,7 @@ def test_criterion_7_sft_census():
     assert sft.census([[1, 1], [1, 0]], 3) == {1: 1, 2: 2, 3: 3}
     for matrix in matrices:
         for n in range(1, 13):
-            assert sum(tr_n(matrix, d) for d in sft.divisors(n)) == sft.trace_power(
+            assert sum(tr_n(matrix, d) for d in divisors(n)) == sft.trace_power(
                 matrix, n
             )
     _announce(

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from refusal import refused
 
-from camshift import cam1d, cli
+from camshift import cam1d, cli, sft
 from camshift.budgets import Budgets, budgets_from_env
 
 
@@ -292,6 +292,28 @@ def test_sft_qn_prints_values_past_the_digit_limit(capsys):
     start = out.index('"20700":"') + len('"20700":"')
     value = out[start : out.index('"', start)]
     assert value.isdigit() and len(value) == 4327
+
+
+def test_sft_census_length_is_held_to_the_symbols_budget(monkeypatch, capsys):
+    # refused with exit 3 before any trace is drawn
+    drawn = []
+    traces = sft._traces
+    monkeypatch.setattr(sft, "_traces", lambda rows: drawn.append(1) or traces(rows))
+    monkeypatch.setenv("CAMSHIFT_BUDGET", "symbols=100")
+    for argv in (("qn", "--n"), ("embed", "--height", "2", "--n-max")):
+        assert run("sft", *argv[:1], "--matrix", "[[1,1],[1,0]]", *argv[1:], "100") == 0
+        assert drawn and capsys.readouterr().err == ""
+        drawn.clear()
+        assert run("sft", *argv[:1], "--matrix", "[[1,1],[1,0]]", *argv[1:], "101") == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not drawn
+        assert captured.err == f"error: {argv[-1]} 101 exceeds the symbols budget 100\n"
+    monkeypatch.delenv("CAMSHIFT_BUDGET")
+    assert run("sft", "qn", "--matrix", "[[1]]", "--n", "100000000000") == 3
+    assert capsys.readouterr().err == (
+        "error: --n 100000000000 exceeds the symbols budget 1000000\n"
+    )
+    assert not drawn
 
 
 JSON_VALUES = st.recursive(

@@ -12,8 +12,11 @@ from sft_oracles import (
     _matpow,
     _trace,
     det_shifted,
+    divisors,
     is_primitive_wielandt,
     min_principal_minor,
+    mobius,
+    tower_census,
     tr_n,
 )
 
@@ -66,10 +69,10 @@ def random_catalog(count=50, seed=20260810):
 
 
 def test_mobius_examples():
-    assert sft.mobius(1) == 1
-    assert sft.mobius(4) == 0
-    assert sft.mobius(6) == 1
-    assert [sft.mobius(n) for n in (2, 3, 12, 30)] == [-1, -1, 0, -1]
+    assert mobius(1) == 1
+    assert mobius(4) == 0
+    assert mobius(6) == 1
+    assert [mobius(n) for n in (2, 3, 12, 30)] == [-1, -1, 0, -1]
 
 
 def test_tr_n_examples():
@@ -93,6 +96,39 @@ def test_census_matches_tr_n(matrix, n_max):
     table = sft.census(matrix, n_max)
     assert list(table) == list(range(1, n_max + 1))
     assert all(table[n] == tr_n(matrix, n) for n in table)
+
+
+@given(square_matrices(3, 2), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_census_equals_tr_n_to_forty(matrix, n_max):
+    table = sft.census(matrix, n_max)
+    assert all(table[n] == tr_n(matrix, n) for n in range(1, n_max + 1))
+
+
+def test_census_divisor_sums_are_traces_to_3000():
+    # sum over k | n of q_k = tr(A^n), with the traces from plain successive
+    # products and the divisors from trial division
+    n_max = 3000
+    for matrix in (GOLDEN, *random_catalog(3, seed=20261019)):
+        table = sft.census(matrix, n_max)
+        power = matrix
+        for n in range(1, n_max + 1):
+            assert sum(table[k] for k in divisors(n)) == _trace(power), (matrix, n)
+            power = sft._matmul(power, matrix)
+
+
+def test_census_of_one_loop_to_10_5():
+    # one fixed point and nothing else: each q_k is subtracted from its multiples once
+    table = sft.census([[1]], 10**5)
+    assert len(table) == 10**5 and table[1] == 1
+    assert not any(table[n] for n in range(2, 10**5 + 1))
+
+
+def test_least_periods_inverts_divisor_sums():
+    values = [7, 1, 5, -2, 0, 9, 4, 3]
+    q = sft._least_periods(values, 7)
+    assert q[0] == 7 and values == [7, 1, 5, -2, 0, 9, 4, 3]  # the input is left as it was
+    assert all(sum(q[k] for k in divisors(n)) == values[n] for n in range(1, 8))
 
 
 def test_brute_examples():
@@ -122,7 +158,7 @@ def test_census_matches_brute_on_random_matrices():
 def test_mobius_round_trip():
     for matrix in CATALOG:
         for n in range(1, 13):
-            total = sum(tr_n(matrix, d) for d in sft.divisors(n))
+            total = sum(tr_n(matrix, d) for d in divisors(n))
             assert total == sft.trace_power(matrix, n)
 
 
@@ -131,7 +167,7 @@ def test_mobius_round_trip():
 def test_mobius_square_factor(n):
     # mu vanishes exactly on numbers with a squared prime factor
     squarefree = all(n % (p * p) != 0 for p in range(2, int(n**0.5) + 1))
-    assert (sft.mobius(n) != 0) == squarefree
+    assert (mobius(n) != 0) == squarefree
 
 
 # -- Perron ---------------------------------------------------------------------
@@ -328,20 +364,28 @@ def test_tower_rows_without_divisibility_pass():
             assert tower == 0 and ok
 
 
+def _tower_column(m, n_max):
+    """The tower counts of the height-m report to n_max (1-based)."""
+    rows = sft.embedding_feasibility(GOLDEN, m, n_max).periodic_rows
+    assert [n for n, *_ in rows] == list(range(1, n_max + 1))
+    return [None] + [tower for _, tower, _, _ in rows]
+
+
 @given(st.integers(1, 12), st.integers(1, 72))
 @settings(max_examples=150, deadline=None)
 def test_tower_census_closed_form(m, n):
     expected = m * tr_n(FULL2, n // m) if n % m == 0 else 0
-    assert sft.tower_census(m, n) == expected
+    assert _tower_column(m, max(m, n))[n] == tower_census(m, n) == expected
 
 
 def test_tower_census_identity():
     # summed least-period counts of the tower match m times the base prefix
     for m in (2, 3, 5):
         for n_cap in (6, 12):
-            total = sum(sft.tower_census(m, n) for n in range(1, m * n_cap + 1))
+            column = _tower_column(m, m * n_cap)
+            assert column[1:] == [tower_census(m, n) for n in range(1, m * n_cap + 1)]
             base = sum(tr_n(FULL2, j) for j in range(1, n_cap + 1))
-            assert total == m * base
+            assert sum(column[1:]) == m * base
 
 
 def test_smallest_feasible_height_golden():
@@ -397,6 +441,42 @@ def test_smallest_height_builds_no_census_past_reach(monkeypatch):
     for n_max, drawn in ((30, 31), (2, 11)):
         huge, five = search(n_max, 10**6), search(n_max, 5)
         assert huge == five == (5, drawn, 1)
+
+
+def _inversions(monkeypatch):
+    calls = []
+    invert = sft._least_periods
+    monkeypatch.setattr(sft, "_least_periods", lambda *args: calls.append(args[1]) or invert(*args))
+    return calls
+
+
+def test_smallest_height_inverts_a_census_only_past_the_gap(monkeypatch):
+    calls = _inversions(monkeypatch)
+    # lambda = 1 has no entropy gap at any height: no periodic rows, no census
+    assert sft.smallest_feasible_height([[0, 1], [1, 0]], 12, 3000) is None
+    assert calls == []
+    # GOLDEN has the gap from height 2 and is first feasible at 5: one target
+    # census to n_max and one full-shift column, then no census per height
+    assert sft.smallest_feasible_height(GOLDEN, 30, 10**6) == 5
+    assert calls == [30, 15]
+
+
+def test_smallest_height_grows_the_target_geometrically(monkeypatch):
+    # cycles of length 10 and 11: lambda^11 = lambda + 1, so the gap starts at
+    # height 11, and past n_max the first feasible height is far above it
+    chord = [[1 if j == (i + 1) % 11 else 0 for j in range(11)] for i in range(11)]
+    chord[9][0] = 1
+    height = sft.smallest_feasible_height(chord, 2, 10**6)
+    assert sft.embedding_feasibility(chord, height, height).feasible
+    assert not sft.embedding_feasibility(chord, height - 1, height - 1).feasible
+    calls = _inversions(monkeypatch)
+    assert sft.smallest_feasible_height(chord, 2, 10**6) == height
+    # the target census at the first gap height, the full-shift column there
+    # (reach // m = 1), then one target census per doubling, not one per height
+    first, full, *grown = calls
+    assert (first, full) == (11, 1)
+    assert grown == [11 << i for i in range(1, len(grown) + 1)]
+    assert grown[-1] >= height > grown[-2]
 
 
 def test_smallest_height_rejects_cap_below_one():
