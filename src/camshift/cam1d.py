@@ -795,23 +795,6 @@ class StructureParse:
     violations: list
 
 
-def _run_length(text: str, segment: str, pos: int, most: int) -> int:
-    """How many copies of ``segment`` (at least one, at most ``most``)
-    follow one another in ``text`` from ``pos``, the first one known to be
-    there: galloping, then bisection, on ``startswith``."""
-    low, high = 1, 2
-    while high <= most and text.startswith(segment * high, pos):
-        low, high = high, 2 * high
-    high = min(high, most + 1)  # low copies are there, high are not
-    while high - low > 1:
-        mid = (low + high) // 2
-        if text.startswith(segment * mid, pos):
-            low = mid
-        else:
-            high = mid
-    return low
-
-
 def parse_structure(family: LevelFamily, k: int, start: int, num_blocks: int) -> StructureParse:
     """Parse an aligned window of the transitive point into level-k blocks.
 
@@ -823,10 +806,10 @@ def parse_structure(family: LevelFamily, k: int, start: int, num_blocks: int) ->
 
     The window is read run by run: a block's name is looked up once, the
     copies of it that follow are counted by galloping and bisection
-    (:func:`_run_length`), and :func:`classify_pair` runs only where one run
-    meets the next.  A segment that is no level-k word is a run of one "?"
-    block.  The violations list every unknown block, then every disallowed
-    pair, each in window order.
+    (:func:`slp.run_length`), and :func:`classify_pair` runs only where one
+    run meets the next.  A segment that is no level-k word is a run of one
+    "?" block.  The violations list every unknown block, then every
+    disallowed pair, each in window order.
     """
     if k < 2:
         raise CamshiftError(f"level {k}: structure is parsed into level-k blocks for k >= 2")
@@ -853,7 +836,7 @@ def parse_structure(family: LevelFamily, k: int, start: int, num_blocks: int) ->
             unknown.append(("block", i, "not a level-%d word" % k))
             name, run = "?", 1
         else:
-            run = _run_length(window_text, segment, pos, num_blocks - i)
+            run = slp.run_length(window_text, segment, pos, num_blocks - i)
         if i:
             kind = classify_pair(blocks[-1], name, k)
             if kind == "violation":
@@ -876,7 +859,9 @@ def empirical_measure(family: LevelFamily, k: int, side: str, cylinder: str) -> 
 
     Averages over the 2|a_k| shifts m in (-|a_k|, |a_k|]; windows reaching
     past the central doubled word continue canonically into the next copy
-    of the base word.
+    of the base word.  The shifts read base^3 from its first two copies,
+    and a cylinder no longer than the base that starts in the third copy
+    lies in it, so the count is count(base^3) - count(base).
     """
     if side not in ("a", "b"):
         raise CamshiftError("side must be 'a' or 'b'")
@@ -892,13 +877,9 @@ def empirical_measure(family: LevelFamily, k: int, side: str, cylinder: str) -> 
     if size > family.budgets.symbols:
         raise BudgetExceeded("cylinder exceeds the symbol budget")
     builder = family.builder
-    doubled = builder.concat([(base, 2)])
-    inner = builder.count_occurrences(cylinder, doubled)
-    prefix_hit = 1 if slp.window(doubled, 0, size) == cylinder else 0
-    tail = slp.window(doubled, 2 * span - (size - 1), size - 1) if size > 1 else ""
-    continuation = slp.window(base, 0, size)
-    edge = slp.count_occurrences_naive(cylinder, tail + continuation)
-    return Fraction(inner - prefix_hit + edge, 2 * span)
+    tripled = builder.concat([(base, 3)])
+    count = builder.count_occurrences(cylinder, tripled) - builder.count_occurrences(cylinder, base)
+    return Fraction(count, 2 * span)
 
 
 @dataclass

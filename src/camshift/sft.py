@@ -358,10 +358,14 @@ def smallest_feasible_height(A, n_max: int, cap: int = 64) -> int | None:
     far as the heights tried need it: to max(d*m, reach) terms at height m.
     The target census is inverted once to n_max; past n_max it grows
     geometrically (to at most cap), so a search makes O(log cap) inversions.
+    A cycle (every row sum 1, so lambda = 1) has the gap at no height, and
+    its search ends before any trace is drawn.
     """
     if cap < 1:
         raise CamshiftError(f"height cap must be at least 1, got {cap}")
     A = _require_irreducible(A)
+    if all(sum(row) == 1 for row in A.rows):
+        return None
     terms = _traces(A.rows)
     traces, target, full = [], [], None
 

@@ -7,47 +7,55 @@ materialization and occurrence counting are all computed from the DAG.
 
 Counting never materializes the word.  For a pattern of length L the
 count in a node is the sum of the counts in its runs c^r plus, at each
-boundary o where a run ends, a text count in the materialized text from
-max(o - (L-1), start of that run) to min(o + L-1, length): every
-occurrence found there starts in that run and crosses o, and every
-occurrence that crosses a run boundary is found at the first one it
-crosses.  Inside a run,
+boundary where a run ends, the occurrences that start in that run and
+end after it; an occurrence that crosses several run boundaries is
+counted at the first one.  Inside a run,
 
-    count(c^r) = r count(c) + (r-1) text(suffix(c, L-1) + prefix(c, L-1))   if |c| >= L-1
+    count(c^r) = r count(c) + (r-1) seam(c)   if |c| >= L-1
 
-and for a shorter c, count(c^r) is affine in r from m = ceil((L-1)/|c|) + 1
-on, so it follows from text counts in c^(m-1) and c^m, both shorter than
-3L symbols.  Counts are memoized per (node, pattern), prefix/suffix
-snippets per node, and text counts per (snippet, snippet, pattern), so
-repeated sub-blocks are paid for once.  Materialization appends a whole
-child string times the number of whole copies a range covers.
+with seam(c) the occurrences in c c that cross its middle, and for a
+shorter c, count(c^r) is affine in r from m = ceil((L-1)/|c|) + 1 on, so
+it follows from the counts in c^(m-1) and c^m, both shorter than 3L
+symbols.
 
-Where a junction is a seam of block sequences, it is decided on block
-names instead of a text (Mosse 1992, recognizability; Jez 2015,
-recompression).  A block is a node whose parts are atoms (an explicit
-word, such as a level-2 word of the hierarchy), and a node whose children
-are all blocks or block sequences of one length ell is a sequence of
-ell-symbol blocks; levels 3 and up are sequences of 9-symbol level-2
-blocks.  When both sides of a boundary are such a sequence and L is a
-multiple q ell with q >= 2, the pattern is read as its run-length
-sequence of ell-symbol chunks.  The last q blocks before the boundary and
-the first q after it become a run-length sequence of block names, the
-blocks' contents.  An occurrence at offset rho = start mod ell is a match
-of the chunk runs in the rho-shifted names, the content of
-s[rho:] + t[:rho] for each adjacent block pair (s, t), restricted to the
-starts that cross the boundary; rho = 0 reads the blocks themselves.
-Only the offsets at which the first chunk is the shifted name of some
-adjacent pair are tried.  A word of the pattern's length holds it only
-if it is the pattern, one comparison of run-length names.  Every test
-is an equality of ell-symbol strings or of run counts, and no junction
-text is built: a level-3 word of 44 091 symbols meets a level-4 junction
-as a dozen runs of level-2 names on each side.  The block names of a
-node's ends, boundaries and seam (by node), the chunk runs (by pattern)
-and the name counts (by names, starts and pattern) share one memo with
-the text counts, bounded by bytes.
+These places where pieces of the word meet are its junctions: a run
+boundary, the seam of c c, and a short run c^r.  One method reads them
+all, ``SlpBuilder._across``, given the (child, repeat) parts on each
+side: on block names when the pattern is whole chunks of the blocks that
+both sides are made of (below), and otherwise as a text, the last L-1
+symbols before the junction and the first L-1 after it (all of c^r for a
+short run), taken from prefix and suffix snippets cached per node.
+Counts are memoized per (node, pattern), snippets per node, and text
+counts per (snippet, snippet, pattern), so repeated sub-blocks are paid
+for once.  Materialization appends a whole child string times the number
+of whole copies a range covers.
+
+A junction of block sequences is read on block names instead of a text
+(Mosse 1992, recognizability; Jez 2015, recompression).  A block is a
+node whose parts are atoms (an explicit word, such as a level-2 word of
+the hierarchy), and a node whose children are all blocks or block
+sequences of one length ell is a sequence of ell-symbol blocks; levels 3
+and up are sequences of 9-symbol level-2 blocks.  When both sides of a
+junction are such a sequence and L is a multiple q ell with q >= 2, the
+pattern is read as its run-length sequence of ell-symbol chunks.  The
+last q blocks before the junction and the first q after it (all blocks
+of a short run) become a run-length sequence of block names, the blocks'
+contents.  An occurrence at offset rho = start mod ell is a match of the
+chunk runs in the rho-shifted names, the content of s[rho:] + t[:rho]
+for each adjacent block pair (s, t), restricted to the starts that cross
+the junction; rho = 0 reads the blocks themselves.  Only the offsets at
+which the first chunk is the shifted name of some adjacent pair are
+tried.  A word of the pattern's length holds it only if it is the
+pattern, one comparison of run-length names.  Every test is an equality
+of ell-symbol strings or of run counts, and no junction text is built: a
+level-3 word of 44 091 symbols meets a level-4 junction as a dozen runs
+of level-2 names on each side.  The block names of a node's ends (by
+node) and of each run boundary and seam (by node, boundary and q), the
+chunk runs (by pattern) and the name counts (by names, starts and
+pattern) share one memo with the text counts, bounded by bytes.
 
 A text count (:func:`count_occurrences_naive`) serves every other
-boundary: symbols, level-2 words, and cylinders that are not whole
+junction: symbols, level-2 words, and cylinders that are not whole
 chunks.  It reads the occurrences one window of L start positions at a
 time.  Occurrences that start less than L apart lie in a text shorter
 than 2L, and there they form an arithmetic progression (the periodicity
@@ -120,14 +128,14 @@ class SlpBuilder:
     """Hash-consing factory and counting context for :class:`SlpExpr` DAGs.
 
     A count of a pattern of length L adds up the node's runs c^r, each from
-    count(c) and one seam count of suffix(c, L-1) + prefix(c, L-1) (for
-    |c| < L-1, from counts in c^(m-1) and c^m), and one count of at most
-    2(L-1) symbols at each part boundary.  Each of these is decided on block
-    names when both sides are block sequences and the pattern is whole
-    chunks of their blocks, and otherwise scanned in a text built from
-    prefix and suffix snippets of up to L-1 symbols cached per node.  The
-    builder sets no limit on L: a caller counts only patterns it has
-    materialized, under its own budget.
+    count(c) and the seam of c c (for |c| < L-1, from the counts in
+    c^(m-1) and c^m), and the occurrences across each part boundary.  One
+    junction reader, :meth:`_across`, counts every seam, short run and
+    boundary: on block names when both sides are block sequences and the
+    pattern is whole chunks of their blocks, and otherwise on a text of at
+    most 2(L-1) symbols read by :meth:`_end` from prefix and suffix
+    snippets cached per node.  The builder sets no limit on L: a caller
+    counts only patterns it has materialized, under its own budget.
     """
 
     def __init__(self):
@@ -136,10 +144,11 @@ class SlpBuilder:
         self._atoms = {s: SlpExpr(next(self._uid), "atom", symbol=s) for s in SYMBOLS}
         # text counts keyed by content (many nodes share the same cached
         # snippets, so the heavy scans run once per content), and the
-        # block-name path's chunk runs (by pattern), names, junctions and
-        # seams (by node uid) and counts (by content).  Keys never collide:
-        # a text count's 4-tuple starts with a str, a name count's with a
-        # tuple, and the other keys are 2- or 3-tuples
+        # block-name path's chunk runs (by pattern), names (by node uid),
+        # junctions and seams (by node uid and boundary) and counts (by
+        # content).  Keys never collide: a text count's 4-tuple starts with
+        # a str, a name count's with a tuple, and the other keys are 2- or
+        # 3-tuples
         self._memo: dict = {}
         self._memo_bytes = 0
         self._checked: set = set()  # patterns whose symbols are all in SYMBOLS
@@ -190,30 +199,24 @@ class SlpBuilder:
     # -- snippets ------------------------------------------------------
 
     def prefix_snippet(self, node, k: int) -> str:
-        """First min(k, length) symbols of the node's word."""
+        """First min(k, length) symbols of the node's word, cached per length."""
         need = min(k, node.length)
         if need <= 0:
             return ""
         out = node._pre.get(need)
         if out is None:
-            if node.kind == "concat" and node.parts[0][0].length >= need:
-                out = self.prefix_snippet(node.parts[0][0], need)  # shares the child's string
-            else:
-                out = _slice(node, 0, need)
+            out = node.symbol if node.kind == "atom" else self._end(node.parts, need, False)
             node._pre[need] = out
         return out
 
     def suffix_snippet(self, node, k: int) -> str:
-        """Last min(k, length) symbols of the node's word."""
+        """Last min(k, length) symbols of the node's word, cached per length."""
         need = min(k, node.length)
         if need <= 0:
             return ""
         out = node._suf.get(need)
         if out is None:
-            if node.kind == "concat" and node.parts[-1][0].length >= need:
-                out = self.suffix_snippet(node.parts[-1][0], need)  # shares the child's string
-            else:
-                out = _slice(node, node.length - need, need)
+            out = node.symbol if node.kind == "atom" else self._end(node.parts, need, True)
             node._suf[need] = out
         return out
 
@@ -249,13 +252,12 @@ class SlpBuilder:
                 # an occurrence in a word of the pattern's length is the word itself
                 value = int(self._side(node, ell, len(pattern) // ell, False) == chunks)
             else:
-                value = sum(self._count_run(child, rep, pattern) for child, rep in node.parts)
-                if chunks is None:
-                    crossings = range(len(node.parts) - 1)
-                    value += sum(self._crossing(node, j, pattern) for j in crossings)
-                else:
-                    junctions = self._junctions(node, ell, len(pattern) // ell)
-                    value += sum(self._name_count(pattern, chunks, ell, *jn) for jn in junctions)
+                parts = node.parts
+                value = sum(self._count_run(child, rep, pattern) for child, rep in parts)
+                for j in range(len(parts) - 1):
+                    value += self._across(
+                        pattern, ell, chunks, parts[j : j + 1], parts[j + 1 :], (node.uid, j)
+                    )
         node._counts[pattern] = value
         return value
 
@@ -264,56 +266,65 @@ class SlpBuilder:
         reach, clen = len(pattern) - 1, child.length
         if rep == 1:
             return self._count(child, pattern)
+        ell, chunks = self._blocking(child, pattern)
         if clen >= reach:
-            return rep * self._count(child, pattern) + (rep - 1) * self._seam(child, pattern)
+            one = ((child, 1),)
+            seam = self._across(pattern, ell, chunks, one, one, (child.uid, "seam"))
+            return rep * self._count(child, pattern) + (rep - 1) * seam
+
+        def copies(r):  # occurrences in child^r
+            return self._across(pattern, ell, chunks, ((child, r),), (), None)
+
         # affine in rep from m on; child^m is shorter than 3L symbols
         m = -(-reach // clen) + 1
         if rep <= m:
-            return self._copies(child, rep, pattern)
-        top = self._copies(child, m, pattern)
-        return top + (rep - m) * (top - self._copies(child, m - 1, pattern))
+            return copies(rep)
+        top = copies(m)
+        return top + (rep - m) * (top - copies(m - 1))
 
-    def _seam(self, child, pattern):
-        """Occurrences in child child that cross the middle; |child| >= L - 1."""
-        ell, chunks = self._blocking(child, pattern)
-        if chunks is not None:
-            q = len(pattern) // ell
-            key = (child.uid, "seam", q)
-            seam = self._memo.get(key)
-            if seam is None:
-                left, right = self._side(child, ell, q, True), self._side(child, ell, q, False)
-                seam = self._keep(key, _junction(left, right, ell, q), ell * (len(left) + len(right)))
-            return self._name_count(pattern, chunks, ell, *seam)
-        reach = len(pattern) - 1
-        return self._naive(
-            pattern, self.suffix_snippet(child, reach), self.prefix_snippet(child, reach)
-        )
+    def _across(self, pattern, ell, chunks, left, right, key):
+        """Occurrences in the word the (child, repeat) parts left + right
+        spell that start in left and end in right; every occurrence in
+        left, a single run, when right is empty.
 
-    def _copies(self, child, copies, pattern):
-        """Occurrences in child^copies, a word shorter than 3L."""
-        ell, chunks = self._blocking(child, pattern)
-        if chunks is not None:
-            blocks = copies * child.length // ell
-            names = self._names(((child, copies),), ell, blocks, False)
+        With ``chunks`` the two sides are read as run-length names of their
+        ell-symbol blocks, the last q = L / ell of left and the first q of
+        right, memoized under (key, q).  Otherwise they are read as texts,
+        the last L - 1 symbols of left and the first L - 1 of right.
+        """
+        if chunks is None:
+            if not right:
+                ((child, copies),) = left
+                return self._naive(pattern, self.prefix_snippet(child, child.length), copies=copies)
+            reach = len(pattern) - 1
+            left, right = self._end(left, reach, True), self._end(right, reach, False)
+            return self._naive(pattern, left, right)
+        if not right:
+            blocks = sum(rep * child.length for child, rep in left) // ell
+            names = self._names(left, ell, blocks, False)
             return self._name_count(pattern, chunks, ell, names, 0, blocks * ell)
-        return self._naive(pattern, self.prefix_snippet(child, child.length), copies=copies)
+        q = len(pattern) // ell
+        found = self._memo.get((key, q))
+        if found is None:
+            left, right = self._names(left, ell, q, True), self._names(right, ell, q, False)
+            size = ell * (len(left) + len(right))
+            found = self._keep((key, q), _junction(left, right, ell, q), size)
+        return self._name_count(pattern, chunks, ell, *found)
 
-    def _crossing(self, node, j, pattern):
-        """Occurrences that start in run j of the node and cross its right end."""
-        reach = len(pattern) - 1
-        end = _cumulative(node)[j]
-        child, rep = node.parts[j]
-        after = node.parts[j + 1][0]
-        if child.length >= reach:
-            left = self.suffix_snippet(child, reach)
-        else:
-            start = end - min(reach, child.length * rep)
-            left = _slice(node, start, end - start)
-        if after.length >= reach:
-            right = self.prefix_snippet(after, reach)
-        else:
-            right = _slice(node, end, min(reach, node.length - end))
-        return self._naive(pattern, left, right)
+    def _end(self, parts, size, from_end):
+        """First ``size`` symbols of the word the (child, repeat) parts
+        spell, or the last ``size`` when ``from_end`` (all of a shorter
+        word).  When the end child holds them they are its snippet, read
+        from its cache first, so the many nodes that end in one child share
+        one string."""
+        child = parts[-1 if from_end else 0][0]
+        if child.length >= size:
+            out = (child._suf if from_end else child._pre).get(size)
+            if out is None:
+                out = (self.suffix_snippet if from_end else self.prefix_snippet)(child, size)
+            return out
+        total = sum(rep * child.length for child, rep in parts)
+        return _spell(parts, max(total - size, 0) if from_end else 0, size)
 
     def _naive(self, pattern, left, right="", copies=1):
         """Text count in left * copies + right, memoized on the (shared) snippets."""
@@ -377,25 +388,6 @@ class SlpBuilder:
             names = self._names(node.parts, ell, key[2], from_end)
             self._keep(key, names, ell * len(names))
         return names
-
-    def _junctions(self, node, ell, q):
-        """One (names, lo, hi) per run boundary of a block sequence node: the
-        last q blocks of the run before it (or all of them), the first q
-        blocks after it, and the starts that cross it; memoized."""
-        key = (node.uid, "junctions", q)
-        found = self._memo.get(key)
-        if found is None:
-            found = tuple(
-                _junction(
-                    self._names(node.parts[j : j + 1], ell, q, True),
-                    self._names(node.parts[j + 1 :], ell, q, False),
-                    ell,
-                    q,
-                )
-                for j in range(len(node.parts) - 1)
-            )
-            self._keep(key, found, ell * sum(len(names) for names, _, _ in found))
-        return found
 
     def _name_count(self, pattern, chunks, ell, seq, lo, hi):
         """Occurrences that start at a symbol in [lo, hi) of the word the
@@ -473,32 +465,13 @@ def _grain(node):
 
 
 def _chunk_runs(pattern, ell):
-    """The pattern cut into ell-symbol chunks, as (chunk, count) runs.
-
-    The run of chunk c from p has e chunks exactly when the e ell symbols
-    from p have period ell, i.e. pattern[p + ell:] starts with
-    pattern[p : p + (e - 1) ell]; galloping then bisecting e finds the run
-    end in O(log e) comparisons of at most 2 e ell symbols.
-    """
+    """The pattern cut into ell-symbol chunks, as (chunk, count) runs, each
+    run's length found by :func:`run_length`."""
     runs, p, size = [], 0, len(pattern)
-
-    def repeats(e):
-        return pattern.startswith(pattern[p : p + (e - 1) * ell], p + ell)
-
     while p < size:
-        top = (size - p) // ell
-        low, high = 1, 2
-        while high <= top and repeats(high):
-            low, high = high, 2 * high
-        high = min(high, top + 1)
-        while high - low > 1:
-            mid = (low + high) // 2
-            if repeats(mid):
-                low = mid
-            else:
-                high = mid
-        runs.append((pattern[p : p + ell], low))
-        p += low * ell
+        chunk = pattern[p : p + ell]
+        runs.append((chunk, run_length(pattern, chunk, p, (size - p) // ell)))
+        p += runs[-1][1] * ell
     return tuple(runs)
 
 
@@ -573,6 +546,24 @@ def _cumulative(expr):
     return expr._cum
 
 
+def run_length(text: str, segment: str, pos: int, most: int) -> int:
+    """How many copies of ``segment`` (at least one, at most ``most``)
+    follow one another in ``text`` from ``pos``, the first one known to be
+    there: galloping, then bisection, on ``startswith``, so O(log e)
+    comparisons of at most 2e copies for a run of e."""
+    low, high = 1, 2
+    while high <= most and text.startswith(segment * high, pos):
+        low, high = high, 2 * high
+    high = min(high, most + 1)  # low copies are there, high are not
+    while high - low > 1:
+        mid = (low + high) // 2
+        if text.startswith(segment * mid, pos):
+            low = mid
+        else:
+            high = mid
+    return low
+
+
 def char_at(expr: SlpExpr, i: int) -> str:
     """Symbol at 0-based position ``i`` of the materialization."""
     if i < 0 or i >= expr.length:
@@ -609,18 +600,22 @@ def window(expr: SlpExpr, start: int, size: int) -> str:
 
 
 def _slice(node, start, size):
-    """Symbols [start, start + size) of the node's word, 0 < size.
+    """Symbols [start, start + size) of the node's word, 0 < size."""
+    return node.symbol if node.kind == "atom" else _spell(node.parts, start, size)
+
+
+def _spell(parts, start, size):
+    """Symbols [start, start + size) of the word the (child, repeat) parts
+    spell, 0 < size; fewer when the word ends first.
 
     Each run contributes a partial copy at either end of the range and one
     whole child string repeated for the copies in between, so a child is
     materialized in full only when a whole copy of it lies in the range.
     """
-    if node.kind == "atom":
-        return node.symbol
     pieces = []
     end = start + size
     offset = 0
-    for child, rep in node.parts:
+    for child, rep in parts:
         clen = child.length
         block_end = offset + clen * rep
         if block_end > start:

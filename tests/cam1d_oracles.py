@@ -19,12 +19,18 @@ and the row checks compare Fractions.  The tests compare
 only: doubling until one passes, then bisection.  The tests compare
 ``cam1d.choose_parameter``, which solves the fitted row polynomials, with
 it.
+
+``empirical_measure_edge`` counts a cylinder over the 2|a_k| shifts as
+the count in the doubled word, less a hit at its first symbol, plus a
+text scan of the edge where windows continue into the next copy of the
+base word.  The tests compare ``cam1d.empirical_measure``, which takes
+count(base^3) - count(base), with it.
 """
 
 import re
 from fractions import Fraction
 
-from camshift import cam1d
+from camshift import cam1d, slp
 from camshift.errors import BudgetExceeded, MalformedFamily
 
 
@@ -193,3 +199,17 @@ def report_from_obj_fractions(obj):
             raise MalformedFamily(f"row {cert.ident}: stored margin is not rhs - lhs")
         report.rows.append(cert)
     return report
+
+
+def empirical_measure_edge(family, k: int, side: str, cylinder: str) -> Fraction:
+    """``cam1d.empirical_measure`` for a cylinder no longer than the base
+    word, from the doubled word and a text scan of its far edge."""
+    base = family.a(k) if side == "a" else family.b(k)
+    span, size = base.length, len(cylinder)
+    doubled = family.builder.concat([(base, 2)])
+    inner = family.builder.count_occurrences(cylinder, doubled)
+    prefix_hit = 1 if slp.window(doubled, 0, size) == cylinder else 0
+    tail = slp.window(doubled, 2 * span - (size - 1), size - 1) if size > 1 else ""
+    continuation = slp.window(base, 0, size)
+    edge = slp.count_occurrences_naive(cylinder, tail + continuation)
+    return Fraction(inner - prefix_hit + edge, 2 * span)

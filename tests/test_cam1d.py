@@ -8,6 +8,7 @@ import pytest
 from cam1d_oracles import (
     build_by_doubling,
     distinct_factor_counts_automaton,
+    empirical_measure_edge,
     parse_structure_scan,
     report_from_obj_fractions,
 )
@@ -395,6 +396,54 @@ def test_certificate_counts_match_scan_of_doubled_words(params):
             assert row.parts[0] == scan_count(pattern, text), row.ident
 
 
+def test_junction_work_of_a_level4_build_and_verify(monkeypatch):
+    # the compressed counter's work, pinned: text scans and their bytes,
+    # junction name tables built, and block-name counts with their memo
+    # misses.  A junction's names are built once per (junction, q), so a
+    # counter without that memo builds more tables
+    work = Counter()
+    naive, junction = slp.count_occurrences_naive, slp._junction
+    name_count, keep = slp.SlpBuilder._name_count, slp.SlpBuilder._keep
+
+    def scanning(pattern, text):
+        work["text scans"] += 1
+        work["text bytes"] += len(text)
+        return naive(pattern, text)
+
+    def building(*args):
+        work["junctions"] += 1
+        return junction(*args)
+
+    def counting(self, *args):
+        work["name counts"] += 1
+        return name_count(self, *args)
+
+    def keeping(self, key, value, size):
+        if len(key) == 4 and isinstance(key[0], tuple):  # (names, lo, hi, pattern)
+            work["name count misses"] += 1
+        return keep(self, key, value, size)
+
+    monkeypatch.setattr(slp, "count_occurrences_naive", scanning)
+    monkeypatch.setattr(slp, "_junction", building)
+    monkeypatch.setattr(slp.SlpBuilder, "_name_count", counting)
+    monkeypatch.setattr(slp.SlpBuilder, "_keep", keeping)
+    family = cam1d.build_family(levels=4)
+    assert family.params == [8, 979, 4738998107]
+    assert work == {
+        "text scans": 48,
+        "text bytes": 656,
+        "junctions": 90,
+        "name counts": 680,
+        "name count misses": 102,
+    }
+    # the verify pair scans on the built family: level 2 is all hits, and at
+    # level 3 the memo already holds the seams of the two repeated words
+    work.clear()
+    for k in (2, 3):
+        cam1d.verify_distinct_subwords(family, k)
+    assert work == {"junctions": 4, "name counts": 30, "name count misses": 20}
+
+
 def test_level4_build_scans_no_text_for_a_level3_word(monkeypatch):
     # every junction a level-3 word meets in a level-4 build is decided on
     # level-2 block names; only the short patterns are counted in texts
@@ -576,6 +625,33 @@ def test_empirical_measure_longer_cylinder(family3):
     # frequency of the whole a2 word along the level-2 segment
     value = cam1d.empirical_measure(family3, 2, "a", "011111111")
     assert value == Fraction(2, 18)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_empirical_measure_matches_the_edge_oracle(family4, data):
+    # cylinders from inside the base word, across the seam of base base
+    # (the windows that continue into the next copy), whole base words of
+    # levels 2 and 3, and drawn words
+    k = data.draw(st.integers(2, 4), label="level")
+    side = data.draw(st.sampled_from("ab"), label="side")
+    base = family4.a(k) if side == "a" else family4.b(k)
+    span = base.length
+    kind = data.draw(st.sampled_from(["inside", "seam", "whole", "drawn"]), label="kind")
+    if kind == "whole" and span <= 50_000:
+        cylinder = slp.window(base, 0, span)
+    elif kind == "drawn":
+        words = st.text(alphabet="01", min_size=1, max_size=min(span, 40))
+        cylinder = data.draw(words, label="cylinder")
+    else:
+        size = data.draw(st.integers(1, min(span, 120)), label="size")
+        if kind == "seam" and size > 1:
+            start = data.draw(st.integers(span - size + 1, span - 1), label="start")
+        else:
+            start = data.draw(st.integers(0, span - size), label="start")
+        cylinder = slp.window(family4.builder.concat([(base, 2)]), start, size)
+    expected = empirical_measure_edge(family4, k, side, cylinder)
+    assert cam1d.empirical_measure(family4, k, side, cylinder) == expected
 
 
 def test_empirical_measure_follows_the_family_symbol_budget(family4):

@@ -290,21 +290,28 @@ def test_is_primitive_matches_wielandt(matrix):
 
 
 def test_one_trace_sequence_per_call(monkeypatch):
-    # every entry point draws t_1..t_d with d - 1 products and nothing else multiplies
+    # every entry point draws t_1..t_d with d - 1 products and nothing else
+    # multiplies; a height search on a cycle (every row sum 1) draws none
     products = []
     matmul = sft._matmul
     monkeypatch.setattr(sft, "_matmul", lambda X, Y: products.append(1) or matmul(X, Y))
+
+    def smallest(A):
+        return sft.smallest_feasible_height(A, 20, 8)
+
     calls = (
         lambda A: sft.census(A, 40),
         lambda A: sft.embedding_feasibility(A, 3, 20),
-        lambda A: sft.smallest_feasible_height(A, 20, 8),
+        smallest,
         sft.perron_eigenvalue,
     )
     for matrix in CATALOG:
+        cycle = all(sum(row) == 1 for row in matrix)
         for call in calls:
             products.clear()
             call(matrix)
-            assert len(products) == len(matrix) - 1, (matrix, call)
+            expected = 0 if cycle and call is smallest else len(matrix) - 1
+            assert len(products) == expected, (matrix, call)
 
 
 @given(square_matrices(4, 3), st.integers(1, 6))
@@ -459,6 +466,21 @@ def test_smallest_height_inverts_a_census_only_past_the_gap(monkeypatch):
     # census to n_max and one full-shift column, then no census per height
     assert sft.smallest_feasible_height(GOLDEN, 30, 10**6) == 5
     assert calls == [30, 15]
+
+
+def test_smallest_height_draws_no_trace_on_a_cycle(monkeypatch):
+    # every row sum 1 makes lambda = 1, so no height has the entropy gap and
+    # the search ends before the trace sequence starts, whatever the cap
+    drawn = []
+    traces = sft._traces
+    monkeypatch.setattr(sft, "_traces", lambda rows: drawn.append(rows) or traces(rows))
+    cycles = [[[int(j == (i + 1) % d) for j in range(d)] for i in range(d)] for d in range(1, 6)]
+    for cycle in cycles + [[[0, 0, 1], [1, 0, 0], [0, 1, 0]]]:
+        assert sft.smallest_feasible_height(cycle, 12, 3000) is None
+    assert drawn == []
+    # a matrix with the gap still draws its one sequence
+    assert sft.smallest_feasible_height(GOLDEN, 30) == 5
+    assert len(drawn) == 1
 
 
 def test_smallest_height_grows_the_target_geometrically(monkeypatch):

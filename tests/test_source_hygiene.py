@@ -199,3 +199,54 @@ def test_the_check_sees_a_roll():
         "c = np.rollaxis(w, 1)\n"
     )
     assert sorted(_rolls(tree)) == [3, 4]
+
+
+def _readers(tree, attrs):
+    """Sorted (attribute, function) pairs: each attribute in ``attrs`` that
+    is read, with the module-level function or method whose body (nested
+    functions included) reads it."""
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            functions += [f for f in node.body if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            functions.append(node)
+    return sorted(
+        {
+            (node.attr, function.name)
+            for function in functions
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and node.attr in attrs
+        }
+    )
+
+
+def test_one_junction_reader():
+    # the compressed counter reads every junction (a seam c c, a short run
+    # c^r, a run boundary) in SlpBuilder._across, on block names or on a
+    # text; a new counting regime extends it rather than adding a reader
+    attrs = {"_naive", "_name_count"}
+    readers = [(path.name, *pair) for path in SOURCES for pair in _readers(_parse(path), attrs)]
+    assert readers == [("slp.py", "_naive", "_across"), ("slp.py", "_name_count", "_across")]
+
+
+def test_the_check_sees_a_second_reader():
+    tree = ast.parse(
+        "class B:\n"
+        "    def _across(self):\n"
+        "        return self._naive() + self._name_count()\n"
+        "    def _seam(self):\n"
+        "        def inner():\n"
+        "            return self._naive()\n"
+        "        return inner()\n"
+        "def f(b):\n"
+        "    return b._name_count\n"
+        "def g(b):\n"
+        "    return b._naive_text() + _naive()\n"
+    )
+    assert _readers(tree, {"_naive", "_name_count"}) == [
+        ("_naive", "_across"),
+        ("_naive", "_seam"),
+        ("_name_count", "_across"),
+        ("_name_count", "f"),
+    ]
