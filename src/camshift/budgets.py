@@ -1,7 +1,8 @@
 """Resource budgets and their environment override.
 
 Every expensive operation (1-d and d-dimensional materialization, and the
-length of an sft census asked for on the command line) is bounded by one
+traces an sft census or height search asked for on the command line
+draws) is bounded by one
 of these two fields, and nowhere else: no command-line option or keyword
 argument sets a limit.  Compressed counting needs no
 limit of its own (a pattern is a word already materialized under
@@ -27,7 +28,8 @@ _MAX_DIGITS = 4300
 @dataclass(frozen=True)
 class Budgets:
     # one-dimensional materialization budget (symbols); the CLI also holds
-    # an sft census length (`sft qn --n`, `sft embed --n-max`) to it
+    # the traces an sft command draws (`sft qn --n`, `sft embed --n-max`,
+    # d x `--find-smallest`) to it
     symbols: int = 1_000_000
     # d-dimensional materialization budget (cells)
     cells: int = 100_000_000

@@ -291,32 +291,28 @@ class LevelFamily(Hierarchy):
         ]
         self.params: list[int] = []
         self.certificates: list[CertificateReport] = []
-        self._strings: dict = {("w1_1", 1): "0", ("w2_1", 1): "1"}
         self._periods: dict = {}
 
     # -- accessors ------------------------------------------------------
 
     def a(self, k: int) -> slp.SlpExpr:
-        return self.word(k, f"a{k}") if k >= 2 else self.word(1, "w2_1")
+        return self.word(k, f"a{k}")
 
     def b(self, k: int) -> slp.SlpExpr:
-        return self.word(k, f"b{k}") if k >= 2 else self.word(1, "w1_1")
+        return self.word(k, f"b{k}")
 
     def word_length(self, k: int) -> int:
         self._check_level(k)
         return next(iter(self.levels[k - 1].values())).length
 
     def string(self, k: int, name: str) -> str | None:
-        """Materialized word, or None when it exceeds the symbol budget."""
-        key = (name, k)
-        if key in self._strings:
-            return self._strings[key]
+        """Materialized word, or None when it exceeds the symbol budget: the
+        builder's cached prefix snippet of the whole word, the string its
+        counts read."""
         expr = self.word(k, name)
         if expr.length > self.budgets.symbols:
             return None
-        text = slp.materialize(expr)
-        self._strings[key] = text
-        return text
+        return self.builder.prefix_snippet(expr, expr.length)
 
     def period(self, k: int) -> int | None:
         """Minimal period of a_k a_k, or None when over the symbol budget."""
@@ -325,7 +321,7 @@ class LevelFamily(Hierarchy):
         a_k = self.a(k)
         if 2 * a_k.length > self.budgets.symbols:
             return None
-        text = self.string(k, f"a{k}" if k >= 2 else "w2_1")
+        text = self.string(k, f"a{k}")
         p = slp.minimal_period(text + text)
         self._periods[k] = p
         return p
@@ -853,6 +849,12 @@ def parse_structure(family: LevelFamily, k: int, start: int, num_blocks: int) ->
 # -- empirical measures ------------------------------------------------------
 
 
+def _check_measure_level(family: Hierarchy, k: int):
+    """Measures are defined for the built levels from 2 on."""
+    if not 2 <= k <= family.top_level:
+        raise CamshiftError(f"measure is defined for levels 2..{family.top_level}, got {k}")
+
+
 def empirical_measure(family: LevelFamily, k: int, side: str, cylinder: str) -> Fraction:
     """Exact shift-average frequency of a cylinder word along the level-k orbit
     segment of the transitive point (side "a") or its mirror (side "b").
@@ -867,8 +869,7 @@ def empirical_measure(family: LevelFamily, k: int, side: str, cylinder: str) -> 
         raise CamshiftError("side must be 'a' or 'b'")
     if not cylinder:
         raise CamshiftError("cylinder word must be nonempty")
-    if k < 2 or k > family.top_level:
-        raise CamshiftError(f"level {k} not built")
+    _check_measure_level(family, k)
     base = family.a(k) if side == "a" else family.b(k)
     span = base.length
     size = len(cylinder)
@@ -901,8 +902,8 @@ def measure_report(family: LevelFamily, k_max: int | None = None) -> list:
     (every built level when ``k_max`` is None)."""
     if k_max is None:
         k_max = family.top_level
-    elif not 2 <= k_max <= family.top_level:
-        raise CamshiftError(f"level {k_max} not built")
+    else:
+        _check_measure_level(family, k_max)
     third = Fraction(1, 3)
     rows = []
     for k in range(2, k_max + 1):

@@ -8,7 +8,11 @@ the (2n+1)^d-block self-concatenation of the base with the other 2k
 level-k words stamped along the first axis at blocks 3, 5, 7, ... in block
 row 3 of every other axis.  All level-(k+1) words therefore share one cube
 domain; the displayed periodic/postcard forms only make sense together
-with that equal-domain convention.
+with that equal-domain convention.  Every word is stored as one such
+patchwork, a base cube tiled over a grid of blocks with stamps: levels 1
+and 2 are grids of one-cell blocks.  Its cells, where the cell budget
+allows them, come from the one cell reader that also slices the
+configuration windows.
 
 The counting kernel compares packed cells: runs of up to 63 last-axis
 cells become one unsigned code, as narrow as the run allows, so a
@@ -65,6 +69,7 @@ from .cam1d import (
     FrequencySequence,
     Hierarchy,
     SubwordReport,
+    _check_measure_level,
     _eps_tail_rows,
     _frequency_row,
     _inherited_words,
@@ -144,12 +149,7 @@ class PatchworkExpr:
         return math.prod(self.side)
 
     def to_array(self) -> ArrayWord:
-        out = np.tile(self.base, self.extents)
-        n = self.base.shape[0]
-        for anchor, stamp in self.patches:
-            slices = tuple(slice(a * n, (a + 1) * n) for a in anchor)
-            out[slices] = stamp
-        return out
+        return _doubled_window(self, (0,) * self.dim, self.side)
 
 
 def postcard(stamps, base, e: int, require_margin: bool = False) -> PatchworkExpr:
@@ -402,9 +402,18 @@ class DoubledGrid:
 
 def _doubled_window(word: PatchworkExpr, corner, sides) -> ArrayWord:
     """Cells corner .. corner + sides - 1 (0-based) of the doubled word: the
-    tiled base, overwritten by each stamp copy that meets the rectangle."""
+    tiled base, overwritten by each stamp copy that meets the rectangle.
+
+    The base is tiled and cut one axis at a time, the shortest side first,
+    so no step holds more than three times the larger of the rectangle and
+    the base; np.tile copies, so the stamps never write into the base."""
     s = word.base.shape[0]
-    out = word.base[np.ix_(*[np.arange(c, c + size) % s for c, size in zip(corner, sides)])]
+    out = word.base
+    for axis in sorted(range(word.dim), key=lambda a: sides[a]):
+        head, size = corner[axis] % s, sides[axis]
+        reps = [1] * word.dim
+        reps[axis] = -(-(head + size) // s)
+        out = np.tile(out, reps)[(slice(None),) * axis + (slice(head, head + size),)]
     for anchor, stamp in word.patches:
         for copy in itertools.product((0, 1), repeat=word.dim):
             lows = [(a + c * e) * s for a, c, e in zip(anchor, copy, word.extents)]
@@ -509,8 +518,8 @@ def period_lattice(w) -> PeriodLattice:
 @dataclass
 class ZdWord:
     side: int
-    array: ArrayWord | None          # None when over the cell budget
-    patchwork: PatchworkExpr | None  # layout form of every word above level 2
+    array: ArrayWord | None   # the patchwork's cells; None when over the cell budget
+    patchwork: PatchworkExpr  # every word, a grid of one-cell blocks at levels 1-2
 
 
 class ZdFamily(Hierarchy):
@@ -522,9 +531,8 @@ class ZdFamily(Hierarchy):
         self.dim = dim
         self.budgets = budgets or Budgets()
         self.eps = FrequencySequence(dim=dim)
-        zero = ZdWord(1, make_cube(dim, 1, 0), None)
-        one = ZdWord(1, make_cube(dim, 1, 1), None)
-        self.levels: list[dict] = [{"w1_1": zero, "w2_1": one}]
+        cells = [PatchworkExpr(make_cube(dim, 1, fill), (1,) * dim, ()) for fill in (0, 1)]
+        self.levels: list[dict] = [dict(zip(level_names(1), map(self._wrap, cells)))]
         self.params: list[int] = []
         self.certificates: list[CertificateReport] = []
 
@@ -535,6 +543,11 @@ class ZdFamily(Hierarchy):
     def volume(self, k: int) -> int:
         return self.side(k) ** self.dim
 
+    def _wrap(self, patchwork: PatchworkExpr) -> ZdWord:
+        """The word of a patchwork, with its cells when they fit the cell budget."""
+        array = patchwork.to_array() if patchwork.cells <= self.budgets.cells else None
+        return ZdWord(patchwork.side[0], array, patchwork)
+
     # -- the two things the level driver needs ---------------------------
 
     def _words(self, k: int, n: int) -> dict:
@@ -542,39 +555,20 @@ class ZdFamily(Hierarchy):
         if n <= 1:
             raise CamshiftError("level parameter must be > 1")
         d = self.dim
-        cell_cap = self.budgets.cells
-
-        def wrap(obj):
-            if isinstance(obj, PatchworkExpr):
-                side = obj.side[0]
-                arr = obj.to_array() if obj.cells <= cell_cap else None
-                return ZdWord(side, arr, obj)
-            return ZdWord(obj.shape[0], obj, None)
-
         if k == 1:
             if n < 3:
                 raise CamshiftError("level-2 parameter must be >= 3 to place the deviant cell")
-            if n**d > cell_cap:
+            if n**d > self.budgets.cells:
                 raise BudgetExceeded(
-                    f"level-2 cubes of {n**d} cells exceed the cell budget {cell_cap}"
+                    f"level-2 cubes of {n**d} cells exceed the cell budget {self.budgets.cells}"
                 )
-            density = self._density_words(k, n)
-            return {
-                "w1_2": wrap(make_cube(d, n, 0)),
-                "w2_2": wrap(make_cube(d, n, 1)),
-                "a2": wrap(density["a"].to_array()),
-                "b2": wrap(density["b"].to_array()),
-            }
-
-        # the periodic words are stamp-less postcards, so every word above level
-        # 2 has the same file form whatever the cell budget
-        words = {
-            f"w{i}_{k + 1}": wrap(postcard([], stamp, n))
-            for i, stamp in enumerate(self._stamps(k), start=1)
-        }
-        for side, word in self._density_words(k, n).items():
-            words[f"{side}{k + 1}"] = wrap(word)
-        return words
+            # the constant cubes: n^d one-cell blocks
+            periodic = [PatchworkExpr(make_cube(d, 1, fill), (n,) * d, ()) for fill in (0, 1)]
+        else:
+            # stamp-less postcards of the level-k words
+            periodic = [postcard([], stamp, n) for stamp in self._stamps(k)]
+        words = periodic + list(self._density_words(k, n).values())
+        return {name: self._wrap(word) for name, word in zip(level_names(k + 1), words)}
 
     def _stamps(self, k: int) -> list:
         """The level-k words as arrays, in name order."""
@@ -609,17 +603,18 @@ class ZdFamily(Hierarchy):
         return 2 * _stamp_count(k) + 4
 
     def _words_to_obj(self) -> dict:
-        """The file field that stores the words: each level's postcards or arrays."""
+        """The file field that stores the words: arrays at levels 1-2, whose
+        cells always fit the budget, and postcards above."""
         levels = []
         for k in range(1, self.top_level + 1):
             words = {}
             for name in self.names(k):
                 word = self.word(k, name)
                 entry: dict = {"side": word.side}
-                if word.patchwork is not None:
-                    entry["patchwork"] = patchwork_to_obj(word.patchwork)
-                elif word.array is not None:
+                if k <= 2:
                     entry["array"] = array_to_obj(word.array)
+                else:
+                    entry["patchwork"] = patchwork_to_obj(word.patchwork)
                 words[name] = entry
             levels.append({"level": k, "words": words})
         return {"levels": levels}
@@ -775,16 +770,8 @@ def transitive_config_window(family: ZdFamily, starts, sides) -> ArrayWord:
     cells = math.prod(sides)
     if cells > family.budgets.cells:
         raise BudgetExceeded("rectangle exceeds the cell budget")
-    word = family.word(top, f"a{top}")
-    grid = word.patchwork
-    if grid is None:  # level 2: one block, no stamps
-        grid = PatchworkExpr(base=word.array, extents=(1,) * d, patches=())
-    return _doubled_window(grid, tuple(lo + span - 1 for lo in starts), sides)
-
-
-def _word_ones(word: ZdWord) -> int:
-    """Cells equal to 1: from the patchwork above level 2, from the array at it."""
-    return int(word.array.sum()) if word.patchwork is None else _ones(word.patchwork)
+    word = family.word(top, f"a{top}").patchwork
+    return _doubled_window(word, tuple(lo + span - 1 for lo in starts), sides)
 
 
 @dataclass
@@ -803,13 +790,12 @@ class MeasureRowD:
 
 def measure_report_d(family: ZdFamily, k_max: int) -> list:
     """Deviant-symbol frequencies per level 2..k_max plus the origin-cylinder gap."""
-    if not 2 <= k_max <= family.top_level:
-        raise CamshiftError(f"level {k_max} not built")
+    _check_measure_level(family, k_max)
     rows = []
     third = Fraction(1, 3)
     for k in range(2, k_max + 1):
         vol = family.volume(k)
-        ones_a, ones_b = (_word_ones(family.word(k, name)) for name in (f"a{k}", f"b{k}"))
+        ones_a, ones_b = (_ones(family.word(k, name).patchwork) for name in (f"a{k}", f"b{k}"))
         a_one = Fraction(ones_a, vol)
         b_zero = Fraction(vol - ones_b, vol)
         origin_a = Fraction(vol - ones_a, vol)

@@ -261,16 +261,16 @@ def cmd_sft(args) -> int:
     return EXIT_OK
 
 
-def _check_census_length(option: str, length: int):
+def _check_census_length(what: str, length: int):
     """Refuse a census longer than the symbols budget before any trace is drawn."""
     budget = budgets_from_env().symbols
     if length > budget:
-        raise BudgetExceeded(f"{option} {length} exceeds the symbols budget {budget}")
+        raise BudgetExceeded(f"{what} exceeds the symbols budget {budget}")
 
 
 def _sft_payload(args, matrix) -> dict:
     if args.sft_cmd == "qn":
-        _check_census_length("--n", args.n)
+        _check_census_length(f"--n {args.n}", args.n)
         return {str(n): str(q) for n, q in sft.census(matrix, args.n).items()}
     if args.sft_cmd == "perron":
         result = sft.perron_eigenvalue(matrix)
@@ -282,7 +282,11 @@ def _sft_payload(args, matrix) -> dict:
         }
     if args.find_smallest < 0:
         raise CamshiftError("--find-smallest must be a nonnegative height cap (0 skips the search)")
-    _check_census_length("--n-max", args.n_max)
+    _check_census_length(f"--n-max {args.n_max}", args.n_max)
+    if args.find_smallest:
+        # the search draws the traces up to max(d * cap, n_max)
+        traces = matrix.dim * args.find_smallest
+        _check_census_length(f"--find-smallest {args.find_smallest} ({traces} traces)", traces)
     report = sft.embedding_feasibility(matrix, args.height, args.n_max)
     payload = {
         "height": report.height,

@@ -637,10 +637,6 @@ def _spell(parts, start, size):
     return "".join(pieces)
 
 
-def materialize(expr: SlpExpr) -> str:
-    return window(expr, 0, expr.length)
-
-
 def count_occurrences_naive(pattern: str, text: str) -> int:
     """Exact number of (possibly overlapping) occurrences of ``pattern`` in ``text``.
 

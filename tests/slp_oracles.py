@@ -8,7 +8,11 @@ code with either:
 * ``scan_count`` makes one ``str.find`` per occurrence, stepping one symbol
   past each;
 * ``brute_count`` tests ``startswith`` at every position.
+
+``materialize`` spells a whole word, for the tests that compare against it.
 """
+
+from camshift import slp
 
 
 def scan_count(pattern: str, text: str) -> int:
@@ -24,3 +28,8 @@ def scan_count(pattern: str, text: str) -> int:
 def brute_count(pattern: str, text: str) -> int:
     """Occurrences of ``pattern`` in ``text``, one comparison per position."""
     return sum(text.startswith(pattern, i) for i in range(len(text) - len(pattern) + 1))
+
+
+def materialize(expr) -> str:
+    """The whole word of an ``slp.SlpExpr``."""
+    return slp.window(expr, 0, expr.length)

@@ -13,7 +13,7 @@ from camshift import cam1d, camzd, sft, slp
 from camshift.cli import canonical_json
 from camzd_oracles import self_concat
 from sft_oracles import divisors, tr_n
-from slp_oracles import scan_count
+from slp_oracles import materialize, scan_count
 from conftest import random_expression, random_pattern
 from test_sft import CATALOG, random_catalog
 
@@ -64,7 +64,7 @@ def test_criterion_3_compressed_counting_oracle(rng):
         expr = random_expression(builder, rng)
         if expr.length > 1_000_000:
             continue
-        text = slp.materialize(expr)
+        text = materialize(expr)
         pattern = random_pattern(rng, text, max_len=min(64, expr.length))
         assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text), (
             pattern,

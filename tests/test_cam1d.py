@@ -63,6 +63,16 @@ def test_level2_materializations():
     assert family.string(2, "w2_2") == "1" * 9
 
 
+def test_strings_are_the_builders_snippets(family4):
+    # one stored string per word: the whole-word prefix snippet the counts read
+    builder = family4.builder
+    for k in (1, 2, 3):
+        for name in family4.names(k):
+            expr = family4.word(k, name)
+            assert family4.string(k, name) is builder.prefix_snippet(expr, expr.length)
+    assert all(family4.string(4, name) is None for name in family4.names(4))
+
+
 def test_level3_length_identity():
     family = cam1d.LevelFamily()
     cam1d.build_level(family, 8)
@@ -679,7 +689,7 @@ def test_measure_report_flags(family4):
 
 def test_measure_report_rejects_unbuilt_levels(family3):
     for k_max in (-5, 1, 4, 9):
-        with refused(f"^level {k_max} not built$"):
+        with refused(rf"^measure is defined for levels 2\.\.3, got {k_max}$"):
             cam1d.measure_report(family3, k_max)
     assert [row.level for row in cam1d.measure_report(family3, 2)] == [2]
 

@@ -58,6 +58,31 @@ def test_patchwork_cells_are_exact():
     assert word.cells == side * side
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_every_word_is_a_patchwork_of_its_cells(dim):
+    # levels 1-2 are grids of one-cell blocks, level 3 a postcard of level-2
+    # blocks; the array, where the cell budget keeps one, is the patchwork's cells
+    rng = np.random.default_rng(dim)
+    for budgets, kept in ((None, {1, 2, 3}), (Budgets(cells=1000), {1, 2})):
+        family = camzd.build_family_d(dim=dim, levels=2, budgets=budgets)
+        camzd.build_level_d(family, 12)
+        for k in (1, 2, 3):
+            for name in family.names(k):
+                word = family.word(k, name)
+                cells = word.patchwork.to_array()
+                assert cells.shape == (word.side,) * dim
+                assert (word.array is not None) == (k in kept)
+                if word.array is not None:
+                    assert np.array_equal(word.array, cells)
+                n = word.patchwork.base.shape[0]
+                # random cells, and one cell of every stamp
+                sample = list(rng.integers(0, word.side, size=(64, dim)))
+                for anchor, _ in word.patchwork.patches:
+                    sample.append(np.array(anchor) * n + rng.integers(0, n, size=dim))
+                for at in sample:
+                    assert patchwork_cell(word.patchwork, tuple(at + 1)) == cells[tuple(at)]
+
+
 def test_self_concat_agrees_with_direct_formula(rng):
     for _ in range(100):
         d = rng.choice([1, 2, 3])

@@ -264,7 +264,14 @@ def test_unwritable_out_exits_2(command, missing, family_file, family_d2_file, t
 def test_measure_d2_level_out_of_range(family_d2_file, k):
     # as in one dimension, where empirical_measure rejects the level
     code, err = _run_quiet("measure", "--family", str(family_d2_file), "--k", k)
-    assert (code, err) == (2, f"error: level {k} not built\n")
+    assert (code, err) == (2, f"error: measure is defined for levels 2..2, got {k}\n")
+
+
+@pytest.mark.parametrize("k", ["1", "-5", "4"])
+def test_measure_level_out_of_range(family_file, k):
+    # level 1 is built, but has no measure
+    code, err = _run_quiet("measure", "--family", str(family_file), "--k", k)
+    assert (code, err) == (2, f"error: measure is defined for levels 2..3, got {k}\n")
 
 
 def test_window_d2(family_d2_file, capsys):
@@ -314,6 +321,24 @@ def test_sft_census_length_is_held_to_the_symbols_budget(monkeypatch, capsys):
         "error: --n 100000000000 exceeds the symbols budget 1000000\n"
     )
     assert not drawn
+
+
+
+def test_sft_find_smallest_is_held_to_the_symbols_budget(monkeypatch, capsys):
+    # the search draws d * cap traces of a d x d matrix: refused with exit 3
+    # before any trace is drawn
+    drawn = []
+    traces = sft._traces
+    monkeypatch.setattr(sft, "_traces", lambda rows: drawn.append(1) or traces(rows))
+    monkeypatch.setenv("CAMSHIFT_BUDGET", "symbols=100")
+    argv = ("sft", "embed", "--matrix", "[[1,1],[1,0]]", "--height", "2", "--n-max", "4")
+    assert run(*argv, "--find-smallest", "50") == 0
+    assert drawn and json.loads(capsys.readouterr().out)["smallest_feasible_height"] == 5
+    drawn.clear()
+    assert run(*argv, "--find-smallest", "51") == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not drawn
+    assert captured.err == "error: --find-smallest 51 (102 traces) exceeds the symbols budget 100\n"
 
 
 JSON_VALUES = st.recursive(

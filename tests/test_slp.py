@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from camshift import slp
 from conftest import random_expression, random_pattern
 from refusal import refused
-from slp_oracles import brute_count, scan_count
+from slp_oracles import brute_count, materialize, scan_count
 
 WORDS = st.text(alphabet="01", min_size=1, max_size=48)
 
@@ -45,7 +45,7 @@ def test_length_repetition(builder):
 
 def test_length_a2(builder):
     expr = a2_expr(builder)
-    assert expr.length == len(slp.materialize(expr)) == 9
+    assert expr.length == len(materialize(expr)) == 9
 
 
 def test_length_homomorphism(builder, rng):
@@ -55,7 +55,7 @@ def test_length_homomorphism(builder, rng):
             continue
         assert expr.length == sum(rep * child.length for child, rep in expr.parts)
         if expr.length <= 200_000:
-            assert expr.length == len(slp.materialize(expr))
+            assert expr.length == len(materialize(expr))
 
 
 # -- char_at -----------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_random_access_soundness(builder, rng):
         expr = random_expression(builder, rng, max_length=30_000)
         if expr.length > 100_000:
             continue
-        text = slp.materialize(expr)
+        text = materialize(expr)
         for _ in range(5):
             i = rng.randint(0, expr.length - 1)
             assert slp.char_at(expr, i) == text[i]
@@ -124,7 +124,7 @@ def test_snippet_caches_match_materialization(builder, rng):
         expr = random_expression(builder, rng, max_length=20_000)
         if expr.length > 50_000:
             continue
-        text = slp.materialize(expr)
+        text = materialize(expr)
         for k in (1, 2, 5, 17, 4095):
             need = min(k, expr.length)
             assert builder.prefix_snippet(expr, k) == text[:need]
@@ -142,8 +142,8 @@ def test_count_examples(builder):
 def test_count_against_naive_for_a2_pattern(builder):
     a3 = a3_expr(builder, n3=4)
     doubled = builder.concat([(a3, 2)])
-    pattern = slp.materialize(a2_expr(builder))
-    text = slp.materialize(doubled)
+    pattern = materialize(a2_expr(builder))
+    text = materialize(doubled)
     assert builder.count_occurrences(pattern, doubled) == scan_count(pattern, text)
 
 
@@ -269,7 +269,7 @@ def test_oracle_equivalence_randomized(builder, rng):
         expr = random_expression(builder, rng)
         if expr.length > 1_000_000:
             continue
-        text = slp.materialize(expr)
+        text = materialize(expr)
         pattern = random_pattern(rng, text, max_len=min(64, expr.length))
         assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
         checked += 1
@@ -280,7 +280,7 @@ def test_junction_memo_stays_within_its_byte_bound(builder, rng, monkeypatch):
     cleared = False
     for _ in range(60):
         expr = random_expression(builder, rng, max_length=5_000)
-        text = slp.materialize(expr)
+        text = materialize(expr)
         pattern = random_pattern(rng, text, max_len=min(12, expr.length))
         before = builder._memo_bytes
         assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
@@ -317,7 +317,7 @@ def runs_and_pattern(draw):
 
     mids = [node(leaves, 4) for _ in range(draw(st.integers(1, 3)))]
     top = node(leaves + mids, 8)
-    text = slp.materialize(top)
+    text = materialize(top)
     size = min(reach + 1, len(text))
     if draw(st.integers(0, 3)):  # mostly a factor, so that occurrences exist
         start = draw(st.integers(0, len(text) - size))
@@ -346,7 +346,7 @@ def test_count_across_many_parts(builder):
     # a pattern of 7 symbols over parts of 1-2 symbols crosses up to five parts
     one, zero = builder.atom("1"), builder.atom("0")
     expr = builder.concat([(zero, 1), (one, 2), (zero, 1), (builder.word("01"), 1), (one, 1)])
-    text = slp.materialize(expr)
+    text = materialize(expr)
     assert text == "0110011"
     for size in range(1, 8):
         for start in range(len(text) - size + 1):
@@ -380,7 +380,7 @@ def block_sequences_and_pattern(draw):
     mids = [node(blocks, 4) for _ in range(draw(st.integers(1, 3)))]
     top = node(blocks + mids, 6)
     top = builder.concat([(top, draw(st.integers(1, 3))), (draw(st.sampled_from(mids)), 1)])
-    text = slp.materialize(top)
+    text = materialize(top)
     size = q * ell
     if draw(st.booleans()) and len(text) >= size:
         start = draw(st.integers(0, len(text) - size))
@@ -415,7 +415,7 @@ def test_block_names_at_run_edges():
     x, y, z = builder.word("001"), builder.word("011"), builder.word("000")
     mid = builder.concat([(x, 3), (y, 1), (z, 2)])
     expr = builder.concat([(x, 1), (y, 4), (mid, 2), (z, 1), (x, 2), (mid, 1), (y, 3)])
-    text = slp.materialize(expr)
+    text = materialize(expr)
     assert slp._grain(expr) == 3
     for size in (6, 9, 12, 15):
         for start in range(len(text) - size + 1):
@@ -434,7 +434,7 @@ def test_name_memo_stays_within_its_byte_bound(monkeypatch):
     for size in (6, 9, 12):
         for mid in mids:
             expr = builder.concat([(mid, 3), (y, 2), (mid, 1)])
-            text = slp.materialize(expr)
+            text = materialize(expr)
             pattern = text[len(text) - size :]
             before = builder._memo_bytes
             assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
@@ -467,7 +467,7 @@ def test_grain_reads_block_length_from_structure(builder):
 def test_minimal_period_examples(builder):
     assert slp.minimal_period("0000") == 1
     assert slp.minimal_period("0101") == 2
-    a2a2 = slp.materialize(builder.concat([(a2_expr(builder), 2)]))
+    a2a2 = materialize(builder.concat([(a2_expr(builder), 2)]))
     assert slp.minimal_period(a2a2) == 9
 
 
@@ -494,7 +494,7 @@ def test_minimal_period_of_repeated_words(base, copies, extra):
 @pytest.mark.parametrize("level", [2, 3])
 def test_minimal_period_of_doubled_level_words(builder, level):
     a_k = a2_expr(builder) if level == 2 else a3_expr(builder, n3=3)
-    text = slp.materialize(a_k)
+    text = materialize(a_k)
     word = text + text
     brute = next(
         p for p in range(1, len(word) + 1) if all(word[i] == word[i + p] for i in range(len(word) - p))
@@ -543,4 +543,4 @@ def test_serialization_round_trip(builder, rng):
             # big integers ride as decimal strings
             assert all(isinstance(rep, str) and rep.isdigit() for _, rep in node["children"])
             built.append(fresh.concat([(built[c], int(rep)) for c, rep in node["children"]]))
-        assert slp.materialize(built[ids[expr.uid]]) == slp.materialize(expr)
+        assert materialize(built[ids[expr.uid]]) == materialize(expr)

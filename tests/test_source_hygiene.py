@@ -250,3 +250,54 @@ def test_the_check_sees_a_second_reader():
         ("_name_count", "_across"),
         ("_name_count", "f"),
     ]
+
+
+def _constructed_in(tree, cls):
+    """Sorted scopes that call ``cls(...)``: ``Class.method`` or a
+    module-level function (a nested function counts as the one it is in),
+    ``Class`` for a class body, and ``<module>`` outside any of them."""
+    found = set()
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                if getattr(child.func, "id", getattr(child.func, "attr", None)) == cls:
+                    found.add(scope or "<module>")
+            if isinstance(child, ast.ClassDef) and not scope:
+                visit(child, child.name, True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                not scope or in_class
+            ):
+                visit(child, f"{scope}.{child.name}" if scope else child.name, False)
+            else:
+                visit(child, scope, in_class)
+
+    visit(tree, "", False)
+    return sorted(found)
+
+
+def test_one_word_constructor():
+    # every d-dim word is a patchwork, and ZdFamily._wrap alone makes a word
+    # of one (its array only under the cell budget)
+    sites = [
+        (path.name, scope)
+        for path in SOURCES
+        for scope in _constructed_in(_parse(path), "ZdWord")
+    ]
+    assert sites == [("camzd.py", "ZdFamily._wrap")]
+
+
+def test_the_check_sees_a_second_constructor():
+    tree = ast.parse(
+        "class F:\n"
+        "    def _wrap(self, p):\n"
+        "        return ZdWord(1, None, p)\n"
+        "    def _words(self):\n"
+        "        def inner():\n"
+        "            return camzd.ZdWord(1, None, None)\n"
+        "        return inner()\n"
+        "def f():\n"
+        "    return ZdWordish(1) or make(ZdWord)\n"
+        "ONE = ZdWord(1, None, None)\n"
+    )
+    assert _constructed_in(tree, "ZdWord") == ["<module>", "F._words", "F._wrap"]
