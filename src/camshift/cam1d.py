@@ -16,16 +16,18 @@ eps prefix sum.  All inequality arithmetic is exact (Fraction); floats
 appear nowhere in certification.
 
 This module also holds the level driver for any dimension.  A family type
-(:class:`LevelFamily` here, ``camzd.ZdFamily``) is a :class:`Hierarchy`
-that supplies ``_words(k, n)``, the candidate words of level k+1 at
-parameter n, ``_certify(k, n)``, their certificate report,
-``_fit_start(k)``, the layout threshold from which that report's rows are
-polynomials in n, and ``_words_to_obj()``, the file fields that store its
-words.  Everything else exists once and serves both dimensions:
-:func:`build_level`, :func:`certify_level`, :func:`certify_candidate`, the
-parameter solver (:func:`choose_parameter`), the build loop
-(:func:`build_levels`), the file writer (:func:`family_to_obj`) and the
-rebuild-and-compare loader (:func:`load_family`).  The eps-tail rows, the inherited-word loop, the
+(:class:`LevelFamily` here, ``camzd.ZdFamily``) is a :class:`Hierarchy`,
+which holds the state every family shares, and supplies ``rare``, the
+symbol each side's density words are poor in, ``_words(k, n)``, the
+candidate words of level k+1 at parameter n, ``_certify(k, n)``, their
+certificate report, ``_fit_start(k)``, the layout threshold from which
+that report's rows are polynomials in n, and ``_words_to_obj()``, the file
+fields that store its words.  Everything else exists once and serves both
+dimensions: :func:`build_level`, :func:`certify_level`,
+:func:`certify_candidate`, the parameter solver
+(:func:`choose_parameter`), the build loop (:func:`build_levels`), the
+file writer (:func:`family_to_obj`) and the rebuild-and-compare loader
+(:func:`load_family`).  The eps-tail rows, the inherited-word loop, the
 frequency and period-gap row formulas (written for dimension d, so d = 1
 gives the one-dimensional denominators) and the pair-scan skeleton are
 shared too.  ``_words`` and ``_certify`` are pure functions of the prefix
@@ -139,16 +141,18 @@ def _eps_tail_rows(eps: FrequencySequence, new_level: int) -> list:
     ]
 
 
-def _inherited_words(eps: FrequencySequence, k: int, skip_a, skip_b):
+def _inherited_words(eps: FrequencySequence, k: int, rare: dict):
     """(ident, side, m, name, bound) for each inherited word of level m <= k
     checked on one side, with bound = eps_m + ... + eps_k.
 
-    ``skip_a(m)`` and ``skip_b(m)`` name the word that side's density words
-    are made of; it is not checked.
+    A side's density words are poor in its symbol ``rare[side]``: they are
+    made of the level-1 word of the other symbol, and of a_m or b_m above
+    level 1, and that word is not checked.
     """
     for m in range(1, k + 1):
         bound = eps.partial(m, k)
-        for side, skip in (("a", skip_a(m)), ("b", skip_b(m))):
+        for side, symbol in rare.items():
+            skip = level_names(1)[1 - int(symbol)] if m == 1 else f"{side}{m}"
             for name in level_names(m):
                 if name != skip:
                     yield f"{side}-freq[m={m},u={name}]", side, m, name, bound
@@ -229,26 +233,29 @@ def _check_scheme(obj):
         raise MalformedFamily(f"unknown frequency scheme {obj['eps_scheme']!r}")
 
 
-def excluded_a(m: int) -> str:
-    """Word skipped on the a-side at level m (the one a-words are made of)."""
-    return "w2_1" if m == 1 else f"a{m}"
-
-
-def excluded_b(m: int) -> str:
-    return "w1_1" if m == 1 else f"b{m}"
-
-
 class Hierarchy:
-    """Level accessors shared by the one- and d-dimensional families.
+    """Level state and accessors shared by the one- and d-dimensional families.
 
     ``levels[k - 1]`` maps the names of level k to its words; ``params`` and
     ``certificates`` hold one entry per level above the first.  A subclass
-    supplies ``_words(k, n)`` (the words of level k+1 at parameter n, from
-    levels 1..k), ``_certify(k, n)`` (their :class:`CertificateReport`) and
+    calls ``Hierarchy.__init__`` and appends its level-1 words.  It supplies
+    ``rare`` (per side, the symbol that side's density words are poor in),
+    ``_words(k, n)`` (the words of level k+1 at parameter n, from levels
+    1..k), ``_certify(k, n)`` (their :class:`CertificateReport`) and
     ``_words_to_obj()`` (the file fields that store its words), and
     overrides ``_fit_start(k)`` where its rows become polynomials in n later
     than n = 2; the level driver and the file form need nothing else.
     """
+
+    rare: dict
+
+    def __init__(self, dim: int, budgets: Budgets | None):
+        self.eps = FrequencySequence(dim)
+        self.dim = dim
+        self.budgets = budgets or Budgets()
+        self.levels: list[dict] = []
+        self.params: list[int] = []
+        self.certificates: list[CertificateReport] = []
 
     @property
     def top_level(self) -> int:
@@ -281,16 +288,13 @@ class Hierarchy:
 class LevelFamily(Hierarchy):
     """A built hierarchy: levels of words, parameters, and certificates."""
 
+    # a-words are mostly 1 (a_2 = 0 1^n), b-words mostly 0
+    rare = {"a": "0", "b": "1"}
+
     def __init__(self, budgets: Budgets | None = None):
-        self.dim = 1
-        self.budgets = budgets or Budgets()
-        self.eps = FrequencySequence(dim=1)
+        super().__init__(1, budgets)
         self.builder = slp.SlpBuilder()
-        self.levels = [
-            {"w1_1": self.builder.atom("0"), "w2_1": self.builder.atom("1")}
-        ]
-        self.params: list[int] = []
-        self.certificates: list[CertificateReport] = []
+        self.levels.append({"w1_1": self.builder.atom("0"), "w2_1": self.builder.atom("1")})
         self._periods: dict = {}
 
     # -- accessors ------------------------------------------------------
@@ -386,17 +390,13 @@ class LevelFamily(Hierarchy):
         new_level = k + 1
         builder = self.builder
         words = self._words(k, n)
-        a_next = words[f"a{new_level}"]
-        b_next = words[f"b{new_level}"]
-        len_next = a_next.length
-        doubled = {
-            "a": builder.concat([(a_next, 2)]),
-            "b": builder.concat([(b_next, 2)]),
-        }
+        density = {side: words[f"{side}{new_level}"] for side in self.rare}
+        len_next = density["a"].length
+        doubled = {side: builder.concat([(word, 2)]) for side, word in density.items()}
         report = CertificateReport(level=new_level, param=n)
         report.rows += _eps_tail_rows(self.eps, new_level)
 
-        for ident, side, m, name, bound in _inherited_words(self.eps, k, excluded_a, excluded_b):
+        for ident, side, m, name, bound in _inherited_words(self.eps, k, self.rare):
             u = self.string(m, name)
             if u is None:
                 report.rows.append(
@@ -418,9 +418,9 @@ class LevelFamily(Hierarchy):
                 report.rows.append(_period_gap_row(k, p_k, self.word_length(k), len_next))
 
         prefix = _ratio(self.eps.partial(1, k))
-        for ident, symbol, word in (("a-density[0]", "0", a_next), ("b-density[1]", "1", b_next)):
-            count = builder.count_occurrences(symbol, word)
-            report.rows.append(_row(ident, (count, len_next), prefix))
+        for side, symbol in self.rare.items():
+            count = builder.count_occurrences(symbol, density[side])
+            report.rows.append(_row(f"{side}-density[{symbol}]", (count, len_next), prefix))
         return report
 
 
@@ -434,25 +434,16 @@ def build_level(family: Hierarchy, n_next: int) -> Hierarchy:
     return family
 
 
-def certify_level(family: Hierarchy, k: int | None = None) -> CertificateReport:
-    """Re-run the certifier for a built level (default: the top level)."""
-    k = family.top_level if k is None else k
+def certify_level(family: Hierarchy, k: int) -> CertificateReport:
+    """Re-run the certifier for built level k at its parameter."""
     if k < 2 or k > family.top_level:
         raise CamshiftError(f"no built level {k} to certify")
     return family._certify(k - 1, family.params[k - 2])
 
 
-def certify_candidate(family: Hierarchy, n: int, at_level: int | None = None) -> CertificateReport:
-    """Certify a candidate level at parameter n without building it.
-
-    ``at_level`` defaults to top+1; passing a built level's number re-runs
-    the certifier as if that level were the candidate (used to probe the
-    pass boundary of already-chosen parameters).
-    """
-    target = family.top_level + 1 if at_level is None else at_level
-    if target < 2 or target > family.top_level + 1:
-        raise CamshiftError(f"cannot certify candidate level {target}")
-    return family._certify(target - 1, n)
+def certify_candidate(family: Hierarchy, n: int) -> CertificateReport:
+    """Certify the candidate level top+1 at parameter n without building it."""
+    return family._certify(family.top_level, n)
 
 
 # -- the parameter solver ------------------------------------------------------
@@ -861,9 +852,11 @@ def empirical_measure(family: LevelFamily, k: int, side: str, cylinder: str) -> 
 
     Averages over the 2|a_k| shifts m in (-|a_k|, |a_k|]; windows reaching
     past the central doubled word continue canonically into the next copy
-    of the base word.  The shifts read base^3 from its first two copies,
-    and a cylinder no longer than the base that starts in the third copy
-    lies in it, so the count is count(base^3) - count(base).
+    of the base word, so a cylinder of any length L has a measure.  The
+    shifts start in the first two copies of base^(2+r), r = max(1,
+    ceil((L - 1) / |base|)), which holds every window they read; a cylinder
+    that starts in the last r copies lies in them, so the count is
+    count(base^(2+r)) - count(base^r).
     """
     if side not in ("a", "b"):
         raise CamshiftError("side must be 'a' or 'b'")
@@ -872,14 +865,12 @@ def empirical_measure(family: LevelFamily, k: int, side: str, cylinder: str) -> 
     _check_measure_level(family, k)
     base = family.a(k) if side == "a" else family.b(k)
     span = base.length
-    size = len(cylinder)
-    if size > span:
-        raise BudgetExceeded("cylinder longer than the orbit segment's base word")
-    if size > family.budgets.symbols:
+    if len(cylinder) > family.budgets.symbols:
         raise BudgetExceeded("cylinder exceeds the symbol budget")
+    r = max(1, -(-(len(cylinder) - 1) // span))
     builder = family.builder
-    tripled = builder.concat([(base, 3)])
-    count = builder.count_occurrences(cylinder, tripled) - builder.count_occurrences(cylinder, base)
+    head, tail = builder.concat([(base, 2 + r)]), builder.concat([(base, r)])
+    count = builder.count_occurrences(cylinder, head) - builder.count_occurrences(cylinder, tail)
     return Fraction(count, 2 * span)
 
 

@@ -42,15 +42,16 @@ The level driver lives once in :mod:`camshift.cam1d` and serves both
 dimensions: building, certifying, the parameter solver, the build loop,
 the file writer and the rebuild-and-compare loader, with the level
 accessors, the eps-tail rows, the inherited-word loop, the frequency and
-period-gap row formulas and the pair-scan skeleton.  :class:`ZdFamily`
-supplies only its candidate words (``_words``), its report
-(``_certify``), the postcard margin from which the report's rows are
-polynomials in n (``_fit_start``) and its words' file form
-(``_words_to_obj``).  This
-module keeps the cube words, their numpy counting and the rows only the
-d-dimensional certificate has (the stamp fit and the side-length
-variants); ``build_level_d`` and ``certify_candidate_d`` are the shared
-functions under their d-dimensional names.
+period-gap row formulas and the pair-scan skeleton, and the state every
+family shares.  :class:`ZdFamily` supplies only the symbol each side's
+density words are poor in (``rare``), its candidate words (``_words``),
+its report (``_certify``), the postcard margin from which the report's
+rows are polynomials in n (``_fit_start``) and its words' file form
+(``_words_to_obj``).  This module keeps the cube words, their numpy
+counting and the rows only the d-dimensional certificate has (the stamp
+fit and the side-length variants); ``build_level_d`` and
+``certify_candidate_d`` are the shared functions under their
+d-dimensional names.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .budgets import Budgets
 from .cam1d import (
     CertificateReport,
     CertRow,
-    FrequencySequence,
     Hierarchy,
     SubwordReport,
     _check_measure_level,
@@ -525,16 +525,13 @@ class ZdWord:
 class ZdFamily(Hierarchy):
     """Levels of equal-shape cube words with parameters and certificates."""
 
+    # the density words deviate from a constant cube: a-words mostly 0, b-words mostly 1
+    rare = {"a": "1", "b": "0"}
+
     def __init__(self, dim: int, budgets: Budgets | None = None):
-        if dim < 1:
-            raise CamshiftError("dimension must be >= 1")
-        self.dim = dim
-        self.budgets = budgets or Budgets()
-        self.eps = FrequencySequence(dim=dim)
+        super().__init__(dim, budgets)
         cells = [PatchworkExpr(make_cube(dim, 1, fill), (1,) * dim, ()) for fill in (0, 1)]
-        self.levels: list[dict] = [dict(zip(level_names(1), map(self._wrap, cells)))]
-        self.params: list[int] = []
-        self.certificates: list[CertificateReport] = []
+        self.levels.append(dict(zip(level_names(1), map(self._wrap, cells))))
 
     def side(self, k: int) -> int:
         self._check_level(k)
@@ -648,7 +645,7 @@ class ZdFamily(Hierarchy):
         grids = {side: DoubledGrid(word) for side, word in density.items()}
         cell_cap = self.budgets.cells
 
-        inherited = list(_inherited_words(self.eps, k, excluded_a_d, excluded_b_d))
+        inherited = list(_inherited_words(self.eps, k, self.rare))
         # the verifiable words of one side and one shape are counted together
         groups = {}
         for ident, side, m, name, _ in inherited:
@@ -689,9 +686,10 @@ class ZdFamily(Hierarchy):
                 report.rows.append(_period_gap_row(k, p_k, self.volume(k), vol_next))
 
         prefix = _ratio(self.eps.partial(1, k))
-        ones_a, ones_b = _ones(density["a"]), _ones(density["b"])
-        report.rows.append(_row("a-density[1]", (ones_a, vol_next), prefix))
-        report.rows.append(_row("b-density[0]", (vol_next - ones_b, vol_next), prefix))
+        for side, symbol in self.rare.items():
+            ones = _ones(density[side])
+            count = ones if symbol == "1" else vol_next - ones
+            report.rows.append(_row(f"{side}-density[{symbol}]", (count, vol_next), prefix))
         return report
 
 
@@ -699,15 +697,6 @@ def _stamp_count(k: int) -> int:
     """Stamps on a level-(k+1) postcard: the deviant cell at level 2, else
     the 2k other level-k words."""
     return 1 if k == 1 else 2 * k
-
-
-def excluded_a_d(m: int) -> str:
-    """a-side skip at level m; the d-dimensional density words are mostly 0."""
-    return "w1_1" if m == 1 else f"a{m}"
-
-
-def excluded_b_d(m: int) -> str:
-    return "w2_1" if m == 1 else f"b{m}"
 
 
 build_level_d = build_level

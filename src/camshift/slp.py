@@ -185,17 +185,6 @@ class SlpBuilder:
     def power(self, expr: SlpExpr, n: int) -> SlpExpr:
         return self.concat([(expr, n)])
 
-    def word(self, text: str) -> SlpExpr:
-        """Expression for an explicit word (run-length encoded)."""
-        if not text:
-            raise CamshiftError("cannot build an expression for the empty word")
-        parts = []
-        for symbol, run in itertools.groupby(text):
-            parts.append((self.atom(symbol), sum(1 for _ in run)))
-        if len(parts) == 1 and parts[0][1] == 1:
-            return parts[0][0]
-        return self.concat(parts)
-
     # -- snippets ------------------------------------------------------
 
     def prefix_snippet(self, node, k: int) -> str:

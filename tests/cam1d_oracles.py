@@ -23,12 +23,16 @@ it.
 ``empirical_measure_edge`` counts a cylinder over the 2|a_k| shifts as
 the count in the doubled word, less a hit at its first symbol, plus a
 text scan of the edge where windows continue into the next copy of the
-base word.  The tests compare ``cam1d.empirical_measure``, which takes
-count(base^3) - count(base), with it.
+base word.  ``empirical_measure_scan`` finds every occurrence of a
+cylinder of any length in the materialized text the 2|a_k| shifts read.
+The tests compare ``cam1d.empirical_measure``, which takes
+count(base^(2+r)) - count(base^r), with both.
 """
 
 import re
 from fractions import Fraction
+
+from slp_oracles import scan_count
 
 from camshift import cam1d, slp
 from camshift.errors import BudgetExceeded, MalformedFamily
@@ -213,3 +217,13 @@ def empirical_measure_edge(family, k: int, side: str, cylinder: str) -> Fraction
     continuation = slp.window(base, 0, size)
     edge = slp.count_occurrences_naive(cylinder, tail + continuation)
     return Fraction(inner - prefix_hit + edge, 2 * span)
+
+
+def empirical_measure_scan(family, k: int, side: str, cylinder: str) -> Fraction:
+    """``cam1d.empirical_measure`` for a cylinder of any length: every
+    occurrence, one ``str.find`` each, in the materialized text that the
+    windows of the 2|a_k| shifts cover, a prefix of base base base ..."""
+    base = family.string(k, f"{side}{k}")
+    span = len(base)
+    text = (base * (3 + len(cylinder) // span))[: 2 * span + len(cylinder) - 1]
+    return Fraction(scan_count(cylinder, text), 2 * span)

@@ -150,7 +150,7 @@ def certify_materialized(family, k: int, n: int) -> cam1d.CertificateReport:
     doubles = {"a": doubled(a_next), "b": doubled(b_next)}
     vol_next = a_next.side**d
     unverifiable = "unverifiable at budget: cell budget exceeded"
-    inherited = cam1d._inherited_words(family.eps, k, camzd.excluded_a_d, camzd.excluded_b_d)
+    inherited = cam1d._inherited_words(family.eps, k, family.rare)
     for ident, side, m, name, bound in inherited:
         u = family.word(m, name)
         if doubles[side] is None or u.array is None:

@@ -4,13 +4,14 @@ import time
 import pytest
 
 from camshift import cam1d, camzd
+from slp_oracles import word
 
 
 def random_expression(builder, rng, depth=3, max_length=500_000):
     """Random compressed word: atoms at the bottom, repeated concatenations above."""
     if depth == 0 or rng.random() < 0.3:
         text = "".join(rng.choice("01") for _ in range(rng.randint(1, 6)))
-        return builder.word(text)
+        return word(builder, text)
     parts = []
     for _ in range(rng.randint(1, 4)):
         child = random_expression(builder, rng, depth - 1, max_length)

@@ -9,8 +9,11 @@ code with either:
   past each;
 * ``brute_count`` tests ``startswith`` at every position.
 
-``materialize`` spells a whole word, for the tests that compare against it.
+``materialize`` spells a whole word, for the tests that compare against it,
+and ``word`` builds the expression of an explicit one.
 """
+
+import itertools
 
 from camshift import slp
 
@@ -33,3 +36,9 @@ def brute_count(pattern: str, text: str) -> int:
 def materialize(expr) -> str:
     """The whole word of an ``slp.SlpExpr``."""
     return slp.window(expr, 0, expr.length)
+
+
+def word(builder, text: str):
+    """The ``slp.SlpExpr`` of an explicit word, run-length encoded."""
+    runs = itertools.groupby(text)
+    return builder.concat([(builder.atom(symbol), len(list(run))) for symbol, run in runs])

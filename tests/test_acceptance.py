@@ -37,7 +37,7 @@ def test_criterion_1_level4_build_and_certificates(family4_timed):
     # the chooser's n-1 fails at least one row per level
     for level in (2, 3, 4):
         n = family.params[level - 2]
-        probe = cam1d.certify_candidate(family, n - 1, at_level=level)
+        probe = family._certify(level - 1, n - 1)
         assert probe.failed_rows, f"level {level}: n-1 unexpectedly passes"
     _announce(
         1,

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ from cam1d_oracles import (
     build_by_doubling,
     distinct_factor_counts_automaton,
     empirical_measure_edge,
+    empirical_measure_scan,
     parse_structure_scan,
     report_from_obj_fractions,
 )
@@ -151,8 +153,8 @@ def test_build_certifies_each_candidate_once(build, monkeypatch):
     certify = cam1d.certify_candidate
     reports = []
 
-    def recording(family, n, at_level=None):
-        reports.append(certify(family, n, at_level))
+    def recording(family, n):
+        reports.append(certify(family, n))
         return reports[-1]
 
     monkeypatch.setattr(cam1d, "certify_candidate", recording)
@@ -191,13 +193,44 @@ def test_certification_work_is_flat_in_n(monkeypatch):
 
 def test_choose_parameter_with_no_passing_n():
     class NoPass(cam1d.Hierarchy):
-        dim, levels, certificates = 1, [{}], []
+        def __init__(self):
+            cam1d.Hierarchy.__init__(self, 1, None)
+            self.levels.append({})
 
         def _certify(self, k, n):
             return cam1d.CertificateReport(k + 1, n, [cam1d._row("n<1", (n, 1), (1, 1))])
 
     with refused("^level 2: no parameter passes every row$"):  # a failure, not a budget
         cam1d.choose_parameter(NoPass())
+
+
+def _cells(family, k, name) -> str:
+    """The symbols of a level-k word, in cell order."""
+    if isinstance(family, cam1d.LevelFamily):
+        return family.string(k, name)
+    return "".join(map(str, family.word(k, name).array.reshape(-1)))
+
+
+@pytest.mark.parametrize(
+    "new_family",
+    [cam1d.LevelFamily] + [lambda d=d: camzd.ZdFamily(dim=d) for d in (1, 2, 3)],
+    ids=["d1", "zd1", "zd2", "zd3"],
+)
+def test_rare_table_matches_the_words(new_family):
+    # each side's density words are poor in its rare symbol, made of the
+    # level-1 word of the other one, and their density row counts the rare one
+    family = cam1d.build_levels(new_family(), 2)
+    inherited = list(cam1d._inherited_words(family.eps, 1, family.rare))
+    report = cam1d.certify_candidate(family, family._fit_start(2))
+    for side, rare in family.rare.items():
+        other = "10"[int(rare)]
+        density = _cells(family, 2, f"{side}2")
+        assert density.count(rare) < density.count(other)
+        checked = {name for _, s, _, name, _ in inherited if s == side}
+        (skipped,) = set(cam1d.level_names(1)) - checked
+        assert _cells(family, 1, skipped) == other
+        rows = [r.ident for r in report.rows if r.ident.startswith(f"{side}-density")]
+        assert rows == [f"{side}-density[{rare}]"]
 
 
 @pytest.mark.parametrize(
@@ -234,7 +267,7 @@ def test_fitted_rows_predict_certified_parts(request, fixture, level, params):
     start = family._fit_start(level - 1)
 
     def certify(n):
-        return cam1d.certify_candidate(family, n, at_level=level)
+        return family._certify(level - 1, n)
 
     fitted = cam1d._fit_rows([certify(n) for n in range(start, start + family.dim + 1)], start)
     scale = math.factorial(family.dim)
@@ -294,7 +327,7 @@ def test_choose_parameter_requires_certified_family():
 def test_level3_counts_match_naive(family3):
     n3 = family3.params[1]
     a3a3 = family3.string(3, "a3") * 2
-    report = cam1d.certify_candidate(family3, n3, at_level=3)
+    report = family3._certify(2, n3)
     assert report.passed
     for name in ("w1_2", "w2_2", "b2"):
         row = next(r for r in report.rows if r.ident == f"a-freq[m=2,u={name}]")
@@ -306,9 +339,9 @@ def test_level3_counts_match_naive(family3):
 def test_chooser_boundary_levels(family3):
     for level in (2, 3):
         n = family3.params[level - 2]
-        assert cam1d.certify_candidate(family3, n, at_level=level).passed
+        assert family3._certify(level - 1, n).passed
         if n > 2:
-            assert not cam1d.certify_candidate(family3, n - 1, at_level=level).passed
+            assert not family3._certify(level - 1, n - 1).passed
 
 
 def test_certification_is_pure(family3, monkeypatch):
@@ -324,7 +357,7 @@ def test_certification_is_pure(family3, monkeypatch):
 
     monkeypatch.setattr(cam1d.LevelFamily, "string", recording)
     cam1d.certify_level(family3, 2)
-    cam1d.certify_candidate(family3, family3.params[0], at_level=2)
+    family3._certify(1, family3.params[0])
     assert seen and set(seen) == {3}
     assert family3.levels is levels and family3.top_level == 3
 
@@ -662,6 +695,31 @@ def test_empirical_measure_matches_the_edge_oracle(family4, data):
         cylinder = slp.window(family4.builder.concat([(base, 2)]), start, size)
     expected = empirical_measure_edge(family4, k, side, cylinder)
     assert cam1d.empirical_measure(family4, k, side, cylinder) == expected
+
+
+def _measure_cases(family, k):
+    """Cylinders of lengths around 1, 2 and 3 copies of the level-k base
+    words, read from base^4 at starts across its first copy, and drawn
+    words of those lengths."""
+    rng = random.Random(k)
+    span = family.word_length(k)
+    sizes = {1, 2, span - 1, span, span + 1, span + 2, 2 * span - 1, 2 * span}
+    sizes |= {2 * span + 1, 2 * span + 2, 2 * span + 7, 3 * span + 2}
+    for side in "ab":
+        text = family.string(k, f"{side}{k}") * 4
+        for size in sorted(sizes):
+            for start in {0, 1, span // 2, span - 1}:
+                yield side, text[start : start + size]
+            yield side, "".join(rng.choice("01") for _ in range(size))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_empirical_measure_matches_a_window_scan_at_any_length(family3, k):
+    # the shift average is defined for every length: windows past the
+    # doubled word continue into the next copy of the base
+    for side, cylinder in _measure_cases(family3, k):
+        expected = empirical_measure_scan(family3, k, side, cylinder)
+        assert cam1d.empirical_measure(family3, k, side, cylinder) == expected, len(cylinder)
 
 
 def test_empirical_measure_follows_the_family_symbol_budget(family4):

@@ -179,6 +179,12 @@ def test_measure_command(family_file, capsys):
     assert "side a [0] = 1/9" in out and "side a [1] = 8/9" in out
 
 
+def test_measure_cylinder_longer_than_the_base(family_file, capsys):
+    # a_2 = 0 1^8: the windows of length 10 continue into the next copy
+    code = run("measure", "--family", str(family_file), "--k", "2", "--cylinders", "0111111110")
+    assert (code, capsys.readouterr().out) == (0, "side a [0111111110] = 1/9\n")
+
+
 @pytest.mark.parametrize("cylinders", ["0,,1", "0,1,"])
 def test_measure_bad_cylinder_prints_no_row(family_file, cylinders, capsys):
     # the good cylinders before the empty one print nothing either

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from camshift import slp
 from conftest import random_expression, random_pattern
 from refusal import refused
-from slp_oracles import brute_count, materialize, scan_count
+from slp_oracles import brute_count, materialize, scan_count, word
 
 WORDS = st.text(alphabet="01", min_size=1, max_size=48)
 
@@ -135,7 +135,7 @@ def test_snippet_caches_match_materialization(builder, rng):
 
 
 def test_count_examples(builder):
-    assert builder.count_occurrences("11", builder.word("1110")) == 2
+    assert builder.count_occurrences("11", word(builder, "1110")) == 2
     assert builder.count_occurrences("0", a2_expr(builder)) == 1
 
 
@@ -259,7 +259,7 @@ def test_naive_search_count_is_per_window():
 @settings(max_examples=250, deadline=None)
 def test_compressed_count_matches_naive_on_words(text, pattern):
     builder = slp.SlpBuilder()
-    expr = builder.word(text)
+    expr = word(builder, text)
     assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
 
 
@@ -305,7 +305,7 @@ def runs_and_pattern(draw):
     builder = slp.SlpBuilder()
     reach = draw(st.integers(1, 40))  # L - 1
     texts = st.lists(st.text(alphabet="01", min_size=1, max_size=4), min_size=1, max_size=4)
-    leaves = [builder.word(text) for text in draw(texts)]
+    leaves = [word(builder, text) for text in draw(texts)]
 
     def run(child):
         m = -(-reach // child.length) + 1
@@ -345,7 +345,7 @@ def test_run_regimes_match_oracles(case, data):
 def test_count_across_many_parts(builder):
     # a pattern of 7 symbols over parts of 1-2 symbols crosses up to five parts
     one, zero = builder.atom("1"), builder.atom("0")
-    expr = builder.concat([(zero, 1), (one, 2), (zero, 1), (builder.word("01"), 1), (one, 1)])
+    expr = builder.concat([(zero, 1), (one, 2), (zero, 1), (word(builder, "01"), 1), (one, 1)])
     text = materialize(expr)
     assert text == "0110011"
     for size in range(1, 8):
@@ -370,7 +370,7 @@ def block_sequences_and_pattern(draw):
     ell = draw(st.integers(2, 4))
     q = draw(st.integers(2, 5))
     words = st.text(alphabet="01", min_size=ell, max_size=ell)
-    blocks = [builder.word(text) for text in draw(st.lists(words, min_size=1, max_size=4))]
+    blocks = [word(builder, text) for text in draw(st.lists(words, min_size=1, max_size=4))]
     reps = st.sampled_from([1, 2, q - 1, q, q + 1, 3 * q])
 
     def node(children, max_parts):
@@ -412,7 +412,7 @@ def test_block_names_at_run_edges():
     # chunks, so each offset 0, 1, 2 at each run edge, and runs both
     # shorter and longer than the pattern
     builder = slp.SlpBuilder()
-    x, y, z = builder.word("001"), builder.word("011"), builder.word("000")
+    x, y, z = word(builder, "001"), word(builder, "011"), word(builder, "000")
     mid = builder.concat([(x, 3), (y, 1), (z, 2)])
     expr = builder.concat([(x, 1), (y, 4), (mid, 2), (z, 1), (x, 2), (mid, 1), (y, 3)])
     text = materialize(expr)
@@ -428,7 +428,7 @@ def test_block_names_at_run_edges():
 def test_name_memo_stays_within_its_byte_bound(monkeypatch):
     monkeypatch.setattr(slp, "_JUNCTION_CACHE_BYTES", 300)
     builder = slp.SlpBuilder()
-    x, y = builder.word("001"), builder.word("011")
+    x, y = word(builder, "001"), word(builder, "011")
     mids = [builder.concat([(x, 2 + i), (y, 1), (x, 1)]) for i in range(6)]
     cleared = False
     for size in (6, 9, 12):
@@ -458,7 +458,7 @@ def test_grain_reads_block_length_from_structure(builder):
     assert slp._grain(a3) == 9
     assert slp._grain(builder.concat([(a3, 2), (a2_expr(builder), 5)])) == 9
     # blocks of two lengths: no single grain
-    assert slp._grain(builder.concat([(a3, 1), (builder.word("01"), 1)])) == 0
+    assert slp._grain(builder.concat([(a3, 1), (word(builder, "01"), 1)])) == 0
 
 
 # -- minimal period ----------------------------------------------------------

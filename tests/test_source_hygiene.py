@@ -301,3 +301,79 @@ def test_the_check_sees_a_second_constructor():
         "ONE = ZdWord(1, None, None)\n"
     )
     assert _constructed_in(tree, "ZdWord") == ["<module>", "F._words", "F._wrap"]
+
+
+FAMILY_STATE = {"dim", "eps", "budgets", "levels", "params", "certificates"}
+
+
+def _family_state_writers(trees):
+    """Sorted (class, method) pairs in which a family class (``Hierarchy``
+    or a class that derives from it, in any of ``trees``) assigns one of
+    the shared fields on ``self``."""
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    families, grown = {"Hierarchy"}, True
+    while grown:
+        derived = {
+            c.name
+            for c in classes
+            for base in c.bases
+            if getattr(base, "id", getattr(base, "attr", None)) in families
+        }
+        grown = not derived <= families
+        families |= derived
+    found = set()
+    for cls in classes:
+        if cls.name not in families:
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign):
+                    targets = [t for target in node.targets for t in ast.walk(target)]
+                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                if any(
+                    isinstance(t, ast.Attribute)
+                    and getattr(t.value, "id", None) == "self"
+                    and t.attr in FAMILY_STATE
+                    for t in targets
+                ):
+                    found.add((cls.name, method.name))
+    return sorted(found)
+
+
+def test_one_family_state_constructor():
+    # the state every family shares is set in Hierarchy.__init__ alone; a
+    # family type appends its level-1 words and keeps only its own fields
+    assert _family_state_writers([_parse(path) for path in SOURCES]) == [("Hierarchy", "__init__")]
+
+
+def test_the_check_sees_a_second_state_writer():
+    tree = ast.parse(
+        "class Hierarchy:\n"
+        "    def __init__(self, dim):\n"
+        "        self.dim, self.eps = dim, None\n"
+        "class F(Hierarchy):\n"
+        "    def __init__(self):\n"
+        "        self.levels: list = []\n"
+        "        self.builder = None\n"
+        "    def grow(self):\n"
+        "        self.params += [1]\n"
+        "        self.levels.append({})\n"
+        "class G(F):\n"
+        "    def load(self, other):\n"
+        "        (self.budgets, x) = (1, 2)\n"
+        "        other.certificates = []\n"
+        "class Grid:\n"
+        "    def __init__(self):\n"
+        "        self.dim = 2\n"
+    )
+    assert _family_state_writers([tree]) == [
+        ("F", "__init__"),
+        ("F", "grow"),
+        ("G", "load"),
+        ("Hierarchy", "__init__"),
+    ]
