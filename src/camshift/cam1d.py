@@ -21,21 +21,26 @@ which holds the state every family shares, and supplies ``rare``, the
 symbol each side's density words are poor in, ``_words(k, n)``, the
 candidate words of level k+1 at parameter n, ``_certify(k, n)``, their
 certificate report, ``_fit_start(k)``, the layout threshold from which
-that report's rows are polynomials in n, and ``_words_to_obj()``, the file
-fields that store its words.  Everything else exists once and serves both
-dimensions: :func:`build_level`, :func:`certify_level`,
-:func:`certify_candidate`, the parameter solver
+that report's rows are polynomials in n, ``_words_to_obj()``, the file
+fields that store its words, and ``_pair_counts(k)``, the pair scan's
+counts.  The commands call its ``window``, ``measure``, ``parse`` and
+``complexity``, and the type refuses those it does not define, so no
+command asks for the dimension.  Everything else exists once and serves
+every dimension: :func:`new_family`, the one place that picks the family
+type from d, :func:`build_family`, :func:`build_level`,
+:func:`certify_level`, :func:`certify_candidate`, the parameter solver
 (:func:`choose_parameter`), the build loop (:func:`build_levels`), the
-file writer (:func:`family_to_obj`) and the rebuild-and-compare loader
-(:func:`load_family`).  The eps-tail rows, the inherited-word loop, the
-frequency and period-gap row formulas (written for dimension d, so d = 1
-gives the one-dimensional denominators) and the pair-scan skeleton are
-shared too.  ``_words`` and ``_certify`` are pure functions of the prefix
-level k and the parameter n: they read levels 1..k of a family and never
-change its levels.  Every limit they meet (symbols or cells materialized)
-is a field of the family's :class:`Budgets`; this module checks
-each 1-d materialization against ``symbols``, and ``slp`` counts only the
-patterns materialized here.
+file writer (:func:`family_to_obj`), the rebuild-and-compare loader
+(:func:`family_from_obj`) and the pair scan
+(:func:`verify_distinct_subwords`).  The eps-tail rows, the
+inherited-word loop and the frequency and period-gap row formulas
+(written for dimension d, so d = 1 gives the one-dimensional
+denominators) are shared too.  ``_words`` and ``_certify`` are pure
+functions of the prefix level k and the parameter n: they read levels
+1..k of a family and never change its levels.  Every limit they meet
+(symbols or cells materialized) is a field of the family's
+:class:`Budgets`; this module checks each 1-d materialization against
+``symbols``, and ``slp`` counts only the patterns materialized here.
 
 The solver rests on one fact: all level-k words share one size, so an
 occurrence of an inherited word meets at most 2^d level-k blocks, and every
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -241,10 +247,15 @@ class Hierarchy:
     calls ``Hierarchy.__init__`` and appends its level-1 words.  It supplies
     ``rare`` (per side, the symbol that side's density words are poor in),
     ``_words(k, n)`` (the words of level k+1 at parameter n, from levels
-    1..k), ``_certify(k, n)`` (their :class:`CertificateReport`) and
-    ``_words_to_obj()`` (the file fields that store its words), and
-    overrides ``_fit_start(k)`` where its rows become polynomials in n later
-    than n = 2; the level driver and the file form need nothing else.
+    1..k), ``_certify(k, n)`` (their :class:`CertificateReport`),
+    ``_words_to_obj()`` (the file fields that store its words) and
+    ``_pair_counts(k)`` (the pair scan's counts), and overrides
+    ``_fit_start(k)`` where its rows become polynomials in n later than
+    n = 2; the level driver, the file form and the pair scan need nothing
+    else.  The commands call four more methods of each type:
+    ``window(starts, sides)``, ``measure(k, side, cylinders)``,
+    ``parse(k, start, blocks)`` and ``complexity(n_max, window_length)``;
+    a type refuses a command or an option it does not define.
     """
 
     rare: dict
@@ -283,6 +294,11 @@ class Hierarchy:
         polynomial in n; no smaller n passes.  In one dimension every
         parameter n > 1 qualifies."""
         return 2
+
+    def _check_measure_level(self, k: int):
+        """Measures are defined for the built levels from 2 on."""
+        if not 2 <= k <= self.top_level:
+            raise CamshiftError(f"measure is defined for levels 2..{self.top_level}, got {k}")
 
 
 class LevelFamily(Hierarchy):
@@ -422,6 +438,45 @@ class LevelFamily(Hierarchy):
             count = builder.count_occurrences(symbol, density[side])
             report.rows.append(_row(f"{side}-density[{symbol}]", (count, len_next), prefix))
         return report
+
+    def _pair_counts(self, k: int) -> dict | None:
+        """(u, v) -> occurrences of u in vv for the distinct level-k words,
+        counted compressed (from level 3 on, on level-2 block names); None
+        when a doubled word exceeds the symbol budget."""
+        names = self.names(k)
+        if 2 * self.word_length(k) > self.budgets.symbols:
+            return None
+        strings = {name: self.string(k, name) for name in names}
+        doubles = {name: self.builder.concat([(self.word(k, name), 2)]) for name in names}
+        count = self.builder.count_occurrences
+        return {(u, v): count(strings[u], doubles[v]) for v in names for u in names if u != v}
+
+    # -- the commands ----------------------------------------------------
+
+    def window(self, starts: list, sides: list) -> str:
+        """The line of the ``sides[0]`` symbols of the transitive point from ``starts[0]`` on."""
+        if len(starts) != 1 or len(sides) != 1:
+            raise CamshiftError("window must have one start and one length")
+        return transitive_point_window(self, starts[0], sides[0]) + "\n"
+
+    def measure(self, k: int, side: str | None, cylinders: list | None) -> tuple:
+        """The printed lines and the rows of the cylinder measures at level k
+        on side a (the default), b or both, of ``cylinders`` (default 0 and
+        1).  Every cylinder is measured before any line is returned, so a bad
+        one prints nothing."""
+        sides = ["a", "b"] if side == "both" else [side or "a"]
+        rows = [
+            {"side": s, "cylinder": c, "value": frac_str(empirical_measure(self, k, s, c))}
+            for s in sides
+            for c in (["0", "1"] if cylinders is None else cylinders)
+        ]
+        return [f"side {r['side']} [{r['cylinder']}] = {r['value']}" for r in rows], rows
+
+    def parse(self, k: int, start: int, blocks: int) -> StructureParse:
+        return parse_structure(self, k, start, blocks)
+
+    def complexity(self, n_max: int, window_length: int) -> ComplexityProfile:
+        return complexity_profile(self, n_max, window_length)
 
 
 # -- the level driver (any dimension) -----------------------------------------
@@ -653,10 +708,21 @@ def build_levels(family: Hierarchy, levels: int) -> Hierarchy:
     return family
 
 
-def build_family(levels: int, budgets: Budgets | None = None) -> LevelFamily:
-    """Build and certify a family through the requested level, each
-    parameter auto-chosen."""
-    return build_levels(LevelFamily(budgets=budgets), levels)
+def new_family(dim: int, budgets: Budgets | None = None) -> Hierarchy:
+    """An empty family of dimension ``dim``: a :class:`LevelFamily` for
+    d = 1, a ``camzd.ZdFamily`` above.  The one place outside ``camzd``
+    that imports it, here and only then, as ``camzd`` imports this module."""
+    if dim == 1:
+        return LevelFamily(budgets)
+    from .camzd import ZdFamily
+
+    return ZdFamily(dim, budgets)
+
+
+def build_family(levels: int, budgets: Budgets | None = None, dim: int = 1) -> Hierarchy:
+    """Build and certify a family of dimension ``dim`` through the requested
+    level, each parameter auto-chosen."""
+    return build_levels(new_family(dim, budgets), levels)
 
 
 # -- distinct-subword checks ------------------------------------------------
@@ -688,38 +754,21 @@ class SubwordReport:
         return [p for p in self.pairs if p.count not in (None, 0)]
 
 
-def _pair_report(k: int, names: list, count) -> SubwordReport:
-    """Check every ordered pair of distinct level-k words u, v.
-
-    ``count(u, v)`` gives the occurrences of u inside vv; when ``count`` is
-    None every pair is reported as certified-by-inequalities.
-    """
-    tasks = [(u, v) for v in names for u in names if u != v]
-    if count is None:
-        pairs = [PairCheck(u, v, "certified-by-inequalities", None) for u, v in tasks]
-    else:
-        pairs = [PairCheck(u, v, "verified", count(u, v)) for u, v in tasks]
-    return SubwordReport(level=k, pairs=pairs)
-
-
-def verify_distinct_subwords(family: LevelFamily, k: int) -> SubwordReport:
+def verify_distinct_subwords(family: Hierarchy, k: int) -> SubwordReport:
     """Count every level-k word u in the doubled word vv of every other v.
 
-    The counts are compressed (``SlpBuilder.count_occurrences``): from
-    level 3 on, the words are sequences of level-2 blocks and are compared
-    on their block names.  Pairs whose doubled word exceeds the symbol
-    budget are reported as certified-by-inequalities, never silently
-    dropped.
+    The family type counts (``_pair_counts``).  When a doubled word exceeds
+    its budget every pair is reported as certified-by-inequalities, never
+    silently dropped.
     """
+    counts = family._pair_counts(k)
     names = family.names(k)
-    if 2 * family.word_length(k) > family.budgets.symbols:
-        return _pair_report(k, names, None)
-    builder = family.builder
-    strings = {name: family.string(k, name) for name in names}
-    doubles = {name: builder.concat([(family.word(k, name), 2)]) for name in names}
-    return _pair_report(
-        k, names, lambda u, v: builder.count_occurrences(strings[u], doubles[v])
-    )
+    tasks = [(u, v) for v in names for u in names if u != v]
+    if counts is None:
+        pairs = [PairCheck(u, v, "certified-by-inequalities", None) for u, v in tasks]
+    else:
+        pairs = [PairCheck(u, v, "verified", counts[u, v]) for u, v in tasks]
+    return SubwordReport(level=k, pairs=pairs)
 
 
 # -- the transitive point --------------------------------------------------
@@ -840,12 +889,6 @@ def parse_structure(family: LevelFamily, k: int, start: int, num_blocks: int) ->
 # -- empirical measures ------------------------------------------------------
 
 
-def _check_measure_level(family: Hierarchy, k: int):
-    """Measures are defined for the built levels from 2 on."""
-    if not 2 <= k <= family.top_level:
-        raise CamshiftError(f"measure is defined for levels 2..{family.top_level}, got {k}")
-
-
 def empirical_measure(family: LevelFamily, k: int, side: str, cylinder: str) -> Fraction:
     """Exact shift-average frequency of a cylinder word along the level-k orbit
     segment of the transitive point (side "a") or its mirror (side "b").
@@ -862,7 +905,7 @@ def empirical_measure(family: LevelFamily, k: int, side: str, cylinder: str) -> 
         raise CamshiftError("side must be 'a' or 'b'")
     if not cylinder:
         raise CamshiftError("cylinder word must be nonempty")
-    _check_measure_level(family, k)
+    family._check_measure_level(k)
     base = family.a(k) if side == "a" else family.b(k)
     span = base.length
     if len(cylinder) > family.budgets.symbols:
@@ -894,7 +937,7 @@ def measure_report(family: LevelFamily, k_max: int | None = None) -> list:
     if k_max is None:
         k_max = family.top_level
     else:
-        _check_measure_level(family, k_max)
+        family._check_measure_level(k_max)
     third = Fraction(1, 3)
     rows = []
     for k in range(2, k_max + 1):
@@ -1083,6 +1126,18 @@ def complexity_profile(family: LevelFamily, n_max: int, window_length: int) -> C
 # -- serialization -------------------------------------------------------------
 
 
+def canonical_json(obj) -> str:
+    """The one JSON text of every file and report: sorted keys, no spaces, a newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def frac_str(x: Fraction | None) -> str:
+    """A fraction as the commands print it, "p/q"; "" for none."""
+    if x is None:
+        return ""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def _fraction_obj(x: Fraction | None):
     if x is None:
         return None
@@ -1195,19 +1250,22 @@ def family_to_obj(family: Hierarchy) -> dict:
     }
 
 
-def load_family(obj, new_family) -> Hierarchy:
-    """Rebuild a family from its file form and check it against the file.
+def family_from_obj(obj, budgets: Budgets | None = None) -> Hierarchy:
+    """Rebuild a family of any dimension from its file form and check it
+    against the file.
 
-    ``new_family(dim)`` checks the stored dimension and returns an empty
-    family of its type.  The levels are rebuilt from ``params``, every
-    stored certificate must be the one of its level and parameter, and
-    every field of ``family._words_to_obj()`` must equal the stored one, so
-    a file cannot store words its parameters do not build.  Any malformed
-    field is MalformedFamily, and so is any parameter the builder refuses:
-    every CamshiftError met here but a budget's becomes MalformedFamily.
+    The stored ``dim`` picks the family type (:func:`new_family`).  The
+    levels are rebuilt from ``params``, every stored certificate must be the
+    one of its level and parameter, and every field of
+    ``family._words_to_obj()`` must equal the stored one, so a file cannot
+    store words its parameters do not build.  Any malformed field is
+    MalformedFamily, and so is any parameter the builder refuses: every
+    CamshiftError met here but a budget's becomes MalformedFamily.
     """
+    if not isinstance(obj, dict) or "dim" not in obj:
+        raise MalformedFamily("not a family file: no dim field")
     try:
-        family = new_family(_json_int(obj["dim"], "dim"))
+        family = new_family(_json_int(obj["dim"], "dim"), budgets)
         levels = _json_int(obj["K"], "K")
         params = _params_from_obj(obj)
         _check_scheme(obj)
@@ -1224,15 +1282,3 @@ def load_family(obj, new_family) -> Hierarchy:
         raise
     except (CamshiftError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedFamily(f"malformed family file: {exc}") from exc
-
-
-def family_from_obj(obj, budgets: Budgets | None = None) -> LevelFamily:
-    """Rebuild a one-dimensional family; its node table and level roots must
-    match the words its parameters build."""
-
-    def new_family(dim):
-        if dim != 1:
-            raise MalformedFamily("not a one-dimensional family file")
-        return LevelFamily(budgets=budgets)
-
-    return load_family(obj, new_family)

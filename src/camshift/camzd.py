@@ -38,20 +38,25 @@ it maps the rare cells into themselves, a test that reads only those
 cells.  The candidates are filtered at a few rare cells, and the rest
 tested by cosets of the span found so far.  All of it is exact.
 
-The level driver lives once in :mod:`camshift.cam1d` and serves both
-dimensions: building, certifying, the parameter solver, the build loop,
-the file writer and the rebuild-and-compare loader, with the level
-accessors, the eps-tail rows, the inherited-word loop, the frequency and
-period-gap row formulas and the pair-scan skeleton, and the state every
-family shares.  :class:`ZdFamily` supplies only the symbol each side's
-density words are poor in (``rare``), its candidate words (``_words``),
-its report (``_certify``), the postcard margin from which the report's
-rows are polynomials in n (``_fit_start``) and its words' file form
-(``_words_to_obj``).  This module keeps the cube words, their numpy
-counting and the rows only the d-dimensional certificate has (the stamp
-fit and the side-length variants); ``build_level_d`` and
-``certify_candidate_d`` are the shared functions under their
-d-dimensional names.
+The level driver lives once in :mod:`camshift.cam1d` and serves every
+dimension: the builder and the loader (``build_family`` and
+``family_from_obj``, which pick the family type from d), certifying, the
+parameter solver, the build loop, the file writer and the pair scan, with
+the level accessors, the eps-tail rows, the inherited-word loop, the
+frequency and period-gap row formulas, and the state every family shares.
+:class:`ZdFamily` supplies only the symbol each side's density words are
+poor in (``rare``), its candidate words (``_words``), its report
+(``_certify``), the postcard margin from which the report's rows are
+polynomials in n (``_fit_start``), its words' file form
+(``_words_to_obj``) and its pair counts (``_pair_counts``); and, for the
+commands, the configuration window (``window``, one JSON line) and the
+deviant-symbol measures (``measure``), refusing ``parse``,
+``complexity`` and the one-dimensional measure options.  This module
+keeps the cube words, their numpy counting and the rows only the
+d-dimensional certificate has (the stamp fit and the side-length
+variants).  ``build_family_d``, ``build_level_d`` and
+``certify_candidate_d`` are one-line aliases of the shared functions,
+kept only for the benchmark, which calls them by these names.
 """
 
 from __future__ import annotations
@@ -68,23 +73,21 @@ from .cam1d import (
     CertificateReport,
     CertRow,
     Hierarchy,
-    SubwordReport,
-    _check_measure_level,
     _eps_tail_rows,
     _frequency_row,
     _inherited_words,
-    _pair_report,
     _period_gap_row,
     _ratio,
     _row,
     _unverifiable,
+    build_family,
     build_level,
-    build_levels,
+    canonical_json,
     certify_candidate,
+    frac_str,
     level_names,
-    load_family,
 )
-from .errors import BudgetExceeded, CamshiftError, MalformedFamily
+from .errors import BudgetExceeded, CamshiftError
 
 __all__ = [
     "ArrayWord",
@@ -98,9 +101,6 @@ __all__ = [
     "build_level_d",
     "certify_candidate_d",
     "build_family_d",
-    "verify_distinct_subwords_d",
-    "transitive_config_window",
-    "measure_report_d",
 ]
 
 ArrayWord = np.ndarray  # d-dimensional uint8 array over {0, 1}
@@ -692,6 +692,89 @@ class ZdFamily(Hierarchy):
             report.rows.append(_row(f"{side}-density[{symbol}]", (count, vol_next), prefix))
         return report
 
+    def _pair_counts(self, k: int) -> dict | None:
+        """(u, v) -> placements of u in the doubled v for the distinct
+        level-k words; None when a doubled word exceeds the cell budget.
+
+        The words share one shape: each is packed once as a pattern, and
+        each doubled word once as the text of all the others.
+        """
+        names = self.names(k)
+        if 2**self.dim * self.volume(k) > self.budgets.cells:
+            return None
+        # under the budget, every word keeps its array
+        arrays = {name: self.word(k, name).array for name in names}
+        packed = {name: _pack_pattern(arr) for name, arr in arrays.items()}
+        counts = {}
+        for v in names:
+            others = [u for u in names if u != v]
+            doubled = np.tile(arrays[v], (2,) * self.dim)
+            found = _count_patterns([packed[u] for u in others], doubled)
+            counts.update(((u, v), c) for u, c in zip(others, found))
+        return counts
+
+    # -- the commands ----------------------------------------------------
+
+    def window(self, starts: list, sides: list) -> str:
+        """The transitive configuration on the rectangle of ``sides`` from
+        ``starts``, as a line of canonical JSON (the array's file form).
+
+        The configuration restricted to the cube (1-S .. S)^d, S the top
+        side, equals the doubled top density word; coordinates recenter at
+        the origin.  The rectangle is sliced from the tiled base, and the
+        stamps that meet it are copied in.
+        """
+        if self.top_level < 2:
+            raise CamshiftError("family has no built level >= 2")
+        if len(starts) != self.dim or len(sides) != self.dim or any(s < 1 for s in sides):
+            raise CamshiftError("rectangle must have d starts and d positive sides")
+        top = self.top_level
+        span = self.side(top)
+        for lo, size in zip(starts, sides):
+            if lo <= -span or lo + size - 1 > span:
+                raise CamshiftError(
+                    f"rectangle [{lo}, {lo + size - 1}] outside built range ({-span}, {span}]"
+                )
+        if math.prod(sides) > self.budgets.cells:
+            raise BudgetExceeded("rectangle exceeds the cell budget")
+        word = self.word(top, f"a{top}").patchwork
+        cells = _doubled_window(word, tuple(lo + span - 1 for lo in starts), sides)
+        return canonical_json(array_to_obj(cells))
+
+    def measure(self, k: int, side: str | None, cylinders: list | None) -> tuple:
+        """The printed lines and the rows of the deviant-symbol frequencies
+        per level 2..k and the gap between the sides' origin cylinders [0]."""
+        if cylinders is not None or side is not None:
+            raise CamshiftError("--cylinders and --side are defined for one-dimensional families")
+        self._check_measure_level(k)
+        rows = []
+        for m in range(2, k + 1):
+            vol = self.volume(m)
+            ones_a, ones_b = (_ones(self.word(m, f"{s}{m}").patchwork) for s in "ab")
+            a_one, b_zero = Fraction(ones_a, vol), Fraction(vol - ones_b, vol)
+            gap = abs(1 - a_one - b_zero)  # freq(0|a) - freq(0|b)
+            rows.append(
+                {
+                    "level": m,
+                    "freq(1|a)": frac_str(a_one),
+                    "freq(0|b)": frac_str(b_zero),
+                    "gap": frac_str(gap),
+                    "gap>1/3": gap > Fraction(1, 3),
+                }
+            )
+        lines = [
+            f"level {row['level']}: "
+            + " ".join(f"{key}={value}" for key, value in row.items() if key != "level")
+            for row in rows
+        ]
+        return lines, rows
+
+    def parse(self, k: int, start: int, blocks: int):
+        raise CamshiftError("parse is defined for one-dimensional families")
+
+    def complexity(self, n_max: int, window_length: int):
+        raise CamshiftError("complexity is defined for one-dimensional families")
+
 
 def _stamp_count(k: int) -> int:
     """Stamps on a level-(k+1) postcard: the deviant cell at level 2, else
@@ -699,113 +782,10 @@ def _stamp_count(k: int) -> int:
     return 1 if k == 1 else 2 * k
 
 
+# the shared driver under the names the benchmark calls (see the module docstring)
 build_level_d = build_level
 certify_candidate_d = certify_candidate
-
-
-def build_family_d(dim: int, levels: int, budgets: Budgets | None = None) -> ZdFamily:
-    """Build and certify a d-dimensional family through the requested level."""
-    return build_levels(ZdFamily(dim=dim, budgets=budgets), levels)
-
-
-def verify_distinct_subwords_d(family: ZdFamily, k: int) -> SubwordReport:
-    """Scan ordered distinct level-k pairs (u, v) for u inside the doubled v.
-
-    Pairs whose doubled word exceeds the cell budget are reported as
-    certified-by-inequalities.
-    """
-    cell_cap = family.budgets.cells
-    names = family.names(k)
-    arrays = {name: family.word(k, name).array for name in names}
-    d = family.dim
-    scannable = all(a is not None for a in arrays.values()) and (
-        2**d * family.volume(k) <= cell_cap
-    )
-    if not scannable:
-        return _pair_report(k, names, None)
-    # the words share one shape: each is packed once as a pattern, and each
-    # doubled word once as the text of all the others
-    packed = {name: _pack_pattern(arr) for name, arr in arrays.items()}
-    counts = {}
-    for v in names:
-        others = [u for u in names if u != v]
-        found = _count_patterns([packed[u] for u in others], np.tile(arrays[v], (2,) * d))
-        counts.update(((u, v), c) for u, c in zip(others, found))
-    return _pair_report(k, names, lambda u, v: counts[u, v])
-
-
-def transitive_config_window(family: ZdFamily, starts, sides) -> ArrayWord:
-    """Restriction of the transitive configuration to a rectangle.
-
-    The configuration restricted to the cube (1-S .. S)^d, S the top side,
-    equals the doubled top density word; coordinates recenter at the origin.
-    The rectangle is sliced from the tiled base, and the stamps that meet
-    it are copied in.
-    """
-    if family.top_level < 2:
-        raise CamshiftError("family has no built level >= 2")
-    d = family.dim
-    starts = tuple(int(x) for x in starts)
-    sides = tuple(int(x) for x in sides)
-    if len(starts) != d or len(sides) != d or any(s < 1 for s in sides):
-        raise CamshiftError("rectangle must have d starts and d positive sides")
-    top = family.top_level
-    span = family.side(top)
-    for lo, size in zip(starts, sides):
-        if lo <= -span or lo + size - 1 > span:
-            raise CamshiftError(
-                f"rectangle [{lo}, {lo + size - 1}] outside built range ({-span}, {span}]"
-            )
-    cells = math.prod(sides)
-    if cells > family.budgets.cells:
-        raise BudgetExceeded("rectangle exceeds the cell budget")
-    word = family.word(top, f"a{top}").patchwork
-    return _doubled_window(word, tuple(lo + span - 1 for lo in starts), sides)
-
-
-@dataclass
-class MeasureRowD:
-    level: int
-    a_one: Fraction       # frequency of symbol 1 in the a-side word
-    b_zero: Fraction      # frequency of symbol 0 in the b-side word
-    origin_zero_a: Fraction
-    origin_zero_b: Fraction
-    gap: Fraction
-    eps_bound: Fraction
-    a_one_below_bound: bool
-    b_zero_below_bound: bool
-    gap_above_third: bool
-
-
-def measure_report_d(family: ZdFamily, k_max: int) -> list:
-    """Deviant-symbol frequencies per level 2..k_max plus the origin-cylinder gap."""
-    _check_measure_level(family, k_max)
-    rows = []
-    third = Fraction(1, 3)
-    for k in range(2, k_max + 1):
-        vol = family.volume(k)
-        ones_a, ones_b = (_ones(family.word(k, name).patchwork) for name in (f"a{k}", f"b{k}"))
-        a_one = Fraction(ones_a, vol)
-        b_zero = Fraction(vol - ones_b, vol)
-        origin_a = Fraction(vol - ones_a, vol)
-        origin_b = b_zero
-        gap = abs(origin_a - origin_b)
-        bound = family.eps.partial(1, k - 1)
-        rows.append(
-            MeasureRowD(
-                level=k,
-                a_one=a_one,
-                b_zero=b_zero,
-                origin_zero_a=origin_a,
-                origin_zero_b=origin_b,
-                gap=gap,
-                eps_bound=bound,
-                a_one_below_bound=a_one < bound,
-                b_zero_below_bound=b_zero < bound,
-                gap_above_third=gap > third,
-            )
-        )
-    return rows
+build_family_d = build_family
 
 
 # -- serialization -----------------------------------------------------------
@@ -828,15 +808,3 @@ def patchwork_to_obj(p: PatchworkExpr) -> dict:
             for anchor, stamp in p.patches
         ],
     }
-
-
-def family_from_obj_d(obj, budgets: Budgets | None = None) -> ZdFamily:
-    """Rebuild a d-dimensional family; its level words must match the words
-    its parameters build."""
-
-    def new_family(dim):
-        if dim < 1:
-            raise MalformedFamily("bad dimension")
-        return ZdFamily(dim=dim, budgets=budgets)
-
-    return load_family(obj, new_family)

@@ -4,7 +4,10 @@ Subcommands: build, certify, verify, window, parse, measure, complexity,
 and sft {qn, perron, embed}.  Families are stored as canonical JSON and all
 reports are emitted as JSON or CSV with big integers as decimal strings.
 Runs are deterministic: the same configuration produces byte-identical
-family files and certificate reports.
+family files and certificate reports.  This module parses arguments and
+prints: ``cam1d`` builds and loads a family of any dimension, and a
+command calls the family's own methods, which refuse what its type does
+not define, so no command asks for the dimension.
 
 Exit codes: 0 success; 2 certification failure or violated property (also
 usage errors); 3 budget exhaustion; 4 malformed family file.  Each error
@@ -21,9 +24,9 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
-from . import cam1d, camzd, sft
+from . import cam1d, sft
+from .cam1d import canonical_json
 from .budgets import budgets_from_env
 from .errors import BudgetExceeded, CamshiftError, MalformedFamily
 
@@ -31,16 +34,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_BUDGET = 3
 EXIT_MALFORMED = 4
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _frac_str(x: Fraction | None) -> str:
-    if x is None:
-        return ""
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _load_family(path: str):
@@ -52,12 +45,7 @@ def _load_family(path: str):
             obj = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedFamily(f"cannot read family file {path}: {exc}") from exc
-    if not isinstance(obj, dict) or "dim" not in obj:
-        raise MalformedFamily(f"{path} is not a family file")
-    # each loader checks that dim is a JSON integer
-    if obj["dim"] == 1:
-        return cam1d.family_from_obj(obj, budgets=budgets)
-    return camzd.family_from_obj_d(obj, budgets=budgets)
+    return cam1d.family_from_obj(obj, budgets=budgets)
 
 
 def _write_out(text: str, out: str | None):
@@ -86,9 +74,9 @@ def _reports_csv(reports) -> str:
                     str(report.level),
                     str(report.param),
                     row.ident,
-                    _frac_str(row.lhs),
-                    _frac_str(row.rhs),
-                    _frac_str(row.margin),
+                    cam1d.frac_str(row.lhs),
+                    cam1d.frac_str(row.rhs),
+                    cam1d.frac_str(row.margin),
                     row.status,
                     row.note,
                 ]
@@ -106,11 +94,7 @@ def _reports_payload(reports, fmt: str) -> str:
 
 
 def cmd_build(args) -> int:
-    budgets = budgets_from_env()
-    if args.dim == 1:
-        family = cam1d.build_family(levels=args.levels, budgets=budgets)
-    else:
-        family = camzd.build_family_d(dim=args.dim, levels=args.levels, budgets=budgets)
+    family = cam1d.build_family(levels=args.levels, budgets=budgets_from_env(), dim=args.dim)
     _write_out(canonical_json(cam1d.family_to_obj(family)), args.out)
     for report in family.certificates:
         checked = [r for r in report.rows if r.status != "info"]
@@ -119,7 +103,9 @@ def cmd_build(args) -> int:
             f"{'pass' if report.passed else 'FAIL'}"
         )
         binding = report.binding
-        row = f"{binding.ident}, margin {_frac_str(binding.margin)}" if binding else "none (n=2)"
+        row = (
+            f"{binding.ident}, margin {cam1d.frac_str(binding.margin)}" if binding else "none (n=2)"
+        )
         print(f"level {report.level}: binding row {row}", file=sys.stderr)
     print(f"family written to {args.out}")
     return EXIT_OK if family.is_certified() else EXIT_VIOLATION
@@ -135,10 +121,7 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     family = _load_family(args.family)
-    verify = (
-        cam1d.verify_distinct_subwords if family.dim == 1 else camzd.verify_distinct_subwords_d
-    )
-    report = verify(family, args.level)
+    report = cam1d.verify_distinct_subwords(family, args.level)
     occurrences = sum(p.count or 0 for p in report.pairs)
     print(
         f"{len(report.pairs)} pairs, {occurrences} occurrences "
@@ -149,22 +132,15 @@ def cmd_verify(args) -> int:
 
 def cmd_window(args) -> int:
     family = _load_family(args.family)
-    if family.dim == 1:
-        start, size = _int(args.start, "--start"), _int(args.len, "--len")
-        print(cam1d.transitive_point_window(family, start, size))
-    else:
-        starts = [_int(x, "--start") for x in args.start.split(",")]
-        sides = [_int(x, "--len") for x in args.len.split(",")]
-        arr = camzd.transitive_config_window(family, starts, sides)
-        print(canonical_json(camzd.array_to_obj(arr)), end="")
+    starts = [_int(x, "--start") for x in args.start.split(",")]
+    sides = [_int(x, "--len") for x in args.len.split(",")]
+    sys.stdout.write(family.window(starts, sides))
     return EXIT_OK
 
 
 def cmd_parse(args) -> int:
     family = _load_family(args.family)
-    if family.dim != 1:
-        raise CamshiftError("parse is defined for one-dimensional families")
-    result = cam1d.parse_structure(family, args.level, args.start, args.blocks)
+    result = family.parse(args.level, args.start, args.blocks)
     print("blocks:", " ".join(result.blocks))
     print("pairs:", " ".join(result.pair_kinds))
     for violation in result.violations:
@@ -175,48 +151,17 @@ def cmd_parse(args) -> int:
 
 def cmd_measure(args) -> int:
     family = _load_family(args.family)
-    if family.dim == 1:
-        sides = ["a", "b"] if args.side == "both" else [args.side or "a"]
-        cylinders = ("0,1" if args.cylinders is None else args.cylinders).split(",")
-        # every cylinder is measured before any row is printed, so a bad one
-        # exits with nothing on stdout
-        rows = [
-            {
-                "side": side,
-                "cylinder": cylinder,
-                "value": _frac_str(cam1d.empirical_measure(family, args.k, side, cylinder)),
-            }
-            for side in sides
-            for cylinder in cylinders
-        ]
-        for row in rows:
-            print(f"side {row['side']} [{row['cylinder']}] = {row['value']}")
-    else:
-        if args.cylinders is not None or args.side is not None:
-            raise CamshiftError("--cylinders and --side are defined for one-dimensional families")
-        rows = [
-            {
-                "level": row.level,
-                "freq(1|a)": _frac_str(row.a_one),
-                "freq(0|b)": _frac_str(row.b_zero),
-                "gap": _frac_str(row.gap),
-                "gap>1/3": row.gap_above_third,
-            }
-            for row in camzd.measure_report_d(family, args.k)
-        ]
-        for row in rows:
-            fields = " ".join(f"{key}={value}" for key, value in row.items() if key != "level")
-            print(f"level {row['level']}: {fields}")
+    cylinders = None if args.cylinders is None else args.cylinders.split(",")
+    lines, rows = family.measure(args.k, args.side, cylinders)
+    for line in lines:
+        print(line)
     if args.out is not None:
         _write_out(canonical_json(rows), args.out)
     return EXIT_OK
 
 
 def cmd_complexity(args) -> int:
-    family = _load_family(args.family)
-    if family.dim != 1:
-        raise CamshiftError("complexity is defined for one-dimensional families")
-    profile = cam1d.complexity_profile(family, args.n_max, args.window_len)
+    profile = _load_family(args.family).complexity(args.n_max, args.window_len)
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, quoting=csv.QUOTE_ALL)
@@ -275,8 +220,8 @@ def _sft_payload(args, matrix) -> dict:
     if args.sft_cmd == "perron":
         result = sft.perron_eigenvalue(matrix)
         return {
-            "lower": _frac_str(result.lower),
-            "upper": _frac_str(result.upper),
+            "lower": cam1d.frac_str(result.lower),
+            "upper": cam1d.frac_str(result.upper),
             "iterations": result.iterations,
             "primitive": result.primitive,
         }
@@ -335,8 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("window", help="extract a window of the transitive point")
     p.add_argument("--family", required=True)
-    p.add_argument("--start", required=True)
-    p.add_argument("--len", required=True)
+    p.add_argument(
+        "--start",
+        required=True,
+        help="the window's first cell, one coordinate per axis, comma-separated; "
+        "a negative first coordinate needs the = form: --start=-3,1,2",
+    )
+    p.add_argument(
+        "--len", required=True, help="its positive length on each axis, comma-separated"
+    )
     p.set_defaults(func=cmd_window)
 
     p = sub.add_parser("parse", help="parse an aligned window into level words")

@@ -6,7 +6,7 @@
 
 Every other condition raises ``CamshiftError`` with a message naming it.  A
 family file whose parameters the builder refuses is malformed:
-``cam1d.load_family`` turns any ``CamshiftError`` met while rebuilding a
+``cam1d.family_from_obj`` turns any ``CamshiftError`` met while rebuilding a
 file into ``MalformedFamily``.
 """
 

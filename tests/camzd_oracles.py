@@ -8,7 +8,7 @@ certificate counted in the built doubled density words and the transitive
 configuration read cell by cell.  The tests compare
 ``camzd.count_occurrences_d``, ``camzd.period_lattice``,
 ``camzd.postcard``, ``PatchworkExpr.to_array``, the block-grid certifier
-and ``camzd.transitive_config_window`` against them.
+and ``ZdFamily.window`` against them.
 """
 
 import math

@@ -128,7 +128,7 @@ def test_criterion_6_d2_build_and_layouts(family_d2, family_d2_structural3):
                 assert not seg.any()
 
     # level-2 distinct-pair scans
-    report = camzd.verify_distinct_subwords_d(family_d2, 2)
+    report = cam1d.verify_distinct_subwords(family_d2, 2)
     assert len(report.pairs) == 12
     assert all(p.count == 0 for p in report.pairs)
 
@@ -144,7 +144,7 @@ def test_criterion_6_d2_build_and_layouts(family_d2, family_d2_structural3):
     assert fam3.volume(3) <= 100_000_000
     anchors = [tuple(a + 1 for a in anchor) for anchor, _ in fam3.word(3, "a3").patchwork.patches]
     assert anchors == [(3, 3), (5, 3), (7, 3), (9, 3)]
-    report3 = camzd.verify_distinct_subwords_d(fam3, 3)
+    report3 = cam1d.verify_distinct_subwords(fam3, 3)
     assert len(report3.pairs) == 30 and all(p.count == 0 for p in report3.pairs)
     _announce(6, "d=2: n2=6 certified, figure layouts match, scans zero, sandwich exact")
 

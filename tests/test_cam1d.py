@@ -439,11 +439,11 @@ def test_certificate_counts_match_scan_of_doubled_words(params):
             assert row.parts[0] == scan_count(pattern, text), row.ident
 
 
-def test_junction_work_of_a_level4_build_and_verify(monkeypatch):
-    # the compressed counter's work, pinned: text scans and their bytes,
-    # junction name tables built, and block-name counts with their memo
-    # misses.  A junction's names are built once per (junction, q), so a
-    # counter without that memo builds more tables
+@pytest.fixture()
+def junction_work(monkeypatch):
+    """The compressed counter's work as it goes: text scans and their bytes,
+    junction name tables built, and block-name counts with their memo
+    misses."""
     work = Counter()
     naive, junction = slp.count_occurrences_naive, slp._junction
     name_count, keep = slp.SlpBuilder._name_count, slp.SlpBuilder._keep
@@ -470,6 +470,13 @@ def test_junction_work_of_a_level4_build_and_verify(monkeypatch):
     monkeypatch.setattr(slp, "_junction", building)
     monkeypatch.setattr(slp.SlpBuilder, "_name_count", counting)
     monkeypatch.setattr(slp.SlpBuilder, "_keep", keeping)
+    return work
+
+
+def test_junction_work_of_a_level4_build_and_verify(junction_work):
+    # pinned: a junction's names are built once per (junction, q), so a
+    # counter without that memo builds more tables
+    work = junction_work
     family = cam1d.build_family(levels=4)
     assert family.params == [8, 979, 4738998107]
     assert work == {
@@ -485,6 +492,23 @@ def test_junction_work_of_a_level4_build_and_verify(monkeypatch):
     for k in (2, 3):
         cam1d.verify_distinct_subwords(family, k)
     assert work == {"junctions": 4, "name counts": 30, "name count misses": 20}
+
+
+def test_junction_work_of_a_loaded_level4_verify(family4, junction_work):
+    # the loader rebuilds the words without counting, and the pair scans on
+    # its fresh builder meet every seam anew: the same 30 name counts as on
+    # the built family, with 6 junction tables and all 30 counts misses
+    loaded = cam1d.family_from_obj(json.loads(json.dumps(cam1d.family_to_obj(family4))))
+    assert junction_work == {}
+    for k in (2, 3):
+        cam1d.verify_distinct_subwords(loaded, k)
+    assert junction_work == {
+        "text scans": 24,
+        "text bytes": 300,
+        "junctions": 6,
+        "name counts": 30,
+        "name count misses": 30,
+    }
 
 
 def test_level4_build_scans_no_text_for_a_level3_word(monkeypatch):

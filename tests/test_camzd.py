@@ -543,7 +543,7 @@ def test_pair_scan_packs_each_word_once(family_d2, monkeypatch):
         return pack(arr, width)
 
     monkeypatch.setattr(camzd, "_pack", recording)
-    report = camzd.verify_distinct_subwords_d(family_d2, 2)
+    report = cam1d.verify_distinct_subwords(family_d2, 2)
     assert len(report.pairs) == 12
     # four words as patterns, four doubled words as texts
     assert sorted(packed) == [(6, 6)] * 4 + [(12, 12)] * 4
@@ -559,7 +559,7 @@ def test_pair_scan_counts_every_pair():
     family = camzd.ZdFamily(dim=2)
     names = cam1d.level_names(2)
     family.levels.append({n: camzd.ZdWord(4, a, None) for n, a in zip(names, arrays)})
-    report = camzd.verify_distinct_subwords_d(family, 2)
+    report = cam1d.verify_distinct_subwords(family, 2)
     words = dict(zip(names, arrays))
     for pair in report.pairs:
         text = np.tile(words[pair.v], (2, 2))
@@ -721,10 +721,11 @@ def test_certification_is_pure_d(family_d2, monkeypatch):
 
 
 def test_d1_family_level3():
-    family = camzd.build_family_d(dim=1, levels=3)
+    # the d-dimensional construction at d = 1 (build_family builds LevelFamily there)
+    family = cam1d.build_levels(camzd.ZdFamily(dim=1), 3)
     assert family.params[0] == 9  # smallest n with 1/n < 1/8 and n >= 6
     assert family.is_certified()
-    report = camzd.verify_distinct_subwords_d(family, 3)
+    report = cam1d.verify_distinct_subwords(family, 3)
     assert len(report.pairs) == 30 and not report.violations
     # stamp layout of the level-3 postcard: first-axis blocks 3, 5, 7, 9
     anchors = [anchor[0] + 1 for anchor, _ in family.word(3, "a3").patchwork.patches]
@@ -732,13 +733,13 @@ def test_d1_family_level3():
 
 
 def test_d2_level2_pair_scans(family_d2):
-    report = camzd.verify_distinct_subwords_d(family_d2, 2)
+    report = cam1d.verify_distinct_subwords(family_d2, 2)
     assert len(report.pairs) == 12
     assert all(p.status == "verified" and p.count == 0 for p in report.pairs)
 
 
 def test_d2_structural_level3_scans(family_d2_structural3):
-    report = camzd.verify_distinct_subwords_d(family_d2_structural3, 3)
+    report = cam1d.verify_distinct_subwords(family_d2_structural3, 3)
     assert len(report.pairs) == 30
     assert all(p.status == "verified" and p.count == 0 for p in report.pairs)
 
@@ -760,18 +761,25 @@ def test_build_level_rejects_invalid():
 # -- transitive configuration -----------------------------------------------------------
 
 
+def window_cells(family, starts, sides):
+    """The cells of the window the family prints as a JSON array object."""
+    obj = json.loads(family.window(starts, sides))
+    assert obj["dim"] == family.dim
+    return np.array([int(c) for c in obj["data"]], dtype=np.uint8).reshape(obj["sides"])
+
+
 def test_transitive_config_full_cube(family_d2):
     side = family_d2.side(2)
-    full = camzd.transitive_config_window(family_d2, (1 - side, 1 - side), (2 * side, 2 * side))
+    full = window_cells(family_d2, (1 - side, 1 - side), (2 * side, 2 * side))
     doubled = self_concat(family_d2.word(2, "a2").array, 2)
     assert np.array_equal(full, doubled)
 
 
 def test_transitive_config_corner_is_base(family_d2_structural3):
     n = family_d2_structural3.side(2)
-    corner = camzd.transitive_config_window(family_d2_structural3, (1, 1), (n, n))
+    corner = window_cells(family_d2_structural3, (1, 1), (n, n))
     assert np.array_equal(corner, family_d2_structural3.word(2, "a2").array)
-    mirror = camzd.transitive_config_window(family_d2_structural3, (1 - n, 1 - n), (n, n))
+    mirror = window_cells(family_d2_structural3, (1 - n, 1 - n), (n, n))
     assert np.array_equal(mirror, family_d2_structural3.word(2, "a2").array)
 
 
@@ -797,38 +805,42 @@ def test_transitive_config_matches_cell_by_cell(family_d2_structural3):
                 corner = rng.integers(0, 2 * span, size=d)
             corner = np.clip(corner, 0, 2 * span - np.array(sides))
             starts = tuple(int(c) - span + 1 for c in corner)
-            got = camzd.transitive_config_window(family, starts, sides)
+            got = window_cells(family, starts, sides)
             assert np.array_equal(got, transitive_config_window_cells(family, starts, sides))
 
 
 def test_transitive_config_out_of_range(family_d2):
     side = family_d2.side(2)
     with refused(r"rectangle \[\d+, \d+\] outside built range"):
-        camzd.transitive_config_window(family_d2, (side, side), (2, 2))
+        family_d2.window((side, side), (2, 2))
 
 
 # -- measures -----------------------------------------------------------------------------
 
 
 def test_measure_report_d2(family_d2):
-    rows = camzd.measure_report_d(family_d2, 2)
+    lines, rows = family_d2.measure(2, None, None)
+    assert lines == ["level 2: freq(1|a)=1/36 freq(0|b)=1/36 gap=17/18 gap>1/3=True"]
     row = rows[0]
-    assert row.a_one == Fraction(1, 36)
-    assert row.eps_bound == Fraction(1, 24)
-    assert row.a_one_below_bound and row.b_zero_below_bound
-    assert row.a_one + Fraction(int((family_d2.word(2, "a2").array == 0).sum()), 36) == 1
-    assert row.gap_above_third
+    a_one = Fraction(row["freq(1|a)"])
+    assert a_one == Fraction(1, 36)
+    # both deviant-symbol frequencies below the eps prefix sum 1/24
+    assert a_one < family_d2.eps.partial(1, 1) == Fraction(1, 24)
+    assert Fraction(row["freq(0|b)"]) < Fraction(1, 24)
+    assert a_one + Fraction(int((family_d2.word(2, "a2").array == 0).sum()), 36) == 1
+    assert row["gap>1/3"]
 
 
 def test_measure_report_d_matches_arrays(family_d2_structural3):
-    rows = camzd.measure_report_d(family_d2_structural3, 3)
-    assert [row.level for row in rows] == [2, 3]
+    _, rows = family_d2_structural3.measure(3, None, None)
+    assert [row["level"] for row in rows] == [2, 3]
     for row in rows:
-        a = family_d2_structural3.word(row.level, f"a{row.level}").array
-        b = family_d2_structural3.word(row.level, f"b{row.level}").array
-        assert row.a_one == Fraction(int(a.sum()), a.size)
-        assert row.b_zero == row.origin_zero_b == Fraction(int((b == 0).sum()), b.size)
-        assert row.origin_zero_a == Fraction(int((a == 0).sum()), a.size)
+        k = row["level"]
+        a, b = (family_d2_structural3.word(k, f"{side}{k}").array for side in "ab")
+        a_zero, b_zero = (Fraction(int((w == 0).sum()), w.size) for w in (a, b))
+        assert Fraction(row["freq(1|a)"]) == Fraction(int(a.sum()), a.size)
+        assert Fraction(row["freq(0|b)"]) == b_zero
+        assert Fraction(row["gap"]) == abs(a_zero - b_zero)
 
 
 # -- serialization --------------------------------------------------------------------------
@@ -837,7 +849,7 @@ def test_measure_report_d_matches_arrays(family_d2_structural3):
 def test_family_d_round_trip(family_d2):
     obj = cam1d.family_to_obj(family_d2)
     data = json.loads(json.dumps(obj))
-    loaded = camzd.family_from_obj_d(data)
+    loaded = cam1d.family_from_obj(data)
     assert loaded.params == family_d2.params
     assert cam1d.family_to_obj(loaded) == obj
 
@@ -846,7 +858,7 @@ def test_family_d_rejects_tampering(family_d2):
     data = json.loads(json.dumps(cam1d.family_to_obj(family_d2)))
     data["levels"][1]["words"]["a2"]["array"]["data"] = "0" * 36
     with pytest.raises(MalformedFamily):
-        camzd.family_from_obj_d(data)
+        cam1d.family_from_obj(data)
 
 
 def test_family_d_checks_certificate_rows(family_d2):
@@ -855,4 +867,4 @@ def test_family_d_checks_certificate_rows(family_d2):
     assert row["status"] == "pass"
     row["lhs"] = {"num": "1", "den": "1"}
     with pytest.raises(MalformedFamily):
-        camzd.family_from_obj_d(data)
+        cam1d.family_from_obj(data)

@@ -4,8 +4,10 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,6 +17,8 @@ from refusal import refused
 
 from camshift import cam1d, cli, sft
 from camshift.budgets import Budgets, budgets_from_env
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
@@ -278,6 +282,107 @@ def test_measure_level_out_of_range(family_file, k):
     # level 1 is built, but has no measure
     code, err = _run_quiet("measure", "--family", str(family_file), "--k", k)
     assert (code, err) == (2, f"error: measure is defined for levels 2..3, got {k}\n")
+
+
+def test_window_start_help_names_the_equals_form(family_d2_file, monkeypatch, capsys):
+    # argparse reads a separate "-3,1,2" as an option, not as the value of --start
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        run("window", "--help")
+    assert "--start=-3,1,2" in capsys.readouterr().out
+    assert run("window", "--family", str(family_d2_file), "--start=-2,1", "--len", "2,2") == 0
+    assert capsys.readouterr().out == '{"data":"0000","dim":2,"sides":[2,2]}\n'
+
+
+def test_one_dimensional_runs_never_load_camzd(tmp_path):
+    # the driver imports camzd only for a family of d > 1
+    script = (
+        "import sys\n"
+        "from camshift import cli\n"
+        "one, two = sys.argv[1:]\n"
+        "runs = [\n"
+        "    ['build', '--dim', '1', '--levels', '3', '--out', one],\n"
+        "    ['certify', '--family', one],\n"
+        "    ['verify', '--family', one, '--level', '3'],\n"
+        "    ['window', '--family', one, '--start', '-8', '--len', '9'],\n"
+        "    ['measure', '--family', one, '--k', '2'],\n"
+        "]\n"
+        "codes = [cli.main(argv) for argv in runs]\n"
+        "seen = ['camshift.camzd' in sys.modules]\n"
+        "codes.append(cli.main(['build', '--dim', '2', '--levels', '2', '--out', two]))\n"
+        "print(codes, seen + ['camshift.camzd' in sys.modules])\n"
+    )
+    paths = [str(tmp_path / "one.json"), str(tmp_path / "two.json")]
+    path = os.pathsep.join([str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *paths],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    # and the check sees camzd once a d = 2 family is built
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] [False, True]"
+
+
+# (argv after --family, exit code, stdout, stderr) on the level-2 families
+# of d = 3 and 4, which only `build` reaches otherwise: each command is
+# answered or refused by the family type, byte for byte
+REFUSALS = [
+    (("measure", "--k", "3"), 2, "", "error: measure is defined for levels 2..2, got 3\n"),
+    (("measure", "--k", "2", "--side", "a"), 2, "",
+     "error: --cylinders and --side are defined for one-dimensional families\n"),
+    (("measure", "--k", "2", "--cylinders", "0"), 2, "",
+     "error: --cylinders and --side are defined for one-dimensional families\n"),
+    (("parse", "--level", "2", "--start", "1", "--blocks", "2"), 2, "",
+     "error: parse is defined for one-dimensional families\n"),
+    (("complexity", "--n-max", "2", "--window-len", "10"), 2, "",
+     "error: complexity is defined for one-dimensional families\n"),
+    (("window", "--start=-2,1", "--len", "2,2"), 2, "",
+     "error: rectangle must have d starts and d positive sides\n"),
+]
+HIGHER_DIMENSION_RUNS = {
+    3: [
+        (("verify", "--level", "1"), 0,
+         "2 pairs, 0 occurrences (2 scanned, 0 certified-by-inequalities)\n", ""),
+        (("verify", "--level", "2"), 0,
+         "12 pairs, 0 occurrences (12 scanned, 0 certified-by-inequalities)\n", ""),
+        (("window", "--start", "2,2,2", "--len", "2,2,2"), 0,
+         '{"data":"00000001","dim":3,"sides":[2,2,2]}\n', ""),
+        (("window", "--start=-3,2,2", "--len", "2,2,2"), 0,
+         '{"data":"00010000","dim":3,"sides":[2,2,2]}\n', ""),
+        (("window", "--start", "6,6,6", "--len", "2,2,2"), 2, "",
+         "error: rectangle [6, 7] outside built range (-6, 6]\n"),
+        (("measure", "--k", "2"), 0,
+         "level 2: freq(1|a)=1/216 freq(0|b)=1/216 gap=107/108 gap>1/3=True\n", ""),
+    ]
+    + REFUSALS,
+    4: [
+        (("verify", "--level", "1"), 0,
+         "2 pairs, 0 occurrences (2 scanned, 0 certified-by-inequalities)\n", ""),
+        (("verify", "--level", "2"), 0,
+         "12 pairs, 0 occurrences (12 scanned, 0 certified-by-inequalities)\n", ""),
+        (("window", "--start", "2,2,2,2", "--len", "2,2,2,2"), 0,
+         '{"data":"0000000000000001","dim":4,"sides":[2,2,2,2]}\n', ""),
+        (("window", "--start=-3,2,2,2", "--len", "2,2,2,2"), 0,
+         '{"data":"0000000100000000","dim":4,"sides":[2,2,2,2]}\n', ""),
+        (("window", "--start", "6,6,6,6", "--len", "2,2,2,2"), 2, "",
+         "error: rectangle [6, 7] outside built range (-6, 6]\n"),
+        (("measure", "--k", "2"), 0,
+         "level 2: freq(1|a)=1/1296 freq(0|b)=1/1296 gap=647/648 gap>1/3=True\n", ""),
+    ]
+    + REFUSALS,
+}
+
+
+@pytest.mark.parametrize("dim", sorted(HIGHER_DIMENSION_RUNS))
+def test_commands_on_higher_dimensions(dim, tmp_path, capsys):
+    path = tmp_path / f"d{dim}.json"
+    assert run("build", "--dim", str(dim), "--levels", "2", "--out", str(path)) == 0
+    capsys.readouterr()
+    for argv, code, out, err in HIGHER_DIMENSION_RUNS[dim]:
+        assert run(argv[0], "--family", str(path), *argv[1:]) == code, argv
+        assert capsys.readouterr() == (out, err), argv
 
 
 def test_window_d2(family_d2_file, capsys):

@@ -377,3 +377,62 @@ def test_the_check_sees_a_second_state_writer():
         ("G", "load"),
         ("Hierarchy", "__init__"),
     ]
+
+
+def _dimension_uses(tree):
+    """Sorted lines that import or name ``camzd``, or name ``dim`` (a name,
+    an attribute, a keyword or a string), but for two: ``args.dim`` passed
+    as the ``dim=`` keyword of a ``build_family`` call, and ``matrix.dim``."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "build_family":
+            for keyword in node.keywords:
+                value = keyword.value
+                if keyword.arg == "dim" and getattr(value, "attr", None) == "dim":
+                    if getattr(value.value, "id", None) == "args":
+                        allowed |= {id(keyword), id(value)}
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "matrix":
+            allowed.add(id(node))
+    lines = set()
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            names = []
+        if (
+            any("camzd" in name for name in names)
+            or isinstance(node, ast.Name) and node.id in ("dim", "camzd")
+            or isinstance(node, ast.Attribute) and node.attr in ("dim", "camzd")
+            or isinstance(node, ast.keyword) and node.arg == "dim"
+            or isinstance(node, ast.Constant) and node.value == "dim"
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_cli_never_asks_for_a_dimension():
+    # a command calls the family contract; the family type, picked from dim
+    # by cam1d.new_family alone, answers or refuses
+    assert _dimension_uses(_parse(ROOT / "src" / "camshift" / "cli.py")) == []
+
+
+def test_the_check_sees_a_dimension_use():
+    tree = ast.parse(
+        "from . import cam1d, camzd\n"
+        "from .camzd import ZdFamily\n"
+        "import camshift.camzd\n"
+        "family = cam1d.build_family(levels=2, dim=args.dim)\n"
+        "family = cam1d.build_family(levels=2, dim=2)\n"
+        "other = cam1d.build_family(levels=2, dim=other.dim)\n"
+        "if family.dim == 1:\n"
+        "    pass\n"
+        "n = matrix.dim * obj['dim']\n"
+        "dim = 3\n"
+        "camzd.window(family)\n"
+        "family.window()\n"
+    )
+    assert _dimension_uses(tree) == [1, 2, 3, 5, 6, 7, 9, 10, 11]
