@@ -7,40 +7,12 @@ level-k word E = (2k+1)n + 2k times to make the periodic words, and builds
 the density words by interleaving runs a_k^n (resp. b_k^n) with the other
 level-k words, so all level-(k+1) words share one length.
 
-Each parameter is chosen as the smallest integer for which the certifier
-passes: every inherited word u of level m must occur in the doubled density
-word with frequency below (eps_m + ... + eps_k) / (|u| (2|u|-1)), the
-length ratio |a_k|/|a_{k+1}| must clear a bound driven by the minimal
-period of a_k a_k, and the single-symbol densities stay below the running
-eps prefix sum.  All inequality arithmetic is exact (Fraction); floats
-appear nowhere in certification.
-
-This module also holds the level driver for any dimension.  A family type
-(:class:`LevelFamily` here, ``camzd.ZdFamily``) is a :class:`Hierarchy`,
-which holds the state every family shares, and supplies ``rare``, the
-symbol each side's density words are poor in, ``_words(k, n)``, the
-candidate words of level k+1 at parameter n, ``_certify(k, n)``, their
-certificate report, ``_fit_start(k)``, the layout threshold from which
-that report's rows are polynomials in n, ``_words_to_obj()``, the file
-fields that store its words, and ``_pair_counts(k)``, the pair scan's
-counts.  The commands call its ``window``, ``measure``, ``parse`` and
-``complexity``, and the type refuses those it does not define, so no
-command asks for the dimension.  Everything else exists once and serves
-every dimension: :func:`new_family`, the one place that picks the family
-type from d, :func:`build_family`, :func:`build_level`,
-:func:`certify_level`, :func:`certify_candidate`, the parameter solver
-(:func:`choose_parameter`), the build loop (:func:`build_levels`), the
-file writer (:func:`family_to_obj`), the rebuild-and-compare loader
-(:func:`family_from_obj`) and the pair scan
-(:func:`verify_distinct_subwords`).  The eps-tail rows, the
-inherited-word loop and the frequency and period-gap row formulas
-(written for dimension d, so d = 1 gives the one-dimensional
-denominators) are shared too.  ``_words`` and ``_certify`` are pure
-functions of the prefix level k and the parameter n: they read levels
-1..k of a family and never change its levels.  Every limit they meet
-(symbols or cells materialized) is a field of the family's
-:class:`Budgets`; this module checks each 1-d materialization against
-``symbols``, and ``slp`` counts only the patterns materialized here.
+Each parameter is the smallest n at which the certificate of
+:mod:`camshift.hierarchy`, where the family contract is stated, passes.
+This module also holds the level driver, which serves every family type
+through that contract: the type picker :func:`new_family`, building,
+certifying, the parameter solver (:func:`choose_parameter`), the file
+form and the pair scan.
 
 The solver rests on one fact: all level-k words share one size, so an
 occurrence of an inherited word meets at most 2^d level-k blocks, and every
@@ -60,9 +32,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -70,142 +41,20 @@ import numpy as np
 from . import sft, slp
 from .budgets import Budgets
 from .errors import BudgetExceeded, CamshiftError, MalformedFamily
-
-EPS_SCHEME = "half-geometric4"
-
-
-@dataclass(frozen=True)
-class FrequencySequence:
-    """Summable per-level weights eps_k with closed-form geometric tails.
-
-    The one scheme (named EPS_SCHEME in family files) is
-    eps_k = (1/2) * 3^-(dim-1) * 4^-k, whose tail
-    sum_{n>=N} eps_n = (2/3) * 3^-(dim-1) * 4^-N is strictly below
-    3^-(dim+N-1) for every N >= 1.
-    """
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise CamshiftError("dimension must be >= 1")
-
-    def value(self, k: int) -> Fraction:
-        if k < 1:
-            raise CamshiftError("frequency index must be >= 1")
-        return Fraction(1, 2) * Fraction(1, 3 ** (self.dim - 1)) * Fraction(1, 4**k)
-
-    def tail(self, start: int) -> Fraction:
-        """Exact value of sum_{n >= start} eps_n."""
-        return Fraction(2, 3) * Fraction(1, 3 ** (self.dim - 1)) * Fraction(1, 4**start)
-
-    def tail_bound(self, start: int) -> Fraction:
-        return Fraction(1, 3 ** (self.dim + start - 1))
-
-    def partial(self, lo: int, hi: int) -> Fraction:
-        return sum((self.value(j) for j in range(lo, hi + 1)), Fraction(0))
-
-
-@dataclass
-class CertRow:
-    ident: str
-    lhs: Fraction | None
-    rhs: Fraction | None
-    status: str  # "pass" | "fail" | "unverifiable" | "info"
-    note: str = ""
-    # (lhs numerator, lhs denominator, rhs numerator, rhs denominator) as
-    # certified, unreduced, denominators positive: each is a polynomial in
-    # the level parameter n, which the parameter solver fits; never stored
-    parts: tuple | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def margin(self) -> Fraction | None:
-        if self.lhs is None or self.rhs is None:
-            return None
-        return self.rhs - self.lhs
-
-
-def _row(ident: str, lhs: tuple, rhs: tuple) -> CertRow:
-    """The row lhs < rhs, each side an integer (numerator, denominator) pair."""
-    left, right = Fraction(*lhs), Fraction(*rhs)
-    return CertRow(ident, left, right, "pass" if left < right else "fail", parts=lhs + rhs)
-
-
-def _ratio(x: Fraction) -> tuple:
-    return x.numerator, x.denominator
-
-
-def _unverifiable(ident: str, note: str) -> CertRow:
-    return CertRow(ident=ident, lhs=None, rhs=None, status="unverifiable", note=note)
-
-
-def _eps_tail_rows(eps: FrequencySequence, new_level: int) -> list:
-    """Closed-form tail bounds of the weight scheme, up to the new level."""
-    return [
-        _row(f"eps-tail[N={m}]", _ratio(eps.tail(m)), _ratio(eps.tail_bound(m)))
-        for m in range(1, new_level + 1)
-    ]
-
-
-def _inherited_words(eps: FrequencySequence, k: int, rare: dict):
-    """(ident, side, m, name, bound) for each inherited word of level m <= k
-    checked on one side, with bound = eps_m + ... + eps_k.
-
-    A side's density words are poor in its symbol ``rare[side]``: they are
-    made of the level-1 word of the other symbol, and of a_m or b_m above
-    level 1, and that word is not checked.
-    """
-    for m in range(1, k + 1):
-        bound = eps.partial(m, k)
-        for side, symbol in rare.items():
-            skip = level_names(1)[1 - int(symbol)] if m == 1 else f"{side}{m}"
-            for name in level_names(m):
-                if name != skip:
-                    yield f"{side}-freq[m={m},u={name}]", side, m, name, bound
-
-
-def _frequency_row(ident, count: int, size: int, size_next: int, bound: Fraction, dim: int):
-    """Row for a word u of ``size`` cells found ``count`` times in the doubled
-    next density word (2^dim copies of ``size_next`` cells).
-
-    Its frequency must stay below bound / (size (2 size - 1)^dim).
-    """
-    rhs = (bound.numerator, bound.denominator * size * (2 * size - 1) ** dim)
-    return _row(ident, (count, 2**dim * size_next), rhs)
-
-
-def _period_gap_row(k: int, period: int, size_k: int, size_next: int) -> CertRow:
-    """|a_k| / |a_(k+1)| below 1/((4k-2) p_k) - 1/(3^k |a_k|), sizes in cells."""
-    gap, scale = (4 * k - 2) * period, 3**k * size_k
-    return _row("period-gap", (size_k, size_next), (scale - gap, gap * scale))
-
-
-@dataclass
-class CertificateReport:
-    level: int
-    param: int
-    rows: list = field(default_factory=list)
-    # the row whose pass set starts last, set by the parameter solver; never stored
-    binding: CertRow | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.status == "pass" for r in self.rows if r.status != "info")
-
-    @property
-    def failed_rows(self) -> list:
-        return [r for r in self.rows if r.status == "fail"]
-
-    @property
-    def unverifiable_rows(self) -> list:
-        return [r for r in self.rows if r.status == "unverifiable"]
-
-
-def level_names(k: int) -> list[str]:
-    """Canonical word names of level k: periodic words first, then a, b."""
-    if k == 1:
-        return ["w1_1", "w2_1"]
-    return [f"w{i}_{k}" for i in range(1, 2 * k - 1)] + [f"a{k}", f"b{k}"]
+from .hierarchy import (
+    EPS_SCHEME,
+    CertificateReport,
+    CertRow,
+    Hierarchy,
+    eps_tail_rows,
+    frac_str,
+    frequency_row,
+    inherited_words,
+    period_gap_row,
+    ratio,
+    row,
+    unverifiable,
+)
 
 
 def _json_int(value, what: str) -> int:
@@ -237,68 +86,6 @@ def _params_from_obj(obj) -> list:
 def _check_scheme(obj):
     if obj["eps_scheme"] != EPS_SCHEME:
         raise MalformedFamily(f"unknown frequency scheme {obj['eps_scheme']!r}")
-
-
-class Hierarchy:
-    """Level state and accessors shared by the one- and d-dimensional families.
-
-    ``levels[k - 1]`` maps the names of level k to its words; ``params`` and
-    ``certificates`` hold one entry per level above the first.  A subclass
-    calls ``Hierarchy.__init__`` and appends its level-1 words.  It supplies
-    ``rare`` (per side, the symbol that side's density words are poor in),
-    ``_words(k, n)`` (the words of level k+1 at parameter n, from levels
-    1..k), ``_certify(k, n)`` (their :class:`CertificateReport`),
-    ``_words_to_obj()`` (the file fields that store its words) and
-    ``_pair_counts(k)`` (the pair scan's counts), and overrides
-    ``_fit_start(k)`` where its rows become polynomials in n later than
-    n = 2; the level driver, the file form and the pair scan need nothing
-    else.  The commands call four more methods of each type:
-    ``window(starts, sides)``, ``measure(k, side, cylinders)``,
-    ``parse(k, start, blocks)`` and ``complexity(n_max, window_length)``;
-    a type refuses a command or an option it does not define.
-    """
-
-    rare: dict
-
-    def __init__(self, dim: int, budgets: Budgets | None):
-        self.eps = FrequencySequence(dim)
-        self.dim = dim
-        self.budgets = budgets or Budgets()
-        self.levels: list[dict] = []
-        self.params: list[int] = []
-        self.certificates: list[CertificateReport] = []
-
-    @property
-    def top_level(self) -> int:
-        return len(self.levels)
-
-    def names(self, k: int) -> list[str]:
-        self._check_level(k)
-        return level_names(k)
-
-    def word(self, k: int, name: str):
-        self._check_level(k)
-        return self.levels[k - 1][name]
-
-    def _check_level(self, k: int):
-        if k < 1 or k > self.top_level:
-            raise CamshiftError(f"level {k} not built (levels 1..{self.top_level})")
-
-    def is_certified(self) -> bool:
-        return len(self.certificates) == self.top_level - 1 and all(
-            c.passed for c in self.certificates
-        )
-
-    def _fit_start(self, k: int) -> int:
-        """Smallest n from which every row of ``_certify(k, n)`` is a
-        polynomial in n; no smaller n passes.  In one dimension every
-        parameter n > 1 qualifies."""
-        return 2
-
-    def _check_measure_level(self, k: int):
-        """Measures are defined for the built levels from 2 on."""
-        if not 2 <= k <= self.top_level:
-            raise CamshiftError(f"measure is defined for levels 2..{self.top_level}, got {k}")
 
 
 class LevelFamily(Hierarchy):
@@ -410,33 +197,33 @@ class LevelFamily(Hierarchy):
         len_next = density["a"].length
         doubled = {side: builder.concat([(word, 2)]) for side, word in density.items()}
         report = CertificateReport(level=new_level, param=n)
-        report.rows += _eps_tail_rows(self.eps, new_level)
+        report.rows += eps_tail_rows(self.eps, new_level)
 
-        for ident, side, m, name, bound in _inherited_words(self.eps, k, self.rare):
+        for ident, side, m, name, bound in inherited_words(self.eps, k, self.rare):
             u = self.string(m, name)
             if u is None:
                 report.rows.append(
-                    _unverifiable(ident, "unverifiable at budget: word exceeds symbol budget")
+                    unverifiable(ident, "unverifiable at budget: word exceeds symbol budget")
                 )
                 continue
             count = builder.count_occurrences(u, doubled[side])
-            report.rows.append(_frequency_row(ident, count, len(u), len_next, bound, dim=1))
+            report.rows.append(frequency_row(ident, count, len(u), len_next, bound, dim=1))
 
         if k >= 2:
             p_k = self.period(k)
             if p_k is None:
                 report.rows.append(
-                    _unverifiable(
+                    unverifiable(
                         "period-gap", "unverifiable at budget: a_k a_k exceeds symbol budget"
                     )
                 )
             else:
-                report.rows.append(_period_gap_row(k, p_k, self.word_length(k), len_next))
+                report.rows.append(period_gap_row(k, p_k, self.word_length(k), len_next))
 
-        prefix = _ratio(self.eps.partial(1, k))
+        prefix = ratio(self.eps.partial(1, k))
         for side, symbol in self.rare.items():
             count = builder.count_occurrences(symbol, density[side])
-            report.rows.append(_row(f"{side}-density[{symbol}]", (count, len_next), prefix))
+            report.rows.append(row(f"{side}-density[{symbol}]", (count, len_next), prefix))
         return report
 
     def _pair_counts(self, k: int) -> dict | None:
@@ -588,12 +375,12 @@ def _root_ceilings(p) -> set:
             return set()
         s = math.isqrt(disc)
         return {-((b - e) // (2 * a)) for e in (s, s + 1, -s, -s - 1)}
-    seq = sft._sturm_sequence(p[::-1])
+    seq = sft.sturm_sequence(p[::-1])
     bound = 2 + max(abs(c) for c in p[:-1]) // abs(p[-1])
     found, stack = set(), [(-bound - 1, bound)]
     while stack:
         lo, hi = stack.pop()
-        if sft._roots_above(seq, lo) == sft._roots_above(seq, hi):
+        if sft.roots_above(seq, lo) == sft.roots_above(seq, hi):
             continue
         if hi - lo == 1:
             found.add(hi)
@@ -1126,18 +913,6 @@ def complexity_profile(family: LevelFamily, n_max: int, window_length: int) -> C
 # -- serialization -------------------------------------------------------------
 
 
-def canonical_json(obj) -> str:
-    """The one JSON text of every file and report: sorted keys, no spaces, a newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def frac_str(x: Fraction | None) -> str:
-    """A fraction as the commands print it, "p/q"; "" for none."""
-    if x is None:
-        return ""
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _fraction_obj(x: Fraction | None):
     if x is None:
         return None
@@ -1196,15 +971,15 @@ def report_from_obj(obj) -> CertificateReport:
         level=_json_int(obj["level"], "certificate level"),
         param=_decimal(obj["param"], "certificate param"),
     )
-    for row in obj["rows"]:
-        ident = _json_str(row["id"], "row id")
-        status = _json_str(row["status"], f"row {ident} status")
-        note = _json_str(row.get("note", ""), f"row {ident} note")
+    for stored in obj["rows"]:
+        ident = _json_str(stored["id"], "row id")
+        status = _json_str(stored["status"], f"row {ident} status")
+        note = _json_str(stored.get("note", ""), f"row {ident} note")
         if status not in ("pass", "fail", "unverifiable", "info"):
             raise MalformedFamily(f"row {ident}: unknown status {status!r}")
-        lhs = _stored_ratio(row["lhs"], f"row {ident} lhs")
-        rhs = _stored_ratio(row["rhs"], f"row {ident} rhs")
-        margin = _stored_ratio(row["margin"], f"row {ident} margin")
+        lhs = _stored_ratio(stored["lhs"], f"row {ident} lhs")
+        rhs = _stored_ratio(stored["rhs"], f"row {ident} rhs")
+        margin = _stored_ratio(stored["margin"], f"row {ident} margin")
         decided = status in ("pass", "fail")
         if lhs is None or rhs is None:
             if decided:

@@ -38,25 +38,14 @@ it maps the rare cells into themselves, a test that reads only those
 cells.  The candidates are filtered at a few rare cells, and the rest
 tested by cosets of the span found so far.  All of it is exact.
 
-The level driver lives once in :mod:`camshift.cam1d` and serves every
-dimension: the builder and the loader (``build_family`` and
-``family_from_obj``, which pick the family type from d), certifying, the
-parameter solver, the build loop, the file writer and the pair scan, with
-the level accessors, the eps-tail rows, the inherited-word loop, the
-frequency and period-gap row formulas, and the state every family shares.
-:class:`ZdFamily` supplies only the symbol each side's density words are
-poor in (``rare``), its candidate words (``_words``), its report
-(``_certify``), the postcard margin from which the report's rows are
-polynomials in n (``_fit_start``), its words' file form
-(``_words_to_obj``) and its pair counts (``_pair_counts``); and, for the
-commands, the configuration window (``window``, one JSON line) and the
-deviant-symbol measures (``measure``), refusing ``parse``,
-``complexity`` and the one-dimensional measure options.  This module
-keeps the cube words, their numpy counting and the rows only the
-d-dimensional certificate has (the stamp fit and the side-length
-variants).  ``build_family_d``, ``build_level_d`` and
-``certify_candidate_d`` are one-line aliases of the shared functions,
-kept only for the benchmark, which calls them by these names.
+:class:`ZdFamily` keeps the family contract of :mod:`camshift.hierarchy`,
+and the level driver of :mod:`camshift.cam1d` builds, certifies, loads and
+pair-scans it.  This module keeps the cube words, their numpy counting,
+the certificate rows only d > 1 has (the stamp fit and the side-length
+variants) and the commands ``window`` and ``measure``.
+``build_family_d``, ``build_level_d`` and ``certify_candidate_d`` are
+one-line aliases of the shared functions, kept only for the benchmark,
+which calls them by these names.
 """
 
 from __future__ import annotations
@@ -69,25 +58,23 @@ from fractions import Fraction
 import numpy as np
 
 from .budgets import Budgets
-from .cam1d import (
+from .cam1d import build_family, build_level, certify_candidate
+from .errors import BudgetExceeded, CamshiftError
+from .hierarchy import (
     CertificateReport,
     CertRow,
     Hierarchy,
-    _eps_tail_rows,
-    _frequency_row,
-    _inherited_words,
-    _period_gap_row,
-    _ratio,
-    _row,
-    _unverifiable,
-    build_family,
-    build_level,
     canonical_json,
-    certify_candidate,
+    eps_tail_rows,
     frac_str,
+    frequency_row,
+    inherited_words,
     level_names,
+    period_gap_row,
+    ratio,
+    row,
+    unverifiable,
 )
-from .errors import BudgetExceeded, CamshiftError
 
 __all__ = [
     "ArrayWord",
@@ -530,7 +517,10 @@ class ZdFamily(Hierarchy):
 
     def __init__(self, dim: int, budgets: Budgets | None = None):
         super().__init__(dim, budgets)
-        cells = [PatchworkExpr(make_cube(dim, 1, fill), (1,) * dim, ()) for fill in (0, 1)]
+        try:
+            cells = [PatchworkExpr(make_cube(dim, 1, fill), (1,) * dim, ()) for fill in (0, 1)]
+        except ValueError as exc:  # more axes than a numpy array holds
+            raise CamshiftError(str(exc)) from None
         self.levels.append(dict(zip(level_names(1), map(self._wrap, cells))))
 
     def side(self, k: int) -> int:
@@ -555,10 +545,7 @@ class ZdFamily(Hierarchy):
         if k == 1:
             if n < 3:
                 raise CamshiftError("level-2 parameter must be >= 3 to place the deviant cell")
-            if n**d > self.budgets.cells:
-                raise BudgetExceeded(
-                    f"level-2 cubes of {n**d} cells exceed the cell budget {self.budgets.cells}"
-                )
+            self._check_cube_cells(n)
             # the constant cubes: n^d one-cell blocks
             periodic = [PatchworkExpr(make_cube(d, 1, fill), (n,) * d, ()) for fill in (0, 1)]
         else:
@@ -566,6 +553,13 @@ class ZdFamily(Hierarchy):
             periodic = [postcard([], stamp, n) for stamp in self._stamps(k)]
         words = periodic + list(self._density_words(k, n).values())
         return {name: self._wrap(word) for name, word in zip(level_names(k + 1), words)}
+
+    def _check_cube_cells(self, n: int):
+        """Level-2 cubes of side n must fit the cell budget."""
+        if n**self.dim > self.budgets.cells:
+            raise BudgetExceeded(
+                f"level-2 cubes of {n**self.dim} cells exceed the cell budget {self.budgets.cells}"
+            )
 
     def _stamps(self, k: int) -> list:
         """The level-k words as arrays, in name order."""
@@ -633,19 +627,22 @@ class ZdFamily(Hierarchy):
         new_level = k + 1
         report = CertificateReport(level=new_level, param=n)
         fit_rhs = self._fit_start(k)
-        report.rows += _eps_tail_rows(self.eps, new_level)
-        fit_row = _row(f"stamp-fit[k={_stamp_count(k)}]", (fit_rhs, 1), (n + 1, 1))
+        report.rows += eps_tail_rows(self.eps, new_level)
+        fit_row = row(f"stamp-fit[k={_stamp_count(k)}]", (fit_rhs, 1), (n + 1, 1))
         fit_row.note = "layout precondition n >= 2k+4 (pass iff 2k+4 < n+1)"
         report.rows.append(fit_row)
         if n < fit_rhs:
             return report  # cannot even place stamps; frequency rows are moot
+        if k == 1:
+            # no level-2 cube from the fit start on fits: refuse before the grid
+            self._check_cube_cells(fit_rhs)
 
         density = self._density_words(k, n)
         vol_next = density["a"].cells
         grids = {side: DoubledGrid(word) for side, word in density.items()}
         cell_cap = self.budgets.cells
 
-        inherited = list(_inherited_words(self.eps, k, self.rare))
+        inherited = list(inherited_words(self.eps, k, self.rare))
         # the verifiable words of one side and one shape are counted together
         groups = {}
         for ident, side, m, name, _ in inherited:
@@ -659,37 +656,37 @@ class ZdFamily(Hierarchy):
         for ident, side, m, name, bound in inherited:
             if ident not in counts:
                 report.rows.append(
-                    _unverifiable(ident, "unverifiable at budget: cell budget exceeded")
+                    unverifiable(ident, "unverifiable at budget: cell budget exceeded")
                 )
                 continue
             u = self.word(m, name)
             count = counts[ident]
             volume = u.array.size
-            row = _frequency_row(ident, count, volume, vol_next, bound, d)
+            freq = frequency_row(ident, count, volume, vol_next, bound, d)
             info = CertRow(
                 ident=f"{side}-freq-sidelen[m={m},u={name}]",
-                lhs=row.lhs,
+                lhs=freq.lhs,
                 rhs=bound / (volume * (2 * u.side - 1) ** d),
                 status="info",
                 note="informational variant with geometric overlap count",
             )
-            report.rows += [row, info]
+            report.rows += [freq, info]
 
         if k >= 2:
             base = self.word(k, f"a{k}")
             if base.array is None:
                 report.rows.append(
-                    _unverifiable("period-gap", "unverifiable at budget: cell budget exceeded")
+                    unverifiable("period-gap", "unverifiable at budget: cell budget exceeded")
                 )
             else:
                 p_k = period_lattice(base.array).index
-                report.rows.append(_period_gap_row(k, p_k, self.volume(k), vol_next))
+                report.rows.append(period_gap_row(k, p_k, self.volume(k), vol_next))
 
-        prefix = _ratio(self.eps.partial(1, k))
+        prefix = ratio(self.eps.partial(1, k))
         for side, symbol in self.rare.items():
             ones = _ones(density[side])
             count = ones if symbol == "1" else vol_next - ones
-            report.rows.append(_row(f"{side}-density[{symbol}]", (count, vol_next), prefix))
+            report.rows.append(row(f"{side}-density[{symbol}]", (count, vol_next), prefix))
         return report
 
     def _pair_counts(self, k: int) -> dict | None:

@@ -26,9 +26,9 @@ import json
 import sys
 
 from . import cam1d, sft
-from .cam1d import canonical_json
 from .budgets import budgets_from_env
 from .errors import BudgetExceeded, CamshiftError, MalformedFamily
+from .hierarchy import canonical_json, frac_str
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -63,31 +63,28 @@ def _int(text: str, option: str) -> int:
         raise CamshiftError(f"{option} must be an integer, got {text!r}") from None
 
 
-def _reports_csv(reports) -> str:
+def _csv(header: list, rows) -> str:
+    """The header and the rows as CSV, every field quoted."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=csv.QUOTE_ALL)
-    writer.writerow(["level", "param", "id", "lhs", "rhs", "margin", "status", "note"])
-    for report in reports:
-        for row in report.rows:
-            writer.writerow(
-                [
-                    str(report.level),
-                    str(report.param),
-                    row.ident,
-                    cam1d.frac_str(row.lhs),
-                    cam1d.frac_str(row.rhs),
-                    cam1d.frac_str(row.margin),
-                    row.status,
-                    row.note,
-                ]
-            )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
 def _reports_payload(reports, fmt: str) -> str:
-    if fmt == "csv":
-        return _reports_csv(reports)
-    return canonical_json([cam1d.report_to_obj(r) for r in reports])
+    if fmt == "json":
+        return canonical_json([cam1d.report_to_obj(r) for r in reports])
+    return _csv(
+        ["level", "param", "id", "lhs", "rhs", "margin", "status", "note"],
+        (
+            [str(report.level), str(report.param), row.ident]
+            + [frac_str(x) for x in (row.lhs, row.rhs, row.margin)]
+            + [row.status, row.note]
+            for report in reports
+            for row in report.rows
+        ),
+    )
 
 
 # -- build ------------------------------------------------------------------
@@ -103,9 +100,7 @@ def cmd_build(args) -> int:
             f"{'pass' if report.passed else 'FAIL'}"
         )
         binding = report.binding
-        row = (
-            f"{binding.ident}, margin {cam1d.frac_str(binding.margin)}" if binding else "none (n=2)"
-        )
+        row = f"{binding.ident}, margin {frac_str(binding.margin)}" if binding else "none (n=2)"
         print(f"level {report.level}: binding row {row}", file=sys.stderr)
     print(f"family written to {args.out}")
     return EXIT_OK if family.is_certified() else EXIT_VIOLATION
@@ -163,12 +158,9 @@ def cmd_measure(args) -> int:
 def cmd_complexity(args) -> int:
     profile = _load_family(args.family).complexity(args.n_max, args.window_len)
     if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, quoting=csv.QUOTE_ALL)
-        writer.writerow(["n", "count", "window_length"])
-        for n, count in enumerate(profile.counts, start=1):
-            writer.writerow([str(n), str(count), str(profile.window_length)])
-        _write_out(buffer.getvalue(), args.out)
+        counts = enumerate(profile.counts, start=1)
+        rows = ([str(n), str(c), str(profile.window_length)] for n, c in counts)
+        _write_out(_csv(["n", "count", "window_length"], rows), args.out)
     else:
         _write_out(
             canonical_json(
@@ -220,8 +212,8 @@ def _sft_payload(args, matrix) -> dict:
     if args.sft_cmd == "perron":
         result = sft.perron_eigenvalue(matrix)
         return {
-            "lower": cam1d.frac_str(result.lower),
-            "upper": cam1d.frac_str(result.upper),
+            "lower": frac_str(result.lower),
+            "upper": frac_str(result.upper),
             "iterations": result.iterations,
             "primitive": result.primitive,
         }

@@ -231,7 +231,7 @@ def _pseudo_divide(a, b):
     return _primitive_part(quotient), _primitive_part(r)
 
 
-def _sturm_sequence(p) -> list:
+def sturm_sequence(p) -> list:
     """The Sturm sequence of the squarefree part of p (degree >= 1); a multiple
     root at the evaluation point would zero every member of p's own sequence."""
 
@@ -252,7 +252,7 @@ def _sign_changes(values) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _roots_above(seq, x) -> int:
+def roots_above(seq, x) -> int:
     """Distinct real roots above x (strictly) of the polynomial whose Sturm sequence is seq."""
     values = (functools.reduce(lambda total, c: total * x + c, p, 0) for p in seq)
     return _sign_changes(values) - _sign_changes(p[0] for p in seq)
@@ -262,7 +262,7 @@ def _entropy_gap(traces, m: int) -> bool:
     """log 2/m < log lambda(A), i.e. lambda(A^m) > 2, for traces[n] = tr(A^n) up to
     n = d*m: no real eigenvalue of A^m exceeds lambda(A^m), so iff det(xI - A^m) has
     a root above 2.  A^m has power sums tr(A^m), tr(A^2m), ..., tr(A^dm)."""
-    return _roots_above(_sturm_sequence(_newton(traces[: traces[0] * m + 1 : m])), 2) > 0
+    return roots_above(sturm_sequence(_newton(traces[: traces[0] * m + 1 : m])), 2) > 0
 
 
 # -- Perron eigenvalue -----------------------------------------------------------
@@ -287,13 +287,13 @@ def perron_eigenvalue(A) -> PerronResult:
     """
     A = _require_irreducible(A)
     chi = _charpoly(A.rows)
-    seq = _sturm_sequence(chi)
+    seq = sturm_sequence(chi)
     lower = Fraction(min(map(sum, A.rows)))
     upper = Fraction(max(map(sum, A.rows)))
     iterations = 0
     while upper - lower > _PERRON_WIDTH:
         middle = (lower + upper) / 2
-        lower, upper = (middle, upper) if _roots_above(seq, middle) else (lower, middle)
+        lower, upper = (middle, upper) if roots_above(seq, middle) else (lower, middle)
         iterations += 1
     return PerronResult(lower=lower, upper=upper, iterations=iterations, primitive=_aperiodic(chi))
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from slp_oracles import scan_count
 
-from camshift import cam1d, slp
+from camshift import cam1d, hierarchy, slp
 from camshift.errors import BudgetExceeded, MalformedFamily
 
 
@@ -181,11 +181,11 @@ def _fraction_from(obj):
 def report_from_obj_fractions(obj):
     """``cam1d.report_from_obj`` on Fractions, without its string-type checks
     on a row's id, status and note."""
-    report = cam1d.CertificateReport(
+    report = hierarchy.CertificateReport(
         level=cam1d._json_int(obj["level"], "certificate level"), param=_decimal(obj["param"])
     )
     for row in obj["rows"]:
-        cert = cam1d.CertRow(
+        cert = hierarchy.CertRow(
             ident=row["id"],
             lhs=_fraction_from(row["lhs"]),
             rhs=_fraction_from(row["rhs"]),

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from camshift import cam1d, camzd
+from camshift import camzd, hierarchy
 from camshift.errors import CamshiftError
 
 
@@ -120,7 +120,7 @@ def patchwork_cell(patchwork, coords) -> int:
     return int(patchwork.base[rel])
 
 
-def certify_materialized(family, k: int, n: int) -> cam1d.CertificateReport:
+def certify_materialized(family, k: int, n: int) -> hierarchy.CertificateReport:
     """The level-(k+1) report at parameter n, every count taken in a built word.
 
     Each inherited word is counted in the tile of 2^d copies of the built
@@ -129,10 +129,10 @@ def certify_materialized(family, k: int, n: int) -> cam1d.CertificateReport:
     """
     d = family.dim
     new_level = k + 1
-    report = cam1d.CertificateReport(level=new_level, param=n)
+    report = hierarchy.CertificateReport(level=new_level, param=n)
     fit_rhs = family._fit_start(k)
-    report.rows += cam1d._eps_tail_rows(family.eps, new_level)
-    fit_row = cam1d._row(f"stamp-fit[k={camzd._stamp_count(k)}]", (fit_rhs, 1), (n + 1, 1))
+    report.rows += hierarchy.eps_tail_rows(family.eps, new_level)
+    fit_row = hierarchy.row(f"stamp-fit[k={camzd._stamp_count(k)}]", (fit_rhs, 1), (n + 1, 1))
     fit_row.note = "layout precondition n >= 2k+4 (pass iff 2k+4 < n+1)"
     report.rows.append(fit_row)
     if n < fit_rhs:
@@ -150,16 +150,16 @@ def certify_materialized(family, k: int, n: int) -> cam1d.CertificateReport:
     doubles = {"a": doubled(a_next), "b": doubled(b_next)}
     vol_next = a_next.side**d
     unverifiable = "unverifiable at budget: cell budget exceeded"
-    inherited = cam1d._inherited_words(family.eps, k, family.rare)
+    inherited = hierarchy.inherited_words(family.eps, k, family.rare)
     for ident, side, m, name, bound in inherited:
         u = family.word(m, name)
         if doubles[side] is None or u.array is None:
-            report.rows.append(cam1d._unverifiable(ident, unverifiable))
+            report.rows.append(hierarchy.unverifiable(ident, unverifiable))
             continue
         count = camzd.count_occurrences_d(u.array, doubles[side])
         volume = u.array.size
-        row = cam1d._frequency_row(ident, count, volume, vol_next, bound, d)
-        info = cam1d.CertRow(
+        row = hierarchy.frequency_row(ident, count, volume, vol_next, bound, d)
+        info = hierarchy.CertRow(
             ident=f"{side}-freq-sidelen[m={m},u={name}]",
             lhs=row.lhs,
             rhs=bound / (volume * (2 * u.side - 1) ** d),
@@ -171,18 +171,18 @@ def certify_materialized(family, k: int, n: int) -> cam1d.CertificateReport:
     if k >= 2:
         base = family.word(k, f"a{k}")
         if base.array is None:
-            report.rows.append(cam1d._unverifiable("period-gap", unverifiable))
+            report.rows.append(hierarchy.unverifiable("period-gap", unverifiable))
         else:
             p_k = camzd.period_lattice(base.array).index
-            report.rows.append(cam1d._period_gap_row(k, p_k, family.volume(k), vol_next))
+            report.rows.append(hierarchy.period_gap_row(k, p_k, family.volume(k), vol_next))
 
-    prefix = cam1d._ratio(family.eps.partial(1, k))
+    prefix = hierarchy.ratio(family.eps.partial(1, k))
     for ident, word, symbol in (("a-density[1]", a_next, 1), ("b-density[0]", b_next, 0)):
         if word.array is None:
-            report.rows.append(cam1d._unverifiable(ident, unverifiable))
+            report.rows.append(hierarchy.unverifiable(ident, unverifiable))
             continue
         count = int((word.array == symbol).sum())
-        report.rows.append(cam1d._row(ident, (count, vol_next), prefix))
+        report.rows.append(hierarchy.row(ident, (count, vol_next), prefix))
     return report
 
 

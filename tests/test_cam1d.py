@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from refusal import refused
 from slp_oracles import scan_count
 
-from camshift import cam1d, camzd, slp
+from camshift import cam1d, camzd, hierarchy, slp
 from camshift.budgets import Budgets
 from camshift.errors import BudgetExceeded, MalformedFamily
 
@@ -35,17 +35,17 @@ def _benchmark_family():
 
 
 def test_default_eps_values():
-    eps1 = cam1d.FrequencySequence(dim=1)
+    eps1 = hierarchy.FrequencySequence(dim=1)
     assert eps1.value(1) == Fraction(1, 8)
     assert eps1.tail(1) == Fraction(1, 6)
     assert eps1.tail(1) < Fraction(1, 3)
-    eps2 = cam1d.FrequencySequence(dim=2)
+    eps2 = hierarchy.FrequencySequence(dim=2)
     assert eps2.value(1) == Fraction(1, 24)
 
 
 def test_eps_tail_bound_holds_everywhere():
     for dim in (1, 2, 3):
-        eps = cam1d.FrequencySequence(dim=dim)
+        eps = hierarchy.FrequencySequence(dim=dim)
         for start in range(1, 12):
             assert eps.tail(start) < eps.tail_bound(start)
             # prefix sums approximate the closed form from below
@@ -192,13 +192,13 @@ def test_certification_work_is_flat_in_n(monkeypatch):
 
 
 def test_choose_parameter_with_no_passing_n():
-    class NoPass(cam1d.Hierarchy):
+    class NoPass(hierarchy.Hierarchy):
         def __init__(self):
-            cam1d.Hierarchy.__init__(self, 1, None)
+            hierarchy.Hierarchy.__init__(self, 1, None)
             self.levels.append({})
 
         def _certify(self, k, n):
-            return cam1d.CertificateReport(k + 1, n, [cam1d._row("n<1", (n, 1), (1, 1))])
+            return hierarchy.CertificateReport(k + 1, n, [hierarchy.row("n<1", (n, 1), (1, 1))])
 
     with refused("^level 2: no parameter passes every row$"):  # a failure, not a budget
         cam1d.choose_parameter(NoPass())
@@ -220,14 +220,14 @@ def test_rare_table_matches_the_words(new_family):
     # each side's density words are poor in its rare symbol, made of the
     # level-1 word of the other one, and their density row counts the rare one
     family = cam1d.build_levels(new_family(), 2)
-    inherited = list(cam1d._inherited_words(family.eps, 1, family.rare))
+    inherited = list(hierarchy.inherited_words(family.eps, 1, family.rare))
     report = cam1d.certify_candidate(family, family._fit_start(2))
     for side, rare in family.rare.items():
         other = "10"[int(rare)]
         density = _cells(family, 2, f"{side}2")
         assert density.count(rare) < density.count(other)
         checked = {name for _, s, _, name, _ in inherited if s == side}
-        (skipped,) = set(cam1d.level_names(1)) - checked
+        (skipped,) = set(hierarchy.level_names(1)) - checked
         assert _cells(family, 1, skipped) == other
         rows = [r.ident for r in report.rows if r.ident.startswith(f"{side}-density")]
         assert rows == [f"{side}-density[{rare}]"]
@@ -289,7 +289,7 @@ def test_solver_rejects_a_non_polynomial_row(monkeypatch):
         i = next(i for i, r in enumerate(report.rows) if r.ident == "a-density[0]")
         count, size, bound_num, bound_den = report.rows[i].parts
         bent_count = count + (n - 2) * (n - 3)
-        report.rows[i] = cam1d._row("a-density[0]", (bent_count, size), (bound_num, bound_den))
+        report.rows[i] = hierarchy.row("a-density[0]", (bent_count, size), (bound_num, bound_den))
         return report
 
     monkeypatch.setattr(cam1d.LevelFamily, "_certify", bent)

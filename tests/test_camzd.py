@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from refusal import refused
 
-from camshift import cam1d, camzd, cli
+from camshift import cam1d, camzd, cli, hierarchy
 from camshift.budgets import Budgets
-from camshift.errors import MalformedFamily
+from camshift.errors import BudgetExceeded, MalformedFamily
 
 
 def cube(data):
@@ -557,7 +557,7 @@ def test_pair_scan_counts_every_pair():
     arrays = [cube0, np.roll(cube0, 1, axis=0), np.roll(cube0, (2, 3), axis=(0, 1))]
     arrays.append(np.zeros((4, 4), dtype=np.uint8))
     family = camzd.ZdFamily(dim=2)
-    names = cam1d.level_names(2)
+    names = hierarchy.level_names(2)
     family.levels.append({n: camzd.ZdWord(4, a, None) for n, a in zip(names, arrays)})
     report = cam1d.verify_distinct_subwords(family, 2)
     words = dict(zip(names, arrays))
@@ -703,6 +703,16 @@ def test_d2_level2_boundary():
     report = camzd.certify_candidate_d(family, 5)
     assert not report.passed  # 1/25 < 1/24 holds but the stamp margin fails
     assert any(r.ident.startswith("stamp-fit") and r.status == "fail" for r in report.rows)
+
+
+def test_level2_certificate_refuses_cubes_over_the_cell_budget(monkeypatch):
+    # every level-2 cube from the fit start n = 6 on has at least 6^d cells:
+    # 216 > 200 at d = 3, so the certificate refuses before it builds a grid
+    built = []
+    monkeypatch.setattr(camzd, "DoubledGrid", lambda word: built.append(word))
+    with pytest.raises(BudgetExceeded, match="cubes of 216 cells exceed the cell budget 200"):
+        camzd.certify_candidate_d(camzd.ZdFamily(3, Budgets(cells=200)), 6)
+    assert built == []
 
 
 def test_certification_is_pure_d(family_d2, monkeypatch):

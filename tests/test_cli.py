@@ -61,6 +61,19 @@ def test_removed_budget_key_is_a_usage_error(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err == f"error: unknown budget '{key}' in CAMSHIFT_BUDGET\n"
 
 
+def test_dimension_past_numpy_arrays_is_refused(tmp_path, capsys):
+    # a build is a usage error (2); a family file that stores the dimension
+    # stays malformed (4); neither is a traceback
+    out = tmp_path / "d65.json"
+    assert run("build", "--dim", "65", "--levels", "2", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.fullmatch(r"error: [^\n]*dimension[^\n]*65\n", captured.err)
+    assert not out.exists()
+    out.write_text('{"dim": 65}')
+    assert run("certify", "--family", str(out)) == 4
+    assert capsys.readouterr().err.startswith("error: malformed family file: ")
+
+
 def test_build_undecidable_at_budget_writes_no_file(tmp_path, capsys):
     # the level-5 rows count level-4 words, which exceed the symbol budget
     out = tmp_path / "l5.json"
@@ -234,6 +247,15 @@ def test_complexity_command(family_file, capsys):
     ) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"]["1"] == "2"
+
+
+def test_complexity_csv_bytes(family_file, capsys):
+    argv = ("complexity", "--family", str(family_file), "--n-max", "4", "--window-len", "2000")
+    assert run(*argv, "--format", "csv") == 0
+    assert capsys.readouterr().out == (
+        '"n","count","window_length"\r\n"1","2","2000"\r\n"2","3","2000"\r\n'
+        '"3","4","2000"\r\n"4","5","2000"\r\n'
+    )
 
 
 @pytest.mark.parametrize("which, size", [("d1", "0"), ("d1", "-3"), ("d2", "0,2")])

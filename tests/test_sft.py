@@ -342,11 +342,11 @@ def test_squarefree_step_removes_the_double_root():
     power = _matpow(((0, 0, 0, 2), (0, 0, 2, 1), (1, 2, 0, 0), (1, 0, 1, 2)), 2)
     chi = sft._charpoly(power)
     assert chi == [1, -16, 68, -112, 64]  # (x - 2)^2 (x^2 - 12x + 16)
-    seq = sft._sturm_sequence(chi)
+    seq = sft.sturm_sequence(chi)
     assert len(seq[0]) == 4  # degree 3: (x - 2)(x^2 - 12x + 16) up to a positive scale
     # roots 6 - sqrt(20) ~ 1.53, 2 and 6 + sqrt(20) ~ 10.47, each counted once
     points = (0, Fraction(8, 5), 2, 10, 11)
-    assert [sft._roots_above(seq, x) for x in points] == [3, 2, 1, 1, 0]
+    assert [sft.roots_above(seq, x) for x in points] == [3, 2, 1, 1, 0]
 
 
 # -- embedding feasibility ---------------------------------------------------------

@@ -436,3 +436,82 @@ def test_the_check_sees_a_dimension_use():
         "family.window()\n"
     )
     assert _dimension_uses(tree) == [1, 2, 3, 5, 6, 7, 9, 10, 11]
+
+
+MODULES = {path.stem for path in SOURCES}
+
+
+def _private_reads(tree, own, modules):
+    """Sorted (line, "module.name") for every ``_``-prefixed name, dunders
+    aside, of a package module other than ``own`` that the tree imports by
+    name (``from .m import _x``, ``from camshift.m import _x``) or reads off
+    the module (``m._x`` after ``from . import m`` or ``import camshift.m
+    as m``)."""
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    def source(node):
+        # the package module an import names, "" for the package, None outside it
+        head, _, rest = (node.module or "").partition(".")
+        if node.level:
+            return node.module or ""
+        return rest if head == "camshift" else None
+
+    bound, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = source(node)
+            for alias in node.names:
+                if module == "" and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif module in modules - {own} and private(alias.name):
+                    found.add((node.lineno, f"{module}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, module = alias.name.partition(".")
+                if head == "camshift" and module in modules and alias.asname:
+                    bound[alias.asname] = module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = bound.get(node.value.id)
+            if module not in (None, own) and private(node.attr):
+                found.add((node.lineno, f"{module}.{node.attr}"))
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_names():
+    # what two modules share is public in one of them: the family contract
+    # and the row formulas in hierarchy, the Sturm count in sft
+    reads = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        for line, name in _private_reads(_parse(path), path.stem, MODULES)
+    ]
+    assert not reads, reads
+
+
+def test_the_check_sees_a_private_read():
+    tree = ast.parse(
+        "from . import sft, slp as s\n"
+        "from .cam1d import _row, build_family\n"
+        "from camshift.sft import _roots_above, census\n"
+        "from camshift import camzd\n"
+        "import camshift.slp as text\n"
+        "import numpy as np\n"
+        "x = sft._sturm_sequence(p) + s._junction + sft.census + sft.__name__\n"
+        "y = camzd._pack(a) + text._end + np._core + self._words + cli._csv\n"
+        "def f(family):\n"
+        "    from .camzd import _stamp_count\n"
+        "    from .cli import _csv\n"
+        "    return family._certify(1, 2) + _own()\n"
+    )
+    assert _private_reads(tree, "cli", MODULES) == [
+        (2, "cam1d._row"),
+        (3, "sft._roots_above"),
+        (7, "sft._sturm_sequence"),
+        (7, "slp._junction"),
+        (8, "camzd._pack"),
+        (8, "slp._end"),
+        (10, "camzd._stamp_count"),
+    ]
