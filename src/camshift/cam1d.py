@@ -50,6 +50,7 @@ from .hierarchy import (
     frac_str,
     frequency_row,
     inherited_words,
+    level_names,
     period_gap_row,
     ratio,
     row,
@@ -158,31 +159,17 @@ class LevelFamily(Hierarchy):
         b = self.builder
         if k == 1:
             zero, one = b.atom("0"), b.atom("1")
-            return {
-                "w1_2": b.power(zero, n + 1),
-                "w2_2": b.power(one, n + 1),
-                "a2": b.concat([(zero, 1), (one, n)]),
-                "b2": b.concat([(zero, n), (one, 1)]),
-            }
+            words = [b.power(zero, n + 1), b.power(one, n + 1)]
+            words += [b.concat([(zero, 1), (one, n)]), b.concat([(zero, n), (one, 1)])]
+            return dict(zip(level_names(2), words))
         exponent = (2 * k + 1) * n + 2 * k
-        prev = self.levels[k - 1]
-        a_k, b_k = prev[f"a{k}"], prev[f"b{k}"]
-        words = {}
-        for i in range(1, 2 * k - 1):
-            words[f"w{i}_{k + 1}"] = b.power(prev[f"w{i}_{k}"], exponent)
-        words[f"w{2 * k - 1}_{k + 1}"] = b.power(a_k, exponent)
-        words[f"w{2 * k}_{k + 1}"] = b.power(b_k, exponent)
+        prev = [self.levels[k - 1][name] for name in level_names(k)]
 
         def density(base):
-            parts = []
-            for i in range(1, 2 * k - 1):
-                parts += [(base, n), (prev[f"w{i}_{k}"], 1)]
-            parts += [(base, n), (a_k, 1), (base, n), (b_k, 1), (base, n)]
-            return b.concat(parts)
+            return b.concat([part for w in prev for part in ((base, n), (w, 1))] + [(base, n)])
 
-        words[f"a{k + 1}"] = density(a_k)
-        words[f"b{k + 1}"] = density(b_k)
-        return words
+        words = [b.power(w, exponent) for w in prev] + [density(prev[-2]), density(prev[-1])]
+        return dict(zip(level_names(k + 1), words))
 
     def _certify(self, k: int, n: int) -> CertificateReport:
         """Exact-rational certification of level k+1 at parameter n against levels 1..k.
@@ -198,6 +185,10 @@ class LevelFamily(Hierarchy):
         doubled = {side: builder.concat([(word, 2)]) for side, word in density.items()}
         report = CertificateReport(level=new_level, param=n)
         report.rows += eps_tail_rows(self.eps, new_level)
+        rare_counts = {
+            side: builder.count_occurrences(symbol, density[side])
+            for side, symbol in self.rare.items()
+        }
 
         for ident, side, m, name, bound in inherited_words(self.eps, k, self.rare):
             u = self.string(m, name)
@@ -206,7 +197,10 @@ class LevelFamily(Hierarchy):
                     unverifiable(ident, "unverifiable at budget: word exceeds symbol budget")
                 )
                 continue
-            count = builder.count_occurrences(u, doubled[side])
+            if m == 1:  # its side's rare symbol (see camshift.hierarchy)
+                count = 2 * rare_counts[side]
+            else:
+                count = builder.count_occurrences(u, doubled[side])
             report.rows.append(frequency_row(ident, count, len(u), len_next, bound, dim=1))
 
         if k >= 2:
@@ -222,7 +216,7 @@ class LevelFamily(Hierarchy):
 
         prefix = ratio(self.eps.partial(1, k))
         for side, symbol in self.rare.items():
-            count = builder.count_occurrences(symbol, density[side])
+            count = rare_counts[side]
             report.rows.append(row(f"{side}-density[{symbol}]", (count, len_next), prefix))
         return report
 

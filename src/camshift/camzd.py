@@ -25,13 +25,15 @@ word fits in one block; so :class:`DoubledGrid` counts it in one small
 window per distinct neighbourhood of 2^d blocks, times the number of
 corner blocks with that neighbourhood, which is a closed form in the
 grid size (the d-dimensional form of the run formula of
-:mod:`camshift.slp`).  All the windows come from one gather of the
-stacked blocks, a far edge is a mask of the placements, not a smaller
-window, and a pattern shape packs the stack once for one early-exit pass
-per pattern.  The symbol densities come from the base and the stamps
-alone, and the configuration windows are sliced from the tiled base with
-the stamps copied in.  Only the distinct-pair scan builds doubled words,
-under the cell budget.  A period lattice takes as candidates the
+:mod:`camshift.slp`).  A pattern shape gathers its windows slab by slab,
+each neighbour's block cropped to the cells the window reads, a far edge
+is a mask of the placements, not a smaller window, and each slab is
+packed once for one early-exit pass per pattern.  The symbol densities
+come from the base and the stamps alone, and so do the level-1 rows (a
+level-1 word is one symbol), so a level-2 certificate builds no grid.  The
+configuration windows are sliced from the tiled base with the stamps
+copied in.  Only the distinct-pair scan builds doubled words, under the
+cell budget.  A period lattice takes as candidates the
 residues that carry the first rare-symbol cell onto a rare cell;
 translation is a bijection of the torus, so a candidate is a period iff
 it maps the rare cells into themselves, a test that reads only those
@@ -286,12 +288,13 @@ class DoubledGrid:
     number is a product of (G - 1) factors per set of far-edge axes less the
     listed ones.
 
-    The windows of all neighbourhoods come from one gather of the stacked
-    blocks by the neighbourhood names, a neighbour past the far edge read
-    as the base; the far edge is a placement mask, so those cells are never
-    compared.  A pattern shape crops the stack to s + t - 1 cells per axis
-    and packs it once, in slabs of windows; each of its patterns then takes
-    one early-exit pass over the packed stack.
+    A pattern shape needs windows of s + t - 1 cells per axis.  They are
+    gathered slab by slab, each neighbour's block cropped to its part of the
+    window, a neighbour past the far edge read as the base; the far edge is
+    a placement mask, so those cells are never compared.  Each slab is
+    packed once, and each pattern then takes one early-exit pass over it.
+    A certificate builds a grid only for the words of level 2 and up: a
+    level-1 word is one symbol, counted from the densities.
     """
 
     def __init__(self, word: PatchworkExpr):
@@ -299,16 +302,17 @@ class DoubledGrid:
         self.side = word.base.shape[0]
         grid = tuple(2 * e for e in word.extents)
         ids = {word.base.tobytes(): 0}
-        self.blocks = [word.base]
+        blocks = [word.base]
         stamps = {}  # grid position -> index into blocks
         for anchor, stamp in word.patches:
             name = ids.setdefault(stamp.tobytes(), len(ids))
-            if name == len(self.blocks):
-                self.blocks.append(stamp)
+            if name == len(blocks):
+                blocks.append(stamp)
             if name:  # a stamp equal to the base is base
                 for copy in itertools.product((0, 1), repeat=self.dim):
                     at = tuple(a + c * e for a, c, e in zip(anchor, copy, word.extents))
                     stamps[at] = name
+        self.blocks = np.stack(blocks)
         every = list(itertools.product((0, 1), repeat=self.dim))
         # the corners next to a stamp copy, with the block index of each
         # neighbour; a neighbour past the far edge holds no stamp, so it is
@@ -335,37 +339,31 @@ class DoubledGrid:
         self.mults = list(groups.values())
         self.edges = np.array([edge for edge, _ in groups], dtype=bool).reshape(-1, self.dim)
         self.names = np.array([names for _, names in groups], dtype=np.intp)
-        self._stack = None
 
-    def window_cells(self, shape) -> int:
-        """Cells of the window a pattern of ``shape`` is counted in."""
-        return math.prod(self.side + t - 1 for t in shape)
-
-    def _windows(self) -> ArrayWord:
-        """The 2s-cell windows of every neighbourhood, gathered once."""
-        if self._stack is None:
-            d, s = self.dim, self.side
-            count = len(self.mults)
-            cubes = np.stack(self.blocks)[self.names.reshape((count,) + (2,) * d)]
-            # (count, 2, ..., 2, s, ..., s) -> (count, 2, s, 2, s, ...) -> (count, 2s, ...)
-            axes = [0] + [i for a in range(1, d + 1) for i in (a, a + d)]
-            self._stack = cubes.transpose(axes).reshape((count,) + (2 * s,) * d)
-        return self._stack
-
-    def _valid(self, shape) -> np.ndarray:
-        """Placements to test in each window: the s - t + 1 first starts on a
+    def _slab(self, part: slice, shape) -> tuple:
+        """The windows of the neighbourhoods ``part`` for patterns of
+        ``shape``, each neighbour's block cropped to the s + t - 1 cells per
+        axis the window reads (the one at offset 1 to its first t - 1), and
+        the placements to test in them: the s - t + 1 first starts on a
         far-edge axis, all s elsewhere."""
         d, s = self.dim, self.side
-        valid = np.ones((len(self.mults),) + (s,) * d, dtype=bool)
+        names, edges = self.names[part], self.edges[part]
+        windows = np.empty((len(names),) + tuple(s + t - 1 for t in shape), dtype=np.uint8)
+        for i, offset in enumerate(itertools.product((0, 1), repeat=d)):
+            sizes = [t - 1 if o else s for o, t in zip(offset, shape)]
+            crop = tuple(slice(0, size) for size in sizes)
+            place = tuple(slice(o * s, o * s + size) for o, size in zip(offset, sizes))
+            windows[(slice(None),) + place] = self.blocks[(names[:, i],) + crop]
+        valid = np.ones((len(names),) + (s,) * d, dtype=bool)
         for axis, t in enumerate(shape):
             past = (np.arange(s) > s - t).reshape((1,) * (axis + 1) + (s,) + (1,) * (d - axis - 1))
-            valid &= ~(self.edges[:, axis].reshape((-1,) + (1,) * d) & past)
-        return valid
+            valid &= ~(edges[:, axis].reshape((-1,) + (1,) * d) & past)
+        return windows, valid
 
     def counts(self, patterns) -> list:
         """Placements of each of ``patterns``, all of one shape, in the doubled
-        word: each pattern is packed once, and the window stack of the shape
-        once, slab by slab, for all of them."""
+        word: each pattern is packed once, and the windows of the shape are
+        gathered and packed once, slab by slab, for all of them."""
         patterns = [_check_word(p) for p in patterns]
         shape = patterns[0].shape if patterns else ()
         if any(p.shape != shape for p in patterns):
@@ -375,15 +373,14 @@ class DoubledGrid:
         if math.prod(shape) == 0:
             raise CamshiftError("pattern has no cells")
         packed = [_pack_pattern(p) for p in patterns]
-        stack = self._windows()[(slice(None),) + tuple(slice(0, self.side + t - 1) for t in shape)]
-        valid = self._valid(shape)
-        per = max(1, _SLAB_CELLS // self.window_cells(shape))
+        per = max(1, _SLAB_CELLS // math.prod(self.side + t - 1 for t in shape))
         totals = [0] * len(packed)
-        for lo in range(0, len(stack), per):
+        for lo in range(0, len(self.mults), per):
             part = slice(lo, lo + per)
-            code = _pack(stack[part], packed[0].width)
+            windows, valid = self._slab(part, shape)
+            code = _pack(windows, packed[0].width)
             for i, pattern in enumerate(packed):
-                totals[i] += _count_packed(pattern, code, valid[part], self.mults[part])
+                totals[i] += _count_packed(pattern, code, valid, self.mults[part])
         return totals
 
 
@@ -545,7 +542,10 @@ class ZdFamily(Hierarchy):
         if k == 1:
             if n < 3:
                 raise CamshiftError("level-2 parameter must be >= 3 to place the deviant cell")
-            self._check_cube_cells(n)
+            if n**d > self.budgets.cells:
+                raise BudgetExceeded(
+                    f"level-2 cubes of {n**d} cells exceed the cell budget {self.budgets.cells}"
+                )
             # the constant cubes: n^d one-cell blocks
             periodic = [PatchworkExpr(make_cube(d, 1, fill), (n,) * d, ()) for fill in (0, 1)]
         else:
@@ -553,13 +553,6 @@ class ZdFamily(Hierarchy):
             periodic = [postcard([], stamp, n) for stamp in self._stamps(k)]
         words = periodic + list(self._density_words(k, n).values())
         return {name: self._wrap(word) for name, word in zip(level_names(k + 1), words)}
-
-    def _check_cube_cells(self, n: int):
-        """Level-2 cubes of side n must fit the cell budget."""
-        if n**self.dim > self.budgets.cells:
-            raise BudgetExceeded(
-                f"level-2 cubes of {n**self.dim} cells exceed the cell budget {self.budgets.cells}"
-            )
 
     def _stamps(self, k: int) -> list:
         """The level-k words as arrays, in name order."""
@@ -618,10 +611,11 @@ class ZdFamily(Hierarchy):
         (eps_m + ... + eps_k) / (|u| (2|u|-1)^d) with |u| the cell count
         (the printed denominator; the side-length variant is reported as an
         informational row); the period-index length-ratio bound; and the
-        deviant-symbol densities below the eps prefix sum.  The counts are
-        taken on the block grid of the doubled density word
-        (:class:`DoubledGrid`), a row unverifiable when its largest window
-        exceeds the cell budget; no word of level k+1 is built.
+        deviant-symbol densities below the eps prefix sum.  A level-1 row
+        is 2^d times its side's density count; the others are counted on
+        the block grid of the doubled density word (:class:`DoubledGrid`),
+        built only for a word whose window fits the cell budget, else the
+        row is unverifiable.  No word of level k+1 is built.
         """
         d = self.dim
         new_level = k + 1
@@ -633,23 +627,26 @@ class ZdFamily(Hierarchy):
         report.rows.append(fit_row)
         if n < fit_rhs:
             return report  # cannot even place stamps; frequency rows are moot
-        if k == 1:
-            # no level-2 cube from the fit start on fits: refuse before the grid
-            self._check_cube_cells(fit_rhs)
 
         density = self._density_words(k, n)
         vol_next = density["a"].cells
-        grids = {side: DoubledGrid(word) for side, word in density.items()}
-        cell_cap = self.budgets.cells
+        rare_counts = {}
+        for side, symbol in self.rare.items():
+            ones = _ones(density[side])
+            rare_counts[side] = ones if symbol == "1" else vol_next - ones
 
         inherited = list(inherited_words(self.eps, k, self.rare))
-        # the verifiable words of one side and one shape are counted together
+        # a level-1 word is its side's rare symbol (see camshift.hierarchy)
+        counts = {ident: 2**d * rare_counts[side] for ident, side, m, _, _ in inherited if m == 1}
+        # the verifiable words of one side and one shape are counted together;
+        # a word of side t is counted in windows of (s + t - 1)^d cells
+        s = self.side(k)
         groups = {}
         for ident, side, m, name, _ in inherited:
-            u = self.word(m, name).array
-            if u is not None and grids[side].window_cells(u.shape) <= cell_cap:
-                groups.setdefault((side, u.shape), []).append((ident, u))
-        counts = {}
+            u = self.word(m, name)
+            if m > 1 and u.array is not None and (s + u.side - 1) ** d <= self.budgets.cells:
+                groups.setdefault((side, u.side), []).append((ident, u.array))
+        grids = {side: DoubledGrid(density[side]) for side in {side for side, _ in groups}}
         for (side, _), words in groups.items():
             found = grids[side].counts([u for _, u in words])
             counts.update((ident, c) for (ident, _), c in zip(words, found))
@@ -660,9 +657,8 @@ class ZdFamily(Hierarchy):
                 )
                 continue
             u = self.word(m, name)
-            count = counts[ident]
-            volume = u.array.size
-            freq = frequency_row(ident, count, volume, vol_next, bound, d)
+            volume = u.side**d
+            freq = frequency_row(ident, counts[ident], volume, vol_next, bound, d)
             info = CertRow(
                 ident=f"{side}-freq-sidelen[m={m},u={name}]",
                 lhs=freq.lhs,
@@ -684,8 +680,7 @@ class ZdFamily(Hierarchy):
 
         prefix = ratio(self.eps.partial(1, k))
         for side, symbol in self.rare.items():
-            ones = _ones(density[side])
-            count = ones if symbol == "1" else vol_next - ones
+            count = rare_counts[side]
             report.rows.append(row(f"{side}-density[{symbol}]", (count, vol_next), prefix))
         return report
 
@@ -792,7 +787,7 @@ def array_to_obj(arr: ArrayWord) -> dict:
     return {
         "dim": arr.ndim,
         "sides": list(arr.shape),
-        "data": "".join("1" if x else "0" for x in arr.reshape(-1)),
+        "data": (arr.reshape(-1) + 48).astype(np.uint8).tobytes().decode("ascii"),
     }
 
 

@@ -8,11 +8,15 @@ word u of level m <= k, a :func:`frequency_row`: u's frequency in the
 doubled density word below (eps_m + ... + eps_k) / (|u| (2|u| - 1)^d), |u|
 in cells; the :func:`period_gap_row`, |a_k| / |a_(k+1)| against the period
 of a_k; and per side, the density of its rare symbol below
-eps_1 + ... + eps_k.  Each parameter is the smallest n whose certificate
-passes.  A row is lhs < rhs between integer ratios (:func:`row`), decided
-exactly with no float, and keeps its unreduced parts for the parameter
-solver of :mod:`camshift.cam1d`; a row over budget is :func:`unverifiable`,
-never passed.  The output form (:func:`canonical_json`) is shared too.
+eps_1 + ... + eps_k.  A side's level-1 word is its rare symbol, and one
+symbol never crosses a junction, so its count in the doubled density word
+is 2^d times the density row's count: a certificate counts it once, in
+the density row, and counts only the words of level 2 and up as
+patterns.  Each parameter is the smallest n whose certificate passes.  A
+row is lhs < rhs between integer ratios (:func:`row`), decided exactly
+with no float, and keeps its unreduced parts for the parameter solver of
+:mod:`camshift.cam1d`; a row over budget is :func:`unverifiable`, never
+passed.  The output form (:func:`canonical_json`) is shared too.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ These are the direct algorithms: every placement compared cell by cell,
 every residue tested by a full roll with the span closed by pairwise sums,
 the periodic extension as a plain tile, the postcard read cell by cell
 from its two-case definition, a patchwork read one cell at a time, the
-certificate counted in the built doubled density words and the transitive
-configuration read cell by cell.  The tests compare
-``camzd.count_occurrences_d``, ``camzd.period_lattice``,
-``camzd.postcard``, ``PatchworkExpr.to_array``, the block-grid certifier
-and ``ZdFamily.window`` against them.
+certificate counted in the built doubled density words, the transitive
+configuration read cell by cell and an array's file form written cell by
+cell.  The tests compare ``camzd.count_occurrences_d``,
+``camzd.period_lattice``, ``camzd.postcard``, ``PatchworkExpr.to_array``,
+the block-grid certifier, ``ZdFamily.window`` and ``camzd.array_to_obj``
+against them.
 """
 
 import math
@@ -184,6 +185,12 @@ def certify_materialized(family, k: int, n: int) -> hierarchy.CertificateReport:
         count = int((word.array == symbol).sum())
         report.rows.append(hierarchy.row(ident, (count, vol_next), prefix))
     return report
+
+
+def array_to_obj_cells(arr) -> dict:
+    """The file form of an array word, its data written one cell at a time."""
+    data = "".join("1" if x else "0" for x in arr.reshape(-1))
+    return {"dim": arr.ndim, "sides": list(arr.shape), "data": data}
 
 
 def transitive_config_window_cells(family, starts, sides):

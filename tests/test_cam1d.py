@@ -17,7 +17,7 @@ from cam1d_oracles import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from refusal import refused
-from slp_oracles import scan_count
+from slp_oracles import materialize, scan_count
 
 from camshift import cam1d, camzd, hierarchy, slp
 from camshift.budgets import Budgets
@@ -188,7 +188,8 @@ def test_certification_work_is_flat_in_n(monkeypatch):
         family = cam1d.build_family(levels=3)
         work.clear()
         assert cam1d.certify_candidate(family, n).passed
-        assert work == {"count calls": 20, "text bytes": 96}
+        # the two level-1 words are counted from the densities (20 calls before)
+        assert work == {"count calls": 18, "text bytes": 96}
 
 
 def test_choose_parameter_with_no_passing_n():
@@ -344,10 +345,10 @@ def test_chooser_boundary_levels(family3):
             assert not family3._certify(level - 1, n - 1).passed
 
 
-def test_certification_is_pure(family3, monkeypatch):
-    # certifying a lower level reads levels 1..k in place; the family keeps
-    # all its levels throughout
-    levels = family3.levels
+def test_certification_is_pure(family4, monkeypatch):
+    # certifying a lower level reads levels 1..k in place (level 3, where
+    # patterns are still counted); the family keeps all its levels throughout
+    levels = family4.levels
     seen = []
     string = cam1d.LevelFamily.string
 
@@ -356,10 +357,23 @@ def test_certification_is_pure(family3, monkeypatch):
         return string(self, k, name)
 
     monkeypatch.setattr(cam1d.LevelFamily, "string", recording)
-    cam1d.certify_level(family3, 2)
-    family3._certify(1, family3.params[0])
-    assert seen and set(seen) == {3}
-    assert family3.levels is levels and family3.top_level == 3
+    cam1d.certify_level(family4, 3)
+    family4._certify(2, family4.params[1])
+    assert seen and set(seen) == {4}
+    assert family4.levels is levels and family4.top_level == 4
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_level1_rows_match_a_scan_of_the_doubled_density_word(family3, level):
+    # a level-1 row reads its side's density count: the symbol's
+    # occurrences in the materialized doubled density word
+    rows = {r.ident: r for r in cam1d.certify_level(family3, level).rows}
+    for side, symbol in family3.rare.items():
+        text = materialize(family3.word(level, f"{side}{level}")) * 2
+        name = hierarchy.level_names(1)[int(symbol)]
+        row = rows[f"{side}-freq[m=1,u={name}]"]
+        assert row.parts[:2] == (scan_count(symbol, text), len(text))
+        assert row.status == "pass"
 
 
 def test_certify_unverifiable_rows_reported():

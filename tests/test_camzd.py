@@ -1,10 +1,12 @@
 import collections
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from camzd_oracles import (
+    array_to_obj_cells,
     certify_materialized,
     count_occurrences_windowed,
     period_lattice_scan,
@@ -269,6 +271,23 @@ def test_count_d_matches_windowed_oracle(case):
     assert camzd.count_occurrences_d(pattern, text) == count_occurrences_windowed(pattern, text)
 
 
+@given(
+    shape=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.0, 0.3, 1.0]),
+    view=st.sampled_from(["array", "transposed", "strided"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_array_file_form_matches_the_cell_by_cell_writer(shape, seed, density, view):
+    rng = np.random.default_rng(seed)
+    arr = (rng.random(shape) < density).astype(np.uint8)
+    if view == "transposed":
+        arr = arr.T
+    elif view == "strided":
+        arr = arr[..., ::2]
+    assert camzd.array_to_obj(arr) == array_to_obj_cells(arr)
+
+
 def test_count_d_compares_every_column():
     # one 1 in an all-zero pattern, at every column: a column the packed
     # chunks skip would count the all-zero placements
@@ -418,6 +437,29 @@ def test_block_grid_slabs_add_up(monkeypatch):
     assert any(split)
 
 
+def test_block_grid_gathers_its_windows_slab_by_slab(monkeypatch):
+    # d = 4, level-3 density word: 64 neighbourhoods, whose 2s-cell windows
+    # hold 64 x 12^4 = 1.3e6 cells; a slab of 65536 cells takes four 11^4-cell
+    # windows, whose codes take one byte a cell.  numpy reports its buffers
+    # to tracemalloc, and the counting peak stays under 8 bytes a slab cell
+    family = camzd.build_family_d(dim=4, levels=2)
+    word = family._density_words(2, 12)["a"]
+    patterns = [family.word(2, name).array for name in ("w1_2", "w2_2", "b2")]
+    want = camzd.DoubledGrid(word).counts(patterns)
+    slab_cells = 1 << 16
+    monkeypatch.setattr(camzd, "_SLAB_CELLS", slab_cells)
+    grid = camzd.DoubledGrid(word)
+    assert len(grid.mults) == 64
+    tracemalloc.start()
+    try:
+        got = grid.counts(patterns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want == [20736, 16, 16]
+    assert peak < 8 * slab_cells
+
+
 def test_block_grid_rejects_patterns_larger_than_a_block():
     word = camzd.postcard([], np.zeros((2, 2), dtype=np.uint8), 3)
     with refused(r"pattern \(3, 1\) does not fit in a block of side"):
@@ -480,16 +522,16 @@ def test_certificate_work_does_not_grow_with_n(family_d2, monkeypatch):
         # n = 2087 is the certified level-3 parameter
         assert camzd.certify_candidate_d(family_d2, n).passed == (n >= 2087)
     assert calls[48] == calls[2087] == calls[10**6] == calls[10**12]
-    # per side: the 16 neighbourhood windows, cropped to 6x6 cells for the
-    # 1x1 word and to 11x11 cells for the three 6x6 words
+    # per side: the 16 neighbourhood windows, cropped to 11x11 cells for
+    # the three 6x6 words; the 1x1 word is counted from the densities
     stacks = sorted(c[1] for c in calls[2087] if c[0] == "pack" and len(c[1]) == 3)
-    assert stacks == [(16, 6, 6)] * 2 + [(16, 11, 11)] * 2
-    # 5024 text cells, where the 40 distinct windows packed one at a time
-    # were 3770
-    assert sum(np.prod(shape) for shape in stacks) == 5024
+    assert stacks == [(16, 11, 11)] * 2
+    # 3872 text cells, where counting the 1x1 word on 6x6 windows too took
+    # 5024, and the 40 distinct windows packed one at a time 3770
+    assert sum(np.prod(shape) for shape in stacks) == 3872
     # one pass per pattern, where one pass per (pattern, window) made 104
     passes = sorted(c[1] for c in calls[2087] if c[0] == "pass")
-    assert passes == [(1, 1)] * 2 + [(6, 6)] * 6
+    assert passes == [(6, 6)] * 6
 
 
 def test_level3_candidate_packs_each_pattern_and_window_once(family_d2, monkeypatch):
@@ -502,10 +544,10 @@ def test_level3_candidate_packs_each_pattern_and_window_once(family_d2, monkeypa
 
     monkeypatch.setattr(camzd, "_pack", recording)
     camzd.certify_candidate_d(family_d2, 2087)
-    # per side: the 1x1 word, the three 6x6 words and one window stack for
-    # each of the two shapes; packing each distinct window on its own took
-    # 48 calls, and one count_occurrences_d call per (pattern, window) 208
-    assert len(packed) == 12
+    # per side: the three 6x6 words and one window stack; counting the 1x1
+    # word on the grid too took 12 calls, packing each distinct window on
+    # its own 48, and one count_occurrences_d call per (pattern, window) 208
+    assert len(packed) == 8
 
 
 def test_d4_level3_build_packs_each_pattern_and_stack_once(tmp_path, monkeypatch):
@@ -524,14 +566,16 @@ def test_d4_level3_build_packs_each_pattern_and_stack_once(tmp_path, monkeypatch
     monkeypatch.setattr(camzd.DoubledGrid, "counts", recording_counts)
     family = camzd.build_family_d(dim=4, levels=3)
     assert family.params == [6, 42142]
-    # packing each distinct window on its own took 1038 _pack calls
-    assert calls == {"_pack": 104, "counts": 38}
+    # counting the one-cell words on the grid too took 104 _pack calls and
+    # 38 counts, packing each distinct window on its own 1038 _pack calls
+    assert calls == {"_pack": 56, "counts": 14}
     path = tmp_path / "d4.json"
     path.write_text(cli.canonical_json(cam1d.family_to_obj(family)))
     calls.clear()
     assert cli.main(["certify", "--family", str(path), "--out", str(tmp_path / "cert.json")]) == 0
-    # levels 2 and 3 once each, where the one-window packing took 150
-    assert calls == {"_pack": 16, "counts": 6}
+    # levels 2 and 3 once each: level 2 counts on no grid; counting the
+    # one-cell words on the grid took 16 and 6, the one-window packing 150
+    assert calls == {"_pack": 8, "counts": 2}
 
 
 def test_pair_scan_packs_each_word_once(family_d2, monkeypatch):
@@ -706,28 +750,57 @@ def test_d2_level2_boundary():
 
 
 def test_level2_certificate_refuses_cubes_over_the_cell_budget(monkeypatch):
-    # every level-2 cube from the fit start n = 6 on has at least 6^d cells:
-    # 216 > 200 at d = 3, so the certificate refuses before it builds a grid
+    # the chosen level-2 parameter is 6, and a 6^3 = 216-cell cube exceeds
+    # 200 cells, so the build refuses, and no certificate builds a grid
     built = []
     monkeypatch.setattr(camzd, "DoubledGrid", lambda word: built.append(word))
     with pytest.raises(BudgetExceeded, match="cubes of 216 cells exceed the cell budget 200"):
-        camzd.certify_candidate_d(camzd.ZdFamily(3, Budgets(cells=200)), 6)
+        cam1d.build_family(levels=2, dim=3, budgets=Budgets(cells=200))
     assert built == []
 
 
-def test_certification_is_pure_d(family_d2, monkeypatch):
-    levels = family_d2.levels
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_level2_certificate_builds_no_grid(dim, monkeypatch):
+    # level 2 inherits only one-cell words, counted from the densities
+    built = []
+    monkeypatch.setattr(camzd, "DoubledGrid", lambda word: built.append(word))
+    report = camzd.certify_candidate_d(camzd.ZdFamily(dim), 6)
+    decided = [r.status for r in report.rows if "-freq[m=1," in r.ident]
+    assert len(decided) == 2 and set(decided) <= {"pass", "fail"}
+    assert report.passed == (dim > 1)  # d = 1 takes n = 9
+    assert built == []
+
+
+def test_no_level3_candidate_packs_a_one_cell_pattern(family_d2, monkeypatch):
+    pack_pattern = camzd._pack_pattern
+    shapes = []
+
+    def recording(pattern):
+        shapes.append(pattern.shape)
+        return pack_pattern(pattern)
+
+    monkeypatch.setattr(camzd, "_pack_pattern", recording)
+    for n in (12, 2086, 2087):
+        camzd.certify_candidate_d(family_d2, n)
+    assert shapes == [(6, 6)] * 18
+
+
+def test_certification_is_pure_d(monkeypatch):
+    # certifying a built level reads levels 1..k in place (level 3, where
+    # patterns are still counted); the family keeps all its levels
+    family = camzd.build_family_d(dim=2, levels=3)
+    levels = family.levels
     seen = []
     kernel = camzd._count_packed
 
     def recording(pattern, code, valid, mults):
-        seen.append(family_d2.top_level)
+        seen.append(family.top_level)
         return kernel(pattern, code, valid, mults)
 
     monkeypatch.setattr(camzd, "_count_packed", recording)
-    assert cam1d.certify_level(family_d2, 2).passed
-    assert seen and set(seen) == {2}
-    assert family_d2.levels is levels and family_d2.top_level == 2
+    assert cam1d.certify_level(family, 3).passed
+    assert seen and set(seen) == {3}
+    assert family.levels is levels and family.top_level == 3
 
 
 def test_d1_family_level3():
