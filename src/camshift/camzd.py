@@ -542,10 +542,7 @@ class ZdFamily(Hierarchy):
         if k == 1:
             if n < 3:
                 raise CamshiftError("level-2 parameter must be >= 3 to place the deviant cell")
-            if n**d > self.budgets.cells:
-                raise BudgetExceeded(
-                    f"level-2 cubes of {n**d} cells exceed the cell budget {self.budgets.cells}"
-                )
+            self._check_cube_cells(n)
             # the constant cubes: n^d one-cell blocks
             periodic = [PatchworkExpr(make_cube(d, 1, fill), (n,) * d, ()) for fill in (0, 1)]
         else:
@@ -583,8 +580,20 @@ class ZdFamily(Hierarchy):
         """The postcard margin 2k+4 for k stamps (one at level 2, which also
         leaves room for the deviant cell at n >= 3).  Below it the report is
         the eps tails and a failing stamp-fit row; from it on, every row is a
-        polynomial in n."""
-        return 2 * _stamp_count(k) + 4
+        polynomial in n.  No smaller level-2 parameter passes, so level-2
+        cubes of this side over the cell budget are refused here, before the
+        chooser certifies a candidate."""
+        start = 2 * _stamp_count(k) + 4
+        if k == 1:
+            self._check_cube_cells(start)
+        return start
+
+    def _check_cube_cells(self, n: int):
+        """Refuse level-2 cubes of n^d cells over the cell budget."""
+        if n**self.dim > self.budgets.cells:
+            raise BudgetExceeded(
+                f"level-2 cubes of {n**self.dim} cells exceed the cell budget {self.budgets.cells}"
+            )
 
     def _words_to_obj(self) -> dict:
         """The file field that stores the words: arrays at levels 1-2, whose

@@ -1,9 +1,9 @@
 """Reference implementations for ``camshift.cam1d``.
 
 The suffix automaton below is the direct per-symbol construction.  The
-tests compare ``cam1d.distinct_factor_counts`` (one sort of packed
-prefixes plus the LCP of neighbouring distinct keys) against it and against
-brute-force sets of slices.
+tests compare ``cam1d.distinct_factor_counts`` (one sort of the packed
+prefixes of the text's distinct windows plus the LCP of neighbouring
+distinct keys) against it and against brute-force sets of slices.
 
 ``parse_structure_scan`` parses a window block by block: one slice and
 one lookup per block, and ``classify_pair`` on every adjacent pair.  The

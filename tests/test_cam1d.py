@@ -1,9 +1,11 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from cam1d_oracles import (
@@ -874,6 +876,17 @@ def test_distinct_factor_counts_on_transitive_windows(family3, n_max, lcp_pairs)
     assert sum(lcp_pairs) < len(text) // 10
 
 
+@pytest.mark.parametrize("n_max", [1, 8, 31])
+def test_short_factor_keys_are_cut_to_n_max(family3, n_max, lcp_pairs):
+    # below 32 binary symbols a key is cut to n_max symbols, so the groups
+    # are the distinct n_max-factors and the n_max - 1 shortest suffixes,
+    # whatever follows a window's starts
+    text = cam1d.transitive_point_window(family3, -2000, 4000)
+    counts = cam1d.distinct_factor_counts(text, n_max)
+    assert counts == _brute_counts(text, n_max)
+    assert lcp_pairs == [counts[-1] + n_max - 2]
+
+
 @pytest.mark.parametrize(
     "alphabet, bits, per", [(WIDE_ALPHABET, 9, 7), ("abcd", 3, 21)], ids=["wide", "four"]
 )
@@ -905,6 +918,58 @@ def test_benchmark_complexity_computes_lcps_between_distinct_keys_only(lcp_pairs
     family = _benchmark_family()
     cam1d.complexity_profile(family, 32, 500_000)
     assert lcp_pairs == [141]
+
+
+@given(case=factor_cases(), copies=st.integers(1, 6), stride=st.sampled_from([1, 2, 7]))
+@example(case=("01", 5), copies=40, stride=2)
+@example(case=("abc" * 20 + "abd", 4), copies=1, stride=7)
+@example(case=("".join(WIDE_ALPHABET[:2]), 9), copies=40, stride=1)  # 9 > 7 symbols a key
+@example(case=("0110", 40), copies=40, stride=2)  # 40 > 32 symbols a key
+@settings(max_examples=300, deadline=None)
+def test_windowed_factor_counts_match_oracles(case, copies, stride):
+    # a small stride cuts short texts into many windows; copies of a text
+    # and periodic texts repeat them, and the tails vary in length
+    text, n_max = case
+    text *= copies
+    with mock.patch.object(cam1d, "_STRIDE", stride):
+        joined, kept, tail = cam1d._distinct_windows(text, n_max)
+        counts = cam1d.distinct_factor_counts(text, n_max)
+    # each distinct window once, its first max(stride, n_max) starts kept, then the tail
+    step = max(stride, n_max)
+    length = step + n_max - 1
+    windows = [joined[i : i + length] for i in range(0, len(joined) - tail, length)]
+    assert len(joined) <= len(text) and joined.endswith(text[len(text) - tail :])
+    assert len(set(windows)) == len(windows) and all(w in text for w in windows)
+    assert kept.sum() == len(windows) * step + tail
+    assert counts == distinct_factor_counts_automaton(text, n_max)
+    assert counts == _brute_counts(text, n_max)
+
+
+def test_benchmark_complexity_packs_the_distinct_windows_only(monkeypatch):
+    # the 500 000-symbol probe-1d window holds 48 distinct windows of
+    # 256 + 31 symbols: the packing reads them and the tail, and the traced
+    # peak stays a small fraction of the text
+    family = _benchmark_family()
+    packed, peaks = [], []
+    packed_prefixes, counter = cam1d._packed_prefixes, cam1d.distinct_factor_counts
+
+    def recording(text):
+        packed.append(len(text))
+        return packed_prefixes(text)
+
+    def traced(text, n_max):
+        tracemalloc.start()
+        try:
+            return counter(text, n_max)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] / len(text))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cam1d, "_packed_prefixes", recording)
+    monkeypatch.setattr(cam1d, "distinct_factor_counts", traced)
+    cam1d.complexity_profile(family, 32, 500_000)
+    assert len(packed) == 1 and packed[0] <= 20_000
+    assert len(peaks) == 1 and peaks[0] < 4
 
 
 # -- serialization --------------------------------------------------------------------

@@ -718,6 +718,25 @@ def test_family_param_over_cell_budget(tmp_path, family_d2_file, capsys):
     assert "exceed the cell budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [11, 33, 64])
+def test_level2_cubes_over_the_cell_budget_are_refused_before_certifying(
+    dim, tmp_path, monkeypatch, capsys
+):
+    # no level-2 parameter below 6 passes, and 6^d cells exceed the default
+    # budget from d = 11 on, so the build refuses before any candidate
+    monkeypatch.delenv("CAMSHIFT_BUDGET", raising=False)
+    calls = []
+    monkeypatch.setattr(cam1d, "certify_candidate", lambda *args: calls.append(args))
+    out = tmp_path / "big.json"
+    assert run("build", "--dim", str(dim), "--levels", "2", "--out", str(out)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: level-2 cubes of {6**dim} cells exceed the cell budget 100000000\n"
+    )
+    assert calls == [] and not out.exists()
+
+
 def test_d2_level3_file_form_independent_of_cell_budget(
     tmp_path, family_d2_structural3, monkeypatch, capsys
 ):

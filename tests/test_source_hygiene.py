@@ -201,20 +201,25 @@ def test_the_check_sees_a_roll():
     assert sorted(_rolls(tree)) == [3, 4]
 
 
-def _readers(tree, attrs):
-    """Sorted (attribute, function) pairs: each attribute in ``attrs`` that
-    is read, with the module-level function or method whose body (nested
-    functions included) reads it."""
+def _functions(tree):
+    """The module-level functions and methods of a module."""
     functions = []
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             functions += [f for f in node.body if isinstance(f, ast.FunctionDef)]
         elif isinstance(node, ast.FunctionDef):
             functions.append(node)
+    return functions
+
+
+def _readers(tree, attrs):
+    """Sorted (attribute, function) pairs: each attribute in ``attrs`` that
+    is read, with the module-level function or method whose body (nested
+    functions included) reads it."""
     return sorted(
         {
             (node.attr, function.name)
-            for function in functions
+            for function in _functions(tree)
             for node in ast.walk(function)
             if isinstance(node, ast.Attribute) and node.attr in attrs
         }
@@ -250,6 +255,45 @@ def test_the_check_sees_a_second_reader():
         ("_name_count", "_across"),
         ("_name_count", "f"),
     ]
+
+
+def _name_readers(tree, name):
+    """Sorted names of the module-level functions and methods whose body
+    (nested functions included) reads ``name``, bare or as an attribute."""
+    return sorted(
+        {
+            function.name
+            for function in _functions(tree)
+            for node in ast.walk(function)
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+        }
+    )
+
+
+def test_one_packing_site():
+    # factor complexity packs the deduplicated text of its windows, once; a
+    # whole-text path beside it would pack again
+    readers = [
+        (path.name, reader)
+        for path in SOURCES
+        for reader in _name_readers(_parse(path), "_packed_prefixes")
+    ]
+    assert readers == [("cam1d.py", "distinct_factor_counts")]
+
+
+def test_the_check_sees_a_second_packing_site():
+    tree = ast.parse(
+        "def distinct_factor_counts(text):\n"
+        "    return _packed_prefixes(text)\n"
+        "class C:\n"
+        "    def whole(self, text):\n"
+        "        pack = cam1d._packed_prefixes\n"
+        "        return pack(text)\n"
+        "def _packed_prefixes(text):\n"
+        "    return _packed_prefixes_wide(text)\n"
+    )
+    assert _name_readers(tree, "_packed_prefixes") == ["distinct_factor_counts", "whole"]
 
 
 def _constructed_in(tree, cls):
