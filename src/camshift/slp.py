@@ -40,18 +40,21 @@ junction are such a sequence and L is a multiple q ell with q >= 2, the
 pattern is read as its run-length sequence of ell-symbol chunks.  The
 last q blocks before the junction and the first q after it (all blocks
 of a short run) become a run-length sequence of block names, the blocks'
-contents.  An occurrence at offset rho = start mod ell is a match of the
-chunk runs in the rho-shifted names, the content of s[rho:] + t[:rho]
-for each adjacent block pair (s, t), restricted to the starts that cross
-the junction; rho = 0 reads the blocks themselves.  Only the offsets at
-which the first chunk is the shifted name of some adjacent pair are
-tried.  A word of the pattern's length holds it only if it is the
+contents.  The pattern is cut instead of the names: an occurrence that
+starts h symbols before a block boundary reads its first h symbols at
+the end of one block, then whole blocks, the chunk runs of the pattern
+from h on, and its last ell - h symbols at the start of the next block
+(h = 0 reads whole blocks only).  Each cut is built once per pattern and
+offset and matched against the names themselves, restricted to the
+starts that cross the junction, and only when a run of the names holds
+its first run of whole chunks.  A word of the pattern's length holds it only if it is the
 pattern, one comparison of run-length names.  Every test is an equality
-of ell-symbol strings or of run counts, and no junction text is built: a
-level-3 word of 44 091 symbols meets a level-4 junction as a dozen runs
-of level-2 names on each side.  The block names of a node's ends (by
-node) and of each run boundary and seam (by node, boundary and q), the
-chunk runs (by pattern) and the name counts (by names, starts and
+of ell-symbol strings or of run counts, or a block that ends or starts
+with a piece of the pattern, and no junction text is built: a level-3
+word of 44 091 symbols meets a level-4 junction as a dozen runs of
+level-2 names on each side.  The block names of a node's ends (by node)
+and of each run boundary and seam (by node, boundary and q), the chunk
+runs and cuts (by pattern) and the name counts (by names, starts and
 pattern) share one memo with the text counts, bounded by bytes.
 
 A text count (:func:`count_occurrences_naive`) serves every other
@@ -144,11 +147,12 @@ class SlpBuilder:
         self._atoms = {s: SlpExpr(next(self._uid), "atom", symbol=s) for s in SYMBOLS}
         # text counts keyed by content (many nodes share the same cached
         # snippets, so the heavy scans run once per content), and the
-        # block-name path's chunk runs (by pattern), names (by node uid),
-        # junctions and seams (by node uid and boundary) and counts (by
+        # block-name path's chunk runs and cuts (by pattern), names (by node
+        # uid), junctions and seams (by node uid and boundary) and counts (by
         # content).  Keys never collide: a text count's 4-tuple starts with
-        # a str, a name count's with a tuple, and the other keys are 2- or
-        # 3-tuples
+        # a str and a name count's with a tuple, a pattern's chunk runs
+        # (pattern, ell) and cuts (pattern, ell, h) start with the pattern,
+        # a node's end names with its uid and a junction's with a tuple
         self._memo: dict = {}
         self._memo_bytes = 0
         self._checked: set = set()  # patterns whose symbols are all in SYMBOLS
@@ -382,26 +386,47 @@ class SlpBuilder:
         """Occurrences that start at a symbol in [lo, hi) of the word the
         run-length block names ``seq`` spell.
 
-        An occurrence at offset rho = start mod ell is a match of the
-        pattern's chunk runs in the names of the rho-shifted blocks, the
-        content of s[rho:] + t[:rho] for each adjacent block pair (s, t):
-        rho = 0 reads the blocks themselves, and inside a run of s the
-        shifted name is the rotation of s.  Only the offsets at which the
-        first chunk is the shifted name of some adjacent pair are tried.
-        Every test is an equality of ell-symbol strings or of run counts.
+        An occurrence that starts h symbols before the block boundary
+        j ell reads the pattern's cut at h (:meth:`_cut`): its whole
+        chunks are blocks j, j + 1, ..., the block before them ends with
+        its head and the block after them starts with its tail.  A cut is
+        matched (:func:`_match`) at the j with j ell - h in [lo, hi), and
+        only when a run of ``seq`` holds its first run: a cut is built only
+        for an h at which the pattern's next ell symbols are a name.
         """
         key = (seq, lo, hi, pattern)
         value = self._memo.get(key)
         if value is None:
             value = 0
             if sum(count for _, count in seq) * ell >= len(pattern):
-                for rho in _offsets(seq, chunks[0][0], ell):
-                    first, last = max(-((rho - lo) // ell), 0), -((rho - hi) // ell)
-                    if first < last:
-                        shifted = _shifted(seq, rho) if rho else seq
-                        value += _match(shifted, chunks, first, last)
+                most = {}  # the longest run of each name
+                for name, count in seq:
+                    if most.get(name, 0) < count:
+                        most[name] = count
+                for h in range(ell):
+                    if pattern[h : h + ell] not in most:
+                        continue
+                    head, runs, tail = self._cut(pattern, chunks, ell, h)
+                    if most[runs[0][0]] >= runs[0][1]:
+                        first, last = -(-(lo + h) // ell), -(-(hi + h) // ell)
+                        value += _match(seq, head, runs, tail, first, last)
             self._keep(key, value, ell * len(seq) + len(pattern))
         return value
+
+    def _cut(self, pattern, chunks, ell, h):
+        """The pattern cut h symbols into its first chunk, h in 0..ell-1:
+        (head, runs, tail) with head its first h symbols, runs the chunk
+        runs of the whole chunks after them and tail the rest, memoized per
+        (pattern, ell, h).  At h = 0 the head and tail are empty."""
+        if not h:
+            return "", chunks, ""
+        key = (pattern, ell, h)
+        cut = self._memo.get(key)
+        if cut is None:
+            runs = _shifted(chunks, h)
+            cut = (pattern[:h], runs, pattern[len(pattern) - ell + h :])
+            self._keep(key, cut, ell * (len(runs) + 1))
+        return cut
 
     def _keep(self, key, value, size):
         """Put a value of ``size`` bytes in the memo, first clearing it when
@@ -464,60 +489,54 @@ def _chunk_runs(pattern, ell):
     return tuple(runs)
 
 
-def _offsets(seq, head, ell):
-    """0 and each rho in 1..ell-1 at which ``head`` is the rho-shifted name
-    of two adjacent blocks of ``seq``, in increasing order."""
-    pairs = {(name, name) for name, count in seq if count > 1}
-    pairs.update((s, t) for (s, _), (t, _) in zip(seq, seq[1:]))
-    found = {0}
-    for s, t in pairs:
-        text = s + t
-        rho = text.find(head, 1, 2 * ell - 1)
-        while rho != -1:
-            found.add(rho)
-            rho = text.find(head, rho + 1, 2 * ell - 1)
-    return sorted(found)
-
-
-def _shifted(seq, rho):
-    """Run-length names of the blocks shifted by rho: entry i reads the last
-    ell - rho symbols of block i and the first rho of block i + 1.  Inside a
-    run of s that is the rotation s[rho:] + s[:rho]."""
+def _shifted(chunks, rho):
+    """Run-length chunks shifted by rho: entry i reads the last ell - rho
+    symbols of chunk i and the first rho of chunk i + 1.  Inside a run of s
+    that is the rotation s[rho:] + s[:rho]."""
     out = []
-    for t, (name, count) in enumerate(seq):
+    for t, (name, count) in enumerate(chunks):
         if count > 1:
             _push(out, name[rho:] + name[:rho], count - 1)
-        if t + 1 < len(seq):
-            _push(out, name[rho:] + seq[t + 1][0][:rho], 1)
+        if t + 1 < len(chunks):
+            _push(out, name[rho:] + chunks[t + 1][0][:rho], 1)
     return tuple(out)
 
 
-def _match(seq, chunks, first, last):
-    """Block indices i in [first, last) at which the runs ``chunks`` occur in
-    the runs ``seq``; both are maximal runs, so a match of several runs
-    ends its first run on a run end of ``seq`` and matches the inner runs
-    exactly."""
-    head, need = chunks[0]
+def _match(seq, head, runs, tail, first, last):
+    """Block indices i in [first, last) at which the runs ``runs`` occur in
+    the runs ``seq``, block i - 1 ending with ``head`` and the block after
+    them starting with ``tail``.  Both are maximal runs, so a match of
+    several runs ends its first run on a run end of ``seq`` and matches the
+    inner runs exactly, and a match of one run may start anywhere in a run
+    of ``seq`` long enough: there every start but the first and last has
+    that run's own blocks on both sides.  A missing neighbour reads as "",
+    which ends or starts with no head or tail but the empty one."""
+    (name0, need), inner, (name1, need1), span = runs[0], runs[1:-1], runs[-1], len(runs)
     count = at = 0
-    if len(chunks) == 1:
-        for name, reps in seq:
-            if name == head and reps >= need:
-                count += max(min(at + reps - need + 1, last) - max(at, first), 0)
-            at += reps
-        return count
-    inner, (tail, tail_need), span = chunks[1:-1], chunks[-1], len(chunks)
     for t in range(len(seq) - span + 1):
         name, reps = seq[t]
-        at += reps
+        at += reps  # the end of run t
+        end, end_reps = seq[t + span - 1]
         if (
-            name == head
-            and reps >= need
-            and first <= at - need < last
-            and seq[t + 1 : t + span - 1] == inner
-            and seq[t + span - 1][0] == tail
-            and seq[t + span - 1][1] >= tail_need
+            name != name0
+            or reps < need
+            or end != name1
+            or end_reps < need1
+            or seq[t + 1 : t + span - 1] != inner
         ):
-            count += 1
+            continue
+        stop = at - need  # the last start in run t
+        start, spare = (stop, end_reps - need1) if span > 1 else (at - reps, 0)
+        a, b = max(start, first), min(stop, last - 1)
+        if a > b:
+            continue
+        prev = seq[t - 1][0] if t else ""
+        after = seq[t + span][0] if t + span < len(seq) else ""
+        for i in {a, b}:
+            before = name if i > at - reps else prev
+            count += before.endswith(head) and (end if i < stop + spare else after).startswith(tail)
+        if b - a > 1:
+            count += (b - a - 1) * (name.endswith(head) and name.startswith(tail))
     return count
 
 

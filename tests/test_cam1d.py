@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -525,6 +526,45 @@ def test_junction_work_of_a_loaded_level4_verify(family4, junction_work):
         "name counts": 30,
         "name count misses": 30,
     }
+
+
+def test_cold_level4_counts_cut_the_pattern_not_the_junction(family4, junction_work, monkeypatch):
+    # an occurrence off a block boundary is matched by cutting the pattern,
+    # once per (pattern, ell) and offset h in 1..ell-1, against the names of
+    # the junction as they are: no junction's names are ever shifted (one
+    # cold level-4 certificate used to shift them 266 times)
+    shifts = []
+
+    def recording(names, h):
+        shifts.append((sys._getframe(1).f_code.co_name, names, h))
+        return shifted(names, h)
+
+    shifted = slp._shifted
+    monkeypatch.setattr(slp, "_shifted", recording)
+    obj = json.loads(json.dumps(cam1d.family_to_obj(family4)))
+    cold_certify = {
+        "text scans": 48,
+        "text bytes": 656,
+        "junctions": 24,
+        "name counts": 170,
+        "name count misses": 102,
+    }
+    cold_verify = {"junctions": 6, "name counts": 30, "name count misses": 30}
+    for run, work in (
+        (lambda: cam1d.certify_level(cam1d.family_from_obj(obj), 4), cold_certify),
+        (lambda: cam1d.verify_distinct_subwords(cam1d.family_from_obj(obj), 3), cold_verify),
+    ):
+        shifts.clear()
+        junction_work.clear()
+        run()
+        assert junction_work == work
+        assert {caller for caller, _, _ in shifts} == {"_cut"}
+        per_pattern = Counter(names for _, names, _ in shifts)
+        assert all(n <= len(names[0][0]) - 1 for names, n in per_pattern.items())
+        assert len(set(shifts)) == len(shifts)
+        # only w1_3 and w2_3, runs of one level-2 word, meet a name off a
+        # block boundary
+        assert (len(per_pattern), len(shifts)) == (2, 16)
 
 
 def test_level4_build_scans_no_text_for_a_level3_word(monkeypatch):

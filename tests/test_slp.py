@@ -425,22 +425,81 @@ def test_block_names_at_run_edges():
         assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
 
 
+@st.composite
+def block_names_and_pattern(draw):
+    """Run-length block names, a pattern of q >= 2 chunks and a start range.
+
+    Blocks of ell = 2..4 symbols, 2..4 distinct ones, in maximal runs of
+    1..6; the pattern is half the time cut from the spelled text at any
+    symbol, so at every offset from a block boundary, and starts are
+    counted in [lo, hi), each end often 0 or the full length.
+    """
+    ell = draw(st.integers(2, 4))
+    words = st.text(alphabet="01", min_size=ell, max_size=ell)
+    blocks = draw(st.lists(words, min_size=2, max_size=4, unique=True))
+    seq = []
+    for name in draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=8)):
+        slp._push(seq, name, draw(st.integers(1, 6)))
+    text = "".join(name * count for name, count in seq)
+    size = draw(st.integers(2, 8)) * ell
+    if draw(st.booleans()) and len(text) >= size:
+        start = draw(st.integers(0, len(text) - size))
+        pattern = text[start : start + size]
+    else:
+        pattern = draw(st.text(alphabet="01", min_size=size, max_size=size))
+    lo = draw(st.sampled_from([0, len(text)]) | st.integers(0, len(text)))
+    hi = draw(st.sampled_from([0, len(text)]) | st.integers(0, len(text)))
+    return pattern, ell, tuple(seq), min(lo, hi), max(lo, hi), text
+
+
+# a head in the first block and a tail in the last; a cut whose whole
+# chunks are a whole run; a cut with head and tail inside a longer run
+@example(case=("1101", 2, (("01", 1), ("10", 2)), 0, 6, "011010"))
+@example(case=("001011", 2, (("00", 1), ("01", 2), ("11", 1)), 0, 8, "00010111"))
+@example(case=("101010", 2, (("00", 1), ("01", 4), ("11", 1)), 0, 12, "000101010111"))
+@given(case=block_names_and_pattern())
+@settings(max_examples=400, deadline=None)
+def test_name_count_matches_a_scan_of_the_spelled_blocks(case):
+    pattern, ell, seq, lo, hi, text = case
+    builder = slp.SlpBuilder()
+    count = builder._name_count(pattern, slp._chunk_runs(pattern, ell), ell, seq, lo, hi)
+    assert count == sum(text.startswith(pattern, i) for i in range(lo, hi))
+
+
 def test_name_memo_stays_within_its_byte_bound(monkeypatch):
     monkeypatch.setattr(slp, "_JUNCTION_CACHE_BYTES", 300)
     builder = slp.SlpBuilder()
     x, y = word(builder, "001"), word(builder, "011")
     mids = [builder.concat([(x, 2 + i), (y, 1), (x, 1)]) for i in range(6)]
     cleared = False
+    seen = set()  # keys of the pattern cuts the memo has held
+
+    def is_cut(key):  # (pattern, ell, h)
+        return len(key) == 3 and isinstance(key[0], str)
+
     for size in (6, 9, 12):
         for mid in mids:
             expr = builder.concat([(mid, 3), (y, 2), (mid, 1)])
             text = materialize(expr)
-            pattern = text[len(text) - size :]
-            before = builder._memo_bytes
-            assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
-            assert 0 < builder._memo_bytes <= 300
-            cleared = cleared or builder._memo_bytes < before
-    assert cleared
+            for end in range(len(text), len(text) - 3, -1):  # every offset
+                pattern = text[end - size : end]
+                before = builder._memo_bytes
+                assert builder.count_occurrences(pattern, expr) == scan_count(pattern, text)
+                assert 0 < builder._memo_bytes <= 300
+                # the pattern cuts share the memo and its byte count
+                cuts = {k: v for k, v in builder._memo.items() if is_cut(k)}
+                assert sum(3 * (len(v[1]) + 1) for v in cuts.values()) <= builder._memo_bytes
+                cleared = cleared or builder._memo_bytes < before
+                seen |= cuts.keys()
+    assert cleared and seen - builder._memo.keys()
+    # a cut is paid for by its runs and its head and tail: one that does
+    # not fit in what is left clears the memo
+    pattern = "001011" * 40
+    assert builder._memo_bytes > 300 - 3 * 80
+    cut = builder._cut(pattern, slp._chunk_runs(pattern, 3), 3, 1)
+    assert len(cut[1]) == 79
+    assert builder._memo == {(pattern, 3, 1): cut}
+    assert builder._memo_bytes == 3 * 80
 
 
 @given(

@@ -296,6 +296,32 @@ def test_the_check_sees_a_second_packing_site():
     assert _name_readers(tree, "_packed_prefixes") == ["distinct_factor_counts", "whole"]
 
 
+def test_one_rotation_reader():
+    # an occurrence off a block boundary reads the pattern cut at that
+    # offset, built in SlpBuilder._cut; shifting a junction's block names
+    # instead would read the rotation helper again, once per pattern
+    readers = [
+        (path.name, reader)
+        for path in SOURCES
+        for reader in _name_readers(_parse(path), "_shifted")
+    ]
+    assert readers == [("slp.py", "_cut")]
+
+
+def test_the_check_sees_a_second_rotation_reader():
+    tree = ast.parse(
+        "class B:\n"
+        "    def _cut(self, chunks, h):\n"
+        "        return _shifted(chunks, h)\n"
+        "    def _name_count(self, seq, rho):\n"
+        "        shift = slp._shifted\n"
+        "        return [shift(seq, r) for r in rho]\n"
+        "def _shifted(seq, rho):\n"
+        "    return _shifted_names(seq, rho)\n"
+    )
+    assert _name_readers(tree, "_shifted") == ["_cut", "_name_count"]
+
+
 def _constructed_in(tree, cls):
     """Sorted scopes that call ``cls(...)``: ``Class.method`` or a
     module-level function (a nested function counts as the one it is in),
