@@ -16,8 +16,13 @@ identities on the power sums t_m, t_2m, ..., t_dm.
 of the census; the matrix-power oracles and the trial-division Mobius sums
 live with the tests (``tests/sft_oracles.py``).
 
-Eigenvalue questions are decided in integers, by Sturm counts of the real
-roots of the squarefree part of a characteristic polynomial.
+Eigenvalue questions are decided in integers by the signs of one shifted
+polynomial (:func:`_radius_exceeds`): for a nonnegative B and a rational
+p/q >= 0, rho(B) > p/q iff det((y + p)I - qB) has a negative coefficient,
+since its coefficients are the sums of the principal minors of the
+Z-matrix pI - qB.  The Sturm sequence and root count (:func:`sturm_sequence`,
+:func:`roots_above`) decide no question here; they serve the real-root
+solver of ``cam1d``.
 """
 
 from __future__ import annotations
@@ -78,9 +83,9 @@ def _traces(rows):
         if n < d:
             power = _matmul(power, rows)
     yield from traces
-    coeffs = _newton(traces)[1:]
+    coeffs = [-c for c in reversed(_newton(traces)[1:])]  # -c_d, ..., -c_1
     while True:
-        traces.append(-sum(map(operator.mul, coeffs, traces[: -d - 1 : -1])))
+        traces.append(sum(map(operator.mul, coeffs, traces[-d:])))
         yield traces[-1]
 
 
@@ -106,12 +111,13 @@ def _least_periods(values, n_max: int) -> list:
 
     Exact Dirichlet inversion in O(n_max log n_max) subtractions: q_k is final
     once every proper divisor of k has been subtracted from it, and is then
-    subtracted from every proper multiple of k."""
+    subtracted in place from every proper multiple of k."""
     q = values[: n_max + 1]
     for k in range(1, n_max // 2 + 1):
         q_k = q[k]
         if q_k:
-            q[2 * k :: k] = [x - q_k for x in q[2 * k :: k]]
+            for n in range(2 * k, n_max + 1, k):
+                q[n] -= q_k
     return q
 
 
@@ -258,11 +264,37 @@ def roots_above(seq, x) -> int:
     return _sign_changes(values) - _sign_changes(p[0] for p in seq)
 
 
+# -- spectral radius against a rational --------------------------------------------
+
+
+def _radius_exceeds(chi, x) -> bool:
+    """rho(B) > x, for a nonnegative B with det(yI - B) = chi and a rational x = p/q >= 0.
+
+    det(yI - qB) has the coefficients c_k q^k of chi, and its Taylor shift by p,
+    det(yI + (pI - qB)), has as coefficient of y^(d-k) the sum of the k x k
+    principal minors of the Z-matrix pI - qB.  They are all >= 0 when
+    rho(qB) <= p, for pI - qB is then an M-matrix (Berman & Plemmons, ch. 6),
+    and one is < 0 when rho(qB) > p, for the monic shifted polynomial has the
+    positive root rho(qB) - p.  Exact at rho(B) = x; O(d^2) integer steps, and
+    the shift finishes the coefficient of y^i at its step i, so it stops at
+    the first negative one.
+    """
+    p, q = x.numerator, x.denominator
+    a = [c * q**k for k, c in enumerate(chi)]
+    d = len(a) - 1
+    for i in range(d):
+        for j in range(1, d - i + 1):
+            a[j] += p * a[j - 1]
+        if a[d - i] < 0:
+            return True
+    return False
+
+
 def _entropy_gap(traces, m: int) -> bool:
     """log 2/m < log lambda(A), i.e. lambda(A^m) > 2, for traces[n] = tr(A^n) up to
-    n = d*m: no real eigenvalue of A^m exceeds lambda(A^m), so iff det(xI - A^m) has
-    a root above 2.  A^m has power sums tr(A^m), tr(A^2m), ..., tr(A^dm)."""
-    return roots_above(sturm_sequence(_newton(traces[: traces[0] * m + 1 : m])), 2) > 0
+    n = d*m: a sign test of det(yI - A^m) shifted by 2, with the power sums
+    tr(A^m), tr(A^2m), ..., tr(A^dm) of A^m.  lambda(A^m) = 2 is a fail."""
+    return _radius_exceeds(_newton(traces[: traces[0] * m + 1 : m]), 2)
 
 
 # -- Perron eigenvalue -----------------------------------------------------------
@@ -281,19 +313,18 @@ class PerronResult:
 def perron_eigenvalue(A) -> PerronResult:
     """Exact bracket of the Perron eigenvalue of an irreducible nonnegative matrix.
 
-    Bisects [min row sum, max row sum] down to width ``_PERRON_WIDTH`` on a
-    Sturm count of the characteristic polynomial: lambda > x iff it has a root
-    above x, because no real eigenvalue exceeds lambda.
+    Bisects [min row sum, max row sum] down to width ``_PERRON_WIDTH``, keeping
+    the half that holds lambda by the sign test :func:`_radius_exceeds` of the
+    characteristic polynomial at the midpoint.
     """
     A = _require_irreducible(A)
     chi = _charpoly(A.rows)
-    seq = sturm_sequence(chi)
     lower = Fraction(min(map(sum, A.rows)))
     upper = Fraction(max(map(sum, A.rows)))
     iterations = 0
     while upper - lower > _PERRON_WIDTH:
         middle = (lower + upper) / 2
-        lower, upper = (middle, upper) if roots_above(seq, middle) else (lower, middle)
+        lower, upper = (middle, upper) if _radius_exceeds(chi, middle) else (lower, middle)
         iterations += 1
     return PerronResult(lower=lower, upper=upper, iterations=iterations, primitive=_aperiodic(chi))
 

@@ -127,6 +127,13 @@ def _check_symbol(symbol):
         raise CamshiftError(f"symbol must be one of {SYMBOLS}, got {symbol!r}")
 
 
+def _check_symbols(pattern):
+    """Refuse a pattern with a symbol outside SYMBOLS: one scan at C speed."""
+    stray = pattern.translate(_DROP_SYMBOLS)
+    if stray:
+        _check_symbol(stray[0])
+
+
 class SlpBuilder:
     """Hash-consing factory and counting context for :class:`SlpExpr` DAGs.
 
@@ -155,7 +162,9 @@ class SlpBuilder:
         # a node's end names with its uid and a junction's with a tuple
         self._memo: dict = {}
         self._memo_bytes = 0
-        self._checked: set = set()  # patterns whose symbols are all in SYMBOLS
+        # patterns whose symbols are all in SYMBOLS: those counted so far and
+        # the whole words the builder spelled from its own atoms
+        self._checked: set = set()
 
     # -- construction -------------------------------------------------
 
@@ -200,6 +209,8 @@ class SlpBuilder:
         if out is None:
             out = node.symbol if node.kind == "atom" else self._end(node.parts, need, False)
             node._pre[need] = out
+            if need == node.length:  # spelled from the atoms: no symbol check as a pattern
+                self._checked.add(out)
         return out
 
     def suffix_snippet(self, node, k: int) -> str:
@@ -224,10 +235,7 @@ class SlpBuilder:
         if not pattern:
             raise CamshiftError("pattern must be nonempty")
         if pattern not in self._checked:
-            # one scan at C speed, once per distinct pattern
-            stray = pattern.translate(_DROP_SYMBOLS)
-            if stray:
-                _check_symbol(stray[0])
+            _check_symbols(pattern)
             self._checked.add(pattern)
         return self._count(expr, pattern)
 

@@ -17,7 +17,7 @@ The oracles here share nothing with that sequence:
 
 The checks of the exact eigenvalue path use plain ``Fraction`` Gaussian
 elimination and share no code with the characteristic polynomial or the
-Sturm count:
+sign test of ``sft._radius_exceeds``:
 
 * ``det_shifted`` evaluates det(xI - A) at one rational point, to check the
   coefficients of ``sft._charpoly``;
@@ -25,11 +25,22 @@ Sturm count:
   nonnegative B, sI - B is a Z-matrix, so rho(B) <= s iff every principal
   minor of sI - B is >= 0, and rho(B) < s iff every one is > 0 (Berman &
   Plemmons, *Nonnegative Matrices in the Mathematical Sciences*, ch. 6).
+
+The sign test replaced a Sturm count, kept here as an oracle of the same
+decisions.  Its entropy test reads the characteristic polynomial of the
+power A^m itself, built by repeated squaring (``_matpow``), not Newton's
+identities on the power sums t_m, t_2m, ..., t_dm:
+
+* ``sturm_entropy_gap`` decides lambda(A^m) > 2 by a Sturm count of the
+  real roots above 2 of det(xI - A^m), squarefree part first;
+* ``sturm_perron_bracket`` bisects [min row sum, max row sum] on a Sturm
+  count, as ``sft.perron_eigenvalue`` did, to a bracket and step count.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from camshift import sft
 from camshift.errors import CamshiftError
 from camshift.sft import _matmul
 
@@ -140,3 +151,24 @@ def min_principal_minor(B, s) -> Fraction:
         for size in range(1, n + 1)
         for subset in combinations(range(n), size)
     )
+
+
+def sturm_entropy_gap(A, m: int) -> bool:
+    """lambda(A^m) > 2 for a nonnegative A: det(xI - A^m) has a real root above 2,
+    since no real eigenvalue of A^m exceeds lambda(A^m)."""
+    chi = sft._charpoly(_matpow(tuple(map(tuple, A)), m))
+    return sft.roots_above(sft.sturm_sequence(chi), 2) > 0
+
+
+def sturm_perron_bracket(A):
+    """(lower, upper, iterations) of a bisection of [min row sum, max row sum] to
+    width ``sft._PERRON_WIDTH`` on a Sturm count: lambda > x iff det(xI - A) has
+    a real root above x."""
+    seq = sft.sturm_sequence(sft._charpoly(tuple(map(tuple, A))))
+    lower, upper = Fraction(min(map(sum, A))), Fraction(max(map(sum, A)))
+    iterations = 0
+    while upper - lower > sft._PERRON_WIDTH:
+        middle = (lower + upper) / 2
+        lower, upper = (middle, upper) if sft.roots_above(seq, middle) else (lower, middle)
+        iterations += 1
+    return lower, upper, iterations

@@ -567,6 +567,28 @@ def test_cold_level4_counts_cut_the_pattern_not_the_junction(family4, junction_w
         assert (len(per_pattern), len(shifts)) == (2, 16)
 
 
+def test_cold_level4_certificate_checks_no_spelled_word(family4, monkeypatch):
+    # the level-3 words a certificate counts are the builder's own whole-word
+    # snippets, spelled from its atoms: only the density symbols, which come
+    # from the family's class table, are checked for stray symbols
+    checked = []
+
+    def recording(pattern):
+        checked.append(pattern)
+        return check(pattern)
+
+    check = slp._check_symbols
+    monkeypatch.setattr(slp, "_check_symbols", recording)
+    obj = json.loads(json.dumps(cam1d.family_to_obj(family4)))
+    loaded = cam1d.family_from_obj(obj)
+    cam1d.certify_level(loaded, 4)
+    assert sorted(checked) == ["0", "1"]
+    # a pattern from outside the builder is still checked, once
+    for _ in range(2):
+        loaded.builder.count_occurrences("0110", loaded.a(3))
+    assert sorted(checked) == ["0", "0110", "1"]
+
+
 def test_level4_build_scans_no_text_for_a_level3_word(monkeypatch):
     # every junction a level-3 word meets in a level-4 build is decided on
     # level-2 block names; only the short patterns are counted in texts

@@ -211,6 +211,14 @@ def test_measure_bad_cylinder_prints_no_row(family_file, cylinders, capsys):
     assert captured.err == "error: cylinder word must be nonempty\n"
 
 
+def test_measure_stray_symbol_cylinder_exits_2(family_file, capsys):
+    # a cylinder comes from outside the builder, so its symbols are checked
+    code = run("measure", "--family", str(family_file), "--k", "3", "--cylinders", "0,012")
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: symbol must be one of ('0', '1'), got '2'\n"
+
+
 def test_measure_command_d2(family_d2_file, capsys):
     assert run("measure", "--family", str(family_d2_file), "--k", "2") == 0
     assert "freq(1|a)=1/36" in capsys.readouterr().out

@@ -16,6 +16,8 @@ from sft_oracles import (
     is_primitive_wielandt,
     min_principal_minor,
     mobius,
+    sturm_entropy_gap,
+    sturm_perron_bracket,
     tower_census,
     tr_n,
 )
@@ -211,6 +213,19 @@ def test_perron_bracket_contains_numpy_radius(matrix):
     assert float(result.lower) - slack <= radius <= float(result.upper) + slack
 
 
+@given(square_matrices(4, 3))
+@example([[0, 1], [1, 0]])  # lambda = 1, period 2: the bracket closes at once
+@example([[0, 1], [2, 0]])  # lambda = sqrt 2, period 2
+@example([[1, 1], [1, 0]])
+@settings(max_examples=80, deadline=None)
+def test_perron_bracket_matches_the_sturm_bisection(matrix):
+    # the sign test keeps the same half at every step as a Sturm count did
+    if not sft.is_irreducible(matrix):
+        return
+    result = sft.perron_eigenvalue(matrix)
+    assert (result.lower, result.upper, result.iterations) == sturm_perron_bracket(matrix)
+
+
 def test_perron_rejects_reducible():
     for matrix in ([[1, 1], [0, 1]], [[0]]):
         with refused("matrix is not irreducible"):
@@ -323,6 +338,52 @@ def test_entropy_gap_matches_principal_minors(matrix, m):
     assert sft._entropy_gap(traces, m) == (min_principal_minor(power, 2) < 0)
 
 
+@given(square_matrices(4, 3), st.integers(1, 8))
+@example([[0, 1], [2, 0]], 2)  # imprimitive, lambda^2 = 2 exactly
+@example([[0, 1, 0], [0, 0, 1], [2, 0, 0]], 3)  # period 3, lambda^3 = 2 exactly
+@example([[2, 1], [0, 2]], 1)  # reducible, a Jordan block at 2
+@example([[2, 0], [0, 3]], 1)  # reducible, one eigenvalue above 2
+@example([[1, 1], [0, 0]], 5)  # reducible, lambda = 1
+@example([[0, 0], [0, 0]], 4)  # nilpotent
+@settings(max_examples=200, deadline=None)
+def test_entropy_gap_matches_the_sturm_count(matrix, m):
+    # the shifted-polynomial sign test against a Sturm count on chi of A^m
+    traces = list(itertools.islice(sft._traces(matrix), len(matrix) * m + 1))
+    assert sft._entropy_gap(traces, m) == sturm_entropy_gap(matrix, m)
+
+
+def test_radius_test_is_exact_at_a_root():
+    # (x - 2)^2: rho = 2 is not above 2, and is above any rational below it
+    assert not sft._radius_exceeds([1, -4, 4], 2)
+    assert sft._radius_exceeds([1, -4, 4], Fraction(2**41 - 1, 2**40))
+    assert not sft._radius_exceeds([1, -4, 4], Fraction(2**41 + 1, 2**40))
+    # x^2 - x - 1 for the golden mean: 8/5 < phi < 13/8, and phi > 0
+    golden = [1, -1, -1]
+    assert sft._radius_exceeds(golden, Fraction(8, 5))
+    assert not sft._radius_exceeds(golden, Fraction(13, 8))
+    assert sft._radius_exceeds(golden, 0)
+    # (x - 2)^2 (x^2 - 12x + 16): a double root at 2, and 6 + sqrt 20 ~ 10.47
+    chi = [1, -16, 68, -112, 64]
+    assert sft._radius_exceeds(chi, 2) and sft._radius_exceeds(chi, Fraction(1047, 100))
+    assert not sft._radius_exceeds(chi, Fraction(1048, 100))
+
+
+def test_no_entry_point_builds_a_sturm_chain(monkeypatch):
+    # every eigenvalue question of census, embedding and Perron is one sign
+    # test; the Sturm chain serves cam1d's root solver alone
+    calls = []
+    for name in ("sturm_sequence", "roots_above"):
+        real = getattr(sft, name)
+        monkeypatch.setattr(sft, name, lambda *a, f=real, n=name: calls.append(n) or f(*a))
+    for matrix in CATALOG + random_catalog(20):
+        sft.census(matrix, 40)
+        if sft.is_irreducible(matrix):
+            sft.embedding_feasibility(matrix, 3, 20)
+            sft.smallest_feasible_height(matrix, 20, 8)
+            sft.perron_eigenvalue(matrix)
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "matrix, height, status",
     [
@@ -332,6 +393,9 @@ def test_entropy_gap_matches_principal_minors(matrix, m):
         ([[0, 0, 0, 2], [0, 0, 2, 1], [1, 2, 0, 0], [1, 0, 1, 2]], 2, "pass"),
         ([[2]], 1, "fail"),
         (GOLDEN, 2, "pass"),
+        ([[0, 1], [2, 0]], 3, "pass"),
+        ([[2]], 2, "pass"),
+        ([[1, 1], [1, 1]], 1, "fail"),  # lambda = 2 beside the eigenvalue 0
     ],
 )
 def test_entropy_status_exact_cases(matrix, height, status):

@@ -322,6 +322,32 @@ def test_the_check_sees_a_second_rotation_reader():
     assert _name_readers(tree, "_shifted") == ["_cut", "_name_count"]
 
 
+def test_sft_decides_nothing_by_a_sturm_count():
+    # every eigenvalue question in sft is a sign test of one shifted
+    # polynomial; the Sturm chain stays public there for cam1d's root solver
+    sft, cam1d = (_parse(ROOT / "src" / "camshift" / f"{m}.py") for m in ("sft", "cam1d"))
+    for name in ("sturm_sequence", "roots_above"):
+        assert _name_readers(sft, name) == []
+        assert _name_readers(cam1d, name) == ["_root_ceilings"]
+
+
+def test_the_check_sees_a_sturm_count_in_sft():
+    tree = ast.parse(
+        "def sturm_sequence(p):\n"
+        "    return [p]\n"
+        "def roots_above(seq, x):\n"
+        "    return len(seq)\n"
+        "def _entropy_gap(chi):\n"
+        "    return roots_above(sturm_sequence(chi), 2) > 0\n"
+        "class Bracket:\n"
+        "    def middle(self, chi):\n"
+        "        count = sft.roots_above\n"
+        "        return count(self.seq, 1)\n"
+    )
+    assert _name_readers(tree, "sturm_sequence") == ["_entropy_gap"]
+    assert _name_readers(tree, "roots_above") == ["_entropy_gap", "middle"]
+
+
 def _constructed_in(tree, cls):
     """Sorted scopes that call ``cls(...)``: ``Class.method`` or a
     module-level function (a nested function counts as the one it is in),
