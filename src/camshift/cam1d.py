@@ -20,9 +20,10 @@ count and size in a level-(k+1) row is an integer polynomial in n of degree
 <= d from the threshold on.  Each row keeps its unreduced integer parts
 (``CertRow.parts``).  The solver certifies the d + 1 parameters from the
 threshold, interpolates every part exactly, and writes the row's lhs < rhs
-as one integer polynomial inequality.  A linear one is solved by floor
-division, a quadratic one by an ``isqrt`` bracket, a higher one (d >= 3) by
-a Sturm count.  The smallest n in the intersection of all the pass sets is
+as one integer polynomial inequality, solved the same way at every degree:
+the root ceilings of its derivative cut the line into stretches where it is
+monotone, and one bisection on each stretch where it changes sign finds a
+root's ceiling.  The smallest n in the intersection of all the pass sets is
 the answer.  The certifier then runs at n and n - 1, and every count and
 size there must equal its prediction.  That is at most d + 3 certifier
 runs per level, four at each level of the level-4 family.
@@ -30,7 +31,6 @@ runs per level, four at each level of the level-4 family.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import sft, slp
+from . import slp
 from .budgets import Budgets
 from .errors import BudgetExceeded, CamshiftError, MalformedFamily
 from .hierarchy import (
@@ -303,7 +303,10 @@ def _poly_mul(p, q) -> list:
 
 
 def _value(p, x):
-    return functools.reduce(lambda total, c: total * x + c, reversed(p), 0)
+    total = 0
+    for c in reversed(p):
+        total = total * x + c
+    return total
 
 
 def _fit(values, start: int) -> list:
@@ -351,36 +354,28 @@ def _root_ceilings(p) -> set:
     """Integers among which lies ceil(r) for every real root r of the integer
     polynomial p.
 
-    Degree 1: one floor division.  Degree 2: with s = isqrt(disc), each root
-    lies between (-b + e) / 2a for e = +-s and e = +-(s + 1), a bracket at
-    most 1/2 wide, so its ceiling is the ceiling of one end.  Higher
-    degrees (only d >= 3 families have them): bisection of a Sturm count
-    down to unit intervals (c - 1, c] inside the Cauchy bound.
+    Every root lies in (-B, B), B = 2 + max|c_i| // |lead|.  The ceilings of
+    the roots of p' (this function, one degree down) and -B, B + 1 cut the
+    line at integers ``ends``; between consecutive ends lo < hi, p' has no
+    root in (lo, hi - 1], so p is monotone on [lo, hi - 1] and has at most
+    one root there.  When p changes sign on it, a bisection finds the least
+    x with p(lo) p(x) <= 0, which is that root's ceiling.  A root in
+    (hi - 1, hi] has the ceiling hi, a ceiling of p' (hi is neither -B nor
+    B + 1, as the root lies in (-B, B)).  This is root isolation by
+    differentiation (Collins & Loos, SYMSAC 1976).
     """
     if len(p) < 2:
         return set()
-    if len(p) == 2:
-        b, a = p
-        return {-(b // a)}
-    if len(p) == 3:
-        c, b, a = p
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return set()
-        s = math.isqrt(disc)
-        return {-((b - e) // (2 * a)) for e in (s, s + 1, -s, -s - 1)}
-    seq = sft.sturm_sequence(p[::-1])
     bound = 2 + max(abs(c) for c in p[:-1]) // abs(p[-1])
-    found, stack = set(), [(-bound - 1, bound)]
-    while stack:
-        lo, hi = stack.pop()
-        if sft.roots_above(seq, lo) == sft.roots_above(seq, hi):
-            continue
-        if hi - lo == 1:
+    found = _root_ceilings([i * c for i, c in enumerate(p)][1:])
+    ends = sorted(found | {-bound, bound + 1})
+    for lo, hi in zip(ends, ends[1:]):
+        s, hi = _value(p, lo), hi - 1
+        if s and s * _value(p, hi) <= 0:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if s * _value(p, mid) <= 0 else (mid, hi)
             found.add(hi)
-        else:
-            mid = (lo + hi) // 2
-            stack += [(lo, mid), (mid, hi)]
     return found
 
 

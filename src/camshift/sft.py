@@ -20,14 +20,12 @@ Eigenvalue questions are decided in integers by the signs of one shifted
 polynomial (:func:`_radius_exceeds`): for a nonnegative B and a rational
 p/q >= 0, rho(B) > p/q iff det((y + p)I - qB) has a negative coefficient,
 since its coefficients are the sums of the principal minors of the
-Z-matrix pI - qB.  The Sturm sequence and root count (:func:`sturm_sequence`,
-:func:`roots_above`) decide no question here; they serve the real-root
-solver of ``cam1d``.
+Z-matrix pI - qB.  A Sturm count of the same decisions is a test oracle
+(``tests/sft_oracles.py``).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -207,7 +205,7 @@ def _aperiodic(chi) -> bool:
     return math.gcd(*(n for n, c in enumerate(chi) if n and c)) == 1
 
 
-# -- exact real-root counting ---------------------------------------------------
+# -- characteristic polynomial --------------------------------------------------
 # A polynomial is a list of int coefficients, highest degree first, with no
 # leading zero; [] is the zero polynomial.
 
@@ -215,53 +213,6 @@ def _aperiodic(chi) -> bool:
 def _charpoly(rows) -> list:
     """det(xI - A): Newton's identities on the first d traces."""
     return _newton(list(itertools.islice(_traces(rows), len(rows) + 1)))
-
-
-def _primitive_part(p) -> list:
-    """p without leading zeros, divided by the positive gcd of its coefficients."""
-    while p and p[0] == 0:
-        p = p[1:]
-    g = math.gcd(*p)
-    return [c // g for c in p] if g > 1 else list(p)
-
-
-def _pseudo_divide(a, b):
-    """Primitive parts of the quotient and remainder of |lead(b)|^(deg a - deg b + 1) * a
-    by b: the scale makes each step exact and, being positive, keeps their signs."""
-    r = [c * abs(b[0]) ** (len(a) - len(b) + 1) for c in a]
-    quotient = []
-    while len(r) >= len(b):
-        c = r[0] // b[0]
-        quotient.append(c)
-        r = [x - c * y for x, y in zip(r, b + [0] * (len(r) - len(b)))][1:]
-    return _primitive_part(quotient), _primitive_part(r)
-
-
-def sturm_sequence(p) -> list:
-    """The Sturm sequence of the squarefree part of p (degree >= 1); a multiple
-    root at the evaluation point would zero every member of p's own sequence."""
-
-    def chain(f):
-        seq = [f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]]
-        while seq[-1]:
-            seq.append([-c for c in _pseudo_divide(seq[-2], seq[-1])[1]])
-        return seq[:-1]
-
-    seq = chain(p)
-    if len(seq[-1]) > 1:  # gcd(p, p') is not constant: p has a multiple root
-        seq = chain(_pseudo_divide(p, seq[-1])[0])
-    return seq
-
-
-def _sign_changes(values) -> int:
-    signs = [v > 0 for v in values if v]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
-
-
-def roots_above(seq, x) -> int:
-    """Distinct real roots above x (strictly) of the polynomial whose Sturm sequence is seq."""
-    values = (functools.reduce(lambda total, c: total * x + c, p, 0) for p in seq)
-    return _sign_changes(values) - _sign_changes(p[0] for p in seq)
 
 
 # -- spectral radius against a rational --------------------------------------------

@@ -27,7 +27,10 @@ sign test of ``sft._radius_exceeds``:
   Plemmons, *Nonnegative Matrices in the Mathematical Sciences*, ch. 6).
 
 The sign test replaced a Sturm count, kept here as an oracle of the same
-decisions.  Its entropy test reads the characteristic polynomial of the
+decisions and used by nothing in the package.  ``sturm_sequence`` builds the
+chain of the squarefree part of a polynomial by pseudo-division
+(``_pseudo_divide``), and ``roots_above`` counts its distinct real roots
+above a point.  The entropy test reads the characteristic polynomial of the
 power A^m itself, built by repeated squaring (``_matpow``), not Newton's
 identities on the power sums t_m, t_2m, ..., t_dm:
 
@@ -37,6 +40,8 @@ identities on the power sums t_m, t_2m, ..., t_dm:
   count, as ``sft.perron_eigenvalue`` did, to a bracket and step count.
 """
 
+import functools
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -153,22 +158,73 @@ def min_principal_minor(B, s) -> Fraction:
     )
 
 
+# A polynomial below is a list of int coefficients, highest degree first, with
+# no leading zero; [] is the zero polynomial.
+
+
+def _primitive_part(p) -> list:
+    """p without leading zeros, divided by the positive gcd of its coefficients."""
+    while p and p[0] == 0:
+        p = p[1:]
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else list(p)
+
+
+def _pseudo_divide(a, b):
+    """Primitive parts of the quotient and remainder of |lead(b)|^(deg a - deg b + 1) * a
+    by b: the scale makes each step exact and, being positive, keeps their signs."""
+    r = [c * abs(b[0]) ** (len(a) - len(b) + 1) for c in a]
+    quotient = []
+    while len(r) >= len(b):
+        c = r[0] // b[0]
+        quotient.append(c)
+        r = [x - c * y for x, y in zip(r, b + [0] * (len(r) - len(b)))][1:]
+    return _primitive_part(quotient), _primitive_part(r)
+
+
+def sturm_sequence(p) -> list:
+    """The Sturm sequence of the squarefree part of p (degree >= 1); a multiple
+    root at the evaluation point would zero every member of p's own sequence."""
+
+    def chain(f):
+        seq = [f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]]
+        while seq[-1]:
+            seq.append([-c for c in _pseudo_divide(seq[-2], seq[-1])[1]])
+        return seq[:-1]
+
+    seq = chain(p)
+    if len(seq[-1]) > 1:  # gcd(p, p') is not constant: p has a multiple root
+        seq = chain(_pseudo_divide(p, seq[-1])[0])
+    return seq
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def roots_above(seq, x) -> int:
+    """Distinct real roots above x (strictly) of the polynomial whose Sturm sequence is seq."""
+    values = (functools.reduce(lambda total, c: total * x + c, p, 0) for p in seq)
+    return _sign_changes(values) - _sign_changes(p[0] for p in seq)
+
+
 def sturm_entropy_gap(A, m: int) -> bool:
     """lambda(A^m) > 2 for a nonnegative A: det(xI - A^m) has a real root above 2,
     since no real eigenvalue of A^m exceeds lambda(A^m)."""
     chi = sft._charpoly(_matpow(tuple(map(tuple, A)), m))
-    return sft.roots_above(sft.sturm_sequence(chi), 2) > 0
+    return roots_above(sturm_sequence(chi), 2) > 0
 
 
 def sturm_perron_bracket(A):
     """(lower, upper, iterations) of a bisection of [min row sum, max row sum] to
     width ``sft._PERRON_WIDTH`` on a Sturm count: lambda > x iff det(xI - A) has
     a real root above x."""
-    seq = sft.sturm_sequence(sft._charpoly(tuple(map(tuple, A))))
+    seq = sturm_sequence(sft._charpoly(tuple(map(tuple, A))))
     lower, upper = Fraction(min(map(sum, A))), Fraction(max(map(sum, A)))
     iterations = 0
     while upper - lower > sft._PERRON_WIDTH:
         middle = (lower + upper) / 2
-        lower, upper = (middle, upper) if sft.roots_above(seq, middle) else (lower, middle)
+        lower, upper = (middle, upper) if roots_above(seq, middle) else (lower, middle)
         iterations += 1
     return lower, upper, iterations

@@ -242,10 +242,12 @@ def test_rare_table_matches_the_words(new_family):
     [
         (cam1d.LevelFamily, 4),
         (lambda: camzd.ZdFamily(dim=2), 2),
-        # cubic rows: the solver's Sturm path
+        # cubic rows: the recursion bisects at degrees 3, 2 and 1
         (lambda: camzd.ZdFamily(dim=3), 2),
+        # cubic rows whose pass set starts at 8539
+        (lambda: camzd.ZdFamily(dim=3), 3),
     ],
-    ids=["d1-levels4", "d2-levels2", "d3-levels2"],
+    ids=["d1-levels4", "d2-levels2", "d3-levels2", "d3-levels3"],
 )
 def test_solver_matches_doubling_search(new_family, levels):
     solved = cam1d.build_levels(new_family(), levels)
@@ -311,6 +313,9 @@ POLYNOMIALS = st.lists(st.integers(-30, 30), min_size=1, max_size=5).map(cam1d._
 @example(margins=[[-12, 7, -1]], start=0)  # only 3 < n < 4: never on an integer
 @example(margins=[[-1, 0, 2], [0, 0, 0, 1]], start=-5)  # irrational roots, cubic
 @example(margins=[[-4, 8, -5, 1]], start=0)  # (n - 1)(n - 2)^2: a double root
+@example(margins=[[-28, -30, 11]], start=0)  # a root at 3.46, Cauchy bound 4: gives 4
+@example(margins=[[-992, 630, -100]], start=0)  # -(10n - 31)(10n - 32): > 0 on (3.1, 3.2) only
+@example(margins=[[-49, 28, -4]], start=0)  # -(2n - 7)^2: a double root off the integers
 def test_smallest_pass_matches_a_scan(margins, start):
     # past the Cauchy bound every margin has the sign of its leading coefficient
     bound = max((2 + max(map(abs, p[:-1]), default=0) // abs(p[-1]) for p in margins if p), default=0)
@@ -319,6 +324,34 @@ def test_smallest_pass_matches_a_scan(margins, start):
         None,
     )
     assert cam1d._smallest_pass(margins, start) == scan
+
+
+@st.composite
+def _factored(draw):
+    """(p, ceilings): p = c (q_1 n - a_1) ... (q_k n - a_k) of degree <= 6,
+    times a quadratic with no real root when one is drawn, and the ceilings
+    ceil(a_i / q_i) of its real roots."""
+    quadratic = draw(st.booleans())
+    factors = draw(
+        st.lists(st.tuples(st.integers(1, 6), st.integers(-60, 60)), min_size=1, max_size=6 - 2 * quadratic)
+    )
+    p = [draw(st.integers(-5, 5).filter(bool))]
+    for q, a in factors:
+        p = cam1d._poly_mul(p, [-a, q])
+    if quadratic:
+        lead, b = draw(st.integers(1, 5)), draw(st.integers(-20, 20))
+        p = cam1d._poly_mul(p, [b * b // (4 * lead) + draw(st.integers(1, 30)), b, lead])
+    return p, {-(-a // q) for q, a in factors}
+
+
+@given(case=_factored())
+@settings(max_examples=300, deadline=None)
+@example(case=([28, 30, -11], {0, 4}))  # roots -0.74 and 3.46, Cauchy bound 4
+@example(case=([49, -28, 4], {4}))  # (2n - 7)^2
+@example(case=(cam1d._poly_mul([-31, 10], [-32, 10]), {4}))  # roots 3.1 and 3.2
+def test_root_ceilings_hold_every_root_ceiling(case):
+    p, ceilings = case
+    assert ceilings <= cam1d._root_ceilings(p)
 
 
 def test_choose_parameter_requires_certified_family():

@@ -16,8 +16,10 @@ from sft_oracles import (
     is_primitive_wielandt,
     min_principal_minor,
     mobius,
+    roots_above,
     sturm_entropy_gap,
     sturm_perron_bracket,
+    sturm_sequence,
     tower_census,
     tr_n,
 )
@@ -368,22 +370,6 @@ def test_radius_test_is_exact_at_a_root():
     assert not sft._radius_exceeds(chi, Fraction(1048, 100))
 
 
-def test_no_entry_point_builds_a_sturm_chain(monkeypatch):
-    # every eigenvalue question of census, embedding and Perron is one sign
-    # test; the Sturm chain serves cam1d's root solver alone
-    calls = []
-    for name in ("sturm_sequence", "roots_above"):
-        real = getattr(sft, name)
-        monkeypatch.setattr(sft, name, lambda *a, f=real, n=name: calls.append(n) or f(*a))
-    for matrix in CATALOG + random_catalog(20):
-        sft.census(matrix, 40)
-        if sft.is_irreducible(matrix):
-            sft.embedding_feasibility(matrix, 3, 20)
-            sft.smallest_feasible_height(matrix, 20, 8)
-            sft.perron_eigenvalue(matrix)
-    assert calls == []
-
-
 @pytest.mark.parametrize(
     "matrix, height, status",
     [
@@ -406,11 +392,11 @@ def test_squarefree_step_removes_the_double_root():
     power = _matpow(((0, 0, 0, 2), (0, 0, 2, 1), (1, 2, 0, 0), (1, 0, 1, 2)), 2)
     chi = sft._charpoly(power)
     assert chi == [1, -16, 68, -112, 64]  # (x - 2)^2 (x^2 - 12x + 16)
-    seq = sft.sturm_sequence(chi)
+    seq = sturm_sequence(chi)
     assert len(seq[0]) == 4  # degree 3: (x - 2)(x^2 - 12x + 16) up to a positive scale
     # roots 6 - sqrt(20) ~ 1.53, 2 and 6 + sqrt(20) ~ 10.47, each counted once
     points = (0, Fraction(8, 5), 2, 10, 11)
-    assert [sft.roots_above(seq, x) for x in points] == [3, 2, 1, 1, 0]
+    assert [roots_above(seq, x) for x in points] == [3, 2, 1, 1, 0]
 
 
 # -- embedding feasibility ---------------------------------------------------------

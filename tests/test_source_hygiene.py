@@ -322,30 +322,68 @@ def test_the_check_sees_a_second_rotation_reader():
     assert _name_readers(tree, "_shifted") == ["_cut", "_name_count"]
 
 
-def test_sft_decides_nothing_by_a_sturm_count():
+STURM_CHAIN = ("sturm_sequence", "roots_above", "_pseudo_divide")
+
+
+def _sturm_chain_findings(trees):
+    """Sorted findings over ``trees`` (module stem -> tree): each function
+    or method named in STURM_CHAIN that a module defines, nested ones
+    included, and each line of ``cam1d`` that imports ``sft`` in any form."""
+    found = {
+        f"{stem} defines {name}"
+        for stem, tree in trees.items()
+        for name, _ in _defined(tree)
+        if name in STURM_CHAIN
+    }
+    for node in ast.walk(trees["cam1d"]):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "sft" for name in names):
+            found.add(f"cam1d:{node.lineno} imports sft")
+    return sorted(found)
+
+
+def test_no_sturm_chain_in_the_package():
     # every eigenvalue question in sft is a sign test of one shifted
-    # polynomial; the Sturm chain stays public there for cam1d's root solver
-    sft, cam1d = (_parse(ROOT / "src" / "camshift" / f"{m}.py") for m in ("sft", "cam1d"))
-    for name in ("sturm_sequence", "roots_above"):
-        assert _name_readers(sft, name) == []
-        assert _name_readers(cam1d, name) == ["_root_ceilings"]
+    # polynomial, and cam1d's root solver bisects between the roots of the
+    # derivative; the Sturm chain is a test oracle (tests/sft_oracles.py)
+    trees = {path.stem: _parse(path) for path in SOURCES}
+    assert _sturm_chain_findings(trees) == []
 
 
-def test_the_check_sees_a_sturm_count_in_sft():
-    tree = ast.parse(
+def test_the_check_sees_a_sturm_chain():
+    sft = ast.parse(
         "def sturm_sequence(p):\n"
+        "    def _pseudo_divide(a, b):\n"
+        "        return a, b\n"
         "    return [p]\n"
-        "def roots_above(seq, x):\n"
-        "    return len(seq)\n"
-        "def _entropy_gap(chi):\n"
-        "    return roots_above(sturm_sequence(chi), 2) > 0\n"
-        "class Bracket:\n"
-        "    def middle(self, chi):\n"
-        "        count = sft.roots_above\n"
-        "        return count(self.seq, 1)\n"
+        "class Chain:\n"
+        "    def roots_above(self, x):\n"
+        "        return 0\n"
+        "def sturm_count(seq):\n"
+        "    return roots_above(seq, 2)\n"
     )
-    assert _name_readers(tree, "sturm_sequence") == ["_entropy_gap"]
-    assert _name_readers(tree, "roots_above") == ["_entropy_gap", "middle"]
+    cam1d = ast.parse(
+        "from . import sft, slp\n"
+        "from .sft import census\n"
+        "import camshift.sft as s\n"
+        "from camshift import sft\n"
+        "from .slp import SlpExpr\n"
+        "import itertools\n"
+    )
+    assert _sturm_chain_findings({"sft": sft, "cam1d": cam1d}) == [
+        "cam1d:1 imports sft",
+        "cam1d:2 imports sft",
+        "cam1d:3 imports sft",
+        "cam1d:4 imports sft",
+        "sft defines _pseudo_divide",
+        "sft defines roots_above",
+        "sft defines sturm_sequence",
+    ]
 
 
 def _constructed_in(tree, cls):
@@ -578,7 +616,7 @@ def _private_reads(tree, own, modules):
 
 def test_no_module_reads_another_modules_private_names():
     # what two modules share is public in one of them: the family contract
-    # and the row formulas in hierarchy, the Sturm count in sft
+    # and the row formulas in hierarchy
     reads = [
         f"{path.name}:{line} {name}"
         for path in SOURCES
