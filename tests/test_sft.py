@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from sft_oracles import (
     tr_n,
 )
 
-from camshift import sft
+from camshift import cam1d, sft
 from camshift.errors import BudgetExceeded, CamshiftError
 
 GOLDEN = [[1, 1], [1, 0]]
@@ -368,6 +369,42 @@ def test_radius_test_is_exact_at_a_root():
     chi = [1, -16, 68, -112, 64]
     assert sft._radius_exceeds(chi, 2) and sft._radius_exceeds(chi, Fraction(1047, 100))
     assert not sft._radius_exceeds(chi, Fraction(1048, 100))
+
+
+def test_no_entry_point_builds_a_sturm_chain():
+    # every eigenvalue question of census, embedding and Perron is one sign
+    # test, and cam1d's root solver bisects between the derivative's roots;
+    # a profiler records every Python call whose function bears a chain name
+    chain = {"sturm_sequence", "roots_above", "_pseudo_divide"}
+    calls = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in chain:
+            calls.append(frame.f_code.co_name)
+
+    def profiled(run):
+        sys.setprofile(record)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+
+    def entry_points():
+        for matrix in CATALOG + random_catalog(20):
+            sft.census(matrix, 40)
+            if sft.is_irreducible(matrix):
+                sft.embedding_feasibility(matrix, 3, 20)
+                sft.smallest_feasible_height(matrix, 20, 8)
+                sft.perron_eigenvalue(matrix)
+        # (n - 2)^2 (n^2 - 12n + 16) and (3n - 7)(n + 5), lowest degree first
+        for p in ([64, -112, 68, -16, 1], [-35, 8, 3]):
+            cam1d._root_ceilings(p)
+
+    profiled(entry_points)
+    assert calls == []
+    # the recorder sees the chain where it is built: the test oracle
+    profiled(lambda: roots_above(sturm_sequence([1, -16, 68, -112, 64]), 2))
+    assert set(calls) == {"sturm_sequence", "roots_above", "_pseudo_divide"}
 
 
 @pytest.mark.parametrize(

@@ -322,6 +322,15 @@ def test_the_check_sees_a_second_rotation_reader():
     assert _name_readers(tree, "_shifted") == ["_cut", "_name_count"]
 
 
+def test_sft_decides_nothing_by_a_sturm_count():
+    # every eigenvalue question in sft is a sign test of one shifted
+    # polynomial, and cam1d's root solver reads no Sturm count either
+    sft, cam1d = (_parse(ROOT / "src" / "camshift" / f"{m}.py") for m in ("sft", "cam1d"))
+    for name in ("sturm_sequence", "roots_above"):
+        assert _name_readers(sft, name) == []
+        assert _name_readers(cam1d, name) == []
+
+
 STURM_CHAIN = ("sturm_sequence", "roots_above", "_pseudo_divide")
 
 
