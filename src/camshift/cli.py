@@ -7,7 +7,9 @@ Runs are deterministic: the same configuration produces byte-identical
 family files and certificate reports.  This module parses arguments and
 prints: ``cam1d`` builds and loads a family of any dimension, and a
 command calls the family's own methods, which refuse what its type does
-not define, so no command asks for the dimension.
+not define, so no command asks for the dimension.  A call builds only the
+parser of the command it runs (two parsers, three for ``sft``), from the
+one table ``COMMANDS``; with no command named it builds the whole tree.
 
 Exit codes: 0 success; 2 certification failure or violated property (also
 usage errors); 3 budget exhaustion; 4 malformed family file.  Each error
@@ -245,90 +247,106 @@ def _sft_payload(args, matrix) -> dict:
 # -- argument parsing ---------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help, handler, options) for a command, (help, dest, subcommands) for
+# a command group; an option is (flag, add_argument keywords)
+COMMANDS = {
+    "build": ("build and certify a family", cmd_build, [
+        ("--dim", dict(type=int, default=1)),
+        ("--levels", dict(type=int, required=True)),
+        ("--out", dict(default="family.json")),
+    ]),
+    "certify": ("re-run the certifier on a family file", cmd_certify, [
+        ("--family", dict(required=True)),
+        ("--level", dict(type=int, default=0)),
+        ("--format", dict(choices=("json", "csv"), default="json")),
+        ("--out", dict(default=None)),
+    ]),
+    "verify": ("scan distinct word pairs for occurrences", cmd_verify, [
+        ("--family", dict(required=True)),
+        ("--level", dict(type=int, required=True)),
+    ]),
+    "window": ("extract a window of the transitive point", cmd_window, [
+        ("--family", dict(required=True)),
+        ("--start", dict(
+            required=True,
+            help="the window's first cell, one coordinate per axis, comma-separated; "
+            "a negative first coordinate needs the = form: --start=-3,1,2",
+        )),
+        ("--len", dict(required=True, help="its positive length on each axis, comma-separated")),
+    ]),
+    "parse": ("parse an aligned window into level words", cmd_parse, [
+        ("--family", dict(required=True)),
+        ("--level", dict(type=int, required=True)),
+        ("--start", dict(type=int, required=True)),
+        ("--blocks", dict(type=int, required=True)),
+    ]),
+    "measure": ("empirical cylinder frequencies", cmd_measure, [
+        ("--family", dict(required=True)),
+        ("--k", dict(type=int, required=True)),
+        # one-dimensional only; unset means 0,1 and side a
+        ("--cylinders", dict(default=None)),
+        ("--side", dict(choices=("a", "b", "both"), default=None)),
+        ("--out", dict(default=None)),
+    ]),
+    "complexity": ("distinct-factor counts of a central window", cmd_complexity, [
+        ("--family", dict(required=True)),
+        ("--n-max", dict(type=int, required=True)),
+        ("--window-len", dict(type=int, required=True)),
+        ("--format", dict(choices=("json", "csv"), default="json")),
+        ("--out", dict(default=None)),
+    ]),
+    "sft": ("shift-of-finite-type arithmetic", "sft_cmd", {
+        "qn": ("least-period point census", cmd_sft, [
+            ("--matrix", dict(required=True)),
+            ("--n", dict(type=int, required=True)),
+        ]),
+        "perron": ("exact rational bracket of the Perron eigenvalue", cmd_sft, [
+            ("--matrix", dict(required=True)),
+        ]),
+        "embed": ("tower embedding feasibility", cmd_sft, [
+            ("--matrix", dict(required=True)),
+            ("--height", dict(type=int, required=True)),
+            ("--n-max", dict(type=int, required=True)),
+            ("--find-smallest", dict(type=int, default=0)),
+        ]),
+    }),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The top parser and the one branch of :data:`COMMANDS` that `argv`
+    names, or the whole tree when it names none (no argv, ``-h``, a typo)."""
     parser = argparse.ArgumentParser(
         prog="camshift",
         description="build, certify and probe hierarchical binary subshift families",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("build", help="build and certify a family")
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--out", default="family.json")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("certify", help="re-run the certifier on a family file")
-    p.add_argument("--family", required=True)
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("verify", help="scan distinct word pairs for occurrences")
-    p.add_argument("--family", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("window", help="extract a window of the transitive point")
-    p.add_argument("--family", required=True)
-    p.add_argument(
-        "--start",
-        required=True,
-        help="the window's first cell, one coordinate per axis, comma-separated; "
-        "a negative first coordinate needs the = form: --start=-3,1,2",
-    )
-    p.add_argument(
-        "--len", required=True, help="its positive length on each axis, comma-separated"
-    )
-    p.set_defaults(func=cmd_window)
-
-    p = sub.add_parser("parse", help="parse an aligned window into level words")
-    p.add_argument("--family", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--start", type=int, required=True)
-    p.add_argument("--blocks", type=int, required=True)
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("measure", help="empirical cylinder frequencies")
-    p.add_argument("--family", required=True)
-    p.add_argument("--k", type=int, required=True)
-    # one-dimensional only; unset means 0,1 and side a
-    p.add_argument("--cylinders", default=None)
-    p.add_argument("--side", choices=("a", "b", "both"), default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("complexity", help="distinct-factor counts of a central window")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--window-len", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_complexity)
-
-    p = sub.add_parser("sft", help="shift-of-finite-type arithmetic")
-    sft_sub = p.add_subparsers(dest="sft_cmd", required=True)
-    q = sft_sub.add_parser("qn", help="least-period point census")
-    q.add_argument("--matrix", required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=cmd_sft)
-    q = sft_sub.add_parser("perron", help="exact rational bracket of the Perron eigenvalue")
-    q.add_argument("--matrix", required=True)
-    q.set_defaults(func=cmd_sft)
-    q = sft_sub.add_parser("embed", help="tower embedding feasibility")
-    q.add_argument("--matrix", required=True)
-    q.add_argument("--height", type=int, required=True)
-    q.add_argument("--n-max", type=int, required=True)
-    q.add_argument("--find-smallest", type=int, default=0)
-    q.set_defaults(func=cmd_sft)
-
+    _add_commands(parser, "cmd", COMMANDS, argv)
     return parser
 
 
+def _add_commands(parser, dest: str, commands: dict, argv):
+    keywords = {}
+    if argv and argv[0] in commands:
+        # the usage line still lists every command; the full tree gets no
+        # metavar, which would rename "cmd" in its missing-command error
+        keywords["metavar"] = "{" + ",".join(commands) + "}"
+        commands, argv = {argv[0]: commands[argv[0]]}, argv[1:]
+    else:
+        argv = ()
+    sub = parser.add_subparsers(dest=dest, required=True, **keywords)
+    for name, (help_text, target, options) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(options, dict):
+            _add_commands(p, target, options, argv)
+            continue
+        for flag, option in options:
+            p.add_argument(flag, **option)
+        p.set_defaults(func=target)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except MalformedFamily as exc:

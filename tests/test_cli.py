@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -322,6 +323,133 @@ def test_window_start_help_names_the_equals_form(family_d2_file, monkeypatch, ca
     assert "--start=-3,1,2" in capsys.readouterr().out
     assert run("window", "--family", str(family_d2_file), "--start=-2,1", "--len", "2,2") == 0
     assert capsys.readouterr().out == '{"data":"0000","dim":2,"sides":[2,2]}\n'
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """A list that gains one entry for each ArgumentParser built."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["build"], ["certify"], ["verify"], ["window"], ["parse"], ["measure"], ["complexity"]]
+    + [["sft", name] for name in ("qn", "perron", "embed")],
+    ids=" ".join,
+)
+def test_a_command_builds_only_its_own_parser(command, parsers_built, capsys):
+    with pytest.raises(SystemExit):
+        run(*command, "--help")
+    assert len(parsers_built) == 1 + len(command)
+    assert "usage: camshift " + " ".join(command) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["qn"], ["bogus", "sft", "qn"]])
+def test_no_command_builds_the_whole_tree(argv, parsers_built, capsys):
+    with pytest.raises(SystemExit):
+        run(*argv)
+    capsys.readouterr()
+    assert len(parsers_built) == 12
+
+
+def test_a_missing_command_is_named_cmd(capsys):
+    # a metavar on the whole tree would name it {build,...,sft} here
+    with pytest.raises(SystemExit):
+        run()
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: cmd\n")
+
+
+def test_every_call_builds_its_parser_afresh(family_file, parsers_built, capsys):
+    # a cached parser would build nothing on the second call
+    for _ in range(2):
+        parsers_built.clear()
+        assert run("window", "--family", str(family_file), "--start", "0", "--len", "4") == 0
+        assert len(parsers_built) == 2
+        parsers_built.clear()
+        assert run("sft", "qn", "--matrix", "[[1,1],[1,0]]", "--n", "3") == 0
+        assert len(parsers_built) == 3
+    capsys.readouterr()
+
+
+def test_the_entry_point_reads_sys_argv(monkeypatch, parsers_built, capsys):
+    # the console script calls main() with no argument
+    argv = ["sft", "qn", "--matrix", "[[1,1],[1,0]]", "--n", "5"]
+    assert run(*argv) == 0
+    expected = capsys.readouterr().out
+    parsers_built.clear()
+    monkeypatch.setattr(sys, "argv", ["camshift", *argv])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == expected
+    assert len(parsers_built) == 3
+
+
+# each command with its required options, led by an integer option where it
+# has one (certify's --level is optional)
+COMMAND_OPTIONS = [
+    (["build"], [("--levels", "4")]),
+    (["certify"], [("--level", "2"), ("--family", "f.json")]),
+    (["verify"], [("--level", "2"), ("--family", "f.json")]),
+    (["window"], [("--family", "f.json"), ("--start", "0"), ("--len", "4")]),
+    (["parse"], [("--level", "2"), ("--start", "0"), ("--blocks", "2"), ("--family", "f.json")]),
+    (["measure"], [("--k", "2"), ("--family", "f.json")]),
+    (["complexity"], [("--n-max", "4"), ("--window-len", "16"), ("--family", "f.json")]),
+    (["sft", "qn"], [("--n", "3"), ("--matrix", "[[1]]")]),
+    (["sft", "perron"], [("--matrix", "[[1]]")]),
+    (["sft", "embed"], [("--height", "2"), ("--n-max", "8"), ("--matrix", "[[1]]")]),
+]
+
+
+def _flat(options, abbreviate=False):
+    return [
+        part
+        for flag, value in options
+        for part in (flag[:5] if abbreviate and len(flag) > 5 else flag, value)
+    ]
+
+
+def _valid_argvs():
+    for command, options in COMMAND_OPTIONS:
+        yield command + _flat(options)
+        yield command + _flat(options, abbreviate=True)
+
+
+def _usage_argvs():
+    """Argument lists that argparse refuses or answers with help."""
+    yield from ([], ["-h"], ["bogus"], ["sft"], ["sft", "-h"], ["sft", "bogus"])
+    for command, options in COMMAND_OPTIONS:
+        yield command + ["--help"]
+        yield command + _flat(options[:-1])
+        if options[0][1].isdigit():
+            yield command + [options[0][0], "x"] + _flat(options[1:])
+        yield command + _flat(options, abbreviate=True) + ["extra"]
+        yield command + _flat(options) + ["extra"]
+
+
+def _exit(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_:
+            call(argv)
+    return exit_.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", list(_usage_argvs()), ids=" ".join)
+def test_usage_text_matches_the_whole_tree(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    assert _exit(cli.main, argv) == _exit(lambda a: cli.build_parser().parse_args(a), argv)
+
+
+@pytest.mark.parametrize("argv", list(_valid_argvs()), ids=" ".join)
+def test_one_branch_parses_as_the_whole_tree(argv):
+    assert cli.build_parser(argv).parse_args(argv) == cli.build_parser().parse_args(argv)
 
 
 def test_one_dimensional_runs_never_load_camzd(tmp_path):
