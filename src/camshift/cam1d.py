@@ -65,15 +65,17 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _decimal(text, what: str, signed: bool = False) -> int:
+def _decimal(text, what: str, *args, signed: bool = False) -> int:
     """An integer stored as a decimal string: ASCII digits, and a leading '-'
     only when `signed`.  int() alone would also read '+', '_', surrounding
-    whitespace and non-ASCII digits, so one value could be stored many ways."""
+    whitespace and non-ASCII digits, so one value could be stored many ways.
+    The error names the value `what`, its {} fields filled from `args` only
+    then, so a load formats no message for a well-formed row."""
     if isinstance(text, str) and text.isascii() and (
         text.isdigit() or signed and text[:1] == "-" and text[1:].isdigit()
     ):
         return int(text)
-    raise MalformedFamily(f"{what} must be a decimal string, got {text!r}")
+    raise MalformedFamily(f"{what.format(*args)} must be a decimal string, got {text!r}")
 
 
 def _params_from_obj(obj) -> list:
@@ -136,18 +138,11 @@ class LevelFamily(Hierarchy):
 
     def _words_to_obj(self) -> dict:
         """The file fields that store the words: the level roots and the node table."""
-        roots = []
-        for k in range(1, self.top_level + 1):
-            roots.extend(self.word(k, name) for name in self.names(k))
-        order, ids = slp.collect_nodes(roots)
-        levels = []
-        for k in range(1, self.top_level + 1):
-            levels.append(
-                {
-                    "level": k,
-                    "words": {name: ids[self.word(k, name).uid] for name in self.names(k)},
-                }
-            )
+        order, ids = slp.collect_nodes([w for level in self.levels for w in level.values()])
+        levels = [
+            {"level": k, "words": {name: ids[w.uid] for name, w in level.items()}}
+            for k, level in enumerate(self.levels, start=1)
+        ]
         return {"levels": levels, "slp": {"nodes": slp.nodes_to_obj(order, ids)}}
 
     # -- the two things the level driver needs ---------------------------
@@ -396,20 +391,24 @@ def _smallest_pass(margins, start: int) -> int | None:
 
 def _check_fit(report: CertificateReport, fitted: dict, start: int, scale: int):
     """Every row certified at n >= start has the parts its polynomials
-    (scaled by ``scale``) predict."""
+    (scaled by ``scale``) predict: a part num/den and a value v agree iff
+    v den == scale num, so Fractions are built only for the error."""
     n = report.param
     if n < start:
         return
     actual = {r.ident: r.parts for r in report.rows if r.parts}
     for ident in list(fitted) + [i for i in actual if i not in fitted]:
-        predicted = None
-        if ident in fitted:
-            predicted = tuple(Fraction(_value(p, n), scale) for p in fitted[ident])
-        if actual.get(ident) != predicted:
-            raise CamshiftError(
-                f"level {report.level} row {ident} at n={n}: certified parts "
-                f"{actual.get(ident)}, fitted polynomials predict {predicted}"
-            )
+        parts = actual.get(ident)
+        values = [_value(p, n) for p in fitted.get(ident, ())]
+        if parts is not None and len(parts) == len(values) and all(
+            v * part.denominator == scale * part.numerator for v, part in zip(values, parts)
+        ):
+            continue
+        predicted = tuple(Fraction(v, scale) for v in values) if ident in fitted else None
+        raise CamshiftError(
+            f"level {report.level} row {ident} at n={n}: certified parts "
+            f"{parts}, fitted polynomials predict {predicted}"
+        )
 
 
 def _decided(report: CertificateReport) -> CertificateReport:
@@ -959,21 +958,23 @@ def _fraction_obj(x: Fraction | None):
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def _stored_ratio(obj, what: str) -> tuple | None:
-    """A stored fraction as its (numerator, denominator), unreduced, the
-    denominator positive; a stored null stays None."""
+def _stored_ratio(obj, ident: str, side: str) -> tuple | None:
+    """A stored fraction, the `side` of row `ident`, as its (numerator,
+    denominator), unreduced, the denominator positive; a stored null stays
+    None."""
     if obj is None:
         return None
-    num = _decimal(obj["num"], f"{what} numerator", signed=True)
-    den = _decimal(obj["den"], f"{what} denominator")
+    num = _decimal(obj["num"], "row {} {} numerator", ident, side, signed=True)
+    den = _decimal(obj["den"], "row {} {} denominator", ident, side)
     if den == 0:
-        raise MalformedFamily(f"{what} has a zero denominator")
+        raise MalformedFamily(f"row {ident} {side} has a zero denominator")
     return num, den
 
 
-def _json_str(value, what: str) -> str:
+def _json_str(value, what: str, *args) -> str:
+    """A JSON string; `what` and `args` name it as in :func:`_decimal`."""
     if not isinstance(value, str):
-        raise MalformedFamily(f"{what} must be a JSON string, got {value!r}")
+        raise MalformedFamily(f"{what.format(*args)} must be a JSON string, got {value!r}")
     return value
 
 
@@ -1013,13 +1014,13 @@ def report_from_obj(obj) -> CertificateReport:
     )
     for stored in obj["rows"]:
         ident = _json_str(stored["id"], "row id")
-        status = _json_str(stored["status"], f"row {ident} status")
-        note = _json_str(stored.get("note", ""), f"row {ident} note")
+        status = _json_str(stored["status"], "row {} status", ident)
+        note = _json_str(stored.get("note", ""), "row {} note", ident)
         if status not in ("pass", "fail", "unverifiable", "info"):
             raise MalformedFamily(f"row {ident}: unknown status {status!r}")
-        lhs = _stored_ratio(stored["lhs"], f"row {ident} lhs")
-        rhs = _stored_ratio(stored["rhs"], f"row {ident} rhs")
-        margin = _stored_ratio(stored["margin"], f"row {ident} margin")
+        lhs = _stored_ratio(stored["lhs"], ident, "lhs")
+        rhs = _stored_ratio(stored["rhs"], ident, "rhs")
+        margin = _stored_ratio(stored["margin"], ident, "margin")
         decided = status in ("pass", "fail")
         if lhs is None or rhs is None:
             if decided:

@@ -37,8 +37,9 @@ cell budget.  A period lattice takes as candidates the
 residues that carry the first rare-symbol cell onto a rare cell;
 translation is a bijection of the torus, so a candidate is a period iff
 it maps the rare cells into themselves, a test that reads only those
-cells.  The candidates are filtered at a few rare cells, and the rest
-tested by cosets of the span found so far.  All of it is exact.
+cells.  The candidates are filtered at a few rare cells in rounds on the
+survivors, and the rest walked one generator or rejected coset at a time,
+each step a whole-array gather.  All of it is exact.
 
 :class:`ZdFamily` keeps the family contract of :mod:`camshift.hierarchy`,
 and the level driver of :mod:`camshift.cam1d` builds, certifies, loads and
@@ -437,13 +438,20 @@ def period_lattice(w) -> PeriodLattice:
     a bijection of the torus, so v is a period iff (R + v) mod n lies in R,
     a test that reads the |R| cells R + v.  A cube without a rare cell is
     constant, and every residue is a period.  The candidates are first
-    filtered at a few cells x of R (w[(x + v) mod n] must be rare); those
-    tests only reject.  The survivors are walked in lexicographic order:
-    one inside the span of the generators found so far is a period, one
-    inside a coset v' + span of a rejected v' is not, and any other gets
-    the full test.  It then becomes a generator, and the span grows by its
-    multiples, or its coset is marked rejected.  The residues are the final
-    span; the generators are the greedy ones of the full scan.
+    filtered at a few cells x of R (w[(x + v) mod n] must be rare), in
+    rounds of 1, 2, 4, ... cells, each round on the candidates left by the
+    ones before and gathering at most max(left, 2^16) cells; those tests
+    only reject.  Then the walk takes the first candidate left, in
+    lexicographic order, and tests it in full.  A period becomes a
+    generator: its order m modulo the span of the generators so far is
+    the first k in 1..n with k v in the span, read in one gather, and the
+    span grows to span + j v for j < m in one broadcast.  A non-period
+    marks its coset v + span rejected.  Every candidate now in the span (a
+    period) or in a rejected coset (not one, as the span holds periods
+    only) is dropped in one mask.  So the numpy steps follow the filter
+    rounds, generators and rejections, not the candidates or cosets.  The
+    residues are the final span; the generators are the greedy ones of the
+    full scan.
     """
     arr = _check_cube(w)
     n = arr.shape[0]
@@ -452,41 +460,51 @@ def period_lattice(w) -> PeriodLattice:
         raise BudgetExceeded(f"{n**d} residues exceed the enumeration cap")
     rare = int(2 * int(arr.sum()) <= arr.size)
     values = arr.reshape(-1)
-    rare_cells = np.argwhere(arr == rare)  # R, in lexicographic order
+
+    def cells(mask) -> tuple:
+        """The coordinate arrays of the cells a flat mask sets, in lexicographic
+        order (nonzero on the cube itself is several times slower)."""
+        return np.unravel_index(np.flatnonzero(mask), arr.shape)
+
+    def flat(points) -> np.ndarray:
+        """Flat cube indices of points (coordinates on the last axis) mod n."""
+        return np.ravel_multi_index(points.T, arr.shape, mode="wrap").T
 
     def rare_at(points) -> np.ndarray:
-        return values[np.ravel_multi_index((points % n).T, arr.shape)] == rare
+        return values[flat(points)] == rare
 
+    rare_cells = np.stack(cells(values == rare), axis=-1)  # R, in lexicographic order
     if len(rare_cells):
-        offsets = (rare_cells - rare_cells[0]) % n
-        keep = np.ones(len(offsets), dtype=bool)
-        for x in rare_cells[:: max(1, len(rare_cells) // _FILTER_CELLS)][:_FILTER_CELLS]:
-            keep &= rare_at(offsets + x)
-        candidates = np.sort(np.ravel_multi_index(offsets[keep].T, arr.shape))
+        offsets = rare_cells - rare_cells[0]
+        probes = rare_cells[:: max(1, len(rare_cells) // _FILTER_CELLS)][:_FILTER_CELLS]
+        batch = 1
+        while len(probes):  # a round reads at most max(left, 2^16) cells
+            size = min(batch, max(len(offsets), 1 << 16) // len(offsets))
+            offsets = offsets[rare_at(offsets + probes[:size, None]).all(axis=0)]
+            probes, batch = probes[size:], 2 * batch
+        candidates = np.sort(flat(offsets))
     else:  # a constant cube: every residue is a period
         candidates = np.arange(arr.size)
 
     in_span = np.zeros(arr.size, dtype=bool)
     rejected = np.zeros(arr.size, dtype=bool)
     in_span[0] = True
-    span = np.zeros((1, d), dtype=np.int64)  # members, the zero vector first
+    span = np.zeros((1, d), dtype=np.int64)  # members, unreduced, the zero vector first
+    multiples = np.arange(1, n + 1)[:, None]
     generators = []
-    for flat in candidates:
-        if in_span[flat] or rejected[flat]:
-            continue
-        v = np.unravel_index(flat, arr.shape)
+    while True:
+        candidates = candidates[~(in_span[candidates] | rejected[candidates])]
+        if not len(candidates):
+            break
+        v = np.array(np.unravel_index(candidates[0], arr.shape))
         if not rare_at(rare_cells + v).all():
-            rejected[np.ravel_multi_index(((span + v) % n).T, arr.shape)] = True
+            rejected[flat(span + v)] = True
             continue
-        generators.append(tuple(int(i) for i in v))
-        cosets = [span]
-        coset = (span + v) % n
-        while not in_span[np.ravel_multi_index(tuple(coset[0]), arr.shape)]:
-            in_span[np.ravel_multi_index(coset.T, arr.shape)] = True
-            cosets.append(coset)
-            coset = (coset + v) % n
-        span = np.concatenate(cosets)
-    residues = tuple(map(tuple, np.argwhere(in_span.reshape(arr.shape)).tolist()))
+        generators.append(tuple(v.tolist()))
+        order = int(np.argmax(in_span[flat(multiples * v)])) + 1
+        span = (span + (multiples[:order, None] - 1) * v).reshape(-1, d)
+        in_span[flat(span)] = True
+    residues = tuple(zip(*(axis.tolist() for axis in cells(in_span))))
     return PeriodLattice(
         modulus=n,
         dim=d,
@@ -599,10 +617,9 @@ class ZdFamily(Hierarchy):
         """The file field that stores the words: arrays at levels 1-2, whose
         cells always fit the budget, and postcards above."""
         levels = []
-        for k in range(1, self.top_level + 1):
+        for k, level in enumerate(self.levels, start=1):
             words = {}
-            for name in self.names(k):
-                word = self.word(k, name)
+            for name, word in level.items():
                 entry: dict = {"side": word.side}
                 if k <= 2:
                     entry["array"] = array_to_obj(word.array)

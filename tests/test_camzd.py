@@ -15,7 +15,7 @@ from camzd_oracles import (
     self_concat,
     transitive_config_window_cells,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from refusal import refused
 
@@ -653,6 +653,10 @@ def lattice_cubes(draw):
     return np.tile(cell, (side // base,) * d)
 
 
+# 1 fails in full, then period 4 is found; then 5, which passes the filter
+# (the probes are every other rare cell, the first 1 of each block 1100),
+# fails in full and rejects its whole coset 5 + {0, 4, ..., 124}
+@example(w=np.tile(np.array([1, 1, 0, 0], dtype=np.uint8), 32))
 @given(w=lattice_cubes())
 @settings(max_examples=200, deadline=None)
 def test_period_lattice_matches_scan_oracle(w):
@@ -720,6 +724,64 @@ def test_period_lattice_tests_rare_cells_without_rolling(family_d2_structural3, 
         got = camzd.period_lattice(a3)
     assert got == period_lattice_scan(a3)
     assert got.index == 22500 and got.residues == ((0, 0),)
+
+
+def test_period_lattice_gathers_per_round_generator_or_rejection(
+    family_d2_structural3, monkeypatch
+):
+    # six filter rounds (1, 2, 4, 8, 16 and the last of 32 probe cells) and
+    # one flattening of the survivors; then three gathers per generator (the
+    # full test, the order of v, the new span) and two per rejection.  A
+    # constant cube has no probe: its 2 generators take 6
+    family = family_d2_structural3
+    cubes = {
+        "a3": family.word(3, "a3").array,
+        "w3_3": family.word(3, "w3_3").array,
+        "constant-30": np.zeros((30, 30), dtype=np.uint8),
+        "constant-150": np.zeros((150, 150), dtype=np.uint8),
+    }
+    ravel = np.ravel_multi_index
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ravel(*args, **kwargs)
+
+    counts = {}
+    for name, w in cubes.items():
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "ravel_multi_index", counted)
+            camzd.period_lattice(w)
+        counts[name] = len(calls)
+    assert counts == {"a3": 7, "w3_3": 13, "constant-30": 6, "constant-150": 6}
+
+
+def _half_density(rng, side: int) -> np.ndarray:
+    cells = np.zeros(side * side, dtype=np.uint8)
+    cells[: side * side // 2] = 1
+    return rng.permutation(cells).reshape(side, side)
+
+
+def test_period_lattice_peak_memory_per_cell():
+    # numpy reports its buffers to tracemalloc.  A filter round reads at most
+    # max(survivors, 2^16) cells, so no round holds more than the first,
+    # which reads one probe for each of the 500 000 rare cells
+    rng = np.random.default_rng(20261020)
+    cubes = [
+        (_half_density(rng, 1000), ()),
+        (np.tile(_half_density(rng, 10), (100, 100)), ((0, 10), (10, 0))),
+    ]
+    for w, generators in cubes:
+        tracemalloc.start()
+        try:
+            lattice = camzd.period_lattice(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lattice.generators == generators
+        assert lattice.index == w.size // 100**len(generators)
+        assert peak < 40 * w.size
 
 
 def test_period_lattice_constant_150():
