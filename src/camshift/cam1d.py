@@ -7,12 +7,13 @@ level-k word E = (2k+1)n + 2k times to make the periodic words, and builds
 the density words by interleaving runs a_k^n (resp. b_k^n) with the other
 level-k words, so all level-(k+1) words share one length.
 
-Each parameter is the smallest n at which the certificate of
-:mod:`camshift.hierarchy`, where the family contract is stated, passes.
-This module also holds the level driver, which serves every family type
-through that contract: the type picker :func:`new_family`, building,
-certifying, the parameter solver (:func:`choose_parameter`), the file
-form and the pair scan.
+Each parameter is the smallest n at which the certificate passes.
+:mod:`camshift.hierarchy` states the family contract and assembles the
+certificate; :class:`LevelFamily` supplies its counts, made on the
+compressed words.  This module also holds the level driver, which serves
+every family type through that contract: the type picker
+:func:`new_family`, building, certifying, the parameter solver
+(:func:`choose_parameter`), the file form and the pair scan.
 
 The solver rests on one fact: all level-k words share one size, so an
 occurrence of an inherited word meets at most 2^d level-k blocks, and every
@@ -41,21 +42,7 @@ import numpy as np
 from . import slp
 from .budgets import Budgets
 from .errors import BudgetExceeded, CamshiftError, MalformedFamily
-from .hierarchy import (
-    EPS_SCHEME,
-    CertificateReport,
-    CertRow,
-    Hierarchy,
-    eps_tail_rows,
-    frac_str,
-    frequency_row,
-    inherited_words,
-    level_names,
-    period_gap_row,
-    ratio,
-    row,
-    unverifiable,
-)
+from .hierarchy import EPS_SCHEME, CertificateReport, CertRow, Hierarchy, frac_str, level_names
 
 
 def _json_int(value, what: str) -> int:
@@ -96,6 +83,8 @@ class LevelFamily(Hierarchy):
 
     # a-words are mostly 1 (a_2 = 0 1^n), b-words mostly 0
     rare = {"a": "0", "b": "1"}
+    word_note = "word exceeds symbol budget"
+    period_note = "a_k a_k exceeds symbol budget"
 
     def __init__(self, budgets: Budgets | None = None):
         super().__init__(1, budgets)
@@ -114,6 +103,8 @@ class LevelFamily(Hierarchy):
     def word_length(self, k: int) -> int:
         self._check_level(k)
         return next(iter(self.levels[k - 1].values())).length
+
+    _size = word_length
 
     def string(self, k: int, name: str) -> str | None:
         """Materialized word, or None when it exceeds the symbol budget: the
@@ -145,7 +136,7 @@ class LevelFamily(Hierarchy):
         ]
         return {"levels": levels, "slp": {"nodes": slp.nodes_to_obj(order, ids)}}
 
-    # -- the two things the level driver needs ---------------------------
+    # -- what the level driver and the certificate need -------------------
 
     def _words(self, k: int, n: int) -> dict:
         """Candidate words of level k+1 at parameter n, from levels 1..k (no checking here)."""
@@ -166,54 +157,26 @@ class LevelFamily(Hierarchy):
         words = [b.power(w, exponent) for w in prev] + [density(prev[-2]), density(prev[-1])]
         return dict(zip(level_names(k + 1), words))
 
-    def _certify(self, k: int, n: int) -> CertificateReport:
-        """Exact-rational certification of level k+1 at parameter n against levels 1..k.
-
-        A built level k+1 is certified on its own words: hash-consing returns
-        the nodes already in the family.
-        """
-        new_level = k + 1
+    def _tally(self, k: int, n: int, inherited: list) -> tuple:
+        """The counts of the level-(k+1) certificate at parameter n, made on
+        the compressed density words: each inherited word of level 2 and up
+        within the symbol budget in the doubled one.  A built level k+1 is
+        counted on its own words: hash-consing returns the nodes already in
+        the family."""
         builder = self.builder
         words = self._words(k, n)
-        density = {side: words[f"{side}{new_level}"] for side in self.rare}
-        len_next = density["a"].length
+        density = {side: words[f"{side}{k + 1}"] for side in self.rare}
         doubled = {side: builder.concat([(word, 2)]) for side, word in density.items()}
-        report = CertificateReport(level=new_level, param=n)
-        report.rows += eps_tail_rows(self.eps, new_level)
         rare_counts = {
             side: builder.count_occurrences(symbol, density[side])
             for side, symbol in self.rare.items()
         }
-
-        for ident, side, m, name, bound in inherited_words(self.eps, k, self.rare):
-            u = self.string(m, name)
-            if u is None:
-                report.rows.append(
-                    unverifiable(ident, "unverifiable at budget: word exceeds symbol budget")
-                )
-                continue
-            if m == 1:  # its side's rare symbol (see camshift.hierarchy)
-                count = 2 * rare_counts[side]
-            else:
-                count = builder.count_occurrences(u, doubled[side])
-            report.rows.append(frequency_row(ident, count, len(u), len_next, bound, dim=1))
-
-        if k >= 2:
-            p_k = self.period(k)
-            if p_k is None:
-                report.rows.append(
-                    unverifiable(
-                        "period-gap", "unverifiable at budget: a_k a_k exceeds symbol budget"
-                    )
-                )
-            else:
-                report.rows.append(period_gap_row(k, p_k, self.word_length(k), len_next))
-
-        prefix = ratio(self.eps.partial(1, k))
-        for side, symbol in self.rare.items():
-            count = rare_counts[side]
-            report.rows.append(row(f"{side}-density[{symbol}]", (count, len_next), prefix))
-        return report
+        counts = {}
+        for ident, side, m, name, _ in inherited:
+            u = self.string(m, name) if m > 1 else None
+            if u is not None:
+                counts[ident] = builder.count_occurrences(u, doubled[side])
+        return density["a"].length, rare_counts, counts
 
     def _pair_counts(self, k: int) -> dict | None:
         """(u, v) -> occurrences of u in vv for the distinct level-k words,

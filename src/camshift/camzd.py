@@ -42,10 +42,11 @@ survivors, and the rest walked one generator or rejected coset at a time,
 each step a whole-array gather.  All of it is exact.
 
 :class:`ZdFamily` keeps the family contract of :mod:`camshift.hierarchy`,
-and the level driver of :mod:`camshift.cam1d` builds, certifies, loads and
-pair-scans it.  This module keeps the cube words, their numpy counting,
-the certificate rows only d > 1 has (the stamp fit and the side-length
-variants) and the commands ``window`` and ``measure``.
+which assembles its certificate, and the level driver of
+:mod:`camshift.cam1d` builds, certifies, loads and pair-scans it.  This
+module keeps the cube words, their numpy counting, the family's layout row
+(the stamp fit) and variant rows (the side-length frequencies) and the
+commands ``window`` and ``measure``.
 ``build_family_d``, ``build_level_d`` and ``certify_candidate_d`` are
 one-line aliases of the shared functions, kept only for the benchmark,
 which calls them by these names.
@@ -63,21 +64,7 @@ import numpy as np
 from .budgets import Budgets
 from .cam1d import build_family, build_level, certify_candidate
 from .errors import BudgetExceeded, CamshiftError
-from .hierarchy import (
-    CertificateReport,
-    CertRow,
-    Hierarchy,
-    canonical_json,
-    eps_tail_rows,
-    frac_str,
-    frequency_row,
-    inherited_words,
-    level_names,
-    period_gap_row,
-    ratio,
-    row,
-    unverifiable,
-)
+from .hierarchy import CertRow, Hierarchy, canonical_json, frac_str, level_names, row
 
 __all__ = [
     "ArrayWord",
@@ -411,13 +398,11 @@ def _doubled_window(word: PatchworkExpr, corner, sides) -> ArrayWord:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodLattice:
     """Translation symmetries of the infinite periodic extension of a cube."""
 
-    modulus: int
-    dim: int
-    residues: tuple        # all residue vectors in {0..n-1}^d fixing the extension
+    residues: np.ndarray   # (r, d): the residue vectors in {0..n-1}^d fixing it, in order
     generators: tuple      # greedy generating set of the residue group
     index: int             # index of the full symmetry lattice in the integer grid
 
@@ -450,8 +435,8 @@ def period_lattice(w) -> PeriodLattice:
     period) or in a rejected coset (not one, as the span holds periods
     only) is dropped in one mask.  So the numpy steps follow the filter
     rounds, generators and rejections, not the candidates or cosets.  The
-    residues are the final span; the generators are the greedy ones of the
-    full scan.
+    residues are the final span, one (r, d) array in lexicographic order;
+    the generators are the greedy ones of the full scan.
     """
     arr = _check_cube(w)
     n = arr.shape[0]
@@ -504,14 +489,8 @@ def period_lattice(w) -> PeriodLattice:
         order = int(np.argmax(in_span[flat(multiples * v)])) + 1
         span = (span + (multiples[:order, None] - 1) * v).reshape(-1, d)
         in_span[flat(span)] = True
-    residues = tuple(zip(*(axis.tolist() for axis in cells(in_span))))
-    return PeriodLattice(
-        modulus=n,
-        dim=d,
-        residues=residues,
-        generators=tuple(generators),
-        index=n**d // len(residues),
-    )
+    residues = np.stack(cells(in_span), axis=-1)
+    return PeriodLattice(residues, tuple(generators), n**d // len(residues))
 
 
 # -- the level hierarchy -----------------------------------------------------
@@ -529,6 +508,7 @@ class ZdFamily(Hierarchy):
 
     # the density words deviate from a constant cube: a-words mostly 0, b-words mostly 1
     rare = {"a": "1", "b": "0"}
+    word_note = period_note = "cell budget exceeded"
 
     def __init__(self, dim: int, budgets: Budgets | None = None):
         super().__init__(dim, budgets)
@@ -545,12 +525,14 @@ class ZdFamily(Hierarchy):
     def volume(self, k: int) -> int:
         return self.side(k) ** self.dim
 
+    _size = volume
+
     def _wrap(self, patchwork: PatchworkExpr) -> ZdWord:
         """The word of a patchwork, with its cells when they fit the cell budget."""
         array = patchwork.to_array() if patchwork.cells <= self.budgets.cells else None
         return ZdWord(patchwork.side[0], array, patchwork)
 
-    # -- the two things the level driver needs ---------------------------
+    # -- what the level driver and the certificate need -------------------
 
     def _words(self, k: int, n: int) -> dict:
         """Candidate words of level k+1 at parameter n, from levels 1..k (structure only)."""
@@ -629,31 +611,20 @@ class ZdFamily(Hierarchy):
             levels.append({"level": k, "words": words})
         return {"levels": levels}
 
-    def _certify(self, k: int, n: int) -> CertificateReport:
-        """Exact certification of level k+1 at parameter n against levels 1..k.
+    def _layout(self, k: int, n: int) -> list:
+        """The stamp-fit row: the postcard margin n >= 2k+4 (one stamp at
+        level 2), without which no density word can be laid out."""
+        fit = row(f"stamp-fit[k={_stamp_count(k)}]", (self._fit_start(k), 1), (n + 1, 1))
+        fit.note = "layout precondition n >= 2k+4 (pass iff 2k+4 < n+1)"
+        return [fit]
 
-        Rows: the postcard fit precondition; for every m <= k and inherited
-        word u the frequency of u in the doubled density word below
-        (eps_m + ... + eps_k) / (|u| (2|u|-1)^d) with |u| the cell count
-        (the printed denominator; the side-length variant is reported as an
-        informational row); the period-index length-ratio bound; and the
-        deviant-symbol densities below the eps prefix sum.  A level-1 row
-        is 2^d times its side's density count; the others are counted on
-        the block grid of the doubled density word (:class:`DoubledGrid`),
-        built only for a word whose window fits the cell budget, else the
-        row is unverifiable.  No word of level k+1 is built.
-        """
+    def _tally(self, k: int, n: int, inherited: list) -> tuple:
+        """The counts of the level-(k+1) certificate at parameter n: the
+        densities from the base and stamps, and each word of level 2 and up
+        on the block grid of the doubled density word (:class:`DoubledGrid`),
+        built only for a word whose window fits the cell budget.  No word of
+        level k+1 is built."""
         d = self.dim
-        new_level = k + 1
-        report = CertificateReport(level=new_level, param=n)
-        fit_rhs = self._fit_start(k)
-        report.rows += eps_tail_rows(self.eps, new_level)
-        fit_row = row(f"stamp-fit[k={_stamp_count(k)}]", (fit_rhs, 1), (n + 1, 1))
-        fit_row.note = "layout precondition n >= 2k+4 (pass iff 2k+4 < n+1)"
-        report.rows.append(fit_row)
-        if n < fit_rhs:
-            return report  # cannot even place stamps; frequency rows are moot
-
         density = self._density_words(k, n)
         vol_next = density["a"].cells
         rare_counts = {}
@@ -661,9 +632,6 @@ class ZdFamily(Hierarchy):
             ones = _ones(density[side])
             rare_counts[side] = ones if symbol == "1" else vol_next - ones
 
-        inherited = list(inherited_words(self.eps, k, self.rare))
-        # a level-1 word is its side's rare symbol (see camshift.hierarchy)
-        counts = {ident: 2**d * rare_counts[side] for ident, side, m, _, _ in inherited if m == 1}
         # the verifiable words of one side and one shape are counted together;
         # a word of side t is counted in windows of (s + t - 1)^d cells
         s = self.side(k)
@@ -673,42 +641,25 @@ class ZdFamily(Hierarchy):
             if m > 1 and u.array is not None and (s + u.side - 1) ** d <= self.budgets.cells:
                 groups.setdefault((side, u.side), []).append((ident, u.array))
         grids = {side: DoubledGrid(density[side]) for side in {side for side, _ in groups}}
+        counts = {}
         for (side, _), words in groups.items():
             found = grids[side].counts([u for _, u in words])
             counts.update((ident, c) for (ident, _), c in zip(words, found))
-        for ident, side, m, name, bound in inherited:
-            if ident not in counts:
-                report.rows.append(
-                    unverifiable(ident, "unverifiable at budget: cell budget exceeded")
-                )
-                continue
-            u = self.word(m, name)
-            volume = u.side**d
-            freq = frequency_row(ident, counts[ident], volume, vol_next, bound, d)
-            info = CertRow(
-                ident=f"{side}-freq-sidelen[m={m},u={name}]",
-                lhs=freq.lhs,
-                rhs=bound / (volume * (2 * u.side - 1) ** d),
-                status="info",
-                note="informational variant with geometric overlap count",
-            )
-            report.rows += [freq, info]
+        return vol_next, rare_counts, counts
 
-        if k >= 2:
-            base = self.word(k, f"a{k}")
-            if base.array is None:
-                report.rows.append(
-                    unverifiable("period-gap", "unverifiable at budget: cell budget exceeded")
-                )
-            else:
-                p_k = period_lattice(base.array).index
-                report.rows.append(period_gap_row(k, p_k, self.volume(k), vol_next))
+    def period(self, k: int) -> int | None:
+        """Index of the period lattice of a_k, or None when a_k is over the
+        cell budget."""
+        base = self.word(k, f"a{k}")
+        return None if base.array is None else period_lattice(base.array).index
 
-        prefix = ratio(self.eps.partial(1, k))
-        for side, symbol in self.rare.items():
-            count = rare_counts[side]
-            report.rows.append(row(f"{side}-density[{symbol}]", (count, vol_next), prefix))
-        return report
+    def _variants(self, side: str, m: int, name: str, bound: Fraction, freq: CertRow) -> list:
+        """The side-length variant of a frequency row, for information: its
+        overlap count is (2 side - 1)^d with the side of u, not its cells."""
+        t = self.side(m)
+        rhs = bound / (t**self.dim * (2 * t - 1) ** self.dim)
+        note = "informational variant with geometric overlap count"
+        return [CertRow(f"{side}-freq-sidelen[m={m},u={name}]", freq.lhs, rhs, "info", note)]
 
     def _pair_counts(self, k: int) -> dict | None:
         """(u, v) -> placements of u in the doubled v for the distinct

@@ -1,22 +1,25 @@
 """The family contract: what the level hierarchies of every dimension share.
 
 A family is a :class:`Hierarchy` (its docstring lists what a family type
-supplies), certified by one scheme whatever its dimension d.  The
-certificate of level k+1 at parameter n has the :func:`eps_tail_rows` of
-the weights eps_m (:class:`FrequencySequence`); per side and inherited
-word u of level m <= k, a :func:`frequency_row`: u's frequency in the
-doubled density word below (eps_m + ... + eps_k) / (|u| (2|u| - 1)^d), |u|
-in cells; the :func:`period_gap_row`, |a_k| / |a_(k+1)| against the period
-of a_k; and per side, the density of its rare symbol below
-eps_1 + ... + eps_k.  A side's level-1 word is its rare symbol, and one
-symbol never crosses a junction, so its count in the doubled density word
-is 2^d times the density row's count: a certificate counts it once, in
-the density row, and counts only the words of level 2 and up as
-patterns.  Each parameter is the smallest n whose certificate passes.  A
-row is lhs < rhs between integer ratios (:func:`row`), decided exactly
-with no float, and keeps its unreduced parts for the parameter solver of
-:mod:`camshift.cam1d`; a row over budget is :func:`unverifiable`, never
-passed.  The output form (:func:`canonical_json`) is shared too.
+supplies), certified by one scheme whatever its dimension d, and
+:meth:`Hierarchy._certify` assembles that certificate once for every
+type.  The certificate of level k+1 at parameter n has the
+:func:`eps_tail_rows` of the weights eps_m (:class:`FrequencySequence`);
+the type's layout rows, and nothing more when one fails; per side and
+inherited word u of level m <= k, a :func:`frequency_row`: u's frequency
+in the doubled density word below (eps_m + ... + eps_k) / (|u| (2|u| -
+1)^d), |u| in cells, each followed by the type's variant rows; the
+:func:`period_gap_row`, |a_k| / |a_(k+1)| against the period of a_k; and
+per side, the density of its rare symbol below eps_1 + ... + eps_k.  A
+side's level-1 word is its rare symbol, and one symbol never crosses a
+junction, so its count in the doubled density word is 2^d times the
+density row's count: a certificate counts it once, in the density row,
+and counts only the words of level 2 and up as patterns.  Each parameter
+is the smallest n whose certificate passes.  A row is lhs < rhs between
+integer ratios (:func:`row`), decided exactly with no float, and keeps
+its unreduced parts for the parameter solver of :mod:`camshift.cam1d`; a
+row over budget is :func:`unverifiable`, never passed.  The output form
+(:func:`canonical_json`) is shared too.
 """
 
 from __future__ import annotations
@@ -166,19 +169,34 @@ def level_names(k: int) -> list[str]:
 
 
 class Hierarchy:
-    """Level state and accessors shared by the one- and d-dimensional families.
+    """Level state, accessors and the certificate shared by the one- and
+    d-dimensional families.
 
     ``levels[k - 1]`` maps the names of level k to its words; ``params`` and
     ``certificates`` hold one entry per level above the first, and
-    ``Hierarchy.__init__`` alone sets them.  A subclass appends its level-1
-    words and supplies ``rare`` (per side, the symbol that side's density
-    words are poor in), ``_words(k, n)`` (the words of level k+1 at
-    parameter n), ``_certify(k, n)`` (their :class:`CertificateReport`),
-    ``_words_to_obj()`` (the file fields that store its words) and
-    ``_pair_counts(k)`` (the pair scan's counts), and overrides
-    ``_fit_start(k)`` where its rows become polynomials in n later than
-    n = 2; the level driver of :mod:`camshift.cam1d` needs nothing else.
-    ``_words`` and ``_certify`` read levels 1..k, change none, and meet no
+    ``Hierarchy.__init__`` alone sets them.  :meth:`_certify` assembles
+    every certificate; a subclass appends its level-1 words and supplies
+    only what it counts and stores:
+
+    - ``rare``, per side the symbol that side's density words are poor in;
+    - ``_words(k, n)``, the words of level k+1 at parameter n;
+    - ``_tally(k, n, inherited)``: the size of a level-(k+1) word in
+      cells, each side's rare-symbol count in its density word, and
+      ``{ident: count}`` for the inherited words of level 2 and up it
+      counts in the doubled density word under its budget;
+    - ``_size(k)``, the cells of a level-k word, and ``period(k)``, the
+      period of a_k or None when a_k is over budget;
+    - ``word_note`` and ``period_note``, what an unverifiable row says is
+      over budget;
+    - ``_words_to_obj()`` (the file fields that store its words) and
+      ``_pair_counts(k)`` (the pair scan's counts);
+
+    and overrides ``_layout(k, n)`` (rows checked before any count; the
+    report stops at one that fails), ``_variants(side, m, name, bound,
+    freq)`` (rows reported after a frequency row) and ``_fit_start(k)``
+    (where its rows become polynomials in n later than n = 2) where it has
+    them.  The level driver of :mod:`camshift.cam1d` needs nothing else.
+    ``_words`` and ``_tally`` read levels 1..k, change none, and meet no
     limit but the fields of the family's :class:`Budgets`.  The commands
     call four more methods: ``window(starts, sides)``, ``measure(k, side,
     cylinders)``, ``parse(k, start, blocks)`` and ``complexity(n_max,
@@ -187,6 +205,8 @@ class Hierarchy:
     """
 
     rare: dict
+    word_note: str
+    period_note: str
 
     def __init__(self, dim: int, budgets: Budgets | None):
         self.eps = FrequencySequence(dim)
@@ -216,6 +236,50 @@ class Hierarchy:
         return len(self.certificates) == self.top_level - 1 and all(
             c.passed for c in self.certificates
         )
+
+    def _certify(self, k: int, n: int) -> CertificateReport:
+        """Exact certification of level k+1 at parameter n against levels
+        1..k, the rows in the order of the module docstring."""
+        report = CertificateReport(level=k + 1, param=n)
+        report.rows += eps_tail_rows(self.eps, k + 1)
+        for layout in self._layout(k, n):
+            report.rows.append(layout)
+            if layout.status == "fail":
+                return report  # the words cannot be laid out; counts are moot
+        inherited = list(inherited_words(self.eps, k, self.rare))
+        size_next, rare_counts, counts = self._tally(k, n, inherited)
+        for ident, side, m, name, bound in inherited:
+            if m == 1:  # its side's rare symbol (see the module docstring)
+                count = 2**self.dim * rare_counts[side]
+            elif ident in counts:
+                count = counts[ident]
+            else:
+                report.rows.append(unverifiable(ident, f"unverifiable at budget: {self.word_note}"))
+                continue
+            freq = frequency_row(ident, count, self._size(m), size_next, bound, self.dim)
+            report.rows += [freq, *self._variants(side, m, name, bound, freq)]
+
+        if k >= 2:
+            p_k = self.period(k)
+            if p_k is None:
+                gap = unverifiable("period-gap", f"unverifiable at budget: {self.period_note}")
+            else:
+                gap = period_gap_row(k, p_k, self._size(k), size_next)
+            report.rows.append(gap)
+
+        prefix = ratio(self.eps.partial(1, k))
+        for side, symbol in self.rare.items():
+            count = rare_counts[side]
+            report.rows.append(row(f"{side}-density[{symbol}]", (count, size_next), prefix))
+        return report
+
+    def _layout(self, k: int, n: int) -> list:
+        """Rows checked before any count; none by default."""
+        return []
+
+    def _variants(self, side: str, m: int, name: str, bound: Fraction, freq: CertRow) -> list:
+        """Rows reported after a frequency row; none by default."""
+        return []
 
     def _fit_start(self, k: int) -> int:
         """Smallest n from which every row of ``_certify(k, n)`` is a

@@ -20,6 +20,13 @@ only: doubling until one passes, then bisection.  The tests compare
 ``cam1d.choose_parameter``, which solves the fitted row polynomials, with
 it.
 
+``certify_materialized`` assembles a certificate from the materialized
+words: every inherited word and rare symbol counted by ``scan_count`` in
+the spelled density words, the period of a_k a_k found by trying every
+shift.  The tests compare ``cam1d.certify_candidate``, which counts on the
+compressed words through the shared certificate of ``camshift.hierarchy``,
+with it, row for row.
+
 ``empirical_measure_edge`` counts a cylinder over the 2|a_k| shifts as
 the count in the doubled word, less a hit at its first symbol, plus a
 text scan of the edge where windows continue into the next copy of the
@@ -32,7 +39,7 @@ count(base^(2+r)) - count(base^r), with both.
 import re
 from fractions import Fraction
 
-from slp_oracles import scan_count
+from slp_oracles import materialize, scan_count
 
 from camshift import cam1d, hierarchy, slp
 from camshift.errors import BudgetExceeded, MalformedFamily
@@ -156,6 +163,44 @@ def parse_structure_scan(family, k: int, start: int, num_blocks: int):
     return cam1d.StructureParse(
         level=k, start=start, blocks=blocks, pair_kinds=pair_kinds, violations=violations
     )
+
+
+def certify_materialized(family, k: int, n: int) -> hierarchy.CertificateReport:
+    """The level-(k+1) report at parameter n, every count taken in a spelled word.
+
+    Each inherited word and each rare symbol is counted in the spelled
+    doubled density word, and the period of a_k a_k is its first shift p
+    with (a_k a_k)[p:] equal to its prefix.  A word, or a_k a_k, over the
+    ``symbols`` budget makes its row unverifiable.
+    """
+    symbols = family.budgets.symbols
+    words = family._words(k, n)
+    texts = {side: materialize(words[f"{side}{k + 1}"]) for side in family.rare}
+    size_next = len(texts["a"])
+    report = hierarchy.CertificateReport(level=k + 1, param=n)
+    report.rows += hierarchy.eps_tail_rows(family.eps, k + 1)
+    for ident, side, m, name, bound in hierarchy.inherited_words(family.eps, k, family.rare):
+        u = materialize(family.word(m, name))
+        if len(u) > symbols:
+            note = "unverifiable at budget: word exceeds symbol budget"
+            report.rows.append(hierarchy.unverifiable(ident, note))
+            continue
+        count = scan_count(u, texts[side] * 2)
+        report.rows.append(hierarchy.frequency_row(ident, count, len(u), size_next, bound, 1))
+    if k >= 2:
+        doubled = materialize(family.a(k)) * 2
+        if len(doubled) > symbols:
+            note = "unverifiable at budget: a_k a_k exceeds symbol budget"
+            report.rows.append(hierarchy.unverifiable("period-gap", note))
+        else:
+            period = next(p for p in range(1, len(doubled)) if doubled[p:] == doubled[:-p])
+            size_k = len(doubled) // 2
+            report.rows.append(hierarchy.period_gap_row(k, period, size_k, size_next))
+    prefix = hierarchy.ratio(family.eps.partial(1, k))
+    for side, symbol in family.rare.items():
+        count = scan_count(symbol, texts[side])
+        report.rows.append(hierarchy.row(f"{side}-density[{symbol}]", (count, size_next), prefix))
+    return report
 
 
 _DECIMAL = re.compile("[0-9]+")

@@ -65,9 +65,7 @@ def period_lattice_scan(w) -> camzd.PeriodLattice:
         if v not in span:
             generators.append(v)
             span = close(span | {v})
-    return camzd.PeriodLattice(
-        modulus=n, dim=d, residues=tuple(residues), generators=tuple(generators), index=index
-    )
+    return camzd.PeriodLattice(np.array(residues), tuple(generators), index)
 
 
 def self_concat(w, extents, max_cells: int | None = None):

@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 from cam1d_oracles import (
     build_by_doubling,
+    certify_materialized,
     distinct_factor_counts_automaton,
     empirical_measure_edge,
     empirical_measure_scan,
@@ -421,6 +422,38 @@ def test_certify_unverifiable_rows_reported():
     flagged = [r for r in report.rows if r.status == "unverifiable"]
     assert flagged
     assert all("budget" in r.note for r in flagged)
+
+
+def _row_parts(report):
+    return [(r.ident, r.lhs, r.rhs, r.status, r.note, r.parts) for r in report.rows]
+
+
+# the symbols budget of a family with these level-2 and top-level word lengths
+SYMBOL_BUDGETS = {
+    "default": lambda len2, top: None,
+    "no word above level 1": lambda len2, top: len2 - 1,
+    "level-2 words only": lambda len2, top: len2,
+    "no a_k a_k": lambda len2, top: top,
+}
+
+
+@pytest.mark.parametrize("budget", SYMBOL_BUDGETS)
+@given(params=st.lists(st.integers(2, 4), min_size=1, max_size=3), n=st.integers(2, 4))
+@settings(max_examples=25, deadline=None)
+def test_certificate_rows_match_the_materialized_certifier(budget, params, n):
+    # row order, notes, counts and parts of the level top+1 candidate, on
+    # small hierarchies (levels 2..4), against the spelled-word certifier
+    family = cam1d.LevelFamily()
+    for p in params:
+        cam1d.build_level(family, p)
+    symbols = SYMBOL_BUDGETS[budget](family.word_length(2), family.word_length(family.top_level))
+    family = cam1d.LevelFamily(budgets=Budgets(symbols=symbols) if symbols else None)
+    for p in params:
+        cam1d.build_level(family, p)
+    report = cam1d.certify_candidate(family, n)
+    assert _row_parts(report) == _row_parts(certify_materialized(family, family.top_level, n))
+    # every budget below the default leaves a_k a_k unverifiable
+    assert ("period-gap" in {r.ident for r in report.unverifiable_rows}) == (symbols is not None)
 
 
 # -- distinct-subword scans -------------------------------------------------------

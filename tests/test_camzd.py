@@ -620,10 +620,10 @@ def test_period_lattice_examples():
     a2 = np.zeros((6, 6), dtype=np.uint8)
     a2[2, 2] = 1
     lattice = camzd.period_lattice(a2)
-    assert lattice.index == 36 and lattice.residues == ((0, 0),)
+    assert lattice.index == 36 and lattice.residues.tolist() == [[0, 0]]
     word = cube([0, 1, 0, 1])
     lattice = camzd.period_lattice(word)
-    assert set(lattice.residues) == {(0,), (2,)} and lattice.index == 2
+    assert lattice.residues.tolist() == [[0], [2]] and lattice.index == 2
 
 
 def test_period_lattice_soundness(rng):
@@ -661,7 +661,7 @@ def lattice_cubes(draw):
 @settings(max_examples=200, deadline=None)
 def test_period_lattice_matches_scan_oracle(w):
     got, want = camzd.period_lattice(w), period_lattice_scan(w)
-    assert got.residues == want.residues
+    assert got.residues.tolist() == want.residues.tolist()
     assert got.generators == want.generators
     assert got.index == want.index
 
@@ -708,7 +708,7 @@ def rare_cell_cubes(draw):
 @settings(max_examples=200, deadline=None)
 def test_period_lattice_matches_scan_oracle_on_rare_cell_cases(w):
     got, want = camzd.period_lattice(w), period_lattice_scan(w)
-    assert got.residues == want.residues
+    assert got.residues.tolist() == want.residues.tolist()
     assert got.generators == want.generators
     assert got.index == want.index
 
@@ -722,8 +722,10 @@ def test_period_lattice_tests_rare_cells_without_rolling(family_d2_structural3, 
     with monkeypatch.context() as patch:
         patch.setattr(np, "roll", no_roll)
         got = camzd.period_lattice(a3)
-    assert got == period_lattice_scan(a3)
-    assert got.index == 22500 and got.residues == ((0, 0),)
+    want = period_lattice_scan(a3)
+    assert got.residues.tolist() == want.residues.tolist() == [[0, 0]]
+    assert got.generators == want.generators == ()
+    assert got.index == want.index == 22500
 
 
 def test_period_lattice_gathers_per_round_generator_or_rejection(
@@ -766,13 +768,16 @@ def _half_density(rng, side: int) -> np.ndarray:
 def test_period_lattice_peak_memory_per_cell():
     # numpy reports its buffers to tracemalloc.  A filter round reads at most
     # max(survivors, 2^16) cells, so no round holds more than the first,
-    # which reads one probe for each of the 500 000 rare cells
+    # which reads one probe for each of the 500 000 rare cells.  A constant
+    # cube has every cell as a residue: its span, its mask and the (r, d)
+    # residue array, with no Python object per residue
     rng = np.random.default_rng(20261020)
     cubes = [
-        (_half_density(rng, 1000), ()),
-        (np.tile(_half_density(rng, 10), (100, 100)), ((0, 10), (10, 0))),
+        (_half_density(rng, 1000), (), 1, 40),
+        (np.tile(_half_density(rng, 10), (100, 100)), ((0, 10), (10, 0)), 100, 40),
+        (np.zeros((1000, 1000), dtype=np.uint8), ((0, 1), (1, 0)), 1000, 64),
     ]
-    for w, generators in cubes:
+    for w, generators, step, bound in cubes:
         tracemalloc.start()
         try:
             lattice = camzd.period_lattice(w)
@@ -780,8 +785,9 @@ def test_period_lattice_peak_memory_per_cell():
         finally:
             tracemalloc.stop()
         assert lattice.generators == generators
-        assert lattice.index == w.size // 100**len(generators)
-        assert peak < 40 * w.size
+        assert lattice.index == w.size // step**len(generators)
+        assert len(lattice.residues) == step**len(generators)
+        assert peak < bound * w.size
 
 
 def test_period_lattice_constant_150():

@@ -322,6 +322,56 @@ def test_the_check_sees_a_second_rotation_reader():
     assert _name_readers(tree, "_shifted") == ["_cut", "_name_count"]
 
 
+CERTIFICATE_FORMULAS = ("eps_tail_rows", "frequency_row", "inherited_words", "period_gap_row")
+
+
+def _certify_definers(tree):
+    """Sorted names of the classes that define a ``_certify`` method."""
+    return sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "_certify" for f in node.body)
+    )
+
+
+def test_one_certificate_for_every_dimension():
+    # Hierarchy._certify assembles every certificate, and a family type
+    # supplies only its counts (_tally) and its own rows (_layout,
+    # _variants); a second assembly would define _certify again and read
+    # the row formulas
+    trees = {path.name: _parse(path) for path in SOURCES}
+    readers = [
+        (name, formula, reader)
+        for name, tree in trees.items()
+        for formula in CERTIFICATE_FORMULAS
+        for reader in _name_readers(tree, formula)
+    ]
+    assert readers == [("hierarchy.py", f, "_certify") for f in CERTIFICATE_FORMULAS]
+    definers = [(name, cls) for name, tree in trees.items() for cls in _certify_definers(tree)]
+    assert definers == [("hierarchy.py", "Hierarchy")]
+
+
+def test_the_check_sees_a_second_certificate():
+    tree = ast.parse(
+        "class Hierarchy:\n"
+        "    def _certify(self, k, n):\n"
+        "        return frequency_row(k, n)\n"
+        "class ZdFamily(Hierarchy):\n"
+        "    def _tally(self, k, n):\n"
+        "        return k\n"
+        "    def _certify(self, k, n):\n"
+        "        return hierarchy.period_gap_row(k, n)\n"
+        "def f():\n"
+        "    class Local:\n"
+        "        def _certify(self):\n"
+        "            return None\n"
+        "    return Local\n"
+    )
+    assert _certify_definers(tree) == ["Hierarchy", "Local", "ZdFamily"]
+    assert _name_readers(tree, "period_gap_row") == ["_certify"]
+
+
 def test_sft_decides_nothing_by_a_sturm_count():
     # every eigenvalue question in sft is a sign test of one shifted
     # polynomial, and cam1d's root solver reads no Sturm count either
