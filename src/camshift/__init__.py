@@ -4,11 +4,11 @@ Subpackages:
 
 * :mod:`camshift.slp` — grammar-compressed binary words (random access,
   windows, exact occurrence counting).
-* :mod:`camshift.hierarchy` — the family contract both dimensions share:
-  the level state, the certificate rows and the output form.
-* :mod:`camshift.cam1d` — the level driver of every dimension and the
-  one-dimensional hierarchy: certification, structure parsing, empirical
-  measures, complexity profiles.
+* :mod:`camshift.hierarchy` — what every dimension shares: the family
+  contract, the certificate, the level driver and solver, the file form.
+* :mod:`camshift.cam1d` — the one-dimensional hierarchy and its probes:
+  windows, structure parsing, empirical measures, complexity profiles.
+* :mod:`camshift.factors` — the numpy kernel of factor complexity.
 * :mod:`camshift.camzd` — the d-dimensional analogue built from cube words,
   self-concatenations and postcard layouts.
 * :mod:`camshift.sft` — nonnegative-integer-matrix shift arithmetic:

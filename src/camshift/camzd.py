@@ -42,11 +42,11 @@ survivors, and the rest walked one generator or rejected coset at a time,
 each step a whole-array gather.  All of it is exact.
 
 :class:`ZdFamily` keeps the family contract of :mod:`camshift.hierarchy`,
-which assembles its certificate, and the level driver of
-:mod:`camshift.cam1d` builds, certifies, loads and pair-scans it.  This
-module keeps the cube words, their numpy counting, the family's layout row
-(the stamp fit) and variant rows (the side-length frequencies) and the
-commands ``window`` and ``measure``.
+which assembles its certificate, and whose level driver builds,
+certifies, loads and pair-scans it.  This module keeps the cube words,
+their numpy counting, the family's layout row (the stamp fit) and variant
+rows (the side-length frequencies) and the commands ``window`` and
+``measure``.
 ``build_family_d``, ``build_level_d`` and ``certify_candidate_d`` are
 one-line aliases of the shared functions, kept only for the benchmark,
 which calls them by these names.
@@ -62,9 +62,9 @@ from fractions import Fraction
 import numpy as np
 
 from .budgets import Budgets
-from .cam1d import build_family, build_level, certify_candidate
 from .errors import BudgetExceeded, CamshiftError
 from .hierarchy import CertRow, Hierarchy, canonical_json, frac_str, level_names, row
+from .hierarchy import build_family, build_level, certify_candidate
 
 __all__ = [
     "ArrayWord",

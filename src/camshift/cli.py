@@ -5,11 +5,12 @@ and sft {qn, perron, embed}.  Families are stored as canonical JSON and all
 reports are emitted as JSON or CSV with big integers as decimal strings.
 Runs are deterministic: the same configuration produces byte-identical
 family files and certificate reports.  This module parses arguments and
-prints: ``cam1d`` builds and loads a family of any dimension, and a
-command calls the family's own methods, which refuse what its type does
-not define, so no command asks for the dimension.  A call builds only the
-parser of the command it runs (two parsers, three for ``sft``), from the
-one table ``COMMANDS``; with no command named it builds the whole tree.
+prints: :mod:`camshift.hierarchy` builds and loads a family of any
+dimension, and a command calls the family's own methods, which refuse what
+its type does not define, so no command asks for the dimension.  A call
+builds only the parser of the command it runs (two parsers, three for
+``sft``), from the one table ``COMMANDS``; with no command named it builds
+the whole tree.
 
 Exit codes: 0 success; 2 certification failure or violated property (also
 usage errors); 3 budget exhaustion; 4 malformed family file.  Each error
@@ -27,7 +28,7 @@ import io
 import json
 import sys
 
-from . import cam1d, sft
+from . import hierarchy, sft
 from .budgets import budgets_from_env
 from .errors import BudgetExceeded, CamshiftError, MalformedFamily
 from .hierarchy import canonical_json, frac_str
@@ -47,7 +48,7 @@ def _load_family(path: str):
             obj = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedFamily(f"cannot read family file {path}: {exc}") from exc
-    return cam1d.family_from_obj(obj, budgets=budgets)
+    return hierarchy.family_from_obj(obj, budgets=budgets)
 
 
 def _write_out(text: str, out: str | None):
@@ -76,7 +77,7 @@ def _csv(header: list, rows) -> str:
 
 def _reports_payload(reports, fmt: str) -> str:
     if fmt == "json":
-        return canonical_json([cam1d.report_to_obj(r) for r in reports])
+        return canonical_json([hierarchy.report_to_obj(r) for r in reports])
     return _csv(
         ["level", "param", "id", "lhs", "rhs", "margin", "status", "note"],
         (
@@ -93,8 +94,8 @@ def _reports_payload(reports, fmt: str) -> str:
 
 
 def cmd_build(args) -> int:
-    family = cam1d.build_family(levels=args.levels, budgets=budgets_from_env(), dim=args.dim)
-    _write_out(canonical_json(cam1d.family_to_obj(family)), args.out)
+    family = hierarchy.build_family(levels=args.levels, budgets=budgets_from_env(), dim=args.dim)
+    _write_out(canonical_json(hierarchy.family_to_obj(family)), args.out)
     for report in family.certificates:
         checked = [r for r in report.rows if r.status != "info"]
         print(
@@ -111,14 +112,14 @@ def cmd_build(args) -> int:
 def cmd_certify(args) -> int:
     family = _load_family(args.family)
     levels = [args.level] if args.level else range(2, family.top_level + 1)
-    reports = [cam1d.certify_level(family, k) for k in levels]
+    reports = [hierarchy.certify_level(family, k) for k in levels]
     _write_out(_reports_payload(reports, args.format), args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
 
 def cmd_verify(args) -> int:
     family = _load_family(args.family)
-    report = cam1d.verify_distinct_subwords(family, args.level)
+    report = hierarchy.verify_distinct_subwords(family, args.level)
     occurrences = sum(p.count or 0 for p in report.pairs)
     print(
         f"{len(report.pairs)} pairs, {occurrences} occurrences "

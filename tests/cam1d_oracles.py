@@ -1,7 +1,8 @@
-"""Reference implementations for ``camshift.cam1d``.
+"""Reference implementations for ``camshift.cam1d``, ``camshift.factors``
+and the level driver of ``camshift.hierarchy``.
 
 The suffix automaton below is the direct per-symbol construction.  The
-tests compare ``cam1d.distinct_factor_counts`` (one sort of the packed
+tests compare ``factors.distinct_factor_counts`` (one sort of the packed
 prefixes of the text's distinct windows plus the LCP of neighbouring
 distinct keys) against it and against brute-force sets of slices.
 
@@ -13,19 +14,19 @@ with it.
 ``report_from_obj_fractions`` reads a stored certificate report in
 ``Fraction`` arithmetic: every stored side and margin becomes a Fraction,
 and the row checks compare Fractions.  The tests compare
-``cam1d.report_from_obj``, which checks the rows in integers, with it.
+``hierarchy.report_from_obj``, which checks the rows in integers, with it.
 
 ``doubling_search`` finds each level's parameter by certifying candidates
 only: doubling until one passes, then bisection.  The tests compare
-``cam1d.choose_parameter``, which solves the fitted row polynomials, with
-it.
+``hierarchy.choose_parameter``, which solves the fitted row polynomials,
+with it.
 
 ``certify_materialized`` assembles a certificate from the materialized
 words: every inherited word and rare symbol counted by ``scan_count`` in
 the spelled density words, the period of a_k a_k found by trying every
-shift.  The tests compare ``cam1d.certify_candidate``, which counts on the
-compressed words through the shared certificate of ``camshift.hierarchy``,
-with it, row for row.
+shift.  The tests compare ``hierarchy.certify_candidate``, which counts on
+the compressed words through the shared certificate of
+``camshift.hierarchy``, with it, row for row.
 
 ``empirical_measure_edge`` counts a cylinder over the 2|a_k| shifts as
 the count in the doubled word, less a hit at its first symbol, plus a
@@ -41,7 +42,7 @@ from fractions import Fraction
 
 from slp_oracles import materialize, scan_count
 
-from camshift import cam1d, hierarchy, slp
+from camshift import cam1d, factors, hierarchy, slp
 from camshift.errors import BudgetExceeded, MalformedFamily
 
 
@@ -105,7 +106,7 @@ def doubling_search(family, cap: int = 10**12):
     """
 
     def decide(n):
-        report = cam1d.certify_candidate(family, n)
+        report = hierarchy.certify_candidate(family, n)
         if report.unverifiable_rows and not report.failed_rows:
             raise BudgetExceeded(f"certification of level {report.level} undecidable at budget")
         return report
@@ -132,10 +133,10 @@ def doubling_search(family, cap: int = 10**12):
 
 
 def build_by_doubling(family, levels: int):
-    """``cam1d.build_levels`` with each parameter from ``doubling_search``."""
+    """``hierarchy.build_levels`` with each parameter from ``doubling_search``."""
     for _ in range(levels - 1):
         report = doubling_search(family)
-        cam1d.build_level(family, report.param)
+        hierarchy.build_level(family, report.param)
         family.certificates.append(report)
     return family
 
@@ -224,10 +225,10 @@ def _fraction_from(obj):
 
 
 def report_from_obj_fractions(obj):
-    """``cam1d.report_from_obj`` on Fractions, without its string-type checks
+    """``hierarchy.report_from_obj`` on Fractions, without its string-type checks
     on a row's id, status and note."""
     report = hierarchy.CertificateReport(
-        level=cam1d._json_int(obj["level"], "certificate level"), param=_decimal(obj["param"])
+        level=hierarchy._json_int(obj["level"], "certificate level"), param=_decimal(obj["param"])
     )
     for row in obj["rows"]:
         cert = hierarchy.CertRow(

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from camshift import cam1d, camzd
+from camshift import camzd, hierarchy
 from slp_oracles import word
 
 
@@ -34,7 +34,7 @@ def random_pattern(rng, text, max_len):
 @pytest.fixture(scope="session")
 def family4_timed():
     start = time.time()
-    family = cam1d.build_family(levels=4)
+    family = hierarchy.build_family(levels=4)
     return family, time.time() - start
 
 
@@ -45,7 +45,7 @@ def family4(family4_timed):
 
 @pytest.fixture(scope="session")
 def family3():
-    return cam1d.build_family(levels=3)
+    return hierarchy.build_family(levels=3)
 
 
 @pytest.fixture(scope="session")

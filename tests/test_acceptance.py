@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from camshift import cam1d, camzd, sft, slp
+from camshift import cam1d, camzd, hierarchy, sft, slp
 from camshift.cli import canonical_json
 from camzd_oracles import self_concat
 from sft_oracles import divisors, tr_n
@@ -49,7 +49,7 @@ def test_criterion_1_level4_build_and_certificates(family4_timed):
 def test_criterion_2_distinct_subwords_levels_2_and_3(family4):
     totals = {}
     for level in (2, 3):
-        report = cam1d.verify_distinct_subwords(family4, level)
+        report = hierarchy.verify_distinct_subwords(family4, level)
         assert all(p.status == "verified" for p in report.pairs)
         assert all(p.count == 0 for p in report.pairs)
         totals[level] = len(report.pairs)
@@ -128,7 +128,7 @@ def test_criterion_6_d2_build_and_layouts(family_d2, family_d2_structural3):
                 assert not seg.any()
 
     # level-2 distinct-pair scans
-    report = cam1d.verify_distinct_subwords(family_d2, 2)
+    report = hierarchy.verify_distinct_subwords(family_d2, 2)
     assert len(report.pairs) == 12
     assert all(p.count == 0 for p in report.pairs)
 
@@ -144,7 +144,7 @@ def test_criterion_6_d2_build_and_layouts(family_d2, family_d2_structural3):
     assert fam3.volume(3) <= 100_000_000
     anchors = [tuple(a + 1 for a in anchor) for anchor, _ in fam3.word(3, "a3").patchwork.patches]
     assert anchors == [(3, 3), (5, 3), (7, 3), (9, 3)]
-    report3 = cam1d.verify_distinct_subwords(fam3, 3)
+    report3 = hierarchy.verify_distinct_subwords(fam3, 3)
     assert len(report3.pairs) == 30 and all(p.count == 0 for p in report3.pairs)
     _announce(6, "d=2: n2=6 certified, figure layouts match, scans zero, sandwich exact")
 
@@ -179,23 +179,23 @@ def test_criterion_8_embedding_feasibility():
 
 
 def test_criterion_9_determinism():
-    first = cam1d.build_family(levels=3)
-    second = cam1d.build_family(levels=3)
-    fam_bytes = canonical_json(cam1d.family_to_obj(first))
-    assert fam_bytes == canonical_json(cam1d.family_to_obj(second))
-    cert_bytes = canonical_json([cam1d.report_to_obj(r) for r in first.certificates])
-    assert cert_bytes == canonical_json([cam1d.report_to_obj(r) for r in second.certificates])
+    first = hierarchy.build_family(levels=3)
+    second = hierarchy.build_family(levels=3)
+    fam_bytes = canonical_json(hierarchy.family_to_obj(first))
+    assert fam_bytes == canonical_json(hierarchy.family_to_obj(second))
+    cert_bytes = canonical_json([hierarchy.report_to_obj(r) for r in first.certificates])
+    assert cert_bytes == canonical_json([hierarchy.report_to_obj(r) for r in second.certificates])
 
     # round trip through the file form re-certifies to identical bytes
-    loaded = cam1d.family_from_obj(json.loads(fam_bytes))
+    loaded = hierarchy.family_from_obj(json.loads(fam_bytes))
     recert = canonical_json(
-        [cam1d.report_to_obj(cam1d.certify_level(loaded, k)) for k in (2, 3)]
+        [hierarchy.report_to_obj(hierarchy.certify_level(loaded, k)) for k in (2, 3)]
     )
     assert recert == cert_bytes
 
     d2_first = camzd.build_family_d(dim=2, levels=2)
     d2_second = camzd.build_family_d(dim=2, levels=2)
-    assert canonical_json(cam1d.family_to_obj(d2_first)) == canonical_json(
-        cam1d.family_to_obj(d2_second)
+    assert canonical_json(hierarchy.family_to_obj(d2_first)) == canonical_json(
+        hierarchy.family_to_obj(d2_second)
     )
     _announce(9, "byte-identical families and certificate reports across rebuilds")

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from refusal import refused
 from slp_oracles import materialize, scan_count
 
-from camshift import cam1d, camzd, hierarchy, slp
+from camshift import cam1d, camzd, factors, hierarchy, slp
 from camshift.budgets import Budgets
 from camshift.errors import BudgetExceeded, MalformedFamily
 
@@ -32,7 +32,7 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 def _benchmark_family():
     """The probe-1d workload's level-4 family, loaded from its fixture."""
-    return cam1d.family_from_obj(json.loads((BENCH / "data" / "family-l4.json").read_text()))
+    return hierarchy.family_from_obj(json.loads((BENCH / "data" / "family-l4.json").read_text()))
 
 
 # -- frequency sequence --------------------------------------------------------
@@ -62,7 +62,7 @@ def test_eps_tail_bound_holds_everywhere():
 
 def test_level2_materializations():
     family = cam1d.LevelFamily()
-    cam1d.build_level(family, 8)
+    hierarchy.build_level(family, 8)
     assert family.string(2, "a2") == "011111111"
     assert family.string(2, "b2") == "000000001"
     assert family.string(2, "w1_2") == "0" * 9
@@ -81,7 +81,7 @@ def test_strings_are_the_builders_snippets(family4):
 
 def test_level3_length_identity():
     family = cam1d.LevelFamily()
-    cam1d.build_level(family, 8)
+    hierarchy.build_level(family, 8)
     for n3 in (2, 5, 11):
         words = family._words(2, n3)
         assert words["a3"].length == (5 * n3 + 4) * 9
@@ -116,7 +116,7 @@ def test_begins_and_ends_with_previous(family4):
 def test_build_level_rejects_small_parameter():
     family = cam1d.LevelFamily()
     with refused("level parameter must be > 1"):
-        cam1d.build_level(family, 1)
+        hierarchy.build_level(family, 1)
 
 
 # -- certification ---------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_build_level_rejects_small_parameter():
 
 def test_level2_certificate_margin():
     family = cam1d.LevelFamily()
-    report = cam1d.certify_candidate(family, 8)
+    report = hierarchy.certify_candidate(family, 8)
     assert report.passed
     row = next(r for r in report.rows if r.ident == "a-freq[m=1,u=w1_1]")
     assert row.lhs == Fraction(1, 9)
@@ -134,34 +134,34 @@ def test_level2_certificate_margin():
 
 def test_level2_strictness_boundary():
     family = cam1d.LevelFamily()
-    report = cam1d.certify_candidate(family, 7)
+    report = hierarchy.certify_candidate(family, 7)
     assert not report.passed
     assert report.failed_rows  # 1/8 < 1/8 fails strictly
 
 
 def test_choose_parameter_level2():
     family = cam1d.LevelFamily()
-    assert cam1d.choose_parameter(family).param == 8
+    assert hierarchy.choose_parameter(family).param == 8
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: cam1d.build_family(levels=3),
+        lambda: hierarchy.build_family(levels=3),
         lambda: camzd.build_family_d(dim=2, levels=2),
-        lambda: cam1d.build_family(levels=4),
+        lambda: hierarchy.build_family(levels=4),
     ],
     ids=["d1-levels3", "d2-levels2", "d1-levels4"],
 )
 def test_build_certifies_each_candidate_once(build, monkeypatch):
-    certify = cam1d.certify_candidate
+    certify = hierarchy.certify_candidate
     reports = []
 
     def recording(family, n):
         reports.append(certify(family, n))
         return reports[-1]
 
-    monkeypatch.setattr(cam1d, "certify_candidate", recording)
+    monkeypatch.setattr(hierarchy, "certify_candidate", recording)
     family = build()
     seen = [(r.level, r.param) for r in reports]
     assert len(seen) == len(set(seen))
@@ -189,9 +189,9 @@ def test_certification_work_is_flat_in_n(monkeypatch):
     monkeypatch.setattr(slp.SlpBuilder, "count_occurrences", counting)
     monkeypatch.setattr(slp, "count_occurrences_naive", scanning)
     for n in (4738998107, 10**15, 10**30):
-        family = cam1d.build_family(levels=3)
+        family = hierarchy.build_family(levels=3)
         work.clear()
-        assert cam1d.certify_candidate(family, n).passed
+        assert hierarchy.certify_candidate(family, n).passed
         # the two level-1 words are counted from the densities (20 calls before)
         assert work == {"count calls": 18, "text bytes": 96}
 
@@ -206,7 +206,7 @@ def test_choose_parameter_with_no_passing_n():
             return hierarchy.CertificateReport(k + 1, n, [hierarchy.row("n<1", (n, 1), (1, 1))])
 
     with refused("^level 2: no parameter passes every row$"):  # a failure, not a budget
-        cam1d.choose_parameter(NoPass())
+        hierarchy.choose_parameter(NoPass())
 
 
 def _cells(family, k, name) -> str:
@@ -224,9 +224,9 @@ def _cells(family, k, name) -> str:
 def test_rare_table_matches_the_words(new_family):
     # each side's density words are poor in its rare symbol, made of the
     # level-1 word of the other one, and their density row counts the rare one
-    family = cam1d.build_levels(new_family(), 2)
+    family = hierarchy.build_levels(new_family(), 2)
     inherited = list(hierarchy.inherited_words(family.eps, 1, family.rare))
-    report = cam1d.certify_candidate(family, family._fit_start(2))
+    report = hierarchy.certify_candidate(family, family._fit_start(2))
     for side, rare in family.rare.items():
         other = "10"[int(rare)]
         density = _cells(family, 2, f"{side}2")
@@ -251,11 +251,11 @@ def test_rare_table_matches_the_words(new_family):
     ids=["d1-levels4", "d2-levels2", "d3-levels2", "d3-levels3"],
 )
 def test_solver_matches_doubling_search(new_family, levels):
-    solved = cam1d.build_levels(new_family(), levels)
+    solved = hierarchy.build_levels(new_family(), levels)
     searched = build_by_doubling(new_family(), levels)
     assert solved.params == searched.params
-    assert [cam1d.report_to_obj(r) for r in solved.certificates] == [
-        cam1d.report_to_obj(r) for r in searched.certificates
+    assert [hierarchy.report_to_obj(r) for r in solved.certificates] == [
+        hierarchy.report_to_obj(r) for r in searched.certificates
     ]
 
 
@@ -276,14 +276,14 @@ def test_fitted_rows_predict_certified_parts(request, fixture, level, params):
     def certify(n):
         return family._certify(level - 1, n)
 
-    fitted = cam1d._fit_rows([certify(n) for n in range(start, start + family.dim + 1)], start)
+    fitted = hierarchy._fit_rows([certify(n) for n in range(start, start + family.dim + 1)], start)
     scale = math.factorial(family.dim)
     for n in params:
         parts = {r.ident: r.parts for r in certify(n).rows if r.parts}
         if n >= start:
             assert parts.keys() == fitted.keys()
         for ident, actual in parts.items():
-            predicted = tuple(Fraction(cam1d._value(p, n), scale) for p in fitted[ident])
+            predicted = tuple(Fraction(hierarchy._value(p, n), scale) for p in fitted[ident])
             assert predicted == actual, (n, ident)
 
 
@@ -301,10 +301,10 @@ def test_solver_rejects_a_non_polynomial_row(monkeypatch):
 
     monkeypatch.setattr(cam1d.LevelFamily, "_certify", bent)
     with refused(r"row a-density\[0\] at n=8: certified parts .*, fitted polynomials predict"):
-        cam1d.choose_parameter(cam1d.LevelFamily())
+        hierarchy.choose_parameter(cam1d.LevelFamily())
 
 
-POLYNOMIALS = st.lists(st.integers(-30, 30), min_size=1, max_size=5).map(cam1d._trim)
+POLYNOMIALS = st.lists(st.integers(-30, 30), min_size=1, max_size=5).map(hierarchy._trim)
 
 
 @given(margins=st.lists(POLYNOMIALS, min_size=1, max_size=3), start=st.integers(-20, 20))
@@ -321,10 +321,10 @@ def test_smallest_pass_matches_a_scan(margins, start):
     # past the Cauchy bound every margin has the sign of its leading coefficient
     bound = max((2 + max(map(abs, p[:-1]), default=0) // abs(p[-1]) for p in margins if p), default=0)
     scan = next(
-        (n for n in range(start, max(start, bound) + 2) if all(cam1d._value(p, n) > 0 for p in margins)),
+        (n for n in range(start, max(start, bound) + 2) if all(hierarchy._value(p, n) > 0 for p in margins)),
         None,
     )
-    assert cam1d._smallest_pass(margins, start) == scan
+    assert hierarchy._smallest_pass(margins, start) == scan
 
 
 @st.composite
@@ -338,10 +338,10 @@ def _factored(draw):
     )
     p = [draw(st.integers(-5, 5).filter(bool))]
     for q, a in factors:
-        p = cam1d._poly_mul(p, [-a, q])
+        p = hierarchy._poly_mul(p, [-a, q])
     if quadratic:
         lead, b = draw(st.integers(1, 5)), draw(st.integers(-20, 20))
-        p = cam1d._poly_mul(p, [b * b // (4 * lead) + draw(st.integers(1, 30)), b, lead])
+        p = hierarchy._poly_mul(p, [b * b // (4 * lead) + draw(st.integers(1, 30)), b, lead])
     return p, {-(-a // q) for q, a in factors}
 
 
@@ -349,17 +349,17 @@ def _factored(draw):
 @settings(max_examples=300, deadline=None)
 @example(case=([28, 30, -11], {0, 4}))  # roots -0.74 and 3.46, Cauchy bound 4
 @example(case=([49, -28, 4], {4}))  # (2n - 7)^2
-@example(case=(cam1d._poly_mul([-31, 10], [-32, 10]), {4}))  # roots 3.1 and 3.2
+@example(case=(hierarchy._poly_mul([-31, 10], [-32, 10]), {4}))  # roots 3.1 and 3.2
 def test_root_ceilings_hold_every_root_ceiling(case):
     p, ceilings = case
-    assert ceilings <= cam1d._root_ceilings(p)
+    assert ceilings <= hierarchy._root_ceilings(p)
 
 
 def test_choose_parameter_requires_certified_family():
     family = cam1d.LevelFamily()
-    cam1d.build_level(family, 8)  # built but never certified
+    hierarchy.build_level(family, 8)  # built but never certified
     with refused("family must be certified through its top level"):
-        cam1d.choose_parameter(family)
+        hierarchy.choose_parameter(family)
 
 
 def test_level3_counts_match_naive(family3):
@@ -394,7 +394,7 @@ def test_certification_is_pure(family4, monkeypatch):
         return string(self, k, name)
 
     monkeypatch.setattr(cam1d.LevelFamily, "string", recording)
-    cam1d.certify_level(family4, 3)
+    hierarchy.certify_level(family4, 3)
     family4._certify(2, family4.params[1])
     assert seen and set(seen) == {4}
     assert family4.levels is levels and family4.top_level == 4
@@ -404,7 +404,7 @@ def test_certification_is_pure(family4, monkeypatch):
 def test_level1_rows_match_a_scan_of_the_doubled_density_word(family3, level):
     # a level-1 row reads its side's density count: the symbol's
     # occurrences in the materialized doubled density word
-    rows = {r.ident: r for r in cam1d.certify_level(family3, level).rows}
+    rows = {r.ident: r for r in hierarchy.certify_level(family3, level).rows}
     for side, symbol in family3.rare.items():
         text = materialize(family3.word(level, f"{side}{level}")) * 2
         name = hierarchy.level_names(1)[int(symbol)]
@@ -417,8 +417,8 @@ def test_certify_unverifiable_rows_reported():
     # a symbol budget below |a_2| = 9 forces the level-3 pattern rows to be flagged
     budgets = Budgets(symbols=8)
     family = cam1d.LevelFamily(budgets=budgets)
-    cam1d.build_level(family, 8)
-    report = cam1d.certify_candidate(family, 20)
+    hierarchy.build_level(family, 8)
+    report = hierarchy.certify_candidate(family, 20)
     flagged = [r for r in report.rows if r.status == "unverifiable"]
     assert flagged
     assert all("budget" in r.note for r in flagged)
@@ -445,12 +445,12 @@ def test_certificate_rows_match_the_materialized_certifier(budget, params, n):
     # small hierarchies (levels 2..4), against the spelled-word certifier
     family = cam1d.LevelFamily()
     for p in params:
-        cam1d.build_level(family, p)
+        hierarchy.build_level(family, p)
     symbols = SYMBOL_BUDGETS[budget](family.word_length(2), family.word_length(family.top_level))
     family = cam1d.LevelFamily(budgets=Budgets(symbols=symbols) if symbols else None)
     for p in params:
-        cam1d.build_level(family, p)
-    report = cam1d.certify_candidate(family, n)
+        hierarchy.build_level(family, p)
+    report = hierarchy.certify_candidate(family, n)
     assert _row_parts(report) == _row_parts(certify_materialized(family, family.top_level, n))
     # every budget below the default leaves a_k a_k unverifiable
     assert ("period-gap" in {r.ident for r in report.unverifiable_rows}) == (symbols is not None)
@@ -460,13 +460,13 @@ def test_certificate_rows_match_the_materialized_certifier(budget, params, n):
 
 
 def test_verify_level2(family3):
-    report = cam1d.verify_distinct_subwords(family3, 2)
+    report = hierarchy.verify_distinct_subwords(family3, 2)
     assert len(report.pairs) == 12
     assert all(p.status == "verified" and p.count == 0 for p in report.pairs)
 
 
 def test_verify_skips_equal_pair(family3):
-    report = cam1d.verify_distinct_subwords(family3, 2)
+    report = hierarchy.verify_distinct_subwords(family3, 2)
     assert all(p.u != p.v for p in report.pairs)
     # the self-pair count would not be zero, which is why it is skipped
     a2 = family3.string(2, "a2")
@@ -474,7 +474,7 @@ def test_verify_skips_equal_pair(family3):
 
 
 def test_verify_over_budget_defers(family4):
-    report = cam1d.verify_distinct_subwords(family4, 4)
+    report = hierarchy.verify_distinct_subwords(family4, 4)
     assert report.pairs and all(p.status == "certified-by-inequalities" for p in report.pairs)
     assert not report.violations
 
@@ -484,10 +484,10 @@ def test_verify_counts_match_scan_of_doubled_words():
     # and the skipped self-pairs, which do occur, through the same builder
     family = cam1d.LevelFamily()
     for n in (3, 2):
-        cam1d.build_level(family, n)
+        hierarchy.build_level(family, n)
     for k in (2, 3):
         strings = {name: family.string(k, name) for name in family.names(k)}
-        report = cam1d.verify_distinct_subwords(family, k)
+        report = hierarchy.verify_distinct_subwords(family, k)
         assert len(report.verified) == len(strings) * (len(strings) - 1)
         for pair in report.pairs:
             assert pair.count == scan_count(strings[pair.u], strings[pair.v] * 2)
@@ -507,9 +507,9 @@ def test_certificate_counts_match_scan_of_doubled_words(params):
     # against a scan of the materialized doubled density words
     family = cam1d.LevelFamily()
     for n in params:
-        cam1d.build_level(family, n)
+        hierarchy.build_level(family, n)
     for k in range(2, family.top_level + 1):
-        report = cam1d.certify_level(family, k)
+        report = hierarchy.certify_level(family, k)
         texts = {side: family.string(k, f"{side}{k}") for side in "ab"}
         for row in report.rows:
             if row.ident.startswith(("a-freq", "b-freq")):
@@ -560,7 +560,7 @@ def test_junction_work_of_a_level4_build_and_verify(junction_work):
     # pinned: a junction's names are built once per (junction, q), so a
     # counter without that memo builds more tables
     work = junction_work
-    family = cam1d.build_family(levels=4)
+    family = hierarchy.build_family(levels=4)
     assert family.params == [8, 979, 4738998107]
     assert work == {
         "text scans": 48,
@@ -573,7 +573,7 @@ def test_junction_work_of_a_level4_build_and_verify(junction_work):
     # level 3 the memo already holds the seams of the two repeated words
     work.clear()
     for k in (2, 3):
-        cam1d.verify_distinct_subwords(family, k)
+        hierarchy.verify_distinct_subwords(family, k)
     assert work == {"junctions": 4, "name counts": 30, "name count misses": 20}
 
 
@@ -581,10 +581,10 @@ def test_junction_work_of_a_loaded_level4_verify(family4, junction_work):
     # the loader rebuilds the words without counting, and the pair scans on
     # its fresh builder meet every seam anew: the same 30 name counts as on
     # the built family, with 6 junction tables and all 30 counts misses
-    loaded = cam1d.family_from_obj(json.loads(json.dumps(cam1d.family_to_obj(family4))))
+    loaded = hierarchy.family_from_obj(json.loads(json.dumps(hierarchy.family_to_obj(family4))))
     assert junction_work == {}
     for k in (2, 3):
-        cam1d.verify_distinct_subwords(loaded, k)
+        hierarchy.verify_distinct_subwords(loaded, k)
     assert junction_work == {
         "text scans": 24,
         "text bytes": 300,
@@ -607,7 +607,7 @@ def test_cold_level4_counts_cut_the_pattern_not_the_junction(family4, junction_w
 
     shifted = slp._shifted
     monkeypatch.setattr(slp, "_shifted", recording)
-    obj = json.loads(json.dumps(cam1d.family_to_obj(family4)))
+    obj = json.loads(json.dumps(hierarchy.family_to_obj(family4)))
     cold_certify = {
         "text scans": 48,
         "text bytes": 656,
@@ -617,8 +617,8 @@ def test_cold_level4_counts_cut_the_pattern_not_the_junction(family4, junction_w
     }
     cold_verify = {"junctions": 6, "name counts": 30, "name count misses": 30}
     for run, work in (
-        (lambda: cam1d.certify_level(cam1d.family_from_obj(obj), 4), cold_certify),
-        (lambda: cam1d.verify_distinct_subwords(cam1d.family_from_obj(obj), 3), cold_verify),
+        (lambda: hierarchy.certify_level(hierarchy.family_from_obj(obj), 4), cold_certify),
+        (lambda: hierarchy.verify_distinct_subwords(hierarchy.family_from_obj(obj), 3), cold_verify),
     ):
         shifts.clear()
         junction_work.clear()
@@ -645,9 +645,9 @@ def test_cold_level4_certificate_checks_no_spelled_word(family4, monkeypatch):
 
     check = slp._check_symbols
     monkeypatch.setattr(slp, "_check_symbols", recording)
-    obj = json.loads(json.dumps(cam1d.family_to_obj(family4)))
-    loaded = cam1d.family_from_obj(obj)
-    cam1d.certify_level(loaded, 4)
+    obj = json.loads(json.dumps(hierarchy.family_to_obj(family4)))
+    loaded = hierarchy.family_from_obj(obj)
+    hierarchy.certify_level(loaded, 4)
     assert sorted(checked) == ["0", "1"]
     # a pattern from outside the builder is still checked, once
     for _ in range(2):
@@ -666,7 +666,7 @@ def test_level4_build_scans_no_text_for_a_level3_word(monkeypatch):
 
     naive = slp.count_occurrences_naive
     monkeypatch.setattr(slp, "count_occurrences_naive", recording)
-    family = cam1d.build_family(levels=4)
+    family = hierarchy.build_family(levels=4)
     assert family.params == [8, 979, 4738998107]
     assert seen and max(seen) < family.word_length(3)
 
@@ -683,7 +683,7 @@ def test_transitive_window_examples(family3):
 
 def test_transitive_window_checks_the_symbol_budget():
     family = cam1d.LevelFamily(budgets=Budgets(symbols=8))
-    cam1d.build_level(family, 8)
+    hierarchy.build_level(family, 8)
     assert cam1d.transitive_point_window(family, 1, 8) == "01111111"
     with pytest.raises(BudgetExceeded, match="window of 9 symbols exceeds"):
         cam1d.transitive_point_window(family, 1, 9)
@@ -691,7 +691,7 @@ def test_transitive_window_checks_the_symbol_budget():
 
 def test_transitive_window_nested_consistency(family4):
     # the window is the same whether read at level 3 or level 4 context
-    small = cam1d.build_family(levels=3)
+    small = hierarchy.build_family(levels=3)
     for start, size in ((1, 40), (-30, 60), (-small.word_length(3) + 1, 100)):
         assert cam1d.transitive_point_window(small, start, size) == cam1d.transitive_point_window(
             family4, start, size
@@ -894,7 +894,7 @@ def test_empirical_measure_follows_the_family_symbol_budget(family4):
     # a cylinder longer than 10^6 symbols is measured under a larger budget
     family = cam1d.LevelFamily(budgets=Budgets(symbols=1_100_000))
     for n in family4.params:
-        cam1d.build_level(family, n)
+        hierarchy.build_level(family, n)
     cylinder = slp.window(family.a(4), 0, 1_020_000)
     value = cam1d.empirical_measure(family, 4, "a", cylinder)
     assert isinstance(value, Fraction) and 0 < value <= 1
@@ -935,7 +935,7 @@ def test_distinct_factor_counts_brute(rng):
     for _ in range(40):
         text = "".join(rng.choice("01") for _ in range(rng.randint(1, 60)))
         n_max = min(len(text), 10)
-        assert cam1d.distinct_factor_counts(text, n_max) == _brute_counts(text, n_max)
+        assert factors.distinct_factor_counts(text, n_max) == _brute_counts(text, n_max)
 
 
 def _brute_counts(text, n_max):
@@ -973,7 +973,7 @@ def factor_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_distinct_factor_counts_match_oracles(case):
     text, n_max = case
-    counts = cam1d.distinct_factor_counts(text, n_max)
+    counts = factors.distinct_factor_counts(text, n_max)
     assert counts == distinct_factor_counts_automaton(text, n_max)
     assert counts == _brute_counts(text, n_max)
 
@@ -982,13 +982,13 @@ def test_distinct_factor_counts_match_oracles(case):
 def lcp_pairs(monkeypatch):
     """Sizes of the batches of neighbour pairs whose LCP is computed."""
     sizes = []
-    packed_lcp = cam1d._packed_lcp
+    packed_lcp = factors._packed_lcp
 
     def counting(x, y, bits, per):
         sizes.append(len(x))
         return packed_lcp(x, y, bits, per)
 
-    monkeypatch.setattr(cam1d, "_packed_lcp", counting)
+    monkeypatch.setattr(factors, "_packed_lcp", counting)
     return sizes
 
 
@@ -997,7 +997,7 @@ def test_distinct_factor_counts_on_transitive_windows(family3, n_max, lcp_pairs)
     # 32 binary symbols to a key: n_max = 32 sorts keys only, 33, 64 and 200
     # take 1, 1 and 3 doubling rounds
     text = cam1d.transitive_point_window(family3, -2000, 4000)
-    counts = cam1d.distinct_factor_counts(text, n_max)
+    counts = factors.distinct_factor_counts(text, n_max)
     assert counts == distinct_factor_counts_automaton(text, n_max)
     assert counts == _brute_counts(text, n_max)
     # the window repeats level-2 words, so most neighbours share a key or a final rank
@@ -1010,7 +1010,7 @@ def test_short_factor_keys_are_cut_to_n_max(family3, n_max, lcp_pairs):
     # are the distinct n_max-factors and the n_max - 1 shortest suffixes,
     # whatever follows a window's starts
     text = cam1d.transitive_point_window(family3, -2000, 4000)
-    counts = cam1d.distinct_factor_counts(text, n_max)
+    counts = factors.distinct_factor_counts(text, n_max)
     assert counts == _brute_counts(text, n_max)
     assert lcp_pairs == [counts[-1] + n_max - 2]
 
@@ -1024,9 +1024,9 @@ def test_distinct_factor_counts_on_long_periodic_text(rng, alphabet, bits, per, 
     text = "".join(period * (3000 // len(period) + 1))[:3000]
     changed = rng.choice([c for c in alphabet if c != text[1777]])
     text = text[:1777] + changed + text[1778:]
-    assert cam1d._packed_prefixes(text)[1:] == (bits, per)
+    assert factors._packed_prefixes(text)[1:] == (bits, per)
     for n_max in (per, per + 1, 3 * per, 150):
-        counts = cam1d.distinct_factor_counts(text, n_max)
+        counts = factors.distinct_factor_counts(text, n_max)
         assert counts == distinct_factor_counts_automaton(text, n_max)
         assert counts == _brute_counts(text, n_max)
     # four calls take fewer LCPs than one call would over all N - 1 neighbours
@@ -1059,9 +1059,9 @@ def test_windowed_factor_counts_match_oracles(case, copies, stride):
     # and periodic texts repeat them, and the tails vary in length
     text, n_max = case
     text *= copies
-    with mock.patch.object(cam1d, "_STRIDE", stride):
-        joined, kept, tail = cam1d._distinct_windows(text, n_max)
-        counts = cam1d.distinct_factor_counts(text, n_max)
+    with mock.patch.object(factors, "_STRIDE", stride):
+        joined, kept, tail = factors._distinct_windows(text, n_max)
+        counts = factors.distinct_factor_counts(text, n_max)
     # each distinct window once, its first max(stride, n_max) starts kept, then the tail
     step = max(stride, n_max)
     length = step + n_max - 1
@@ -1079,7 +1079,7 @@ def test_benchmark_complexity_packs_the_distinct_windows_only(monkeypatch):
     # peak stays a small fraction of the text
     family = _benchmark_family()
     packed, peaks = [], []
-    packed_prefixes, counter = cam1d._packed_prefixes, cam1d.distinct_factor_counts
+    packed_prefixes, counter = factors._packed_prefixes, factors.distinct_factor_counts
 
     def recording(text):
         packed.append(len(text))
@@ -1093,8 +1093,8 @@ def test_benchmark_complexity_packs_the_distinct_windows_only(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1] / len(text))
             tracemalloc.stop()
 
-    monkeypatch.setattr(cam1d, "_packed_prefixes", recording)
-    monkeypatch.setattr(cam1d, "distinct_factor_counts", traced)
+    monkeypatch.setattr(factors, "_packed_prefixes", recording)
+    monkeypatch.setattr(factors, "distinct_factor_counts", traced)
     cam1d.complexity_profile(family, 32, 500_000)
     assert len(packed) == 1 and packed[0] <= 20_000
     assert len(peaks) == 1 and peaks[0] < 4
@@ -1104,22 +1104,22 @@ def test_benchmark_complexity_packs_the_distinct_windows_only(monkeypatch):
 
 
 def test_family_round_trip(family3):
-    obj = cam1d.family_to_obj(family3)
+    obj = hierarchy.family_to_obj(family3)
     data = json.loads(json.dumps(obj))
-    loaded = cam1d.family_from_obj(data)
+    loaded = hierarchy.family_from_obj(data)
     assert loaded.params == family3.params
-    assert cam1d.family_to_obj(loaded) == obj
+    assert hierarchy.family_to_obj(loaded) == obj
     # rationals ride as decimal strings
     row = obj["certificates"][0]["rows"][0]
     assert isinstance(row["lhs"]["num"], str)
 
 
 def test_family_from_obj_rejects_tampering(family3):
-    obj = cam1d.family_to_obj(family3)
+    obj = hierarchy.family_to_obj(family3)
     data = json.loads(json.dumps(obj))
     data["levels"][1]["words"]["a2"] = data["levels"][1]["words"]["b2"]
     with pytest.raises(MalformedFamily):
-        cam1d.family_from_obj(data)
+        hierarchy.family_from_obj(data)
 
 
 @pytest.mark.parametrize(
@@ -1136,11 +1136,11 @@ def test_family_from_obj_rejects_tampering(family3):
     ],
 )
 def test_family_from_obj_checks_certificate_rows(family3, field, value):
-    data = json.loads(json.dumps(cam1d.family_to_obj(family3)))
+    data = json.loads(json.dumps(hierarchy.family_to_obj(family3)))
     row = next(r for r in data["certificates"][0]["rows"] if r["id"] == "b-freq[m=1,u=w2_1]")
     row[field] = value
     with pytest.raises(MalformedFamily):
-        cam1d.family_from_obj(data)
+        hierarchy.family_from_obj(data)
 
 
 @st.composite
@@ -1187,12 +1187,12 @@ def test_report_reader_agrees_with_the_fraction_reader(rows):
         except MalformedFamily:
             return "rejected"
 
-    assert read(cam1d.report_from_obj) == read(report_from_obj_fractions)
+    assert read(hierarchy.report_from_obj) == read(report_from_obj_fractions)
 
 
 def test_family_from_obj_rejects_garbage():
     with pytest.raises(MalformedFamily):
-        cam1d.family_from_obj({"dim": 1, "K": "x"})
+        hierarchy.family_from_obj({"dim": 1, "K": "x"})
 
 
 @pytest.mark.parametrize(
@@ -1214,10 +1214,10 @@ def test_family_from_obj_rejects_garbage():
 )
 def test_stored_integers_are_strict_decimals(text, signed):
     with pytest.raises(MalformedFamily):
-        cam1d._decimal(text, "value", signed=signed)
+        hierarchy._decimal(text, "value", signed=signed)
 
 
 def test_stored_integers_read_plain_decimals():
-    assert cam1d._decimal("0979", "value") == 979
-    assert cam1d._decimal("-12", "value", signed=True) == -12
-    assert cam1d._decimal(str(10**30), "value") == 10**30
+    assert hierarchy._decimal("0979", "value") == 979
+    assert hierarchy._decimal("-12", "value", signed=True) == -12
+    assert hierarchy._decimal(str(10**30), "value") == 10**30

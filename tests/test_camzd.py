@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from refusal import refused
 
-from camshift import cam1d, camzd, cli, hierarchy
+from camshift import camzd, cli, hierarchy
 from camshift.budgets import Budgets
 from camshift.errors import BudgetExceeded, MalformedFamily
 
@@ -570,7 +570,7 @@ def test_d4_level3_build_packs_each_pattern_and_stack_once(tmp_path, monkeypatch
     # 38 counts, packing each distinct window on its own 1038 _pack calls
     assert calls == {"_pack": 56, "counts": 14}
     path = tmp_path / "d4.json"
-    path.write_text(cli.canonical_json(cam1d.family_to_obj(family)))
+    path.write_text(cli.canonical_json(hierarchy.family_to_obj(family)))
     calls.clear()
     assert cli.main(["certify", "--family", str(path), "--out", str(tmp_path / "cert.json")]) == 0
     # levels 2 and 3 once each: level 2 counts on no grid; counting the
@@ -587,7 +587,7 @@ def test_pair_scan_packs_each_word_once(family_d2, monkeypatch):
         return pack(arr, width)
 
     monkeypatch.setattr(camzd, "_pack", recording)
-    report = cam1d.verify_distinct_subwords(family_d2, 2)
+    report = hierarchy.verify_distinct_subwords(family_d2, 2)
     assert len(report.pairs) == 12
     # four words as patterns, four doubled words as texts
     assert sorted(packed) == [(6, 6)] * 4 + [(12, 12)] * 4
@@ -603,7 +603,7 @@ def test_pair_scan_counts_every_pair():
     family = camzd.ZdFamily(dim=2)
     names = hierarchy.level_names(2)
     family.levels.append({n: camzd.ZdWord(4, a, None) for n, a in zip(names, arrays)})
-    report = cam1d.verify_distinct_subwords(family, 2)
+    report = hierarchy.verify_distinct_subwords(family, 2)
     words = dict(zip(names, arrays))
     for pair in report.pairs:
         text = np.tile(words[pair.v], (2, 2))
@@ -823,7 +823,7 @@ def test_level2_certificate_refuses_cubes_over_the_cell_budget(monkeypatch):
     built = []
     monkeypatch.setattr(camzd, "DoubledGrid", lambda word: built.append(word))
     with pytest.raises(BudgetExceeded, match="cubes of 216 cells exceed the cell budget 200"):
-        cam1d.build_family(levels=2, dim=3, budgets=Budgets(cells=200))
+        hierarchy.build_family(levels=2, dim=3, budgets=Budgets(cells=200))
     assert built == []
 
 
@@ -866,17 +866,17 @@ def test_certification_is_pure_d(monkeypatch):
         return kernel(pattern, code, valid, mults)
 
     monkeypatch.setattr(camzd, "_count_packed", recording)
-    assert cam1d.certify_level(family, 3).passed
+    assert hierarchy.certify_level(family, 3).passed
     assert seen and set(seen) == {3}
     assert family.levels is levels and family.top_level == 3
 
 
 def test_d1_family_level3():
     # the d-dimensional construction at d = 1 (build_family builds LevelFamily there)
-    family = cam1d.build_levels(camzd.ZdFamily(dim=1), 3)
+    family = hierarchy.build_levels(camzd.ZdFamily(dim=1), 3)
     assert family.params[0] == 9  # smallest n with 1/n < 1/8 and n >= 6
     assert family.is_certified()
-    report = cam1d.verify_distinct_subwords(family, 3)
+    report = hierarchy.verify_distinct_subwords(family, 3)
     assert len(report.pairs) == 30 and not report.violations
     # stamp layout of the level-3 postcard: first-axis blocks 3, 5, 7, 9
     anchors = [anchor[0] + 1 for anchor, _ in family.word(3, "a3").patchwork.patches]
@@ -884,13 +884,13 @@ def test_d1_family_level3():
 
 
 def test_d2_level2_pair_scans(family_d2):
-    report = cam1d.verify_distinct_subwords(family_d2, 2)
+    report = hierarchy.verify_distinct_subwords(family_d2, 2)
     assert len(report.pairs) == 12
     assert all(p.status == "verified" and p.count == 0 for p in report.pairs)
 
 
 def test_d2_structural_level3_scans(family_d2_structural3):
-    report = cam1d.verify_distinct_subwords(family_d2_structural3, 3)
+    report = hierarchy.verify_distinct_subwords(family_d2_structural3, 3)
     assert len(report.pairs) == 30
     assert all(p.status == "verified" and p.count == 0 for p in report.pairs)
 
@@ -998,24 +998,24 @@ def test_measure_report_d_matches_arrays(family_d2_structural3):
 
 
 def test_family_d_round_trip(family_d2):
-    obj = cam1d.family_to_obj(family_d2)
+    obj = hierarchy.family_to_obj(family_d2)
     data = json.loads(json.dumps(obj))
-    loaded = cam1d.family_from_obj(data)
+    loaded = hierarchy.family_from_obj(data)
     assert loaded.params == family_d2.params
-    assert cam1d.family_to_obj(loaded) == obj
+    assert hierarchy.family_to_obj(loaded) == obj
 
 
 def test_family_d_rejects_tampering(family_d2):
-    data = json.loads(json.dumps(cam1d.family_to_obj(family_d2)))
+    data = json.loads(json.dumps(hierarchy.family_to_obj(family_d2)))
     data["levels"][1]["words"]["a2"]["array"]["data"] = "0" * 36
     with pytest.raises(MalformedFamily):
-        cam1d.family_from_obj(data)
+        hierarchy.family_from_obj(data)
 
 
 def test_family_d_checks_certificate_rows(family_d2):
-    data = json.loads(json.dumps(cam1d.family_to_obj(family_d2)))
+    data = json.loads(json.dumps(hierarchy.family_to_obj(family_d2)))
     row = next(r for r in data["certificates"][0]["rows"] if r["id"] == "a-freq[m=1,u=w2_1]")
     assert row["status"] == "pass"
     row["lhs"] = {"num": "1", "den": "1"}
     with pytest.raises(MalformedFamily):
-        cam1d.family_from_obj(data)
+        hierarchy.family_from_obj(data)

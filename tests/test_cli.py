@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from refusal import refused
 
-from camshift import cam1d, cli, sft
+from camshift import cli, hierarchy, sft
 from camshift.budgets import Budgets, budgets_from_env
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -453,34 +453,53 @@ def test_one_branch_parses_as_the_whole_tree(argv):
 
 
 def test_one_dimensional_runs_never_load_camzd(tmp_path):
-    # the driver imports camzd only for a family of d > 1
+    # the driver imports camzd only for a family of d > 1, and cam1d only for
+    # d = 1; numpy is loaded by camzd and by the complexity kernel alone
     script = (
-        "import sys\n"
+        "import contextlib, io, json, sys\n"
         "from camshift import cli\n"
-        "one, two = sys.argv[1:]\n"
-        "runs = [\n"
-        "    ['build', '--dim', '1', '--levels', '3', '--out', one],\n"
-        "    ['certify', '--family', one],\n"
-        "    ['verify', '--family', one, '--level', '3'],\n"
-        "    ['window', '--family', one, '--start', '-8', '--len', '9'],\n"
-        "    ['measure', '--family', one, '--k', '2'],\n"
-        "]\n"
-        "codes = [cli.main(argv) for argv in runs]\n"
-        "seen = ['camshift.camzd' in sys.modules]\n"
-        "codes.append(cli.main(['build', '--dim', '2', '--levels', '2', '--out', two]))\n"
-        "print(codes, seen + ['camshift.camzd' in sys.modules])\n"
+        "watched = ['numpy', 'camshift.cam1d', 'camshift.camzd', 'camshift.slp']\n"
+        "for batch in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes = [cli.main(argv) for argv in batch]\n"
+        "    print(codes, [name for name in watched if name in sys.modules])\n"
     )
-    paths = [str(tmp_path / "one.json"), str(tmp_path / "two.json")]
+    one, two = str(tmp_path / "one.json"), str(tmp_path / "two.json")
+    fib = "[[1,1],[1,0]]"
+    one_dimensional = [
+        [
+            ["sft", "qn", "--matrix", fib, "--n", "3"],
+            ["sft", "perron", "--matrix", fib],
+            ["sft", "embed", "--matrix", fib, "--height", "2", "--n-max", "12"],
+        ],
+        [
+            ["build", "--dim", "1", "--levels", "3", "--out", one],
+            ["certify", "--family", one],
+            ["verify", "--family", one, "--level", "3"],
+            ["window", "--family", one, "--start", "-8", "--len", "9"],
+            ["parse", "--family", one, "--level", "2", "--start", "1", "--blocks", "3"],
+            ["measure", "--family", one, "--k", "2"],
+        ],
+        [["complexity", "--family", one, "--n-max", "4", "--window-len", "64"]],
+    ]
+    two_dimensional = [[["build", "--dim", "2", "--levels", "2", "--out", two]]]
     path = os.pathsep.join([str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
-    result = subprocess.run(
-        [sys.executable, "-c", script, *paths],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        check=True,
-    )
-    # and the check sees camzd once a d = 2 family is built
-    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] [False, True]"
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script, json.dumps(batches)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            check=True,
+        ).stdout.splitlines()
+        for batches in (one_dimensional, two_dimensional)
+    ]
+    one_d = "'camshift.cam1d', 'camshift.slp'"
+    assert outputs == [
+        ["[0, 0, 0] []", f"[0, 0, 0, 0, 0, 0] [{one_d}]", f"[0] ['numpy', {one_d}]"],
+        # and the check sees camzd and numpy once a d = 2 family is built
+        ["[0] ['numpy', 'camshift.camzd']"],
+    ]
 
 
 # (argv after --family, exit code, stdout, stderr) on the level-2 families
@@ -862,7 +881,7 @@ def test_level2_cubes_over_the_cell_budget_are_refused_before_certifying(
     # budget from d = 11 on, so the build refuses before any candidate
     monkeypatch.delenv("CAMSHIFT_BUDGET", raising=False)
     calls = []
-    monkeypatch.setattr(cam1d, "certify_candidate", lambda *args: calls.append(args))
+    monkeypatch.setattr(hierarchy, "certify_candidate", lambda *args: calls.append(args))
     out = tmp_path / "big.json"
     assert run("build", "--dim", str(dim), "--levels", "2", "--out", str(out)) == 3
     captured = capsys.readouterr()
@@ -878,9 +897,9 @@ def test_d2_level3_file_form_independent_of_cell_budget(
 ):
     # level-3 words of 22500 cells: arrays at the default budget, not at
     # cells=10000, and the file must read the same under both
-    obj = cam1d.family_to_obj(family_d2_structural3)
+    obj = hierarchy.family_to_obj(family_d2_structural3)
     obj["certificates"].append(
-        cam1d.report_to_obj(cam1d.certify_level(family_d2_structural3, 3))
+        hierarchy.report_to_obj(hierarchy.certify_level(family_d2_structural3, 3))
     )
     path = tmp_path / "d2l3.json"
     path.write_text(cli.canonical_json(obj))

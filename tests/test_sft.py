@@ -25,7 +25,7 @@ from sft_oracles import (
     tr_n,
 )
 
-from camshift import cam1d, sft
+from camshift import hierarchy, sft
 from camshift.errors import BudgetExceeded, CamshiftError
 
 GOLDEN = [[1, 1], [1, 0]]
@@ -373,8 +373,9 @@ def test_radius_test_is_exact_at_a_root():
 
 def test_no_entry_point_builds_a_sturm_chain():
     # every eigenvalue question of census, embedding and Perron is one sign
-    # test, and cam1d's root solver bisects between the derivative's roots;
-    # a profiler records every Python call whose function bears a chain name
+    # test, and the parameter solver's root finder bisects between the
+    # derivative's roots; a profiler records every Python call whose
+    # function bears a chain name
     chain = {"sturm_sequence", "roots_above", "_pseudo_divide"}
     calls = []
 
@@ -398,7 +399,7 @@ def test_no_entry_point_builds_a_sturm_chain():
                 sft.perron_eigenvalue(matrix)
         # (n - 2)^2 (n^2 - 12n + 16) and (3n - 7)(n + 5), lowest degree first
         for p in ([64, -112, 68, -16, 1], [-35, 8, 3]):
-            cam1d._root_ceilings(p)
+            hierarchy._root_ceilings(p)
 
     profiled(entry_points)
     assert calls == []

@@ -271,15 +271,45 @@ def _name_readers(tree, name):
     )
 
 
+def _definer(trees, name):
+    """The stem of the one module in ``trees`` (stem -> tree) that defines
+    the function ``name`` at module level."""
+    stems = [
+        stem
+        for stem, tree in trees.items()
+        if any(isinstance(node, ast.FunctionDef) and node.name == name for node in tree.body)
+    ]
+    assert len(stems) == 1, f"{name} is defined in {stems}"
+    return stems[0]
+
+
+def test_the_definer_is_the_one_module_that_defines_the_name():
+    tree = ast.parse(
+        "def f():\n"
+        "    def g():\n"
+        "        pass\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        pass\n"
+    )
+    assert _definer({"a": tree, "b": ast.parse("x = 1\n")}, "f") == "a"
+    # a nested function or a method is not a module's definition, and two are too many
+    for trees, name in (({"a": tree}, "g"), ({"a": tree, "b": tree}, "f")):
+        with pytest.raises(AssertionError):
+            _definer(trees, name)
+
+
 def test_one_packing_site():
     # factor complexity packs the deduplicated text of its windows, once; a
     # whole-text path beside it would pack again
+    trees = {path.stem: _parse(path) for path in SOURCES}
+    home = _definer(trees, "_packed_prefixes")
     readers = [
-        (path.name, reader)
-        for path in SOURCES
-        for reader in _name_readers(_parse(path), "_packed_prefixes")
+        (stem, reader)
+        for stem, tree in trees.items()
+        for reader in _name_readers(tree, "_packed_prefixes")
     ]
-    assert readers == [("cam1d.py", "distinct_factor_counts")]
+    assert readers == [(home, "distinct_factor_counts")]
 
 
 def test_the_check_sees_a_second_packing_site():
@@ -374,11 +404,12 @@ def test_the_check_sees_a_second_certificate():
 
 def test_sft_decides_nothing_by_a_sturm_count():
     # every eigenvalue question in sft is a sign test of one shifted
-    # polynomial, and cam1d's root solver reads no Sturm count either
-    sft, cam1d = (_parse(ROOT / "src" / "camshift" / f"{m}.py") for m in ("sft", "cam1d"))
+    # polynomial, and the parameter solver's module reads no Sturm count either
+    trees = {path.stem: _parse(path) for path in SOURCES}
+    solver = trees[_definer(trees, "_root_ceilings")]
     for name in ("sturm_sequence", "roots_above"):
-        assert _name_readers(sft, name) == []
-        assert _name_readers(cam1d, name) == []
+        assert _name_readers(trees["sft"], name) == []
+        assert _name_readers(solver, name) == []
 
 
 STURM_CHAIN = ("sturm_sequence", "roots_above", "_pseudo_divide")
@@ -387,14 +418,16 @@ STURM_CHAIN = ("sturm_sequence", "roots_above", "_pseudo_divide")
 def _sturm_chain_findings(trees):
     """Sorted findings over ``trees`` (module stem -> tree): each function
     or method named in STURM_CHAIN that a module defines, nested ones
-    included, and each line of ``cam1d`` that imports ``sft`` in any form."""
+    included, and each line of the module that defines ``_root_ceilings``
+    (the parameter solver's) that imports ``sft`` in any form."""
     found = {
         f"{stem} defines {name}"
         for stem, tree in trees.items()
         for name, _ in _defined(tree)
         if name in STURM_CHAIN
     }
-    for node in ast.walk(trees["cam1d"]):
+    solver = _definer(trees, "_root_ceilings")
+    for node in ast.walk(trees[solver]):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -402,13 +435,13 @@ def _sturm_chain_findings(trees):
         else:
             continue
         if any(name.split(".")[-1] == "sft" for name in names):
-            found.add(f"cam1d:{node.lineno} imports sft")
+            found.add(f"{solver}:{node.lineno} imports sft")
     return sorted(found)
 
 
 def test_no_sturm_chain_in_the_package():
     # every eigenvalue question in sft is a sign test of one shifted
-    # polynomial, and cam1d's root solver bisects between the roots of the
+    # polynomial, and the root solver bisects between the roots of the
     # derivative; the Sturm chain is a test oracle (tests/sft_oracles.py)
     trees = {path.stem: _parse(path) for path in SOURCES}
     assert _sturm_chain_findings(trees) == []
@@ -426,19 +459,22 @@ def test_the_check_sees_a_sturm_chain():
         "def sturm_count(seq):\n"
         "    return roots_above(seq, 2)\n"
     )
-    cam1d = ast.parse(
+    solver = ast.parse(
         "from . import sft, slp\n"
         "from .sft import census\n"
         "import camshift.sft as s\n"
         "from camshift import sft\n"
         "from .slp import SlpExpr\n"
         "import itertools\n"
+        "def _root_ceilings(p):\n"
+        "    return set()\n"
     )
-    assert _sturm_chain_findings({"sft": sft, "cam1d": cam1d}) == [
-        "cam1d:1 imports sft",
-        "cam1d:2 imports sft",
-        "cam1d:3 imports sft",
-        "cam1d:4 imports sft",
+    other = ast.parse("from . import sft\n")
+    assert _sturm_chain_findings({"sft": sft, "hierarchy": solver, "cli": other}) == [
+        "hierarchy:1 imports sft",
+        "hierarchy:2 imports sft",
+        "hierarchy:3 imports sft",
+        "hierarchy:4 imports sft",
         "sft defines _pseudo_divide",
         "sft defines roots_above",
         "sft defines sturm_sequence",
@@ -609,7 +645,7 @@ def _dimension_uses(tree):
 
 def test_the_cli_never_asks_for_a_dimension():
     # a command calls the family contract; the family type, picked from dim
-    # by cam1d.new_family alone, answers or refuses
+    # by hierarchy.new_family alone, answers or refuses
     assert _dimension_uses(_parse(ROOT / "src" / "camshift" / "cli.py")) == []
 
 
@@ -707,4 +743,94 @@ def test_the_check_sees_a_private_read():
         (8, "camzd._pack"),
         (8, "slp._end"),
         (10, "camzd._stamp_count"),
+    ]
+
+
+ARRAY_MODULES = {"camzd", "factors"}  # the modules that may load numpy on import
+FAMILY_MODULES = ("cam1d", "camzd")
+
+
+def _module_level_imports(tree):
+    """(module, line) for each import that runs when the module is imported,
+    that is outside any function body: the top-level name of an absolute
+    import, and the package module of a relative or ``camshift`` one
+    (``from . import cam1d``, ``from .cam1d import x`` and
+    ``import camshift.cam1d`` all give cam1d)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # a class body runs on import, a function body only when called
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                yield (rest.partition(".")[0] if head == "camshift" and rest else head), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            head, _, rest = (node.module or "").partition(".")
+            if not node.level and head != "camshift":
+                yield head, node.lineno  # outside the package
+                continue
+            module = head if node.level else rest.partition(".")[0]
+            for name in [module] if module else [alias.name for alias in node.names]:
+                yield name, node.lineno
+        else:
+            yield from _module_level_imports(node)
+
+
+def _import_findings(trees):
+    """Sorted (module stem, line, imported) for each import on module load
+    of ``numpy`` outside ARRAY_MODULES, and of a family module by any other
+    module, the other family module included."""
+    return sorted(
+        (stem, line, module)
+        for stem, tree in trees.items()
+        for module, line in _module_level_imports(tree)
+        if (module == "numpy" and stem not in ARRAY_MODULES)
+        or (module in FAMILY_MODULES and module != stem)
+    )
+
+
+def test_no_module_loads_numpy_or_a_family_module_on_import():
+    # hierarchy.new_family imports the one family module a family needs, and
+    # cam1d imports factors on the first complexity profile, so a 1-d run
+    # loads neither numpy nor camzd and a d-dim one neither cam1d nor slp
+    assert _import_findings({path.stem: _parse(path) for path in SOURCES}) == []
+
+
+def test_the_check_sees_a_module_level_import():
+    cam1d = ast.parse(
+        "import numpy as np\n"
+        "from numpy import roll\n"
+        "import camshift.camzd as z\n"
+        "def f():\n"
+        "    import numpy\n"
+        "    from . import camzd\n"
+        "    return numpy, camzd\n"
+        "class C:\n"
+        "    import numpy\n"
+        "if True:\n"
+        "    from .camzd import ZdFamily\n"
+        "from . import factors, slp\n"
+    )
+    camzd = ast.parse("import numpy\nfrom camshift import cam1d\nfrom .hierarchy import row\n")
+    cli = ast.parse(
+        "from . import cam1d, hierarchy\n"
+        "import numpy.linalg\n"
+        "try:\n"
+        "    import camshift.camzd\n"
+        "except ImportError:\n"
+        "    camshift = None\n"
+        "from camshift.cam1d import LevelFamily\n"
+    )
+    factors = ast.parse("import numpy as np\nfrom .errors import BudgetExceeded\n")
+    trees = {"cam1d": cam1d, "camzd": camzd, "cli": cli, "factors": factors}
+    assert _import_findings(trees) == [
+        ("cam1d", 1, "numpy"),
+        ("cam1d", 2, "numpy"),
+        ("cam1d", 3, "camzd"),
+        ("cam1d", 9, "numpy"),
+        ("cam1d", 11, "camzd"),
+        ("camzd", 2, "cam1d"),
+        ("cli", 1, "cam1d"),
+        ("cli", 2, "numpy"),
+        ("cli", 4, "camzd"),
+        ("cli", 7, "cam1d"),
     ]
