@@ -13,6 +13,7 @@ Subpackages:
   self-concatenations and postcard layouts.
 * :mod:`camshift.sft` — nonnegative-integer-matrix shift arithmetic:
   periodic-point census, Perron eigenvalue, tower embedding feasibility.
+* :mod:`camshift.output` — the output form: canonical JSON and "p/q" fractions.
 * :mod:`camshift.cli` — the ``camshift`` command-line front end.
 """
 

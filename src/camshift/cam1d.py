@@ -22,10 +22,11 @@ from fractions import Fraction
 from . import slp
 from .budgets import Budgets
 from .errors import BudgetExceeded, CamshiftError
-from .hierarchy import Hierarchy, frac_str, level_names
+from .hierarchy import Hierarchy, level_names
 from .hierarchy import (  # kept only for the benchmark, which reads them off this module
     certify_candidate, certify_level, choose_parameter, family_from_obj, verify_distinct_subwords,
 )
+from .output import frac_str
 
 __all__ = [
     "LevelFamily", "transitive_point_window", "classify_pair", "StructureParse", "parse_structure",

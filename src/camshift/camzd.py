@@ -63,8 +63,9 @@ import numpy as np
 
 from .budgets import Budgets
 from .errors import BudgetExceeded, CamshiftError
-from .hierarchy import CertRow, Hierarchy, canonical_json, frac_str, level_names, row
+from .hierarchy import CertRow, Hierarchy, level_names, row
 from .hierarchy import build_family, build_level, certify_candidate
+from .output import canonical_json, frac_str
 
 __all__ = [
     "ArrayWord",
@@ -657,9 +658,9 @@ class ZdFamily(Hierarchy):
         """The side-length variant of a frequency row, for information: its
         overlap count is (2 side - 1)^d with the side of u, not its cells."""
         t = self.side(m)
-        rhs = bound / (t**self.dim * (2 * t - 1) ** self.dim)
+        rhs = bound.numerator, bound.denominator * t**self.dim * (2 * t - 1) ** self.dim
         note = "informational variant with geometric overlap count"
-        return [CertRow(f"{side}-freq-sidelen[m={m},u={name}]", freq.lhs, rhs, "info", note)]
+        return [CertRow(f"{side}-freq-sidelen[m={m},u={name}]", freq.left, rhs, "info", note)]
 
     def _pair_counts(self, k: int) -> dict | None:
         """(u, v) -> placements of u in the doubled v for the distinct

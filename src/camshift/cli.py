@@ -7,7 +7,9 @@ Runs are deterministic: the same configuration produces byte-identical
 family files and certificate reports.  This module parses arguments and
 prints: :mod:`camshift.hierarchy` builds and loads a family of any
 dimension, and a command calls the family's own methods, which refuse what
-its type does not define, so no command asks for the dimension.  A call
+its type does not define, so no command asks for the dimension.  The family
+commands import :mod:`camshift.hierarchy` when they run; an ``sft`` command
+prints through :mod:`camshift.output` alone and never loads it.  A call
 builds only the parser of the command it runs (two parsers, three for
 ``sft``), from the one table ``COMMANDS``; with no command named it builds
 the whole tree.
@@ -28,10 +30,10 @@ import io
 import json
 import sys
 
-from . import hierarchy, sft
+from . import sft
 from .budgets import budgets_from_env
 from .errors import BudgetExceeded, CamshiftError, MalformedFamily
-from .hierarchy import canonical_json, frac_str
+from .output import canonical_json, frac_str
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -40,6 +42,8 @@ EXIT_MALFORMED = 4
 
 
 def _load_family(path: str):
+    from . import hierarchy
+
     # the budgets are read first, so a bad CAMSHIFT_BUDGET is a usage error
     # whatever the file holds
     budgets = budgets_from_env()
@@ -76,6 +80,8 @@ def _csv(header: list, rows) -> str:
 
 
 def _reports_payload(reports, fmt: str) -> str:
+    from . import hierarchy
+
     if fmt == "json":
         return canonical_json([hierarchy.report_to_obj(r) for r in reports])
     return _csv(
@@ -94,6 +100,8 @@ def _reports_payload(reports, fmt: str) -> str:
 
 
 def cmd_build(args) -> int:
+    from . import hierarchy
+
     family = hierarchy.build_family(levels=args.levels, budgets=budgets_from_env(), dim=args.dim)
     _write_out(canonical_json(hierarchy.family_to_obj(family)), args.out)
     for report in family.certificates:
@@ -110,6 +118,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import hierarchy
+
     family = _load_family(args.family)
     levels = [args.level] if args.level else range(2, family.top_level + 1)
     reports = [hierarchy.certify_level(family, k) for k in levels]
@@ -118,6 +128,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import hierarchy
+
     family = _load_family(args.family)
     report = hierarchy.verify_distinct_subwords(family, args.level)
     occurrences = sum(p.count or 0 for p in report.pairs)

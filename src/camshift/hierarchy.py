@@ -15,10 +15,10 @@ side's level-1 word is its rare symbol, and one symbol never crosses a
 junction, so its count in the doubled density word is 2^d times the
 density row's count: a certificate counts it once, in the density row,
 and counts only the words of level 2 and up as patterns.  Each parameter
-is the smallest n whose certificate passes.  A row is lhs < rhs between
-integer ratios (:func:`row`), decided exactly with no float, and keeps
-its unreduced parts for the parameter solver; a row over budget is
-:func:`unverifiable`, never passed.
+is the smallest n whose certificate passes.  A row keeps the unreduced
+integer pairs it is certified, stored and read with; :func:`row` decides
+it by cross-multiplication, with no float; a Fraction is made only where
+a row is printed.  A row over budget is :func:`unverifiable`, never passed.
 
 One level driver serves every family type through that contract: the
 type picker :func:`new_family`, the one importer of a family module,
@@ -34,7 +34,6 @@ level-4 family.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,7 +46,7 @@ EPS_SCHEME = "half-geometric4"
 
 @dataclass(frozen=True)
 class FrequencySequence:
-    """Summable per-level weights eps_k with closed-form geometric tails.
+    """Summable per-level weights eps_k, every sum in closed form.
 
     The one scheme (named EPS_SCHEME in family files) is
     eps_k = (1/2) * 3^-(dim-1) * 4^-k, whose tail
@@ -62,58 +61,83 @@ class FrequencySequence:
             raise CamshiftError("dimension must be >= 1")
 
     def value(self, k: int) -> Fraction:
-        if k < 1:
-            raise CamshiftError("frequency index must be >= 1")
-        return Fraction(1, 2) * Fraction(1, 3 ** (self.dim - 1)) * Fraction(1, 4**k)
+        return self.partial(k, k)
 
     def tail(self, start: int) -> Fraction:
         """Exact value of sum_{n >= start} eps_n."""
-        return Fraction(2, 3) * Fraction(1, 3 ** (self.dim - 1)) * Fraction(1, 4**start)
+        return Fraction(2, 3**self.dim * 4**start)
 
     def tail_bound(self, start: int) -> Fraction:
         return Fraction(1, 3 ** (self.dim + start - 1))
 
     def partial(self, lo: int, hi: int) -> Fraction:
-        return sum((self.value(j) for j in range(lo, hi + 1)), Fraction(0))
+        """eps_lo + ... + eps_hi = (4^(hi-lo+1) - 1) / (2 3^dim 4^hi); 0 when lo > hi."""
+        if lo > hi:
+            return Fraction(0)
+        if lo < 1:
+            raise CamshiftError("frequency index must be >= 1")
+        return Fraction(4 ** (hi - lo + 1) - 1, 2 * 3**self.dim * 4**hi)
 
 
-@dataclass
+@dataclass(eq=False)
 class CertRow:
+    """A row lhs < rhs, each side the integer (numerator, denominator) pair
+    it was certified or stored with, unreduced, the denominator positive,
+    or None; ``parts`` joins them for the solver.  The Fractions ``lhs``,
+    ``rhs`` and ``margin`` are made when read; rows compare by value, their
+    sides in lowest terms."""
+
     ident: str
-    lhs: Fraction | None
-    rhs: Fraction | None
+    left: tuple | None
+    right: tuple | None
     status: str  # "pass" | "fail" | "unverifiable" | "info"
     note: str = ""
-    # (lhs numerator, lhs denominator, rhs numerator, rhs denominator) as
-    # certified, unreduced, denominators positive: each is a polynomial in
-    # the level parameter n, which the parameter solver fits; never stored
-    parts: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def parts(self) -> tuple | None:
+        return None if self.left is None or self.right is None else self.left + self.right
+
+    @property
+    def gap(self) -> tuple | None:
+        """rhs - lhs as an integer pair, the denominator positive."""
+        if self.parts is None:
+            return None
+        ln, ld, rn, rd = self.parts
+        return rn * ld - ln * rd, ld * rd
+
+    @property
+    def lhs(self) -> Fraction | None:
+        return None if self.left is None else Fraction(*self.left)
+
+    @property
+    def rhs(self) -> Fraction | None:
+        return None if self.right is None else Fraction(*self.right)
 
     @property
     def margin(self) -> Fraction | None:
-        if self.lhs is None or self.rhs is None:
-            return None
-        return self.rhs - self.lhs
+        return None if self.parts is None else Fraction(*self.gap)
+
+    def __eq__(self, other):
+        if not isinstance(other, CertRow):
+            return NotImplemented
+        key = lambda r: (r.ident, _ratio_obj(r.left), _ratio_obj(r.right), r.status, r.note)
+        return key(self) == key(other)
 
 
 def row(ident: str, lhs: tuple, rhs: tuple) -> CertRow:
-    """The row lhs < rhs, each side an integer (numerator, denominator) pair."""
-    left, right = Fraction(*lhs), Fraction(*rhs)
-    return CertRow(ident, left, right, "pass" if left < right else "fail", parts=lhs + rhs)
-
-
-def ratio(x: Fraction) -> tuple:
-    return x.numerator, x.denominator
+    """The row lhs < rhs between integer pairs, decided by cross-multiplication."""
+    return CertRow(ident, lhs, rhs, "pass" if lhs[0] * rhs[1] < rhs[0] * lhs[1] else "fail")
 
 
 def unverifiable(ident: str, note: str) -> CertRow:
-    return CertRow(ident=ident, lhs=None, rhs=None, status="unverifiable", note=note)
+    return CertRow(ident, None, None, "unverifiable", note)
 
 
 def eps_tail_rows(eps: FrequencySequence, new_level: int) -> list:
     """Closed-form tail bounds of the weight scheme, up to the new level."""
     return [
-        row(f"eps-tail[N={m}]", ratio(eps.tail(m)), ratio(eps.tail_bound(m)))
+        row(f"eps-tail[N={m}]", eps.tail(m).as_integer_ratio(),
+            eps.tail_bound(m).as_integer_ratio())
         for m in range(1, new_level + 1)
     ]
 
@@ -278,7 +302,7 @@ class Hierarchy:
                 gap = period_gap_row(k, p_k, self._size(k), size_next)
             report.rows.append(gap)
 
-        prefix = ratio(self.eps.partial(1, k))
+        prefix = self.eps.partial(1, k).as_integer_ratio()
         for side, symbol in self.rare.items():
             count = rare_counts[side]
             report.rows.append(row(f"{side}-density[{symbol}]", (count, size_next), prefix))
@@ -357,16 +381,17 @@ def _fit(values, start: int) -> list:
     """d! p, where p is the polynomial of degree <= d = len(values) - 1
     through (start + i, values[i]).
 
-    Newton's forward differences: d! p(n) = sum_j D^j values[0] (d!/j!)
-    (n - start) (n - start - 1) ... (n - start - j + 1), all in integers.
+    Newton's forward differences in integers:
+    d! p(n) = sum_j D^j values[0] (d!/j!) (n - start) ... (n - start - j + 1).
     """
-    scale = math.factorial(len(values) - 1)
-    poly, basis, diffs = [], [1], list(values)
+    weight = math.factorial(len(values) - 1)
+    poly, basis, diffs = [0] * len(values), [1], list(values)
     for j in range(len(values)):
-        weight = diffs[0] * (scale // math.factorial(j))
-        poly = [a + weight * b for a, b in itertools.zip_longest(poly, basis, fillvalue=0)]
+        weight //= j or 1  # d!/j!
+        for i, b in enumerate(basis):
+            poly[i] += diffs[0] * weight * b
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        basis = _poly_mul(basis, [-(start + j), 1])
+        basis = [a - (start + j) * b for a, b in zip([0] + basis, basis + [0])]
     return _trim(poly)
 
 
@@ -374,7 +399,7 @@ def _fit_rows(reports, start: int) -> dict:
     """ident -> the row's four parts as polynomials in n, fitted through
     ``reports``, certified at n = start, start + 1, ..., start + d, and
     scaled by d!; every report must have the same rows."""
-    tables = [{r.ident: r.parts for r in report.rows if r.parts} for report in reports]
+    tables = [_decided_parts(report) for report in reports]
     for table in tables[1:]:
         if table.keys() != tables[0].keys():
             ident = sorted(table.keys() ^ tables[0].keys())[0]
@@ -383,6 +408,10 @@ def _fit_rows(reports, start: int) -> dict:
         ident: tuple(_fit([table[ident][i] for table in tables], start) for i in range(4))
         for ident in tables[0]
     }
+
+
+def _decided_parts(report: CertificateReport) -> dict:
+    return {r.ident: r.parts for r in report.rows if r.status in ("pass", "fail")}
 
 
 def _margin(parts) -> list:
@@ -398,18 +427,18 @@ def _root_ceilings(p) -> set:
     """Integers among which lies ceil(r) for every real root r of the integer
     polynomial p.
 
-    Every root lies in (-B, B), B = 2 + max|c_i| // |lead|.  The ceilings of
-    the roots of p' (this function, one degree down) and -B, B + 1 cut the
-    line at integers ``ends``; between consecutive ends lo < hi, p' has no
-    root in (lo, hi - 1], so p is monotone on [lo, hi - 1] and has at most
-    one root there.  When p changes sign on it, a bisection finds the least
-    x with p(lo) p(x) <= 0, which is that root's ceiling.  A root in
-    (hi - 1, hi] has the ceiling hi, a ceiling of p' (hi is neither -B nor
-    B + 1, as the root lies in (-B, B)).  This is root isolation by
-    differentiation (Collins & Loos, SYMSAC 1976).
+    A linear c0 + c1 x has the ceiling -(c0 // c1).  Above, every root lies
+    in (-B, B), B = 2 + max|c_i| // |lead|.  The ceilings of the roots of p'
+    (this function, one degree down) and -B, B + 1 cut the line at integers
+    ``ends``; between consecutive ends lo < hi, p' has no root in (lo, hi -
+    1], so p is monotone on [lo, hi - 1] with at most one root there.  When
+    p changes sign on it, a bisection finds the least x with p(lo) p(x) <=
+    0, that root's ceiling.  A root in (hi - 1, hi] has the ceiling hi, a
+    ceiling of p' (hi is neither -B nor B + 1, as the root lies in (-B,
+    B)): root isolation by differentiation (Collins & Loos, SYMSAC 1976).
     """
-    if len(p) < 2:
-        return set()
+    if len(p) < 3:
+        return {-(p[0] // p[1])} if len(p) == 2 else set()
     bound = 2 + max(abs(c) for c in p[:-1]) // abs(p[-1])
     found = _root_ceilings([i * c for i, c in enumerate(p)][1:])
     ends = sorted(found | {-bound, bound + 1})
@@ -440,24 +469,20 @@ def _smallest_pass(margins, start: int) -> int | None:
 
 def _check_fit(report: CertificateReport, fitted: dict, start: int, scale: int):
     """Every row certified at n >= start has the parts its polynomials
-    (scaled by ``scale``) predict: a part num/den and a value v agree iff
-    v den == scale num, so Fractions are built only for the error."""
+    predict, ``scale`` times each part; Fractions are built only for the error."""
     n = report.param
     if n < start:
         return
-    actual = {r.ident: r.parts for r in report.rows if r.parts}
+    actual = _decided_parts(report)
     for ident in list(fitted) + [i for i in actual if i not in fitted]:
         parts = actual.get(ident)
         values = [_value(p, n) for p in fitted.get(ident, ())]
-        if parts is not None and len(parts) == len(values) and all(
-            v * part.denominator == scale * part.numerator for v, part in zip(values, parts)
-        ):
-            continue
-        predicted = tuple(Fraction(v, scale) for v in values) if ident in fitted else None
-        raise CamshiftError(
-            f"level {report.level} row {ident} at n={n}: certified parts "
-            f"{parts}, fitted polynomials predict {predicted}"
-        )
+        if parts is None or [scale * part for part in parts] != values:
+            predicted = tuple(Fraction(v, scale) for v in values) if ident in fitted else None
+            raise CamshiftError(
+                f"level {report.level} row {ident} at n={n}: certified parts "
+                f"{parts}, fitted polynomials predict {predicted}"
+            )
 
 
 def _decided(report: CertificateReport) -> CertificateReport:
@@ -596,19 +621,7 @@ def verify_distinct_subwords(family: Hierarchy, k: int) -> SubwordReport:
     return SubwordReport(level=k, pairs=pairs)
 
 
-# -- the output form and the file form ------------------------------------------
-
-
-def canonical_json(obj) -> str:
-    """The one JSON text of every file and report: sorted keys, no spaces, a newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def frac_str(x: Fraction | None) -> str:
-    """A fraction as the commands print it, "p/q"; "" for none."""
-    if x is None:
-        return ""
-    return f"{x.numerator}/{x.denominator}"
+# -- the file form -------------------------------------------------------------
 
 
 def _json_int(value, what: str) -> int:
@@ -644,16 +657,17 @@ def _check_scheme(obj):
         raise MalformedFamily(f"unknown frequency scheme {obj['eps_scheme']!r}")
 
 
-def _fraction_obj(x: Fraction | None):
-    if x is None:
+def _ratio_obj(pair: tuple | None):
+    """An integer pair, its denominator positive, stored in lowest terms."""
+    if pair is None:
         return None
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    g = math.gcd(*pair)
+    return {"num": str(pair[0] // g), "den": str(pair[1] // g)}
 
 
 def _stored_ratio(obj, ident: str, side: str) -> tuple | None:
-    """A stored fraction, the `side` of row `ident`, as its (numerator,
-    denominator), unreduced, the denominator positive; a stored null stays
-    None."""
+    """The `side` of row `ident` as its stored (numerator, denominator),
+    unreduced, the denominator positive; a stored null stays None."""
     if obj is None:
         return None
     num = _decimal(obj["num"], "row {} {} numerator", ident, side, signed=True)
@@ -677,9 +691,9 @@ def report_to_obj(report: CertificateReport) -> dict:
         "rows": [
             {
                 "id": r.ident,
-                "lhs": _fraction_obj(r.lhs),
-                "rhs": _fraction_obj(r.rhs),
-                "margin": _fraction_obj(r.margin),
+                "lhs": _ratio_obj(r.left),
+                "rhs": _ratio_obj(r.right),
+                "margin": _ratio_obj(r.gap),
                 "status": r.status,
                 "note": r.note,
             }
@@ -698,7 +712,7 @@ def report_from_obj(obj) -> CertificateReport:
     identities: a pass or fail row has both sides and passes exactly when
     rn ld - ln rd > 0, and the margin equals rhs - lhs, mn ld rd ==
     (rn ld - ln rd) md, or is null where a side is.  Any other row is
-    MalformedFamily.  Only the two sides a CertRow keeps become Fractions.
+    MalformedFamily.  A row keeps the stored pairs; no Fraction is made.
     """
     report = CertificateReport(
         level=_json_int(obj["level"], "certificate level"),
@@ -713,22 +727,13 @@ def report_from_obj(obj) -> CertificateReport:
         lhs = _stored_ratio(stored["lhs"], ident, "lhs")
         rhs = _stored_ratio(stored["rhs"], ident, "rhs")
         margin = _stored_ratio(stored["margin"], ident, "margin")
-        decided = status in ("pass", "fail")
-        if lhs is None or rhs is None:
-            if decided:
-                raise MalformedFamily(f"row {ident}: status {status} contradicts lhs < rhs")
-            if margin is not None:
-                raise MalformedFamily(f"row {ident}: stored margin is not rhs - lhs")
-        else:
-            (ln, ld), (rn, rd) = lhs, rhs
-            gap = rn * ld - ln * rd  # (rhs - lhs) ld rd: positive exactly when lhs < rhs
-            if decided and (status == "pass") != (gap > 0):
-                raise MalformedFamily(f"row {ident}: status {status} contradicts lhs < rhs")
-            if margin is None or margin[0] * ld * rd != gap * margin[1]:
-                raise MalformedFamily(f"row {ident}: stored margin is not rhs - lhs")
-        left = None if lhs is None else Fraction(*lhs)
-        right = None if rhs is None else Fraction(*rhs)
-        report.rows.append(CertRow(ident, left, right, status, note))
+        cert = CertRow(ident, lhs, rhs, status, note)
+        gap = cert.gap  # (rhs - lhs) as (rn ld - ln rd, ld rd), or None where a side is
+        if status in ("pass", "fail") and (gap is None or (status == "pass") != (gap[0] > 0)):
+            raise MalformedFamily(f"row {ident}: status {status} contradicts lhs < rhs")
+        if (margin is None) != (gap is None) or gap and margin[0] * gap[1] != gap[0] * margin[1]:
+            raise MalformedFamily(f"row {ident}: stored margin is not rhs - lhs")
+        report.rows.append(cert)
     return report
 
 

@@ -16,6 +16,18 @@ with it.
 and the row checks compare Fractions.  The tests compare
 ``hierarchy.report_from_obj``, which checks the rows in integers, with it.
 
+``eps_value_product``, ``eps_tail_product`` and ``eps_partial_summed``
+are the weights eps_k as products of Fractions and their partial sums
+summed term by term; the tests compare the closed forms of
+``hierarchy.FrequencySequence`` with them.
+
+``fit_by_products`` and ``root_ceilings_bisecting`` are the direct forms
+of the parameter solver's fit and root finder: the fit recomputes d!/j!
+and multiplies the Newton basis out as polynomials at every step, and the
+root finder bisects at every degree, degree 1 included.  The tests
+compare ``hierarchy._fit`` (the Newton basis built in place) and
+``hierarchy._root_ceilings`` (degree 1 a floor division) with them.
+
 ``doubling_search`` finds each level's parameter by certifying candidates
 only: doubling until one passes, then bisection.  The tests compare
 ``hierarchy.choose_parameter``, which solves the fitted row polynomials,
@@ -37,13 +49,15 @@ The tests compare ``cam1d.empirical_measure``, which takes
 count(base^(2+r)) - count(base^r), with both.
 """
 
+import itertools
+import math
 import re
 from fractions import Fraction
 
 from slp_oracles import materialize, scan_count
 
 from camshift import cam1d, factors, hierarchy, slp
-from camshift.errors import BudgetExceeded, MalformedFamily
+from camshift.errors import BudgetExceeded, CamshiftError, MalformedFamily
 
 
 def distinct_factor_counts_automaton(text: str, n_max: int) -> list[int]:
@@ -95,6 +109,55 @@ def distinct_factor_counts_automaton(text: str, n_max: int) -> list[int]:
         acc += diff[n]
         counts.append(acc)
     return counts
+
+
+def eps_value_product(dim: int, k: int) -> Fraction:
+    """eps_k = (1/2) 3^-(dim-1) 4^-k, a product of three Fractions."""
+    if k < 1:
+        raise CamshiftError("frequency index must be >= 1")
+    return Fraction(1, 2) * Fraction(1, 3 ** (dim - 1)) * Fraction(1, 4**k)
+
+
+def eps_tail_product(dim: int, start: int) -> Fraction:
+    """sum_{n >= start} eps_n = (2/3) 3^-(dim-1) 4^-start, a product of Fractions."""
+    return Fraction(2, 3) * Fraction(1, 3 ** (dim - 1)) * Fraction(1, 4**start)
+
+
+def eps_partial_summed(dim: int, lo: int, hi: int) -> Fraction:
+    """eps_lo + ... + eps_hi summed term by term; 0 when lo > hi."""
+    return sum((eps_value_product(dim, j) for j in range(lo, hi + 1)), Fraction(0))
+
+
+def fit_by_products(values, start: int) -> list:
+    """d! p through (start + i, values[i]), Newton's forward differences
+    with d!/j! recomputed and the basis multiplied out at every step."""
+    scale = math.factorial(len(values) - 1)
+    poly, basis, diffs = [], [1], list(values)
+    for j in range(len(values)):
+        weight = diffs[0] * (scale // math.factorial(j))
+        poly = [a + weight * b for a, b in itertools.zip_longest(poly, basis, fillvalue=0)]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        basis = hierarchy._poly_mul(basis, [-(start + j), 1])
+    return hierarchy._trim(poly)
+
+
+def root_ceilings_bisecting(p) -> set:
+    """Root ceilings of p, one integer bisection per monotone stretch at
+    every degree: the derivative's ceilings and -B, B + 1 cut the line."""
+    if len(p) < 2:
+        return set()
+    value = hierarchy._value
+    bound = 2 + max(abs(c) for c in p[:-1]) // abs(p[-1])
+    found = root_ceilings_bisecting([i * c for i, c in enumerate(p)][1:])
+    ends = sorted(found | {-bound, bound + 1})
+    for lo, hi in zip(ends, ends[1:]):
+        s, hi = value(p, lo), hi - 1
+        if s and s * value(p, hi) <= 0:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if s * value(p, mid) <= 0 else (mid, hi)
+            found.add(hi)
+    return found
 
 
 def doubling_search(family, cap: int = 10**12):
@@ -197,7 +260,7 @@ def certify_materialized(family, k: int, n: int) -> hierarchy.CertificateReport:
             period = next(p for p in range(1, len(doubled)) if doubled[p:] == doubled[:-p])
             size_k = len(doubled) // 2
             report.rows.append(hierarchy.period_gap_row(k, period, size_k, size_next))
-    prefix = hierarchy.ratio(family.eps.partial(1, k))
+    prefix = family.eps.partial(1, k).as_integer_ratio()
     for side, symbol in family.rare.items():
         count = scan_count(symbol, texts[side])
         report.rows.append(hierarchy.row(f"{side}-density[{symbol}]", (count, size_next), prefix))
@@ -224,6 +287,10 @@ def _fraction_from(obj):
         raise MalformedFamily(str(exc)) from exc
 
 
+def _pair(x):
+    return None if x is None else (x.numerator, x.denominator)
+
+
 def report_from_obj_fractions(obj):
     """``hierarchy.report_from_obj`` on Fractions, without its string-type checks
     on a row's id, status and note."""
@@ -233,8 +300,8 @@ def report_from_obj_fractions(obj):
     for row in obj["rows"]:
         cert = hierarchy.CertRow(
             ident=row["id"],
-            lhs=_fraction_from(row["lhs"]),
-            rhs=_fraction_from(row["rhs"]),
+            left=_pair(_fraction_from(row["lhs"])),
+            right=_pair(_fraction_from(row["rhs"])),
             status=row["status"],
             note=row.get("note", ""),
         )

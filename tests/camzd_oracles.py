@@ -160,8 +160,8 @@ def certify_materialized(family, k: int, n: int) -> hierarchy.CertificateReport:
         row = hierarchy.frequency_row(ident, count, volume, vol_next, bound, d)
         info = hierarchy.CertRow(
             ident=f"{side}-freq-sidelen[m={m},u={name}]",
-            lhs=row.lhs,
-            rhs=bound / (volume * (2 * u.side - 1) ** d),
+            left=row.left,
+            right=(bound.numerator, bound.denominator * volume * (2 * u.side - 1) ** d),
             status="info",
             note="informational variant with geometric overlap count",
         )
@@ -175,7 +175,7 @@ def certify_materialized(family, k: int, n: int) -> hierarchy.CertificateReport:
             p_k = camzd.period_lattice(base.array).index
             report.rows.append(hierarchy.period_gap_row(k, p_k, family.volume(k), vol_next))
 
-    prefix = hierarchy.ratio(family.eps.partial(1, k))
+    prefix = family.eps.partial(1, k).as_integer_ratio()
     for ident, word, symbol in (("a-density[1]", a_next, 1), ("b-density[0]", b_next, 0)):
         if word.array is None:
             report.rows.append(hierarchy.unverifiable(ident, unverifiable))

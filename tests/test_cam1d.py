@@ -15,8 +15,13 @@ from cam1d_oracles import (
     distinct_factor_counts_automaton,
     empirical_measure_edge,
     empirical_measure_scan,
+    eps_partial_summed,
+    eps_tail_product,
+    eps_value_product,
+    fit_by_products,
     parse_structure_scan,
     report_from_obj_fractions,
+    root_ceilings_bisecting,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +31,7 @@ from slp_oracles import materialize, scan_count
 from camshift import cam1d, camzd, factors, hierarchy, slp
 from camshift.budgets import Budgets
 from camshift.errors import BudgetExceeded, MalformedFamily
+from camshift.output import canonical_json
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,6 +61,69 @@ def test_eps_tail_bound_holds_everywhere():
             # prefix sums approximate the closed form from below
             partial = eps.partial(start, start + 30)
             assert partial < eps.tail(start)
+
+
+def test_closed_form_weights_equal_the_summed_definitions():
+    for dim in range(1, 7):
+        eps = hierarchy.FrequencySequence(dim=dim)
+        for lo in range(1, 25):
+            assert eps.value(lo) == eps_value_product(dim, lo)
+            assert eps.tail(lo) == eps_tail_product(dim, lo)
+            for hi in range(lo - 2, 25):
+                assert eps.partial(lo, hi) == eps_partial_summed(dim, lo, hi)
+        assert eps.partial(0, -1) == eps.partial(-3, -4) == 0  # empty: no index is read
+        for k in (0, -1):
+            with refused("frequency index must be >= 1"):
+                eps.value(k)
+            with refused("frequency index must be >= 1"):
+                eps.partial(k, 3)
+
+
+RATIOS = st.tuples(st.integers(-60, 60), st.integers(1, 60))
+
+
+@given(lhs=RATIOS, rhs=RATIOS, tie=st.booleans(), scale=st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+@example(lhs=(1, 2), rhs=(1, 2), tie=True, scale=2)  # 1/2 < 2/4 fails
+@example(lhs=(-3, 4), rhs=(-1, 2), tie=False, scale=1)  # negative numerators
+@example(lhs=(0, 7), rhs=(0, 1), tie=False, scale=3)
+def test_row_status_is_the_fraction_comparison(lhs, rhs, tie, scale):
+    if tie:
+        rhs = lhs
+    stored = (rhs[0] * scale, rhs[1] * scale)
+    r = hierarchy.row("r", lhs, stored)
+    assert r.status == ("pass" if Fraction(*lhs) < Fraction(*rhs) else "fail")
+    assert r.parts == lhs + stored
+    assert (r.lhs, r.rhs, r.margin) == (Fraction(*lhs), Fraction(*rhs), Fraction(*rhs) - Fraction(*lhs))
+    # equal by value, whatever the stored pairs
+    assert r == hierarchy.CertRow("r", r.lhs.as_integer_ratio(), r.rhs.as_integer_ratio(), r.status)
+
+
+@given(
+    values=st.lists(st.integers(-(10**30), 10**30), min_size=2, max_size=5),
+    start=st.integers(-50, 50),
+)
+@settings(max_examples=300, deadline=None)
+@example(values=[7, 7], start=2)  # a part equal at every fitted n
+@example(values=[-5, -5, -5, -5, -5], start=12)
+@example(values=[0, 0, 0], start=3)
+@example(values=[2, 4, 8, 16, 32], start=-4)
+def test_fit_matches_the_product_fit(values, start):
+    assert hierarchy._fit(values, start) == fit_by_products(values, start)
+
+
+@given(
+    p=st.lists(st.integers(-(10**6), 10**6) | st.integers(-(10**24), 10**24), min_size=2, max_size=5)
+    .filter(lambda p: p[-1] != 0)
+)
+@settings(max_examples=300, deadline=None)
+@example(p=[-(10**20) - 1, 3])  # a linear margin at the scale of level 4
+@example(p=[10**20, -7])
+@example(p=[12, -4])  # an integer root
+@example(p=[-6, 0, 0, 1])
+@example(p=[-4, 8, -5, 1])  # (n - 1)(n - 2)^2
+def test_root_ceilings_match_the_bisecting_finder(p):
+    assert hierarchy._root_ceilings(p) == root_ceilings_bisecting(p)
 
 
 # -- building -------------------------------------------------------------------
@@ -120,6 +189,42 @@ def test_build_level_rejects_small_parameter():
 
 
 # -- certification ---------------------------------------------------------------
+
+
+def _fraction_constructions(run):
+    """(Fractions constructed while ``run()`` runs, its result): a profiler
+    records every call of ``Fraction.__new__``."""
+    calls = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code is Fraction.__new__.__code__:
+            calls.append(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return len(calls), result
+
+
+def test_certificate_rows_make_no_fraction():
+    # a row is integer pairs from where it is certified to where it is read
+    # back; a Fraction is made once per weight read (eps tails and partial
+    # sums, 6 + 9 + 12 per certificate of levels 2, 3, 4), never per row.
+    # With Fraction rows these were 996, 90 and 249.
+    count, family = _fraction_constructions(lambda: hierarchy.build_family(levels=4))
+    assert count == 4 * (6 + 9 + 12)  # four candidates certified per level
+    obj = json.loads(canonical_json(hierarchy.family_to_obj(family)))
+    count, loaded = _fraction_constructions(lambda: hierarchy.family_from_obj(obj))
+    assert count == 0
+    count, reports = _fraction_constructions(
+        lambda: [hierarchy.certify_level(loaded, k) for k in (2, 3, 4)]
+    )
+    assert count == 6 + 9 + 12
+    assert reports == loaded.certificates == family.certificates
+    # the recorder sees a Fraction where one is made: a row read as printed
+    assert _fraction_constructions(lambda: reports[0].rows[0].margin)[0] == 1
 
 
 def test_level2_certificate_margin():
@@ -279,7 +384,9 @@ def test_fitted_rows_predict_certified_parts(request, fixture, level, params):
     fitted = hierarchy._fit_rows([certify(n) for n in range(start, start + family.dim + 1)], start)
     scale = math.factorial(family.dim)
     for n in params:
-        parts = {r.ident: r.parts for r in certify(n).rows if r.parts}
+        # info rows carry sides too, but no pass set: the solver fits pass and fail rows
+        decided = [r for r in certify(n).rows if r.status in ("pass", "fail")]
+        parts = {r.ident: r.parts for r in decided}
         if n >= start:
             assert parts.keys() == fitted.keys()
         for ident, actual in parts.items():

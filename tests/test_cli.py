@@ -454,11 +454,13 @@ def test_one_branch_parses_as_the_whole_tree(argv):
 
 def test_one_dimensional_runs_never_load_camzd(tmp_path):
     # the driver imports camzd only for a family of d > 1, and cam1d only for
-    # d = 1; numpy is loaded by camzd and by the complexity kernel alone
+    # d = 1; numpy is loaded by camzd and by the complexity kernel alone, and
+    # the driver itself only by the family commands, never by sft
     script = (
         "import contextlib, io, json, sys\n"
         "from camshift import cli\n"
-        "watched = ['numpy', 'camshift.cam1d', 'camshift.camzd', 'camshift.slp']\n"
+        "watched = ['numpy', 'camshift.cam1d', 'camshift.camzd', 'camshift.slp',\n"
+        "           'camshift.hierarchy']\n"
         "for batch in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes = [cli.main(argv) for argv in batch]\n"
@@ -494,11 +496,11 @@ def test_one_dimensional_runs_never_load_camzd(tmp_path):
         ).stdout.splitlines()
         for batches in (one_dimensional, two_dimensional)
     ]
-    one_d = "'camshift.cam1d', 'camshift.slp'"
+    one_d = "'camshift.cam1d', 'camshift.slp', 'camshift.hierarchy'"
     assert outputs == [
         ["[0, 0, 0] []", f"[0, 0, 0, 0, 0, 0] [{one_d}]", f"[0] ['numpy', {one_d}]"],
         # and the check sees camzd and numpy once a d = 2 family is built
-        ["[0] ['numpy', 'camshift.camzd']"],
+        ["[0] ['numpy', 'camshift.camzd', 'camshift.hierarchy']"],
     ]
 
 
@@ -572,6 +574,10 @@ def test_window_d2(family_d2_file, capsys):
 def test_sft_qn(capsys):
     assert run("sft", "qn", "--matrix", "[[1,1],[1,0]]", "--n", "3") == 0
     assert json.loads(capsys.readouterr().out) == {"1": "1", "2": "2", "3": "3"}
+    assert run("sft", "qn", "--matrix", "[[1,1],[1,0]]", "--n", "8") == 0
+    assert capsys.readouterr().out == (
+        '{"1":"1","2":"2","3":"3","4":"4","5":"10","6":"12","7":"28","8":"40"}\n'
+    )
     for matrix in ("[1,2]", '{"a":1}', "[[1.5]]", "[[true]]", '[[1,"2"],[1,0]]'):
         assert run("sft", "qn", "--matrix", matrix, "--n", "2") == 2
         captured = capsys.readouterr()
@@ -775,9 +781,14 @@ def test_sft_perron(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"lower": "2/1", "upper": "2/1", "iterations": 0, "primitive": True}
     assert run("sft", "perron", "--matrix", "[[1,1],[1,0]]") == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     lower, upper = Fraction(payload["lower"]), Fraction(payload["upper"])
     assert lower < (1 + 5**0.5) / 2 < upper and payload["iterations"] > 0
+    assert out == (
+        '{"iterations":40,"lower":"1779047184767/1099511627776","primitive":true,'
+        '"upper":"13898806131/8589934592"}\n'
+    )
 
 
 def test_sft_zero_matrix_is_not_irreducible():

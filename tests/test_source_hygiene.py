@@ -834,3 +834,65 @@ def test_the_check_sees_a_module_level_import():
         ("cli", 4, "camzd"),
         ("cli", 7, "cam1d"),
     ]
+
+
+# functions that decide, fit, store or read certificate rows in integers
+INTEGER_ROW_FUNCTIONS = {
+    "hierarchy.py": (
+        "row", "frequency_row", "period_gap_row", "_certify", "_fit", "_fit_rows",
+        "_decided_parts", "_margin", "_root_ceilings", "_smallest_pass", "choose_parameter",
+        "report_to_obj", "_ratio_obj", "report_from_obj", "_stored_ratio",
+    ),
+    "camzd.py": ("_variants",),
+}
+
+
+def _fraction_uses(tree, functions):
+    """(function, line) for each call of ``Fraction`` and each read of a
+    row's Fraction sides (``.lhs``, ``.rhs``, ``.margin``) in the named
+    functions, and the names not defined in `tree` as (name, None)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            found.add(node.name)
+            for inner in ast.walk(node):
+                func = inner.func if isinstance(inner, ast.Call) else None
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                read = (
+                    isinstance(inner, ast.Attribute)
+                    and isinstance(inner.ctx, ast.Load)
+                    and inner.attr in ("lhs", "rhs", "margin")
+                )
+                if called == "Fraction" or read:
+                    yield node.name, inner.lineno
+    yield from ((name, None) for name in functions if name not in found)
+
+
+def test_certificate_rows_are_decided_in_integers():
+    # a Fraction is made only where a row is printed (``CertRow.lhs`` and the
+    # like, read by the commands); the test oracles keep the Fraction forms
+    uses = [
+        (path.name, *use)
+        for path in SOURCES
+        for use in _fraction_uses(_parse(path), INTEGER_ROW_FUNCTIONS.get(path.name, ()))
+    ]
+    assert not uses, uses
+
+
+def test_the_check_sees_a_fraction():
+    tree = ast.parse(
+        "import fractions\n"
+        "def row(a):\n"
+        "    return Fraction(*a)\n"
+        "def _fit(r):\n"
+        "    x = fractions.Fraction(1, 2)\n"
+        "    return r.margin, r.left\n"
+        "def printed(r):\n"
+        "    return Fraction(1), r.lhs\n"
+    )
+    assert sorted(_fraction_uses(tree, ("row", "_fit", "_margin")), key=str) == [
+        ("_fit", 5),
+        ("_fit", 6),
+        ("_margin", None),
+        ("row", 3),
+    ]
