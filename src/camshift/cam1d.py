@@ -10,8 +10,11 @@ level-k words, so all level-(k+1) words share one length.
 :mod:`camshift.hierarchy` states the family contract, assembles the
 certificate and drives the levels; :class:`LevelFamily` supplies its
 counts, made on the compressed words.  The probes are transitive-point
-windows, structure parsing, empirical measures and complexity profiles,
-whose numpy kernel (:mod:`camshift.factors`) loads with the first profile.
+windows, structure parsing, empirical measures and complexity profiles.
+A profile counts the factor texts of its window, read off the compressed
+word (:meth:`camshift.slp.SlpBuilder.factor_texts`), and never spells the
+window; its numpy kernel (:mod:`camshift.factors`) loads with the first
+profile.
 """
 
 from __future__ import annotations
@@ -185,6 +188,13 @@ def transitive_point_window(family: LevelFamily, start: int, size: int) -> str:
     Coordinates follow the central convention x_1..x_|a_K| =
     x_(1-|a_K|)..x_0 = a_K, so the window must lie inside (-|a_K|, |a_K|].
     """
+    return slp.window(*_centred(family, start, size), size)
+
+
+def _centred(family: LevelFamily, start: int, size: int) -> tuple:
+    """(a_K a_K, offset of x_start in it) for a window of the transitive
+    point, refused when the family has no level 2, or the window is empty,
+    outside the built range or over the symbol budget."""
     if family.top_level < 2:
         raise CamshiftError("family has no built level >= 2")
     if size < 1:
@@ -199,8 +209,7 @@ def transitive_point_window(family: LevelFamily, start: int, size: int) -> str:
         raise BudgetExceeded(
             f"window of {size} symbols exceeds materialization budget {family.budgets.symbols}"
         )
-    doubled = family.builder.concat([(family.a(top), 2)])
-    return slp.window(doubled, start + span - 1, size)
+    return family.builder.concat([(family.a(top), 2)]), start + span - 1
 
 
 # the allowed pairs of distinct block kinds: a or b (the density words), w (periodic)
@@ -360,11 +369,12 @@ def measure_report(family: LevelFamily, k_max: int | None = None) -> list:
 # -- complexity ---------------------------------------------------------------
 
 
-def distinct_factor_counts(text: str, n_max: int) -> list[int]:
-    """p(1), ..., p(n_max) of ``text`` by :mod:`camshift.factors`, imported on first call."""
+def distinct_factor_counts(texts, n_max: int) -> list[int]:
+    """p(1), ..., p(n_max) of the factors of the separate ``texts`` by
+    :mod:`camshift.factors`, imported on first call."""
     from . import factors
 
-    return factors.distinct_factor_counts(text, n_max)
+    return factors.distinct_factor_counts(texts, n_max)
 
 
 @dataclass
@@ -374,13 +384,15 @@ class ComplexityProfile:
 
 
 def complexity_profile(family: LevelFamily, n_max: int, window_length: int) -> ComplexityProfile:
-    """Distinct-factor counts of a window of x centered at the origin."""
+    """Distinct-factor counts of a window of x centered at the origin,
+    counted over the texts the compressed word gives for it
+    (:meth:`camshift.slp.SlpBuilder.factor_texts`): the window is never spelled."""
     if window_length > family.budgets.symbols:
         raise BudgetExceeded("window exceeds the symbol budget")
     if n_max < 1 or n_max > window_length:
         raise CamshiftError("n_max must be in 1..window_length")
-    start = 1 - window_length // 2
-    text = transitive_point_window(family, start, window_length)
+    doubled, offset = _centred(family, 1 - window_length // 2, window_length)
+    texts = family.builder.factor_texts(doubled, offset, window_length, n_max)
     return ComplexityProfile(
-        window_length=window_length, counts=distinct_factor_counts(text, n_max)
+        window_length=window_length, counts=distinct_factor_counts(texts, n_max)
     )

@@ -8,8 +8,9 @@ family files and certificate reports.  This module parses arguments and
 prints: :mod:`camshift.hierarchy` builds and loads a family of any
 dimension, and a command calls the family's own methods, which refuse what
 its type does not define, so no command asks for the dimension.  The family
-commands import :mod:`camshift.hierarchy` when they run; an ``sft`` command
-prints through :mod:`camshift.output` alone and never loads it.  A call
+commands import :mod:`camshift.hierarchy` when they run and never load
+:mod:`camshift.sft`; an ``sft`` command imports :mod:`camshift.sft` and
+prints through :mod:`camshift.output` alone, never loading the driver.  A call
 builds only the parser of the command it runs (two parsers, three for
 ``sft``), from the one table ``COMMANDS``; with no command named it builds
 the whole tree.
@@ -30,7 +31,6 @@ import io
 import json
 import sys
 
-from . import sft
 from .budgets import budgets_from_env
 from .errors import BudgetExceeded, CamshiftError, MalformedFamily
 from .output import canonical_json, frac_str
@@ -193,6 +193,8 @@ def cmd_complexity(args) -> int:
 
 
 def _parse_matrix(text: str):
+    from . import sft
+
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -221,6 +223,8 @@ def _check_census_length(what: str, length: int):
 
 
 def _sft_payload(args, matrix) -> dict:
+    from . import sft
+
     if args.sft_cmd == "qn":
         _check_census_length(f"--n {args.n}", args.n)
         return {str(n): str(q) for n, q in sft.census(matrix, args.n).items()}

@@ -636,7 +636,9 @@ def _decimal(text, what: str, *args, signed: bool = False) -> int:
     only when `signed`.  int() alone would also read '+', '_', surrounding
     whitespace and non-ASCII digits, so one value could be stored many ways.
     The error names the value `what`, its {} fields filled from `args` only
-    then, so a load formats no message for a well-formed row."""
+    then, so a load formats no message for a well-formed row.
+    :func:`report_from_obj` repeats this test inline for its row fields
+    (test_row_digit_check_agrees_with_decimal holds the two together)."""
     if isinstance(text, str) and text.isascii() and (
         text.isdigit() or signed and text[:1] == "-" and text[1:].isdigit()
     ):
@@ -663,18 +665,6 @@ def _ratio_obj(pair: tuple | None):
         return None
     g = math.gcd(*pair)
     return {"num": str(pair[0] // g), "den": str(pair[1] // g)}
-
-
-def _stored_ratio(obj, ident: str, side: str) -> tuple | None:
-    """The `side` of row `ident` as its stored (numerator, denominator),
-    unreduced, the denominator positive; a stored null stays None."""
-    if obj is None:
-        return None
-    num = _decimal(obj["num"], "row {} {} numerator", ident, side, signed=True)
-    den = _decimal(obj["den"], "row {} {} denominator", ident, side)
-    if den == 0:
-        raise MalformedFamily(f"row {ident} {side} has a zero denominator")
-    return num, den
 
 
 def _json_str(value, what: str, *args) -> str:
@@ -713,27 +703,53 @@ def report_from_obj(obj) -> CertificateReport:
     rn ld - ln rd > 0, and the margin equals rhs - lhs, mn ld rd ==
     (rn ld - ln rd) md, or is null where a side is.  Any other row is
     MalformedFamily.  A row keeps the stored pairs; no Fraction is made.
+
+    The type and digit tests are made inline, field by field in the order
+    above; :func:`_json_str` and :func:`_decimal` are called only for a
+    field that fails them, to name it.
     """
     report = CertificateReport(
         level=_json_int(obj["level"], "certificate level"),
         param=_decimal(obj["param"], "certificate param"),
     )
     for stored in obj["rows"]:
-        ident = _json_str(stored["id"], "row id")
-        status = _json_str(stored["status"], "row {} status", ident)
-        note = _json_str(stored.get("note", ""), "row {} note", ident)
+        ident = stored["id"]
+        if not isinstance(ident, str):
+            _json_str(ident, "row id")
+        status = stored["status"]
+        if not isinstance(status, str):
+            _json_str(status, "row {} status", ident)
+        note = stored.get("note", "")
+        if not isinstance(note, str):
+            _json_str(note, "row {} note", ident)
         if status not in ("pass", "fail", "unverifiable", "info"):
             raise MalformedFamily(f"row {ident}: unknown status {status!r}")
-        lhs = _stored_ratio(stored["lhs"], ident, "lhs")
-        rhs = _stored_ratio(stored["rhs"], ident, "rhs")
-        margin = _stored_ratio(stored["margin"], ident, "margin")
-        cert = CertRow(ident, lhs, rhs, status, note)
-        gap = cert.gap  # (rhs - lhs) as (rn ld - ln rd, ld rd), or None where a side is
+        pairs = []
+        for side in ("lhs", "rhs", "margin"):
+            ratio = stored[side]
+            if ratio is not None:
+                num = ratio["num"]
+                if not (isinstance(num, str) and num.isascii() and (
+                    num.isdigit() or num[:1] == "-" and num[1:].isdigit()
+                )):
+                    _decimal(num, "row {} {} numerator", ident, side, signed=True)
+                den = ratio["den"]
+                if not (isinstance(den, str) and den.isascii() and den.isdigit()):
+                    _decimal(den, "row {} {} denominator", ident, side)
+                ratio = int(num), int(den)
+                if not ratio[1]:
+                    raise MalformedFamily(f"row {ident} {side} has a zero denominator")
+            pairs.append(ratio)
+        lhs, rhs, margin = pairs
+        # (rhs - lhs) as (rn ld - ln rd, ld rd), or None where a side is
+        gap = None if lhs is None or rhs is None else (
+            rhs[0] * lhs[1] - lhs[0] * rhs[1], lhs[1] * rhs[1]
+        )
         if status in ("pass", "fail") and (gap is None or (status == "pass") != (gap[0] > 0)):
             raise MalformedFamily(f"row {ident}: status {status} contradicts lhs < rhs")
         if (margin is None) != (gap is None) or gap and margin[0] * gap[1] != gap[0] * margin[1]:
             raise MalformedFamily(f"row {ident}: stored margin is not rhs - lhs")
-        report.rows.append(cert)
+        report.rows.append(CertRow(ident, lhs, rhs, status, note))
     return report
 
 

@@ -3,8 +3,15 @@ and the level driver of ``camshift.hierarchy``.
 
 The suffix automaton below is the direct per-symbol construction.  The
 tests compare ``factors.distinct_factor_counts`` (one sort of the packed
-prefixes of the text's distinct windows plus the LCP of neighbouring
-distinct keys) against it and against brute-force sets of slices.
+prefixes of separate texts plus the LCP of neighbouring distinct keys)
+against it and against brute-force sets of slices.
+
+``complexity_materialized`` is the complexity profile of a spelled window:
+``distinct_windows`` cuts the text into overlapping windows and keeps each
+distinct one once, and the windows are counted as separate texts.  The
+tests compare ``cam1d.complexity_profile``, which counts the texts that
+``slp.SlpBuilder.factor_texts`` reads off the compressed word and never
+spells the window, with it.
 
 ``parse_structure_scan`` parses a window block by block: one slice and
 one lookup per block, and ``classify_pair`` on every adjacent pair.  The
@@ -109,6 +116,36 @@ def distinct_factor_counts_automaton(text: str, n_max: int) -> list[int]:
         acc += diff[n]
         counts.append(acc)
     return counts
+
+
+STRIDE = 256  # a window of the spelled text starts this many symbols after the last
+
+
+def distinct_windows(text: str, n_max: int, stride: int = STRIDE) -> list:
+    """Each distinct window of ``text`` once, then its tail.
+
+    Windows of step + n_max - 1 symbols start every step = max(stride,
+    n_max) symbols while they fit, and the tail is the rest, so every
+    factor of length <= n_max lies in one of them.  Windows are equal when
+    their strings are.  When the distinct windows and the tail would hold
+    as many symbols as the text, the text is returned whole.
+    """
+    step = max(stride, n_max)
+    length = step + n_max - 1
+    full = max((len(text) - length) // step + 1, 0)
+    tail = text[full * step :]
+    windows = {}
+    for start in range(0, full * step, step):
+        windows.setdefault(text[start : start + length])
+        if len(windows) * length + len(tail) >= len(text):
+            return [text]
+    return [*windows, tail]
+
+
+def complexity_materialized(family, n_max: int, window_length: int) -> list:
+    """p(1), ..., p(n_max) of the spelled window that ``complexity_profile`` reads."""
+    text = cam1d.transitive_point_window(family, 1 - window_length // 2, window_length)
+    return factors.distinct_factor_counts(distinct_windows(text, n_max), n_max)
 
 
 def eps_value_product(dim: int, k: int) -> Fraction:

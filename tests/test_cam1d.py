@@ -6,13 +6,14 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from cam1d_oracles import (
     build_by_doubling,
     certify_materialized,
+    complexity_materialized,
     distinct_factor_counts_automaton,
+    distinct_windows,
     empirical_measure_edge,
     empirical_measure_scan,
     eps_partial_summed,
@@ -1042,7 +1043,7 @@ def test_distinct_factor_counts_brute(rng):
     for _ in range(40):
         text = "".join(rng.choice("01") for _ in range(rng.randint(1, 60)))
         n_max = min(len(text), 10)
-        assert factors.distinct_factor_counts(text, n_max) == _brute_counts(text, n_max)
+        assert factors.distinct_factor_counts([text], n_max) == _brute_counts(text, n_max)
 
 
 def _brute_counts(text, n_max):
@@ -1080,7 +1081,7 @@ def factor_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_distinct_factor_counts_match_oracles(case):
     text, n_max = case
-    counts = factors.distinct_factor_counts(text, n_max)
+    counts = factors.distinct_factor_counts([text], n_max)
     assert counts == distinct_factor_counts_automaton(text, n_max)
     assert counts == _brute_counts(text, n_max)
 
@@ -1104,7 +1105,7 @@ def test_distinct_factor_counts_on_transitive_windows(family3, n_max, lcp_pairs)
     # 32 binary symbols to a key: n_max = 32 sorts keys only, 33, 64 and 200
     # take 1, 1 and 3 doubling rounds
     text = cam1d.transitive_point_window(family3, -2000, 4000)
-    counts = factors.distinct_factor_counts(text, n_max)
+    counts = factors.distinct_factor_counts([text], n_max)
     assert counts == distinct_factor_counts_automaton(text, n_max)
     assert counts == _brute_counts(text, n_max)
     # the window repeats level-2 words, so most neighbours share a key or a final rank
@@ -1117,7 +1118,7 @@ def test_short_factor_keys_are_cut_to_n_max(family3, n_max, lcp_pairs):
     # are the distinct n_max-factors and the n_max - 1 shortest suffixes,
     # whatever follows a window's starts
     text = cam1d.transitive_point_window(family3, -2000, 4000)
-    counts = factors.distinct_factor_counts(text, n_max)
+    counts = factors.distinct_factor_counts([text], n_max)
     assert counts == _brute_counts(text, n_max)
     assert lcp_pairs == [counts[-1] + n_max - 2]
 
@@ -1131,9 +1132,9 @@ def test_distinct_factor_counts_on_long_periodic_text(rng, alphabet, bits, per, 
     text = "".join(period * (3000 // len(period) + 1))[:3000]
     changed = rng.choice([c for c in alphabet if c != text[1777]])
     text = text[:1777] + changed + text[1778:]
-    assert factors._packed_prefixes(text)[1:] == (bits, per)
+    assert factors._packed_prefixes([text], per)[2:] == (bits, per)
     for n_max in (per, per + 1, 3 * per, 150):
-        counts = factors.distinct_factor_counts(text, n_max)
+        counts = factors.distinct_factor_counts([text], n_max)
         assert counts == distinct_factor_counts_automaton(text, n_max)
         assert counts == _brute_counts(text, n_max)
     # four calls take fewer LCPs than one call would over all N - 1 neighbours
@@ -1149,10 +1150,30 @@ def test_complexity_profile_pins_benchmark_counts():
 
 
 def test_benchmark_complexity_computes_lcps_between_distinct_keys_only(lcp_pairs):
-    # the 500 000 suffixes of the probe-1d window have 142 distinct 32-symbol keys
+    # the 541 starts of the probe-1d window's 12 texts have 209 distinct keys:
+    # its 111 factors of 32 symbols and the shorter keys at the texts' ends
     family = _benchmark_family()
-    cam1d.complexity_profile(family, 32, 500_000)
-    assert lcp_pairs == [141]
+    assert cam1d.complexity_profile(family, 32, 500_000).counts[-1] == 111
+    assert lcp_pairs == [208]
+
+
+def test_benchmark_complexity_reads_twelve_texts():
+    # the texts of the 500 000-symbol probe-1d window at n_max = 32: 9-symbol
+    # level-2 words, the first 40 symbols of their runs and 62-symbol junctions
+    family = _benchmark_family()
+    doubled = family.builder.concat([(family.a(4), 2)])
+    texts = family.builder.factor_texts(doubled, family.word_length(4) - 250_000, 500_000, 32)
+    assert sorted(map(len, texts)) == [9] * 3 + [40] * 2 + [62] * 7
+    assert sum(map(len, texts)) == 541
+
+
+@pytest.mark.parametrize("n_max", [33, 40, 100])
+def test_benchmark_complexity_past_one_key_matches_the_spelled_window(n_max):
+    # past 32 symbols a key the counts take prefix-doubling rounds over every
+    # start of the texts; the materialized oracle spells the window
+    family = _benchmark_family()
+    counts = cam1d.complexity_profile(family, n_max, 500_000).counts
+    assert counts == complexity_materialized(family, n_max, 500_000)
 
 
 @given(case=factor_cases(), copies=st.integers(1, 6), stride=st.sampled_from([1, 2, 7]))
@@ -1166,45 +1187,65 @@ def test_windowed_factor_counts_match_oracles(case, copies, stride):
     # and periodic texts repeat them, and the tails vary in length
     text, n_max = case
     text *= copies
-    with mock.patch.object(factors, "_STRIDE", stride):
-        joined, kept, tail = factors._distinct_windows(text, n_max)
-        counts = factors.distinct_factor_counts(text, n_max)
-    # each distinct window once, its first max(stride, n_max) starts kept, then the tail
-    step = max(stride, n_max)
-    length = step + n_max - 1
-    windows = [joined[i : i + length] for i in range(0, len(joined) - tail, length)]
-    assert len(joined) <= len(text) and joined.endswith(text[len(text) - tail :])
+    windows = distinct_windows(text, n_max, stride)
+    assert sum(map(len, windows)) <= len(text)
     assert len(set(windows)) == len(windows) and all(w in text for w in windows)
-    assert kept.sum() == len(windows) * step + tail
+    counts = factors.distinct_factor_counts(windows, n_max)
     assert counts == distinct_factor_counts_automaton(text, n_max)
     assert counts == _brute_counts(text, n_max)
 
 
 def test_benchmark_complexity_packs_the_distinct_windows_only(monkeypatch):
-    # the 500 000-symbol probe-1d window holds 48 distinct windows of
-    # 256 + 31 symbols: the packing reads them and the tail, and the traced
-    # peak stays a small fraction of the text
+    # the 500 000-symbol probe-1d window is packed as its 12 distinct texts
+    # and their past-the-end slots, and the traced peak of the profile is a
+    # small fraction of the window: it is never spelled
     family = _benchmark_family()
-    packed, peaks = [], []
-    packed_prefixes, counter = factors._packed_prefixes, factors.distinct_factor_counts
+    packed, packed_prefixes = [], factors._packed_prefixes
 
-    def recording(text):
-        packed.append(len(text))
-        return packed_prefixes(text)
-
-    def traced(text, n_max):
-        tracemalloc.start()
-        try:
-            return counter(text, n_max)
-        finally:
-            peaks.append(tracemalloc.get_traced_memory()[1] / len(text))
-            tracemalloc.stop()
+    def recording(texts, most):
+        packed.append(sum(len(text) + 1 for text in texts))
+        return packed_prefixes(texts, most)
 
     monkeypatch.setattr(factors, "_packed_prefixes", recording)
-    monkeypatch.setattr(factors, "distinct_factor_counts", traced)
-    cam1d.complexity_profile(family, 32, 500_000)
-    assert len(packed) == 1 and packed[0] <= 20_000
-    assert len(peaks) == 1 and peaks[0] < 4
+    tracemalloc.start()
+    try:
+        cam1d.complexity_profile(family, 32, 500_000)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert packed == [553]
+    assert peak < 100_000
+
+
+@st.composite
+def hierarchy_windows(draw):
+    """A small hierarchy (levels 2..4), a window of its transitive point
+    across the centre, at either end of the built range or anywhere, and n_max."""
+    family = cam1d.LevelFamily()
+    for n in draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)):
+        hierarchy.build_level(family, n)
+    span = family.word_length(family.top_level)
+    size = draw(st.integers(1, min(3_000, 2 * span)))
+    low, high = 1 - span, span + 1 - size
+    place = draw(st.sampled_from(["centre", "left end", "right end", "anywhere"]))
+    start = {"centre": 1 - size // 2, "left end": low, "right end": high}.get(place)
+    if start is None:
+        start = draw(st.integers(low, high))
+    return family, start, size, draw(st.integers(1, 40))
+
+
+@given(case=hierarchy_windows())
+@settings(max_examples=60, deadline=None)
+def test_compressed_profile_matches_the_spelled_window(case):
+    family, start, size, n_max = case
+    span = family.word_length(family.top_level)
+    doubled = family.builder.concat([(family.a(family.top_level), 2)])
+    texts = family.builder.factor_texts(doubled, start + span - 1, size, n_max)
+    text = cam1d.transitive_point_window(family, start, size)
+    assert sum(map(len, texts)) <= size and all(t in text for t in texts)
+    assert factors.distinct_factor_counts(texts, n_max) == distinct_factor_counts_automaton(
+        text, n_max
+    )
 
 
 # -- serialization --------------------------------------------------------------------
@@ -1248,6 +1289,79 @@ def test_family_from_obj_checks_certificate_rows(family3, field, value):
     row[field] = value
     with pytest.raises(MalformedFamily):
         hierarchy.family_from_obj(data)
+
+
+_ROW = "row b-freq[m=1,u=w2_1]"
+_NOT_DECIMAL = " must be a decimal string, got "
+# (path in the stored row, value, message): the messages the loader gave
+# when it checked a row field by field through `_json_str` and `_decimal`
+ROW_CORRUPTIONS = [
+    (("id",), 5, "row id must be a JSON string, got 5"),
+    (("status",), 5, f"{_ROW} status must be a JSON string, got 5"),
+    (("note",), None, f"{_ROW} note must be a JSON string, got None"),
+    (("status",), "passed", f"{_ROW}: unknown status 'passed'"),
+    *(
+        (("lhs", "num"), value, f"{_ROW} lhs numerator{_NOT_DECIMAL}{value!r}")
+        for value in ["+5", "5_0", " 5", "\u0665", "", 5, True, "-"]
+    ),
+    *(
+        (("rhs", "den"), value, f"{_ROW} rhs denominator{_NOT_DECIMAL}{value!r}")
+        for value in ["+5", "5_0", " 5", "\u0665", "", 5, True, "-", "-5"]
+    ),
+    (("rhs", "den"), "0", f"{_ROW} rhs has a zero denominator"),
+    (("lhs", "num"), "-5", f"{_ROW}: stored margin is not rhs - lhs"),
+    (("margin", "num"), "2", f"{_ROW}: stored margin is not rhs - lhs"),
+    (("margin",), None, f"{_ROW}: stored margin is not rhs - lhs"),
+    (("status",), "fail", f"{_ROW}: status fail contradicts lhs < rhs"),
+    (("lhs",), None, f"{_ROW}: status pass contradicts lhs < rhs"),
+    (("lhs",), 5, "malformed family file: 'int' object is not subscriptable"),
+    (("lhs",), {"num": "1"}, "malformed family file: 'den'"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", ROW_CORRUPTIONS)
+def test_family_from_obj_names_the_corrupted_row_field(path, value, message):
+    data = json.loads((BENCH / "data" / "family-l4.json").read_text())
+    target = next(r for r in data["certificates"][0]["rows"] if r["id"] == "b-freq[m=1,u=w2_1]")
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(MalformedFamily) as caught:
+        hierarchy.family_from_obj(data)
+    assert str(caught.value) == message
+
+
+_DIGITISH = st.one_of(
+    st.text(alphabet="0123456789-+_ \u0665\uff15", max_size=6),
+    st.text(max_size=4),
+    st.integers(-5, 5),
+    st.booleans(),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_DIGITISH, field=st.sampled_from(["num", "den"]))
+def test_row_digit_check_agrees_with_decimal(value, field):
+    # report_from_obj checks stored digits inline; it must accept exactly
+    # what `_decimal` accepts, and name a rejected field with its message
+    ratio = {"num": "1", "den": "1", field: value}
+    obj = {"level": 2, "param": "8", "rows": [
+        dict(id="r", lhs=ratio, rhs=None, margin=None, status="info", note="")
+    ]}
+    what = "row r lhs numerator" if field == "num" else "row r lhs denominator"
+
+    def outcome(read):
+        try:
+            return read()
+        except MalformedFamily as error:
+            return str(error)
+
+    loaded = outcome(lambda: hierarchy.report_from_obj(obj).rows[0].left[field == "den"])
+    decimal = outcome(lambda: hierarchy._decimal(value, what, signed=field == "num"))
+    if decimal == 0 and field == "den":
+        decimal = "row r lhs has a zero denominator"
+    assert loaded == decimal
 
 
 @st.composite

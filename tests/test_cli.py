@@ -454,13 +454,14 @@ def test_one_branch_parses_as_the_whole_tree(argv):
 
 def test_one_dimensional_runs_never_load_camzd(tmp_path):
     # the driver imports camzd only for a family of d > 1, and cam1d only for
-    # d = 1; numpy is loaded by camzd and by the complexity kernel alone, and
-    # the driver itself only by the family commands, never by sft
+    # d = 1; numpy is loaded by camzd and by the complexity kernel alone, the
+    # driver itself only by the family commands, never by sft, and sft only
+    # by the sft commands
     script = (
         "import contextlib, io, json, sys\n"
         "from camshift import cli\n"
         "watched = ['numpy', 'camshift.cam1d', 'camshift.camzd', 'camshift.slp',\n"
-        "           'camshift.hierarchy']\n"
+        "           'camshift.hierarchy', 'camshift.sft']\n"
         "for batch in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes = [cli.main(argv) for argv in batch]\n"
@@ -468,12 +469,14 @@ def test_one_dimensional_runs_never_load_camzd(tmp_path):
     )
     one, two = str(tmp_path / "one.json"), str(tmp_path / "two.json")
     fib = "[[1,1],[1,0]]"
-    one_dimensional = [
+    sft_only = [
         [
             ["sft", "qn", "--matrix", fib, "--n", "3"],
             ["sft", "perron", "--matrix", fib],
             ["sft", "embed", "--matrix", fib, "--height", "2", "--n-max", "12"],
-        ],
+        ]
+    ]
+    one_dimensional = [
         [
             ["build", "--dim", "1", "--levels", "3", "--out", one],
             ["certify", "--family", one],
@@ -494,11 +497,12 @@ def test_one_dimensional_runs_never_load_camzd(tmp_path):
             env=dict(os.environ, PYTHONPATH=path),
             check=True,
         ).stdout.splitlines()
-        for batches in (one_dimensional, two_dimensional)
+        for batches in (sft_only, one_dimensional, two_dimensional)
     ]
     one_d = "'camshift.cam1d', 'camshift.slp', 'camshift.hierarchy'"
     assert outputs == [
-        ["[0, 0, 0] []", f"[0, 0, 0, 0, 0, 0] [{one_d}]", f"[0] ['numpy', {one_d}]"],
+        ["[0, 0, 0] ['camshift.sft']"],
+        [f"[0, 0, 0, 0, 0, 0] [{one_d}]", f"[0] ['numpy', {one_d}]"],
         # and the check sees camzd and numpy once a d = 2 family is built
         ["[0] ['numpy', 'camshift.camzd', 'camshift.hierarchy']"],
     ]

@@ -116,6 +116,47 @@ def test_window_matches_char_at(builder, rng):
             assert text[j] == slp.char_at(expr, start + j)
 
 
+# -- factor texts -------------------------------------------------------------
+
+
+def _factor_sets(texts, n):
+    return [{t[i : i + k] for t in texts for i in range(len(t) - k + 1)} for k in range(1, n + 1)]
+
+
+def test_factor_texts_hold_the_windows_factors(builder, rng):
+    # random words of many parts and repeats, windows anywhere in them, and
+    # factor lengths from 1 to past the window
+    for _ in range(60):
+        expr = random_expression(builder, rng, max_length=5_000)
+        size = rng.randint(0, min(1_500, expr.length))
+        start = rng.randint(0, expr.length - size)
+        n = rng.choice([1, 2, 3, 5, 9, 17, 40, size + 1])
+        texts = builder.factor_texts(expr, start, size, n)
+        text = slp.window(expr, start, size)
+        assert len(set(texts)) == len(texts) and all(t and t in text for t in texts)
+        assert sum(map(len, texts)) <= size
+        assert _factor_sets(texts, n) == _factor_sets([text], n)
+
+
+def test_factor_texts_of_a_long_run_read_its_seam_once(builder):
+    # c^1000 with |c| = 10: the texts of the copies and at most three seam
+    # texts (the two clipped to the window and one inside), not one per seam
+    c = a2_expr(builder)
+    run = builder.power(builder.concat([(c, 1), (builder.atom("0"), 1)]), 1000)
+    texts = builder.factor_texts(run, 3, 9_000, 4)
+    assert sum(map(len, texts)) < 60
+    assert _factor_sets(texts, 4) == _factor_sets([slp.window(run, 3, 9_000)], 4)
+
+
+def test_factor_texts_errors(builder):
+    a2 = a2_expr(builder)
+    with refused(r"window \[5, 14\) out of range for length"):
+        builder.factor_texts(a2, 5, 9, 3)
+    with refused("factor length must be positive"):
+        builder.factor_texts(a2, 0, 9, 0)
+    assert builder.factor_texts(a2, 2, 0, 3) == ()
+
+
 # -- snippets ----------------------------------------------------------------
 
 

@@ -300,8 +300,8 @@ def test_the_definer_is_the_one_module_that_defines_the_name():
 
 
 def test_one_packing_site():
-    # factor complexity packs the deduplicated text of its windows, once; a
-    # whole-text path beside it would pack again
+    # factor complexity packs the texts it counts, once; a whole-text path
+    # beside it would pack again
     trees = {path.stem: _parse(path) for path in SOURCES}
     home = _definer(trees, "_packed_prefixes")
     readers = [
@@ -324,6 +324,46 @@ def test_the_check_sees_a_second_packing_site():
         "    return _packed_prefixes_wide(text)\n"
     )
     assert _name_readers(tree, "_packed_prefixes") == ["distinct_factor_counts", "whole"]
+
+
+def _complexity_detours(cam1d, factors):
+    """(module, line, name) for each way around the one complexity path:
+    a call in ``complexity_profile`` that spells the window
+    (``transitive_point_window``, or ``window`` of slp or of the family),
+    and a function of factors that deduplicates windows of a spelled text."""
+    found = []
+    profile = next(f for f in _functions(cam1d) if f.name == "complexity_profile")
+    for node in ast.walk(profile):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("transitive_point_window", "window"):
+                found.append(("cam1d", node.lineno, name))
+    found += [("factors", line, name) for name, line in _defined(factors) if "window" in name]
+    return found
+
+
+def test_one_complexity_path():
+    # a complexity profile counts the texts read off the compressed word;
+    # spelling the window, or deduplicating a spelled one, is a second path
+    trees = {path.stem: _parse(path) for path in SOURCES}
+    assert _complexity_detours(trees["cam1d"], trees["factors"]) == []
+
+
+def test_the_check_sees_a_complexity_detour():
+    cam1d = ast.parse(
+        "def complexity_profile(family, n_max, size):\n"
+        "    text = transitive_point_window(family, 1, size)\n"
+        "    more = slp.window(doubled, 0, size)\n"
+        "    return family.builder.factor_texts(doubled, 0, size, n_max)\n"
+        "def window(family):\n"
+        "    return slp.window(family, 0, 1)\n"
+    )
+    factors = ast.parse("def _distinct_windows(text, n_max):\n    return [text]\n")
+    assert _complexity_detours(cam1d, factors) == [
+        ("cam1d", 2, "transitive_point_window"),
+        ("cam1d", 3, "window"),
+        ("factors", 1, "_distinct_windows"),
+    ]
 
 
 def test_one_rotation_reader():
@@ -841,7 +881,7 @@ INTEGER_ROW_FUNCTIONS = {
     "hierarchy.py": (
         "row", "frequency_row", "period_gap_row", "_certify", "_fit", "_fit_rows",
         "_decided_parts", "_margin", "_root_ceilings", "_smallest_pass", "choose_parameter",
-        "report_to_obj", "_ratio_obj", "report_from_obj", "_stored_ratio",
+        "report_to_obj", "_ratio_obj", "report_from_obj",
     ),
     "camzd.py": ("_variants",),
 }
