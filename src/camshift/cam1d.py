@@ -13,8 +13,8 @@ counts, made on the compressed words.  The probes are transitive-point
 windows, structure parsing, empirical measures and complexity profiles.
 A profile counts the factor texts of its window, read off the compressed
 word (:meth:`camshift.slp.SlpBuilder.factor_texts`), and never spells the
-window; its numpy kernel (:mod:`camshift.factors`) loads with the first
-profile.
+window; its numpy kernel (:mod:`camshift.factors`), which counts binary
+texts on one sort path for every n_max, loads with the first profile.
 """
 
 from __future__ import annotations
@@ -370,8 +370,9 @@ def measure_report(family: LevelFamily, k_max: int | None = None) -> list:
 
 
 def distinct_factor_counts(texts, n_max: int) -> list[int]:
-    """p(1), ..., p(n_max) of the factors of the separate ``texts`` by
-    :mod:`camshift.factors`, imported on first call."""
+    """p(1), ..., p(n_max) of the factors of the separate ``texts``, over
+    :data:`camshift.slp.SYMBOLS`, by :mod:`camshift.factors`, imported on
+    first call."""
     from . import factors
 
     return factors.distinct_factor_counts(texts, n_max)

@@ -622,9 +622,11 @@ class ZdFamily(Hierarchy):
     def _tally(self, k: int, n: int, inherited: list) -> tuple:
         """The counts of the level-(k+1) certificate at parameter n: the
         densities from the base and stamps, and each word of level 2 and up
-        on the block grid of the doubled density word (:class:`DoubledGrid`),
-        built only for a word whose window fits the cell budget.  No word of
-        level k+1 is built."""
+        on the block grid of the doubled density word (:class:`DoubledGrid`).
+        The grids are built first: a word of side t is counted only when the
+        stack of its grid's neighbourhood windows, each of (s + t - 1)^d
+        cells, fits the cell budget, since that stack is what its count
+        gathers and scans.  No word of level k+1 is built."""
         d = self.dim
         density = self._density_words(k, n)
         vol_next = density["a"].cells
@@ -633,15 +635,18 @@ class ZdFamily(Hierarchy):
             ones = _ones(density[side])
             rare_counts[side] = ones if symbol == "1" else vol_next - ones
 
-        # the verifiable words of one side and one shape are counted together;
-        # a word of side t is counted in windows of (s + t - 1)^d cells
+        # the verifiable words of one side and one shape are counted together
         s = self.side(k)
+        patterns = [
+            (ident, side, u)
+            for ident, side, m, name, _ in inherited
+            if m > 1 and (u := self.word(m, name)).array is not None
+        ]
+        grids = {side: DoubledGrid(density[side]) for side in {side for _, side, _ in patterns}}
         groups = {}
-        for ident, side, m, name, _ in inherited:
-            u = self.word(m, name)
-            if m > 1 and u.array is not None and (s + u.side - 1) ** d <= self.budgets.cells:
+        for ident, side, u in patterns:
+            if len(grids[side].mults) * (s + u.side - 1) ** d <= self.budgets.cells:
                 groups.setdefault((side, u.side), []).append((ident, u.array))
-        grids = {side: DoubledGrid(density[side]) for side in {side for side, _ in groups}}
         counts = {}
         for (side, _), words in groups.items():
             found = grids[side].counts([u for _, u in words])

@@ -60,9 +60,6 @@ class FrequencySequence:
         if self.dim < 1:
             raise CamshiftError("dimension must be >= 1")
 
-    def value(self, k: int) -> Fraction:
-        return self.partial(k, k)
-
     def tail(self, start: int) -> Fraction:
         """Exact value of sum_{n >= start} eps_n."""
         return Fraction(2, 3**self.dim * 4**start)

@@ -136,8 +136,8 @@ def _check_symbol(symbol):
         raise CamshiftError(f"symbol must be one of {SYMBOLS}, got {symbol!r}")
 
 
-def _check_symbols(pattern):
-    """Refuse a pattern with a symbol outside SYMBOLS: one scan at C speed."""
+def check_symbols(pattern):
+    """Refuse a pattern or text with a symbol outside SYMBOLS: one scan at C speed."""
     stray = pattern.translate(_DROP_SYMBOLS)
     if stray:
         _check_symbol(stray[0])
@@ -245,7 +245,7 @@ class SlpBuilder:
         if not pattern:
             raise CamshiftError("pattern must be nonempty")
         if pattern not in self._checked:
-            _check_symbols(pattern)
+            check_symbols(pattern)
             self._checked.add(pattern)
         return self._count(expr, pattern)
 

@@ -47,11 +47,11 @@ def _benchmark_family():
 
 def test_default_eps_values():
     eps1 = hierarchy.FrequencySequence(dim=1)
-    assert eps1.value(1) == Fraction(1, 8)
+    assert eps1.partial(1, 1) == Fraction(1, 8)
     assert eps1.tail(1) == Fraction(1, 6)
     assert eps1.tail(1) < Fraction(1, 3)
     eps2 = hierarchy.FrequencySequence(dim=2)
-    assert eps2.value(1) == Fraction(1, 24)
+    assert eps2.partial(1, 1) == Fraction(1, 24)
 
 
 def test_eps_tail_bound_holds_everywhere():
@@ -68,14 +68,14 @@ def test_closed_form_weights_equal_the_summed_definitions():
     for dim in range(1, 7):
         eps = hierarchy.FrequencySequence(dim=dim)
         for lo in range(1, 25):
-            assert eps.value(lo) == eps_value_product(dim, lo)
+            assert eps.partial(lo, lo) == eps_value_product(dim, lo)
             assert eps.tail(lo) == eps_tail_product(dim, lo)
             for hi in range(lo - 2, 25):
                 assert eps.partial(lo, hi) == eps_partial_summed(dim, lo, hi)
         assert eps.partial(0, -1) == eps.partial(-3, -4) == 0  # empty: no index is read
         for k in (0, -1):
             with refused("frequency index must be >= 1"):
-                eps.value(k)
+                eps.partial(k, k)
             with refused("frequency index must be >= 1"):
                 eps.partial(k, 3)
 
@@ -751,8 +751,8 @@ def test_cold_level4_certificate_checks_no_spelled_word(family4, monkeypatch):
         checked.append(pattern)
         return check(pattern)
 
-    check = slp._check_symbols
-    monkeypatch.setattr(slp, "_check_symbols", recording)
+    check = slp.check_symbols
+    monkeypatch.setattr(slp, "check_symbols", recording)
     obj = json.loads(json.dumps(hierarchy.family_to_obj(family4)))
     loaded = hierarchy.family_from_obj(obj)
     hierarchy.certify_level(loaded, 4)
@@ -1043,47 +1043,71 @@ def test_distinct_factor_counts_brute(rng):
     for _ in range(40):
         text = "".join(rng.choice("01") for _ in range(rng.randint(1, 60)))
         n_max = min(len(text), 10)
-        assert factors.distinct_factor_counts([text], n_max) == _brute_counts(text, n_max)
+        assert factors.distinct_factor_counts([text], n_max) == _brute_counts([text], n_max)
 
 
-def _brute_counts(text, n_max):
-    return [len({text[i : i + n] for i in range(len(text) - n + 1)}) for n in range(1, n_max + 1)]
+def _brute_counts(texts, n_max):
+    return [
+        len({text[i : i + n] for text in texts for i in range(len(text) - n + 1)})
+        for n in range(1, n_max + 1)
+    ]
 
 
-SYMBOL_POOL = "01abcdefgé一\U0001F600"
-WIDE_ALPHABET = [chr(0x4E00 + i) for i in range(300)]  # 9-bit codes, 7 per uint64
+def _automaton_counts(texts, n_max):
+    """The suffix automaton's counts of the texts joined, each followed by a
+    separator of its own, less the windows that hold a separator: those
+    are all distinct, and the others are the factors of one text."""
+    joined = "".join(text + chr(0x100 + i) for i, text in enumerate(texts))
+    counts = distinct_factor_counts_automaton(joined, n_max)
+    return [
+        c - max(0, len(joined) - n + 1) + sum(max(0, len(text) - n + 1) for text in texts)
+        for n, c in enumerate(counts, start=1)
+    ]
+
+
+@st.composite
+def binary_texts(draw):
+    """A random, periodic or one-symbol-off periodic binary text."""
+    symbol = st.sampled_from(slp.SYMBOLS)
+    length = draw(st.integers(0, 150))
+    kind = draw(st.sampled_from(["random", "periodic", "periodic-changed"]))
+    if kind == "random":
+        return "".join(draw(st.lists(symbol, min_size=length, max_size=length)))
+    period = "".join(draw(st.lists(symbol, min_size=1, max_size=7)))
+    text = (period * (length // len(period) + 1))[:length]
+    if kind == "periodic-changed" and text:
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(symbol) + text[i + 1 :]
+    return text
 
 
 @st.composite
 def factor_cases(draw):
-    """Random, periodic and one-symbol-off periodic texts with an n_max past their end."""
-    alphabet = draw(
-        st.lists(st.sampled_from(SYMBOL_POOL), min_size=1, max_size=10, unique=True)
-        | st.just(WIDE_ALPHABET)
-    )
-    symbol = st.sampled_from(alphabet)
-    length = draw(st.integers(0, 80))
-    kind = draw(st.sampled_from(["random", "periodic", "periodic-changed"]))
-    if kind == "random":
-        text = "".join(draw(st.lists(symbol, min_size=length, max_size=length)))
-    else:
-        period = "".join(draw(st.lists(symbol, min_size=1, max_size=7)))
-        text = (period * (length // len(period) + 1))[:length]
-        if kind == "periodic-changed" and text:
-            i = draw(st.integers(0, len(text) - 1))
-            text = text[:i] + draw(symbol) + text[i + 1 :]
-    return text, draw(st.integers(1, len(text) + 3))
+    """Several binary texts, and an n_max about one 32-symbol key or past
+    the end of the longest text."""
+    texts = draw(st.lists(binary_texts(), min_size=1, max_size=4))
+    longest = max(map(len, texts))
+    return texts, draw(st.sampled_from([31, 32, 33, 64]) | st.integers(1, longest + 3))
 
 
 @given(case=factor_cases())
-@example(case=("", 3))
-@example(case=("一", 2))
+@example(case=([""], 3))
+@example(case=(["01" * 20, "0110" * 9, "1"], 33))
 @settings(max_examples=300, deadline=None)
 def test_distinct_factor_counts_match_oracles(case):
-    text, n_max = case
-    counts = factors.distinct_factor_counts([text], n_max)
-    assert counts == distinct_factor_counts_automaton(text, n_max)
-    assert counts == _brute_counts(text, n_max)
+    texts, n_max = case
+    counts = factors.distinct_factor_counts(texts, n_max)
+    assert counts == _automaton_counts(texts, n_max)
+    assert counts == _brute_counts(texts, n_max)
+
+
+@pytest.mark.parametrize("text", ["012", "ab", "\u4e00", "0\x001", "\x01", "0 1"])
+def test_distinct_factor_counts_refuse_a_symbol_past_the_binary_alphabet(text):
+    # every symbol has a fixed 2-bit code; any other would pack as a wrong key
+    with refused("symbol must be one of"):
+        factors.distinct_factor_counts(["0101", text], 4)
+    with refused("symbol must be one of"):
+        cam1d.distinct_factor_counts([text], 40)
 
 
 @pytest.fixture()
@@ -1092,9 +1116,9 @@ def lcp_pairs(monkeypatch):
     sizes = []
     packed_lcp = factors._packed_lcp
 
-    def counting(x, y, bits, per):
+    def counting(x, y):
         sizes.append(len(x))
-        return packed_lcp(x, y, bits, per)
+        return packed_lcp(x, y)
 
     monkeypatch.setattr(factors, "_packed_lcp", counting)
     return sizes
@@ -1107,7 +1131,7 @@ def test_distinct_factor_counts_on_transitive_windows(family3, n_max, lcp_pairs)
     text = cam1d.transitive_point_window(family3, -2000, 4000)
     counts = factors.distinct_factor_counts([text], n_max)
     assert counts == distinct_factor_counts_automaton(text, n_max)
-    assert counts == _brute_counts(text, n_max)
+    assert counts == _brute_counts([text], n_max)
     # the window repeats level-2 words, so most neighbours share a key or a final rank
     assert sum(lcp_pairs) < len(text) // 10
 
@@ -1119,26 +1143,8 @@ def test_short_factor_keys_are_cut_to_n_max(family3, n_max, lcp_pairs):
     # whatever follows a window's starts
     text = cam1d.transitive_point_window(family3, -2000, 4000)
     counts = factors.distinct_factor_counts([text], n_max)
-    assert counts == _brute_counts(text, n_max)
+    assert counts == _brute_counts([text], n_max)
     assert lcp_pairs == [counts[-1] + n_max - 2]
-
-
-@pytest.mark.parametrize(
-    "alphabet, bits, per", [(WIDE_ALPHABET, 9, 7), ("abcd", 3, 21)], ids=["wide", "four"]
-)
-def test_distinct_factor_counts_on_long_periodic_text(rng, alphabet, bits, per, lcp_pairs):
-    # per = 21 is no multiple of the 8-symbol chunks that bits = 3 packs in 32 bits
-    period = rng.sample(list(alphabet), len(alphabet)) + rng.choices(alphabet, k=17)
-    text = "".join(period * (3000 // len(period) + 1))[:3000]
-    changed = rng.choice([c for c in alphabet if c != text[1777]])
-    text = text[:1777] + changed + text[1778:]
-    assert factors._packed_prefixes([text], per)[2:] == (bits, per)
-    for n_max in (per, per + 1, 3 * per, 150):
-        counts = factors.distinct_factor_counts([text], n_max)
-        assert counts == distinct_factor_counts_automaton(text, n_max)
-        assert counts == _brute_counts(text, n_max)
-    # four calls take fewer LCPs than one call would over all N - 1 neighbours
-    assert sum(lcp_pairs) < len(text)
 
 
 def test_complexity_profile_pins_benchmark_counts():
@@ -1177,22 +1183,20 @@ def test_benchmark_complexity_past_one_key_matches_the_spelled_window(n_max):
 
 
 @given(case=factor_cases(), copies=st.integers(1, 6), stride=st.sampled_from([1, 2, 7]))
-@example(case=("01", 5), copies=40, stride=2)
-@example(case=("abc" * 20 + "abd", 4), copies=1, stride=7)
-@example(case=("".join(WIDE_ALPHABET[:2]), 9), copies=40, stride=1)  # 9 > 7 symbols a key
-@example(case=("0110", 40), copies=40, stride=2)  # 40 > 32 symbols a key
+@example(case=(["01"], 5), copies=40, stride=2)
+@example(case=(["0110"], 40), copies=40, stride=2)  # 40 > 32 symbols a key
 @settings(max_examples=300, deadline=None)
 def test_windowed_factor_counts_match_oracles(case, copies, stride):
     # a small stride cuts short texts into many windows; copies of a text
     # and periodic texts repeat them, and the tails vary in length
-    text, n_max = case
-    text *= copies
+    texts, n_max = case
+    text = texts[0] * copies
     windows = distinct_windows(text, n_max, stride)
     assert sum(map(len, windows)) <= len(text)
     assert len(set(windows)) == len(windows) and all(w in text for w in windows)
     counts = factors.distinct_factor_counts(windows, n_max)
     assert counts == distinct_factor_counts_automaton(text, n_max)
-    assert counts == _brute_counts(text, n_max)
+    assert counts == _brute_counts([text], n_max)
 
 
 def test_benchmark_complexity_packs_the_distinct_windows_only(monkeypatch):

@@ -490,15 +490,29 @@ def test_level2_rows_match_the_materialized_certifier():
 
 
 def test_block_grid_windows_are_held_to_the_cell_budget():
-    # level-3 windows: 6x6 cells for the level-1 words, 11x11 for the level-2 ones
-    family = camzd.build_family_d(dim=2, levels=2, budgets=Budgets(cells=100))
-    report = camzd.certify_candidate_d(family, 12)
-    unverifiable = {r.ident for r in report.unverifiable_rows}
-    assert unverifiable == {r.ident for r in report.rows if "-freq[m=2," in r.ident}
-    assert {r.note for r in report.unverifiable_rows} == {
-        "unverifiable at budget: cell budget exceeded"
-    }
-    assert {r.status for r in report.rows if "-freq[m=1," in r.ident} == {"pass"}
+    # a level-2 word is counted on the 16 neighbourhood windows of its grid,
+    # 11x11 cells each: one window is over 100 cells, the stack of 1 936 over 1000
+    for cells in (100, 1000):
+        family = camzd.build_family_d(dim=2, levels=2, budgets=Budgets(cells=cells))
+        report = camzd.certify_candidate_d(family, 12)
+        unverifiable = {r.ident for r in report.unverifiable_rows}
+        assert unverifiable == {r.ident for r in report.rows if "-freq[m=2," in r.ident}
+        assert {r.note for r in report.unverifiable_rows} == {
+            "unverifiable at budget: cell budget exceeded"
+        }
+        assert {r.status for r in report.rows if "-freq[m=1," in r.ident} == {"pass"}
+
+
+def test_a_grid_stack_over_the_cell_budget_is_never_counted(monkeypatch):
+    # at d = 6 a level-3 grid stacks 256 windows of 11^6 cells, 4.5x10^8
+    # cells over the default 10^8: every m = 2 row is unverifiable, so the
+    # build is refused (exit 3) without counting a stack
+    def counted(grid, patterns):
+        raise AssertionError(f"counted {len(grid.mults)} windows of {patterns[0].shape}")
+
+    monkeypatch.setattr(camzd.DoubledGrid, "counts", counted)
+    with pytest.raises(BudgetExceeded, match="unverifiable at budget: cell budget exceeded"):
+        camzd.build_family_d(dim=6, levels=3)
 
 
 def test_certificate_work_does_not_grow_with_n(family_d2, monkeypatch):

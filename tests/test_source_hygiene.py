@@ -326,6 +326,48 @@ def test_the_check_sees_a_second_packing_site():
     assert _name_readers(tree, "_packed_prefixes") == ["distinct_factor_counts", "whole"]
 
 
+def _read_sites(tree, name):
+    """Sorted (function, line) of each read of ``name``, bare or as an
+    attribute, in the module-level functions and methods of ``tree``: a
+    call, or an alias that a call elsewhere would go through."""
+    return sorted(
+        (function.name, node.lineno)
+        for function in _functions(tree)
+        for node in ast.walk(function)
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+    )
+
+
+def test_one_sort_path():
+    # every n_max sorts and ranks the packed keys and ends the LCP descent
+    # in the same call; a fork for short prefixes would take LCPs twice
+    tree = _parse(ROOT / "src" / "camshift" / "factors.py")
+    assert [function for function, _ in _read_sites(tree, "_packed_lcp")] == [
+        "distinct_factor_counts"
+    ]
+
+
+def test_the_check_sees_a_second_lcp_site():
+    tree = ast.parse(
+        "def distinct_factor_counts(texts, n_max):\n"
+        "    if n_max <= per:\n"
+        "        return _packed_lcp(a, b)\n"
+        "    return _packed_lcp(c, d) + _packed_lcp_wide(c, d)\n"
+        "class C:\n"
+        "    def lcps(self, x):\n"
+        "        lcp = factors._packed_lcp\n"
+        "        return lcp(x, x)\n"
+        "def _packed_lcp(x, y):\n"
+        "    return x ^ y\n"
+    )
+    assert _read_sites(tree, "_packed_lcp") == [
+        ("distinct_factor_counts", 3),
+        ("distinct_factor_counts", 4),
+        ("lcps", 7),
+    ]
+
+
 def _complexity_detours(cam1d, factors):
     """(module, line, name) for each way around the one complexity path:
     a call in ``complexity_profile`` that spells the window
